@@ -17,11 +17,13 @@ test:
 	$(GO) test ./...
 
 # The -race gate runs the full matrix, then the concurrent components —
-# the sharded parallel engine, the sweep harness, and the root package's
-# sharded-vs-serial equivalence tests — once more explicitly.
+# the sharded parallel engine, the sweep harness, the chaos injector and
+# auditor and the scheduler daemon (whose hooks fire from concurrent shard
+# workers), and the root package's sharded-vs-serial equivalence tests —
+# once more explicitly.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race ./internal/sim/... ./internal/experiments/...
+	$(GO) test -race ./internal/sim/... ./internal/experiments/... ./internal/chaos/... ./internal/schedd/...
 	$(GO) test -race -run 'TestParallel' .
 
 fuzz-smoke:

@@ -6,11 +6,13 @@ set -eux
 go vet ./...
 go build ./...
 go test -race ./...
-# The concurrent components — the sharded parallel engine and the sweep
-# harness — get an explicit -race pass even when the full matrix above is
-# trimmed; the root package holds the sharded-vs-serial equivalence tests,
-# whose windowed worker pools are the hottest synchronization in the tree.
-go test -race ./internal/sim/... ./internal/experiments/...
+# The concurrent components — the sharded parallel engine, the sweep
+# harness, and the chaos injector/auditor and scheduler daemon whose hooks
+# fire from concurrent shard workers — get an explicit -race pass even when
+# the full matrix above is trimmed; the root package holds the
+# sharded-vs-serial equivalence tests, whose worker pools are the hottest
+# synchronization in the tree.
+go test -race ./internal/sim/... ./internal/experiments/... ./internal/chaos/... ./internal/schedd/...
 go test -race -run 'TestParallel' .
 
 # Chaos-fuzz smoke: a short fixed-seed campaign plus the paper-§2.2
@@ -37,16 +39,16 @@ go run ./cmd/gangsim churn -quick -log -shards 4 -workers 4 > /tmp/churn-ci-b.tx
 cmp /tmp/churn-ci-a.txt /tmp/churn-ci-b.txt
 
 # Failure-aware smoke: crashes armed on top of the churn stream. Crash
-# plans force the sharded engine into lockstep, so the availability table
-# and the full decision logs must also be byte-identical with the second
-# leg sharded.
+# plans key every fault decision on simulation state, so the availability
+# table and the full decision logs must also be byte-identical with the
+# second leg sharded (4 shards, windows on 4 workers).
 go run ./cmd/gangsim churn -quick -crash 0.35 -adaptive -log > /tmp/churn-crash-ci-a.txt
 go run ./cmd/gangsim churn -quick -crash 0.35 -adaptive -log -shards 4 -workers 4 > /tmp/churn-crash-ci-b.txt
 cmp /tmp/churn-crash-ci-a.txt /tmp/churn-crash-ci-b.txt
 
 # Repair smoke: the closed failure loop — heartbeat detection plus node
-# rejoin on top of the crash machinery. Same lockstep promise, so the
-# second (sharded) leg must again be byte-identical.
+# rejoin on top of the crash machinery. Same promise, so the second
+# (sharded, windowed) leg must again be byte-identical.
 go run ./cmd/gangsim churn -quick -crash 0.35 -repair 0.75 -adaptive -log > /tmp/churn-repair-ci-a.txt
 go run ./cmd/gangsim churn -quick -crash 0.35 -repair 0.75 -adaptive -log -shards 4 -workers 4 > /tmp/churn-repair-ci-b.txt
 cmp /tmp/churn-repair-ci-a.txt /tmp/churn-repair-ci-b.txt

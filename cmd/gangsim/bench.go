@@ -68,7 +68,8 @@ type ScalingResult struct {
 	// Speedup is wall time of the workers=1 sharded leg divided by this
 	// leg's wall time (1.0 for that leg itself; 0 for the unsharded
 	// baseline, which is the serial reference, not part of the scaling
-	// curve).
+	// curve). Every sharded leg runs the same windows, so the ratio
+	// measures parallelism alone.
 	Speedup float64 `json:"speedup"`
 }
 

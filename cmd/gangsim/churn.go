@@ -47,7 +47,7 @@ func runChurn(args []string, out io.Writer) int {
 	showLog := fs.Bool("log", false, "print the full decision log of every mode")
 	quick := fs.Bool("quick", false, "shrink the stream for a fast smoke run")
 	shards := fs.Int("shards", 0, "shard each cluster's engine into N event lanes (0 = unsharded)")
-	workers := fs.Int("workers", 0, "worker goroutines per sharded engine group (<=1 = lockstep)")
+	workers := fs.Int("workers", 0, "worker goroutines per sharded engine group (<=1 = one, on the coordinator)")
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: gangsim churn [flags]")
 		fs.PrintDefaults()

@@ -83,7 +83,7 @@ func main() {
 	quick := flag.Bool("quick", false, "shrink sweeps for a fast smoke run")
 	par := flag.Int("par", runtime.GOMAXPROCS(0), "max concurrently simulated points")
 	shards := flag.Int("shards", 0, "shard each cluster's engine into N event lanes (0 = unsharded)")
-	workers := flag.Int("workers", 0, "worker goroutines per sharded engine group (<=1 = lockstep)")
+	workers := flag.Int("workers", 0, "worker goroutines per sharded engine group (<=1 = one, on the coordinator)")
 	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
 	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
 	flag.Usage = usage
@@ -171,10 +171,10 @@ func usage() {
 usage: gangsim [-quick] [-par N] [-shards N] [-workers N]
                [-cpuprofile F] [-memprofile F] <experiment>
 
--shards N splits every simulated cluster's engine into N event lanes; with
--workers > 1 the lanes run concurrently under conservative lookahead
-windows, otherwise in bit-identical lockstep. Either way the tables must
-come out identical to the unsharded run.
+-shards N splits every simulated cluster's engine into N event lanes that
+run under conservative lookahead windows, concurrently on -workers N
+goroutines. At any worker count the tables must come out identical to the
+unsharded run.
 
 experiments:
   credits   credit formulas C0 = Br/(n^2 p) vs Br/p (paper 2.2, 3.3)

@@ -96,16 +96,11 @@ func TestGoldenFigures(t *testing.T) {
 	}
 }
 
-// TestGoldenChaosTrace freezes the injector's firing trace for a fixed
-// seed and fault plan on a 4-node cluster: the trace records every
-// RNG-driven decision at the instant it is made, so any reordering of
-// packet sends — or any change to packet field contents — shows up here.
-func TestGoldenChaosTrace(t *testing.T) {
-	cfg := parpar.DefaultConfig(4)
-	cfg.Slots = 2
-	cfg.Quantum = 2_000_000
-	cfg.Chaos = &chaos.Plan{
-		Seed: 42,
+// goldenChaosPlan is the fault plan TestGoldenChaosTrace freezes: light
+// data loss and duplication, refill loss, and control-message delay.
+func goldenChaosPlan() chaos.Plan {
+	return chaos.Plan{
+		Seed: 45,
 		Faults: []chaos.Fault{
 			{Kind: chaos.DataLoss, Prob: 0.02, Node: -1},
 			{Kind: chaos.DataDup, Prob: 0.01, Node: -1},
@@ -113,17 +108,38 @@ func TestGoldenChaosTrace(t *testing.T) {
 			{Kind: chaos.CtrlDelay, Prob: 0.1, Delay: 50_000},
 		},
 	}
+}
+
+// chaosCluster builds a 4-node, 2-slot cluster with the given shard and
+// worker counts, arms the fault plan, and runs two all-to-all jobs to a
+// fixed horizon.
+func chaosCluster(t *testing.T, plan chaos.Plan, perPeer, shards, workers int) *parpar.Cluster {
+	t.Helper()
+	cfg := parpar.DefaultConfig(4)
+	cfg.Slots = 2
+	cfg.Quantum = 2_000_000
+	cfg.Shards = shards
+	cfg.Workers = workers
+	cfg.Chaos = &plan
 	cluster, err := parpar.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := cluster.Submit(workload.AllToAll("golden-a", 4, 30, 1536)); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cluster.Submit(workload.AllToAll("golden-b", 4, 30, 1536)); err != nil {
-		t.Fatal(err)
+	for _, name := range []string{"golden-a", "golden-b"} {
+		if _, err := cluster.Submit(workload.AllToAll(name, 4, perPeer, 1536)); err != nil {
+			t.Fatal(err)
+		}
 	}
 	cluster.RunUntil(60_000_000)
+	return cluster
+}
+
+// TestGoldenChaosTrace freezes the injector's firing trace for a fixed
+// seed and fault plan on a 4-node cluster: the trace records every fired
+// fault with the time it fired, so any reordering of packet sends — or any
+// change to packet field contents — shows up here.
+func TestGoldenChaosTrace(t *testing.T) {
+	cluster := chaosCluster(t, goldenChaosPlan(), 30, 1, 1)
 	trace := strings.Join(cluster.ChaosTrace(), "\n") + "\n"
 	goldenCompare(t, "chaos_trace.txt", trace)
 }

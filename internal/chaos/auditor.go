@@ -1,7 +1,9 @@
 package chaos
 
 import (
+	"cmp"
 	"fmt"
+	"slices"
 	"strings"
 	"sync"
 
@@ -29,8 +31,9 @@ func (v Violation) String() string {
 // with the protocol at quantum boundaries.
 type Check func(now sim.Time, report func(invariant, detail string))
 
-// violationCap bounds the retained violation list; a systemic breach
-// repeats every audit tick and the first occurrences carry the signal.
+// violationCap bounds the violation list Violations returns; a systemic
+// breach repeats every audit tick and the first occurrences carry the
+// signal.
 const violationCap = 200
 
 // Auditor is the central invariant registry: hook points all over the
@@ -41,16 +44,15 @@ type Auditor struct {
 	eng  *sim.Engine
 	seed uint64
 
-	// mu guards the report state: the NIC and manager hook points can fire
-	// from concurrent shard workers when the cluster runs a windowed shard
-	// group, while the periodic checks run on the group's global lane.
-	mu         sync.Mutex
-	failFast   bool
-	checks     []Check
-	seen       map[string]bool
-	violations []Violation
-	dropped    uint64
-	stopped    bool
+	// mu guards the report state: node-side hooks (see Reporter) fire from
+	// concurrent shard workers when the cluster runs on a shard group,
+	// while the periodic checks run on the group's global lane.
+	mu       sync.Mutex
+	failFast bool
+	checks   []Check
+	found    map[string]*found
+	nextSeq  map[int]uint64
+	stopped  bool
 
 	// reportFn is the bound Report method, built once: RunChecks runs every
 	// quantum, and evaluating the method value there would allocate a
@@ -58,10 +60,25 @@ type Auditor struct {
 	reportFn func(invariant, detail string)
 }
 
+// found is one distinct violation with its canonical position: reporting
+// lane's time, source (a node, or -1 for the auditor's own lane), and the
+// source's report count. Each source reports in a fixed order on one lane,
+// so the position does not depend on how lanes interleave.
+type found struct {
+	v   Violation
+	src int
+	seq uint64
+}
+
+func (f *found) compare(g *found) int {
+	return cmp.Or(cmp.Compare(f.v.Time, g.v.Time), cmp.Compare(f.src, g.src), cmp.Compare(f.seq, g.seq))
+}
+
 // NewAuditor builds an auditor; seed is the value needed to replay the run
 // (the fault plan's seed, or the cluster seed when no plan is installed).
+// eng is the lane the periodic checks and Report run on.
 func NewAuditor(eng *sim.Engine, seed uint64) *Auditor {
-	a := &Auditor{eng: eng, seed: seed, seen: make(map[string]bool)}
+	a := &Auditor{eng: eng, seed: seed, found: make(map[string]*found), nextSeq: make(map[int]uint64)}
 	a.reportFn = a.Report
 	return a
 }
@@ -84,21 +101,33 @@ func (a *Auditor) RunChecks() {
 	}
 }
 
-// Report records a violation. Duplicate (invariant, detail) pairs are
-// collapsed: a wedged invariant re-reports identically every audit tick.
+// Report records a violation found on the auditor's own lane.
 func (a *Auditor) Report(invariant, detail string) {
+	a.report(-1, a.eng.Now(), invariant, detail)
+}
+
+// Reporter returns the report hook for one node's stack, stamping each
+// violation with the clock of eng, the lane that owns the node.
+func (a *Auditor) Reporter(node int, eng *sim.Engine) func(invariant, detail string) {
+	return func(invariant, detail string) { a.report(node, eng.Now(), invariant, detail) }
+}
+
+// report records a violation. Duplicate (invariant, detail) pairs are
+// collapsed to the canonically earliest: a wedged invariant re-reports
+// identically every audit tick.
+func (a *Auditor) report(src int, now sim.Time, invariant, detail string) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
+	f := &found{v: Violation{Time: now, Invariant: invariant, Detail: detail}, src: src, seq: a.nextSeq[src]}
+	a.nextSeq[src]++
 	key := invariant + "\x00" + detail
-	if a.seen[key] {
+	if old, dup := a.found[key]; dup {
+		if f.compare(old) < 0 {
+			*old = *f
+		}
 		return
 	}
-	a.seen[key] = true
-	if len(a.violations) >= violationCap {
-		a.dropped++
-		return
-	}
-	a.violations = append(a.violations, Violation{Time: a.eng.Now(), Invariant: invariant, Detail: detail})
+	a.found[key] = f
 	if a.failFast && !a.stopped {
 		a.stopped = true
 		a.eng.Stop()
@@ -109,31 +138,43 @@ func (a *Auditor) Report(invariant, detail string) {
 func (a *Auditor) Ok() bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.violations) == 0 && a.dropped == 0
+	return len(a.found) == 0
 }
 
-// Violations returns the recorded violations in report order.
+// Violations returns the recorded violations in canonical order (time,
+// source, per-source order), at most violationCap of them.
 func (a *Auditor) Violations() []Violation {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	out := make([]Violation, len(a.violations))
-	copy(out, a.violations)
+	all := make([]*found, 0, len(a.found))
+	for _, f := range a.found {
+		all = append(all, f)
+	}
+	slices.SortFunc(all, (*found).compare)
+	out := make([]Violation, min(len(all), violationCap))
+	for i := range out {
+		out[i] = all[i].v
+	}
 	return out
 }
 
 // Summary formats the verdict with the replay seed — the line a failing
 // fuzz run prints.
 func (a *Auditor) Summary() string {
-	if a.Ok() {
+	vs := a.Violations()
+	a.mu.Lock()
+	dropped := len(a.found) - len(vs)
+	a.mu.Unlock()
+	if len(vs) == 0 {
 		return fmt.Sprintf("ok: no invariant violations (seed %d)", a.seed)
 	}
 	var b strings.Builder
-	fmt.Fprintf(&b, "%d invariant violation(s) — replay with seed %d:", len(a.violations), a.seed)
-	for _, v := range a.violations {
+	fmt.Fprintf(&b, "%d invariant violation(s) — replay with seed %d:", len(vs), a.seed)
+	for _, v := range vs {
 		b.WriteString("\n  " + v.String())
 	}
-	if a.dropped > 0 {
-		fmt.Fprintf(&b, "\n  ... %d further distinct violations suppressed", a.dropped)
+	if dropped > 0 {
+		fmt.Fprintf(&b, "\n  ... %d further distinct violations suppressed", dropped)
 	}
 	return b.String()
 }
@@ -147,7 +188,7 @@ func (a *Auditor) Summary() string {
 // legitimately exhausted window.
 type CreditLedger struct {
 	// mu guards the maps: drop hooks fire from whichever shard worker owns
-	// the dropping node when the cluster runs a windowed shard group.
+	// the dropping node when the cluster runs on a shard group.
 	mu        sync.Mutex
 	destroyed map[myrinet.JobID]int
 	drops     map[myrinet.JobID]int

@@ -11,8 +11,10 @@
 //     mid-switch faults targeting each flush stage (halt loss, ready
 //     loss, backing-store corruption).
 //   - An Injector compiles the plan into deterministic per-event
-//     decisions, recording a replayable trace. The same seed and plan
-//     always produce byte-identical traces.
+//     decisions, each a hash of the seed and the event's own identity
+//     (not of the order events arrive in), recording a replayable trace.
+//     The same seed and plan always produce byte-identical traces, on one
+//     engine or on a sharded group at any worker count.
 //   - An Auditor collects invariant-violation reports from hook points in
 //     fm, lanai, core, gang and parpar, optionally failing fast, and
 //     always carrying the seed needed to replay the run.
@@ -172,9 +174,8 @@ type Plan struct {
 	// Seed drives every probabilistic decision the injector makes. The
 	// same Seed and Faults produce byte-identical injection traces.
 	Seed uint64
-	// Faults are consulted in order; their relative order is part of the
-	// deterministic contract (each active fault consumes one RNG draw
-	// per candidate event).
+	// Faults are consulted in order; a fault's index is part of its draw
+	// key, so reordering the list changes which events each one hits.
 	Faults []Fault
 }
 

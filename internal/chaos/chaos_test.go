@@ -1,6 +1,7 @@
 package chaos
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -43,7 +44,8 @@ func TestPlanValidate(t *testing.T) {
 
 // TestInjectorTraceDeterminism: the core replay contract at the unit level.
 // Two injectors built from the same plan, fed the same packet sequence,
-// emit byte-identical traces and identical verdicts.
+// emit byte-identical traces and identical verdicts. Packets carry the
+// per-route Seq the network stamps before consulting the injector.
 func TestInjectorTraceDeterminism(t *testing.T) {
 	plan := Plan{Seed: 42, Faults: []Fault{
 		{Kind: DataLoss, Prob: 0.3, Node: -1},
@@ -58,7 +60,8 @@ func TestInjectorTraceDeterminism(t *testing.T) {
 			if i%5 == 0 {
 				typ = myrinet.Refill
 			}
-			p := &myrinet.Packet{Type: typ, Src: myrinet.NodeID(i % 3), Dst: myrinet.NodeID((i + 1) % 3), Job: 1}
+			p := &myrinet.Packet{Type: typ, Src: myrinet.NodeID(i % 3), Dst: myrinet.NodeID((i + 1) % 3),
+				Job: 1, Seq: uint64(i / 3)}
 			verdicts = append(verdicts, in.Packet(sim.Time(i*100), p))
 		}
 		return in.TraceString(), verdicts
@@ -84,6 +87,48 @@ func TestInjectorTraceDeterminism(t *testing.T) {
 	}
 	if drops == 0 || dups == 0 {
 		t.Fatalf("plan with p=0.3/0.3/0.5 over 200 packets fired nothing: drops=%d dups=%d", drops, dups)
+	}
+}
+
+// TestInjectorOrderIndependent: verdicts are keyed by the packet, not by
+// the order packets arrive in. Two injectors fed the same packets — one in
+// send order, one reversed, as two shard lanes might present them — return
+// the same verdict for every packet and the same canonical trace.
+func TestInjectorOrderIndependent(t *testing.T) {
+	plan := Plan{Seed: 9, Faults: []Fault{
+		{Kind: DataLoss, Prob: 0.2, Node: -1},
+		{Kind: DataDup, Prob: 0.2, Node: -1},
+	}}
+	type sent struct {
+		at sim.Time
+		p  myrinet.Packet
+	}
+	var pkts []sent
+	for i := 0; i < 300; i++ {
+		pkts = append(pkts, sent{sim.Time(i * 10), myrinet.Packet{Type: myrinet.Data,
+			Src: myrinet.NodeID(i % 4), Dst: myrinet.NodeID((i + 1 + i/4) % 4), Job: 1, Seq: uint64(i / 4)}})
+	}
+	fwd, rev := NewInjector(sim.NewEngine(), plan), NewInjector(sim.NewEngine(), plan)
+	want := make([]myrinet.Verdict, len(pkts))
+	for i := range pkts {
+		p := pkts[i].p
+		want[i] = fwd.Packet(pkts[i].at, &p)
+	}
+	fired := 0
+	for i := len(pkts) - 1; i >= 0; i-- {
+		p := pkts[i].p
+		if got := rev.Packet(pkts[i].at, &p); got != want[i] {
+			t.Fatalf("packet %d: verdict %+v in reverse order, %+v in send order", i, got, want[i])
+		}
+		if want[i].Drop || want[i].Duplicate {
+			fired++
+		}
+	}
+	if fired == 0 {
+		t.Fatal("p=0.2 loss and duplication over 300 packets fired nothing")
+	}
+	if a, b := fwd.TraceString(), rev.TraceString(); a != b {
+		t.Fatalf("trace depends on presentation order:\n--- send order ---\n%s\n--- reversed ---\n%s", a, b)
 	}
 }
 
@@ -167,6 +212,48 @@ func TestAuditorDedupeAndSummary(t *testing.T) {
 	}
 	if !strings.Contains(sum, "credit-bounds") || !strings.Contains(sum, "flush-stall") {
 		t.Fatalf("summary lacks the invariants:\n%s", sum)
+	}
+}
+
+// TestAuditorOrderIndependent: violations are stamped with the reporting
+// lane's clock and returned in (time, source, per-source) order, and a
+// duplicate keeps its earliest report — so the list does not depend on how
+// concurrent lanes interleaved their reports.
+func TestAuditorOrderIndependent(t *testing.T) {
+	run := func(lanesFirst bool) []Violation {
+		global, lane0, lane1 := sim.NewEngine(), sim.NewEngine(), sim.NewEngine()
+		global.RunUntil(100)
+		lane0.RunUntil(100)
+		lane1.RunUntil(50)
+		a := NewAuditor(global, 1)
+		r0, r1 := a.Reporter(0, lane0), a.Reporter(1, lane1)
+		sources := []func(){
+			func() { a.Report("flush-stall", "round 3 stuck") },
+			func() { r0("store-integrity", "job 1 digest mismatch") },
+			func() {
+				r1("flush-order", "node 1 released early")
+				r1("store-integrity", "job 1 digest mismatch")
+			},
+		}
+		if lanesFirst {
+			slices.Reverse(sources)
+		}
+		for _, report := range sources {
+			report()
+		}
+		return a.Violations()
+	}
+	a, b := run(false), run(true)
+	if !slices.Equal(a, b) {
+		t.Fatalf("violations depend on report interleaving:\n%v\n%v", a, b)
+	}
+	want := []Violation{
+		{50, "flush-order", "node 1 released early"},
+		{50, "store-integrity", "job 1 digest mismatch"},
+		{100, "flush-stall", "round 3 stuck"},
+	}
+	if !slices.Equal(a, want) {
+		t.Fatalf("got %v, want %v", a, want)
 	}
 }
 

@@ -2,7 +2,9 @@ package chaos
 
 import (
 	"fmt"
+	"slices"
 	"strings"
+	"sync"
 
 	"gangfm/internal/myrinet"
 	"gangfm/internal/sim"
@@ -24,39 +26,55 @@ const minSlowSlice = 50_000
 // wires CtrlMessage into its control network, ArmNode onto each host CPU,
 // and StoreHook into each node's buffer-switch manager.
 //
-// All decisions are functions of the plan seed and the order in which the
-// simulation presents events — both deterministic — so a run can be
-// replayed exactly from (cluster config, plan).
+// Every decision hashes the plan seed, the fault's index and the identity
+// of the event it judges (see draw), never the order events arrive in, so
+// a run replays exactly from (cluster config, plan) on one engine or on a
+// sharded group at any worker count. Packet and store hooks run on the
+// lane that owns the node; the trace and counts are shared under mu.
 type Injector struct {
 	eng  *sim.Engine
-	rng  *sim.Rand
 	plan Plan
 
+	mu       sync.Mutex
 	trace    []string
-	overflow uint64
+	recorded uint64 // records ever made; trace keeps the traceCap first
 	counts   map[FaultKind]uint64
+	// presented counts, per (fault kind, node), the events that kind's
+	// draws are keyed on: control messages per destination, backing-store
+	// saves per node.
+	presented map[[2]int]uint64
 }
 
 // NewInjector builds an injector for the plan. Invalid plans panic: a plan
 // is test/driver input, and silently skipping faults would make "no
-// violations" meaningless.
+// violations" meaningless. eng is the lane CPU faults are scheduled on.
 func NewInjector(eng *sim.Engine, plan Plan) *Injector {
 	if err := plan.Validate(); err != nil {
 		panic(err)
 	}
 	return &Injector{
-		eng:    eng,
-		rng:    sim.NewRand(plan.Seed),
-		plan:   plan,
-		counts: make(map[FaultKind]uint64),
+		eng:       eng,
+		plan:      plan,
+		counts:    make(map[FaultKind]uint64),
+		presented: make(map[[2]int]uint64),
 	}
 }
 
-// Plan returns the compiled plan.
-func (in *Injector) Plan() Plan { return in.plan }
+// next returns how many events of the kind were presented for node before
+// this one, and counts this one.
+func (in *Injector) next(kind FaultKind, node int) uint64 {
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	k := [2]int{int(kind), node}
+	n := in.presented[k]
+	in.presented[k] = n + 1
+	return n
+}
 
 // Counts returns how many times each fault kind fired.
 func (in *Injector) Counts() map[FaultKind]uint64 {
+	in.mu.Lock()
+	defer in.mu.Unlock()
 	out := make(map[FaultKind]uint64, len(in.counts))
 	for k, v := range in.counts {
 		out[k] = v
@@ -64,32 +82,62 @@ func (in *Injector) Counts() map[FaultKind]uint64 {
 	return out
 }
 
-// Trace returns the injection trace: one line per fired fault, in firing
-// order. Identical (seed, plan, workload) runs yield identical traces —
-// the determinism contract the chaos tests pin down.
+// Trace returns the injection trace: one line per fired fault, sorted.
+// Lines lead with the fault time in a fixed-width column, so sorted is
+// time order (below 10^12 cycles) and, among equal times, text order; lines
+// that tie are identical, so the order does not depend on which lane
+// reported first. Identical (seed, plan, workload) runs yield identical
+// traces — the determinism contract the chaos tests pin down.
 func (in *Injector) Trace() []string {
-	out := make([]string, len(in.trace))
-	copy(out, in.trace)
-	return out
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	in.compact()
+	return slices.Clone(in.trace)
 }
 
 // TraceString joins the trace, noting any overflow.
 func (in *Injector) TraceString() string {
-	s := strings.Join(in.trace, "\n")
-	if in.overflow > 0 {
-		s += fmt.Sprintf("\n... %d further injections not recorded", in.overflow)
+	s := strings.Join(in.Trace(), "\n")
+	in.mu.Lock()
+	defer in.mu.Unlock()
+	if over := in.recorded - uint64(len(in.trace)); over > 0 {
+		s += fmt.Sprintf("\n... %d further injections not recorded", over)
 	}
 	return s
 }
 
-func (in *Injector) record(kind FaultKind, format string, args ...any) {
+// record notes one fired fault at time at (the reporting lane's clock).
+func (in *Injector) record(at sim.Time, kind FaultKind, format string, args ...any) {
+	line := fmt.Sprintf("%12d %-13s %s", at, kind, fmt.Sprintf(format, args...))
+	in.mu.Lock()
+	defer in.mu.Unlock()
 	in.counts[kind]++
-	if len(in.trace) >= traceCap {
-		in.overflow++
-		return
+	in.recorded++
+	in.trace = append(in.trace, line)
+	if len(in.trace) >= 2*traceCap {
+		in.compact()
 	}
-	in.trace = append(in.trace,
-		fmt.Sprintf("%12d %-13s %s", in.eng.Now(), kind, fmt.Sprintf(format, args...)))
+}
+
+// compact sorts the trace canonically and keeps the traceCap first
+// records. Dropping only records with traceCap smaller ones keeps the
+// retained set a function of the run, not of the lanes' report order.
+func (in *Injector) compact() {
+	slices.Sort(in.trace)
+	if len(in.trace) > traceCap {
+		in.trace = in.trace[:traceCap]
+	}
+}
+
+// draw is the decision source: 64 random bits keyed by the plan seed, the
+// fault's index in the plan, a node, and that node's sequence key (a, b).
+func (in *Injector) draw(fault, node int, a, b uint64) uint64 {
+	return sim.Hash(in.plan.Seed, uint64(fault), uint64(node), a, b)
+}
+
+// hit reports whether a fault of probability p fires on draw h.
+func hit(p float64, h uint64) bool {
+	return p >= 1 || (p > 0 && sim.Unit(h) < p)
 }
 
 // packetKind maps a packet type to the fault kinds that can affect it.
@@ -109,9 +157,9 @@ func packetKinds(t myrinet.PacketType) (drop FaultKind, canDup bool, ok bool) {
 }
 
 // Packet decides the fate of one packet at injection time (implements
-// myrinet.Injector). Each active matching fault consumes exactly one RNG
-// draw whether or not it fires, keeping the decision sequence aligned
-// across runs.
+// myrinet.Injector). The network has stamped the packet's per-route Seq,
+// so (Src, Dst, Seq) names it uniquely and every active matching fault
+// draws on that key.
 func (in *Injector) Packet(now sim.Time, p *myrinet.Packet) myrinet.Verdict {
 	dropKind, canDup, ok := packetKinds(p.Type)
 	if !ok {
@@ -125,14 +173,14 @@ func (in *Injector) Packet(now sim.Time, p *myrinet.Packet) myrinet.Verdict {
 		}
 		switch f.Kind {
 		case dropKind:
-			if in.rng.Bool(f.Prob) && !v.Drop {
+			if !v.Drop && hit(f.Prob, in.draw(i, int(p.Src), uint64(p.Dst), p.Seq)) {
 				v.Drop = true
-				in.record(f.Kind, "%s", p)
+				in.record(now, f.Kind, "%s", p)
 			}
 		case DataDup:
-			if canDup && in.rng.Bool(f.Prob) && !v.Duplicate {
+			if canDup && !v.Duplicate && hit(f.Prob, in.draw(i, int(p.Src), uint64(p.Dst), p.Seq)) {
 				v.Duplicate = true
-				in.record(f.Kind, "%s", p)
+				in.record(now, f.Kind, "%s", p)
 			}
 		}
 	}
@@ -145,8 +193,11 @@ func (in *Injector) Packet(now sim.Time, p *myrinet.Packet) myrinet.Verdict {
 
 // CtrlMessage decides the fate of one control-Ethernet message destined
 // for node dst (dst < 0 for masterd-bound messages): extra latency to add
-// and whether to drop it outright.
+// and whether to drop it outright. The key is (dst, messages presented for
+// dst so far); the control network presents every message from its own
+// serialized lane, so that count is the same at any sharding.
 func (in *Injector) CtrlMessage(now sim.Time, dst int) (extra sim.Time, drop bool) {
+	n := in.next(CtrlLoss, dst)
 	for i := range in.plan.Faults {
 		f := &in.plan.Faults[i]
 		if !f.active(now) || !f.matchesNode(dst) {
@@ -154,14 +205,14 @@ func (in *Injector) CtrlMessage(now sim.Time, dst int) (extra sim.Time, drop boo
 		}
 		switch f.Kind {
 		case CtrlLoss:
-			if in.rng.Bool(f.Prob) && !drop {
+			if !drop && hit(f.Prob, in.draw(i, dst, n, 0)) {
 				drop = true
-				in.record(CtrlLoss, "ctrl message to node %d", dst)
+				in.record(now, CtrlLoss, "ctrl message to node %d", dst)
 			}
 		case CtrlDelay:
-			if in.rng.Bool(f.Prob) {
+			if hit(f.Prob, in.draw(i, dst, n, 0)) {
 				extra += f.Delay
-				in.record(CtrlDelay, "ctrl message to node %d +%d cycles", dst, f.Delay)
+				in.record(now, CtrlDelay, "ctrl message to node %d +%d cycles", dst, f.Delay)
 			}
 		}
 	}
@@ -189,12 +240,12 @@ func (in *Injector) ArmNode(node int, cpu *sim.Resource) {
 		case NodePause:
 			until := f.Until
 			in.eng.ScheduleAt(f.From, func() {
-				in.record(NodePause, "node %d CPU blocked until %d", node, until)
+				in.record(in.eng.Now(), NodePause, "node %d CPU blocked until %d", node, until)
 				cpu.Block(until)
 			})
 		case NodeCrash:
 			in.eng.ScheduleAt(f.From, func() {
-				in.record(NodeCrash, "node %d crashed (fail-stop)", node)
+				in.record(in.eng.Now(), NodeCrash, "node %d crashed (fail-stop)", node)
 				cpu.Block(crashHorizon)
 			})
 		case NodeRepair:
@@ -203,7 +254,7 @@ func (in *Injector) ArmNode(node int, cpu *sim.Resource) {
 			// after this event in FIFO order, so the fresh incarnation
 			// boots on an unblocked CPU.
 			in.eng.ScheduleAt(f.From, func() {
-				in.record(NodeRepair, "node %d repaired (fresh incarnation boots)", node)
+				in.record(in.eng.Now(), NodeRepair, "node %d repaired (fresh incarnation boots)", node)
 				cpu.Unblock()
 			})
 		case NodeSlow:
@@ -216,7 +267,7 @@ func (in *Injector) ArmNode(node int, cpu *sim.Resource) {
 				continue
 			}
 			in.eng.ScheduleAt(f.From, func() {
-				in.record(NodeSlow, "node %d losing %.0f%% CPU until %d", node, f.Factor*100, f.Until)
+				in.record(in.eng.Now(), NodeSlow, "node %d losing %.0f%% CPU until %d", node, f.Factor*100, f.Until)
 			})
 			for t := f.From; t < f.Until; t += period {
 				t := t
@@ -265,21 +316,29 @@ func (in *Injector) repairedBetween(node int, from, t sim.Time) bool {
 // when the plan has no StoreCorrupt fault for it. The hook is invoked by
 // the core manager right after a descheduled job's queues are saved (and
 // after the integrity digest is taken); it mutates the parked packets in
-// place — the digest check at restore time is expected to report it.
-func (in *Injector) StoreHook(node int) func(job myrinet.JobID, send, recv []*myrinet.Packet) {
-	var relevant []Fault
-	for _, f := range in.plan.Faults {
+// place — the digest check at restore time is expected to report it. eng
+// is the node's lane, whose clock stamps the trace. Each save is keyed by
+// (node, saves on the node so far), and the same draw picks the victim.
+func (in *Injector) StoreHook(node int, eng *sim.Engine) func(job myrinet.JobID, send, recv []*myrinet.Packet) {
+	var relevant []int
+	for i, f := range in.plan.Faults {
 		if f.Kind == StoreCorrupt && f.matchesNode(node) {
-			relevant = append(relevant, f)
+			relevant = append(relevant, i)
 		}
 	}
 	if len(relevant) == 0 {
 		return nil
 	}
 	return func(job myrinet.JobID, send, recv []*myrinet.Packet) {
-		now := in.eng.Now()
-		for _, f := range relevant {
-			if !f.active(now) || !in.rng.Bool(f.Prob) {
+		now := eng.Now()
+		save := in.next(StoreCorrupt, node)
+		for _, i := range relevant {
+			f := &in.plan.Faults[i]
+			if !f.active(now) {
+				continue
+			}
+			h := in.draw(i, node, save, 0)
+			if !hit(f.Prob, h) {
 				continue
 			}
 			pkts := make([]*myrinet.Packet, 0, len(send)+len(recv))
@@ -292,9 +351,9 @@ func (in *Injector) StoreHook(node int) func(job myrinet.JobID, send, recv []*my
 			// re-stamped by the network on send), so the fault is crash-
 			// free and detectable only by the integrity digest — exactly
 			// the silent-corruption scenario the digest exists for.
-			victim := pkts[in.rng.Intn(len(pkts))]
+			victim := pkts[h%uint64(len(pkts))]
 			victim.Seq ^= 0xDEAD
-			in.record(StoreCorrupt, "node %d job %d packet {%s}", node, job, victim)
+			in.record(now, StoreCorrupt, "node %d job %d packet {%s}", node, job, victim)
 		}
 	}
 }

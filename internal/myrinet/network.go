@@ -48,7 +48,8 @@ type Verdict struct {
 // Injector decides the fate of each transmitted packet — the seam the
 // chaos layer plugs into (internal/chaos compiles fault plans into one).
 // Implementations must be deterministic functions of their own seeded
-// state and the packet sequence presented to them.
+// state and the packet presented — Send stamps its per-route Seq first —
+// and safe to call from concurrent shard lanes.
 type Injector interface {
 	Packet(now sim.Time, p *Packet) Verdict
 }
@@ -308,8 +309,8 @@ func (n *Network) Send(p *Packet) sim.Time {
 	}
 	var v Verdict
 	if n.injector != nil {
-		// The injector is a single sequential machine; sharded runs that
-		// install one must serialize (sim.Lockstep), which parpar enforces.
+		// Consulted after the Seq stamp: the injector keys its decision
+		// on (Src, Dst, Seq), which is the same at any sharding.
 		v = n.injector.Packet(src.Now(), p)
 	}
 	if p.Src == p.Dst {

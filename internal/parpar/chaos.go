@@ -94,11 +94,12 @@ func (c *Cluster) armChaos() {
 // host CPU resource, which survives the reboot.
 func (c *Cluster) armNodeObservers(n *Node) {
 	if c.injector != nil {
-		n.Mgr.OnStore = c.injector.StoreHook(int(n.ID))
+		n.Mgr.OnStore = c.injector.StoreHook(int(n.ID), n.Eng)
 	}
 	n.NIC.OnDrop = func(p *myrinet.Packet, _ lanai.DropReason) { c.ledger.RecordDrop(p) }
-	n.NIC.OnViolation = c.auditor.Report
-	n.Mgr.Audit = c.auditor.Report
+	report := c.auditor.Reporter(int(n.ID), n.Eng)
+	n.NIC.OnViolation = report
+	n.Mgr.Audit = report
 }
 
 // armAuditTick starts the per-quantum audit loop. The loop keeps itself

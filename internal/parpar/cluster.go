@@ -71,14 +71,12 @@ type Config struct {
 
 	// Shards, when > 1, partitions the cluster into that many contiguous
 	// node ranges, each with its own event lane (masterd and control
-	// network live on an extra global lane). With Workers > 1 the lanes
-	// run concurrently under conservative lookahead windows derived from
-	// the data network's minimum cross-node latency; results are
-	// semantically identical to the unsharded simulator. With Workers <= 1
-	// — or whenever a chaos plan is installed, since the fault injector is
-	// a single sequential machine — the lanes execute in lockstep, which
-	// is bit-identical to the unsharded simulator. Shards <= 1 leaves the
-	// classic single-engine path untouched.
+	// network live on an extra global lane). The lanes run under
+	// conservative lookahead windows derived from the data network's
+	// minimum cross-node latency, concurrently when Workers > 1; results —
+	// chaos traces included — are identical to the unsharded simulator at
+	// any worker count. Shards <= 1 leaves the classic single-engine path
+	// untouched.
 	Shards int
 	// Workers caps the goroutines running shard windows (see Shards).
 	Workers int
@@ -165,7 +163,7 @@ var (
 func (n *Node) deliverAck(s core.SwitchStats, ack func(core.SwitchStats)) {
 	n.ackStats, n.ackFn = s, ack
 	c := n.cluster.ctrl
-	if g := n.Eng.Group(); n.Eng == c.eng || g == nil || g.Serial() {
+	if n.Eng == c.eng {
 		n.ackHop()
 		return
 	}
@@ -242,7 +240,7 @@ func New(cfg Config) (*Cluster, error) {
 	// event lane each, with the masterd and control network on the extra
 	// global lane. The window size is the data network's minimum
 	// cross-node latency; control messages must not undercut it, so
-	// windowed mode requires CtrlBase to cover the lookahead (in practice
+	// sharding requires CtrlBase to cover the lookahead (in practice
 	// Ethernet+daemon latency dwarfs a switch traversal).
 	shards := cfg.Shards
 	if shards > cfg.Nodes {
@@ -252,23 +250,15 @@ func New(cfg Config) (*Cluster, error) {
 	var eng *sim.Engine
 	if shards > 1 {
 		lookahead := ncfg.SwitchLatency + ncfg.PerPacketGap + 1
-		mode := sim.Windowed
-		if cfg.Workers <= 1 || (cfg.Chaos != nil && !cfg.Chaos.Empty()) {
-			// Single-worker runs promise bit-identity; chaos runs replay a
-			// sequential injector whose consultation order is part of the
-			// trace contract. Both need the lockstep interleaving.
-			mode = sim.Lockstep
-		}
-		if mode == sim.Windowed && cfg.CtrlBase < lookahead {
+		if cfg.CtrlBase < lookahead {
 			return nil, fmt.Errorf(
-				"parpar: CtrlBase %d is below the network lookahead %d; windowed sharding needs control latency >= the window size",
+				"parpar: CtrlBase %d is below the network lookahead %d; sharding needs control latency >= the window size",
 				cfg.CtrlBase, lookahead)
 		}
 		group = sim.NewGroup(sim.GroupConfig{
 			Shards:    shards,
 			Lookahead: lookahead,
 			Workers:   cfg.Workers,
-			Mode:      mode,
 		})
 		eng = group.Global()
 	} else {

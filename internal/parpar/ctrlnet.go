@@ -51,17 +51,13 @@ func (c *ctrlNet) delay() sim.Time {
 	return d
 }
 
-// hop runs fn in the control network's own context. When the caller is
-// already serial with it — same engine, no shard group, or a lockstep
-// group (one goroutine, shared clock) — fn runs inline, which keeps the
-// RNG draw order bit-identical to the unsharded simulator. Only a shard
-// running concurrent windows must detour: the call is posted to the global
-// lane at the caller's current time (daemon-to-masterd requests carry no
-// modeled latency of their own; the sampled delivery delay is the whole
-// cost, exactly as in the inline case).
+// hop runs fn in the control network's own context: inline when the caller
+// already runs there (the unsharded engine, or the global lane), otherwise
+// posted to the control lane at the caller's current time (daemon-to-
+// masterd requests carry no modeled latency of their own; the sampled
+// delivery delay is the whole cost, exactly as in the inline case).
 func (c *ctrlNet) hop(src *sim.Engine, fn func()) {
-	g := src.Group()
-	if src == c.eng || g == nil || g.Serial() {
+	if src == c.eng {
 		fn()
 		return
 	}

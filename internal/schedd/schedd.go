@@ -18,6 +18,7 @@ package schedd
 
 import (
 	"fmt"
+	"slices"
 	"sort"
 	"strings"
 
@@ -601,8 +602,10 @@ func (d *Daemon) drain() {
 	if shadow == 0 || shadow <= now {
 		return
 	}
-	for _, t := range d.queue[1:] {
-		if now+d.estimate(t) > shadow {
+	// tryPlace dequeues what it places, shifting d.queue under a live
+	// range; walk a snapshot instead, skipping tasks no longer queued.
+	for _, t := range slices.Clone(d.queue[1:]) {
+		if !t.queued || now+d.estimate(t) > shadow {
 			continue
 		}
 		d.tryPlace(t, true)

@@ -291,9 +291,9 @@ func TestChaosUnderChurn(t *testing.T) {
 	if render(r) != render(r2) {
 		t.Fatal("chaos-under-churn run not byte-identical across replays")
 	}
-	// An armed chaos plan forces the sharded group into lockstep, so the
-	// crash cascade — eviction order, requeue timing, every log line — must
-	// be byte-identical at any shard/worker setting.
+	// Chaos draws are keyed by simulation state, not lane interleaving, so
+	// the crash cascade — eviction order, requeue timing, every log line —
+	// must be byte-identical at any shard/worker setting.
 	for _, workers := range []int{1, 2, 4} {
 		sharded, _ := run(4, workers)
 		if render(r) != render(sharded) {
@@ -671,6 +671,79 @@ func TestRepairRejoinRestoresDaemonCapacity(t *testing.T) {
 		}
 		if det >= at {
 			t.Fatalf("node %d detected at %d, repair at %d: detection must precede the repair", node, det, at)
+		}
+	}
+}
+
+// TestBackfillPlacesOncePerIncarnation pins the admission loop against
+// placing one task twice. Placing a task dequeues it, which shifts the
+// queue the backfill pass walks; walking the live slice would skip one
+// candidate and visit another twice, submitting a second incarnation whose
+// completion then leaks its slots in the placement cache. The two traces
+// are the shortest known repros: a plain churn stream (seed 22) and a
+// crash/repair stream (seed 237). For every mode, no task may be placed
+// again before its running incarnation ends, and the cache audit must be
+// clean at the horizon.
+func TestBackfillPlacesOncePerIncarnation(t *testing.T) {
+	for _, tc := range []struct {
+		seed          uint64
+		crash, repair float64
+	}{{22, 0, 0}, {237, 0.35, 0.75}} {
+		g := schedeval.DefaultGenConfig(8)
+		g.Seed = tc.seed
+		g.Jobs = 28
+		g.KillFraction = 0.15
+		g.ResizeFraction = 0.15
+		g.DeadlineFraction = 0.25
+		trace, err := schedeval.Generate(g)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig(8)
+		cfg.Trace = trace
+		if tc.crash > 0 {
+			var last sim.Time
+			for _, tj := range trace {
+				if tj.Arrive > last {
+					last = tj.Arrive
+				}
+			}
+			if cfg.Crashes, err = schedeval.GenCrashes(7, 8, tc.crash, last); err != nil {
+				t.Fatal(err)
+			}
+			if cfg.Repairs, err = schedeval.GenRepairs(13, cfg.Crashes, tc.repair, last/4); err != nil {
+				t.Fatal(err)
+			}
+			cfg.AdaptiveEstimate = true
+		}
+		rs, err := Showdown(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, r := range rs {
+			if r.Log == nil {
+				continue
+			}
+			running := map[string]bool{}
+			for _, line := range strings.Split(r.Log.String(), "\n") {
+				f := strings.Fields(line)
+				if len(f) < 3 || !strings.HasPrefix(f[2], "job=") {
+					continue
+				}
+				job := f[2]
+				switch f[1] {
+				case "place", "backfill":
+					if running[job] {
+						t.Errorf("seed %d %s: %s placed again while running: %q", tc.seed, r.Mode, job, line)
+					}
+					running[job] = true
+				case "done", "evicted", "kill", "resize":
+					running[job] = false
+				}
+			}
+			if n := r.Log.Count(VerbCacheBad); n != 0 {
+				t.Errorf("seed %d %s: %d placement-cache violations", tc.seed, r.Mode, n)
+			}
 		}
 	}
 }

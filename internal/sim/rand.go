@@ -28,9 +28,7 @@ func (r *Rand) Uint64() uint64 {
 }
 
 // Float64 returns a uniform value in [0, 1).
-func (r *Rand) Float64() float64 {
-	return float64(r.Uint64()>>11) / (1 << 53)
-}
+func (r *Rand) Float64() float64 { return Unit(r.Uint64()) }
 
 // Intn returns a uniform value in [0, n). It panics if n <= 0.
 func (r *Rand) Intn(n int) int {
@@ -50,3 +48,28 @@ func (r *Rand) Bool(p float64) bool {
 	}
 	return r.Float64() < p
 }
+
+// mix64 is the SplitMix64 finalizer: a bijection on 64 bits whose every
+// output bit depends on every input bit.
+func mix64(x uint64) uint64 {
+	x ^= x >> 30
+	x *= 0xBF58476D1CE4E5B9
+	x ^= x >> 27
+	x *= 0x94D049BB133111EB
+	return x ^ x>>31
+}
+
+// Hash folds a seed and a key tuple into 64 pseudo-random bits. It is
+// counter-based randomness: the result is a pure function of (seed,
+// keys), so a draw keyed by simulation state comes out the same no matter
+// in which order — or on which goroutine — the draws are made.
+func Hash(seed uint64, keys ...uint64) uint64 {
+	h := mix64(seed)
+	for _, k := range keys {
+		h = mix64(h ^ mix64(k+0x9E3779B97F4A7C15))
+	}
+	return h
+}
+
+// Unit maps 64 random bits to a uniform value in [0, 1).
+func Unit(x uint64) float64 { return float64(x>>11) / (1 << 53) }

@@ -1,42 +1,34 @@
 package sim
 
 import (
+	"cmp"
 	"fmt"
 	"math"
 	"runtime"
-	"sort"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
 
-// This file adds the sharded execution mode: a Group of engines that
-// together simulate one system. Each shard owns a disjoint subset of the
-// simulated resources (in gangfm: a contiguous range of cluster nodes with
-// their NIC, host CPU, and buffer state), plus one extra "global" engine
-// for entities that talk to every shard (the masterd, the control network,
+// This file adds sharded execution: a Group of engines that together
+// simulate one system. Each shard owns a disjoint subset of the simulated
+// resources (in gangfm: a contiguous range of cluster nodes with their
+// NIC, host CPU, and buffer state), plus one extra "global" engine for
+// entities that talk to every shard (the masterd, the control network,
 // the chaos auditor). Events whose callback touches another shard's state
 // must not be inserted into that shard's queue directly while shards run
 // concurrently; they travel as cross-shard messages through per-shard
 // outboxes drained at window barriers.
 //
-// Two modes are provided:
-//
-//   - Lockstep executes every lane in one goroutine, always picking the
-//     globally earliest (time, seq) event, with the seq counter shared
-//     across lanes. By induction this replays the exact execution order a
-//     single Engine holding every event would produce, so results are
-//     bit-identical to the unsharded simulator — the mode used when byte
-//     equivalence is required (workers=1, chaos replay).
-//
-//   - Windowed runs shards concurrently under conservative time windows:
-//     with L the minimum latency of any cross-shard interaction
-//     (lookahead), all events in [t, t+L) on different shards are
-//     causally independent and may run in parallel. The coordinator
-//     computes the horizon h = min(earliest shard event + L, earliest
-//     global event, limit+1), lets worker goroutines run each shard's
-//     serial sub-window up to h, then drains outboxes in deterministic
-//     (time, shard, post order) so the next window starts from identical
-//     state regardless of worker count or goroutine interleaving.
+// Shards run concurrently under conservative time windows: with L the
+// minimum latency of any cross-shard interaction (lookahead), all events
+// in [t, t+L) on different shards are causally independent and may run in
+// parallel. The coordinator computes the horizon h = min(earliest shard
+// event + L, earliest global event, limit+1), lets worker goroutines run
+// each shard's serial sub-window up to h, then drains outboxes in
+// deterministic (time, shard, post order) so the next window starts from
+// identical state regardless of worker count or goroutine interleaving.
+// One worker runs the same windows on the coordinator goroutine.
 //
 // The global lane never runs inside a window: global events execute only
 // when every shard has been parked at or beyond the event's timestamp, so
@@ -44,35 +36,21 @@ import (
 // (the barrier is the synchronization). This matches how the paper's
 // masterd behaves — it acts on daemon notifications, never mid-quantum.
 
-// Mode selects how a Group executes its lanes.
-type Mode int
-
-const (
-	// Lockstep interleaves all lanes in one goroutine in global
-	// (time, seq) order — bit-identical to a single Engine.
-	Lockstep Mode = iota
-	// Windowed runs shards on worker goroutines under conservative
-	// lookahead windows — semantically equivalent, not bit-identical.
-	Windowed
-)
-
 // GroupConfig parameterizes NewGroup.
 type GroupConfig struct {
 	// Shards is the number of shard lanes (excluding the global lane).
 	Shards int
 	// Lookahead is the minimum virtual-time latency of any cross-shard
-	// interaction. Windowed mode requires Lookahead >= 1: an event
-	// executing at time t on one shard must never create an event at a
-	// time earlier than t+Lookahead on another shard. Deliveries into
-	// the global lane are exempt (it is barrier-serialized), but events
-	// the global lane sends to a shard must also respect the bound.
+	// interaction, at least 1: an event executing at time t on one shard
+	// must never create an event at a time earlier than t+Lookahead on
+	// another shard. Deliveries into the global lane are exempt (it is
+	// barrier-serialized), but events the global lane sends to a shard
+	// must also respect the bound.
 	Lookahead Time
 	// Workers caps the goroutines running shard windows (>= 1). With 1
 	// worker the coordinator runs every window itself — no goroutines,
-	// no barriers, still windowed semantics.
+	// no barriers, the same windows.
 	Workers int
-	// Mode selects Lockstep or Windowed execution.
-	Mode Mode
 }
 
 // crossMsg is one event posted from a shard to another lane, parked in the
@@ -85,16 +63,6 @@ type crossMsg struct {
 	arg  any
 }
 
-// crossQueue orders drained messages by time; sort.Stable preserves the
-// (source shard, post order) sequence among equal times, so the insertion
-// order — and therefore the seq tie-break in every target queue — is a
-// pure function of simulation state, independent of worker scheduling.
-type crossQueue []crossMsg
-
-func (q *crossQueue) Len() int           { return len(*q) }
-func (q *crossQueue) Less(i, j int) bool { return (*q)[i].when < (*q)[j].when }
-func (q *crossQueue) Swap(i, j int)      { (*q)[i], (*q)[j] = (*q)[j], (*q)[i] }
-
 // Group is a set of engines executing one simulation cooperatively.
 // Construct with NewGroup; drive with Run or RunUntil. All methods are
 // coordinator-side: call them from one goroutine only.
@@ -104,19 +72,13 @@ type Group struct {
 	all       []*Engine
 	lookahead Time
 	workers   int
-	lockstep  bool
-
-	// Lockstep state: the shared clock and schedule-order counter.
-	now Time
-	seq uint64
 
 	stopReq atomic.Bool
 
-	// Windowed state: the current window's work list and barrier.
+	// The current window's work list and barrier.
 	active  []*Engine
 	horizon Time
 	xfer    []crossMsg
-	sortq   *crossQueue
 	widx    atomic.Int64
 	wexit   atomic.Int64
 	epoch   atomic.Uint64
@@ -142,8 +104,8 @@ func NewGroup(cfg GroupConfig) *Group {
 	if cfg.Shards < 1 {
 		panic("sim: group needs at least one shard")
 	}
-	if cfg.Mode == Windowed && cfg.Lookahead < 1 {
-		panic("sim: windowed group needs lookahead >= 1")
+	if cfg.Lookahead < 1 {
+		panic("sim: group needs lookahead >= 1")
 	}
 	workers := cfg.Workers
 	if workers < 1 {
@@ -152,8 +114,6 @@ func NewGroup(cfg GroupConfig) *Group {
 	g := &Group{
 		lookahead: cfg.Lookahead,
 		workers:   workers,
-		lockstep:  cfg.Mode == Lockstep,
-		sortq:     new(crossQueue),
 	}
 	for i := 0; i < cfg.Shards; i++ {
 		g.shards = append(g.shards, &Engine{group: g, shard: i})
@@ -170,9 +130,9 @@ func NewGroup(cfg GroupConfig) *Group {
 }
 
 // noteSchedule maintains the frontier cache on event insertion (called from
-// Engine.schedule for shard lanes of a windowed group). Insertion can only
-// lower a queue's minimum, so a clean entry is updated in place; a dirty
-// entry is left for refreshFrontiers.
+// Engine.schedule for shard lanes). Insertion can only lower a queue's
+// minimum, so a clean entry is updated in place; a dirty entry is left for
+// refreshFrontiers.
 func (g *Group) noteSchedule(shard int, t Time) {
 	if g.dirty[shard] {
 		return
@@ -202,19 +162,8 @@ func (g *Group) refreshFrontiers() {
 // Shard returns shard lane i.
 func (g *Group) Shard(i int) *Engine { return g.shards[i] }
 
-// Shards returns the number of shard lanes.
-func (g *Group) Shards() int { return len(g.shards) }
-
 // Global returns the barrier-serialized global lane.
 func (g *Group) Global() *Engine { return g.global }
-
-// Lookahead returns the group's conservative lookahead bound.
-func (g *Group) Lookahead() Time { return g.lookahead }
-
-// Serial reports whether the group executes on a single goroutine
-// (Lockstep mode): callers may then treat cross-lane calls as ordinary
-// sequential code, exactly as with a standalone engine.
-func (g *Group) Serial() bool { return g.lockstep }
 
 // Fired returns the total events executed across all lanes.
 func (g *Group) Fired() uint64 {
@@ -225,31 +174,6 @@ func (g *Group) Fired() uint64 {
 	return n
 }
 
-// Pending returns the total events scheduled and not canceled, plus any
-// cross-shard messages still parked in outboxes.
-func (g *Group) Pending() int {
-	n := 0
-	for _, e := range g.all {
-		n += e.pending + len(e.outbox)
-	}
-	return n
-}
-
-// Now returns the group clock: the lockstep clock, or the maximum lane
-// frontier in windowed mode (every executed event is at or before it).
-func (g *Group) Now() Time {
-	if g.lockstep {
-		return g.now
-	}
-	t := g.global.now
-	for _, s := range g.shards {
-		if s.now > t {
-			t = s.now
-		}
-	}
-	return t
-}
-
 // Run executes events until every queue drains or Stop is called.
 func (g *Group) Run() { g.run(0, false) }
 
@@ -257,23 +181,16 @@ func (g *Group) Run() { g.run(0, false) }
 // lane's clock to limit. Events beyond the limit stay queued.
 func (g *Group) RunUntil(limit Time) { g.run(limit, true) }
 
-// Stop makes the innermost Run/RunUntil return once the current event (and
-// in windowed mode, the current window) completes.
+// Stop makes the innermost Run/RunUntil return once the current event (or,
+// on a shard, the current window) completes.
 func (g *Group) Stop() { g.stopReq.Store(true) }
 
 func (g *Group) run(limit Time, bounded bool) {
 	g.stopReq.Store(false)
-	if g.lockstep {
-		g.runLockstep(limit, bounded)
-	} else {
-		g.runWindowed(limit, bounded)
-	}
+	g.runWindows(limit, bounded)
 	if bounded {
-		if g.now < limit {
-			g.now = limit
-		}
 		for _, e := range g.all {
-			// Windowed horizons may have parked a lane at limit+1 (the
+			// Window horizons may have parked a lane at limit+1 (the
 			// window that covers events at limit exactly); RunUntil's
 			// contract is that every clock reads limit afterwards.
 			if e.now != limit {
@@ -283,27 +200,7 @@ func (g *Group) run(limit Time, bounded bool) {
 	}
 }
 
-// runLockstep replays the single-engine execution order: always the
-// globally smallest (when, seq) key. Seqs are group-wide in this mode, so
-// the scan below never sees a tie.
-func (g *Group) runLockstep(limit Time, bounded bool) {
-	for !g.stopReq.Load() {
-		var best *Engine
-		var bk heapEnt
-		for _, e := range g.all {
-			if k, ok := e.peekKey(); ok && (best == nil || entLess(k, bk)) {
-				best, bk = e, k
-			}
-		}
-		if best == nil || (bounded && bk.when > limit) {
-			return
-		}
-		g.now = bk.when
-		best.Step()
-	}
-}
-
-func (g *Group) runWindowed(limit Time, bounded bool) {
+func (g *Group) runWindows(limit Time, bounded bool) {
 	g.startWorkers()
 	defer g.stopWorkers()
 	for !g.stopReq.Load() {
@@ -462,8 +359,7 @@ func (g *Group) drain() {
 		g.xfer = append(g.xfer, s.outbox...)
 		s.outbox = s.outbox[:0]
 	}
-	*g.sortq = g.xfer
-	sort.Stable(g.sortq)
+	slices.SortStableFunc(g.xfer, func(a, b crossMsg) int { return cmp.Compare(a.when, b.when) })
 	for i := range g.xfer {
 		m := &g.xfer[i]
 		if m.when < m.to.now {

@@ -27,7 +27,6 @@ func runStorm(shards, workers int, lookahead Time, offsets []Time, seed uint64) 
 		Shards:    shards,
 		Lookahead: lookahead,
 		Workers:   workers,
-		Mode:      Windowed,
 	})
 	traces := make([][]stormRec, shards)
 	rngs := make([]*Rand, shards)
@@ -133,7 +132,6 @@ func TestWindowedLookaheadViolationPanics(t *testing.T) {
 				Shards:    2,
 				Lookahead: lookahead,
 				Workers:   w,
-				Mode:      Windowed,
 			})
 			src, dst := g.Shard(0), g.Shard(1)
 			// Both lanes have an event at t=0, so the window floor is 0 and
@@ -150,52 +148,5 @@ func TestWindowedLookaheadViolationPanics(t *testing.T) {
 			}()
 			g.Run()
 		})
-	}
-}
-
-// TestLockstepMatchesSingleEngine replays one storm's self-chains on a
-// lockstep group and on a plain engine and compares execution traces:
-// lockstep's global (time, seq) order must be exactly the single-engine
-// order.
-func TestLockstepMatchesSingleEngine(t *testing.T) {
-	type rec struct {
-		lane int
-		t    Time
-		tag  int32
-	}
-	run := func(schedule func(lane int) *Engine, run func()) []rec {
-		var out []rec
-		for s := 0; s < 3; s++ {
-			s := s
-			e := schedule(s)
-			rng := NewRand(7 + uint64(s))
-			var step func()
-			n := 0
-			step = func() {
-				out = append(out, rec{lane: s, t: e.Now(), tag: int32(n)})
-				r := rng.Uint64()
-				if n++; n < 200 {
-					e.Schedule(Time(r%11), step)
-				}
-			}
-			e.ScheduleAt(Time(s), step)
-		}
-		run()
-		return out
-	}
-	g := NewGroup(GroupConfig{Shards: 3, Mode: Lockstep})
-	grouped := run(func(lane int) *Engine { return g.Shard(lane) }, g.Run)
-	single := NewEngine()
-	// On the single engine all three "lanes" share one queue, exactly as
-	// the lockstep contract models them.
-	flat := run(func(int) *Engine { return single }, single.Run)
-	if len(grouped) != len(flat) {
-		t.Fatalf("lockstep fired %d events, single engine %d", len(grouped), len(flat))
-	}
-	for i := range grouped {
-		if grouped[i] != flat[i] {
-			t.Fatalf("execution order diverged at event %d: lockstep %+v, single %+v",
-				i, grouped[i], flat[i])
-		}
 	}
 }

@@ -110,7 +110,7 @@ func (ev Event) Cancel() bool {
 	r.canceled = true
 	r.fn, r.afn, r.arg = nil, nil, nil
 	e.pending--
-	if g := e.group; g != nil && !g.lockstep && e.shard >= 0 {
+	if g := e.group; g != nil && e.shard >= 0 {
 		g.noteCancel(e.shard)
 	}
 	return true
@@ -168,18 +168,9 @@ func NewEngine() *Engine {
 	return &Engine{}
 }
 
-// Now returns the current virtual time. In a lockstep group the clock is
-// shared across lanes (every lane sees the time of the event executing
-// anywhere in the group), exactly as a single engine would report it.
-func (e *Engine) Now() Time {
-	if g := e.group; g != nil && g.lockstep {
-		return g.now
-	}
-	return e.now
-}
-
-// Group returns the group this engine belongs to, or nil when standalone.
-func (e *Engine) Group() *Group { return e.group }
+// Now returns the current virtual time. In a group each lane keeps its own
+// clock: the time of the event it is executing or its window horizon.
+func (e *Engine) Now() Time { return e.now }
 
 // Fired returns the number of events executed so far (diagnostics).
 func (e *Engine) Fired() uint64 { return e.fired }
@@ -213,10 +204,10 @@ func (e *Engine) ScheduleArgAt(t Time, fn func(any), arg any) Event {
 }
 
 func (e *Engine) schedule(t Time, fn func(), afn func(any), arg any) Event {
-	if now := e.Now(); t < now {
-		panic(fmt.Sprintf("sim: event scheduled at %d, before now=%d", t, now))
+	if t < e.now {
+		panic(fmt.Sprintf("sim: event scheduled at %d, before now=%d", t, e.now))
 	}
-	seq := e.nextSeq()
+	e.seq++
 	var slot int32
 	if n := len(e.free); n > 0 {
 		slot = e.free[n-1]
@@ -228,24 +219,12 @@ func (e *Engine) schedule(t Time, fn func(), afn func(any), arg any) Event {
 	r := &e.recs[slot]
 	r.fn, r.afn, r.arg = fn, afn, arg
 	r.canceled = false
-	e.push(heapEnt{when: t, seq: seq, slot: slot})
+	e.push(heapEnt{when: t, seq: e.seq, slot: slot})
 	e.pending++
-	if g := e.group; g != nil && !g.lockstep && e.shard >= 0 {
+	if g := e.group; g != nil && e.shard >= 0 {
 		g.noteSchedule(e.shard, t)
 	}
 	return Event{eng: e, slot: slot, gen: r.gen, when: t}
-}
-
-// nextSeq returns the next FIFO tie-break key. A lockstep group shares one
-// counter across lanes so that the interleaved execution order reproduces a
-// single engine's bit-for-bit; everywhere else the counter is per-engine.
-func (e *Engine) nextSeq() uint64 {
-	if g := e.group; g != nil && g.lockstep {
-		g.seq++
-		return g.seq
-	}
-	e.seq++
-	return e.seq
 }
 
 // freeSlot recycles an arena slot whose heap entry has been popped. The
@@ -326,12 +305,12 @@ func (e *Engine) Stop() {
 }
 
 // CrossAt queues fn at absolute time t on the target engine. On standalone
-// engines (or when target is e itself, or the group runs in lockstep, or
-// the caller is the barrier-serialized global lane) this is a plain
-// ScheduleAt on the target. Only a shard posting to another lane while
-// windows run concurrently needs the outbox: the message is parked and
-// inserted at the next window barrier, and t must then respect the group's
-// lookahead bound relative to the sending event's time.
+// engines (or when target is e itself, or the caller is the
+// barrier-serialized global lane) this is a plain ScheduleAt on the
+// target. Only a shard posting to another lane needs the outbox, since
+// windows may run concurrently: the message is parked and inserted at the
+// next window barrier, and t must then respect the group's lookahead bound
+// relative to the sending event's time.
 func (e *Engine) CrossAt(target *Engine, t Time, fn func()) {
 	e.cross(target, t, fn, nil, nil)
 }
@@ -343,7 +322,7 @@ func (e *Engine) CrossArgAt(target *Engine, t Time, fn func(any), arg any) {
 }
 
 func (e *Engine) cross(target *Engine, t Time, fn func(), afn func(any), arg any) {
-	if target == e || e.group == nil || e.group.lockstep || e.shard < 0 {
+	if target == e || e.group == nil || e.shard < 0 {
 		target.schedule(t, fn, afn, arg)
 		return
 	}
@@ -378,21 +357,6 @@ func (e *Engine) peekWhen() (Time, bool) {
 		e.freeSlot(ent.slot)
 	}
 	return 0, false
-}
-
-// peekKey is peekWhen returning the full (when, seq) ordering key — the
-// lockstep coordinator compares keys across lanes to replay the global
-// single-engine order.
-func (e *Engine) peekKey() (heapEnt, bool) {
-	for len(e.heap) > 0 {
-		ent := e.heap[0]
-		if !e.recs[ent.slot].canceled {
-			return ent, true
-		}
-		e.popMin()
-		e.freeSlot(ent.slot)
-	}
-	return heapEnt{}, false
 }
 
 // push adds an entry to the 4-ary heap (sift-up).
