@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: check vet build test race fuzz-smoke sched-smoke churn-smoke churn-crash-smoke repair-smoke bench bench-smoke figures lint-hotpath
+.PHONY: check vet build test race fuzz-smoke sched-smoke churn-smoke churn-crash-smoke repair-smoke bench tracker-bench-smoke bench-smoke figures lint-hotpath
 
 # The full CI gate: static checks, build, race-enabled tests, a short
 # fixed-seed chaos-fuzz campaign, and scheduler-evaluation smoke runs
 # (all deterministic, so safe to gate on).
-check: vet build race fuzz-smoke sched-smoke churn-smoke churn-crash-smoke repair-smoke lint-hotpath
+check: vet build race fuzz-smoke sched-smoke churn-smoke churn-crash-smoke repair-smoke tracker-bench-smoke lint-hotpath
 
 vet:
 	$(GO) vet ./...
@@ -54,9 +54,16 @@ repair-smoke:
 	$(GO) run ./cmd/gangsim churn -quick -crash 0.35 -repair 0.75 -adaptive
 
 # Microbenchmarks with allocation reporting. BenchmarkEngineThroughput
-# must stay at 0 allocs/op (see DESIGN.md §6).
+# must stay at 0 allocs/op (see DESIGN.md §6); BenchmarkPhaseTrackerEpoch
+# reports the flush tracker's ns/arrival, which stays flat in the peer
+# count.
 bench:
-	$(GO) test -run XXX -bench . -benchmem .
+	$(GO) test -run XXX -bench . -benchmem . ./internal/lanai
+
+# One iteration of the flush-tracker micro-benchmark, so it keeps
+# compiling and running.
+tracker-bench-smoke:
+	$(GO) test -run XXX -bench PhaseTracker -benchtime 1x ./internal/lanai
 
 # Quick end-to-end performance report: every figure under event/alloc
 # tracking, written to BENCH_<date>.json.

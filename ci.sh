@@ -59,6 +59,10 @@ cmp /tmp/churn-repair-ci-a.txt /tmp/churn-repair-ci-b.txt
 go run ./cmd/gangsim bench -quick -o /tmp/bench-ci.json
 go run ./cmd/gangsim bench -quick -o /tmp/bench-ci2.json -compare /tmp/bench-ci.json
 
+# Flush-tracker micro-benchmark smoke: one iteration per peer count, so
+# the benchmark keeps compiling and running.
+go test -run XXX -bench PhaseTracker -benchtime 1x ./internal/lanai
+
 # Hot-path closure lint: audited packages must stay closure-free at their
 # Schedule/At call sites (allowlist in tools/hotpath_allow.txt).
 make lint-hotpath

@@ -19,12 +19,13 @@ package lanai
 // are idempotent, completed epochs reject late stragglers, the unheard-peer
 // set is the retransmission target list, and an evicted peer can be dropped
 // from the expected count of every open epoch.
+//
+// Counting an arrival is O(1): each open epoch is one pooled record holding
+// a bitset of the peers heard (NodeIDs are dense, 0…p−1) and a counter of
+// those still members. Evict and Join adjust the counter in every open
+// epoch that heard the peer, so the completion test never walks the set.
 
-import (
-	"sort"
-
-	"gangfm/internal/myrinet"
-)
+import "gangfm/internal/myrinet"
 
 // phaseTracker counts one class of control message (halt or ready) per
 // epoch and fires a completion callback when the local transition has
@@ -32,10 +33,15 @@ import (
 type phaseTracker struct {
 	peers int // number of live remote nodes expected to report (p-1)
 
-	heard   map[uint64]map[myrinet.NodeID]bool
-	local   map[uint64]bool
-	onDone  map[uint64]func()
-	evicted map[myrinet.NodeID]bool
+	// open holds the epochs with state — a local transition or a counted
+	// arrival — that have not completed, in ascending epoch order. Only a
+	// handful are ever open at once (the current switch and early
+	// arrivals for the next), so lookups scan it from the newest end.
+	open []*epochRecord
+	// words is the bitset length of every record, in 64-bit words,
+	// covering NodeIDs 0…peers (the card's whole network).
+	words   int
+	evicted []bool
 
 	// Completed epochs are tracked as a watermark plus exceptions rather
 	// than an ever-growing set: epochs complete (nearly) in order, one per
@@ -49,32 +55,91 @@ type phaseTracker struct {
 	doneAny bool
 	doneEx  map[uint64]bool
 
-	// setPool recycles the per-epoch heard sets: epochs open and close at
-	// every switch, so reusing the cleared map keeps the steady-state
-	// flush allocation-free.
-	setPool []map[myrinet.NodeID]bool
+	// pool recycles cleared records: epochs open and close at every
+	// switch, so reusing them keeps the steady-state flush
+	// allocation-free.
+	pool []*epochRecord
+}
+
+// epochRecord is one open epoch's Figure 3 state.
+type epochRecord struct {
+	epoch  uint64
+	heard  []uint64 // bitset of the peers whose message was counted
+	live   int      // heard peers that are not evicted
+	local  bool     // the local transition ("lh") has happened
+	onDone func()
 }
 
 func newPhaseTracker(peers int) *phaseTracker {
+	nodes := peers + 1
 	return &phaseTracker{
 		peers:   peers,
-		heard:   make(map[uint64]map[myrinet.NodeID]bool),
-		local:   make(map[uint64]bool),
+		words:   (nodes + 63) / 64,
+		evicted: make([]bool, nodes),
 		doneEx:  make(map[uint64]bool),
-		onDone:  make(map[uint64]func()),
-		evicted: make(map[myrinet.NodeID]bool),
 	}
+}
+
+// bit returns the word index and mask of a peer in a record's bitset.
+func bit(peer myrinet.NodeID) (int, uint64) {
+	return int(peer) >> 6, 1 << (uint(peer) & 63)
+}
+
+// heardBy reports whether the record has counted the peer.
+func (r *epochRecord) heardBy(peer myrinet.NodeID) bool {
+	w, m := bit(peer)
+	return r.heard[w]&m != 0
+}
+
+// lookup returns the epoch's open record, or nil.
+func (t *phaseTracker) lookup(epoch uint64) *epochRecord {
+	for i := len(t.open) - 1; i >= 0; i-- {
+		if r := t.open[i]; r.epoch <= epoch {
+			if r.epoch == epoch {
+				return r
+			}
+			return nil
+		}
+	}
+	return nil
+}
+
+// record returns the epoch's open record, opening one from the pool if
+// the epoch has none.
+func (t *phaseTracker) record(epoch uint64) *epochRecord {
+	i := len(t.open)
+	for ; i > 0 && t.open[i-1].epoch >= epoch; i-- {
+		if t.open[i-1].epoch == epoch {
+			return t.open[i-1]
+		}
+	}
+	var r *epochRecord
+	if ln := len(t.pool); ln > 0 {
+		r = t.pool[ln-1]
+		t.pool = t.pool[:ln-1]
+	} else {
+		r = &epochRecord{}
+	}
+	if r.heard == nil {
+		r.heard = make([]uint64, t.words)
+	}
+	r.epoch = epoch
+	t.open = append(t.open, nil)
+	copy(t.open[i+1:], t.open[i:])
+	t.open[i] = r
+	return r
 }
 
 // LocalTransition records the node's own halt/ready ("lh" in Figure 3) for
 // epoch and registers the completion callback.
 func (t *phaseTracker) LocalTransition(epoch uint64, onDone func()) {
-	if t.local[epoch] {
+	r := t.record(epoch)
+	if r.local {
 		panic("lanai: duplicate local phase transition for epoch")
 	}
-	t.local[epoch] = true
-	t.onDone[epoch] = onDone
-	t.check(epoch)
+	r.local = true
+	r.onDone = onDone
+	t.check(r)
 }
 
 // Arrive records a remote halt/ready ("ah" in Figure 3) for epoch from the
@@ -86,66 +151,58 @@ func (t *phaseTracker) Arrive(epoch uint64, from myrinet.NodeID) bool {
 	if t.Done(epoch) || t.evicted[from] {
 		return false
 	}
-	set := t.heard[epoch]
-	if set == nil {
-		if ln := len(t.setPool); ln > 0 {
-			set = t.setPool[ln-1]
-			t.setPool = t.setPool[:ln-1]
-		} else {
-			set = make(map[myrinet.NodeID]bool)
-		}
-		t.heard[epoch] = set
-	}
-	if set[from] {
+	r := t.record(epoch)
+	w, m := bit(from)
+	if r.heard[w]&m != 0 {
 		return false
 	}
-	set[from] = true
-	t.check(epoch)
+	r.heard[w] |= m
+	r.live++
+	t.check(r)
 	return true
 }
 
 // Heard reports whether the peer's message for epoch has been counted.
 func (t *phaseTracker) Heard(epoch uint64, from myrinet.NodeID) bool {
-	return t.heard[epoch][from]
-}
-
-// liveHeard counts the epoch's arrivals from peers that are still members.
-func (t *phaseTracker) liveHeard(epoch uint64) int {
-	n := 0
-	for from := range t.heard[epoch] {
-		if !t.evicted[from] {
-			n++
-		}
-	}
-	return n
+	r := t.lookup(epoch)
+	return r != nil && r.heardBy(from)
 }
 
 // State returns (locallyDone, remoteCount) for an epoch — the Figure 3
-// state label (S/H, k) with k = remoteCount + (1 if locallyDone).
+// state label (S/H, k) with k = remoteCount + (1 if locallyDone); the
+// count covers only peers that are still members.
 func (t *phaseTracker) State(epoch uint64) (local bool, remote int) {
-	return t.local[epoch], t.liveHeard(epoch)
+	if r := t.lookup(epoch); r != nil {
+		return r.local, r.live
+	}
+	return false, 0
 }
 
 // Done reports whether the epoch's phase has completed.
 func (t *phaseTracker) Done(epoch uint64) bool {
-	return (t.doneAny && epoch < t.doneLo) || t.doneEx[epoch]
+	return (t.doneAny && epoch < t.doneLo) || (len(t.doneEx) > 0 && t.doneEx[epoch])
 }
 
 // Transitioned reports whether this node has made its own transition for
 // the epoch (including epochs already completed, whose per-epoch state has
 // been freed).
 func (t *phaseTracker) Transitioned(epoch uint64) bool {
-	return t.Done(epoch) || t.local[epoch]
+	if t.Done(epoch) {
+		return true
+	}
+	r := t.lookup(epoch)
+	return r != nil && r.local
 }
 
 // ForceComplete completes an epoch's phase without the missing peers — the
 // recovery layer's last resort after the retransmission budget is spent.
 // It is a no-op before the local transition or after normal completion.
 func (t *phaseTracker) ForceComplete(epoch uint64) bool {
-	if t.Done(epoch) || !t.local[epoch] {
+	r := t.lookup(epoch)
+	if r == nil || !r.local || t.Done(epoch) {
 		return false
 	}
-	t.complete(epoch)
+	t.complete(r)
 	return true
 }
 
@@ -159,13 +216,21 @@ func (t *phaseTracker) Evict(peer myrinet.NodeID) {
 	}
 	t.evicted[peer] = true
 	t.peers--
-	open := make([]uint64, 0, len(t.onDone))
-	for e := range t.onDone {
-		open = append(open, e)
+	var ready []uint64
+	for _, r := range t.open {
+		if r.heardBy(peer) {
+			r.live--
+		}
+		if r.local {
+			ready = append(ready, r.epoch)
+		}
 	}
-	sort.Slice(open, func(i, j int) bool { return open[i] < open[j] })
-	for _, e := range open {
-		t.check(e)
+	// Completion callbacks may open or complete other epochs, so each
+	// candidate is looked up afresh.
+	for _, e := range ready {
+		if r := t.lookup(e); r != nil {
+			t.check(r)
+		}
 	}
 }
 
@@ -175,44 +240,60 @@ func (t *phaseTracker) Evicted(peer myrinet.NodeID) bool { return t.evicted[peer
 // Join restores an evicted peer to the membership: future epochs expect its
 // reports again. The caller (the masterd rejoin barrier) guarantees no epoch
 // is open anywhere when joins are applied — growing the membership mid-epoch
-// could stall an epoch that was already satisfied — so Join touches only the
-// membership, never the open-epoch state.
+// could stall an epoch that was already satisfied — so Join never completes
+// an epoch; it only counts the peer again in any open epoch that heard it
+// before the eviction, keeping State exact.
 func (t *phaseTracker) Join(peer myrinet.NodeID) {
 	if !t.evicted[peer] {
 		return
 	}
-	delete(t.evicted, peer)
+	t.evicted[peer] = false
 	t.peers++
+	for _, r := range t.open {
+		if r.heardBy(peer) {
+			r.live++
+		}
+	}
 }
 
-func (t *phaseTracker) check(epoch uint64) {
-	if t.Done(epoch) || !t.local[epoch] || t.liveHeard(epoch) < t.peers {
+func (t *phaseTracker) check(r *epochRecord) {
+	if !r.local || r.live < t.peers || t.Done(r.epoch) {
 		return
 	}
-	t.complete(epoch)
+	t.complete(r)
 }
 
-func (t *phaseTracker) complete(epoch uint64) {
+func (t *phaseTracker) complete(r *epochRecord) {
+	epoch := r.epoch
 	if !t.doneAny {
 		t.doneAny = true
 		t.doneLo = epoch
 	}
-	t.doneEx[epoch] = true
-	for t.doneEx[t.doneLo] {
+	if epoch == t.doneLo {
+		t.doneLo++
+	} else {
+		t.doneEx[epoch] = true
+	}
+	for len(t.doneEx) > 0 && t.doneEx[t.doneLo] {
 		delete(t.doneEx, t.doneLo)
 		t.doneLo++
 	}
-	cb := t.onDone[epoch]
-	// Free the epoch's bookkeeping; epochs are never revisited (the done
+	cb := r.onDone
+	// Free the epoch's record; epochs are never revisited (the done
 	// watermark keeps stragglers for old epochs detectable without
 	// retaining per-epoch state).
-	if set := t.heard[epoch]; set != nil {
-		clear(set)
-		t.setPool = append(t.setPool, set)
+	for i, o := range t.open {
+		if o == r {
+			last := len(t.open) - 1
+			copy(t.open[i:], t.open[i+1:])
+			t.open[last] = nil
+			t.open = t.open[:last]
+			break
+		}
 	}
-	delete(t.heard, epoch)
-	delete(t.local, epoch)
-	delete(t.onDone, epoch)
+	clear(r.heard)
+	*r = epochRecord{heard: r.heard}
+	t.pool = append(t.pool, r)
 	if cb != nil {
 		cb()
 	}

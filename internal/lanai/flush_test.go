@@ -1,7 +1,10 @@
 package lanai
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
+	"sort"
 	"testing"
 	"testing/quick"
 
@@ -251,5 +254,367 @@ func TestFlushAllInterleavingsProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 500}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// refTracker is the map-based tracker the dense one replaced, kept as a
+// reference model: it recomputes the live-heard count by walking every
+// heard peer, so it is obviously right and O(p) per arrival.
+type refTracker struct {
+	peers   int
+	heard   map[uint64]map[myrinet.NodeID]bool
+	local   map[uint64]bool
+	onDone  map[uint64]func()
+	evicted map[myrinet.NodeID]bool
+	doneLo  uint64
+	doneAny bool
+	doneEx  map[uint64]bool
+}
+
+func newRefTracker(peers int) *refTracker {
+	return &refTracker{
+		peers:   peers,
+		heard:   make(map[uint64]map[myrinet.NodeID]bool),
+		local:   make(map[uint64]bool),
+		onDone:  make(map[uint64]func()),
+		evicted: make(map[myrinet.NodeID]bool),
+		doneEx:  make(map[uint64]bool),
+	}
+}
+
+func (t *refTracker) LocalTransition(epoch uint64, onDone func()) {
+	if t.local[epoch] {
+		panic("lanai: duplicate local phase transition for epoch")
+	}
+	t.local[epoch] = true
+	t.onDone[epoch] = onDone
+	t.check(epoch)
+}
+
+func (t *refTracker) Arrive(epoch uint64, from myrinet.NodeID) bool {
+	if t.Done(epoch) || t.evicted[from] {
+		return false
+	}
+	set := t.heard[epoch]
+	if set == nil {
+		set = make(map[myrinet.NodeID]bool)
+		t.heard[epoch] = set
+	}
+	if set[from] {
+		return false
+	}
+	set[from] = true
+	t.check(epoch)
+	return true
+}
+
+func (t *refTracker) Heard(epoch uint64, from myrinet.NodeID) bool { return t.heard[epoch][from] }
+
+func (t *refTracker) liveHeard(epoch uint64) int {
+	n := 0
+	for from := range t.heard[epoch] {
+		if !t.evicted[from] {
+			n++
+		}
+	}
+	return n
+}
+
+func (t *refTracker) State(epoch uint64) (bool, int) { return t.local[epoch], t.liveHeard(epoch) }
+
+func (t *refTracker) Done(epoch uint64) bool {
+	return (t.doneAny && epoch < t.doneLo) || t.doneEx[epoch]
+}
+
+func (t *refTracker) Transitioned(epoch uint64) bool { return t.Done(epoch) || t.local[epoch] }
+
+func (t *refTracker) ForceComplete(epoch uint64) bool {
+	if t.Done(epoch) || !t.local[epoch] {
+		return false
+	}
+	t.complete(epoch)
+	return true
+}
+
+func (t *refTracker) Evict(peer myrinet.NodeID) {
+	if t.evicted[peer] {
+		return
+	}
+	t.evicted[peer] = true
+	t.peers--
+	open := make([]uint64, 0, len(t.onDone))
+	for e := range t.onDone {
+		open = append(open, e)
+	}
+	sort.Slice(open, func(i, j int) bool { return open[i] < open[j] })
+	for _, e := range open {
+		t.check(e)
+	}
+}
+
+func (t *refTracker) Evicted(peer myrinet.NodeID) bool { return t.evicted[peer] }
+
+func (t *refTracker) Join(peer myrinet.NodeID) {
+	if !t.evicted[peer] {
+		return
+	}
+	delete(t.evicted, peer)
+	t.peers++
+}
+
+func (t *refTracker) check(epoch uint64) {
+	if t.Done(epoch) || !t.local[epoch] || t.liveHeard(epoch) < t.peers {
+		return
+	}
+	t.complete(epoch)
+}
+
+func (t *refTracker) complete(epoch uint64) {
+	if !t.doneAny {
+		t.doneAny = true
+		t.doneLo = epoch
+	}
+	t.doneEx[epoch] = true
+	for t.doneEx[t.doneLo] {
+		delete(t.doneEx, t.doneLo)
+		t.doneLo++
+	}
+	cb := t.onDone[epoch]
+	delete(t.heard, epoch)
+	delete(t.local, epoch)
+	delete(t.onDone, epoch)
+	if cb != nil {
+		cb()
+	}
+}
+
+// tracker is the surface both implementations share.
+type tracker interface {
+	LocalTransition(epoch uint64, onDone func())
+	Arrive(epoch uint64, from myrinet.NodeID) bool
+	Heard(epoch uint64, from myrinet.NodeID) bool
+	State(epoch uint64) (bool, int)
+	Done(epoch uint64) bool
+	Transitioned(epoch uint64) bool
+	ForceComplete(epoch uint64) bool
+	Evict(peer myrinet.NodeID)
+	Evicted(peer myrinet.NodeID) bool
+	Join(peer myrinet.NodeID)
+}
+
+// TestPhaseTrackerMatchesReference drives the dense tracker and the
+// map-based reference with the same random operation sequences — local
+// transitions, fresh, duplicate and stale arrivals over several interleaved
+// epochs, evictions, joins and forced completions, with completion
+// callbacks that re-enter the tracker — and requires identical answers
+// from every query and an identical completion order after each step. The
+// peer counts straddle the bitset's 64-bit word boundaries.
+func TestPhaseTrackerMatchesReference(t *testing.T) {
+	for _, peers := range []int{1, 63, 64, 65, 255} {
+		seeds := 12
+		if testing.Short() {
+			seeds = 3
+		}
+		for seed := int64(1); seed <= int64(seeds); seed++ {
+			runReferenceTrial(t, peers, seed)
+		}
+	}
+}
+
+func runReferenceTrial(t *testing.T, peers int, seed int64) {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed*1000 + int64(peers)))
+	ref, got := newRefTracker(peers), newPhaseTracker(peers)
+	var refLog, gotLog []uint64
+	transitioned := make(map[uint64]bool)
+	// The tracker's own node is 0; its remote peers are 1…peers.
+	all := make([]myrinet.NodeID, peers)
+	for i := range all {
+		all[i] = myrinet.NodeID(i + 1)
+	}
+	randPeer := func() myrinet.NodeID { return all[rng.Intn(peers)] }
+	var base uint64 = 10 // epochs below base are mostly finished
+	fail := func(step int, format string, args ...any) {
+		t.Helper()
+		t.Fatalf("peers=%d seed=%d step %d: "+format, append([]any{peers, seed, step}, args...)...)
+	}
+	// A callback records the completion and may re-enter its own tracker
+	// with an arrival for the next epoch, as a card's completion path can.
+	callback := func(tr tracker, log *[]uint64, epoch uint64, reenter myrinet.NodeID) func() {
+		return func() {
+			*log = append(*log, epoch)
+			if reenter >= 0 {
+				tr.Arrive(epoch+1, reenter)
+			}
+		}
+	}
+	// unheard returns the lowest (or highest) member the reference has not
+	// yet heard for the epoch. Arrivals from the lowest let large epochs
+	// complete without waiting on a coupon collector; since every epoch
+	// then misses the same high peers, evicting the highest tends to
+	// complete several open epochs at once.
+	unheard := func(epoch uint64, highest bool) myrinet.NodeID {
+		for i := range all {
+			id := all[i]
+			if highest {
+				id = all[peers-1-i]
+			}
+			if !ref.Evicted(id) && !ref.Heard(epoch, id) {
+				return id
+			}
+		}
+		return randPeer()
+	}
+	compareEpoch := func(step int, e uint64, peersToCheck ...myrinet.NodeID) {
+		rl, rr := ref.State(e)
+		gl, gr := got.State(e)
+		if rl != gl || rr != gr {
+			fail(step, "State(%d) = (%v,%d), reference (%v,%d)", e, gl, gr, rl, rr)
+		}
+		if ref.Done(e) != got.Done(e) {
+			fail(step, "Done(%d) = %v, reference %v", e, got.Done(e), ref.Done(e))
+		}
+		if ref.Transitioned(e) != got.Transitioned(e) {
+			fail(step, "Transitioned(%d) = %v, reference %v", e, got.Transitioned(e), ref.Transitioned(e))
+		}
+		for _, p := range peersToCheck {
+			if ref.Heard(e, p) != got.Heard(e, p) {
+				fail(step, "Heard(%d, %d) = %v, reference %v", e, p, got.Heard(e, p), ref.Heard(e, p))
+			}
+		}
+	}
+	steps := 40*peers + 400
+	for step := 0; step < steps; step++ {
+		epoch := base - 2 + uint64(rng.Intn(6)) // includes stale epochs
+		peer := randPeer()
+		switch r := rng.Intn(100); {
+		case r < 8:
+			if transitioned[epoch] {
+				continue
+			}
+			transitioned[epoch] = true
+			reenter := myrinet.NodeID(-1)
+			if rng.Intn(3) == 0 {
+				reenter = randPeer()
+			}
+			ref.LocalTransition(epoch, callback(ref, &refLog, epoch, reenter))
+			got.LocalTransition(epoch, callback(got, &gotLog, epoch, reenter))
+		case r < 10:
+			// Starve: bring every open epoch the node has entered to all
+			// members but one, then evict that one, so a single Evict
+			// completes several epochs and their order is checked.
+			for e := base - 3; e < base+5; e++ {
+				if !ref.Transitioned(e) || ref.Done(e) {
+					continue
+				}
+				for _, m := range all {
+					if m != peer && !ref.Evicted(m) {
+						ref.Arrive(e, m)
+						got.Arrive(e, m)
+					}
+				}
+			}
+			ref.Evict(peer)
+			got.Evict(peer)
+		case r < 88:
+			if rng.Intn(2) == 0 {
+				peer = unheard(epoch, false)
+			}
+			if a, b := ref.Arrive(epoch, peer), got.Arrive(epoch, peer); a != b {
+				fail(step, "Arrive(%d, %d) = %v, reference %v", epoch, peer, b, a)
+			}
+			if rng.Intn(4) == 0 { // a duplicate right behind it
+				if a, b := ref.Arrive(epoch, peer), got.Arrive(epoch, peer); a != b {
+					fail(step, "duplicate Arrive(%d, %d) = %v, reference %v", epoch, peer, b, a)
+				}
+			}
+		case r < 92:
+			if rng.Intn(2) == 0 {
+				peer = unheard(epoch, true)
+			}
+			ref.Evict(peer)
+			got.Evict(peer)
+		case r < 96:
+			ref.Join(peer)
+			got.Join(peer)
+		default:
+			if a, b := ref.ForceComplete(epoch), got.ForceComplete(epoch); a != b {
+				fail(step, "ForceComplete(%d) = %v, reference %v", epoch, b, a)
+			}
+		}
+		if ref.Done(base) && rng.Intn(4) == 0 {
+			base++
+		}
+		if !slices.Equal(refLog, gotLog) {
+			fail(step, "completion order %v, reference %v", gotLog, refLog)
+		}
+		if ref.Evicted(peer) != got.Evicted(peer) {
+			fail(step, "Evicted(%d) = %v, reference %v", peer, got.Evicted(peer), ref.Evicted(peer))
+		}
+		check := []myrinet.NodeID{peer, randPeer()}
+		if step%64 == 0 {
+			check = all
+		}
+		for e := base - 3; e < base+5; e++ {
+			compareEpoch(step, e, check...)
+		}
+	}
+	if len(refLog) == 0 {
+		t.Fatalf("peers=%d seed=%d: no epoch ever completed; the trial exercised nothing", peers, seed)
+	}
+}
+
+// TestPhaseTrackerSteadyStateZeroAlloc pins the clean path's allocation
+// budget: once warm, a whole flush+release epoch on a 255-peer tracker
+// pair — including early arrivals for the next epoch — allocates nothing.
+func TestPhaseTrackerSteadyStateZeroAlloc(t *testing.T) {
+	const peers = 255
+	flush, release := newPhaseTracker(peers), newPhaseTracker(peers)
+	completions := 0
+	onDone := func() { completions++ }
+	var epoch uint64
+	run := func() {
+		epoch++
+		for _, pt := range []*phaseTracker{flush, release} {
+			pt.Arrive(epoch, 1)
+			pt.LocalTransition(epoch, onDone)
+			for p := 2; p <= peers; p++ {
+				pt.Arrive(epoch, myrinet.NodeID(p))
+				if p == peers/2 {
+					pt.Arrive(epoch+1, 1) // a fast peer already in the next epoch
+				}
+			}
+		}
+	}
+	for i := 0; i < 4; i++ {
+		run()
+	}
+	if allocs := testing.AllocsPerRun(100, run); allocs != 0 {
+		t.Fatalf("steady-state epoch allocated %.1f times, want 0", allocs)
+	}
+	if want := 2 * int(epoch); completions != want {
+		t.Fatalf("%d completions, want %d", completions, want)
+	}
+}
+
+// BenchmarkPhaseTrackerEpoch measures one clean epoch — the local
+// transition and p-1 arrivals — and reports the cost per arrival, which
+// stays flat in p.
+func BenchmarkPhaseTrackerEpoch(b *testing.B) {
+	for _, peers := range []int{15, 255} {
+		b.Run(fmt.Sprintf("peers=%d", peers), func(b *testing.B) {
+			pt := newPhaseTracker(peers)
+			onDone := func() {}
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				epoch := uint64(i)
+				pt.LocalTransition(epoch, onDone)
+				for p := 1; p <= peers; p++ {
+					pt.Arrive(epoch, myrinet.NodeID(p))
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*peers), "ns/arrival")
+		})
 	}
 }

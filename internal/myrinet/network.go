@@ -74,13 +74,23 @@ type Stats struct {
 	Bytes      uint64
 }
 
-func newStats() Stats {
-	return Stats{
-		Sent:       make(map[PacketType]uint64),
-		Delivered:  make(map[PacketType]uint64),
-		Dropped:    make(map[PacketType]uint64),
-		Duplicated: make(map[PacketType]uint64),
+// typeCounts is one counter per packet type, indexed by PacketType: the
+// per-packet paths bump an array slot instead of hashing into a map.
+type typeCounts [Nack + 1]uint64
+
+// addTo adds the nonzero counters into m.
+func (c *typeCounts) addTo(m map[PacketType]uint64) {
+	for t, v := range c {
+		if v != 0 {
+			m[PacketType(t)] += v
+		}
 	}
+}
+
+// nodeCounts is one node bucket's share of the Stats counters.
+type nodeCounts struct {
+	sent, delivered, dropped, duplicated typeCounts
+	bytes                                uint64
 }
 
 // nodeState holds the per-node slice of the fabric's mutable state. Under
@@ -91,7 +101,7 @@ func newStats() Stats {
 // where the whole fabric is quiescent (single-engine runs, or the group's
 // barrier-serialized global lane).
 type nodeState struct {
-	stats Stats
+	stats nodeCounts
 	// inFlight is this bucket's contribution to the per-job count of
 	// data packets on the wire: +1 at the source when a packet is sent,
 	// -1 wherever it lands (destination) or dies (source, for injected
@@ -151,7 +161,6 @@ func New(eng *sim.Engine, cfg Config) *Network {
 		n.ports[i] = sim.NewResource(eng, fmt.Sprintf("port%d", i))
 		n.lastArrival[i] = make([]sim.Time, cfg.Nodes)
 		n.seq[i] = make([]uint64, cfg.Nodes)
-		n.perNode[i].stats = newStats()
 		n.perNode[i].inFlight = make(map[JobID]int)
 	}
 	n.deliverFn = func(a any) { n.deliver(a.(*Packet)) }
@@ -251,22 +260,19 @@ func (n *Network) Config() Config { return n.cfg }
 // sharded execution call it only while the fabric is quiescent (between
 // runs, or from the group's global lane).
 func (n *Network) Stats() Stats {
-	out := newStats()
+	out := Stats{
+		Sent:       make(map[PacketType]uint64),
+		Delivered:  make(map[PacketType]uint64),
+		Dropped:    make(map[PacketType]uint64),
+		Duplicated: make(map[PacketType]uint64),
+	}
 	for i := range n.perNode {
 		s := &n.perNode[i].stats
-		for k, v := range s.Sent {
-			out.Sent[k] += v
-		}
-		for k, v := range s.Delivered {
-			out.Delivered[k] += v
-		}
-		for k, v := range s.Dropped {
-			out.Dropped[k] += v
-		}
-		for k, v := range s.Duplicated {
-			out.Duplicated[k] += v
-		}
-		out.Bytes += s.Bytes
+		s.sent.addTo(out.Sent)
+		s.delivered.addTo(out.Delivered)
+		s.dropped.addTo(out.Dropped)
+		s.duplicated.addTo(out.Duplicated)
+		out.Bytes += s.bytes
 	}
 	return out
 }
@@ -299,8 +305,8 @@ func (n *Network) Send(p *Packet) sim.Time {
 	}
 	src := n.engFor(p.Src)
 	b := &n.perNode[p.Src]
-	b.stats.Sent[p.Type]++
-	b.stats.Bytes += uint64(p.WireSize())
+	b.stats.sent[p.Type]++
+	b.stats.bytes += uint64(p.WireSize())
 	p.Seq = n.seq[p.Src][p.Dst]
 	n.seq[p.Src][p.Dst]++
 
@@ -356,7 +362,7 @@ func (n *Network) Send(p *Packet) sim.Time {
 // runs in source context, so the packet dies into the source's bucket.
 func (n *Network) dropInjected(p *Packet) {
 	b := &n.perNode[p.Src]
-	b.stats.Dropped[p.Type]++
+	b.stats.dropped[p.Type]++
 	if n.OnDrop != nil {
 		n.OnDrop(p)
 	}
@@ -371,7 +377,7 @@ func (n *Network) dropInjected(p *Packet) {
 // independent packet so receiver-side bookkeeping sees two arrivals).
 func (n *Network) duplicate(p *Packet, at sim.Time) {
 	b := &n.perNode[p.Src]
-	b.stats.Duplicated[p.Type]++
+	b.stats.duplicated[p.Type]++
 	if p.Type == Data {
 		b.inFlight[p.Job]++
 	}
@@ -392,14 +398,14 @@ func (n *Network) deliver(p *Packet) {
 	}
 	h := n.handlers[p.Dst]
 	if h == nil {
-		b.stats.Dropped[p.Type]++
+		b.stats.dropped[p.Type]++
 		if n.OnDrop != nil {
 			n.OnDrop(p)
 		}
 		n.FreePacket(p)
 		return
 	}
-	b.stats.Delivered[p.Type]++
+	b.stats.delivered[p.Type]++
 	h.HandlePacket(p)
 }
 

@@ -268,6 +268,10 @@ func TestStatsAccounting(t *testing.T) {
 	if s.Bytes != wantBytes {
 		t.Fatalf("bytes = %d, want %d", s.Bytes, wantBytes)
 	}
+	// The maps hold only the packet types that were counted.
+	if len(s.Sent) != 2 || len(s.Delivered) != 2 || len(s.Dropped) != 0 || len(s.Duplicated) != 0 {
+		t.Fatalf("stats hold zero entries: %+v", s)
+	}
 }
 
 func TestUnattachedHandlerDrops(t *testing.T) {

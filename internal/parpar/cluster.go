@@ -116,6 +116,10 @@ type Node struct {
 
 	cluster *Cluster
 	procs   map[myrinet.JobID]*Proc
+	// parked holds job loads that found the card full while a finished
+	// job's context was still registered (see initJob); endJob retries
+	// them.
+	parked []parkedLoad
 
 	// Slot-switch idempotence (recovery only): the watchdog may re-send a
 	// round's notification, so the noded remembers the round it is working
@@ -432,48 +436,80 @@ func (c *Cluster) reliableSend(src *sim.Engine, dst int, done func() bool, fn fu
 
 // node-side daemon actions -------------------------------------------------
 
+// parkedLoad is a job load waiting for a context to be released.
+type parkedLoad struct {
+	job  *Job
+	rank int
+}
+
 // loadJob is the noded's handling of the masterd's job-load message: run
 // COMM_init_job (context allocated, environment prepared — the process can
 // already receive), fork the process, and notify the masterd.
 func (n *Node) loadJob(job *Job, rank int) {
 	n.CPU.Use(n.cluster.cfg.InitJobCost, func() {
-		if job.state == JobDone || job.state == JobKilled {
-			// The job was killed (or, with recovery re-sends, finished)
-			// while this load message was in flight: allocating a context
-			// now would leak it, since the kill's cleanup already ran.
-			return
-		}
-		if _, dup := n.procs[job.ID]; dup {
-			// Re-sent load (recovery): the job is already initialized; the
-			// readiness notification has its own reliable delivery.
-			return
-		}
-		alloc := n.Mgr.Alloc()
-		fmCfg := fm.DefaultConfig(alloc.C0)
-		if n.cluster.cfg.FMTweak != nil {
-			n.cluster.cfg.FMTweak(&fmCfg)
-		}
-		ep, err := fm.NewEndpoint(n.Eng, n.NIC, n.CPU, n.cluster.Mem,
-			fmCfg, job.ID, rank, job.nodeOf)
-		if err != nil {
-			panic(fmt.Sprintf("parpar: endpoint for job %d rank %d: %v", job.ID, rank, err))
-		}
-		p := &Proc{
-			cluster: n.cluster, node: n, job: job, rank: rank,
-			EP:      ep,
-			program: job.Spec.NewProgram(rank),
-		}
-		if err := n.Mgr.InitJob(job.ID, rank, ep); err != nil {
-			panic(fmt.Sprintf("parpar: InitJob: %v", err))
-		}
-		n.procs[job.ID] = p
-		job.procs[rank] = p
-		// Fork; the child notifies readiness through the noded.
-		n.Eng.Schedule(n.cluster.cfg.ForkDelay, func() {
-			n.cluster.reliableSend(n.Eng, -1, func() bool { return job.readySeen[rank] },
-				func() { n.cluster.master.rankReady(job, rank) })
-		})
+		n.initJob(job, rank)
 	})
+}
+
+// initJob is loadJob's work once its host cost is paid.
+func (n *Node) initJob(job *Job, rank int) {
+	if job.state == JobDone || job.state == JobKilled {
+		// The job was killed (or, with recovery re-sends, finished)
+		// while this load message was in flight: allocating a context
+		// now would leak it, since the kill's cleanup already ran.
+		return
+	}
+	if _, dup := n.procs[job.ID]; dup {
+		// Re-sent load (recovery): the job is already initialized; the
+		// readiness notification has its own reliable delivery.
+		return
+	}
+	alloc := n.Mgr.Alloc()
+	fmCfg := fm.DefaultConfig(alloc.C0)
+	if n.cluster.cfg.FMTweak != nil {
+		n.cluster.cfg.FMTweak(&fmCfg)
+	}
+	ep, err := fm.NewEndpoint(n.Eng, n.NIC, n.CPU, n.cluster.Mem,
+		fmCfg, job.ID, rank, job.nodeOf)
+	if err != nil {
+		panic(fmt.Sprintf("parpar: endpoint for job %d rank %d: %v", job.ID, rank, err))
+	}
+	if err := n.Mgr.InitJob(job.ID, rank, ep); err != nil {
+		if n.releasePending() {
+			// The masterd places a job in a cell the moment the previous
+			// occupant leaves the matrix, and the control network does
+			// not keep order: this load overtook the end message of a job
+			// that still holds its context (partitioned credits leave the
+			// card room for exactly one context per slot). Park the load;
+			// endJob retries it once the context is released.
+			n.parked = append(n.parked, parkedLoad{job, rank})
+			return
+		}
+		panic(fmt.Sprintf("parpar: InitJob: %v", err))
+	}
+	p := &Proc{
+		cluster: n.cluster, node: n, job: job, rank: rank,
+		EP:      ep,
+		program: job.Spec.NewProgram(rank),
+	}
+	n.procs[job.ID] = p
+	job.procs[rank] = p
+	// Fork; the child notifies readiness through the noded.
+	n.Eng.Schedule(n.cluster.cfg.ForkDelay, func() {
+		n.cluster.reliableSend(n.Eng, -1, func() bool { return job.readySeen[rank] },
+			func() { n.cluster.master.rankReady(job, rank) })
+	})
+}
+
+// releasePending reports whether a job that has finished or been killed
+// still holds a context on this node, its end message yet to arrive.
+func (n *Node) releasePending() bool {
+	for _, p := range n.procs {
+		if p.job.state == JobDone || p.job.state == JobKilled {
+			return true
+		}
+	}
+	return false
 }
 
 // startJob is the noded's handling of the masterd's all-up broadcast: it
@@ -547,6 +583,12 @@ func (n *Node) endJob(job myrinet.JobID) {
 		panic(fmt.Sprintf("parpar: EndJob: %v", err))
 	}
 	delete(n.procs, job)
+	if parked := n.parked; len(parked) > 0 {
+		n.parked = nil
+		for _, l := range parked {
+			n.initJob(l.job, l.rank)
+		}
+	}
 }
 
 // killJob is the noded's handling of a job termination it did not ask
@@ -661,6 +703,7 @@ func (n *Node) reboot(deadPeers []myrinet.NodeID) {
 		}
 	}
 	n.procs = make(map[myrinet.JobID]*Proc)
+	n.parked = nil
 	n.swEpoch, n.swBusy, n.swDone = 0, false, false
 	n.swAck = nil
 	c.armNodeObservers(n)

@@ -498,3 +498,30 @@ func TestRepairValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestPartitionedLoadWaitsForRelease pins `gangsim sched -seed 20 -scheme
+// partitioned`: a job's load message overtakes (on the unordered control
+// network) the end message of the job that last held its cell, so the
+// node's card still holds every slot's context when the new one is
+// requested. The load must wait for the release rather than fail with NIC
+// RAM exhausted, and every job must still finish.
+func TestPartitionedLoadWaitsForRelease(t *testing.T) {
+	gen := DefaultGenConfig(8)
+	gen.Seed = 20
+	trace, err := Generate(gen)
+	if err != nil {
+		t.Fatal(err)
+	}
+	base := DefaultConfig(8)
+	base.Trace = trace
+	rs, err := Compare(base, []fm.Policy{fm.Partitioned}, gang.Policies())
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, r := range rs {
+		if r.Finished != len(trace) || r.Censored != 0 || !r.AuditOK {
+			t.Errorf("%s: %d/%d finished, %d censored, audit ok %v",
+				r.Packing, r.Finished, len(trace), r.Censored, r.AuditOK)
+		}
+	}
+}
