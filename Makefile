@@ -1,11 +1,11 @@
 GO ?= go
 
-.PHONY: check vet build test race fuzz-smoke sched-smoke churn-smoke churn-crash-smoke repair-smoke bench tracker-bench-smoke bench-smoke figures lint-hotpath
+.PHONY: check vet build test race fuzz-smoke sched-smoke churn-smoke churn-crash-smoke repair-smoke bench tracker-bench-smoke bench-module figures lint-hotpath
 
 # The full CI gate: static checks, build, race-enabled tests, a short
 # fixed-seed chaos-fuzz campaign, and scheduler-evaluation smoke runs
 # (all deterministic, so safe to gate on).
-check: vet build race fuzz-smoke sched-smoke churn-smoke churn-crash-smoke repair-smoke tracker-bench-smoke lint-hotpath
+check: vet build race fuzz-smoke sched-smoke churn-smoke churn-crash-smoke repair-smoke tracker-bench-smoke bench-module lint-hotpath
 
 vet:
 	$(GO) vet ./...
@@ -65,10 +65,10 @@ bench:
 tracker-bench-smoke:
 	$(GO) test -run XXX -bench PhaseTracker -benchtime 1x ./internal/lanai
 
-# Quick end-to-end performance report: every figure under event/alloc
-# tracking, written to BENCH_<date>.json.
-bench-smoke:
-	$(GO) run ./cmd/gangsim bench -quick
+# The repository benchmark module (bench/, run by bench/run.sh) is its
+# own Go module: vet it and run its consistency tests.
+bench-module:
+	cd bench && $(GO) vet ./... && $(GO) test ./...
 
 figures:
 	$(GO) run ./cmd/gangsim all

@@ -53,11 +53,11 @@ go run ./cmd/gangsim churn -quick -crash 0.35 -repair 0.75 -adaptive -log > /tmp
 go run ./cmd/gangsim churn -quick -crash 0.35 -repair 0.75 -adaptive -log -shards 4 -workers 4 > /tmp/churn-repair-ci-b.txt
 cmp /tmp/churn-repair-ci-a.txt /tmp/churn-repair-ci-b.txt
 
-# Benchmark pipeline smoke: the report must build and serialize, and the
-# -compare path must parse it back and pass against itself re-measured
-# (allocs/event is deterministic, so self-comparison never regresses).
-go run ./cmd/gangsim bench -quick -o /tmp/bench-ci.json
-go run ./cmd/gangsim bench -quick -o /tmp/bench-ci2.json -compare /tmp/bench-ci.json
+# Repository benchmark module (bench/, its own Go module): vet plus its
+# consistency tests — printed metrics match BENCHMARK.json, simulated
+# results repeat at one seed, failed points are counted, and profile
+# samples fold into the right layers.
+(cd bench && go vet ./... && go test ./...)
 
 # Flush-tracker micro-benchmark smoke: one iteration per peer count, so
 # the benchmark keeps compiling and running.

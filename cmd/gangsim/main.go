@@ -7,12 +7,13 @@
 //
 //	gangsim [-quick] [-par N] [-shards N] [-workers N] <fig5|fig6|fig7|fig8|fig9|overhead|credits|all>
 //	gangsim fuzz [-seed S] [-runs N] [-shrink] [-trace] [-compare]
-//	gangsim bench [-quick] [-par N] [-o FILE]
 //	gangsim sched [-seed S] [-policy P] [-scheme S] [-trace FILE]
 //	gangsim churn [-seed S] [-kill F] [-resize F] [-deadline F] [-trace FILE]
 //
 // All runs are deterministic; -quick shrinks the sweeps for smoke runs,
-// and a fuzz failure replays exactly from its printed seed.
+// and a fuzz failure replays exactly from its printed seed. Performance is
+// measured by the repository benchmark (bash bench/run.sh; see
+// bench/README.md), not by a subcommand.
 package main
 
 import (
@@ -32,7 +33,6 @@ import (
 // listing: every dispatchable name with a one-line description.
 var subcommands = []struct{ name, desc string }{
 	{"all", "every paper experiment in sequence"},
-	{"bench", "run every figure under wall/event/alloc tracking (bench -h)"},
 	{"churn", "online scheduling under churn: gang vs batch vs fractional with kills, resizes, backfill (churn -h)"},
 	{"credits", "credit formulas C0 = Br/(n^2 p) vs Br/p (paper 2.2, 3.3)"},
 	{"dyncos", "ablation: gang vs dynamic coscheduling responsiveness (5)"},
@@ -66,13 +66,10 @@ func unknownSubcommand(w io.Writer, name string) int {
 }
 
 func main() {
-	// The fuzz and bench subcommands own their flags; dispatch before the
-	// global parse.
+	// The fuzz, sched and churn subcommands own their flags; dispatch
+	// before the global parse.
 	if len(os.Args) > 1 && os.Args[1] == "fuzz" {
 		os.Exit(runFuzz(os.Args[2:], os.Stdout))
-	}
-	if len(os.Args) > 1 && os.Args[1] == "bench" {
-		os.Exit(runBench(os.Args[2:], os.Stdout))
 	}
 	if len(os.Args) > 1 && os.Args[1] == "sched" {
 		os.Exit(runSched(os.Args[2:], os.Stdout))
@@ -192,15 +189,14 @@ chaos:
   fuzz      seeded fault-injection fuzzer over random clusters, jobs and
             fault plans; failing seeds replay exactly (see fuzz -h)
 
-performance:
-  bench     run every figure under wall-clock/event/allocation tracking
-            and write BENCH_<date>.json with baselines (see bench -h)
-
 scheduling:
   sched     trace-driven scheduler evaluation: generated or file-based job
             streams under every packing policy x credit scheme (see sched -h)
   churn     online scheduling under churn: live kills, resizes, deadlines,
             conservative backfill; gang vs batch vs fractional (see churn -h)
+
+performance is measured by the repository benchmark, not a subcommand:
+  bash bench/run.sh   (see bench/README.md)
 `)
 }
 

@@ -34,9 +34,6 @@ func Churn(p Params) []*schedd.Result {
 	if err != nil {
 		panic(err)
 	}
-	for _, r := range rs {
-		addFired(r.Events)
-	}
 	return rs
 }
 
@@ -87,9 +84,6 @@ func ChurnCrash(p Params) []*schedd.Result {
 	rs, err := schedd.Showdown(cfg)
 	if err != nil {
 		panic(err)
-	}
-	for _, r := range rs {
-		addFired(r.Events)
 	}
 	return rs
 }
@@ -146,9 +140,6 @@ func ChurnRepair(p Params) []*schedd.Result {
 	rs, err := schedd.Showdown(cfg)
 	if err != nil {
 		panic(err)
-	}
-	for _, r := range rs {
-		addFired(r.Events)
 	}
 	return rs
 }

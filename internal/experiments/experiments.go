@@ -43,16 +43,6 @@ func (p Params) parallel() int {
 	return p.Parallel
 }
 
-// firedTotal accumulates engine event counts across sweep points, so the
-// bench pipeline can report events/second for whole figures.
-var firedTotal atomic.Uint64
-
-func addFired(n uint64) { firedTotal.Add(n) }
-
-// TakeFiredCount returns the number of simulation events fired by all
-// sweep points since the last call, and resets the counter.
-func TakeFiredCount() uint64 { return firedTotal.Swap(0) }
-
 // forEach runs fn(i) for i in [0,n) on up to `parallel` goroutines. Work
 // is claimed one index at a time off a shared atomic counter, so uneven
 // point costs (the large-node-count, large-message corners of a sweep

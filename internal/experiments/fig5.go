@@ -95,7 +95,6 @@ func fig5Point(nContexts, size int, p Params) Fig5Point {
 		panic(err)
 	}
 	cluster.RunUntil(fig5Deadline)
-	addFired(cluster.Fired())
 	pt := Fig5Point{Contexts: nContexts, MsgSize: size, C0: c0}
 	res, err := workload.ExtractBandwidth(job)
 	if err != nil {

@@ -113,7 +113,6 @@ func fig6Point(k, size int, p Params) Fig6Point {
 		}
 	}
 	cluster.Run()
-	addFired(cluster.Fired())
 
 	var per []float64
 	for _, job := range jobs {

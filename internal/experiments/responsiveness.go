@@ -106,7 +106,6 @@ func gangResponsiveness(p Params) ResponsivenessRow {
 		panic(err)
 	}
 	cluster.RunUntil(sim.Time(requests+8) * respInterval * 2)
-	addFired(cluster.Fired())
 	return ResponsivenessRow{
 		Scheme:        "gang scheduling (20 ms quantum)",
 		Requests:      len(rtts),
@@ -149,7 +148,6 @@ func dyncosResponsiveness(p Params) ResponsivenessRow {
 	}
 	tick()
 	eng.RunUntil(sim.Time(requests+8) * respInterval * 2)
-	addFired(eng.Fired())
 	return ResponsivenessRow{
 		Scheme:        "dynamic coscheduling (100 us dispatch)",
 		Requests:      len(rtts),

@@ -40,7 +40,6 @@ func Sched(p Params) []*schedeval.Result {
 		if err != nil {
 			panic(err)
 		}
-		addFired(r.Events)
 		results[i] = r
 	})
 	return results

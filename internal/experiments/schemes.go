@@ -55,9 +55,7 @@ func paperSchemeRow(p Params) SchemeRow {
 	cfg.Slots = 2
 	cfg.Mode = core.ValidOnly
 	cfg.Quantum = 2_000_000
-	cfg.CtrlJitter = 40_000
-	cfg.CtrlSerialGap = 20_000
-	cfg.ForkDelay = 50_000
+	cfg.UseFastCtrlNet()
 	cluster, err := parpar.New(cfg)
 	if err != nil {
 		panic(err)
@@ -72,7 +70,6 @@ func paperSchemeRow(p Params) SchemeRow {
 		}
 	}
 	cluster.Run()
-	addFired(cluster.Fired())
 
 	row := SchemeRow{Name: "gang + flush + switch (paper)", Efficiency: 1}
 	var coord, copies float64
@@ -114,7 +111,6 @@ func altSchemeRow(p Params, scheme altsched.Scheme) SchemeRow {
 		dur = 15 * cfg.Quantum
 	}
 	cluster.RunFor(dur)
-	addFired(cluster.Eng.Fired())
 	rep := cluster.Collect()
 	name := "discard + retransmit (SHARE)"
 	if scheme == altsched.PMQuiescence {

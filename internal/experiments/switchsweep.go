@@ -72,7 +72,6 @@ func switchPoint(nodes int, mode core.CopyMode, quick bool) SwitchPoint {
 		}
 	}
 	cluster.Run()
-	addFired(cluster.Fired())
 
 	pt := SwitchPoint{Nodes: nodes}
 	var halt, cp, rel, vs, vr []float64

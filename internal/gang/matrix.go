@@ -11,10 +11,16 @@
 package gang
 
 import (
+	"errors"
 	"fmt"
 
 	"gangfm/internal/myrinet"
 )
+
+// ErrSlotTableFull is wrapped by Place when a job would need a new row in
+// a matrix already holding its maximum number of rows: the job fits the
+// machine but must wait for a slot to free up.
+var ErrSlotTableFull = errors.New("gang: slot table full")
 
 // Placement records where a job sits in the matrix.
 type Placement struct {
@@ -213,7 +219,7 @@ func (m *Matrix) Place(job myrinet.JobID, size int) (Placement, error) {
 	}
 	if row == len(m.rows) {
 		if m.maxRows > 0 && len(m.rows) >= m.maxRows {
-			return Placement{}, fmt.Errorf("gang: slot table full (%d rows) placing job %d", m.maxRows, job)
+			return Placement{}, fmt.Errorf("%w (%d rows) placing job %d", ErrSlotTableFull, m.maxRows, job)
 		}
 		fresh := make([]myrinet.JobID, m.cols)
 		for c := range fresh {

@@ -1,6 +1,7 @@
 package gang
 
 import (
+	"errors"
 	"testing"
 	"testing/quick"
 
@@ -102,21 +103,28 @@ func TestPlaceNonPowerOfTwo(t *testing.T) {
 	}
 }
 
+// TestPlaceErrors: every invalid placement fails, and only the full slot
+// table — the one a queueing driver waits out — wraps ErrSlotTableFull.
 func TestPlaceErrors(t *testing.T) {
 	m := NewMatrix(8, 2)
-	if _, err := m.Place(1, 0); err == nil {
-		t.Error("zero size should fail")
+	notFull := func(what string, err error) {
+		t.Helper()
+		if err == nil {
+			t.Errorf("%s should fail", what)
+		} else if errors.Is(err, ErrSlotTableFull) {
+			t.Errorf("%s reported a full slot table: %v", what, err)
+		}
 	}
-	if _, err := m.Place(1, 9); err == nil {
-		t.Error("oversized job should fail")
-	}
+	_, err := m.Place(1, 0)
+	notFull("zero size", err)
+	_, err = m.Place(1, 9)
+	notFull("oversized job", err)
 	m.Place(1, 8)
-	if _, err := m.Place(1, 4); err == nil {
-		t.Error("duplicate job should fail")
-	}
+	_, err = m.Place(1, 4)
+	notFull("duplicate job", err)
 	m.Place(2, 8)
-	if _, err := m.Place(3, 8); err == nil {
-		t.Error("exceeding maxRows should fail")
+	if _, err := m.Place(3, 8); !errors.Is(err, ErrSlotTableFull) {
+		t.Errorf("exceeding maxRows: got %v, want ErrSlotTableFull", err)
 	}
 }
 

@@ -101,6 +101,16 @@ func DefaultConfig(nodes int) Config {
 	}
 }
 
+// UseFastCtrlNet shrinks the control network's daemon skew, switch
+// serialization and fork delay (200 us jitter, 100 us per unicast, 250 us
+// fork) so trace-driven and ablation runs with many short jobs simulate
+// quickly. The schedulers and the schemes ablation share this preset.
+func (c *Config) UseFastCtrlNet() {
+	c.CtrlJitter = 40_000
+	c.CtrlSerialGap = 20_000
+	c.ForkDelay = 50_000
+}
+
 // Node is one compute node: card, host CPU, glueFM manager, and the noded
 // state for the processes it hosts.
 type Node struct {

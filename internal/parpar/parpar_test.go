@@ -1,10 +1,12 @@
 package parpar
 
 import (
+	"errors"
 	"testing"
 
 	"gangfm/internal/core"
 	"gangfm/internal/fm"
+	"gangfm/internal/gang"
 	"gangfm/internal/myrinet"
 	"gangfm/internal/sim"
 )
@@ -148,8 +150,8 @@ func TestSlotTableFull(t *testing.T) {
 	if _, err := c.Submit(JobSpec{Size: 2, NewProgram: longJob}); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := c.Submit(JobSpec{Size: 2, NewProgram: longJob}); err == nil {
-		t.Fatal("third job should exceed the 2-slot table")
+	if _, err := c.Submit(JobSpec{Size: 2, NewProgram: longJob}); !errors.Is(err, gang.ErrSlotTableFull) {
+		t.Fatalf("third job: got %v, want gang.ErrSlotTableFull", err)
 	}
 }
 

@@ -17,10 +17,10 @@
 package schedd
 
 import (
+	"errors"
 	"fmt"
 	"slices"
 	"sort"
-	"strings"
 
 	"gangfm/internal/chaos"
 	"gangfm/internal/core"
@@ -198,10 +198,7 @@ func New(cfg Config) (*Daemon, error) {
 	if cfg.Quantum > 0 {
 		pcfg.Quantum = cfg.Quantum
 	}
-	// Fast-simulation control-network parameters, as schedeval uses.
-	pcfg.CtrlJitter = 40_000
-	pcfg.CtrlSerialGap = 20_000
-	pcfg.ForkDelay = 50_000
+	pcfg.UseFastCtrlNet()
 	if cfg.Seed != 0 {
 		pcfg.Seed = cfg.Seed
 	}
@@ -624,7 +621,7 @@ func (d *Daemon) tryPlace(t *task, asBackfill bool) bool {
 	}
 	job, err := d.cluster.Submit(t.specFor())
 	if err != nil {
-		if strings.Contains(err.Error(), "slot table full") {
+		if errors.Is(err, gang.ErrSlotTableFull) {
 			d.log.Add(now, VerbQueue, "job=%d size=%d", t.idx, t.size)
 			return false
 		}

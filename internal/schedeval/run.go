@@ -1,9 +1,9 @@
 package schedeval
 
 import (
+	"errors"
 	"fmt"
 	"sort"
-	"strings"
 
 	"gangfm/internal/chaos"
 	"gangfm/internal/core"
@@ -147,11 +147,7 @@ func Run(cfg Config) (*Result, error) {
 	if cfg.Quantum > 0 {
 		pcfg.Quantum = cfg.Quantum
 	}
-	// Fast-simulation control-network parameters (same as the experiment
-	// harness uses).
-	pcfg.CtrlJitter = 40_000
-	pcfg.CtrlSerialGap = 20_000
-	pcfg.ForkDelay = 50_000
+	pcfg.UseFastCtrlNet()
 	if cfg.Seed != 0 {
 		pcfg.Seed = cfg.Seed
 	}
@@ -194,7 +190,7 @@ func Run(cfg Config) (*Result, error) {
 			name := fmt.Sprintf("j%d-%s", i, tj.Kernel)
 			job, err := cluster.Submit(tj.Spec(name))
 			if err != nil {
-				if strings.Contains(err.Error(), "slot table full") {
+				if errors.Is(err, gang.ErrSlotTableFull) {
 					return // resubmitted when a job exits
 				}
 				panic(fmt.Sprintf("schedeval: submit job %d: %v", i, err))
