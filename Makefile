@@ -49,9 +49,11 @@ churn-crash-smoke:
 
 # Repair smoke: the closed failure loop — crashes detected by heartbeat,
 # repaired nodes rejoining at rotation boundaries, and the availability
-# table growing its repaired-capacity and post-repair-goodput columns.
+# table growing its repaired-capacity and post-repair-goodput columns. The
+# full-size stream reboots one node while another's rejoin is settling.
 repair-smoke:
 	$(GO) run ./cmd/gangsim churn -quick -crash 0.35 -repair 0.75 -adaptive
+	$(GO) run ./cmd/gangsim churn -crash 0.35 -repair 0.75 -adaptive
 
 # Microbenchmarks with allocation reporting. BenchmarkEngineThroughput
 # must stay at 0 allocs/op (see DESIGN.md §6); BenchmarkPhaseTrackerEpoch

@@ -52,6 +52,11 @@ cmp /tmp/churn-crash-ci-a.txt /tmp/churn-crash-ci-b.txt
 go run ./cmd/gangsim churn -quick -crash 0.35 -repair 0.75 -adaptive -log > /tmp/churn-repair-ci-a.txt
 go run ./cmd/gangsim churn -quick -crash 0.35 -repair 0.75 -adaptive -log -shards 4 -workers 4 > /tmp/churn-repair-ci-b.txt
 cmp /tmp/churn-repair-ci-a.txt /tmp/churn-repair-ci-b.txt
+# The full-size repair stream reboots one node while another's rejoin is
+# still settling (the overlapping-membership case); same promise.
+go run ./cmd/gangsim churn -crash 0.35 -repair 0.75 -adaptive -log > /tmp/churn-repair-full-ci-a.txt
+go run ./cmd/gangsim churn -crash 0.35 -repair 0.75 -adaptive -log -shards 4 -workers 4 > /tmp/churn-repair-full-ci-b.txt
+cmp /tmp/churn-repair-full-ci-a.txt /tmp/churn-repair-full-ci-b.txt
 
 # Repository benchmark module (bench/, its own Go module): vet plus its
 # consistency tests — printed metrics match BENCHMARK.json, simulated

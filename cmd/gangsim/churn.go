@@ -189,7 +189,7 @@ func runChurn(args []string, out io.Writer) int {
 	}
 	for _, r := range results {
 		if n := r.Log.Count(schedd.VerbCacheBad); n != 0 {
-			fmt.Fprintf(os.Stderr, "gangsim churn: %s run reported %d placement-cache violations\n", r.Mode, n)
+			fmt.Fprintf(os.Stderr, "gangsim churn: %s run reported %d task-table vs gang-matrix divergences\n", r.Mode, n)
 			return 1
 		}
 	}

@@ -81,9 +81,6 @@ func (e *Endpoint) Channel(peer int) *RChannel {
 
 func (e *Endpoint) payload() int { return e.payloadBytes }
 
-// PayloadBytes returns the fixed per-packet payload the endpoint streams.
-func (e *Endpoint) PayloadBytes() int { return e.payloadBytes }
-
 // Job returns the endpoint's job.
 func (e *Endpoint) Job() myrinet.JobID { return e.job }
 

@@ -47,12 +47,10 @@ type Auditor struct {
 	// mu guards the report state: node-side hooks (see Reporter) fire from
 	// concurrent shard workers when the cluster runs on a shard group,
 	// while the periodic checks run on the group's global lane.
-	mu       sync.Mutex
-	failFast bool
-	checks   []Check
-	found    map[string]*found
-	nextSeq  map[int]uint64
-	stopped  bool
+	mu      sync.Mutex
+	checks  []Check
+	found   map[string]*found
+	nextSeq map[int]uint64
 
 	// reportFn is the bound Report method, built once: RunChecks runs every
 	// quantum, and evaluating the method value there would allocate a
@@ -85,10 +83,6 @@ func NewAuditor(eng *sim.Engine, seed uint64) *Auditor {
 
 // Seed returns the replay seed.
 func (a *Auditor) Seed() uint64 { return a.seed }
-
-// SetFailFast makes the first violation stop the simulation engine, so
-// the event queue freezes at the instant of the breach for inspection.
-func (a *Auditor) SetFailFast(on bool) { a.failFast = on }
 
 // Register adds a periodic check.
 func (a *Auditor) Register(c Check) { a.checks = append(a.checks, c) }
@@ -128,10 +122,6 @@ func (a *Auditor) report(src int, now sim.Time, invariant, detail string) {
 		return
 	}
 	a.found[key] = f
-	if a.failFast && !a.stopped {
-		a.stopped = true
-		a.eng.Stop()
-	}
 }
 
 // Ok reports whether no violation has been recorded.

@@ -267,20 +267,10 @@ func (m *Manager) ReserveHistory(n int) {
 	}
 }
 
-// StoredPackets reports how many packets a descheduled job has parked in
-// its backing store (send, recv). A bound or unknown job reports zeros.
-func (m *Manager) StoredPackets(job myrinet.JobID) (send, recv int) {
-	pr, ok := m.procs[job]
-	if !ok {
-		return 0, 0
-	}
-	return len(pr.store.send), len(pr.store.recv)
-}
-
 // Contexts returns the number of communication contexts currently
-// allocated on this node (live InitJob minus EndJob) — the residency an
-// online scheduler's per-node cache tracks, and the leak detector for
-// kill-during-load races.
+// allocated on this node (live InitJob minus EndJob) — the node's
+// resident-process count, and the leak detector for kill-during-load
+// races.
 func (m *Manager) Contexts() int { return len(m.procs) }
 
 // Current returns the job currently bound to the buffers, or NoJob.

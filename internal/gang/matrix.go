@@ -58,8 +58,8 @@ type Matrix struct {
 	// column whose node was evicted, live counts the surviving columns, and
 	// rowDeadUsed[r] counts cells in row r still occupied by a job on a
 	// dead column (non-zero only between KillColumn and the eviction of the
-	// spanning jobs). rowFree counts free *live* cells, so FreeNodes-style
-	// capacity questions answered from the caches reflect live capacity.
+	// spanning jobs). rowFree counts free *live* cells, so capacity
+	// questions answered from the caches reflect live capacity.
 	dead        []bool
 	live        int
 	rowDeadUsed []int
@@ -108,6 +108,23 @@ func (m *Matrix) Cols() int { return m.cols }
 // LiveCols returns the number of surviving (non-killed) columns — the live
 // capacity of the machine.
 func (m *Matrix) LiveCols() int { return m.live }
+
+// FreeCols returns the number of live columns with at least one free slot
+// — a necessary condition for admitting a job of up to that many
+// processes, since a placement needs that many distinct columns. In an
+// unbounded matrix every live column can take another row.
+func (m *Matrix) FreeCols() int {
+	if m.maxRows <= 0 {
+		return m.live
+	}
+	n := 0
+	for c, load := range m.colLoad {
+		if !m.dead[c] && load < m.maxRows {
+			n++
+		}
+	}
+	return n
+}
 
 // ColDead reports whether column c has been killed.
 func (m *Matrix) ColDead(c int) bool {
@@ -297,7 +314,7 @@ func (m *Matrix) trim() {
 
 // KillColumn removes an evicted node's column from the live capacity:
 // free cells become dead sentinels (deducted from rowFree so run searches
-// and FreeNodes-style prechecks see live capacity only), and cells still
+// and the FreeCols precheck see live capacity only), and cells still
 // occupied are tallied in rowDeadUsed until the spanning jobs are killed.
 // The caller (masterd eviction) must kill those jobs afterwards; until
 // then their placements keep the matrix audit-consistent.
@@ -327,7 +344,7 @@ func (m *Matrix) KillColumn(c int) error {
 
 // ReviveColumn returns a repaired node's column to the live capacity: the
 // dead sentinels flip back to free cells (credited to rowFree, so run
-// searches and FreeNodes-style prechecks immediately see the regrown
+// searches and the FreeCols precheck immediately see the regrown
 // capacity) and the column counts toward live again. It is KillColumn's
 // inverse, legal only once the column is fully drained: the masterd must
 // have killed every job that spanned the node before the eviction (i.e.

@@ -274,6 +274,27 @@ func TestAuditCleanAndCorrupted(t *testing.T) {
 	}
 }
 
+// recountFreeCols counts, from the raw cells, the live columns holding
+// fewer processes than the slot-table depth: what FreeCols must answer.
+func recountFreeCols(m *Matrix) int {
+	n := 0
+	for c := 0; c < m.Cols(); c++ {
+		if m.ColDead(c) {
+			continue
+		}
+		used := 0
+		for r := 0; r < m.Rows(); r++ {
+			if m.JobAt(r, c) != myrinet.NoJob {
+				used++
+			}
+		}
+		if m.maxRows <= 0 || used < m.maxRows {
+			n++
+		}
+	}
+	return n
+}
+
 // TestChurnQuickCheck drives every packing policy through seeded random
 // submit/kill/compact churn — the online scheduler's operation mix — and
 // after every mutation audits the full invariant set: no slot
@@ -293,6 +314,9 @@ func TestChurnQuickCheck(t *testing.T) {
 				t.Helper()
 				if bad := m.Audit(); len(bad) != 0 {
 					t.Fatalf("step %d (%s): %v", step, op, bad)
+				}
+				if got, want := m.FreeCols(), recountFreeCols(m); got != want {
+					t.Fatalf("step %d (%s): FreeCols = %d, recount says %d", step, op, got, want)
 				}
 			}
 			for step := 0; step < 2000; step++ {
@@ -465,6 +489,9 @@ func TestKillColumnChurnQuickCheck(t *testing.T) {
 				if bad := m.Audit(); bad != nil {
 					t.Fatalf("step %d after %s: %v", step, op, bad)
 				}
+				if got, want := m.FreeCols(), recountFreeCols(m); got != want {
+					t.Fatalf("step %d after %s: FreeCols = %d, recount says %d", step, op, got, want)
+				}
 			}
 			for step := 0; step < 1500; step++ {
 				switch {
@@ -607,6 +634,9 @@ func TestReviveColumnChurnQuickCheck(t *testing.T) {
 			audit := func(step int, op string) {
 				if bad := m.Audit(); bad != nil {
 					t.Fatalf("step %d after %s: %v", step, op, bad)
+				}
+				if got, want := m.FreeCols(), recountFreeCols(m); got != want {
+					t.Fatalf("step %d after %s: FreeCols = %d, recount says %d", step, op, got, want)
 				}
 			}
 			for step := 0; step < 1500; step++ {

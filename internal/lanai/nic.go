@@ -359,6 +359,13 @@ func (n *NIC) JoinPeer(peer myrinet.NodeID) {
 	n.release.Join(peer)
 }
 
+// Expects reports whether the card's flush and release phases wait for
+// peer's reports: both false once the peer is evicted, true again after
+// it rejoins.
+func (n *NIC) Expects(peer myrinet.NodeID) (flush, release bool) {
+	return !n.flush.Evicted(peer), !n.release.Evicted(peer)
+}
+
 // Halted reports the state of the halt bit.
 func (n *NIC) Halted() bool { return n.haltBit }
 

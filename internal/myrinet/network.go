@@ -422,9 +422,3 @@ func (n *Network) InFlight(job JobID) int {
 	}
 	return total
 }
-
-// PortFreeAt returns when node id's injection port becomes idle — the NIC
-// send engine uses this to pace its scanner.
-func (n *Network) PortFreeAt(id NodeID) sim.Time {
-	return n.ports[id].FreeAt()
-}

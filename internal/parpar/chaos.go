@@ -46,7 +46,6 @@ func (c *Cluster) armChaos() {
 		seed = c.cfg.Chaos.Seed
 	}
 	c.auditor = chaos.NewAuditor(c.Eng, seed)
-	c.auditor.SetFailFast(c.cfg.FailFast)
 	c.ledger = chaos.NewCreditLedger()
 
 	if c.cfg.Chaos != nil && !c.cfg.Chaos.Empty() {
@@ -297,12 +296,12 @@ func (c *Cluster) checkRecovery(now sim.Time, report func(invariant, detail stri
 		}
 	}
 
-	evicted := make([]int, 0, len(m.evictedAt))
-	for i := range m.evictedAt {
-		evicted = append(evicted, i)
-	}
-	sort.Ints(evicted)
-	for _, i := range evicted {
+	for i := range c.nodes {
+		w := m.downs[i]
+		if len(w) == 0 || w[len(w)-1].To != 0 {
+			continue // live: never evicted, or the last eviction healed
+		}
+		evictedAt := w[len(w)-1].From
 		id := myrinet.NodeID(i)
 		for _, jid := range c.sortedJobIDs(m.jobs) {
 			for _, col := range m.jobs[jid].Placement.Cols {
@@ -318,9 +317,9 @@ func (c *Cluster) checkRecovery(now sim.Time, report func(invariant, detail stri
 					"matrix slot %d still assigns job %d to evicted node %d", r, jid, i))
 			}
 		}
-		if now-m.evictedAt[i] > c.stallBudget() {
+		if now-evictedAt > c.stallBudget() {
 			for j, node := range c.nodes {
-				if !m.dead[j] && node.Mgr.InTopology(id) {
+				if !m.matrix.ColDead(j) && node.Mgr.InTopology(id) {
 					report("eviction-consistency", fmt.Sprintf(
 						"node %d still has evicted node %d in its topology", j, i))
 				}

@@ -48,9 +48,6 @@ type Config struct {
 	// NetConfig optionally overrides the data-network parameters (Nodes
 	// is forced to match).
 	NetConfig *myrinet.Config
-	// FMTweak optionally adjusts each endpoint's fm.Config after the
-	// allocation-derived defaults are set.
-	FMTweak func(*fm.Config)
 	// Seed drives control-network jitter.
 	Seed uint64
 
@@ -59,8 +56,6 @@ type Config struct {
 	// per-node CPU pauses and slowdowns, and backing-store corruption.
 	// The plan's seed also becomes the auditor's replay seed.
 	Chaos *chaos.Plan
-	// FailFast stops the simulation at the first invariant violation.
-	FailFast bool
 
 	// Recovery, when non-nil, enables the self-healing switch path:
 	// Halt/Ready retransmission with degraded flush completion in the
@@ -475,12 +470,8 @@ func (n *Node) initJob(job *Job, rank int) {
 		return
 	}
 	alloc := n.Mgr.Alloc()
-	fmCfg := fm.DefaultConfig(alloc.C0)
-	if n.cluster.cfg.FMTweak != nil {
-		n.cluster.cfg.FMTweak(&fmCfg)
-	}
 	ep, err := fm.NewEndpoint(n.Eng, n.NIC, n.CPU, n.cluster.Mem,
-		fmCfg, job.ID, rank, job.nodeOf)
+		fm.DefaultConfig(alloc.C0), job.ID, rank, job.nodeOf)
 	if err != nil {
 		panic(fmt.Sprintf("parpar: endpoint for job %d rank %d: %v", job.ID, rank, err))
 	}
@@ -732,14 +723,26 @@ func (c *Cluster) repairNode(i int) {
 	// view, and any eviction after this instant is broadcast to rebooted
 	// incarnations too.
 	var deadPeers []myrinet.NodeID
-	for j, d := range m.dead {
-		if d && j != i {
+	for j := range c.nodes {
+		if j != i && m.matrix.ColDead(j) {
 			deadPeers = append(deadPeers, myrinet.NodeID(j))
 		}
+	}
+	// A node mid-admission is still dead in that snapshot, and its join
+	// broadcast went out before this incarnation existed, so nothing else
+	// would re-add it here: apply the join as part of the boot, or this
+	// card never expects the joiner's flush/release reports and sends into
+	// contexts it has not bound yet.
+	joining, joinGen := -1, 0
+	if j := m.joining; j >= 0 && j != i {
+		joining, joinGen = j, len(m.downs[j])
 	}
 	node := c.nodes[i]
 	c.Eng.CrossAt(node.Eng, c.Eng.Now(), func() {
 		node.reboot(deadPeers)
+		if joining >= 0 {
+			node.joinPeer(myrinet.NodeID(joining), joinGen)
+		}
 		c.reliableSend(node.Eng, -1, func() bool { return m.rejoinRequested(i) },
 			func() { m.rejoinRequest(i) })
 	})

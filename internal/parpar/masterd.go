@@ -37,27 +37,26 @@ type Masterd struct {
 	// job-ready event wants an immediate rotation.
 	skipEv sim.Event
 
-	// Recovery bookkeeping (all dormant with Recovery nil). dead marks
-	// evicted nodes, evictedAt when each was evicted. Per round: needAcks
-	// is the live-node count the round waits for, ackedBy dedups the
-	// per-node acknowledgements (the watchdog's re-sends mean one node
-	// can ack more than once), roundTargets is the broadcast snapshot the
-	// watchdog re-sends from, and ackWatch the pending watchdog deadline.
-	dead         []bool
-	evictedAt    map[int]sim.Time
+	// Recovery bookkeeping (all dormant with Recovery nil). Membership
+	// lives in the matrix: a node is evicted exactly while its column is
+	// dead (matrix.ColDead), and downs below dates each eviction. Per
+	// round: needAcks is the live-node count the round waits for, ackedBy
+	// dedups the per-node acknowledgements (the watchdog's re-sends mean
+	// one node can ack more than once), roundTargets is the broadcast
+	// snapshot the watchdog re-sends from, and ackWatch the pending
+	// watchdog deadline.
 	needAcks     int
 	ackedBy      []bool
 	roundTargets []myrinet.JobID
 	ackWatch     sim.Event
 	// onEvict hooks fire when a node is declared dead — after its matrix
-	// column is killed, before the spanning jobs are — so a scheduler can
-	// shrink its own capacity caches before kill callbacks cascade into
-	// fresh placement decisions.
+	// column is killed, before the spanning jobs are — so a scheduler sees
+	// the shrunken machine before kill callbacks cascade into fresh
+	// placement decisions.
 	onEvict []func(node int)
 	// onRejoin hooks mirror onEvict for repair: they fire when a repaired
 	// node is admitted back, after its matrix column is revived, so a
-	// scheduler can re-expand its capacity caches before draining a
-	// backlog into the recovered node.
+	// scheduler can drain a backlog into the recovered node.
 	onRejoin []func(node int)
 
 	// Heartbeat state (dormant unless Recovery.HeartbeatEvery > 0): every
@@ -90,8 +89,8 @@ type Masterd struct {
 
 	// downs records every eviction as a [From,To) downtime window per node
 	// (To == 0 while the node is still down); a closed window is a
-	// completed rejoin. Unlike evictedAt, entries survive the rejoin, so
-	// availability accounting sees the full history.
+	// completed rejoin. Entries survive the rejoin, so availability
+	// accounting sees the full history.
 	downs map[int][]downWindow
 
 	// Clean-path round state, reused every rotation so the steady-state
@@ -151,8 +150,6 @@ func newMasterd(c *Cluster) *Masterd {
 		jobs:        make(map[myrinet.JobID]*Job),
 		nextID:      1,
 		lastRow:     -1,
-		dead:        make([]bool, c.cfg.Nodes),
-		evictedAt:   make(map[int]sim.Time),
 		needAcks:    c.cfg.Nodes,
 		rebooted:    make([]bool, c.cfg.Nodes),
 		rejoinAsked: make([]bool, c.cfg.Nodes),
@@ -181,17 +178,6 @@ func newMasterd(c *Cluster) *Masterd {
 	return m
 }
 
-// liveNodes counts the nodes not yet evicted.
-func (m *Masterd) liveNodes() int {
-	n := 0
-	for _, d := range m.dead {
-		if !d {
-			n++
-		}
-	}
-	return n
-}
-
 // Matrix exposes the gang matrix (read-only use).
 func (m *Masterd) Matrix() *gang.Matrix { return m.matrix }
 
@@ -201,30 +187,15 @@ func (m *Masterd) Epoch() uint64 { return m.epoch }
 // Jobs returns the number of live jobs.
 func (m *Masterd) Jobs() int { return len(m.jobs) }
 
-// NodeDead reports whether the recovery layer has evicted node i.
-func (m *Masterd) NodeDead(i int) bool {
-	return i >= 0 && i < len(m.dead) && m.dead[i]
-}
-
 // EvictedNodes returns the evicted node indices in ascending order.
 func (m *Masterd) EvictedNodes() []int {
 	var out []int
-	for i, d := range m.dead {
-		if d {
+	for i := range m.c.nodes {
+		if m.matrix.ColDead(i) {
 			out = append(out, i)
 		}
 	}
 	return out
-}
-
-// LiveNodes returns the number of nodes not yet evicted — the machine's
-// surviving capacity.
-func (m *Masterd) LiveNodes() int { return m.liveNodes() }
-
-// EvictedAt returns when node i was evicted; ok is false if it is alive.
-func (m *Masterd) EvictedAt(i int) (sim.Time, bool) {
-	t, ok := m.evictedAt[i]
-	return t, ok
 }
 
 // OnEvict registers a hook called whenever a node is declared dead. The
@@ -303,7 +274,7 @@ func (m *Masterd) armLaunchWatch(job *Job) {
 		var evict []int
 		seen := make(map[int]bool)
 		for rank, col := range job.Placement.Cols {
-			if job.procs[rank] == nil && !m.dead[col] && !seen[col] {
+			if job.procs[rank] == nil && !m.matrix.ColDead(col) && !seen[col] {
 				seen[col] = true
 				evict = append(evict, col)
 			}
@@ -473,7 +444,7 @@ func (m *Masterd) tick() {
 		// are deduplicated per node, and a deadline chain re-sends the
 		// notification to silent nodes and ultimately evicts them.
 		m.roundTargets = targets
-		m.needAcks = m.liveNodes()
+		m.needAcks = m.matrix.LiveCols()
 		if m.ackedBy == nil {
 			m.ackedBy = make([]bool, len(m.c.nodes))
 		}
@@ -481,7 +452,7 @@ func (m *Masterd) tick() {
 			m.ackedBy[i] = false
 		}
 		for i := range m.c.nodes {
-			if m.dead[i] {
+			if m.matrix.ColDead(i) {
 				continue
 			}
 			i := i
@@ -506,7 +477,7 @@ func (m *Masterd) tick() {
 // re-sends.
 func (m *Masterd) sendSwitch(epoch uint64, i int) {
 	m.c.nodes[i].switchSlot(epoch, m.roundTargets[i], func(core.SwitchStats) {
-		if m.epoch != epoch || m.ackedBy[i] || m.dead[i] {
+		if m.epoch != epoch || m.ackedBy[i] || m.matrix.ColDead(i) {
 			return
 		}
 		m.ackedBy[i] = true
@@ -552,7 +523,7 @@ func (m *Masterd) ackFire(epoch uint64, attempt int) {
 		// whole machine.
 		var evict []int
 		for i := range m.c.nodes {
-			if !m.dead[i] && !m.ackedBy[i] {
+			if !m.matrix.ColDead(i) && !m.ackedBy[i] {
 				evict = append(evict, i)
 			}
 		}
@@ -562,7 +533,7 @@ func (m *Masterd) ackFire(epoch uint64, attempt int) {
 		return
 	}
 	for i := range m.c.nodes {
-		if m.dead[i] || m.ackedBy[i] {
+		if m.matrix.ColDead(i) || m.ackedBy[i] {
 			continue
 		}
 		i := i
@@ -577,15 +548,14 @@ func (m *Masterd) ackFire(epoch uint64, attempt int) {
 // surviving processes released. The rotation then continues on the
 // remaining nodes.
 func (m *Masterd) evictNode(i int) {
-	if m.dead[i] {
+	if m.matrix.ColDead(i) {
 		return
 	}
-	m.dead[i] = true
-	m.evictedAt[i] = m.c.Eng.Now()
 	m.downs[i] = append(m.downs[i], downWindow{From: m.c.Eng.Now()})
-	// Shrink the matrix first: the column's free cells leave the capacity
-	// caches now, so any placement triggered from the kill callbacks below
-	// can no longer land on the dead node.
+	// Shrink the matrix first: killing the column is the eviction itself,
+	// and its free cells leave the capacity caches now, so any placement
+	// triggered from the kill callbacks below can no longer land on the
+	// dead node.
 	if err := m.matrix.KillColumn(i); err != nil {
 		panic(fmt.Sprintf("parpar: evicting node %d: %v", i, err))
 	}
@@ -612,7 +582,7 @@ func (m *Masterd) evictNode(i int) {
 	// re-adds it and would let a stale resend prune the live incarnation.
 	gen := len(m.downs[i])
 	for j, node := range m.c.nodes {
-		if j == i || (m.dead[j] && !m.rebooted[j]) {
+		if j == i || (m.matrix.ColDead(j) && !m.rebooted[j]) {
 			continue
 		}
 		node := node
@@ -695,7 +665,7 @@ func (m *Masterd) killJob(job *Job) {
 	}
 	delete(m.jobs, job.ID)
 	for _, col := range job.Placement.Cols {
-		if m.dead[col] {
+		if m.matrix.ColDead(col) {
 			continue
 		}
 		col := col

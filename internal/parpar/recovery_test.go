@@ -198,7 +198,7 @@ func TestNodeCrashEvictsAndSurvives(t *testing.T) {
 	if jobB.State() != JobDone {
 		t.Fatalf("surviving job is %v, want done; auditor: %s", jobB.State(), c.Auditor().Summary())
 	}
-	if !c.master.dead[crashed] {
+	if !c.master.matrix.ColDead(crashed) {
 		t.Fatal("masterd never declared the crashed node dead")
 	}
 	for i, n := range c.Nodes() {

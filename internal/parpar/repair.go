@@ -74,7 +74,7 @@ func (m *Masterd) hbTick() {
 	}
 	var evict []int
 	for i := range m.c.nodes {
-		if m.dead[i] {
+		if m.matrix.ColDead(i) {
 			continue
 		}
 		if m.hbPending[i] {
@@ -92,7 +92,7 @@ func (m *Masterd) hbTick() {
 	m.hbSeq++
 	seq := m.hbSeq
 	for i := range m.c.nodes {
-		if m.dead[i] {
+		if m.matrix.ColDead(i) {
 			continue
 		}
 		i := i
@@ -107,7 +107,7 @@ func (m *Masterd) hbTick() {
 // probe already went out) still advances hbSeen so the reliable reply's
 // re-send chain stops.
 func (m *Masterd) hbReply(i int, seq uint64) {
-	if m.dead[i] {
+	if m.matrix.ColDead(i) {
 		return
 	}
 	if seq > m.hbSeen[i] {
@@ -122,7 +122,7 @@ func (m *Masterd) hbReply(i int, seq uint64) {
 // hbSeenAtLeast is the heartbeat reply's done predicate: the masterd heard
 // this probe (or the node died and the answer no longer matters).
 func (m *Masterd) hbSeenAtLeast(i int, seq uint64) bool {
-	return m.dead[i] || m.hbSeen[i] >= seq
+	return m.matrix.ColDead(i) || m.hbSeen[i] >= seq
 }
 
 // rejoin ---------------------------------------------------------------
@@ -150,7 +150,7 @@ func (m *Masterd) rejoinRequest(i int) {
 	if m.rejoinAsked[i] {
 		return
 	}
-	if !m.dead[i] {
+	if !m.matrix.ColDead(i) {
 		// The node rebooted before its crash was even detected (the miss
 		// budget had not run out): retire the old incarnation first — the
 		// survivors must drop it from their flush membership before the
@@ -179,7 +179,7 @@ func (m *Masterd) tryRejoin() {
 	m.joinNeed = 0
 	for j := range m.c.nodes {
 		m.joinAckFrom[j] = false
-		if !m.dead[j] {
+		if !m.matrix.ColDead(j) {
 			m.joinNeed++
 		}
 	}
@@ -191,7 +191,7 @@ func (m *Masterd) tryRejoin() {
 	id := myrinet.NodeID(i)
 	gen := len(m.downs[i])
 	for j := range m.c.nodes {
-		if j == i || (m.dead[j] && !m.rebooted[j]) {
+		if j == i || (m.matrix.ColDead(j) && !m.rebooted[j]) {
 			// Rebooted-but-unadmitted incarnations get the join too (their
 			// boot snapshot pruned the joiner and nothing else would re-add
 			// it), but only live survivors count toward the quorum — a
@@ -208,7 +208,7 @@ func (m *Masterd) tryRejoin() {
 // joinAcked records one survivor's confirmation that it re-added the
 // joining node; when the quorum completes, the node is admitted.
 func (m *Masterd) joinAcked(i, j int) {
-	if m.joining != i || m.joinAckFrom[j] || m.dead[j] {
+	if m.joining != i || m.joinAckFrom[j] || m.matrix.ColDead(j) {
 		return
 	}
 	m.joinAckFrom[j] = true
@@ -238,8 +238,6 @@ func (m *Masterd) admitNode() {
 	if w := m.downs[i]; len(w) > 0 && w[len(w)-1].To == 0 {
 		w[len(w)-1].To = m.c.Eng.Now()
 	}
-	delete(m.evictedAt, i)
-	m.dead[i] = false
 	m.rebooted[i] = false
 	m.rejoinAsked[i] = false
 	if m.hbPending != nil {
@@ -289,9 +287,9 @@ func (m *Masterd) EverEvicted() []int {
 }
 
 // FirstEvictedAt returns node i's first eviction instant; ok is false
-// when the node was never evicted. Unlike EvictedAt it keeps answering
-// after the node rejoins — it is the anchor for "what would downtime have
-// been without repair" accounting.
+// when the node was never evicted. It keeps answering after the node
+// rejoins — it is the anchor for "what would downtime have been without
+// repair" accounting.
 func (m *Masterd) FirstEvictedAt(i int) (sim.Time, bool) {
 	if w := m.downs[i]; len(w) > 0 {
 		return w[0].From, true

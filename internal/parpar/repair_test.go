@@ -52,7 +52,7 @@ func TestHeartbeatDetectsIdleCrash(t *testing.T) {
 		}
 	}
 	c.RunUntil(chaosHorizon)
-	if !c.master.dead[crashed] {
+	if !c.master.matrix.ColDead(crashed) {
 		t.Fatal("heartbeat never declared the idle crashed node dead")
 	}
 	at, ok := c.master.FirstEvictedAt(crashed)
@@ -91,7 +91,7 @@ func TestNoHeartbeatMissesIdleCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	c.RunUntil(chaosHorizon)
-	if c.master.dead[crashed] {
+	if c.master.matrix.ColDead(crashed) {
 		t.Fatal("crash was detected with no heartbeat and no acks outstanding — by what?")
 	}
 	if job.State() != JobDone {
@@ -132,7 +132,7 @@ func TestRepairRejoinsAndRestoresCapacity(t *testing.T) {
 		t.Fatalf("surviving job is %v, want done; auditor: %s", survivor.State(), c.Auditor().Summary())
 	}
 	m := c.master
-	if m.dead[crashed] {
+	if m.matrix.ColDead(crashed) {
 		t.Fatal("repaired node still marked dead after the horizon")
 	}
 	if got := m.Rejoins(crashed); got != 1 {
@@ -219,6 +219,66 @@ func TestRebootBeforeDetectionEvictsStaleIncarnation(t *testing.T) {
 	}
 }
 
+// TestRebootDuringRejoinLearnsJoiner: a second node reboots while the
+// first node's rejoin is settling. The joiner is still dead in the
+// masterd's membership snapshot, so the fresh incarnation boots without
+// it, and the join broadcast went out before that incarnation existed.
+// Unless the boot applies the pending join, the second card never waits
+// for the joiner's Halt/Ready and sends into contexts the joiner has not
+// bound yet. After both admissions every live card must expect every live
+// peer in both phases.
+func TestRebootDuringRejoinLearnsJoiner(t *testing.T) {
+	const first, second = 2, 3
+	const repairFirst, repairSecond = 6_000_000, 6_080_000
+	cfg := hbConfig(4)
+	cfg.Chaos = &chaos.Plan{Seed: 5, Faults: []chaos.Fault{
+		{Kind: chaos.NodeCrash, Node: first, From: 50_000},
+		{Kind: chaos.NodeCrash, Node: second, From: 100_000},
+		{Kind: chaos.NodeRepair, Node: first, From: repairFirst},
+		{Kind: chaos.NodeRepair, Node: second, From: repairSecond},
+	}}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The keeper on nodes 0-1 keeps the heartbeat probing until both
+	// crashes are detected; the doomed job spans the crashed pair.
+	if _, err := c.Submit(JobSpec{Name: "keeper", Size: 2, NewProgram: pingPong(4000)}); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Submit(JobSpec{Name: "doomed", Size: 2, NewProgram: pingPong(400)}); err != nil {
+		t.Fatal(err)
+	}
+	m := c.master
+	joiningAtReboot := -1
+	c.Eng.ScheduleAt(repairSecond, func() { joiningAtReboot = m.joining })
+	c.RunUntil(chaosHorizon)
+	if joiningAtReboot != first {
+		t.Fatalf("node %d rebooted with joining=%d, want node %d mid-admission (timing assumption broken)",
+			second, joiningAtReboot, first)
+	}
+	if m.Rejoins(first) != 1 || m.Rejoins(second) != 1 {
+		t.Fatalf("rejoins = %d/%d, want both nodes admitted once", m.Rejoins(first), m.Rejoins(second))
+	}
+	for i, n := range c.Nodes() {
+		for j := range c.Nodes() {
+			if i == j {
+				continue
+			}
+			peer := myrinet.NodeID(j)
+			if flush, release := n.NIC.Expects(peer); !flush || !release {
+				t.Errorf("node %d card expects node %d: flush=%t release=%t, want both", i, j, flush, release)
+			}
+			if !n.Mgr.InTopology(peer) {
+				t.Errorf("node %d does not list node %d in its topology", i, j)
+			}
+		}
+	}
+	if !c.Auditor().Ok() {
+		t.Fatalf("run reported violations: %s", c.Auditor().Summary())
+	}
+}
+
 // TestEvictAndRejoinHookOrdering pins the hook contracts the scheduler
 // daemon builds on. OnEvict runs after KillColumn but before the spanning
 // jobs are killed: capacity queries inside the hook see the shrunken
@@ -260,7 +320,7 @@ func TestEvictAndRejoinHookOrdering(t *testing.T) {
 	})
 	m.OnRejoin(func(node int) {
 		rejoins = append(rejoins, node)
-		if m.dead[node] {
+		if m.matrix.ColDead(node) {
 			t.Errorf("OnRejoin(%d): node still marked dead inside the hook", node)
 		}
 		if got := m.matrix.LiveCols(); got != 4 {

@@ -44,8 +44,8 @@ func TestReviewBackfillQueueMutation(t *testing.T) {
 			t.Errorf("task %s submitted %d times", j, n)
 		}
 	}
-	if bad := d.Cache().Audit(d.Cluster().Master().Matrix()); len(bad) != 0 {
-		t.Errorf("cache audit: %v", bad)
+	if bad := d.Audit(); len(bad) != 0 {
+		t.Errorf("task-table audit: %v", bad)
 	}
 	t.Logf("log:\n%s", logStr)
 }

@@ -2,9 +2,9 @@
 // service that runs on the DES clock of a live parpar cluster. Commands
 // (submit, kill, resize) arrive mid-simulation from a churn trace; an
 // admission loop places jobs into the gang matrix through the existing
-// packing policies, guided by an aggregated per-node placement cache (the
-// kubernetes schedulercache.NodeInfo pattern) so admission prechecks are
-// O(nodes) instead of O(matrix); a kill or resize that opens a hole
+// packing policies, pruning hopeless candidates with the matrix's own
+// per-column occupancy (FreeCols) — the matrix is the daemon's only record
+// of placements and free capacity; a kill or resize that opens a hole
 // triggers slot-to-slot migration (Unify) and conservative backfill; and
 // every decision is appended to a log that is byte-identical per seed —
 // the determinism contract every other layer of this repo honors.
@@ -57,9 +57,6 @@ type Config struct {
 	// Horizon bounds the run; zero means last arrival + 10000 quanta.
 	// Jobs unfinished at the horizon are censored.
 	Horizon sim.Time
-	// BackfillSlack scales the conservative backfill estimate; zero means
-	// the default 2x. Larger is more conservative (fewer backfills).
-	BackfillSlack float64
 	// AdaptiveEstimate replaces the static slots-deep stretch in the
 	// backfill estimate with an observed per-kernel EWMA of response over
 	// nominal work, tightening as completions accumulate. Off by default:
@@ -89,10 +86,6 @@ type Config struct {
 	// before the daemon gives up on it. Zero means the default (3);
 	// negative means no retries.
 	RetryBudget int
-	// RequeueBackoff is the base delay before a crash-killed job re-enters
-	// the admission queue; it doubles per retry of the same job. Zero
-	// means one quantum.
-	RequeueBackoff sim.Time
 	// Shards and Workers select the sharded engine group.
 	Shards  int
 	Workers int
@@ -148,18 +141,21 @@ type task struct {
 type Daemon struct {
 	cfg     Config
 	cluster *parpar.Cluster
-	cache   *Cache
 	log     *Log
 
 	tasks []*task
 	queue []*task // admission order: arrivals FCFS, resizes re-enqueued
+	// strays records incarnations that left the matrix after their task
+	// had moved on: jobs the daemon lost track of while they ran. Audit
+	// reports them.
+	strays []string
 
 	horizon sim.Time
-	slack   float64
 
-	// Failure-aware state: retry budget and base backoff for crash-kill
-	// requeues, plus the time-to-requeue accumulators (crash kill to
-	// re-placement on surviving capacity).
+	// Failure-aware state: retry budget and base backoff (one quantum,
+	// doubling per retry of the same job) for crash-kill requeues, plus the
+	// time-to-requeue accumulators (crash kill to re-placement on
+	// surviving capacity).
 	budget     int
 	backoff    sim.Time
 	requeueSum sim.Time
@@ -248,37 +244,26 @@ func New(cfg Config) (*Daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	slack := cfg.BackfillSlack
-	if slack <= 0 {
-		slack = 2
-	}
 	budget := cfg.RetryBudget
 	if budget == 0 {
 		budget = 3
 	} else if budget < 0 {
 		budget = 0
 	}
-	backoff := cfg.RequeueBackoff
-	if backoff <= 0 {
-		backoff = pcfg.Quantum
-	}
 	d := &Daemon{
 		cfg:      cfg,
 		cluster:  cluster,
-		cache:    NewCache(cfg.Nodes, cfg.Slots),
 		log:      NewLog(),
-		slack:    slack,
 		budget:   budget,
-		backoff:  backoff,
+		backoff:  pcfg.Quantum,
 		adaptive: cfg.AdaptiveEstimate,
 	}
 	if d.adaptive {
 		d.stretch = make(map[schedeval.Kernel]float64)
 	}
-	// Shrink our capacity caches the instant a node is declared dead —
-	// before the spanning jobs' kill callbacks can trigger new placements —
-	// and regrow them the instant a repaired node is admitted back, so the
-	// backlog drains into the recovered capacity.
+	// Give up on queued jobs the survivors cannot hold the instant a node
+	// is declared dead, and drain the backlog into a repaired node the
+	// instant it is admitted back.
 	cluster.Master().OnEvict(d.onNodeDead)
 	cluster.Master().OnRejoin(d.onNodeRepaired)
 	return d, nil
@@ -286,9 +271,6 @@ func New(cfg Config) (*Daemon, error) {
 
 // Cluster exposes the underlying parpar cluster.
 func (d *Daemon) Cluster() *parpar.Cluster { return d.cluster }
-
-// Cache exposes the placement cache (tests audit it against the matrix).
-func (d *Daemon) Cache() *Cache { return d.cache }
 
 // Log exposes the decision log.
 func (d *Daemon) Log() *Log { return d.log }
@@ -350,9 +332,13 @@ func (t *task) specFor() parpar.JobSpec {
 	return tj.Spec(fmt.Sprintf("j%d-%s", t.idx, tj.Kernel))
 }
 
+// backfillSlack scales the conservative backfill estimate: a candidate
+// must clear the shadow even if it runs twice as long as predicted.
+const backfillSlack = 2
+
 // estimate is the conservative completion estimate used by backfill: the
-// scheme-independent nominal work, multiplied by a stretch factor and the
-// configured slack. The static stretch is the slot-table depth (time
+// scheme-independent nominal work, multiplied by a stretch factor and
+// backfillSlack. The static stretch is the slot-table depth (time
 // slicing stretches wall time by the number of co-scheduled rows); with
 // AdaptiveEstimate on, kernels that have completed at least once use the
 // observed EWMA stretch instead, which starts at the static worst case and
@@ -370,7 +356,7 @@ func (d *Daemon) estimate(t *task) sim.Time {
 			stretch = s
 		}
 	}
-	return sim.Time(d.slack * float64(tj.Nominal()) * stretch)
+	return sim.Time(backfillSlack * float64(tj.Nominal()) * stretch)
 }
 
 // observe feeds a natural completion into the adaptive estimator: the
@@ -493,14 +479,11 @@ func (d *Daemon) reclaim() {
 }
 
 // onNodeDead is the masterd eviction hook: it fires after the dead node's
-// matrix column is killed and before the jobs spanning it are, so the
-// placement cache shrinks before any kill callback can cascade into a new
-// admission decision. Queued jobs larger than the surviving machine are
-// given up on the spot — they could otherwise wedge the queue head and
-// censor everything behind it.
+// matrix column is killed and before the jobs spanning it are. Queued jobs
+// larger than the surviving machine are given up on the spot — they could
+// otherwise wedge the queue head and censor everything behind it.
 func (d *Daemon) onNodeDead(node int) {
 	now := d.cluster.Eng.Now()
-	d.cache.KillNode(node)
 	live := d.cluster.Master().Matrix().LiveCols()
 	d.log.Add(now, VerbNodeDead, "node=%d live=%d", node, live)
 	var doomed []*task
@@ -516,13 +499,12 @@ func (d *Daemon) onNodeDead(node int) {
 }
 
 // onNodeRepaired is the masterd rejoin hook: it fires after the repaired
-// node's matrix column is revived, so the placement cache regrows first
-// and the drain that follows can place the backlog onto the recovered
-// capacity immediately. Jobs already given up stay given up — abandoning
-// them was a reported decision, not a reversible one.
+// node's matrix column is revived, so the drain that follows can place the
+// backlog onto the recovered capacity immediately. Jobs already given up
+// stay given up — abandoning them was a reported decision, not a
+// reversible one.
 func (d *Daemon) onNodeRepaired(node int) {
 	now := d.cluster.Eng.Now()
-	d.cache.ReviveNode(node)
 	live := d.cluster.Master().Matrix().LiveCols()
 	d.log.Add(now, VerbNodeRepair, "node=%d live=%d", node, live)
 	d.drain()
@@ -570,8 +552,7 @@ func (d *Daemon) dequeue(t *task) {
 
 // drain is the admission loop: place queue-head tasks while they fit;
 // when the head blocks, conservatively backfill later tasks into the
-// hole. The cache's aggregate counters prune candidates that cannot
-// possibly fit without touching the matrix.
+// hole.
 func (d *Daemon) drain() {
 	now := d.cluster.Eng.Now()
 	for len(d.queue) > 0 {
@@ -609,14 +590,14 @@ func (d *Daemon) drain() {
 	}
 }
 
-// tryPlace attempts to admit one queued task. The cache precheck is a
-// necessary condition (enough nodes with a free slot anywhere); the
+// tryPlace attempts to admit one queued task. The FreeCols precheck is a
+// necessary condition (enough live nodes with a free slot anywhere); the
 // matrix's packing policy is the sufficiency check. Returns true if the
 // task was placed.
 func (d *Daemon) tryPlace(t *task, asBackfill bool) bool {
 	now := d.cluster.Eng.Now()
-	if d.cache.FreeNodes() < t.size {
-		d.log.Add(now, VerbPrune, "job=%d size=%d free_nodes=%d", t.idx, t.size, d.cache.FreeNodes())
+	if free := d.cluster.Master().Matrix().FreeCols(); free < t.size {
+		d.log.Add(now, VerbPrune, "job=%d size=%d free_nodes=%d", t.idx, t.size, free)
 		return false
 	}
 	job, err := d.cluster.Submit(t.specFor())
@@ -639,7 +620,6 @@ func (d *Daemon) tryPlace(t *task, asBackfill bool) bool {
 		d.requeueN++
 		t.crashAt = 0
 	}
-	d.cache.Place(job.Placement)
 	verb := VerbPlace
 	if asBackfill {
 		verb = VerbBackfill
@@ -656,10 +636,10 @@ func (d *Daemon) tryPlace(t *task, asBackfill bool) bool {
 // eviction.
 func (d *Daemon) onDone(t *task, j *parpar.Job) {
 	if t.job != j {
-		return // a stale incarnation's callback
+		d.strays = append(d.strays, fmt.Sprintf("job=%d incarnation %d ended untracked", t.idx, j.ID))
+		return
 	}
 	now := d.cluster.Eng.Now()
-	d.cache.Remove(j.Placement)
 	if j.State() == parpar.JobKilled {
 		if t.killing || t.resizing {
 			return // the command handler owns the bookkeeping and logging
@@ -705,8 +685,8 @@ func (d *Daemon) onDone(t *task, j *parpar.Job) {
 	d.reclaim()
 }
 
-// finishLog appends the horizon summary: censored tasks and the cache
-// audit verdict.
+// finishLog appends the horizon summary: censored tasks and the audit
+// verdict.
 func (d *Daemon) finishLog() {
 	censored := 0
 	for _, t := range d.tasks {
@@ -717,13 +697,40 @@ func (d *Daemon) finishLog() {
 			}
 		}
 	}
-	bad := d.cache.Audit(d.cluster.Master().Matrix())
+	bad := d.Audit()
 	for _, msg := range bad {
 		d.log.Add(d.horizon, VerbCacheBad, "%s", msg)
 	}
 	evicted := d.cluster.Master().EvictedNodes()
 	d.log.Add(d.horizon, VerbHorizon, "censored=%d cache_ok=%t nodes_evicted=%d",
 		censored, len(bad) == 0, len(evicted))
+}
+
+// Audit reconciles the daemon's task table with the gang matrix, the only
+// record of placements and capacity, and returns one message per
+// divergence (nil when coherent): every placed, unfinished task's job sits
+// in the matrix on the columns it was placed on, the matrix holds no other
+// job (nor held one that has since left: see strays), and the matrix's own
+// invariants hold.
+func (d *Daemon) Audit() []string {
+	m := d.cluster.Master().Matrix()
+	bad := append(m.Audit(), d.strays...)
+	running := 0
+	for _, t := range d.tasks {
+		if t.job == nil || t.finished {
+			continue
+		}
+		running++
+		if p, ok := m.Placement(t.job.ID); !ok {
+			bad = append(bad, fmt.Sprintf("job=%d runs as %d, which the matrix does not hold", t.idx, t.job.ID))
+		} else if !slices.Equal(p.Cols, t.job.Placement.Cols) {
+			bad = append(bad, fmt.Sprintf("job=%d placed on columns %v, matrix says %v", t.idx, t.job.Placement.Cols, p.Cols))
+		}
+	}
+	if n := m.Jobs(); n != running {
+		bad = append(bad, fmt.Sprintf("matrix holds %d jobs, the daemon runs %d", n, running))
+	}
+	return bad
 }
 
 // Result aggregates a finished run for the comparison grid.

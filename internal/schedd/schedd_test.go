@@ -73,8 +73,8 @@ func TestDaemonDeterminism(t *testing.T) {
 
 // TestKillResizeChurn checks the command paths end to end on the seeded
 // trace: kills and resizes both happen, resized jobs complete at their new
-// size, and the cache stays coherent with the matrix (no cache-bad lines,
-// horizon reports cache_ok).
+// size, and the task table stays coherent with the matrix (no cache-bad
+// lines, horizon reports cache_ok).
 func TestKillResizeChurn(t *testing.T) {
 	cfg := DefaultConfig(8)
 	cfg.Trace = churnTrace(t, 20)
@@ -96,10 +96,10 @@ func TestKillResizeChurn(t *testing.T) {
 		t.Error("no jobs finished")
 	}
 	if got := r.Log.Count(VerbCacheBad); got != 0 {
-		t.Errorf("%d cache coherence violations:\n%s", got, r.Log)
+		t.Errorf("%d task-table coherence violations:\n%s", got, r.Log)
 	}
-	if bad := d.Cache().Audit(d.Cluster().Master().Matrix()); len(bad) != 0 {
-		t.Errorf("cache audit: %v", bad)
+	if bad := d.Audit(); len(bad) != 0 {
+		t.Errorf("task-table audit: %v", bad)
 	}
 	if !strings.Contains(r.Log.String(), "cache_ok=true") {
 		t.Error("horizon line does not report cache_ok=true")
@@ -138,8 +138,8 @@ func TestKillMidMessageTeardown(t *testing.T) {
 		t.Errorf("fates don't partition: %d+%d+%d+%d != %d",
 			r.Finished, r.Killed, r.Evicted, r.Censored, r.Jobs)
 	}
-	if bad := d.Cache().Audit(d.Cluster().Master().Matrix()); len(bad) != 0 {
-		t.Errorf("cache audit: %v", bad)
+	if bad := d.Audit(); len(bad) != 0 {
+		t.Errorf("task-table audit: %v", bad)
 	}
 }
 
@@ -517,15 +517,15 @@ func crashedChurn(t *testing.T, retryBudget int) (*Daemon, int) {
 // under mid-run node crashes the gang daemon evicts the dead nodes, shrinks
 // its capacity view, and requeues the crash-killed jobs on the survivors —
 // nothing is left censored (stuck in Loading on a dead node) at the
-// horizon, and the placement cache stays coherent with the shrunken matrix.
+// horizon, and the task table stays coherent with the shrunken matrix.
 func TestCrashRequeueRecovers(t *testing.T) {
 	d, nCrashes := crashedChurn(t, 0)
 	r := d.Result("gang")
 	if r.NodesLost != nCrashes {
 		t.Fatalf("NodesLost = %d, want %d", r.NodesLost, nCrashes)
 	}
-	if got := d.Cluster().Master().LiveNodes(); got != 8-nCrashes {
-		t.Fatalf("LiveNodes = %d, want %d", got, 8-nCrashes)
+	if got := d.Cluster().Master().Matrix().LiveCols(); got != 8-nCrashes {
+		t.Fatalf("LiveCols = %d, want %d", got, 8-nCrashes)
 	}
 	if r.Requeues == 0 || r.RequeuedJobs == 0 {
 		t.Fatalf("crashes killed jobs but requeues=%d requeued_jobs=%d", r.Requeues, r.RequeuedJobs)
@@ -543,10 +543,10 @@ func TestCrashRequeueRecovers(t *testing.T) {
 		t.Fatalf("log has %d requeue lines, result says %d", got, r.Requeues)
 	}
 	if got := r.Log.Count(VerbCacheBad); got != 0 {
-		t.Fatalf("%d cache coherence violations:\n%s", got, r.Log)
+		t.Fatalf("%d task-table coherence violations:\n%s", got, r.Log)
 	}
-	if bad := d.Cache().Audit(d.Cluster().Master().Matrix()); len(bad) != 0 {
-		t.Fatalf("cache audit: %v", bad)
+	if bad := d.Audit(); len(bad) != 0 {
+		t.Fatalf("task-table audit: %v", bad)
 	}
 	if r.Finished+r.Killed+r.Evicted+r.Censored != r.Jobs {
 		t.Fatalf("fates don't partition: %d+%d+%d+%d != %d",
@@ -613,8 +613,8 @@ func repairedChurn(t *testing.T) (*Daemon, []schedeval.Crash, []schedeval.Repair
 }
 
 // TestRepairRejoinRestoresDaemonCapacity is the repair tentpole in test
-// form: repaired nodes rejoin the gang, the placement cache re-expands
-// over the revived columns without a single coherence violation, the
+// form: repaired nodes rejoin the gang, the daemon places onto the revived
+// columns without a single coherence violation, the
 // availability metrics grow their repair half, and — because arming
 // repairs arms the heartbeat — every crash is detected strictly before
 // its repair lands, not outed by the rejoin request.
@@ -625,8 +625,8 @@ func TestRepairRejoinRestoresDaemonCapacity(t *testing.T) {
 		t.Fatalf("Repairs=%d NodesRepaired=%d, want %d armed and admitted", r.Repairs, r.NodesRepaired, len(repairs))
 	}
 	wantLive := 8 - len(crashes) + len(repairs)
-	if got := d.Cluster().Master().LiveNodes(); got != wantLive {
-		t.Fatalf("LiveNodes = %d at the horizon, want %d", got, wantLive)
+	if got := d.Cluster().Master().Matrix().LiveCols(); got != wantLive {
+		t.Fatalf("LiveCols = %d at the horizon, want %d", got, wantLive)
 	}
 	if got := r.Log.Count(VerbNodeRepair); got != len(repairs) {
 		t.Fatalf("log has %d node-repair lines, want %d:\n%s", got, len(repairs), r.Log)
@@ -641,10 +641,10 @@ func TestRepairRejoinRestoresDaemonCapacity(t *testing.T) {
 		t.Fatalf("%d jobs censored at the horizon:\n%s", r.Censored, d.Log())
 	}
 	if got := r.Log.Count(VerbCacheBad); got != 0 {
-		t.Fatalf("%d cache coherence violations across rejoins:\n%s", got, r.Log)
+		t.Fatalf("%d task-table coherence violations across rejoins:\n%s", got, r.Log)
 	}
-	if bad := d.Cache().Audit(d.Cluster().Master().Matrix()); len(bad) != 0 {
-		t.Fatalf("cache audit after rejoins: %v", bad)
+	if bad := d.Audit(); len(bad) != 0 {
+		t.Fatalf("task-table audit after rejoins: %v", bad)
 	}
 	// Heartbeat detection: the node-dead line for every repaired node must
 	// carry a timestamp before that node's repair directive. A detection at
@@ -678,12 +678,12 @@ func TestRepairRejoinRestoresDaemonCapacity(t *testing.T) {
 // TestBackfillPlacesOncePerIncarnation pins the admission loop against
 // placing one task twice. Placing a task dequeues it, which shifts the
 // queue the backfill pass walks; walking the live slice would skip one
-// candidate and visit another twice, submitting a second incarnation whose
-// completion then leaks its slots in the placement cache. The two traces
-// are the shortest known repros: a plain churn stream (seed 22) and a
-// crash/repair stream (seed 237). For every mode, no task may be placed
-// again before its running incarnation ends, and the cache audit must be
-// clean at the horizon.
+// candidate and visit another twice, submitting a second incarnation that
+// orphans the first: the matrix then holds a job the task table no longer
+// runs. The two traces are the shortest known repros: a plain churn stream
+// (seed 22) and a crash/repair stream (seed 237). For every mode, no task
+// may be placed again before its running incarnation ends, and the
+// task-table audit must be clean at the horizon.
 func TestBackfillPlacesOncePerIncarnation(t *testing.T) {
 	for _, tc := range []struct {
 		seed          uint64
@@ -742,7 +742,7 @@ func TestBackfillPlacesOncePerIncarnation(t *testing.T) {
 				}
 			}
 			if n := r.Log.Count(VerbCacheBad); n != 0 {
-				t.Errorf("seed %d %s: %d placement-cache violations", tc.seed, r.Mode, n)
+				t.Errorf("seed %d %s: %d task-table vs gang-matrix divergences", tc.seed, r.Mode, n)
 			}
 		}
 	}

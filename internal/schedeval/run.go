@@ -41,8 +41,6 @@ type Config struct {
 	Deadline sim.Time
 	// Chaos optionally installs a fault plan under the run.
 	Chaos *chaos.Plan
-	// FailFast stops at the first invariant violation.
-	FailFast bool
 	// Shards and Workers select the sharded engine group for the cluster
 	// (parpar.Config.Shards/Workers); results must be identical to an
 	// unsharded run.
@@ -152,7 +150,6 @@ func Run(cfg Config) (*Result, error) {
 		pcfg.Seed = cfg.Seed
 	}
 	pcfg.Chaos = cfg.Chaos
-	pcfg.FailFast = cfg.FailFast
 	pcfg.Shards = cfg.Shards
 	pcfg.Workers = cfg.Workers
 	cluster, err := parpar.New(pcfg)
