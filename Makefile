@@ -1,11 +1,15 @@
 GO ?= go
 
-.PHONY: check vet build test race fuzz-smoke sched-smoke churn-smoke churn-crash-smoke repair-smoke bench tracker-bench-smoke bench-module figures lint-hotpath
+.PHONY: check fmt-check vet build test race fuzz-smoke sched-smoke churn-smoke churn-crash-smoke repair-smoke bench tracker-bench-smoke bench-module figures lint-hotpath
 
 # The full CI gate: static checks, build, race-enabled tests, a short
 # fixed-seed chaos-fuzz campaign, and scheduler-evaluation smoke runs
 # (all deterministic, so safe to gate on).
-check: vet build race fuzz-smoke sched-smoke churn-smoke churn-crash-smoke repair-smoke tracker-bench-smoke bench-module lint-hotpath
+check: fmt-check vet build race fuzz-smoke sched-smoke churn-smoke churn-crash-smoke repair-smoke tracker-bench-smoke bench-module lint-hotpath
+
+# Formatting gate: fail on any file gofmt would rewrite.
+fmt-check:
+	@out=$$(gofmt -l .); if [ -n "$$out" ]; then echo "gofmt: these files need formatting:"; echo "$$out"; exit 1; fi
 
 vet:
 	$(GO) vet ./...

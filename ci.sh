@@ -4,6 +4,13 @@
 set -eux
 
 go vet ./...
+# Formatting gate: fail on any file gofmt would rewrite.
+unformatted=$(gofmt -l .)
+if [ -n "$unformatted" ]; then
+	echo "gofmt: these files need formatting:"
+	echo "$unformatted"
+	exit 1
+fi
 go build ./...
 go test -race ./...
 # The concurrent components — the sharded parallel engine, the sweep

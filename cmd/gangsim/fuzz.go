@@ -19,10 +19,10 @@ func runFuzz(args []string, out io.Writer) int {
 	fs := flag.NewFlagSet("fuzz", flag.ContinueOnError)
 	fs.SetOutput(out)
 	var (
-		seed    = fs.Uint64("seed", 1, "base seed; run i uses seed+i")
-		runs    = fs.Int("runs", 25, "scenarios to sample and execute")
-		shrink  = fs.Bool("shrink", true, "minimize failing fault plans")
-		trace   = fs.Bool("trace", false, "print the injection trace of failing runs")
+		seed     = fs.Uint64("seed", 1, "base seed; run i uses seed+i")
+		runs     = fs.Int("runs", 25, "scenarios to sample and execute")
+		shrink   = fs.Bool("shrink", true, "minimize failing fault plans")
+		trace    = fs.Bool("trace", false, "print the injection trace of failing runs")
 		compare  = fs.Bool("compare", false, "run the FM-vs-go-back-N loss comparison instead")
 		prob     = fs.Float64("prob", 0.2, "loss probability for -compare")
 		recovery = fs.Bool("recovery", false, "differential recovery campaign: each plan runs bare and with the self-healing switch layer; any recovery-enabled failure is a regression (exit 1)")

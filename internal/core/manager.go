@@ -7,10 +7,14 @@
 //
 //	Initialization:   InitNode, AddNode, RemoveNode
 //	Process control:  InitJob, EndJob
-//	Context switch:   HaltNetwork, ContextSwitch, ReleaseNetwork
+//	Context switch:   SwitchTo, SwitchIdle
 //
-// plus SwitchTo, which runs the three switch stages in order and reports
-// per-stage timings — the quantity Figures 7 and 9 measure.
+// A context switch runs Table 1's three calls in order as one chain and
+// reports per-stage timings — the quantity Figures 7 and 9 measure:
+// COMM_halt_network is haltStage (suspend, then the NIC flush),
+// COMM_context_switch is copyWork (the stage-2 buffer copy on the host
+// CPU), and COMM_release_network ends in releaseDone (the NIC's ready
+// protocol, then resume).
 package core
 
 import (
@@ -147,10 +151,10 @@ type proc struct {
 }
 
 // swState is the one in-flight three-stage switch. The scheduler issues at
-// most one switch per node at a time, so SwitchTo/SwitchIdle stash their
+// most one switch per manager at a time, so SwitchTo/SwitchIdle stash their
 // stage state here and drive the chain through callbacks prebuilt in
-// NewManager — the steady-state switch allocates nothing. A second switch
-// arriving while one is in flight falls back to the closure-based path.
+// NewManager — a switch allocates nothing. A second switch requested while
+// one is in flight is an error: only a scheduler bug can produce it.
 type swState struct {
 	busy       bool
 	stats      SwitchStats
@@ -214,7 +218,7 @@ type Manager struct {
 	// taken). The chaos layer's StoreCorrupt fault mutates them here.
 	OnStore func(job myrinet.JobID, send, recv []*myrinet.Packet)
 	// Audit, when set, receives invariant-violation reports (backing
-	// store digest mismatches, deliveries to descheduled jobs).
+	// store digest mismatches).
 	Audit func(invariant, detail string)
 }
 
@@ -297,17 +301,6 @@ func (m *Manager) InitNode() error {
 			return fmt.Errorf("core: allocating the full-size context: %w", err)
 		}
 		m.hwCtx = ctx
-		// The gang-scheduling invariant: under buffer switching, data for a
-		// job may land only while that job owns the buffers. A deposit for
-		// any other job means the flush/release barrier leaked traffic
-		// across a switch.
-		m.nic.OnDeposit = func(ctx *lanai.Context, p *myrinet.Packet) {
-			if p.Job != m.Current() {
-				m.audit("descheduled-delivery", fmt.Sprintf(
-					"node %d: data for job %d deposited while job %d owns the buffers",
-					m.nic.Node(), p.Job, m.Current()))
-			}
-		}
 	}
 	m.inited = true
 	return nil
@@ -421,53 +414,6 @@ func (m *Manager) bind(pr *proc) {
 	m.current = pr
 }
 
-// HaltNetwork runs stage 1 in isolation (COMM_halt_network): suspend the
-// running process and flush the network for the given epoch. Most callers
-// should use SwitchTo; the staged entry points exist to mirror Table 1 and
-// for the stage-level benchmarks.
-func (m *Manager) HaltNetwork(epoch uint64, done func()) error {
-	if epoch <= m.lastEpoch && m.lastEpoch != 0 {
-		return fmt.Errorf("core: epoch %d not after %d", epoch, m.lastEpoch)
-	}
-	m.lastEpoch = epoch
-	if m.current != nil {
-		m.current.p.Suspend()
-	}
-	m.nic.HaltNetwork(epoch, done)
-	return nil
-}
-
-// ContextSwitch runs stage 2 in isolation (COMM_context_switch): swap the
-// buffers from the current process to job's. The network must be halted.
-func (m *Manager) ContextSwitch(job myrinet.JobID, done func(SwitchStats)) error {
-	if m.cfg.Policy != fm.Switched {
-		return fmt.Errorf("core: ContextSwitch requires the switched policy")
-	}
-	if !m.nic.Halted() {
-		return fmt.Errorf("core: ContextSwitch with the network not halted")
-	}
-	next, ok := m.procs[job]
-	if !ok {
-		return fmt.Errorf("core: ContextSwitch to unknown job %d", job)
-	}
-	stats := SwitchStats{Epoch: m.lastEpoch, From: m.Current(), To: job}
-	m.copyBuffers(next, &stats, func() { done(stats) })
-	return nil
-}
-
-// ReleaseNetwork runs stage 3 in isolation (COMM_release_network).
-func (m *Manager) ReleaseNetwork(epoch uint64, done func()) error {
-	m.nic.ReleaseNetwork(epoch, func() {
-		if m.current != nil {
-			m.current.p.Resume()
-		}
-		if done != nil {
-			done()
-		}
-	})
-	return nil
-}
-
 // SwitchTo performs the complete three-stage context switch to job and
 // reports the per-stage timings. All nodes of the cluster must call it
 // with the same epoch (the masterd includes the round number in its
@@ -512,23 +458,23 @@ func (m *Manager) SwitchIdle(epoch uint64, done func(SwitchStats)) error {
 	return m.haltStage(epoch, SwitchStats{Epoch: epoch, From: m.Current(), To: myrinet.NoJob}, nil, done)
 }
 
-// haltStage takes stats by value: the steady-state switch copies it into
-// the prebuilt m.sw record, so nothing escapes; only the slow fallback
-// lets its closures capture a heap copy.
+// haltStage is stage 1 (COMM_halt_network): suspend the running process
+// and flush the network for the epoch. It takes stats by value and copies
+// it into the prebuilt m.sw record, so nothing escapes.
 func (m *Manager) haltStage(epoch uint64, stats SwitchStats, next *proc, done func(SwitchStats)) error {
 	if m.sw.busy {
-		return m.haltStageSlow(epoch, stats, next, done)
+		return fmt.Errorf("core: node %d switch for epoch %d while epoch %d is in flight",
+			m.nic.Node(), epoch, m.sw.stats.Epoch)
 	}
+	if epoch <= m.lastEpoch && m.lastEpoch != 0 {
+		return fmt.Errorf("core: epoch %d not after %d", epoch, m.lastEpoch)
+	}
+	m.lastEpoch = epoch
 	m.sw.busy = true
 	m.sw.stats = stats
 	m.sw.next = next
 	m.sw.done = done
 	m.sw.t0 = m.eng.Now()
-	if epoch <= m.lastEpoch && m.lastEpoch != 0 {
-		m.sw.busy, m.sw.next, m.sw.done = false, nil, nil
-		return fmt.Errorf("core: epoch %d not after %d", epoch, m.lastEpoch)
-	}
-	m.lastEpoch = epoch
 	if m.current != nil {
 		m.current.p.Suspend()
 	}
@@ -556,6 +502,10 @@ func (m *Manager) haltDone() {
 	m.cpu.Use(m.copyCost(st, m.current != nil, m.sw.next != nil), m.copyWorkFn)
 }
 
+// copyWork is stage 2 (COMM_context_switch), run once the host CPU has
+// paid the copy cost: save the outgoing process's queues to its backing
+// store, then restore the incoming process's (Figure 4). A nil next
+// unbinds the context (idle switch).
 func (m *Manager) copyWork() {
 	if m.current != nil {
 		m.current.store.send = m.hwCtx.SendQ.DrainTo(m.current.store.send)
@@ -584,6 +534,8 @@ func (m *Manager) copyDone() {
 	m.nic.ReleaseNetwork(m.sw.stats.Epoch, m.releaseDoneFn)
 }
 
+// releaseDone ends stage 3 (COMM_release_network): every peer reported
+// ready, so the incoming process resumes and the switch is recorded.
 func (m *Manager) releaseDone() {
 	m.sw.stats.Release = m.eng.Now() - m.sw.t2
 	if m.current != nil {
@@ -596,75 +548,6 @@ func (m *Manager) releaseDone() {
 	if done != nil {
 		done(st)
 	}
-}
-
-// haltStageSlow is the closure-based fallback for an overlapping switch
-// request (the staged test APIs can produce one); the scheduler-driven
-// steady state never takes it.
-func (m *Manager) haltStageSlow(epoch uint64, stats SwitchStats, next *proc, done func(SwitchStats)) error {
-	t0 := m.eng.Now()
-	err := m.HaltNetwork(epoch, func() {
-		stats.Halt = m.eng.Now() - t0
-		t1 := m.eng.Now()
-		m.copyBuffers(next, &stats, func() {
-			stats.Copy = m.eng.Now() - t1
-			t2 := m.eng.Now()
-			m.nic.ReleaseNetwork(epoch, func() {
-				stats.Release = m.eng.Now() - t2
-				if m.current != nil {
-					m.current.p.Resume()
-				}
-				m.history = append(m.history, stats)
-				if done != nil {
-					done(stats)
-				}
-			})
-		})
-	})
-	return err
-}
-
-// copyBuffers performs the stage-2 buffer switch on the host CPU: save the
-// outgoing process's queues to its backing store, then restore the
-// incoming process's queues (Figure 4). A nil next unbinds the context
-// (idle switch). Switching to the already-bound job costs nothing.
-func (m *Manager) copyBuffers(next *proc, stats *SwitchStats, done func()) {
-	if m.OnPreCopy != nil {
-		m.OnPreCopy(stats.From, stats.To)
-	}
-	stats.ValidSend = m.hwCtx.SendQ.Len()
-	stats.ValidRecv = m.hwCtx.RecvQ.Len()
-	if m.current == next {
-		m.eng.Schedule(0, done)
-		return
-	}
-	if next != nil {
-		stats.RestoredSend = len(next.store.send)
-		stats.RestoredRecv = len(next.store.recv)
-	}
-
-	cost := m.copyCost(stats, m.current != nil, next != nil)
-	m.cpu.Use(cost, func() {
-		if m.current != nil {
-			m.current.store.send = m.hwCtx.SendQ.DrainTo(m.current.store.send)
-			m.current.store.recv = m.hwCtx.RecvQ.DrainTo(m.current.store.recv)
-			m.current.store.digest = queueDigest(m.current.store.send, m.current.store.recv)
-			m.current.store.stored = true
-			if m.OnStore != nil {
-				m.OnStore(m.current.job, m.current.store.send, m.current.store.recv)
-			}
-		} else {
-			m.hwCtx.SendQ.Clear()
-			m.hwCtx.RecvQ.Clear()
-		}
-		if next != nil {
-			m.bind(next)
-		} else {
-			m.nic.SetIdentity(m.hwCtx, myrinet.NoJob, -1, lanai.Hooks{})
-			m.current = nil
-		}
-		done()
-	})
 }
 
 // copyCost computes the host cycles of the stage-2 copy. save and restore

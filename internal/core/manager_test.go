@@ -255,44 +255,35 @@ func TestSwitchToUnknownJob(t *testing.T) {
 	}
 }
 
-func TestContextSwitchRequiresHalt(t *testing.T) {
-	c := newCluster(t, 1, defaultCfg(1))
-	c.addJob(t, 1)
-	if err := c.mgrs[0].ContextSwitch(1, func(SwitchStats) {}); err == nil {
-		t.Fatal("ContextSwitch without halt should fail")
-	}
-}
-
-func TestStagedAPIMirrorsTable1(t *testing.T) {
-	// Drive the three stages separately, as a noded would with the raw
-	// Table 1 functions.
+// TestBusyManagerRejectsSecondSwitch: a manager runs one three-stage
+// switch at a time. A second SwitchTo or SwitchIdle while one is in flight
+// is a scheduler bug, so it fails without disturbing the switch in flight.
+func TestBusyManagerRejectsSecondSwitch(t *testing.T) {
 	c := newCluster(t, 2, defaultCfg(2))
 	c.addJob(t, 1)
 	c.addJob(t, 2)
-	var switched, released [2]bool
-	for i, m := range c.mgrs {
-		i, m := i, m
-		if err := m.HaltNetwork(1, func() {
-			if err := m.ContextSwitch(2, func(SwitchStats) {
-				switched[i] = true
-				if err := m.ReleaseNetwork(1, func() { released[i] = true }); err != nil {
-					t.Errorf("release: %v", err)
-				}
-			}); err != nil {
-				t.Errorf("context switch: %v", err)
-			}
-		}); err != nil {
-			t.Fatalf("halt: %v", err)
-		}
+	m := c.mgrs[0]
+	var got []SwitchStats
+	if err := m.SwitchTo(1, 1, func(s SwitchStats) { got = append(got, s) }); err != nil {
+		t.Fatal(err)
+	}
+	if err := m.SwitchTo(2, 2, nil); err == nil {
+		t.Fatal("SwitchTo on a busy manager should fail")
+	}
+	if err := m.SwitchIdle(2, nil); err == nil {
+		t.Fatal("SwitchIdle on a busy manager should fail")
+	}
+	// The peer joins epoch 1, so the flush and release complete.
+	if err := c.mgrs[1].SwitchTo(1, 1, nil); err != nil {
+		t.Fatal(err)
 	}
 	c.eng.Run()
-	for i := range c.mgrs {
-		if !switched[i] || !released[i] {
-			t.Fatalf("node %d staged switch incomplete", i)
-		}
-		if c.mgrs[i].Current() != 2 {
-			t.Fatalf("node %d current = %d", i, c.mgrs[i].Current())
-		}
+	if len(got) != 1 || got[0].Epoch != 1 || got[0].To != 1 || m.Current() != 1 {
+		t.Fatalf("in-flight switch disturbed: stats %+v, current %d", got, m.Current())
+	}
+	// Once the switch completed, the next one is accepted.
+	if err := m.SwitchTo(2, 2, nil); err != nil {
+		t.Fatalf("switch after completion: %v", err)
 	}
 }
 

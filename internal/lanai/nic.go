@@ -191,11 +191,6 @@ type NIC struct {
 	OnControl func(p *myrinet.Packet)
 	// OnDrop, when set, observes every dropped packet.
 	OnDrop func(p *myrinet.Packet, reason DropReason)
-	// OnDeposit, when set, observes every data packet the instant it
-	// lands in a context's receive queue (after DMA, before OnArrive).
-	// The chaos auditors use it to catch deliveries to a context the
-	// gang schedule says is not running.
-	OnDeposit func(ctx *Context, p *myrinet.Packet)
 	// OnViolation, when set, receives protocol-invariant violation
 	// reports from the card's own state machines (the chaos auditor
 	// installs it; nil means violations surface only through behavior).
@@ -215,8 +210,8 @@ type NIC struct {
 	opPool []*ctrlOp
 
 	// relEpoch/relDone hold the one in-flight release completion so the
-	// clean path can use the prebuilt relCompleteFn instead of a closure
-	// per switch; an overlapping release falls back to a closure.
+	// release can use the prebuilt relCompleteFn instead of a closure per
+	// switch; the manager above never overlaps two releases.
 	relEpoch      uint64
 	relDone       func()
 	relBusy       bool
@@ -573,18 +568,13 @@ func (n *NIC) HaltNetwork(epoch uint64, onFlushed func()) {
 // reported ready, clear the halt bit, restart the send scanner, and invoke
 // onReleased.
 func (n *NIC) ReleaseNetwork(epoch uint64, onReleased func()) {
-	var complete func()
-	if !n.relBusy {
-		// One release in flight (the scheduler-driven steady state): stash
-		// its state and use the prebuilt completion callback.
-		n.relBusy = true
-		n.relEpoch, n.relDone = epoch, onReleased
-		complete = n.relCompleteFn
-	} else {
-		complete = func() { n.completeRelease(epoch, onReleased) }
+	if n.relBusy {
+		panic(fmt.Sprintf("lanai: node %d release of epoch %d overlaps epoch %d", n.cfg.Node, epoch, n.relEpoch))
 	}
+	n.relBusy = true
+	n.relEpoch, n.relDone = epoch, onReleased
 	if n.release.peers == 0 {
-		n.release.LocalTransition(epoch, complete)
+		n.release.LocalTransition(epoch, n.relCompleteFn)
 		return
 	}
 	delay := sim.Time(0)
@@ -599,23 +589,18 @@ func (n *NIC) ReleaseNetwork(epoch uint64, onReleased func()) {
 		n.eng.ScheduleArg(delay, ctrlSendFn, op)
 	}
 	op := n.getOp()
-	op.t, op.epoch, op.done = n.release, epoch, complete
+	op.t, op.epoch, op.done = n.release, epoch, n.relCompleteFn
 	n.eng.ScheduleArg(delay, ctrlTailFn, op)
 }
 
-// releaseComplete resolves the stashed in-flight release.
+// releaseComplete finishes the stashed in-flight release once every peer
+// has reported ready. The release stage must strictly follow flush
+// completion for the same epoch: clearing the halt bit while data of the
+// previous context could still be on the wire is exactly the overlap the
+// three-stage protocol exists to prevent.
 func (n *NIC) releaseComplete() {
 	epoch, done := n.relEpoch, n.relDone
 	n.relBusy, n.relDone = false, nil
-	n.completeRelease(epoch, done)
-}
-
-// completeRelease finishes stage 3 once every peer has reported ready. The
-// release stage must strictly follow flush completion for the same epoch:
-// clearing the halt bit while data of the previous context could still be
-// on the wire is exactly the overlap the three-stage protocol exists to
-// prevent.
-func (n *NIC) completeRelease(epoch uint64, onReleased func()) {
 	if !n.flush.Done(epoch) {
 		if n.OnViolation != nil {
 			n.OnViolation("flush-order",
@@ -624,8 +609,8 @@ func (n *NIC) completeRelease(epoch uint64, onReleased func()) {
 	}
 	n.haltBit = false
 	n.kickSender()
-	if onReleased != nil {
-		onReleased()
+	if done != nil {
+		done()
 	}
 }
 
@@ -829,9 +814,6 @@ func (n *NIC) deposit(a any) {
 		return
 	}
 	n.stats.Received++
-	if n.OnDeposit != nil {
-		n.OnDeposit(cur, p)
-	}
 	if cur.Hooks.OnArrive != nil {
 		cur.Hooks.OnArrive(cur)
 	}

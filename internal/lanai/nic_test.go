@@ -476,26 +476,3 @@ func TestReleaseBeforeFlushReportsViolation(t *testing.T) {
 		t.Fatalf("ordered switch reported violations: %v", got2)
 	}
 }
-
-// TestOnDepositObservesArrivals: the deposit hook fires once per data packet
-// landing in a receive queue, after the enqueue.
-func TestOnDepositObservesArrivals(t *testing.T) {
-	eng, net, nics := rig(t, 2)
-	if _, err := nics[1].Register(1, 0, 10, 10, Hooks{}); err != nil {
-		t.Fatal(err)
-	}
-	deposits := 0
-	nics[1].OnDeposit = func(ctx *Context, p *myrinet.Packet) {
-		deposits++
-		if ctx.RecvQ.Len() == 0 {
-			t.Error("OnDeposit fired before the enqueue")
-		}
-	}
-	for i := 0; i < 3; i++ {
-		net.Send(dataPkt(0, 1, 1, uint64(i)))
-	}
-	eng.Run()
-	if deposits != 3 {
-		t.Fatalf("deposits = %d, want 3", deposits)
-	}
-}

@@ -126,23 +126,29 @@ type Node struct {
 	// them.
 	parked []parkedLoad
 
-	// Slot-switch idempotence (recovery only): the watchdog may re-send a
-	// round's notification, so the noded remembers the round it is working
-	// on and, once done, the stats it acked with — a duplicate re-acks
-	// instead of re-switching (the manager rejects non-monotonic epochs).
+	// gen is this incarnation's membership generation: the eviction count
+	// (len(Masterd.downs[ID])) under which the masterd admits it. Every
+	// slot-switch notification carries the generation of the node it was
+	// sent to, and switchSlot drops one stamped for another incarnation.
+	gen int
+
+	// Slot-switch idempotence: the watchdog may re-send a round's
+	// notification, so the noded remembers the round it is working on and
+	// whether it finished — a duplicate re-acks instead of re-switching
+	// (the manager rejects non-monotonic epochs and overlapping switches).
 	swEpoch uint64
 	swBusy  bool
 	swDone  bool
-	swStats core.SwitchStats
 
-	// Clean-path switch plumbing: the masterd issues one switch per node
-	// per round, so the pending ack callback and completion stats ride in
-	// these fields and the prebuilt swDoneFn/ack trampolines — a
-	// steady-state switch allocates no closures on the node side.
-	swAck    func(core.SwitchStats)
+	// swDoneFn is the switch completion, bound to the manager of the
+	// incarnation that built it (see attach): a retired incarnation's
+	// switch that finishes late is recognised and ignored.
 	swDoneFn func(core.SwitchStats)
-	ackFn    func(core.SwitchStats)
-	ackStats core.SwitchStats
+	// msgs pools this node's switchMsg records (notifications and acks).
+	// A record is touched by one lane at a time — the global lane while
+	// the masterd fills or retires it, the node's lane in between — and
+	// the window barrier orders the hand-offs.
+	msgs []*switchMsg
 
 	// evictSeen[j] is the highest eviction generation of node j this noded
 	// has applied (a node's generation is its eviction count; the masterd
@@ -159,35 +165,66 @@ type Node struct {
 	procScratch []*Proc
 }
 
-// The shared node-side ack callbacks (the Node rides along as the event
-// argument): ackHop runs on the control network's lane and samples the
-// delivery latency there; ackFire is the masterd-side delivery.
-var (
-	nodeAckHopFn  = func(a any) { a.(*Node).ackHop() }
-	nodeAckFireFn = func(a any) { a.(*Node).ackFire() }
-)
+// switchMsg is one slot-switch message in flight: a notification from the
+// masterd (the round and the generation of the incarnation it is addressed
+// to) or a node's acknowledgement of the round. The records ride through
+// the engine as event arguments, so a switch round allocates no closures.
+type switchMsg struct {
+	n     *Node
+	epoch uint64
+	gen   int
+}
 
-// deliverAck routes one switch acknowledgement to the masterd with the
-// same latency sampling and lane hops as ctrl.send, but closure-free.
-func (n *Node) deliverAck(s core.SwitchStats, ack func(core.SwitchStats)) {
-	n.ackStats, n.ackFn = s, ack
+// getMsg returns a pooled record for one message of node n.
+func (n *Node) getMsg(epoch uint64, gen int) *switchMsg {
+	var s *switchMsg
+	if ln := len(n.msgs); ln > 0 {
+		s = n.msgs[ln-1]
+		n.msgs = n.msgs[:ln-1]
+	} else {
+		s = &switchMsg{n: n}
+	}
+	s.epoch, s.gen = epoch, gen
+	return s
+}
+
+// putMsg returns a record to n's pool. A message the control network
+// drops is never returned; the collector takes it.
+func (n *Node) putMsg(s *switchMsg) { n.msgs = append(n.msgs, s) }
+
+// switchNoteFn delivers a notification on the node's lane; ackHopFn moves
+// an acknowledgement to the control network's lane, which samples its
+// latency; ackFireFn is the masterd-side delivery.
+func switchNoteFn(a any) { s := a.(*switchMsg); s.n.switchSlot(s) }
+
+func ackHopFn(a any) {
+	c := a.(*switchMsg).n.cluster.ctrl
+	c.deliverRoutedArg(-1, -1, c.delay(), ackFireFn, a)
+}
+
+func ackFireFn(a any) {
+	s := a.(*switchMsg)
+	n, epoch := s.n, s.epoch
+	n.putMsg(s)
+	n.cluster.master.switchAcked(int(n.ID), epoch)
+}
+
+// sendAck routes one switch acknowledgement to the masterd: a hop to the
+// control network's lane, then one unaddressed message latency.
+func (n *Node) sendAck(s *switchMsg) {
 	c := n.cluster.ctrl
 	if n.Eng == c.eng {
-		n.ackHop()
+		ackHopFn(s)
 		return
 	}
-	n.Eng.CrossArgAt(c.eng, n.Eng.Now(), nodeAckHopFn, n)
+	n.Eng.CrossArgAt(c.eng, n.Eng.Now(), ackHopFn, s)
 }
 
-func (n *Node) ackHop() {
-	c := n.cluster.ctrl
-	c.deliverRoutedArg(-1, -1, c.delay(), nodeAckFireFn, n)
-}
-
-func (n *Node) ackFire() {
-	ack, s := n.ackFn, n.ackStats
-	n.ackFn = nil
-	ack(s)
+// attach installs an incarnation's card and manager and binds the switch
+// completion to that manager.
+func (n *Node) attach(nic *lanai.NIC, mgr *core.Manager) {
+	n.NIC, n.Mgr = nic, mgr
+	n.swDoneFn = func(s core.SwitchStats) { n.switchDone(mgr, s) }
 }
 
 // Cluster is the assembled system.
@@ -315,15 +352,11 @@ func New(cfg Config) (*Cluster, error) {
 			return nil, err
 		}
 		n := &Node{
-			ID: myrinet.NodeID(i), NIC: nic, CPU: cpu, Mgr: mgr, Eng: nodeEng,
+			ID: myrinet.NodeID(i), CPU: cpu, Eng: nodeEng,
 			cluster: c, procs: make(map[myrinet.JobID]*Proc),
 			evictSeen: make([]int, cfg.Nodes),
 		}
-		n.swDoneFn = func(s core.SwitchStats) {
-			ack := n.swAck
-			n.swAck = nil
-			n.deliverAck(s, ack)
-		}
+		n.attach(nic, mgr)
 		c.nodes = append(c.nodes, n)
 	}
 	if group != nil {
@@ -528,50 +561,55 @@ func (n *Node) startJob(job *Job, rank int) {
 }
 
 // switchSlot is the noded's handling of the masterd's slot-switch
-// broadcast: the three-stage context switch to this node's cell of the
-// new row (or an idle switch when the cell is empty or the job has
-// already terminated).
-func (n *Node) switchSlot(epoch uint64, job myrinet.JobID, ack func(core.SwitchStats)) {
-	if n.cluster.cfg.Recovery != nil {
-		switch {
-		case epoch < n.swEpoch:
-			return // straggler from a closed round
-		case epoch == n.swEpoch && n.swDone:
-			// Watchdog re-send after completion: the ack was lost, not the
-			// switch. Re-ack with the recorded stats.
-			s := n.swStats
-			n.cluster.ctrl.send(n.Eng, func() { ack(s) })
-			return
-		case epoch == n.swEpoch && n.swBusy:
-			return // re-send overtook the switch in progress; ack follows
-		}
-		n.swEpoch, n.swBusy, n.swDone = epoch, true, false
+// notification: the three-stage context switch to this node's cell of the
+// round's row (or an idle switch when the cell is empty or the job has
+// already terminated). The fence comes first: a notification stamped for
+// another incarnation — sent to the node before a reboot, or to a fresh
+// incarnation the masterd has not admitted yet — is dropped, so only the
+// admitted incarnation ever switches, one round at a time.
+func (n *Node) switchSlot(s *switchMsg) {
+	epoch := s.epoch
+	switch {
+	case s.gen != n.gen, epoch < n.swEpoch, epoch == n.swEpoch && n.swBusy:
+		// Another incarnation's notification, a straggler from a closed
+		// round, or a re-send that overtook the switch in progress (whose
+		// ack follows).
+		n.putMsg(s)
+		return
+	case epoch == n.swEpoch && n.swDone:
+		// Watchdog re-send after completion: the ack was lost, not the
+		// switch. Re-ack.
+		n.sendAck(s)
+		return
 	}
-	var done func(core.SwitchStats)
-	if n.cluster.cfg.Recovery == nil && n.swAck == nil {
-		// Clean path: one switch per node per round, so the ack rides in
-		// the node's prebuilt completion chain — no closures per round.
-		n.swAck = ack
-		done = n.swDoneFn
-	} else {
-		done = func(s core.SwitchStats) {
-			if n.cluster.cfg.Recovery != nil {
-				n.swBusy, n.swDone, n.swStats = false, true, s
-			}
-			n.cluster.ctrl.send(n.Eng, func() { ack(s) })
-		}
-	}
-	if job != myrinet.NoJob {
+	n.putMsg(s)
+	n.swEpoch, n.swBusy, n.swDone = epoch, true, false
+	// The masterd rewrites its row snapshot only when the next round
+	// starts, after every live node acknowledged this one; only a
+	// notification that reaches an evicted node can read a later row.
+	if job := n.cluster.master.targets[n.ID]; job != myrinet.NoJob {
 		if _, known := n.procs[job]; known {
-			if err := n.Mgr.SwitchTo(epoch, job, done); err != nil {
+			if err := n.Mgr.SwitchTo(epoch, job, n.swDoneFn); err != nil {
 				panic(fmt.Sprintf("parpar: node %d switch to job %d: %v", n.ID, job, err))
 			}
 			return
 		}
 	}
-	if err := n.Mgr.SwitchIdle(epoch, done); err != nil {
+	if err := n.Mgr.SwitchIdle(epoch, n.swDoneFn); err != nil {
 		panic(fmt.Sprintf("parpar: node %d idle switch: %v", n.ID, err))
 	}
+}
+
+// switchDone is a switch completion from mgr: record the round as done and
+// acknowledge it. A completion from a retired incarnation's manager — a
+// switch cut short by a crash, resuming on the host CPU after the repair —
+// belongs to no round of the fresh incarnation and is ignored.
+func (n *Node) switchDone(mgr *core.Manager, s core.SwitchStats) {
+	if mgr != n.Mgr {
+		return
+	}
+	n.swBusy, n.swDone = false, true
+	n.sendAck(n.getMsg(s.Epoch, n.gen))
 }
 
 // endJob is the noded's handling of job termination: release the
@@ -674,11 +712,12 @@ func (n *Node) heartbeat(seq uint64) {
 // reboot builds the node's fresh incarnation after a repair: a new card
 // (attaching it replaces the dead incarnation's network handler), a new
 // manager whose full-topology view is pruned to the masterd's current
-// membership snapshot, and empty daemon state. The chaos observers are
-// re-wired exactly as construction did for the first incarnation; the
-// injector's CPU faults stay armed on the (now unblocked) host CPU, so a
-// later fault in the plan still hits the new incarnation.
-func (n *Node) reboot(deadPeers []myrinet.NodeID) {
+// membership snapshot, empty daemon state, and gen, the membership
+// generation it will be admitted under (see repairNode). The chaos
+// observers are re-wired exactly as construction did for the first
+// incarnation; the injector's CPU faults stay armed on the (now unblocked)
+// host CPU, so a later fault in the plan still hits the new incarnation.
+func (n *Node) reboot(deadPeers []myrinet.NodeID, gen int) {
 	c := n.cluster
 	nic := lanai.New(n.Eng, c.Net, c.Mem, lanai.DefaultConfig(n.ID))
 	if r := c.cfg.Recovery; r != nil {
@@ -696,7 +735,7 @@ func (n *Node) reboot(deadPeers []myrinet.NodeID) {
 	if err := mgr.InitNode(); err != nil {
 		panic(fmt.Sprintf("parpar: rebooting node %d: %v", n.ID, err))
 	}
-	n.NIC, n.Mgr = nic, mgr
+	n.attach(nic, mgr)
 	for _, id := range deadPeers {
 		nic.EvictPeer(id)
 		if err := mgr.RemoveNode(id); err != nil {
@@ -705,8 +744,8 @@ func (n *Node) reboot(deadPeers []myrinet.NodeID) {
 	}
 	n.procs = make(map[myrinet.JobID]*Proc)
 	n.parked = nil
+	n.gen = gen
 	n.swEpoch, n.swBusy, n.swDone = 0, false, false
-	n.swAck = nil
 	c.armNodeObservers(n)
 }
 
@@ -737,9 +776,18 @@ func (c *Cluster) repairNode(i int) {
 	if j := m.joining; j >= 0 && j != i {
 		joining, joinGen = j, len(m.downs[j])
 	}
+	// The fresh incarnation's generation is the eviction count it will be
+	// admitted under. Evictions happen only while a node is live and
+	// admissions only while it is dead, so that is the current count when
+	// the crash was already detected, and one more when it was not: the
+	// rejoin request (or a detector) retires the old incarnation first.
+	gen := len(m.downs[i])
+	if !m.matrix.ColDead(i) {
+		gen++
+	}
 	node := c.nodes[i]
 	c.Eng.CrossAt(node.Eng, c.Eng.Now(), func() {
-		node.reboot(deadPeers)
+		node.reboot(deadPeers, gen)
 		if joining >= 0 {
 			node.joinPeer(myrinet.NodeID(joining), joinGen)
 		}

@@ -107,15 +107,11 @@ func (c *ctrlNet) deliverRoutedArg(seen, node int, d sim.Time, fn func(any), arg
 	c.eng.CrossArgAt(c.engFor(node), c.eng.Now()+d, fn, arg)
 }
 
-// send delivers fn after one control-message latency. src is the engine
-// the caller is executing on.
-func (c *ctrlNet) send(src *sim.Engine, fn func()) {
-	c.hop(src, func() { c.deliverRouted(-1, -1, c.delay(), fn) })
-}
-
-// sendRouted is send for the base protocol's unaddressed daemon messages
-// whose handler nevertheless acts on one node: the intercept still sees
-// dst = -1 (identical fault presentation), but fn runs on node's shard.
+// sendRouted delivers fn after one control-message latency, for the base
+// protocol's unaddressed daemon messages whose handler nevertheless acts
+// on one node: the intercept still sees dst = -1 (identical fault
+// presentation), but fn runs on node's shard. src is the engine the caller
+// is executing on.
 func (c *ctrlNet) sendRouted(src *sim.Engine, node int, fn func()) {
 	c.hop(src, func() { c.deliverRouted(-1, node, c.delay(), fn) })
 }
@@ -164,17 +160,6 @@ func (c *ctrlNet) armResend(dst int, timeout sim.Time, retries, attempt int, don
 		c.deliverOnce(dst, fn)
 		c.armResend(dst, timeout, retries, attempt+1, done, fn)
 	})
-}
-
-// broadcast delivers fn(i) to each of n destinations, each with its own
-// independently sampled latency — the multicast preloading of [Kavas et
-// al. 2001] reaches all nodes in one send, but per-node delivery and
-// daemon scheduling still jitter.
-func (c *ctrlNet) broadcast(n int, fn func(i int)) {
-	for i := 0; i < n; i++ {
-		i := i
-		c.deliver(i, c.delay(), func() { fn(i) })
-	}
 }
 
 // serialBroadcast delivers fn(i) to each destination with a cumulative

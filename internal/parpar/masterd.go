@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"sort"
 
-	"gangfm/internal/core"
 	"gangfm/internal/gang"
 	"gangfm/internal/myrinet"
 	"gangfm/internal/sim"
@@ -37,18 +36,17 @@ type Masterd struct {
 	// job-ready event wants an immediate rotation.
 	skipEv sim.Event
 
-	// Recovery bookkeeping (all dormant with Recovery nil). Membership
-	// lives in the matrix: a node is evicted exactly while its column is
-	// dead (matrix.ColDead), and downs below dates each eviction. Per
-	// round: needAcks is the live-node count the round waits for, ackedBy
-	// dedups the per-node acknowledgements (the watchdog's re-sends mean
-	// one node can ack more than once), roundTargets is the broadcast
-	// snapshot the watchdog re-sends from, and ackWatch the pending
-	// watchdog deadline.
-	needAcks     int
-	ackedBy      []bool
-	roundTargets []myrinet.JobID
-	ackWatch     sim.Event
+	// Per round: targets is the row's per-node switch decision snapshot,
+	// needAcks the live-node count the round waits for, and ackedBy dedups
+	// the per-node acknowledgements (the watchdog's re-sends mean one node
+	// can ack more than once). Membership lives in the matrix: a node is
+	// evicted exactly while its column is dead (matrix.ColDead), and downs
+	// below dates each eviction. ackWatch is the pending watchdog deadline
+	// (recovery only).
+	targets  []myrinet.JobID
+	needAcks int
+	ackedBy  []bool
+	ackWatch sim.Event
 	// onEvict hooks fire when a node is declared dead — after its matrix
 	// column is killed, before the spanning jobs are — so a scheduler sees
 	// the shrunken machine before kill callbacks cascade into fresh
@@ -93,34 +91,11 @@ type Masterd struct {
 	// accounting sees the full history.
 	downs map[int][]downWindow
 
-	// Clean-path round state, reused every rotation so the steady-state
-	// scheduler loop allocates nothing: targets is the per-node switch
-	// decision snapshot, swMsgs the per-node notification records the
-	// control network delivers (swArgs pre-boxes their pointers), and
-	// cleanAckFn/tickFn/quantumFn the prebuilt callbacks.
-	targets  []myrinet.JobID
-	swMsgs   []switchMsg
-	swArgs   []any
-	qPool    []*quantumMsg
-	cleanAck func(core.SwitchStats)
-	tickFn   func()
-}
-
-// switchMsg is one node's slot-switch notification for the current round.
-// The records live in Masterd.swMsgs and are rewritten per round on the
-// global lane before the deliveries are inserted — a node lane reads its
-// record exactly once, at delivery, and the next round cannot start (and
-// overwrite) until every node has acknowledged.
-type switchMsg struct {
-	m      *Masterd
-	node   int
-	epoch  uint64
-	target myrinet.JobID
-}
-
-func switchMsgFn(a any) {
-	s := a.(*switchMsg)
-	s.m.c.nodes[s.node].switchSlot(s.epoch, s.target, s.m.cleanAck)
+	// Pooled round records and prebuilt callbacks, so the steady-state
+	// scheduler loop allocates nothing (switch notifications and acks ride
+	// in the nodes' switchMsg pools).
+	qPool  []*quantumMsg
+	tickFn func()
 }
 
 // quantumMsg carries a round's quantum-elapsed check. Pooled per masterd;
@@ -151,30 +126,14 @@ func newMasterd(c *Cluster) *Masterd {
 		nextID:      1,
 		lastRow:     -1,
 		needAcks:    c.cfg.Nodes,
+		ackedBy:     make([]bool, c.cfg.Nodes),
 		rebooted:    make([]bool, c.cfg.Nodes),
 		rejoinAsked: make([]bool, c.cfg.Nodes),
 		joining:     -1,
 		downs:       make(map[int][]downWindow),
 		targets:     make([]myrinet.JobID, c.cfg.Nodes),
-		swMsgs:      make([]switchMsg, c.cfg.Nodes),
-		swArgs:      make([]any, c.cfg.Nodes),
-	}
-	for i := range m.swMsgs {
-		m.swMsgs[i].m = m
-		m.swMsgs[i].node = i
-		m.swArgs[i] = &m.swMsgs[i]
 	}
 	m.tickFn = m.tick
-	// The per-node switch acknowledgement: every ack callback of a clean
-	// round is identical (the stats argument is unused), so one shared
-	// function value serves all nodes of all rounds.
-	m.cleanAck = func(core.SwitchStats) {
-		m.acks++
-		if m.acks == len(m.c.nodes) {
-			m.inFlight = false
-		}
-		m.advance()
-	}
 	return m
 }
 
@@ -407,58 +366,33 @@ func (m *Masterd) tick() {
 	m.acks = 0
 	m.quantumUp = false
 	m.roundStart = m.c.Eng.Now()
+	m.needAcks = m.matrix.LiveCols()
 	// Snapshot the row's per-node targets now, so every node of the
 	// round sees the same decision regardless of delivery jitter. A job
 	// becomes a switch target only once its Figure 2 synchronization
 	// completed: before that, some nodes may not even have allocated its
 	// context, and binding it on a subset would let senders race ahead
 	// of receivers — exactly the packet loss the sync exists to prevent.
-	targets := m.targets
-	if m.c.cfg.Recovery != nil {
-		// The watchdog's re-sends read the snapshot for the whole round
-		// (and a stale re-send may outlive it), so the recovery path gets
-		// a fresh array per round.
-		targets = make([]myrinet.JobID, len(m.c.nodes))
-	}
-	for i := range targets {
-		targets[i] = myrinet.NoJob
+	for i := range m.targets {
+		m.ackedBy[i] = false
+		m.targets[i] = myrinet.NoJob
 		if id := m.matrix.JobAt(row, i); id != myrinet.NoJob {
 			if job, ok := m.jobs[id]; ok && job.state == JobRunning {
-				targets[i] = id
+				m.targets[i] = id
 			}
 		}
 	}
-	if m.c.cfg.Recovery == nil {
-		// Closure-free serial broadcast: same latency sampling and
-		// insertion order as ctrl.serialBroadcast, with the per-node
-		// round state carried by the reusable switchMsg records.
-		for i := range m.c.nodes {
-			s := &m.swMsgs[i]
-			s.epoch, s.target = epoch, targets[i]
-			m.c.ctrl.deliverRoutedArg(i, i,
-				m.c.ctrl.delay()+sim.Time(i+1)*m.c.cfg.CtrlSerialGap, switchMsgFn, m.swArgs[i])
+	// Serial broadcast, the latency sampling and insertion order of
+	// ctrl.serialBroadcast: evicted nodes are skipped, keeping each
+	// survivor's serialization slot.
+	for i := range m.c.nodes {
+		if !m.matrix.ColDead(i) {
+			m.sendSwitch(i, epoch, m.c.ctrl.delay()+sim.Time(i+1)*m.c.cfg.CtrlSerialGap)
 		}
-	} else {
-		// Watchdog-supervised round: evicted nodes are skipped (keeping
-		// each survivor's original serialization slot), acknowledgements
-		// are deduplicated per node, and a deadline chain re-sends the
-		// notification to silent nodes and ultimately evicts them.
-		m.roundTargets = targets
-		m.needAcks = m.matrix.LiveCols()
-		if m.ackedBy == nil {
-			m.ackedBy = make([]bool, len(m.c.nodes))
-		}
-		for i := range m.ackedBy {
-			m.ackedBy[i] = false
-		}
-		for i := range m.c.nodes {
-			if m.matrix.ColDead(i) {
-				continue
-			}
-			i := i
-			m.c.ctrl.deliver(i, m.c.ctrl.delay()+sim.Time(i+1)*m.c.cfg.CtrlSerialGap,
-				func() { m.sendSwitch(epoch, i) })
-		}
+	}
+	if m.c.cfg.Recovery != nil {
+		// The watchdog re-sends the notification to silent nodes and
+		// ultimately evicts them.
 		m.armAckWatch(epoch, 0)
 	}
 	var q *quantumMsg
@@ -472,21 +406,27 @@ func (m *Masterd) tick() {
 	m.c.Eng.ScheduleArg(m.c.cfg.Quantum, quantumFn, q)
 }
 
-// sendSwitch hands one node its slot-switch notification for the round,
-// with the deduplicating ack used by both the broadcast and the watchdog's
-// re-sends.
-func (m *Masterd) sendSwitch(epoch uint64, i int) {
-	m.c.nodes[i].switchSlot(epoch, m.roundTargets[i], func(core.SwitchStats) {
-		if m.epoch != epoch || m.ackedBy[i] || m.matrix.ColDead(i) {
-			return
-		}
-		m.ackedBy[i] = true
-		m.acks++
-		if m.acks >= m.needAcks {
-			m.closeRound()
-		}
-		m.advance()
-	})
+// sendSwitch delivers node i its slot-switch notification for the round
+// after d, stamped with the node's membership generation (its eviction
+// count) so that only the incarnation admitted under it acts on it. The
+// broadcast and the watchdog's re-sends share it.
+func (m *Masterd) sendSwitch(i int, epoch uint64, d sim.Time) {
+	s := m.c.nodes[i].getMsg(epoch, len(m.downs[i]))
+	m.c.ctrl.deliverRoutedArg(i, i, d, switchNoteFn, s)
+}
+
+// switchAcked counts node i's acknowledgement of a round, once per node and
+// only for the round in flight.
+func (m *Masterd) switchAcked(i int, epoch uint64) {
+	if m.epoch != epoch || m.ackedBy[i] || m.matrix.ColDead(i) {
+		return
+	}
+	m.ackedBy[i] = true
+	m.acks++
+	if m.acks >= m.needAcks {
+		m.closeRound()
+	}
+	m.advance()
 }
 
 // closeRound ends the in-flight rotation and disarms the watchdog. The
@@ -533,11 +473,9 @@ func (m *Masterd) ackFire(epoch uint64, attempt int) {
 		return
 	}
 	for i := range m.c.nodes {
-		if m.matrix.ColDead(i) || m.ackedBy[i] {
-			continue
+		if !m.matrix.ColDead(i) && !m.ackedBy[i] {
+			m.sendSwitch(i, epoch, m.c.ctrl.delay())
 		}
-		i := i
-		m.c.ctrl.sendTo(m.c.Eng, i, func() { m.sendSwitch(epoch, i) })
 	}
 	m.armAckWatch(epoch, attempt+1)
 }

@@ -380,3 +380,87 @@ func TestRepairDeterminism(t *testing.T) {
 		t.Fatalf("rejoins = %d, want 1", n1)
 	}
 }
+
+// TestStaleSwitchCompletionFenced: a node crashes mid-switch and is
+// repaired before the crash is detected. The dead incarnation's switch
+// chain runs on to completion on its detached card and the unblocked host
+// CPU.
+// That completion belongs to no round of the fresh incarnation: it must
+// leave the node's switch state untouched and send the masterd no ack.
+func TestStaleSwitchCompletionFenced(t *testing.T) {
+	const node = 1
+	build := func(crashAt, repairAt sim.Time) *Cluster {
+		cfg := recoveredConfig(4)
+		cfg.Slots = 2
+		cfg.Chaos = &chaos.Plan{Seed: 5, Faults: []chaos.Fault{
+			{Kind: chaos.NodeCrash, Node: node, From: crashAt},
+			{Kind: chaos.NodeRepair, Node: node, From: repairAt},
+		}}
+		c, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, name := range []string{"a", "b"} {
+			if _, err := c.Submit(idleLoopSpec(name, 4)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		return c
+	}
+	// Dry run, faults out of reach: find an instant a few rounds in where
+	// the node has just accepted a round. The crash and the repair both land
+	// in its halt stage, while the later-notified peers' halts are still on
+	// their way, so the dead incarnation's flush can only finish degraded,
+	// on its detached card, after the fresh incarnation booted.
+	q := recoveredConfig(4).Quantum
+	dry := build(1<<40, 1<<41)
+	n := dry.nodes[node]
+	for dry.Eng.Now() < 4*q || !n.swBusy {
+		if !dry.Eng.Step() {
+			t.Fatal("dry run went quiescent")
+		}
+	}
+	crashAt := dry.Eng.Now() + 1
+	repairAt := crashAt + 10_000
+
+	c := build(crashAt, repairAt)
+	n = c.nodes[node]
+	old := n.Mgr
+	c.RunUntil(crashAt)
+	if !n.swBusy || n.swEpoch == 0 {
+		t.Fatalf("node %d not mid-switch at the crash (epoch %d busy %v)", node, n.swEpoch, n.swBusy)
+	}
+	crashedIn := n.swEpoch
+	toMaster := 0
+	intercept := c.ctrl.intercept
+	c.ctrl.intercept = func(now sim.Time, dst int) (sim.Time, bool) {
+		if dst < 0 {
+			toMaster++
+		}
+		return intercept(now, dst)
+	}
+	// Step event by event until the dead incarnation's manager records its
+	// round: that event is the stale completion.
+	for switches := len(old.History()); len(old.History()) == switches; {
+		if c.Eng.Now() > repairAt+20*q {
+			t.Fatalf("the dead incarnation's round-%d switch never completed (now %d crash %d repair %d)", crashedIn, c.Eng.Now(), crashAt, repairAt)
+		}
+		epoch, busy, done, sent := n.swEpoch, n.swBusy, n.swDone, toMaster
+		if !c.Eng.Step() {
+			t.Fatal("cluster went quiescent")
+		}
+		if len(old.History()) == switches {
+			continue
+		}
+		if n.Mgr == old {
+			t.Fatal("the switch completed before the repair; the case no longer exercises the fence")
+		}
+		if n.swEpoch != epoch || n.swBusy != busy || n.swDone != done {
+			t.Errorf("stale completion of round %d changed the fresh incarnation's switch state: epoch %d->%d busy %v->%v done %v->%v",
+				crashedIn, epoch, n.swEpoch, busy, n.swBusy, done, n.swDone)
+		}
+		if toMaster != sent {
+			t.Errorf("stale completion of round %d sent %d messages to the masterd", crashedIn, toMaster-sent)
+		}
+	}
+}

@@ -12,10 +12,17 @@ import (
 // the full parpar stack), batch (Slots=1, run-to-completion), and
 // dynamic fractional sharing (analytic processor sharing). All three see
 // the same arrivals, kills, resizes, and deadlines.
-func Showdown(cfg Config) ([]*Result, error) {
+func Showdown(cfg Config) ([]*Result, error) { return showdown(cfg, nil) }
+
+// showdown is Showdown with observe, when non-nil, called on each daemon
+// before it runs.
+func showdown(cfg Config, observe func(*Daemon)) ([]*Result, error) {
 	gangd, err := New(cfg)
 	if err != nil {
 		return nil, fmt.Errorf("schedd: gang: %w", err)
+	}
+	if observe != nil {
+		observe(gangd)
 	}
 	if err := gangd.Run(); err != nil {
 		return nil, err
@@ -25,6 +32,9 @@ func Showdown(cfg Config) ([]*Result, error) {
 	batchd, err := New(batchCfg)
 	if err != nil {
 		return nil, fmt.Errorf("schedd: batch: %w", err)
+	}
+	if observe != nil {
+		observe(batchd)
 	}
 	if err := batchd.Run(); err != nil {
 		return nil, err
