@@ -55,9 +55,14 @@ churn-crash-smoke:
 # repaired nodes rejoining at rotation boundaries, and the availability
 # table growing its repaired-capacity and post-repair-goodput columns. The
 # full-size stream reboots one node while another's rejoin is settling.
+# The full-size crash-only stream runs unsharded and sharded and must be
+# byte-identical. Every leg exits non-zero on a chaos-auditor violation.
 repair-smoke:
 	$(GO) run ./cmd/gangsim churn -quick -crash 0.35 -repair 0.75 -adaptive
 	$(GO) run ./cmd/gangsim churn -crash 0.35 -repair 0.75 -adaptive
+	$(GO) run ./cmd/gangsim churn -crash 0.35 -adaptive -log > /tmp/churn-crash-full-a.txt
+	$(GO) run ./cmd/gangsim churn -crash 0.35 -adaptive -log -shards 4 -workers 4 > /tmp/churn-crash-full-b.txt
+	cmp /tmp/churn-crash-full-a.txt /tmp/churn-crash-full-b.txt
 
 # Microbenchmarks with allocation reporting. BenchmarkEngineThroughput
 # must stay at 0 allocs/op (see DESIGN.md §6); BenchmarkPhaseTrackerEpoch

@@ -48,10 +48,17 @@ cmp /tmp/churn-ci-a.txt /tmp/churn-ci-b.txt
 # Failure-aware smoke: crashes armed on top of the churn stream. Crash
 # plans key every fault decision on simulation state, so the availability
 # table and the full decision logs must also be byte-identical with the
-# second leg sharded (4 shards, windows on 4 workers).
+# second leg sharded (4 shards, windows on 4 workers). Every churn leg
+# exits non-zero on a chaos-auditor violation, so these also gate the
+# auditor's verdict.
 go run ./cmd/gangsim churn -quick -crash 0.35 -adaptive -log > /tmp/churn-crash-ci-a.txt
 go run ./cmd/gangsim churn -quick -crash 0.35 -adaptive -log -shards 4 -workers 4 > /tmp/churn-crash-ci-b.txt
 cmp /tmp/churn-crash-ci-a.txt /tmp/churn-crash-ci-b.txt
+# The full-size crash-only stream: every mode detects its crashes through
+# the heartbeat; same promise.
+go run ./cmd/gangsim churn -crash 0.35 -adaptive -log > /tmp/churn-crash-full-ci-a.txt
+go run ./cmd/gangsim churn -crash 0.35 -adaptive -log -shards 4 -workers 4 > /tmp/churn-crash-full-ci-b.txt
+cmp /tmp/churn-crash-full-ci-a.txt /tmp/churn-crash-full-ci-b.txt
 
 # Repair smoke: the closed failure loop — heartbeat detection plus node
 # rejoin on top of the crash machinery. Same promise, so the second

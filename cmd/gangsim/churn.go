@@ -20,9 +20,11 @@ import (
 // produces byte-identical tables — at any -shards/-workers setting.
 //
 // With -crash (or crash node@T directives in the trace file) the run also
-// fail-stops nodes mid-stream: the recovery layer evicts them, the daemons
-// requeue their jobs under a retry budget, and an availability table is
-// appended to the output.
+// fail-stops nodes mid-stream: the heartbeat detects them and the recovery
+// layer evicts them, the daemons requeue their jobs under a retry budget,
+// and an availability table is appended to the output. The command exits
+// 1 when a daemon's task table diverges from the gang matrix or the chaos
+// auditor reports a violation in any mode.
 func runChurn(args []string, out io.Writer) int {
 	fs := flag.NewFlagSet("churn", flag.ContinueOnError)
 	fs.SetOutput(os.Stderr)
@@ -190,6 +192,10 @@ func runChurn(args []string, out io.Writer) int {
 	for _, r := range results {
 		if n := r.Log.Count(schedd.VerbCacheBad); n != 0 {
 			fmt.Fprintf(os.Stderr, "gangsim churn: %s run reported %d task-table vs gang-matrix divergences\n", r.Mode, n)
+			return 1
+		}
+		if r.Violations != 0 {
+			fmt.Fprintf(os.Stderr, "gangsim churn: %s run reported %d chaos-auditor violations\n", r.Mode, r.Violations)
 			return 1
 		}
 	}

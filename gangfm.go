@@ -182,8 +182,9 @@ type Auditor = chaos.Auditor
 func Loss(seed uint64, prob float64) FaultPlan { return chaos.Loss(seed, prob) }
 
 // Recovery parameterizes the opt-in self-healing switch layer: halt/ready
-// retransmission on the NIC, reliable daemon messaging, and the masterd
-// watchdog that evicts failed nodes. Set ClusterConfig.Recovery to enable;
+// retransmission on the NIC, reliable daemon messaging, the masterd's
+// switch watchdog, and the heartbeat that evicts failed nodes (armed when
+// the fault plan contains a NodeCrash). Set ClusterConfig.Recovery to enable;
 // nil (the default) leaves the cluster byte-identical to the base
 // protocol the paper describes.
 type Recovery = parpar.Recovery

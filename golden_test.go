@@ -21,6 +21,7 @@ import (
 	"gangfm/internal/chaos"
 	"gangfm/internal/experiments"
 	"gangfm/internal/parpar"
+	"gangfm/internal/schedd"
 	"gangfm/internal/workload"
 )
 
@@ -71,22 +72,9 @@ func TestGoldenFigures(t *testing.T) {
 		{"schemes.txt", func() string { return fmt.Sprint(experiments.SchemesTable(experiments.Schemes(p))) }},
 		{"dyncos.txt", func() string { return fmt.Sprint(experiments.ResponsivenessTable(experiments.Responsiveness(p))) }},
 		{"sched.txt", func() string { return fmt.Sprint(experiments.SchedTable(experiments.Sched(p))) }},
-		{"churn.txt", func() string {
-			rs := experiments.Churn(p)
-			return fmt.Sprint(experiments.ChurnGrid(rs)) + "\n" + fmt.Sprint(experiments.ChurnStats(rs))
-		}},
-		{"churn_crash.txt", func() string {
-			rs := experiments.ChurnCrash(p)
-			return fmt.Sprint(experiments.ChurnGrid(rs)) + "\n" +
-				fmt.Sprint(experiments.ChurnAvailability(rs)) + "\n" +
-				fmt.Sprint(experiments.ChurnStats(rs))
-		}},
-		{"churn_repair.txt", func() string {
-			rs := experiments.ChurnRepair(p)
-			return fmt.Sprint(experiments.ChurnGrid(rs)) + "\n" +
-				fmt.Sprint(experiments.ChurnAvailability(rs)) + "\n" +
-				fmt.Sprint(experiments.ChurnStats(rs))
-		}},
+		{"churn.txt", func() string { return renderChurn(experiments.Churn(p), false) }},
+		{"churn_crash.txt", func() string { return renderChurn(experiments.ChurnCrash(p), true) }},
+		{"churn_repair.txt", func() string { return renderChurn(experiments.ChurnRepair(p), true) }},
 	}
 	for _, tb := range tables {
 		tb := tb
@@ -94,6 +82,17 @@ func TestGoldenFigures(t *testing.T) {
 			goldenCompare(t, tb.name, tb.render())
 		})
 	}
+}
+
+// renderChurn renders a churn showdown the way its golden freezes it: the
+// per-mode grid, the availability table when the run had failures, and
+// the decision-log statistics.
+func renderChurn(rs []*schedd.Result, availability bool) string {
+	out := fmt.Sprint(schedd.GridTable(rs)) + "\n"
+	if availability {
+		out += fmt.Sprint(schedd.AvailabilityTable(rs)) + "\n"
+	}
+	return out + fmt.Sprint(schedd.StatsTable(rs))
 }
 
 // goldenChaosPlan is the fault plan TestGoldenChaosTrace freezes: light

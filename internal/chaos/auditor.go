@@ -125,10 +125,14 @@ func (a *Auditor) report(src int, now sim.Time, invariant, detail string) {
 }
 
 // Ok reports whether no violation has been recorded.
-func (a *Auditor) Ok() bool {
+func (a *Auditor) Ok() bool { return a.Count() == 0 }
+
+// Count returns how many distinct violations have been recorded (not
+// capped, unlike Violations).
+func (a *Auditor) Count() int {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	return len(a.found) == 0
+	return len(a.found)
 }
 
 // Violations returns the recorded violations in canonical order (time,

@@ -70,8 +70,8 @@ const (
 	// NodeCrash permanently halts node Node's host CPU from time From: a
 	// fail-stop node failure. Unlike NodePause there is no Until — the
 	// node never comes back. Without the recovery layer a crash that hits
-	// mid-protocol wedges the machine; with recovery enabled the masterd
-	// watchdog detects the silent node, evicts it, and kills the jobs
+	// mid-protocol wedges the machine; with recovery enabled the masterd's
+	// heartbeat detects the silent node, evicts it, and kills the jobs
 	// spanning it so survivors keep rotating.
 	NodeCrash
 	// NodeRepair ends an earlier NodeCrash of the same node at time From:
@@ -251,6 +251,16 @@ func (p Plan) Validate() error {
 
 // Empty reports whether the plan injects nothing.
 func (p Plan) Empty() bool { return len(p.Faults) == 0 }
+
+// Has reports whether the plan contains a fault of kind k.
+func (p Plan) Has(k FaultKind) bool {
+	for _, f := range p.Faults {
+		if f.Kind == k {
+			return true
+		}
+	}
+	return false
+}
 
 // String lists the plan's faults, one per line.
 func (p Plan) String() string {

@@ -220,7 +220,7 @@ func samplePlan(rng *sim.Rand, seed uint64, nodes int) chaos.Plan {
 // interference, and at most one fail-stop node crash. Open-ended control
 // loss is deliberately excluded: a link that drops 100% of control traffic
 // forever is unrecoverable by design (retransmission needs some delivery),
-// and pause/loss windows are kept shorter than the watchdog's eviction
+// and pause/loss windows are kept shorter than the heartbeat's eviction
 // deadline so a merely-slow node is never evicted as dead.
 func SampleRecovery(seed uint64) Scenario {
 	s := Sample(seed)
@@ -275,10 +275,12 @@ func sampleChurn(rng *sim.Rand, jobs, nodes int) []ChurnCmd {
 	return out
 }
 
-// sampleRecoveryPlan draws 1..3 recoverable faults. Loss and pause windows
-// are bounded to at most 8 quanta: the masterd watchdog evicts a silent
-// node after ~14 quanta, so any fault shorter than that must be survived
-// by retransmission alone.
+// sampleRecoveryPlan draws 1..3 recoverable faults. Loss, delay, pause and
+// slowdown windows last 2..7 quanta: DefaultRecovery's heartbeat evicts a
+// node only after 8 silent probe intervals of one quantum (~9 quanta), so
+// a node under any of these faults must be carried through by
+// retransmission alone and is never taken for dead. Only the NodeCrash is
+// the heartbeat's to detect.
 func sampleRecoveryPlan(rng *sim.Rand, seed uint64, nodes int) chaos.Plan {
 	kinds := []chaos.FaultKind{
 		chaos.HaltLoss, chaos.HaltLoss, chaos.ReadyLoss, chaos.CtrlLoss,

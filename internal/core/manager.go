@@ -561,6 +561,17 @@ func (m *Manager) copyCost(stats *SwitchStats, save, restore bool) sim.Time {
 		save, restore)
 }
 
+// MaxCopyCost is the longest stage-2 copy this manager can charge: a
+// switch that saves full queues and restores full ones. Partitioned
+// credits never copy.
+func (m *Manager) MaxCopyCost() sim.Time {
+	if m.cfg.Policy == fm.Partitioned {
+		return 0
+	}
+	s, r := m.alloc.SendSlots, m.alloc.RecvSlots
+	return BufferCopyCost(m.mem, m.cfg.Mode, s, r, s, r, s, r, true, true)
+}
+
 // BufferCopyCost computes the host cycles of one buffer switch (Figure 4)
 // under the given algorithm: the full send-queue region lives on the card
 // behind the write-combined mapping, the receive queue in pinned host

@@ -53,7 +53,7 @@ func DefaultConfig(node myrinet.NodeID) Config {
 // first attempt, doubling on each subsequent one (exponential backoff).
 // After Retries attempts the phase is force-completed without the missing
 // peers (degraded flush): liveness is restored and failure detection is
-// left to the masterd's watchdog, which alone decides eviction.
+// left to the masterd's heartbeat, which alone decides eviction.
 //
 // Retransmitted packets carry a marker; a card receiving a marked packet
 // it has already counted (or whose epoch it has completed) echoes its own
@@ -68,6 +68,11 @@ type Recovery struct {
 	// attempt i fires after Timeout<<i. After the last attempt the phase
 	// is force-completed.
 	Retries int
+	// CopyBound is the host's worst-case stage-2 buffer copy. Peers enter
+	// the release phase when their own copy ends, so a healthy peer's
+	// Ready can trail this card's by up to one copy: the first Ready
+	// deadline waits CopyBound on top of Timeout.
+	CopyBound sim.Time
 }
 
 // ctrlRetransmit marks a Halt/Ready as a retransmission in the otherwise
@@ -328,7 +333,7 @@ func (n *NIC) Stats() Stats { return n.stats }
 // SetRecovery enables the control-packet retransmission layer. Must be
 // called before the first switch; the zero value of r is rejected.
 func (n *NIC) SetRecovery(r Recovery) {
-	if r.Timeout <= 0 || r.Retries < 0 {
+	if r.Timeout <= 0 || r.Retries < 0 || r.CopyBound < 0 {
 		panic(fmt.Sprintf("lanai: invalid recovery config %+v", r))
 	}
 	n.recovery = &r
@@ -661,9 +666,14 @@ func (n *NIC) cancelRetry(t *phaseTracker, epoch uint64) {
 }
 
 // armRetry schedules retransmission attempt number attempt for the epoch,
-// Timeout<<attempt cycles from now.
+// Timeout<<attempt cycles from now (plus CopyBound for the first Ready
+// deadline).
 func (n *NIC) armRetry(t *phaseTracker, epoch uint64, attempt int) {
-	n.timersOf(t)[epoch] = n.eng.Schedule(n.recovery.Timeout<<attempt, func() {
+	d := n.recovery.Timeout << attempt
+	if t == n.release && attempt == 0 {
+		d += n.recovery.CopyBound
+	}
+	n.timersOf(t)[epoch] = n.eng.Schedule(d, func() {
 		n.retryFire(t, epoch, attempt)
 	})
 }

@@ -341,9 +341,10 @@ func (c *Cluster) checkGangMatrix(now sim.Time, report func(invariant, detail st
 const stallRounds = 4
 
 // recoveryStallRounds is the liveness budget with recovery enabled: the
-// layered timers (NIC force-complete ~3.75 quanta, watchdog eviction ~14)
-// legitimately stretch a round, so the alarm threshold sits above the
-// whole cascade. A round still stuck past it means recovery itself failed.
+// layered timers (NIC force-complete ~3.5 quanta, heartbeat eviction ~9 at
+// the default budget) legitimately stretch a round, so the alarm threshold
+// sits above the whole cascade. A round still stuck past it means recovery
+// itself failed.
 const recoveryStallRounds = 20
 
 // stallBudget returns the masterd-protocol stall threshold in cycles.

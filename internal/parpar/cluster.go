@@ -60,8 +60,9 @@ type Config struct {
 	// Recovery, when non-nil, enables the self-healing switch path:
 	// Halt/Ready retransmission with degraded flush completion in the
 	// LANai firmware, reliable daemon control messages, the masterd
-	// switch watchdog, and node eviction. Nil (the default) leaves the
-	// cluster byte-identical to the base protocol.
+	// switch watchdog, and heartbeat detection and eviction of crashed
+	// nodes. Nil (the default) leaves the cluster byte-identical to the
+	// base protocol.
 	Recovery *Recovery
 
 	// Shards, when > 1, partitions the cluster into that many contiguous
@@ -220,11 +221,21 @@ func (n *Node) sendAck(s *switchMsg) {
 	n.Eng.CrossArgAt(c.eng, n.Eng.Now(), ackHopFn, s)
 }
 
-// attach installs an incarnation's card and manager and binds the switch
-// completion to that manager.
-func (n *Node) attach(nic *lanai.NIC, mgr *core.Manager) {
+// attach installs an incarnation's card and manager, binds the switch
+// completion to that manager, and, with recovery on, arms the card's
+// retransmission layer. Its first Ready deadline waits out a peer's copy:
+// the copy model's worst case (mgr.MaxCopyCost), capped at one quantum —
+// past that a lost Ready would stall the round longer than the recovery
+// ladder the liveness auditor budgets for, and at the small quanta of the
+// chaos campaigns the uncapped worst case (about 16 M cycles with full
+// queues) is dozens of quanta.
+func (c *Cluster) attach(n *Node, nic *lanai.NIC, mgr *core.Manager) {
 	n.NIC, n.Mgr = nic, mgr
 	n.swDoneFn = func(s core.SwitchStats) { n.switchDone(mgr, s) }
+	if r := c.cfg.Recovery; r != nil {
+		nic.SetRecovery(lanai.Recovery{Timeout: r.NICTimeout, Retries: r.NICRetries,
+			CopyBound: min(mgr.MaxCopyCost(), c.cfg.Quantum)})
+	}
 }
 
 // Cluster is the assembled system.
@@ -335,9 +346,6 @@ func New(cfg Config) (*Cluster, error) {
 			nodeEng = group.Shard(i * shards / cfg.Nodes)
 		}
 		nic := lanai.New(nodeEng, c.Net, c.Mem, lanai.DefaultConfig(myrinet.NodeID(i)))
-		if r := cfg.Recovery; r != nil {
-			nic.SetRecovery(lanai.Recovery{Timeout: r.NICTimeout, Retries: r.NICRetries})
-		}
 		cpu := sim.NewResource(nodeEng, fmt.Sprintf("host%d", i))
 		mgr, err := core.NewManager(nodeEng, nic, cpu, c.Mem, core.Config{
 			Policy:      cfg.Policy,
@@ -356,7 +364,7 @@ func New(cfg Config) (*Cluster, error) {
 			cluster: c, procs: make(map[myrinet.JobID]*Proc),
 			evictSeen: make([]int, cfg.Nodes),
 		}
-		n.attach(nic, mgr)
+		c.attach(n, nic, mgr)
 		c.nodes = append(c.nodes, n)
 	}
 	if group != nil {
@@ -720,9 +728,6 @@ func (n *Node) heartbeat(seq uint64) {
 func (n *Node) reboot(deadPeers []myrinet.NodeID, gen int) {
 	c := n.cluster
 	nic := lanai.New(n.Eng, c.Net, c.Mem, lanai.DefaultConfig(n.ID))
-	if r := c.cfg.Recovery; r != nil {
-		nic.SetRecovery(lanai.Recovery{Timeout: r.NICTimeout, Retries: r.NICRetries})
-	}
 	mgr, err := core.NewManager(n.Eng, nic, n.CPU, c.Mem, core.Config{
 		Policy:      c.cfg.Policy,
 		Mode:        c.cfg.Mode,
@@ -735,7 +740,7 @@ func (n *Node) reboot(deadPeers []myrinet.NodeID, gen int) {
 	if err := mgr.InitNode(); err != nil {
 		panic(fmt.Sprintf("parpar: rebooting node %d: %v", n.ID, err))
 	}
-	n.attach(nic, mgr)
+	c.attach(n, nic, mgr)
 	for _, id := range deadPeers {
 		nic.EvictPeer(id)
 		if err := mgr.RemoveNode(id); err != nil {

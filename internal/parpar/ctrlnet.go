@@ -129,8 +129,8 @@ func (c *ctrlNet) sendTo(src *sim.Engine, dst int, fn func()) {
 // simulation the done predicate reads the receiver's state directly, which
 // is exactly the information an ack would carry. A message still
 // undelivered after the last re-send is abandoned — the switch watchdog
-// and the eviction path own what happens to a permanently unreachable
-// node.
+// and the heartbeat's eviction own what happens to a permanently
+// unreachable node.
 func (c *ctrlNet) sendReliable(src *sim.Engine, dst int, timeout sim.Time, retries int, done func() bool, fn func()) {
 	c.hop(src, func() {
 		c.deliverOnce(dst, fn)

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"sort"
 
+	"gangfm/internal/chaos"
 	"gangfm/internal/gang"
 	"gangfm/internal/myrinet"
 	"gangfm/internal/sim"
@@ -57,11 +58,13 @@ type Masterd struct {
 	// scheduler can drain a backlog into the recovered node.
 	onRejoin []func(node int)
 
-	// Heartbeat state (dormant unless Recovery.HeartbeatEvery > 0): every
-	// interval the masterd pings each live node on the ctrl network and the
-	// noded answers over the reliable path. hbPending marks nodes whose
-	// latest ping is unanswered, hbMiss counts consecutive silent
-	// intervals, hbSeen is the newest sequence each node replied to.
+	// Heartbeat state (armed when recovery is on and the chaos plan can
+	// fail-stop a node, see armHeartbeat): every interval the masterd pings
+	// each live node on the ctrl network and the noded answers over the
+	// reliable path. hbPending marks nodes whose latest ping is unanswered,
+	// hbMiss counts consecutive silent intervals, hbSeen is the newest
+	// sequence each node replied to.
+	hbArmed   bool
 	hbTicking bool
 	hbSeq     uint64
 	hbPending []bool
@@ -132,6 +135,7 @@ func newMasterd(c *Cluster) *Masterd {
 		joining:     -1,
 		downs:       make(map[int][]downWindow),
 		targets:     make([]myrinet.JobID, c.cfg.Nodes),
+		hbArmed:     c.cfg.Recovery != nil && c.cfg.Chaos != nil && c.cfg.Chaos.Has(chaos.NodeCrash),
 	}
 	m.tickFn = m.tick
 	return m
@@ -207,42 +211,9 @@ func (m *Masterd) submit(spec JobSpec) (*Job, error) {
 		m.c.reliableSend(m.c.Eng, col, func() bool { return job.procs[rank] != nil },
 			func() { m.c.nodes[col].loadJob(job, rank) })
 	}
-	if m.c.cfg.Recovery != nil {
-		m.armLaunchWatch(job)
-	}
 	m.maybeTick()
 	m.armHeartbeat()
 	return job, nil
-}
-
-// armLaunchWatch supervises the job's Figure 2 load phase. A node that has
-// crashed while idle keeps acknowledging switch rounds — with no buffers
-// bound, the three-stage switch never touches its host CPU — so the switch
-// watchdog cannot see it; the load fork is the first point where such a
-// node must spend CPU or go visibly silent. The deadline sits past the
-// reliable ctrl-send retry budget (CtrlTimeout·(2^CtrlRetries−1) is the
-// last re-send) plus one ack window, so only a node that ignored every
-// re-send is declared failed.
-func (m *Masterd) armLaunchWatch(job *Job) {
-	rec := m.c.cfg.Recovery
-	deadline := rec.CtrlTimeout*sim.Time((1<<rec.CtrlRetries)-1) + rec.AckTimeout
-	m.c.Eng.Schedule(deadline, func() {
-		if job.state != JobLoading {
-			return
-		}
-		var evict []int
-		seen := make(map[int]bool)
-		for rank, col := range job.Placement.Cols {
-			if job.procs[rank] == nil && !m.matrix.ColDead(col) && !seen[col] {
-				seen[col] = true
-				evict = append(evict, col)
-			}
-		}
-		sort.Ints(evict)
-		for _, col := range evict {
-			m.evictNode(col)
-		}
-	})
 }
 
 // rankReady collects the per-node process-created notifications; once all
@@ -391,8 +362,8 @@ func (m *Masterd) tick() {
 		}
 	}
 	if m.c.cfg.Recovery != nil {
-		// The watchdog re-sends the notification to silent nodes and
-		// ultimately evicts them.
+		// The watchdog re-sends the notification to silent nodes until
+		// they ack or the heartbeat evicts them.
 		m.armAckWatch(epoch, 0)
 	}
 	var q *quantumMsg
@@ -439,37 +410,20 @@ func (m *Masterd) closeRound() {
 }
 
 // armAckWatch schedules watchdog deadline number attempt for the round,
-// AckTimeout<<attempt cycles from now.
+// AckTimeout<<min(attempt, ackBackoffCap) cycles from now.
 func (m *Masterd) armAckWatch(epoch uint64, attempt int) {
-	m.ackWatch = m.c.Eng.Schedule(m.c.cfg.Recovery.AckTimeout<<attempt, func() {
+	m.ackWatch = m.c.Eng.Schedule(m.c.cfg.Recovery.AckTimeout<<min(attempt, ackBackoffCap), func() {
 		m.ackFire(epoch, attempt)
 	})
 }
 
 // ackFire is a watchdog deadline: the round is still missing
-// acknowledgements. Re-send the notification to each silent live node
-// while the retry budget lasts; after AckRetries re-sends the silent nodes
-// are declared failed and evicted.
+// acknowledgements. Re-send the notification to each silent live node and
+// back off. Silence is not the watchdog's to judge (see the heartbeat in
+// repair.go): a paused node acks late, and a crashed idle node even keeps
+// acking, since an empty slot's switch never touches its host CPU.
 func (m *Masterd) ackFire(epoch uint64, attempt int) {
 	if m.epoch != epoch || !m.inFlight {
-		return
-	}
-	rec := m.c.cfg.Recovery
-	if attempt >= rec.AckRetries {
-		// Snapshot the silent set before the first eviction: evictNode can
-		// close the round and cascade into a fresh rotation (advance →
-		// tick), which resets ackedBy for the *new* round — reading it live
-		// here would mistake every healthy node for silent and evict the
-		// whole machine.
-		var evict []int
-		for i := range m.c.nodes {
-			if !m.matrix.ColDead(i) && !m.ackedBy[i] {
-				evict = append(evict, i)
-			}
-		}
-		for _, i := range evict {
-			m.evictNode(i)
-		}
 		return
 	}
 	for i := range m.c.nodes {

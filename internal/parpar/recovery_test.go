@@ -156,10 +156,11 @@ func TestCtrlLossRecoveredWithinWindow(t *testing.T) {
 
 // TestNodeCrashEvictsAndSurvives: a node crashes before its rank of job A
 // ever forks. The crashed node is idle, so it still acknowledges switch
-// rounds — the launch watchdog is what detects the silent fork, evicts the
-// node, and kills job A. Job B, placed on the surviving nodes, must load,
-// run and complete normally on the degraded cluster, and every survivor
-// must have pruned the dead node from its membership.
+// rounds — only the heartbeat can see it: the node stops answering probes,
+// and after the miss budget the masterd evicts it and kills job A. Job B,
+// placed on the surviving nodes, must load, run and complete normally on
+// the degraded cluster, and every survivor must have pruned the dead node
+// from its membership.
 func TestNodeCrashEvictsAndSurvives(t *testing.T) {
 	const crashed = 0
 	cfg := recoveredConfig(4)
@@ -200,6 +201,16 @@ func TestNodeCrashEvictsAndSurvives(t *testing.T) {
 	}
 	if !c.master.matrix.ColDead(crashed) {
 		t.Fatal("masterd never declared the crashed node dead")
+	}
+	// The eviction comes from the heartbeat: no earlier than the miss
+	// budget allows, and within one more probe interval (plus the reply's
+	// delivery) of it.
+	rec := cfg.Recovery
+	at, _ := c.master.FirstEvictedAt(crashed)
+	earliest := 10_000 + sim.Time(rec.HeartbeatMisses)*rec.HeartbeatEvery
+	if at < earliest || at > earliest+2*rec.HeartbeatEvery {
+		t.Fatalf("crashed node evicted at %d, want the heartbeat's deadline in [%d, %d]",
+			at, earliest, earliest+2*rec.HeartbeatEvery)
 	}
 	for i, n := range c.Nodes() {
 		if i == crashed {
@@ -298,19 +309,17 @@ func allToAll(ranks, perPeer, size int) func(rank int) Program {
 // all-to-all jobs alternating in two slots on 16 nodes, so the three-stage
 // switch itself runs under the recovery timers.
 //
-// That case is also the stress regime DefaultRecovery's comment warns
-// about: a valid-only copy there takes up to ~2.1M cycles, more than the
-// half-quantum (2M) NIC timeout, and the release timer is armed at the
-// local transition, so a fast node re-sends Ready to a peer still copying.
-// Those re-sends land as stale packets and change nothing (the timing
-// checks below prove it), so the case admits Ready re-sends and stale
-// packets but still no Halt re-send.
+// In that case a valid-only copy takes up to ~2.1M cycles, more than the
+// half-quantum (2M) NIC timeout, so a peer's Ready can trail a fast node's
+// by more than the timeout; the first Ready deadline waits out a
+// worst-case copy on top of it, so no node re-sends Ready to a peer that is
+// still copying.
 func TestRecoveryCleanPathFree(t *testing.T) {
 	cases := []struct {
 		name      string
 		cfg       func() Config
 		jobs      []JobSpec
-		switching bool // steady-state switches must occur; spurious Ready re-sends allowed
+		switching bool // steady-state switches must occur
 	}{
 		{
 			name: "stream",
@@ -375,9 +384,6 @@ func TestRecoveryCleanPathFree(t *testing.T) {
 				}
 				if recovery {
 					halt, ready, stale, forced := nicTotals(c)
-					if tc.switching {
-						ready, stale = 0, 0
-					}
 					if halt+ready+stale+forced != 0 {
 						t.Fatalf("clean run exercised recovery: halt=%d ready=%d stale=%d forced=%d",
 							halt, ready, stale, forced)
@@ -418,5 +424,19 @@ func TestRecoveryConfigValidation(t *testing.T) {
 	cfg.Recovery = &r
 	if _, err := New(cfg); err == nil {
 		t.Fatal("negative retry budget accepted")
+	}
+	// The heartbeat is the only failure detector: it cannot be switched
+	// off, and it needs a miss budget.
+	for _, mutate := range []func(*Recovery){
+		func(r *Recovery) { r.HeartbeatEvery = 0 },
+		func(r *Recovery) { r.HeartbeatMisses = 0 },
+	} {
+		cfg = testConfig(2)
+		r := DefaultRecovery(cfg.Quantum)
+		mutate(&r)
+		cfg.Recovery = &r
+		if _, err := New(cfg); err == nil {
+			t.Fatalf("heartbeat budget %d×%d accepted", r.HeartbeatMisses, r.HeartbeatEvery)
+		}
 	}
 }

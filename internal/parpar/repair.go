@@ -1,21 +1,23 @@
 package parpar
 
 // repair.go closes the failure loop the eviction path opened: detection of
-// fail-stop crashes that never miss an acknowledgement, and the admission
-// of a repaired node's fresh incarnation back into the gang.
+// fail-stop crashes, and the admission of a repaired node's fresh
+// incarnation back into the gang.
 //
-// Heartbeat. The ack watchdog in masterd.go only sees a node that owes a
-// switch acknowledgement, so two regimes are blind to a fail-stop crash:
-// an idle rotation (no jobs → no rounds) and a single populated slot,
-// where the same-row skip means no switch is ever broadcast — batch mode
-// runs in that regime permanently. The heartbeat covers both: every
-// Recovery.HeartbeatEvery cycles the masterd pings each live node on the
-// ctrl network and the noded answers over the reliable path after a small
-// host-CPU charge; a node silent for HeartbeatMisses consecutive intervals
-// is evicted. The probe's jitter draws ride the ctrl network's global-lane
-// RNG like every other control message, so an armed heartbeat is
-// byte-identical under any sharding (and the zero default keeps it off —
-// existing goldens never see a draw-order change).
+// Heartbeat. The heartbeat is the recovery layer's only failure
+// detector: every Recovery.HeartbeatEvery cycles the masterd pings each
+// live node on the ctrl network and the noded answers over the reliable
+// path after a small host-CPU charge; a node silent for HeartbeatMisses
+// consecutive intervals is evicted. The switch watchdog cannot stand in
+// for it — an idle rotation (no jobs, no rounds) and a single populated
+// slot (the same-row skip means no switch is ever broadcast; batch mode
+// lives there permanently) owe no acknowledgement at all, and a crashed
+// idle node keeps acking — so every mode is detected the same way. The
+// probe runs whenever recovery is on and the chaos plan contains a
+// NodeCrash: without one nothing can fail-stop, and the probe stays off
+// so fault-free and crash-free runs keep their exact timing. Its jitter
+// draws ride the ctrl network's global-lane RNG like every other control
+// message, so it is byte-identical under any sharding.
 //
 // Rejoin. A repaired node boots as a fresh incarnation (new card, new
 // manager, empty daemon state — see Node.reboot) and asks the masterd to
@@ -41,12 +43,11 @@ type downWindow struct {
 
 // heartbeat ------------------------------------------------------------
 
-// armHeartbeat starts the liveness-probe loop when the recovery config
-// asks for one. Self-terminating like the audit tick: the loop stops once
-// the cluster is quiescent and the next submit re-arms it.
+// armHeartbeat starts the liveness-probe loop when the run can lose a
+// node (see hbArmed). Self-terminating like the audit tick: the loop stops
+// once the cluster is quiescent and the next submit re-arms it.
 func (m *Masterd) armHeartbeat() {
-	r := m.c.cfg.Recovery
-	if r == nil || r.HeartbeatEvery <= 0 || m.hbTicking {
+	if !m.hbArmed || m.hbTicking {
 		return
 	}
 	if m.hbPending == nil {
@@ -56,14 +57,14 @@ func (m *Masterd) armHeartbeat() {
 		m.hbFn = m.hbTick
 	}
 	m.hbTicking = true
-	m.c.Eng.Schedule(r.HeartbeatEvery, m.hbFn)
+	m.c.Eng.Schedule(m.c.cfg.Recovery.HeartbeatEvery, m.hbFn)
 }
 
 // hbTick is one heartbeat interval: score the previous round's silence,
-// evict the nodes past the miss budget (ascending order, like the ack
-// watchdog), then ping the survivors. Eviction happens on the probe
-// cadence rather than per missing reply because a reply is not an ack
-// with a deadline — only the prober can observe its absence.
+// evict the nodes past the miss budget (ascending order), then ping the
+// survivors. Eviction happens on the probe cadence rather than per missing
+// reply because a reply is not an ack with a deadline — only the prober
+// can observe its absence.
 func (m *Masterd) hbTick() {
 	if len(m.jobs) == 0 && m.joining < 0 && len(m.rejoinQueue) == 0 {
 		// Quiescent cluster: stop probing. The rejoin clauses keep the

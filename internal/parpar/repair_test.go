@@ -9,13 +9,13 @@ import (
 	"gangfm/internal/sim"
 )
 
-// hbConfig is recoveredConfig with the heartbeat failure detector armed.
-// The interval is deliberately coarse relative to testConfig's small
-// quantum: the reply charges the host CPU, so the silence budget
-// (misses × interval) must exceed the longest contiguous CPU busy stretch
-// — program loads and switch copies — or a merely busy node reads as dead.
-// The schedd daemon gets the same margin for free from its 4M-cycle
-// quantum.
+// hbConfig is recoveredConfig with a faster heartbeat than the default
+// (two misses of two quanta instead of eight of one). The interval is still
+// coarse relative to testConfig's small quantum: the reply charges the host
+// CPU, so the silence budget (misses × interval) must exceed the longest
+// contiguous CPU busy stretch — program loads and switch copies — or a
+// merely busy node reads as dead. The schedd daemon gets the same margin
+// for free from its 4M-cycle quantum.
 func hbConfig(nodes int) Config {
 	cfg := recoveredConfig(nodes)
 	cfg.Recovery.HeartbeatEvery = 2 * cfg.Quantum
@@ -24,9 +24,9 @@ func hbConfig(nodes int) Config {
 }
 
 // TestHeartbeatDetectsIdleCrash: a single populated slot never broadcasts
-// a switch, so the ack watchdog is blind to a fail-stop crash of a node no
-// job runs on — the regime batch mode lives in permanently. The heartbeat
-// must detect it anyway, within its miss budget, without disturbing the
+// a switch, so no acknowledgement is owed by a node no job runs on — the
+// regime batch mode lives in permanently. The heartbeat must detect its
+// fail-stop crash anyway, within its miss budget, without disturbing the
 // running job.
 func TestHeartbeatDetectsIdleCrash(t *testing.T) {
 	const crashed, crashAt = 3, 50_000
@@ -68,34 +68,6 @@ func TestHeartbeatDetectsIdleCrash(t *testing.T) {
 	}
 	if !c.Auditor().Ok() {
 		t.Fatalf("heartbeat run reported violations: %s", c.Auditor().Summary())
-	}
-}
-
-// TestNoHeartbeatMissesIdleCrash is the control for the test above: the
-// identical crash with the heartbeat disarmed goes undetected forever —
-// nothing else in the protocol can see it. This pins that the heartbeat is
-// the detector, not a redundant layer over the ack watchdog.
-func TestNoHeartbeatMissesIdleCrash(t *testing.T) {
-	const crashed = 3
-	cfg := recoveredConfig(4)
-	cfg.Slots = 1
-	cfg.Chaos = &chaos.Plan{Seed: 5, Faults: []chaos.Fault{
-		{Kind: chaos.NodeCrash, Node: crashed, From: 50_000},
-	}}
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	job, err := c.Submit(JobSpec{Name: "bystander", Size: 2, NewProgram: pingPong(200)})
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.RunUntil(chaosHorizon)
-	if c.master.matrix.ColDead(crashed) {
-		t.Fatal("crash was detected with no heartbeat and no acks outstanding — by what?")
-	}
-	if job.State() != JobDone {
-		t.Fatalf("bystander job is %v, want done", job.State())
 	}
 }
 

@@ -54,11 +54,13 @@ func ms(t float64) float64 {
 // AvailabilityTable renders the failure-aware half of the showdown: per
 // mode, the goodput (useful work over the node-cycles that survived the
 // crashes), the requeue/gaveup activity, the mean time from crash-kill to
-// re-placement, and how much of the machine the dead nodes took with them.
+// re-placement, how much of the machine the dead nodes took with them,
+// and the chaos auditor's verdict (viol, the violation count: the numbers
+// of a row with violations are the protocol's, not the scheduler's).
 // When any run armed repairs, three more columns report the repair side of
 // the loop: nodes admitted back, the fraction of the would-be-lost
 // node-cycles the repairs recovered, and the goodput after the first
-// rejoin. Crash-only runs render the pre-repair layout byte-identically.
+// rejoin.
 func AvailabilityTable(rs []*Result) *metrics.Table {
 	withRepairs := false
 	for _, r := range rs {
@@ -69,7 +71,7 @@ func AvailabilityTable(rs []*Result) *metrics.Table {
 	}
 	cols := []string{
 		"mode", "goodput", "done", "requeues", "rq_jobs", "gaveup", "cens",
-		"mean_ttr_ms", "nodes_lost", "cap_lost",
+		"mean_ttr_ms", "nodes_lost", "cap_lost", "viol",
 	}
 	if withRepairs {
 		cols = append(cols, "nodes_rep", "cap_rep", "post_gp")
@@ -79,6 +81,7 @@ func AvailabilityTable(rs []*Result) *metrics.Table {
 		row := []any{
 			r.Mode, r.Goodput, r.Finished, r.Requeues, r.RequeuedJobs,
 			r.GaveUp, r.Censored, ms(r.MeanRequeue), r.NodesLost, r.CapacityLost,
+			r.Violations,
 		}
 		if withRepairs {
 			row = append(row, r.NodesRepaired, r.CapacityRepaired, r.PostRepairGoodput)

@@ -69,18 +69,15 @@ type Config struct {
 	// Crashes are fail-stop node crashes injected into the run (the
 	// crash=node@T trace directive / gangsim churn -crash path). They are
 	// appended to the chaos plan as NodeCrash faults; if no Recovery is
-	// configured, the default recovery budgets are armed so evictions
-	// actually resolve instead of wedging the rotation.
+	// configured, the default recovery budgets are armed with a fast
+	// heartbeat (a probe every quarter quantum, two-miss budget), so every
+	// crash is detected and evicted the same way in every serving mode
+	// instead of wedging the rotation.
 	Crashes []schedeval.Crash
 	// Repairs close crashes: node repairs (the repair=node@T trace
 	// directive / gangsim churn -repair path), appended to the chaos plan
 	// as NodeRepair faults. Each repair must strictly follow a crash of
-	// the same node. Arming any repair also arms the heartbeat failure
-	// detector (one probe per quantum, two-miss budget) unless the
-	// Recovery config already set one — a repair is only worth modelling
-	// when crashes are actually detected, and the ack watchdog alone
-	// cannot see a crash in batch mode (Slots=1 never broadcasts a
-	// switch) or on an idle rotation.
+	// the same node.
 	Repairs []schedeval.Repair
 	// RetryBudget caps how many times a crash-killed job is requeued
 	// before the daemon gives up on it. Zero means the default (3);
@@ -220,19 +217,14 @@ func New(cfg Config) (*Daemon, error) {
 		}
 		pcfg.Chaos = &plan
 		if pcfg.Recovery == nil {
+			// The default budgets with a fast heartbeat (the only failure
+			// detector): four probes per quantum, two missed intervals to
+			// declare a node dead. The cadence must beat the repair stream
+			// — detection after the node already rebooted degenerates into
+			// the rejoin request outing the stale incarnation — and, crash
+			// for crash, every serving mode is detected within the same
+			// ~3/4 quantum.
 			r := parpar.DefaultRecovery(pcfg.Quantum)
-			pcfg.Recovery = &r
-		}
-		if len(cfg.Repairs) > 0 && pcfg.Recovery.HeartbeatEvery == 0 {
-			// Repairs imply a heartbeat failure detector (copy, never
-			// mutate a caller-owned Recovery): four probes per quantum, two
-			// missed intervals to declare a node dead. The cadence must beat
-			// the repair stream — detection after the node already rebooted
-			// degenerates into the rejoin request outing the stale
-			// incarnation, and batch mode (one populated slot, no switch
-			// broadcasts, no acks to miss) would never notice the crash at
-			// all.
-			r := *pcfg.Recovery
 			r.HeartbeatEvery = pcfg.Quantum / 4
 			r.HeartbeatMisses = 2
 			pcfg.Recovery = &r
@@ -782,6 +774,12 @@ type Result struct {
 	CapacityRepaired  float64
 	PostRepairGoodput float64
 
+	// Violations is the chaos auditor's verdict on the run: the number of
+	// distinct invariant violations it recorded (zero for the analytic
+	// fractional model). A non-zero count means the protocol stack, not
+	// the scheduler, decided some of the numbers above.
+	Violations int
+
 	Log    *Log
 	Events uint64
 }
@@ -792,10 +790,11 @@ type Result struct {
 // the censoring-transparency rule schedeval's summary also follows).
 func (d *Daemon) Result(mode string) *Result {
 	r := &Result{
-		Mode:   mode,
-		Jobs:   len(d.tasks),
-		Log:    d.log,
-		Events: d.cluster.Fired(),
+		Mode:       mode,
+		Jobs:       len(d.tasks),
+		Violations: d.cluster.Auditor().Count(),
+		Log:        d.log,
+		Events:     d.cluster.Fired(),
 	}
 	bound := float64(d.cfg.SlowdownBound)
 	if bound <= 0 {

@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"gangfm/internal/chaos"
+	"gangfm/internal/fm"
 	"gangfm/internal/parpar"
 	"gangfm/internal/schedeval"
 	"gangfm/internal/sim"
@@ -232,9 +233,12 @@ func TestChaosUnderChurn(t *testing.T) {
 		cfg.Slots = 2
 		cfg.Quantum = 400_000
 		cfg.Trace = []schedeval.TraceJob{
-			long(0, 4),         // spans the doomed node -> evicted
-			long(100_000, 2),   // lands on nodes 0-1... placement decides
-			long(5_000_000, 2), // arrives after the crash settles
+			long(0, 4),       // spans the doomed node -> evicted
+			long(100_000, 2), // lands on nodes 0-1... placement decides
+			// Arrives after the crash but before the heartbeat declares the
+			// node dead (eight missed quanta): lands beside it on nodes
+			// 2-3, is crash-killed and requeued onto the survivors.
+			long(2_000_000, 2),
 		}
 		cfg.Horizon = 400_000_000
 		cfg.Shards = shards
@@ -283,6 +287,9 @@ func TestChaosUnderChurn(t *testing.T) {
 	if r.Finished == 0 {
 		t.Fatalf("no survivor completed on the degraded cluster:\n%s", r.Log)
 	}
+	if r.Violations != 0 {
+		t.Errorf("auditor verdict %d violations, want a clean recovery", r.Violations)
+	}
 	if r.NodesLost != len(evicted) || r.CapacityLost <= 0 || r.Goodput <= r.Utilization {
 		t.Errorf("availability metrics inconsistent: lost=%d cap=%.3f goodput=%.3f util=%.3f",
 			r.NodesLost, r.CapacityLost, r.Goodput, r.Utilization)
@@ -299,6 +306,40 @@ func TestChaosUnderChurn(t *testing.T) {
 		if render(r) != render(sharded) {
 			t.Fatalf("shards=4 workers=%d diverged from the unsharded crash run", workers)
 		}
+	}
+}
+
+// TestResultCarriesAuditorVerdict: a run the chaos auditor flags must say
+// so in its Result and in the availability table. Data-packet loss under
+// partitioned credits (no retransmission, paper §2.2) wedges the senders
+// on destroyed credits, which the auditor reports as credit-conservation.
+func TestResultCarriesAuditorVerdict(t *testing.T) {
+	cfg := DefaultConfig(4)
+	cfg.Slots = 2
+	cfg.Quantum = 400_000
+	cfg.Scheme = fm.Partitioned
+	// One-fragment messages: the loss hits whole messages, never the middle
+	// of one.
+	cfg.Trace = []schedeval.TraceJob{{Size: 4, Kernel: schedeval.KernelBSP,
+		Units: 4, Msgs: 6, MsgBytes: 512, Compute: 200_000}}
+	cfg.Horizon = 100_000_000
+	plan := chaos.Loss(3, 0.3)
+	cfg.Chaos = &plan
+	d, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := d.Run(); err != nil {
+		t.Fatal(err)
+	}
+	r := d.Result("gang")
+	if r.Violations == 0 || r.Violations != d.Cluster().Auditor().Count() {
+		t.Fatalf("Result.Violations = %d, auditor recorded %d (want the same, non-zero): %s",
+			r.Violations, d.Cluster().Auditor().Count(), d.Cluster().Auditor().Summary())
+	}
+	table := AvailabilityTable([]*Result{r}).String()
+	if !strings.Contains(table, " viol") || !strings.Contains(table, fmt.Sprintf(" %d\n", r.Violations)) {
+		t.Fatalf("availability table does not show the verdict %d:\n%s", r.Violations, table)
 	}
 }
 

@@ -58,19 +58,13 @@ func TestParallelEquivalenceFigures(t *testing.T) {
 		// eviction order, requeue backoff, and the availability table
 		// must be byte-identical at any worker count.
 		{"churn_crash.txt", 4, func(p experiments.Params) string {
-			rs := experiments.ChurnCrash(p)
-			return fmt.Sprint(experiments.ChurnGrid(rs)) + "\n" +
-				fmt.Sprint(experiments.ChurnAvailability(rs)) + "\n" +
-				fmt.Sprint(experiments.ChurnStats(rs))
+			return renderChurn(experiments.ChurnCrash(p), true)
 		}},
 		// The repair showdown adds the rejoin barrier, heartbeat probes, and
 		// revived columns on top of the crash machinery; the same promise
 		// must hold through all of it.
 		{"churn_repair.txt", 4, func(p experiments.Params) string {
-			rs := experiments.ChurnRepair(p)
-			return fmt.Sprint(experiments.ChurnGrid(rs)) + "\n" +
-				fmt.Sprint(experiments.ChurnAvailability(rs)) + "\n" +
-				fmt.Sprint(experiments.ChurnStats(rs))
+			return renderChurn(experiments.ChurnRepair(p), true)
 		}},
 	}
 	for _, tb := range tables {
