@@ -2,9 +2,10 @@ GO ?= go
 
 .PHONY: check fmt-check vet build test race fuzz-smoke sched-smoke churn-smoke churn-crash-smoke repair-smoke bench tracker-bench-smoke bench-module figures lint-hotpath
 
-# The full CI gate: static checks, build, race-enabled tests, a short
-# fixed-seed chaos-fuzz campaign, and scheduler-evaluation smoke runs
-# (all deterministic, so safe to gate on).
+# The full CI gate, and its only definition (ci.sh runs it): static
+# checks, build, race-enabled tests, a short fixed-seed chaos-fuzz
+# campaign, and scheduler-evaluation smoke runs (all deterministic, so
+# safe to gate on).
 check: fmt-check vet build race fuzz-smoke sched-smoke churn-smoke churn-crash-smoke repair-smoke tracker-bench-smoke bench-module lint-hotpath
 
 # Formatting gate: fail on any file gofmt would rewrite.
@@ -35,34 +36,47 @@ fuzz-smoke:
 	$(GO) run ./cmd/gangsim fuzz -compare -seed 77
 	$(GO) run ./cmd/gangsim fuzz -recovery -seed 1 -runs 25
 
+# same-output runs `gangsim $(1)` twice, the second time with $(3)
+# appended, and demands byte-identical output (files named after $(2)).
+define same-output
+	$(GO) run ./cmd/gangsim $(1) > /tmp/gangfm-$(2)-a.txt
+	$(GO) run ./cmd/gangsim $(1) $(3) > /tmp/gangfm-$(2)-b.txt
+	cmp /tmp/gangfm-$(2)-a.txt /tmp/gangfm-$(2)-b.txt
+endef
+
+# Every churn leg's second run is sharded, with windows on 4 workers.
+SHARDED = -shards 4 -workers 4
+
 # Scheduler-evaluation smoke: a quick trace replay across every packing
-# policy and both credit schemes.
+# policy and both credit schemes. The tables are a pure function of the
+# seed, so the grid runs twice and must be byte-identical.
 sched-smoke:
-	$(GO) run ./cmd/gangsim sched -quick
+	$(call same-output,sched -quick,sched,)
 
 # Online-scheduling smoke: the gang-vs-batch-vs-fractional showdown under
-# live kills, resizes, and conservative backfill.
+# live kills, resizes, and conservative backfill. The grid and the full
+# decision logs are a pure function of the seed at any shards × workers.
 churn-smoke:
-	$(GO) run ./cmd/gangsim churn -quick
+	$(call same-output,churn -quick -log,churn,$(SHARDED))
 
 # Failure-aware smoke: the same showdown with fail-stop node crashes armed
-# — recovery evicts the dead nodes, the daemons requeue the killed jobs,
-# and the availability table is appended.
+# — the heartbeat detects them, recovery evicts the dead nodes, the
+# daemons requeue the killed jobs, and the availability table is
+# appended. Crash plans key every fault decision on simulation state, so
+# the sharded run must again be byte-identical, quick and full size.
 churn-crash-smoke:
-	$(GO) run ./cmd/gangsim churn -quick -crash 0.35 -adaptive
+	$(call same-output,churn -quick -crash 0.35 -adaptive -log,churn-crash,$(SHARDED))
+	$(call same-output,churn -crash 0.35 -adaptive -log,churn-crash-full,$(SHARDED))
 
 # Repair smoke: the closed failure loop — crashes detected by heartbeat,
 # repaired nodes rejoining at rotation boundaries, and the availability
 # table growing its repaired-capacity and post-repair-goodput columns. The
 # full-size stream reboots one node while another's rejoin is settling.
-# The full-size crash-only stream runs unsharded and sharded and must be
-# byte-identical. Every leg exits non-zero on a chaos-auditor violation.
+# Same promise. Every churn leg exits non-zero on a chaos-auditor
+# violation or a task-table divergence.
 repair-smoke:
-	$(GO) run ./cmd/gangsim churn -quick -crash 0.35 -repair 0.75 -adaptive
-	$(GO) run ./cmd/gangsim churn -crash 0.35 -repair 0.75 -adaptive
-	$(GO) run ./cmd/gangsim churn -crash 0.35 -adaptive -log > /tmp/churn-crash-full-a.txt
-	$(GO) run ./cmd/gangsim churn -crash 0.35 -adaptive -log -shards 4 -workers 4 > /tmp/churn-crash-full-b.txt
-	cmp /tmp/churn-crash-full-a.txt /tmp/churn-crash-full-b.txt
+	$(call same-output,churn -quick -crash 0.35 -repair 0.75 -adaptive -log,churn-repair,$(SHARDED))
+	$(call same-output,churn -crash 0.35 -repair 0.75 -adaptive -log,churn-repair-full,$(SHARDED))
 
 # Microbenchmarks with allocation reporting. BenchmarkEngineThroughput
 # must stay at 0 allocs/op (see DESIGN.md §6); BenchmarkPhaseTrackerEpoch

@@ -42,7 +42,7 @@ func runChurn(args []string, out io.Writer) int {
 	repairSeed := fs.Uint64("repair-seed", 13, "repair-sampler seed (independent of crashes and the job trace)")
 	mttr := fs.Int64("mttr", 0, "mean time to repair in cycles (0 = a quarter of the arrival span)")
 	adaptive := fs.Bool("adaptive", false, "use the EWMA-stretch backfill estimator instead of the static slots-deep one")
-	retries := fs.Int("retries", 0, "per-job requeue budget after crash-kills (0 = default of 3)")
+	retries := fs.Int("retries", 0, "per-job requeue budget after crash-kills (0 = default of 3, negative = no retries)")
 	policy := fs.String("policy", "buddy", "packing policy: first-fit|buddy|best-fit")
 	traceFile := fs.String("trace", "", "replay this trace file instead of generating one")
 	dumpTrace := fs.String("dump-trace", "", "also write the trace being evaluated to this file")
@@ -77,8 +77,15 @@ func runChurn(args []string, out io.Writer) int {
 		fmt.Fprintf(os.Stderr, "gangsim churn: -mttr %d must be non-negative\n", *mttr)
 		return 2
 	}
-	if *repair > 0 && *crash == 0 && *traceFile == "" {
+	// The repair sampler repairs only sampled crashes (a trace file's
+	// crashes carry their own repair directives), and -mttr only shapes
+	// that sampler: each flag alone would be silently ignored.
+	if *repair > 0 && *crash == 0 {
 		fmt.Fprintln(os.Stderr, "gangsim churn: -repair without -crash has nothing to repair")
+		return 2
+	}
+	if *mttr > 0 && *repair == 0 {
+		fmt.Fprintln(os.Stderr, "gangsim churn: -mttr without -repair has no repair to time")
 		return 2
 	}
 

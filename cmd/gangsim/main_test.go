@@ -207,9 +207,14 @@ func TestChurnBadFlags(t *testing.T) {
 		{"-crash", "0.5", "-repair", "-0.1"},
 		{"-crash", "0.5", "-repair", "2"},
 		{"-crash", "0.5", "-repair", "0.5", "-mttr", "-1"},
-		// A repair probability with no crash source (no -crash, no trace
-		// file) has nothing to repair — reject it rather than no-op.
+		// A repair probability with no -crash has nothing to repair — the
+		// sampler repairs only sampled crashes, even when a trace file
+		// carries its own — and -mttr without -repair times nothing:
+		// reject both rather than no-op.
 		{"-repair", "0.5"},
+		{"-trace", "t.trace", "-repair", "0.9"},
+		{"-mttr", "1000"},
+		{"-crash", "0.5", "-mttr", "1000"},
 	} {
 		var out strings.Builder
 		if code := runChurn(args, &out); code != 2 {

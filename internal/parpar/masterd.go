@@ -92,7 +92,7 @@ type Masterd struct {
 	// (To == 0 while the node is still down); a closed window is a
 	// completed rejoin. Entries survive the rejoin, so availability
 	// accounting sees the full history.
-	downs map[int][]downWindow
+	downs map[int][]DownWindow
 
 	// Pooled round records and prebuilt callbacks, so the steady-state
 	// scheduler loop allocates nothing (switch notifications and acks ride
@@ -133,7 +133,7 @@ func newMasterd(c *Cluster) *Masterd {
 		rebooted:    make([]bool, c.cfg.Nodes),
 		rejoinAsked: make([]bool, c.cfg.Nodes),
 		joining:     -1,
-		downs:       make(map[int][]downWindow),
+		downs:       make(map[int][]DownWindow),
 		targets:     make([]myrinet.JobID, c.cfg.Nodes),
 		hbArmed:     c.cfg.Recovery != nil && c.cfg.Chaos != nil && c.cfg.Chaos.Has(chaos.NodeCrash),
 	}
@@ -443,7 +443,7 @@ func (m *Masterd) evictNode(i int) {
 	if m.matrix.ColDead(i) {
 		return
 	}
-	m.downs[i] = append(m.downs[i], downWindow{From: m.c.Eng.Now()})
+	m.downs[i] = append(m.downs[i], DownWindow{From: m.c.Eng.Now()})
 	// Shrink the matrix first: killing the column is the eviction itself,
 	// and its free cells leave the capacity caches now, so any placement
 	// triggered from the kill callbacks below can no longer land on the

@@ -206,7 +206,7 @@ func TestNodeCrashEvictsAndSurvives(t *testing.T) {
 	// budget allows, and within one more probe interval (plus the reply's
 	// delivery) of it.
 	rec := cfg.Recovery
-	at, _ := c.master.FirstEvictedAt(crashed)
+	at := c.master.Downtime(crashed)[0].From
 	earliest := 10_000 + sim.Time(rec.HeartbeatMisses)*rec.HeartbeatEvery
 	if at < earliest || at > earliest+2*rec.HeartbeatEvery {
 		t.Fatalf("crashed node evicted at %d, want the heartbeat's deadline in [%d, %d]",

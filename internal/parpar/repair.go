@@ -30,14 +30,15 @@ package parpar
 
 import (
 	"fmt"
+	"slices"
 
 	"gangfm/internal/myrinet"
 	"gangfm/internal/sim"
 )
 
-// downWindow is one [From,To) downtime interval of a node; To == 0 while
+// DownWindow is one [From,To) downtime interval of a node; To == 0 while
 // the node is still down.
-type downWindow struct {
+type DownWindow struct {
 	From, To sim.Time
 }
 
@@ -275,75 +276,9 @@ func (m *Masterd) OnRejoin(fn func(node int)) {
 	m.onRejoin = append(m.onRejoin, fn)
 }
 
-// EverEvicted returns every node that has been evicted at least once —
-// including nodes that have since rejoined — in ascending order.
-func (m *Masterd) EverEvicted() []int {
-	var out []int
-	for i := range m.c.nodes {
-		if len(m.downs[i]) > 0 {
-			out = append(out, i)
-		}
-	}
-	return out
-}
-
-// FirstEvictedAt returns node i's first eviction instant; ok is false
-// when the node was never evicted. It keeps answering after the node
-// rejoins — it is the anchor for "what would downtime have been without
-// repair" accounting.
-func (m *Masterd) FirstEvictedAt(i int) (sim.Time, bool) {
-	if w := m.downs[i]; len(w) > 0 {
-		return w[0].From, true
-	}
-	return 0, false
-}
-
-// Rejoins returns how many times node i was admitted back after an
-// eviction.
-func (m *Masterd) Rejoins(i int) int {
-	n := 0
-	for _, w := range m.downs[i] {
-		if w.To != 0 {
-			n++
-		}
-	}
-	return n
-}
-
-// DowntimeIn returns how much of [from, to) node i spent evicted; a still
-// open window (the node is down now) extends through to.
-func (m *Masterd) DowntimeIn(i int, from, to sim.Time) sim.Time {
-	var total sim.Time
-	for _, w := range m.downs[i] {
-		lo, hi := w.From, w.To
-		if hi == 0 {
-			hi = to
-		}
-		if lo < from {
-			lo = from
-		}
-		if hi > to {
-			hi = to
-		}
-		if hi > lo {
-			total += hi - lo
-		}
-	}
-	return total
-}
-
-// FirstRejoinAt returns the earliest admission instant across all nodes;
-// ok is false when no node has rejoined.
-func (m *Masterd) FirstRejoinAt() (sim.Time, bool) {
-	var best sim.Time
-	ok := false
-	for i := range m.c.nodes {
-		for _, w := range m.downs[i] {
-			if w.To != 0 && (!ok || w.To < best) {
-				best = w.To
-				ok = true
-			}
-		}
-	}
-	return best, ok
+// Downtime returns node i's downtime windows, one per eviction in order:
+// each runs from the eviction to the node's readmission, and the last is
+// open (To == 0) while the node is still down. The slice is a copy.
+func (m *Masterd) Downtime(i int) []DownWindow {
+	return slices.Clone(m.downs[i])
 }

@@ -1,6 +1,7 @@
 package parpar
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
@@ -8,6 +9,18 @@ import (
 	"gangfm/internal/myrinet"
 	"gangfm/internal/sim"
 )
+
+// rejoinCount counts the readmissions in a node's downtime windows: every
+// closed window is one.
+func rejoinCount(downs []DownWindow) int {
+	n := 0
+	for _, w := range downs {
+		if w.To != 0 {
+			n++
+		}
+	}
+	return n
+}
 
 // hbConfig is recoveredConfig with a faster heartbeat than the default
 // (two misses of two quanta instead of eight of one). The interval is still
@@ -55,10 +68,11 @@ func TestHeartbeatDetectsIdleCrash(t *testing.T) {
 	if !c.master.matrix.ColDead(crashed) {
 		t.Fatal("heartbeat never declared the idle crashed node dead")
 	}
-	at, ok := c.master.FirstEvictedAt(crashed)
-	if !ok {
+	downs := c.master.Downtime(crashed)
+	if len(downs) == 0 {
 		t.Fatal("no eviction recorded")
 	}
+	at := downs[0].From
 	budget := sim.Time(cfg.Recovery.HeartbeatMisses+3) * cfg.Recovery.HeartbeatEvery
 	if at < crashAt || at > crashAt+budget {
 		t.Fatalf("detected at %d, want within (%d, %d]", at, crashAt, crashAt+budget)
@@ -107,12 +121,12 @@ func TestRepairRejoinsAndRestoresCapacity(t *testing.T) {
 	if m.matrix.ColDead(crashed) {
 		t.Fatal("repaired node still marked dead after the horizon")
 	}
-	if got := m.Rejoins(crashed); got != 1 {
-		t.Fatalf("Rejoins(%d) = %d, want 1", crashed, got)
+	downs := m.Downtime(crashed)
+	if got := rejoinCount(downs); got != 1 {
+		t.Fatalf("node %d rejoined %d times, want 1", crashed, got)
 	}
-	rj, ok := m.FirstRejoinAt()
-	if !ok || rj < repairAt {
-		t.Fatalf("first rejoin at %d (ok=%v), want after the repair instant %d", rj, ok, repairAt)
+	if rj := downs[0].To; rj < repairAt {
+		t.Fatalf("first rejoin at %d, want after the repair instant %d", rj, repairAt)
 	}
 	for i, n := range c.Nodes() {
 		if !n.Mgr.InTopology(myrinet.NodeID(crashed)) {
@@ -180,10 +194,11 @@ func TestRebootBeforeDetectionEvictsStaleIncarnation(t *testing.T) {
 		t.Fatalf("surviving job is %v, want done; auditor: %s", survivor.State(), c.Auditor().Summary())
 	}
 	m := c.master
-	if len(m.downs[crashed]) != 1 || m.Rejoins(crashed) != 1 {
-		t.Fatalf("downs=%d rejoins=%d, want one eviction and one rejoin", len(m.downs[crashed]), m.Rejoins(crashed))
+	downs := m.Downtime(crashed)
+	if len(downs) != 1 || rejoinCount(downs) != 1 {
+		t.Fatalf("downs=%d rejoins=%d, want one eviction and one rejoin", len(downs), rejoinCount(downs))
 	}
-	if at, _ := m.FirstEvictedAt(crashed); at < 300_000 {
+	if at := downs[0].From; at < 300_000 {
 		t.Fatalf("evicted at %d, want at/after the repair instant (the rejoin request is the detector)", at)
 	}
 	if !c.Auditor().Ok() {
@@ -229,8 +244,8 @@ func TestRebootDuringRejoinLearnsJoiner(t *testing.T) {
 		t.Fatalf("node %d rebooted with joining=%d, want node %d mid-admission (timing assumption broken)",
 			second, joiningAtReboot, first)
 	}
-	if m.Rejoins(first) != 1 || m.Rejoins(second) != 1 {
-		t.Fatalf("rejoins = %d/%d, want both nodes admitted once", m.Rejoins(first), m.Rejoins(second))
+	if r1, r2 := rejoinCount(m.Downtime(first)), rejoinCount(m.Downtime(second)); r1 != 1 || r2 != 1 {
+		t.Fatalf("rejoins = %d/%d, want both nodes admitted once", r1, r2)
 	}
 	for i, n := range c.Nodes() {
 		for j := range c.Nodes() {
@@ -316,7 +331,7 @@ func TestEvictAndRejoinHookOrdering(t *testing.T) {
 // the heartbeat armed) produce byte-identical injection traces, identical
 // verdicts, and identical rejoin instants.
 func TestRepairDeterminism(t *testing.T) {
-	run := func() ([]string, []chaos.Violation, sim.Time, int) {
+	run := func() ([]string, []chaos.Violation, []DownWindow) {
 		cfg := hbConfig(4)
 		cfg.Chaos = &chaos.Plan{Seed: 31, Faults: []chaos.Fault{
 			{Kind: chaos.NodeCrash, Node: 0, From: 50_000},
@@ -334,22 +349,21 @@ func TestRepairDeterminism(t *testing.T) {
 			t.Fatal(err)
 		}
 		c.RunUntil(chaosHorizon)
-		rj, _ := c.master.FirstRejoinAt()
-		return c.ChaosTrace(), c.Auditor().Violations(), rj, c.master.Rejoins(0)
+		return c.ChaosTrace(), c.Auditor().Violations(), c.master.Downtime(0)
 	}
-	t1, v1, r1, n1 := run()
-	t2, v2, r2, n2 := run()
+	t1, v1, w1 := run()
+	t2, v2, w2 := run()
 	if strings.Join(t1, "\n") != strings.Join(t2, "\n") {
 		t.Fatal("identical repair runs produced different injection traces")
 	}
 	if len(v1) != len(v2) {
 		t.Fatalf("violation counts differ: %d vs %d", len(v1), len(v2))
 	}
-	if r1 != r2 || n1 != n2 {
-		t.Fatalf("rejoin timelines differ: %d/%d vs %d/%d", r1, n1, r2, n2)
+	if !slices.Equal(w1, w2) {
+		t.Fatalf("downtime timelines differ: %v vs %v", w1, w2)
 	}
-	if n1 != 1 {
-		t.Fatalf("rejoins = %d, want 1", n1)
+	if n := rejoinCount(w1); n != 1 {
+		t.Fatalf("rejoins = %d, want 1", n)
 	}
 }
 

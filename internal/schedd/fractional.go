@@ -4,8 +4,7 @@ import (
 	"fmt"
 	"sort"
 
-	"gangfm/internal/metrics"
-	"gangfm/internal/schedeval"
+	"gangfm/internal/parpar"
 	"gangfm/internal/sim"
 )
 
@@ -27,43 +26,21 @@ import (
 //
 // so fractional sharing looks great for compute-bound mixes and decays
 // for communication-bound ones, which is exactly the trade the showdown
-// is meant to expose.
+// is meant to expose. The run is scored by score, like the daemon's.
 func Fractional(cfg Config) *Result {
 	type ftask struct {
-		idx  int
-		tj   schedeval.TraceJob
-		size int
-		cols []int
-		rem  float64 // remaining nominal work, cycles
-		cf   float64 // communication fraction of Nominal
-
-		active   bool
-		finished bool
-		killed   bool
-		resized  bool
-		dlMiss   bool
-		arrive   sim.Time
-		done     float64
-		retries  int
-		gaveup   bool
+		outcome
+		idx    int
+		cols   []int
+		rem    float64 // remaining nominal work, cycles
+		cf     float64 // communication fraction of Nominal
+		active bool
 	}
 	tasks := make([]*ftask, len(cfg.Trace))
-	var lastArrive sim.Time
-	for i := range cfg.Trace {
-		tj := cfg.Trace[i]
-		tasks[i] = &ftask{idx: i, tj: tj, size: tj.Size, arrive: tj.Arrive}
-		if tj.Arrive > lastArrive {
-			lastArrive = tj.Arrive
-		}
+	for i, tj := range cfg.Trace {
+		tasks[i] = &ftask{idx: i, outcome: outcome{tj: tj, size: tj.Size}}
 	}
-	quantum := cfg.Quantum
-	if quantum == 0 {
-		quantum = 4_000_000
-	}
-	horizon := cfg.Horizon
-	if horizon == 0 {
-		horizon = lastArrive + 10_000*quantum
-	}
+	horizon := cfg.horizon()
 
 	// The discrete churn commands, time-ordered (ties: machine events
 	// first — and a crash before a repair of the same instant — then
@@ -110,20 +87,14 @@ func Fractional(cfg Config) *Result {
 	load := make([]int, cfg.Nodes) // co-resident jobs per node
 
 	// Failure state: dead nodes leave the placement pool until (and
-	// unless) a repair brings them back. Each node's downtime is a list of
-	// [from, to) windows, to < 0 while the node is still down — the same
-	// shape the masterd keeps, so both sides of the showdown account for
-	// availability identically.
-	type fwin struct{ from, to float64 }
+	// unless) a repair brings them back. Each node's downtime windows are
+	// the masterd's type, and score reads them for every mode, so the
+	// showdown's availability accounting is one piece of code, not two
+	// kept in step.
 	deadNode := make([]bool, cfg.Nodes)
-	wins := make(map[int][]fwin)
+	downs := make([][]parpar.DownWindow, cfg.Nodes)
 	live := cfg.Nodes
-	budget := cfg.RetryBudget
-	if budget == 0 {
-		budget = 3
-	} else if budget < 0 {
-		budget = 0
-	}
+	budget := cfg.retryBudget()
 
 	// place puts a task on its size's least-loaded live nodes (ties:
 	// lowest node id — deterministic) and starts its work clock.
@@ -145,12 +116,12 @@ func Fractional(cfg Config) *Result {
 		}
 		tj := t.tj
 		tj.Size = t.size
-		wall, comm := tj.NominalParts()
+		_, comm := tj.NominalParts()
 		nominal := tj.Nominal()
 		t.rem = float64(nominal)
 		t.cf = 0
 		if nominal > 0 {
-			t.cf = float64(comm) / float64(wall+comm+100_000)
+			t.cf = float64(comm) / float64(nominal)
 		}
 		t.active = true
 		log.Add(sim.Time(now), VerbPlace, "job=%d size=%d col0=%d", t.idx, t.size, t.cols[0])
@@ -269,7 +240,7 @@ func Fractional(cfg Config) *Result {
 				break
 			}
 			deadNode[ev.node] = true
-			wins[ev.node] = append(wins[ev.node], fwin{from: float64(ev.t), to: -1})
+			downs[ev.node] = append(downs[ev.node], parpar.DownWindow{From: ev.t})
 			live--
 			log.Add(ev.t, VerbNodeDead, "node=%d live=%d", ev.node, live)
 			// Fractional sharing pays realistic failure costs too: jobs on
@@ -312,151 +283,27 @@ func Fractional(cfg Config) *Result {
 			// flight keep their columns — the PS pool never migrates).
 			// Jobs already given up stay given up, like the daemon's.
 			deadNode[ev.node] = false
-			w := wins[ev.node]
-			w[len(w)-1].to = float64(ev.t)
+			w := downs[ev.node]
+			w[len(w)-1].To = ev.t
 			live++
 			log.Add(ev.t, VerbNodeRepair, "node=%d live=%d", ev.node, live)
 		}
 	}
 	advanceTo(float64(horizon))
 
-	r := &Result{Mode: "fractional", Jobs: len(tasks), Log: log}
-	bound := float64(cfg.SlowdownBound)
-	if bound <= 0 {
-		bound = 1
+	jobs := make([]*outcome, len(tasks))
+	for i, t := range tasks {
+		jobs[i] = &t.outcome
 	}
-	firstRejoin := 0.0
-	anyRejoin := false
-	for n := 0; n < cfg.Nodes; n++ {
-		for _, w := range wins[n] {
-			if w.to >= 0 && (!anyRejoin || w.to < firstRejoin) {
-				firstRejoin, anyRejoin = w.to, true
-			}
-		}
-	}
-	var responses, slowdowns []float64
-	var usefulWork, postWork, lastEnd float64
-	firstArrive := float64(tasks[0].arrive)
-	censored := 0
-	for _, t := range tasks {
-		if float64(t.arrive) < firstArrive {
-			firstArrive = float64(t.arrive)
-		}
-		switch {
-		case t.finished:
-			r.Finished++
-			resp := t.done - float64(t.arrive)
-			responses = append(responses, resp)
-			tj := t.tj
-			tj.Size = t.size
-			nominal := float64(tj.Nominal())
-			slowdowns = append(slowdowns, metrics.BoundedSlowdown(resp, nominal, bound))
-			usefulWork += float64(t.size) * nominal
-			if anyRejoin && t.done >= firstRejoin {
-				postWork += float64(t.size) * nominal
-			}
-			if t.done > lastEnd {
-				lastEnd = t.done
-			}
-		case t.killed:
-			r.Killed++
-			if t.done > lastEnd {
-				lastEnd = t.done
-			}
-		case t.gaveup:
-			r.Evicted++
-			r.GaveUp++
-			if t.done > lastEnd {
-				lastEnd = t.done
-			}
-		default:
-			r.Censored++
-			censored++
-			if t.tj.Deadline != 0 && horizon > t.tj.Deadline {
-				t.dlMiss = true
-			}
-			lastEnd = float64(horizon)
-		}
-		if t.resized {
-			r.Resized++
-		}
-		if t.dlMiss {
-			r.DlMiss++
-		}
-		if t.retries > 0 {
-			r.RequeuedJobs++
-			r.Requeues += t.retries
-		}
-	}
+	r := score(cfg, jobs, downs)
+	r.Mode = "fractional"
+	r.Log = log
 	downNow := 0
-	for n := 0; n < cfg.Nodes; n++ {
-		if deadNode[n] {
+	for _, dead := range deadNode {
+		if dead {
 			downNow++
 		}
 	}
-	log.Add(horizon, VerbHorizon, "censored=%d cache_ok=true nodes_evicted=%d", censored, downNow)
-	r.MeanResponse = metrics.Mean(responses)
-	r.MeanSlowdown = metrics.Mean(slowdowns)
-	r.MaxSlowdown = metrics.Max(slowdowns)
-	span := lastEnd - firstArrive
-	r.Repairs = len(cfg.Repairs)
-	var lostCap, lostNoRepair float64
-	for n := 0; n < cfg.Nodes; n++ {
-		ws := wins[n]
-		if len(ws) == 0 {
-			continue
-		}
-		r.NodesLost++
-		if first := ws[0].from; first < lastEnd {
-			lostNoRepair += lastEnd - first
-		}
-		rejoined := false
-		for _, w := range ws {
-			if w.to >= 0 {
-				rejoined = true
-			}
-			lo, hi := w.from, w.to
-			if hi < 0 || hi > lastEnd {
-				hi = lastEnd
-			}
-			if hi > lo {
-				lostCap += hi - lo
-			}
-		}
-		if rejoined {
-			r.NodesRepaired++
-		}
-	}
-	if span > 0 {
-		total := float64(cfg.Nodes) * span
-		r.Utilization = usefulWork / total
-		r.CapacityLost = lostCap / total
-		if surviving := total - lostCap; surviving > 0 {
-			r.Goodput = usefulWork / surviving
-		}
-	}
-	if lostNoRepair > 0 {
-		r.CapacityRepaired = (lostNoRepair - lostCap) / lostNoRepair
-	}
-	if anyRejoin && lastEnd > firstRejoin {
-		postTotal := float64(cfg.Nodes) * (lastEnd - firstRejoin)
-		for n := 0; n < cfg.Nodes; n++ {
-			for _, w := range wins[n] {
-				lo, hi := w.from, w.to
-				if hi < 0 || hi > lastEnd {
-					hi = lastEnd
-				}
-				if lo < firstRejoin {
-					lo = firstRejoin
-				}
-				if hi > lo {
-					postTotal -= hi - lo
-				}
-			}
-		}
-		if postTotal > 0 {
-			r.PostRepairGoodput = postWork / postTotal
-		}
-	}
+	log.Add(horizon, VerbHorizon, "censored=%d cache_ok=true nodes_evicted=%d", r.Censored, downNow)
 	return r
 }

@@ -26,7 +26,6 @@ import (
 	"gangfm/internal/core"
 	"gangfm/internal/fm"
 	"gangfm/internal/gang"
-	"gangfm/internal/metrics"
 	"gangfm/internal/myrinet"
 	"gangfm/internal/parpar"
 	"gangfm/internal/schedeval"
@@ -101,37 +100,27 @@ func DefaultConfig(nodes int) Config {
 	}
 }
 
-// task is the daemon's view of one trace job across its incarnations.
+// task is the daemon's view of one trace job across its incarnations:
+// its outcome (size is the current incarnation's, changing on resize)
+// plus the live state of the current incarnation.
 type task struct {
-	idx  int
-	tj   schedeval.TraceJob
-	size int // current incarnation size (changes on resize)
-	job  *parpar.Job
+	outcome
+	idx int
+	job *parpar.Job
 
 	queued   bool // waiting in the admission queue
 	placed   bool
 	placedAt sim.Time
 	est      sim.Time // estimated completion time while running
 
-	finished bool
-	done     sim.Time
-	killed   bool // daemon-initiated kill (trace kill= directive)
-	resized  bool // at least one resize happened
 	killing  bool // kill in progress (distinguishes from eviction)
 	resizing bool // resize kill in progress
-	evicted  bool // chaos eviction killed it for good (no retries left)
-	backfill bool // admitted by backfill, out of queue order
-	dlMiss   bool // finished after its deadline (or censored with one)
 
-	// Requeue state (failure-aware scheduling): retries counts the
-	// crash-kill resubmissions so far, pending marks a requeue scheduled
-	// but not yet fired (its backoff window), crashAt stamps the kill that
-	// the next placement's time-to-requeue is measured from, and gaveup
-	// marks a terminal eviction the daemon explicitly abandoned.
-	retries int
+	// Requeue state (failure-aware scheduling): pending marks a requeue
+	// scheduled but not yet fired (its backoff window), and crashAt stamps
+	// the kill that the next placement's time-to-requeue is measured from.
 	pending bool
 	crashAt sim.Time
-	gaveup  bool
 }
 
 // Daemon is the online scheduler.
@@ -236,17 +225,11 @@ func New(cfg Config) (*Daemon, error) {
 	if err != nil {
 		return nil, err
 	}
-	budget := cfg.RetryBudget
-	if budget == 0 {
-		budget = 3
-	} else if budget < 0 {
-		budget = 0
-	}
 	d := &Daemon{
 		cfg:      cfg,
 		cluster:  cluster,
 		log:      NewLog(),
-		budget:   budget,
+		budget:   cfg.retryBudget(),
 		backoff:  pcfg.Quantum,
 		adaptive: cfg.AdaptiveEstimate,
 	}
@@ -273,23 +256,10 @@ func (d *Daemon) Run() error {
 	if d.tasks != nil {
 		return fmt.Errorf("schedd: Run called twice")
 	}
-	var lastArrive sim.Time
-	for i := range d.cfg.Trace {
-		tj := d.cfg.Trace[i]
-		if tj.Arrive > lastArrive {
-			lastArrive = tj.Arrive
-		}
-		t := &task{idx: i, tj: tj, size: tj.Size}
-		d.tasks = append(d.tasks, t)
+	for i, tj := range d.cfg.Trace {
+		d.tasks = append(d.tasks, &task{idx: i, outcome: outcome{tj: tj, size: tj.Size}})
 	}
-	d.horizon = d.cfg.Horizon
-	if d.horizon == 0 {
-		q := d.cfg.Quantum
-		if q == 0 {
-			q = 4_000_000
-		}
-		d.horizon = lastArrive + 10_000*q
-	}
+	d.horizon = d.cfg.horizon()
 	eng := d.cluster.Eng
 	// Command events, all on the global lane. Arrival ties are broken by
 	// trace order because ScheduleAt is FIFO per timestamp.
@@ -394,19 +364,19 @@ func (d *Daemon) submit(t *task) {
 func (d *Daemon) kill(t *task) {
 	now := d.cluster.Eng.Now()
 	switch {
-	case t.finished || t.killed || t.evicted:
+	case t.finished || t.killed || t.gaveup:
 		d.log.Add(now, VerbKillLate, "job=%d", t.idx)
 	case t.pending:
 		// Crash-killed, waiting out its requeue backoff: cancel the
 		// pending resubmission and retire the task.
 		t.pending = false
 		t.killed = true
-		t.done = now
+		t.done = float64(now)
 		d.log.Add(now, VerbKill, "job=%d pending=true", t.idx)
 	case t.queued:
 		d.dequeue(t)
 		t.killed = true
-		t.done = now
+		t.done = float64(now)
 		d.log.Add(now, VerbKill, "job=%d queued=true", t.idx)
 	case t.job != nil:
 		t.killing = true
@@ -416,7 +386,7 @@ func (d *Daemon) kill(t *task) {
 		t.killing = false
 		t.killed = true
 		t.job = nil
-		t.done = now
+		t.done = float64(now)
 		d.log.Add(now, VerbKill, "job=%d", t.idx)
 		d.reclaim()
 	}
@@ -429,7 +399,7 @@ func (d *Daemon) resize(t *task) {
 	now := d.cluster.Eng.Now()
 	to := t.tj.ResizeTo
 	switch {
-	case t.finished || t.killed || t.evicted:
+	case t.finished || t.killed || t.gaveup:
 		d.log.Add(now, VerbResizeLate, "job=%d", t.idx)
 		return
 	case t.pending:
@@ -505,11 +475,10 @@ func (d *Daemon) onNodeRepaired(node int) {
 // giveUp retires a task the daemon abandons: it counts as a terminal
 // eviction, reported in its own gaveup row, never folded into the means.
 func (d *Daemon) giveUp(t *task, now sim.Time, detail string) {
-	t.evicted = true
 	t.gaveup = true
 	t.pending = false
 	t.queued = false
-	t.done = now
+	t.done = float64(now)
 	d.log.Add(now, VerbGaveup, "job=%d %s", t.idx, detail)
 }
 
@@ -645,15 +614,9 @@ func (d *Daemon) onDone(t *task, j *parpar.Job) {
 		live := d.cluster.Master().Matrix().LiveCols()
 		switch {
 		case t.retries >= d.budget:
-			t.evicted = true
-			t.gaveup = true
-			t.done = now
-			d.log.Add(now, VerbGaveup, "job=%d reason=budget retries=%d", t.idx, t.retries)
+			d.giveUp(t, now, fmt.Sprintf("reason=budget retries=%d", t.retries))
 		case t.size > live:
-			t.evicted = true
-			t.gaveup = true
-			t.done = now
-			d.log.Add(now, VerbGaveup, "job=%d reason=capacity size=%d live=%d", t.idx, t.size, live)
+			d.giveUp(t, now, fmt.Sprintf("reason=capacity size=%d live=%d", t.size, live))
 		default:
 			t.retries++
 			t.pending = true
@@ -667,7 +630,7 @@ func (d *Daemon) onDone(t *task, j *parpar.Job) {
 	}
 	d.observe(t, now)
 	t.finished = true
-	t.done = now
+	t.done = float64(now)
 	if t.tj.Deadline != 0 && now > t.tj.Deadline {
 		t.dlMiss = true
 		d.log.Add(now, VerbDone, "job=%d deadline_miss=true", t.idx)
@@ -682,11 +645,8 @@ func (d *Daemon) onDone(t *task, j *parpar.Job) {
 func (d *Daemon) finishLog() {
 	censored := 0
 	for _, t := range d.tasks {
-		if !t.finished && !t.killed && !t.evicted {
+		if !t.finished && !t.killed && !t.gaveup {
 			censored++
-			if t.tj.Deadline != 0 && d.horizon > t.tj.Deadline {
-				t.dlMiss = true
-			}
 		}
 	}
 	bad := d.Audit()
@@ -727,7 +687,7 @@ func (d *Daemon) Audit() []string {
 
 // Result aggregates a finished run for the comparison grid.
 type Result struct {
-	Mode string // "gang" or "batch"
+	Mode string // "gang", "batch" or "fractional"
 
 	Jobs     int
 	Finished int
@@ -784,124 +744,26 @@ type Result struct {
 	Events uint64
 }
 
-// Result computes the run's aggregate metrics. Response and slowdown are
-// computed over finished jobs only; killed, evicted, and censored jobs
-// are reported in their own columns, not folded into the means (that is
-// the censoring-transparency rule schedeval's summary also follows).
+// Result scores the run (see score) and adds what only the daemon knows:
+// migrations, time to requeue, the auditor's verdict and the event count.
 func (d *Daemon) Result(mode string) *Result {
-	r := &Result{
-		Mode:       mode,
-		Jobs:       len(d.tasks),
-		Violations: d.cluster.Auditor().Count(),
-		Log:        d.log,
-		Events:     d.cluster.Fired(),
-	}
-	bound := float64(d.cfg.SlowdownBound)
-	if bound <= 0 {
-		bound = 1
-	}
-	master := d.cluster.Master()
-	firstRejoin, anyRejoin := master.FirstRejoinAt()
-	var responses, slowdowns []float64
-	var usefulWork, postWork float64
-	var firstArrive, lastEnd sim.Time
+	jobs := make([]*outcome, len(d.tasks))
 	for i, t := range d.tasks {
-		if i == 0 || t.tj.Arrive < firstArrive {
-			firstArrive = t.tj.Arrive
-		}
-		switch {
-		case t.finished:
-			r.Finished++
-			resp := float64(t.done - t.tj.Arrive)
-			responses = append(responses, resp)
-			tj := t.tj
-			tj.Size = t.size
-			nominal := tj.Nominal()
-			slowdowns = append(slowdowns, metrics.BoundedSlowdown(resp, float64(nominal), bound))
-			usefulWork += float64(t.size) * float64(nominal)
-			if anyRejoin && t.done >= firstRejoin {
-				postWork += float64(t.size) * float64(nominal)
-			}
-			if t.done > lastEnd {
-				lastEnd = t.done
-			}
-		case t.killed:
-			r.Killed++
-			if t.done > lastEnd {
-				lastEnd = t.done
-			}
-		case t.evicted:
-			r.Evicted++
-			if t.done > lastEnd {
-				lastEnd = t.done
-			}
-		default:
-			r.Censored++
-			if d.horizon > lastEnd {
-				lastEnd = d.horizon
-			}
-		}
-		if t.resized {
-			r.Resized++
-		}
-		if t.dlMiss {
-			r.DlMiss++
-		}
-		if t.backfill {
-			r.Backfills++
-		}
-		if t.retries > 0 {
-			r.RequeuedJobs++
-			r.Requeues += t.retries
-		}
-		if t.gaveup {
-			r.GaveUp++
-		}
+		jobs[i] = &t.outcome
 	}
+	downs := make([][]parpar.DownWindow, d.cfg.Nodes)
+	for i := range downs {
+		downs[i] = d.cluster.Master().Downtime(i)
+	}
+	r := score(d.cfg, jobs, downs)
+	r.Mode = mode
 	r.Migrations = d.log.Sum(VerbCompact, "moved")
-	r.MeanResponse = metrics.Mean(responses)
-	r.MeanSlowdown = metrics.Mean(slowdowns)
-	r.MaxSlowdown = metrics.Max(slowdowns)
 	if d.requeueN > 0 {
 		r.MeanRequeue = float64(d.requeueSum) / float64(d.requeueN)
 	}
-	span := lastEnd - firstArrive
-	r.Repairs = len(d.cfg.Repairs)
-	var lost, lostNoRepair float64
-	for _, n := range master.EverEvicted() {
-		r.NodesLost++
-		if master.Rejoins(n) > 0 {
-			r.NodesRepaired++
-		}
-		// Actual downtime versus the no-repair counterfactual (the node
-		// stays down from its first eviction); on repair-free runs the two
-		// are equal and this reduces to the old "lost from eviction to the
-		// end" formula.
-		lost += float64(master.DowntimeIn(n, 0, lastEnd))
-		if at, ok := master.FirstEvictedAt(n); ok && at < lastEnd {
-			lostNoRepair += float64(lastEnd - at)
-		}
-	}
-	if span > 0 {
-		total := float64(d.cfg.Nodes) * float64(span)
-		r.Utilization = usefulWork / total
-		r.CapacityLost = lost / total
-		if surviving := total - lost; surviving > 0 {
-			r.Goodput = usefulWork / surviving
-		}
-	}
-	if lostNoRepair > 0 {
-		r.CapacityRepaired = (lostNoRepair - lost) / lostNoRepair
-	}
-	if anyRejoin && lastEnd > firstRejoin {
-		postTotal := float64(d.cfg.Nodes) * float64(lastEnd-firstRejoin)
-		for _, n := range master.EverEvicted() {
-			postTotal -= float64(master.DowntimeIn(n, firstRejoin, lastEnd))
-		}
-		if postTotal > 0 {
-			r.PostRepairGoodput = postWork / postTotal
-		}
-	}
+	r.Violations = d.cluster.Auditor().Count()
+	r.Log = d.log
+	r.Events = d.cluster.Fired()
 	return r
 }
 
