@@ -1,12 +1,13 @@
 GO ?= go
 
-.PHONY: check fmt-check vet build test race fuzz-smoke sched-smoke churn-smoke churn-crash-smoke repair-smoke bench tracker-bench-smoke bench-module figures lint-hotpath
+.PHONY: check fmt-check vet build test race fuzz-smoke fuzz-native sched-smoke churn-smoke churn-crash-smoke repair-smoke bench tracker-bench-smoke bench-module figures lint-hotpath
 
 # The full CI gate, and its only definition (ci.sh runs it): static
 # checks, build, race-enabled tests, a short fixed-seed chaos-fuzz
-# campaign, and scheduler-evaluation smoke runs (all deterministic, so
-# safe to gate on).
-check: fmt-check vet build race fuzz-smoke sched-smoke churn-smoke churn-crash-smoke repair-smoke tracker-bench-smoke bench-module lint-hotpath
+# campaign, a time-boxed parser fuzz, and scheduler-evaluation smoke runs
+# (all but the parser fuzz deterministic; it gates on a property, not an
+# output).
+check: fmt-check vet build race fuzz-smoke fuzz-native sched-smoke churn-smoke churn-crash-smoke repair-smoke tracker-bench-smoke bench-module lint-hotpath
 
 # Formatting gate: fail on any file gofmt would rewrite.
 fmt-check:
@@ -35,6 +36,13 @@ fuzz-smoke:
 	$(GO) run ./cmd/gangsim fuzz -seed 1 -runs 5
 	$(GO) run ./cmd/gangsim fuzz -compare -seed 77
 	$(GO) run ./cmd/gangsim fuzz -recovery -seed 1 -runs 25
+
+# Coverage-guided fuzzing of the trace parser, time-boxed: malformed input
+# must error without panicking, and accepted input must round-trip
+# through the formatter. A failing input is saved under the package's
+# testdata/fuzz and replays in every later `go test`.
+fuzz-native:
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceFull$$' -fuzztime 10s ./internal/schedeval
 
 # same-output runs `gangsim $(1)` twice, the second time with $(3)
 # appended, and demands byte-identical output (files named after $(2)).

@@ -13,7 +13,7 @@
 //
 //	internal/sim         deterministic discrete-event kernel (cycles of a 200 MHz P6)
 //	internal/memmodel    memory cost model (host copies, write-combining, DMA)
-//	internal/myrinet     the Myrinet fabric: FIFO routes, serialized ports, injector seam
+//	internal/myrinet     the Myrinet fabric: FIFO routes, serialized ports, injector and observation seams
 //	internal/lanai       the LANai card: contexts, send scanner, receive DMA, flush protocol
 //	internal/fm          the FM library: fragmentation, credits, refills, host cost model
 //	internal/core        glueFM (Table 1 API) and the buffer-switching context switch
@@ -23,6 +23,8 @@
 //	internal/altsched    related-work alternatives (SHARE-style discard, PM-style flush)
 //	internal/chaos       fault injection + invariant auditing (and chaos/fuzzer)
 //	internal/schedeval   trace-driven scheduler evaluation (job streams, per-job slowdown)
+//	internal/schedd      online scheduler daemon: kills, resizes, backfill, crash requeue, gang/batch/fractional modes
+//	internal/metrics     series collection and table formatting for the harness
 //	internal/experiments the figure/table regenerators
 //
 // # Quick start

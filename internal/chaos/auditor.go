@@ -36,21 +36,33 @@ type Check func(now sim.Time, report func(invariant, detail string))
 // signal.
 const violationCap = 200
 
-// Auditor is the central invariant registry: hook points all over the
-// stack report violations here, and registered checks run periodically
-// (the cluster schedules them every quantum). Every report carries the
-// replay seed so a failure message alone suffices to reproduce the run.
+// Auditor is the central invariant registry: it subscribes to the
+// network's event list (see Observe), where the stack's node-side checks
+// report violations and every packet death is posted, and registered
+// checks run periodically (the cluster schedules them every quantum).
+// Every report carries the replay seed so a failure message alone
+// suffices to reproduce the run.
+//
+// The auditor also keeps the credit ledger: the flow-control credits the
+// network destroys. FM has no retransmission: when a Data packet is lost,
+// one credit of the src→dst pool and its piggybacked refill (Credits of
+// the dst→src pool) vanish; a lost Refill destroys its carried credits.
+// The ledger gives the credit-conservation check the ground truth to
+// distinguish a loss-induced stall (a violation of FM's reliable-SAN
+// assumption) from a legitimately exhausted window.
 type Auditor struct {
 	eng  *sim.Engine
 	seed uint64
 
-	// mu guards the report state: node-side hooks (see Reporter) fire from
+	// mu guards the report state and the ledger: events fire from
 	// concurrent shard workers when the cluster runs on a shard group,
 	// while the periodic checks run on the group's global lane.
-	mu      sync.Mutex
-	checks  []Check
-	found   map[string]*found
-	nextSeq map[int]uint64
+	mu        sync.Mutex
+	checks    []Check
+	found     map[string]*found
+	nextSeq   map[int]uint64
+	destroyed map[myrinet.JobID]int
+	drops     map[myrinet.JobID]int
 
 	// reportFn is the bound Report method, built once: RunChecks runs every
 	// quantum, and evaluating the method value there would allocate a
@@ -76,7 +88,8 @@ func (f *found) compare(g *found) int {
 // (the fault plan's seed, or the cluster seed when no plan is installed).
 // eng is the lane the periodic checks and Report run on.
 func NewAuditor(eng *sim.Engine, seed uint64) *Auditor {
-	a := &Auditor{eng: eng, seed: seed, found: make(map[string]*found), nextSeq: make(map[int]uint64)}
+	a := &Auditor{eng: eng, seed: seed, found: make(map[string]*found), nextSeq: make(map[int]uint64),
+		destroyed: make(map[myrinet.JobID]int), drops: make(map[myrinet.JobID]int)}
 	a.reportFn = a.Report
 	return a
 }
@@ -100,10 +113,28 @@ func (a *Auditor) Report(invariant, detail string) {
 	a.report(-1, a.eng.Now(), invariant, detail)
 }
 
-// Reporter returns the report hook for one node's stack, stamping each
-// violation with the clock of eng, the lane that owns the node.
-func (a *Auditor) Reporter(node int, eng *sim.Engine) func(invariant, detail string) {
-	return func(invariant, detail string) { a.report(node, eng.Now(), invariant, detail) }
+// Observe is the auditor's subscription to the network's event list. A
+// Violation is recorded under its node and the node lane's clock; a Drop
+// of a Data or Refill packet goes to the credit ledger (control packets
+// carry no credits). Every other kind returns before taking the lock.
+func (a *Auditor) Observe(e myrinet.Event) {
+	switch e.Kind {
+	case myrinet.Violation:
+		a.report(int(e.Node), e.Time, e.Invariant, e.Detail)
+	case myrinet.Drop:
+		credits := e.Pkt.Credits
+		switch e.Pkt.Type {
+		case myrinet.Data:
+			credits++
+		case myrinet.Refill:
+		default:
+			return
+		}
+		a.mu.Lock()
+		a.destroyed[e.Pkt.Job] += credits
+		a.drops[e.Pkt.Job]++
+		a.mu.Unlock()
+	}
 }
 
 // report records a violation. Duplicate (invariant, detail) pairs are
@@ -156,9 +187,7 @@ func (a *Auditor) Violations() []Violation {
 // fuzz run prints.
 func (a *Auditor) Summary() string {
 	vs := a.Violations()
-	a.mu.Lock()
-	dropped := len(a.found) - len(vs)
-	a.mu.Unlock()
+	dropped := a.Count() - len(vs)
 	if len(vs) == 0 {
 		return fmt.Sprintf("ok: no invariant violations (seed %d)", a.seed)
 	}
@@ -173,54 +202,17 @@ func (a *Auditor) Summary() string {
 	return b.String()
 }
 
-// CreditLedger tracks the flow-control credits the network destroys. FM
-// has no retransmission: when a Data packet is lost, one credit of the
-// src→dst pool and its piggybacked refill (Credits of the dst→src pool)
-// vanish; a lost Refill destroys its carried credits. The ledger gives
-// the credit-conservation auditor the ground truth to distinguish a
-// loss-induced stall (a violation of FM's reliable-SAN assumption) from a
-// legitimately exhausted window.
-type CreditLedger struct {
-	// mu guards the maps: drop hooks fire from whichever shard worker owns
-	// the dropping node when the cluster runs on a shard group.
-	mu        sync.Mutex
-	destroyed map[myrinet.JobID]int
-	drops     map[myrinet.JobID]int
-}
-
-// NewCreditLedger builds an empty ledger.
-func NewCreditLedger() *CreditLedger {
-	return &CreditLedger{
-		destroyed: make(map[myrinet.JobID]int),
-		drops:     make(map[myrinet.JobID]int),
-	}
-}
-
-// RecordDrop accounts one dropped packet (network loss or card-level
-// discard). Control packets carry no credits and are ignored.
-func (l *CreditLedger) RecordDrop(p *myrinet.Packet) {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	switch p.Type {
-	case myrinet.Data:
-		l.destroyed[p.Job] += 1 + p.Credits
-		l.drops[p.Job]++
-	case myrinet.Refill:
-		l.destroyed[p.Job] += p.Credits
-		l.drops[p.Job]++
-	}
-}
-
 // Destroyed returns how many credits the job has irrecoverably lost.
-func (l *CreditLedger) Destroyed(job myrinet.JobID) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.destroyed[job]
+func (a *Auditor) Destroyed(job myrinet.JobID) int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.destroyed[job]
 }
 
-// Drops returns how many of the job's packets were dropped.
-func (l *CreditLedger) Drops(job myrinet.JobID) int {
-	l.mu.Lock()
-	defer l.mu.Unlock()
-	return l.drops[job]
+// Drops returns how many of the job's Data and Refill packets were
+// dropped.
+func (a *Auditor) Drops(job myrinet.JobID) int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.drops[job]
 }

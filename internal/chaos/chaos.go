@@ -15,9 +15,10 @@
 //     (not of the order events arrive in), recording a replayable trace.
 //     The same seed and plan always produce byte-identical traces, on one
 //     engine or on a sharded group at any worker count.
-//   - An Auditor collects invariant-violation reports from hook points in
-//     fm, lanai, core, gang and parpar, optionally failing fast, and
-//     always carrying the seed needed to replay the run.
+//   - An Auditor subscribes to the network's event list (myrinet.Event),
+//     where lanai and core report violations and every packet death
+//     feeds its credit ledger, runs periodic checks over fm, gang and
+//     parpar state, and carries the seed needed to replay the run.
 //
 // The package depends only on internal/sim and internal/myrinet so every
 // higher layer (parpar, altsched, the fuzzer) can import it freely.

@@ -215,6 +215,37 @@ func TestAuditorDedupeAndSummary(t *testing.T) {
 	}
 }
 
+// TestAuditorCreditLedger: a dropped Data packet destroys its own credit
+// plus its piggybacked refill, a dropped Refill its carried credits, and a
+// dropped control packet nothing; the other event kinds leave the ledger
+// and the violation list alone.
+func TestAuditorCreditLedger(t *testing.T) {
+	a := NewAuditor(sim.NewEngine(), 1)
+	drop := func(typ myrinet.PacketType, job myrinet.JobID, credits int) {
+		a.Observe(myrinet.Event{Kind: myrinet.Drop, Node: 1, Job: job,
+			Pkt: &myrinet.Packet{Type: typ, Job: job, Credits: credits}})
+	}
+	drop(myrinet.Data, 1, 3)
+	drop(myrinet.Refill, 1, 5)
+	drop(myrinet.Halt, 1, 0)
+	drop(myrinet.Data, 2, 0)
+	for _, k := range []myrinet.EventKind{myrinet.Flushed, myrinet.Evict, myrinet.Rejoin} {
+		a.Observe(myrinet.Event{Kind: k, Node: 1, Job: 1})
+	}
+	if got := a.Destroyed(1); got != 1+3+5 {
+		t.Errorf("job 1 destroyed %d credits, want 9", got)
+	}
+	if got := a.Drops(1); got != 2 {
+		t.Errorf("job 1 drops = %d, want 2 (the halt carries no credits)", got)
+	}
+	if a.Destroyed(2) != 1 || a.Drops(2) != 1 {
+		t.Errorf("job 2: destroyed %d drops %d, want 1 and 1", a.Destroyed(2), a.Drops(2))
+	}
+	if !a.Ok() {
+		t.Errorf("non-violation events recorded violations: %s", a.Summary())
+	}
+}
+
 // TestAuditorOrderIndependent: violations are stamped with the reporting
 // lane's clock and returned in (time, source, per-source) order, and a
 // duplicate keeps its earliest report — so the list does not depend on how
@@ -226,13 +257,18 @@ func TestAuditorOrderIndependent(t *testing.T) {
 		lane0.RunUntil(100)
 		lane1.RunUntil(50)
 		a := NewAuditor(global, 1)
-		r0, r1 := a.Reporter(0, lane0), a.Reporter(1, lane1)
+		// report posts a violation as the node's card or manager does: on
+		// the node's lane, stamped with that lane's clock.
+		report := func(node myrinet.NodeID, lane *sim.Engine, invariant, detail string) {
+			a.Observe(myrinet.Event{Kind: myrinet.Violation, Time: lane.Now(), Node: node,
+				Invariant: invariant, Detail: detail})
+		}
 		sources := []func(){
 			func() { a.Report("flush-stall", "round 3 stuck") },
-			func() { r0("store-integrity", "job 1 digest mismatch") },
+			func() { report(0, lane0, "store-integrity", "job 1 digest mismatch") },
 			func() {
-				r1("flush-order", "node 1 released early")
-				r1("store-integrity", "job 1 digest mismatch")
+				report(1, lane1, "flush-order", "node 1 released early")
+				report(1, lane1, "store-integrity", "job 1 digest mismatch")
 			},
 		}
 		if lanesFirst {

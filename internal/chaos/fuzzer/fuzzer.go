@@ -661,7 +661,7 @@ func CompareLoss(seed uint64, prob float64) StallComparison {
 			cmp.FMStalled = true
 		}
 	}
-	cmp.FMDestroyed = c.Ledger().Destroyed(1)
+	cmp.FMDestroyed = c.Auditor().Destroyed(1)
 
 	// Alternative side: the same plan kind on the go-back-N transport.
 	altCfg := altsched.DefaultClusterConfig(1)

@@ -208,24 +208,10 @@ type Manager struct {
 	copyDoneFn    func()
 	releaseDoneFn func()
 
-	// OnPreCopy, when set, is invoked at the start of every stage-2
-	// buffer copy, after the flush completed and before any queue is
-	// touched — the point where the protocol guarantees the outgoing
-	// job has nothing in flight. Tests assert that invariant here.
-	OnPreCopy func(from, to myrinet.JobID)
 	// OnStore, when set, observes a job's queues right after they are
 	// saved to the backing store (and after the integrity digest is
 	// taken). The chaos layer's StoreCorrupt fault mutates them here.
 	OnStore func(job myrinet.JobID, send, recv []*myrinet.Packet)
-	// Audit, when set, receives invariant-violation reports (backing
-	// store digest mismatches).
-	Audit func(invariant, detail string)
-}
-
-func (m *Manager) audit(invariant, detail string) {
-	if m.Audit != nil {
-		m.Audit(invariant, detail)
-	}
 }
 
 // NewManager builds a manager; call InitNode before use (the split mirrors
@@ -396,9 +382,9 @@ func (m *Manager) EndJob(job myrinet.JobID) error {
 func (m *Manager) bind(pr *proc) {
 	if pr.store.stored {
 		if got := queueDigest(pr.store.send, pr.store.recv); got != pr.store.digest {
-			m.audit("store-integrity", fmt.Sprintf(
-				"node %d job %d backing store digest %#x, saved %#x — queues corrupted while paged out",
-				m.nic.Node(), pr.job, got, pr.store.digest))
+			m.nic.Emit(myrinet.Event{Kind: myrinet.Violation, Job: pr.job, Invariant: "store-integrity",
+				Detail: fmt.Sprintf("node %d job %d backing store digest %#x, saved %#x — queues corrupted while paged out",
+					m.nic.Node(), pr.job, got, pr.store.digest)})
 		}
 		pr.store.stored = false
 	}
@@ -486,9 +472,7 @@ func (m *Manager) haltDone() {
 	m.sw.stats.Halt = m.eng.Now() - m.sw.t0
 	m.sw.t1 = m.eng.Now()
 	st := &m.sw.stats
-	if m.OnPreCopy != nil {
-		m.OnPreCopy(st.From, st.To)
-	}
+	m.nic.Emit(myrinet.Event{Kind: myrinet.Flushed, Job: st.From})
 	st.ValidSend = m.hwCtx.SendQ.Len()
 	st.ValidRecv = m.hwCtx.RecvQ.Len()
 	if m.current == m.sw.next {

@@ -543,6 +543,11 @@ func TestBackingStoreDigestDetectsCorruption(t *testing.T) {
 		c.addJob(t, 1)
 		c.addJob(t, 2)
 		var violations []string
+		c.net.SetObserver(func(e myrinet.Event) {
+			if e.Kind == myrinet.Violation {
+				violations = append(violations, e.Invariant)
+			}
+		})
 		for i, mgr := range c.mgrs {
 			if corrupt && i == 0 {
 				mgr.OnStore = func(job myrinet.JobID, send, recv []*myrinet.Packet) {
@@ -550,9 +555,6 @@ func TestBackingStoreDigestDetectsCorruption(t *testing.T) {
 						recv[0].Seq ^= 0xDEAD
 					}
 				}
-			}
-			mgr.Audit = func(inv, detail string) {
-				violations = append(violations, inv)
 			}
 		}
 		c.switchAll(t, 1, 1, 0)

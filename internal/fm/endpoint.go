@@ -592,9 +592,9 @@ func (e *Endpoint) C0() int { return e.cfg.C0 }
 
 // Stalled reports whether the endpoint is head-of-line blocked on credits:
 // a message is queued, no injection is in progress, and the head message's
-// destination has no send credits. The chaos auditor combines this with the
-// network's drop ledger to tell a loss-induced permanent stall (paper §2.2)
-// from an ordinary transient window closure.
+// destination has no send credits. The chaos auditor combines this with its
+// credit ledger of dropped packets to tell a loss-induced permanent stall
+// (paper §2.2) from an ordinary transient window closure.
 func (e *Endpoint) Stalled() (dst int, ok bool) {
 	if e.outN == 0 || e.pumping {
 		return 0, false

@@ -194,12 +194,6 @@ type NIC struct {
 	// OnControl, when set, receives Ack/Nack packets (alternative
 	// schemes); Halt/Ready are always handled by the flush trackers.
 	OnControl func(p *myrinet.Packet)
-	// OnDrop, when set, observes every dropped packet.
-	OnDrop func(p *myrinet.Packet, reason DropReason)
-	// OnViolation, when set, receives protocol-invariant violation
-	// reports from the card's own state machines (the chaos auditor
-	// installs it; nil means violations surface only through behavior).
-	OnViolation func(invariant, detail string)
 
 	// scanFn/kickFn/depositFn/refillFn are the per-card callback values
 	// the firmware schedules with, created once so the per-packet paths
@@ -319,6 +313,14 @@ func (n *NIC) FreePacket(p *myrinet.Packet) { n.net.FreePacket(p) }
 
 // Node returns the card's network address.
 func (n *NIC) Node() myrinet.NodeID { return n.cfg.Node }
+
+// Emit stamps e with this card's node and lane clock and posts it to the
+// network's observer: the card's drops and violations, and the manager's
+// (which reaches the network through its card), report here.
+func (n *NIC) Emit(e myrinet.Event) {
+	e.Time, e.Node = n.eng.Now(), n.cfg.Node
+	n.net.Emit(e)
+}
 
 // NetworkNodes returns the size of the fabric the card is attached to (the
 // routing-table information COMM_init_node reads from the configuration).
@@ -607,10 +609,8 @@ func (n *NIC) releaseComplete() {
 	epoch, done := n.relEpoch, n.relDone
 	n.relBusy, n.relDone = false, nil
 	if !n.flush.Done(epoch) {
-		if n.OnViolation != nil {
-			n.OnViolation("flush-order",
-				fmt.Sprintf("node %d released epoch %d before its flush completed", n.cfg.Node, epoch))
-		}
+		n.Emit(myrinet.Event{Kind: myrinet.Violation, Invariant: "flush-order",
+			Detail: fmt.Sprintf("node %d released epoch %d before its flush completed", n.cfg.Node, epoch)})
 	}
 	n.haltBit = false
 	n.kickSender()
@@ -831,9 +831,7 @@ func (n *NIC) deposit(a any) {
 
 func (n *NIC) drop(p *myrinet.Packet, reason DropReason) {
 	n.stats.Drops[reason]++
-	if n.OnDrop != nil {
-		n.OnDrop(p, reason)
-	}
+	n.Emit(myrinet.Event{Kind: myrinet.Drop, Job: p.Job, Pkt: p})
 	// A data packet also consumes its piggybacked credits when dropped;
 	// the loss of both is exactly how FM's accounting gets corrupted
 	// (paper §2.2). Nothing to do here — the damage is the *absence* of

@@ -90,15 +90,10 @@ func TestDataDelivery(t *testing.T) {
 func TestNoContextDrop(t *testing.T) {
 	eng, _, nics := rig(t, 2)
 	tx, _ := nics[0].Register(1, 0, 126, 334, Hooks{})
-	var drops []DropReason
-	nics[1].OnDrop = func(p *myrinet.Packet, r DropReason) { drops = append(drops, r) }
 	nics[0].EnqueueSend(tx, dataPkt(0, 1, 1, 0))
 	eng.Run()
-	if len(drops) != 1 || drops[0] != DropNoContext {
-		t.Fatalf("drops = %v, want [no-context]", drops)
-	}
-	if nics[1].Stats().Drops[DropNoContext] != 1 {
-		t.Fatal("drop not counted")
+	if drops := nics[1].Stats().Drops; len(drops) != 1 || drops[DropNoContext] != 1 {
+		t.Fatalf("drops = %v, want one no-context drop", drops)
 	}
 }
 
@@ -452,12 +447,21 @@ func TestUnregisterReindexesSlots(t *testing.T) {
 
 // TestReleaseBeforeFlushReportsViolation: completing the release stage for
 // an epoch whose flush has not finished is a protocol-order breach the card
-// reports through OnViolation; the proper halt-then-release order is silent.
+// reports as a Violation event; the proper halt-then-release order is
+// silent.
 func TestReleaseBeforeFlushReportsViolation(t *testing.T) {
-	// Out-of-order release: single node, so both trackers complete locally.
-	eng, _, nics := rig(t, 1)
 	var got []string
-	nics[0].OnViolation = func(inv, detail string) { got = append(got, inv) }
+	watch := func(net *myrinet.Network) {
+		got = nil
+		net.SetObserver(func(e myrinet.Event) {
+			if e.Kind == myrinet.Violation {
+				got = append(got, e.Invariant)
+			}
+		})
+	}
+	// Out-of-order release: single node, so both trackers complete locally.
+	eng, net, nics := rig(t, 1)
+	watch(net)
 	nics[0].ReleaseNetwork(7, nil)
 	eng.Run()
 	if len(got) != 1 || got[0] != "flush-order" {
@@ -465,14 +469,13 @@ func TestReleaseBeforeFlushReportsViolation(t *testing.T) {
 	}
 
 	// Proper order for the same epoch: no violation.
-	eng2, _, nics2 := rig(t, 1)
-	var got2 []string
-	nics2[0].OnViolation = func(inv, detail string) { got2 = append(got2, inv) }
+	eng2, net2, nics2 := rig(t, 1)
+	watch(net2)
 	nics2[0].HaltNetwork(7, func() {
 		nics2[0].ReleaseNetwork(7, nil)
 	})
 	eng2.Run()
-	if len(got2) != 0 {
-		t.Fatalf("ordered switch reported violations: %v", got2)
+	if len(got) != 0 {
+		t.Fatalf("ordered switch reported violations: %v", got)
 	}
 }

@@ -54,6 +54,40 @@ type Injector interface {
 	Packet(now sim.Time, p *Packet) Verdict
 }
 
+// EventKind names what an Event reports.
+type EventKind uint8
+
+const (
+	// Drop: a packet died on the fabric (an injected loss, or a delivery
+	// to a node with no card) or was discarded by a card. Pkt is valid
+	// only during the call.
+	Drop EventKind = iota + 1
+	// Violation: a node-side check failed (the card's flush order, the
+	// manager's backing-store digest).
+	Violation
+	// Flushed: a node's stage-1 flush is done and the stage-2 copy of Job,
+	// the outgoing job (NoJob for an idle switch), is about to start.
+	Flushed
+	// Evict: the masterd declared Node dead, after killing its matrix
+	// column and before killing the jobs spanning it.
+	Evict
+	// Rejoin: the masterd admitted a repaired Node, after reviving its
+	// matrix column.
+	Rejoin
+)
+
+// Event is one observation posted to the network's observer, stamped
+// with the clock of the lane that fired it: the node's for Drop,
+// Violation and Flushed, the masterd's for Evict and Rejoin.
+type Event struct {
+	Kind              EventKind
+	Time              sim.Time
+	Node              NodeID
+	Job               JobID
+	Pkt               *Packet
+	Invariant, Detail string
+}
+
 // DefaultConfig returns the ParPar data-network parameters: 16 nodes on
 // 160 MB/s links with ~1 µs of switch latency.
 func DefaultConfig(nodes int) Config {
@@ -129,12 +163,8 @@ type Network struct {
 	lastArrival [][]sim.Time
 	seq         [][]uint64
 	injector    Injector
+	observer    func(Event)
 	perNode     []nodeState
-
-	// OnDrop, when set, observes every packet the fabric loses (injected
-	// faults and deliveries to unattached nodes). The chaos credit
-	// ledger hangs here.
-	OnDrop func(p *Packet)
 
 	// deliverFn is the one delivery callback shared by every scheduled
 	// arrival, so the per-packet closure allocation disappears from the
@@ -281,6 +311,18 @@ func (n *Network) Stats() Stats {
 // removes it (the default: a perfectly reliable fabric).
 func (n *Network) SetInjector(i Injector) { n.injector = i }
 
+// SetObserver installs the one sink every layer reports its Events to.
+// Like the injector it goes in before any traffic and must be safe to
+// call from concurrent shard lanes.
+func (n *Network) SetObserver(fn func(Event)) { n.observer = fn }
+
+// Emit posts e to the observer, if one is installed.
+func (n *Network) Emit(e Event) {
+	if n.observer != nil {
+		n.observer(e)
+	}
+}
+
 // Attach registers the handler (NIC) for node id.
 func (n *Network) Attach(id NodeID, h Handler) {
 	n.handlers[id] = h
@@ -363,9 +405,7 @@ func (n *Network) Send(p *Packet) sim.Time {
 func (n *Network) dropInjected(p *Packet) {
 	b := &n.perNode[p.Src]
 	b.stats.dropped[p.Type]++
-	if n.OnDrop != nil {
-		n.OnDrop(p)
-	}
+	n.Emit(Event{Kind: Drop, Time: n.engFor(p.Src).Now(), Node: p.Src, Job: p.Job, Pkt: p})
 	if p.Type == Data {
 		b.inFlight[p.Job]--
 	}
@@ -399,9 +439,7 @@ func (n *Network) deliver(p *Packet) {
 	h := n.handlers[p.Dst]
 	if h == nil {
 		b.stats.dropped[p.Type]++
-		if n.OnDrop != nil {
-			n.OnDrop(p)
-		}
+		n.Emit(Event{Kind: Drop, Time: n.engFor(p.Dst).Now(), Node: p.Dst, Job: p.Job, Pkt: p})
 		n.FreePacket(p)
 		return
 	}

@@ -180,7 +180,11 @@ func TestLossInjection(t *testing.T) {
 	net := New(eng, DefaultConfig(2))
 	net.SetInjector(&lossInjector{rng: sim.NewRand(99), prob: 0.5})
 	var dropped []*Packet
-	net.OnDrop = func(p *Packet) { dropped = append(dropped, p) }
+	net.SetObserver(func(e Event) {
+		if e.Kind == Drop {
+			dropped = append(dropped, e.Pkt)
+		}
+	})
 	var got []*Packet
 	net.Attach(1, collector(&got))
 	const n = 1000
@@ -196,7 +200,7 @@ func TestLossInjection(t *testing.T) {
 		t.Fatalf("dropped %d + delivered %d != sent %d", s.Dropped[Data], len(got), n)
 	}
 	if len(dropped) != int(s.Dropped[Data]) {
-		t.Fatalf("OnDrop observed %d drops, stats say %d", len(dropped), s.Dropped[Data])
+		t.Fatalf("observer saw %d drops, stats say %d", len(dropped), s.Dropped[Data])
 	}
 	// This injector exempts control packets, as the default chaos plans do.
 	for i := 0; i < 100; i++ {

@@ -3,15 +3,16 @@ package parpar
 // chaos.go wires the chaos harness into the assembled cluster: the fault
 // injector (when a plan is configured) and the always-on invariant auditor.
 // The auditor runs its registered checks once per quantum while jobs are
-// live, and the stack's hook points (NIC drops, manager digests, flush
-// ordering) report violations as they happen.
+// live, and subscribes to the cluster's event list, where the stack's
+// node-side checks (flush ordering, backing-store digests) report
+// violations as they happen and every packet death feeds its credit
+// ledger.
 
 import (
 	"fmt"
 	"sort"
 
 	"gangfm/internal/chaos"
-	"gangfm/internal/lanai"
 	"gangfm/internal/myrinet"
 	"gangfm/internal/sim"
 )
@@ -26,9 +27,6 @@ type progressKey struct {
 // Auditor returns the cluster's invariant auditor (always present).
 func (c *Cluster) Auditor() *chaos.Auditor { return c.auditor }
 
-// Ledger returns the destroyed-credit ledger.
-func (c *Cluster) Ledger() *chaos.CreditLedger { return c.ledger }
-
 // ChaosTrace returns the injector's firing trace, or nil when no fault plan
 // is installed.
 func (c *Cluster) ChaosTrace() []string {
@@ -38,27 +36,53 @@ func (c *Cluster) ChaosTrace() []string {
 	return c.injector.Trace()
 }
 
-// armChaos installs the fault injector (if a plan is configured) and the
-// invariant auditor's hook points. Called once from New.
-func (c *Cluster) armChaos() {
+// Observe subscribes fn to the cluster's event list: packet drops, node
+// violations and flush points from every node incarnation, and the
+// masterd's evictions and rejoins (see myrinet.Event). Subscribers
+// register before the run starts — the list is fixed from then on, so the
+// fan-out reads it without a lock — and are called in registration order,
+// from whichever lane fired the event: switch on the kind before taking a
+// lock.
+func (c *Cluster) Observe(fn func(myrinet.Event)) {
+	if c.Fired() > 0 {
+		panic("parpar: Observe after the run started")
+	}
+	c.observers = append(c.observers, fn)
+}
+
+// emit is the network's observer: it fans each event out to the list.
+func (c *Cluster) emit(e myrinet.Event) {
+	for _, fn := range c.observers {
+		fn(e)
+	}
+}
+
+// newChaos builds the invariant auditor, subscribed first to the event
+// list, and the fault injector when a plan is configured. Called from New
+// before the nodes are built, so their incarnations attach the injector's
+// store hook.
+func (c *Cluster) newChaos() {
 	seed := c.cfg.Seed
 	if c.cfg.Chaos != nil {
 		seed = c.cfg.Chaos.Seed
 	}
 	c.auditor = chaos.NewAuditor(c.Eng, seed)
-	c.ledger = chaos.NewCreditLedger()
-
+	c.Observe(c.auditor.Observe)
 	if c.cfg.Chaos != nil && !c.cfg.Chaos.Empty() {
 		c.injector = chaos.NewInjector(c.Eng, *c.cfg.Chaos)
 		c.Net.SetInjector(c.injector)
 		c.ctrl.intercept = c.injector.CtrlMessage
 	}
-	c.Net.OnDrop = c.ledger.RecordDrop
-	for _, n := range c.nodes {
-		if c.injector != nil {
+}
+
+// armChaos schedules the injector's CPU faults and the repairs, and
+// registers the auditor's periodic checks. Called once from New, after
+// the masterd exists.
+func (c *Cluster) armChaos() {
+	if c.injector != nil {
+		for _, n := range c.nodes {
 			c.injector.ArmNode(int(n.ID), n.CPU)
 		}
-		c.armNodeObservers(n)
 	}
 	// Repair events: the injector unblocks the host CPU at the fault time
 	// (armed above); the cluster schedules the fresh incarnation's boot and
@@ -83,22 +107,6 @@ func (c *Cluster) armChaos() {
 	if c.cfg.Recovery != nil {
 		c.auditor.Register(c.checkRecovery)
 	}
-}
-
-// armNodeObservers wires one node incarnation's observer hooks: the
-// injector's store-corruption hook plus drop and violation reporting on
-// the card and manager. Called per node at construction and again at
-// every reboot — a fresh incarnation's card and manager start with nil
-// hooks. The injector's CPU faults are NOT re-armed: they bind to the
-// host CPU resource, which survives the reboot.
-func (c *Cluster) armNodeObservers(n *Node) {
-	if c.injector != nil {
-		n.Mgr.OnStore = c.injector.StoreHook(int(n.ID), n.Eng)
-	}
-	n.NIC.OnDrop = func(p *myrinet.Packet, _ lanai.DropReason) { c.ledger.RecordDrop(p) }
-	report := c.auditor.Reporter(int(n.ID), n.Eng)
-	n.NIC.OnViolation = report
-	n.Mgr.Audit = report
 }
 
 // armAuditTick starts the per-quantum audit loop. The loop keeps itself
@@ -205,10 +213,10 @@ func (c *Cluster) checkEndpoints(now sim.Time, report func(invariant, detail str
 			dst, wedged := ep.Stalled()
 			if wedged && seen && prev == progress &&
 				p.job.state == JobRunning && ep.Running() &&
-				c.ledger.Destroyed(jobID) > 0 && c.Net.InFlight(jobID) == 0 {
+				c.auditor.Destroyed(jobID) > 0 && c.Net.InFlight(jobID) == 0 {
 				report("credit-conservation", fmt.Sprintf(
 					"node %d job %d rank %d wedged toward rank %d: %d credits destroyed by %d drops, no retransmission",
-					n.ID, jobID, p.rank, dst, c.ledger.Destroyed(jobID), c.ledger.Drops(jobID)))
+					n.ID, jobID, p.rank, dst, c.auditor.Destroyed(jobID), c.auditor.Drops(jobID)))
 			}
 		}
 	}
@@ -244,12 +252,12 @@ func (c *Cluster) checkJobDelivery(now sim.Time, report func(invariant, detail s
 		if !runnable || !seen || prev != progress || progress == 0 {
 			continue
 		}
-		if c.ledger.Drops(id) == 0 || c.Net.InFlight(id) != 0 {
+		if c.auditor.Drops(id) == 0 || c.Net.InFlight(id) != 0 {
 			continue
 		}
 		report("delivery-stall", fmt.Sprintf(
 			"job %d wedged after %d drop(s): nothing in flight, no endpoint progress for a quantum, %d credits destroyed",
-			id, c.ledger.Drops(id), c.ledger.Destroyed(id)))
+			id, c.auditor.Drops(id), c.auditor.Destroyed(id)))
 	}
 }
 

@@ -41,7 +41,7 @@ func TestLossTriggersCreditStallViolation(t *testing.T) {
 	if !found {
 		t.Fatalf("no credit-conservation violation under 20%% loss; auditor: %s", c.Auditor().Summary())
 	}
-	if c.Ledger().Destroyed(1) == 0 {
+	if c.Auditor().Destroyed(1) == 0 {
 		t.Fatal("ledger recorded no destroyed credits")
 	}
 	if !strings.Contains(c.Auditor().Summary(), "seed 77") {

@@ -221,21 +221,43 @@ func (n *Node) sendAck(s *switchMsg) {
 	n.Eng.CrossArgAt(c.eng, n.Eng.Now(), ackHopFn, s)
 }
 
-// attach installs an incarnation's card and manager, binds the switch
-// completion to that manager, and, with recovery on, arms the card's
-// retransmission layer. Its first Ready deadline waits out a peer's copy:
+// attach builds and installs one incarnation of node n — a fresh card
+// (attaching it replaces any previous incarnation's network handler) and
+// an initialised manager — and wires everything the incarnation needs:
+// the switch completion bound to that manager, the injector's
+// store-corruption hook, and, with recovery on, the card's retransmission
+// layer. Construction and reboot both build through here, and the
+// incarnation reports its events through the shared network, so nothing
+// is left to re-arm. The first Ready deadline waits out a peer's copy:
 // the copy model's worst case (mgr.MaxCopyCost), capped at one quantum —
 // past that a lost Ready would stall the round longer than the recovery
 // ladder the liveness auditor budgets for, and at the small quanta of the
 // chaos campaigns the uncapped worst case (about 16 M cycles with full
 // queues) is dozens of quanta.
-func (c *Cluster) attach(n *Node, nic *lanai.NIC, mgr *core.Manager) {
+func (c *Cluster) attach(n *Node) error {
+	nic := lanai.New(n.Eng, c.Net, c.Mem, lanai.DefaultConfig(n.ID))
+	mgr, err := core.NewManager(n.Eng, nic, n.CPU, c.Mem, core.Config{
+		Policy:      c.cfg.Policy,
+		Mode:        c.cfg.Mode,
+		MaxContexts: c.cfg.Slots,
+		Processors:  c.cfg.Nodes,
+	})
+	if err != nil {
+		return err
+	}
+	if err := mgr.InitNode(); err != nil {
+		return err
+	}
 	n.NIC, n.Mgr = nic, mgr
 	n.swDoneFn = func(s core.SwitchStats) { n.switchDone(mgr, s) }
+	if c.injector != nil {
+		mgr.OnStore = c.injector.StoreHook(int(n.ID), n.Eng)
+	}
 	if r := c.cfg.Recovery; r != nil {
 		nic.SetRecovery(lanai.Recovery{Timeout: r.NICTimeout, Retries: r.NICRetries,
 			CopyBound: min(mgr.MaxCopyCost(), c.cfg.Quantum)})
 	}
+	return nil
 }
 
 // Cluster is the assembled system.
@@ -258,7 +280,9 @@ type Cluster struct {
 
 	auditor  *chaos.Auditor
 	injector *chaos.Injector
-	ledger   *chaos.CreditLedger
+	// observers is the event list the network's observer fans out to
+	// (see Observe); it is fixed before the run starts.
+	observers []func(myrinet.Event)
 
 	prevProgress map[progressKey]uint64
 	auditTicking bool
@@ -339,32 +363,22 @@ func New(cfg Config) (*Cluster, error) {
 		}
 		c.Net.SetShardEngines(engs)
 	}
+	c.Net.SetObserver(c.emit)
 	c.ctrl = newCtrlNet(eng, cfg.CtrlBase, cfg.CtrlJitter, c.rng)
+	c.newChaos()
 	for i := 0; i < cfg.Nodes; i++ {
 		nodeEng := eng
 		if group != nil {
 			nodeEng = group.Shard(i * shards / cfg.Nodes)
 		}
-		nic := lanai.New(nodeEng, c.Net, c.Mem, lanai.DefaultConfig(myrinet.NodeID(i)))
-		cpu := sim.NewResource(nodeEng, fmt.Sprintf("host%d", i))
-		mgr, err := core.NewManager(nodeEng, nic, cpu, c.Mem, core.Config{
-			Policy:      cfg.Policy,
-			Mode:        cfg.Mode,
-			MaxContexts: cfg.Slots,
-			Processors:  cfg.Nodes,
-		})
-		if err != nil {
-			return nil, err
-		}
-		if err := mgr.InitNode(); err != nil {
-			return nil, err
-		}
 		n := &Node{
-			ID: myrinet.NodeID(i), CPU: cpu, Eng: nodeEng,
+			ID: myrinet.NodeID(i), CPU: sim.NewResource(nodeEng, fmt.Sprintf("host%d", i)), Eng: nodeEng,
 			cluster: c, procs: make(map[myrinet.JobID]*Proc),
 			evictSeen: make([]int, cfg.Nodes),
 		}
-		c.attach(n, nic, mgr)
+		if err := c.attach(n); err != nil {
+			return nil, err
+		}
 		c.nodes = append(c.nodes, n)
 	}
 	if group != nil {
@@ -717,33 +731,19 @@ func (n *Node) heartbeat(seq uint64) {
 	})
 }
 
-// reboot builds the node's fresh incarnation after a repair: a new card
-// (attaching it replaces the dead incarnation's network handler), a new
-// manager whose full-topology view is pruned to the masterd's current
-// membership snapshot, empty daemon state, and gen, the membership
-// generation it will be admitted under (see repairNode). The chaos
-// observers are re-wired exactly as construction did for the first
-// incarnation; the injector's CPU faults stay armed on the (now unblocked)
-// host CPU, so a later fault in the plan still hits the new incarnation.
+// reboot builds the node's fresh incarnation after a repair (see attach)
+// with a full-topology view pruned to the masterd's current membership
+// snapshot, empty daemon state, and gen, the membership generation it
+// will be admitted under (see repairNode). The injector's CPU faults stay
+// armed on the (now unblocked) host CPU, so a later fault in the plan
+// still hits the new incarnation.
 func (n *Node) reboot(deadPeers []myrinet.NodeID, gen int) {
-	c := n.cluster
-	nic := lanai.New(n.Eng, c.Net, c.Mem, lanai.DefaultConfig(n.ID))
-	mgr, err := core.NewManager(n.Eng, nic, n.CPU, c.Mem, core.Config{
-		Policy:      c.cfg.Policy,
-		Mode:        c.cfg.Mode,
-		MaxContexts: c.cfg.Slots,
-		Processors:  c.cfg.Nodes,
-	})
-	if err != nil {
+	if err := n.cluster.attach(n); err != nil {
 		panic(fmt.Sprintf("parpar: rebooting node %d: %v", n.ID, err))
 	}
-	if err := mgr.InitNode(); err != nil {
-		panic(fmt.Sprintf("parpar: rebooting node %d: %v", n.ID, err))
-	}
-	c.attach(n, nic, mgr)
 	for _, id := range deadPeers {
-		nic.EvictPeer(id)
-		if err := mgr.RemoveNode(id); err != nil {
+		n.NIC.EvictPeer(id)
+		if err := n.Mgr.RemoveNode(id); err != nil {
 			panic(fmt.Sprintf("parpar: rebooting node %d: %v", n.ID, err))
 		}
 	}
@@ -751,7 +751,6 @@ func (n *Node) reboot(deadPeers []myrinet.NodeID, gen int) {
 	n.parked = nil
 	n.gen = gen
 	n.swEpoch, n.swBusy, n.swDone = 0, false, false
-	c.armNodeObservers(n)
 }
 
 // repairNode runs at a NodeRepair instant, right after the injector

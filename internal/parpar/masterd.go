@@ -48,15 +48,6 @@ type Masterd struct {
 	needAcks int
 	ackedBy  []bool
 	ackWatch sim.Event
-	// onEvict hooks fire when a node is declared dead — after its matrix
-	// column is killed, before the spanning jobs are — so a scheduler sees
-	// the shrunken machine before kill callbacks cascade into fresh
-	// placement decisions.
-	onEvict []func(node int)
-	// onRejoin hooks mirror onEvict for repair: they fire when a repaired
-	// node is admitted back, after its matrix column is revived, so a
-	// scheduler can drain a backlog into the recovered node.
-	onRejoin []func(node int)
 
 	// Heartbeat state (armed when recovery is on and the chaos plan can
 	// fail-stop a node, see armHeartbeat): every interval the masterd pings
@@ -159,14 +150,6 @@ func (m *Masterd) EvictedNodes() []int {
 		}
 	}
 	return out
-}
-
-// OnEvict registers a hook called whenever a node is declared dead. The
-// hook runs after the node's matrix column has been killed and before the
-// jobs spanning it are, so capacity queries from inside the hook (and from
-// the kill callbacks that follow) already see the shrunken machine.
-func (m *Masterd) OnEvict(fn func(node int)) {
-	m.onEvict = append(m.onEvict, fn)
 }
 
 // activeRow returns the currently scheduled row (-1 before the first
@@ -481,9 +464,10 @@ func (m *Masterd) evictNode(i int) {
 		m.c.reliableSend(m.c.Eng, j, func() bool { return node.evictSeen[id] >= gen },
 			func() { node.evictPeer(id, gen) })
 	}
-	for _, fn := range m.onEvict {
-		fn(i)
-	}
+	// The Evict event fires between the column kill and the spanning
+	// kills, so a scheduler sees the shrunken machine before kill
+	// callbacks cascade into fresh placement decisions.
+	m.c.Net.Emit(myrinet.Event{Kind: myrinet.Evict, Time: m.c.Eng.Now(), Node: id})
 	// Kill spanning jobs in ascending ID order for determinism.
 	ids := make([]myrinet.JobID, 0, len(m.jobs))
 	for jid, job := range m.jobs {

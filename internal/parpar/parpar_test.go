@@ -425,16 +425,13 @@ func TestFlushGuaranteesEmptyNetwork(t *testing.T) {
 	cfg := testConfig(4)
 	c, _ := New(cfg)
 	violations := 0
-	for _, n := range c.Nodes() {
-		n := n
-		n.Mgr.OnPreCopy = func(from, to myrinet.JobID) {
-			if from != myrinet.NoJob && c.Net.InFlight(from) != 0 {
-				violations++
-				t.Errorf("node %d: job %d has %d packets in flight at copy time",
-					n.ID, from, c.Net.InFlight(from))
-			}
+	c.Observe(func(e myrinet.Event) {
+		if e.Kind == myrinet.Flushed && e.Job != myrinet.NoJob && c.Net.InFlight(e.Job) != 0 {
+			violations++
+			t.Errorf("node %d: job %d has %d packets in flight at copy time",
+				e.Node, e.Job, c.Net.InFlight(e.Job))
 		}
-	}
+	})
 	c.Submit(JobSpec{Name: "a", Size: 4, NewProgram: oneWay(400, 1536)})
 	c.Submit(JobSpec{Name: "b", Size: 4, NewProgram: oneWay(400, 1536)})
 	c.Run()

@@ -26,7 +26,7 @@ package parpar
 // anywhere and the card memberships can grow without stalling a satisfied
 // epoch. Every survivor confirms re-adding the joiner (COMM_add_node plus
 // the card's membership) before the masterd revives the node's matrix
-// column, fires the OnRejoin hooks, and resumes the rotation.
+// column, emits the Rejoin event, and resumes the rotation.
 
 import (
 	"fmt"
@@ -230,10 +230,10 @@ func (m *Masterd) joinAckSeen(i, j int) bool {
 // node and no rotation round is in flight (tick is gated while settling),
 // so no flush/release epoch is open anywhere — the memberships have grown
 // safely, the matrix column revives, and the rotation resumes with the
-// node back in the gang. Hook ordering mirrors eviction: the column is
-// revived first, then the OnRejoin hooks run, so capacity queries from
-// inside a hook (and the placements they trigger) already see the regrown
-// machine.
+// node back in the gang. Event ordering mirrors eviction: the column is
+// revived first, then the Rejoin event fires, so capacity queries from
+// inside a subscriber (and the placements they trigger) already see the
+// regrown machine.
 func (m *Masterd) admitNode() {
 	i := m.joining
 	m.joining = -1
@@ -252,9 +252,7 @@ func (m *Masterd) admitNode() {
 	if err := m.matrix.ReviveColumn(i); err != nil {
 		panic(fmt.Sprintf("parpar: admitting node %d: %v", i, err))
 	}
-	for _, fn := range m.onRejoin {
-		fn(i)
-	}
+	m.c.Net.Emit(myrinet.Event{Kind: myrinet.Rejoin, Time: m.c.Eng.Now(), Node: myrinet.NodeID(i)})
 	m.tryRejoin()
 	if m.joining < 0 && m.ticking && !m.inFlight {
 		// The rotation may have idled against the barrier (quantum expiry
@@ -266,15 +264,6 @@ func (m *Masterd) admitNode() {
 }
 
 // accessors ------------------------------------------------------------
-
-// OnRejoin registers a hook called whenever a repaired node is admitted
-// back into the gang. It mirrors OnEvict: the hook runs after the node's
-// matrix column has been revived, so capacity queries from inside the
-// hook already see the regrown machine and a scheduler can drain its
-// backlog into the recovered capacity immediately.
-func (m *Masterd) OnRejoin(fn func(node int)) {
-	m.onRejoin = append(m.onRejoin, fn)
-}
 
 // Downtime returns node i's downtime windows, one per eviction in order:
 // each runs from the eviction to the node's readmission, and the last is

@@ -1,11 +1,13 @@
 package parpar
 
 import (
+	"fmt"
 	"slices"
 	"strings"
 	"testing"
 
 	"gangfm/internal/chaos"
+	"gangfm/internal/lanai"
 	"gangfm/internal/myrinet"
 	"gangfm/internal/sim"
 )
@@ -266,13 +268,13 @@ func TestRebootDuringRejoinLearnsJoiner(t *testing.T) {
 	}
 }
 
-// TestEvictAndRejoinHookOrdering pins the hook contracts the scheduler
-// daemon builds on. OnEvict runs after KillColumn but before the spanning
-// jobs are killed: capacity queries inside the hook see the shrunken
-// machine while the doomed job is still inspectable. OnRejoin mirrors it
-// after ReviveColumn: the hook sees the node live again and the matrix at
-// full width, so a backlog drain triggered from inside the hook can place
-// onto the recovered capacity immediately.
+// TestEvictAndRejoinHookOrdering pins the event contracts the scheduler
+// daemon builds on. Evict fires after KillColumn but before the spanning
+// jobs are killed: capacity queries inside the subscriber see the shrunken
+// machine while the doomed job is still inspectable. Rejoin mirrors it
+// after ReviveColumn: the subscriber sees the node live again and the
+// matrix at full width, so a backlog drain triggered from inside it can
+// place onto the recovered capacity immediately.
 func TestEvictAndRejoinHookOrdering(t *testing.T) {
 	const crashed = 0
 	cfg := hbConfig(4)
@@ -293,33 +295,36 @@ func TestEvictAndRejoinHookOrdering(t *testing.T) {
 	}
 	m := c.master
 	var evicts, rejoins []int
-	m.OnEvict(func(node int) {
-		evicts = append(evicts, node)
-		if got := m.matrix.LiveCols(); got != 3 {
-			t.Errorf("OnEvict(%d): live columns = %d, want 3 (KillColumn must precede the hook)", node, got)
-		}
-		if doomed.State() == JobKilled {
-			t.Errorf("OnEvict(%d): spanning job already killed (kills must follow the hook)", node)
-		}
-		if _, live := m.jobs[doomed.ID]; !live {
-			t.Errorf("OnEvict(%d): spanning job already gone from the job table", node)
-		}
-	})
-	m.OnRejoin(func(node int) {
-		rejoins = append(rejoins, node)
-		if m.matrix.ColDead(node) {
-			t.Errorf("OnRejoin(%d): node still marked dead inside the hook", node)
-		}
-		if got := m.matrix.LiveCols(); got != 4 {
-			t.Errorf("OnRejoin(%d): live columns = %d, want 4 (ReviveColumn must precede the hook)", node, got)
+	c.Observe(func(e myrinet.Event) {
+		node := int(e.Node)
+		switch e.Kind {
+		case myrinet.Evict:
+			evicts = append(evicts, node)
+			if got := m.matrix.LiveCols(); got != 3 {
+				t.Errorf("Evict(%d): live columns = %d, want 3 (KillColumn must precede the event)", node, got)
+			}
+			if doomed.State() == JobKilled {
+				t.Errorf("Evict(%d): spanning job already killed (kills must follow the event)", node)
+			}
+			if _, live := m.jobs[doomed.ID]; !live {
+				t.Errorf("Evict(%d): spanning job already gone from the job table", node)
+			}
+		case myrinet.Rejoin:
+			rejoins = append(rejoins, node)
+			if m.matrix.ColDead(node) {
+				t.Errorf("Rejoin(%d): node still marked dead inside the subscriber", node)
+			}
+			if got := m.matrix.LiveCols(); got != 4 {
+				t.Errorf("Rejoin(%d): live columns = %d, want 4 (ReviveColumn must precede the event)", node, got)
+			}
 		}
 	})
 	c.RunUntil(chaosHorizon)
 	if len(evicts) != 1 || evicts[0] != crashed {
-		t.Fatalf("OnEvict fired for %v, want [%d]", evicts, crashed)
+		t.Fatalf("Evict fired for %v, want [%d]", evicts, crashed)
 	}
 	if len(rejoins) != 1 || rejoins[0] != crashed {
-		t.Fatalf("OnRejoin fired for %v, want [%d]", rejoins, crashed)
+		t.Fatalf("Rejoin fired for %v, want [%d]", rejoins, crashed)
 	}
 	if doomed.State() != JobKilled {
 		t.Fatalf("spanning job is %v after the run, want killed", doomed.State())
@@ -448,5 +453,64 @@ func TestStaleSwitchCompletionFenced(t *testing.T) {
 		if toMaster != sent {
 			t.Errorf("stale completion of round %d sent %d messages to the masterd", crashedIn, toMaster-sent)
 		}
+	}
+}
+
+// TestRebootedIncarnationReports: the events of a repaired node's fresh
+// card and manager reach the auditor with no re-arm step, because every
+// incarnation reports through the one network. After the crash and the
+// repair, a store corruption on the fresh manager must show up as a
+// store-integrity violation and a discard on the fresh card in the credit
+// ledger.
+func TestRebootedIncarnationReports(t *testing.T) {
+	const crashed, repairAt = 0, 6_000_000
+	cfg := hbConfig(4)
+	cfg.Chaos = &chaos.Plan{Seed: 9, Faults: []chaos.Fault{
+		{Kind: chaos.NodeCrash, Node: crashed, From: 50_000},
+		{Kind: chaos.NodeRepair, Node: crashed, From: repairAt},
+		{Kind: chaos.StoreCorrupt, Node: crashed, From: repairAt, Prob: 1},
+	}}
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	first := c.nodes[crashed].NIC
+	c.RunUntil(repairAt + 20*cfg.Quantum)
+	n := c.nodes[crashed]
+	if n.NIC == first || c.master.matrix.ColDead(crashed) {
+		t.Fatalf("node %d not rebooted and readmitted by %d", crashed, c.Eng.Now())
+	}
+
+	// Two gangs alternating on the whole machine: node 0's fresh manager
+	// saves its queues at every switch-out, and the plan corrupts them.
+	for _, name := range []string{"a", "b"} {
+		if _, err := c.Submit(JobSpec{Name: name, Size: 4, NewProgram: oneWay(400, 1536)}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	c.RunFor(20 * cfg.Quantum)
+	found := false
+	for _, v := range c.Auditor().Violations() {
+		if v.Invariant == "store-integrity" && strings.HasPrefix(v.Detail, fmt.Sprintf("node %d ", crashed)) {
+			found = true
+		}
+	}
+	if !found {
+		t.Fatalf("no store-integrity violation from the fresh incarnation; auditor: %s", c.Auditor().Summary())
+	}
+
+	// A data packet for a job the fresh card holds no context for is
+	// discarded there, destroying its credit.
+	const orphan myrinet.JobID = 99
+	p := c.Net.NewPacketFrom(1)
+	p.Type, p.Src, p.Dst, p.Job = myrinet.Data, 1, crashed, orphan
+	c.Net.Send(p)
+	c.RunFor(cfg.Quantum)
+	if got := n.NIC.Stats().Drops[lanai.DropNoContext]; got == 0 {
+		t.Fatal("fresh card did not discard the orphan packet")
+	}
+	if c.Auditor().Drops(orphan) != 1 || c.Auditor().Destroyed(orphan) != 1 {
+		t.Fatalf("ledger: %d drops, %d credits destroyed for the orphan, want 1 and 1",
+			c.Auditor().Drops(orphan), c.Auditor().Destroyed(orphan))
 	}
 }

@@ -239,8 +239,7 @@ func New(cfg Config) (*Daemon, error) {
 	// Give up on queued jobs the survivors cannot hold the instant a node
 	// is declared dead, and drain the backlog into a repaired node the
 	// instant it is admitted back.
-	cluster.Master().OnEvict(d.onNodeDead)
-	cluster.Master().OnRejoin(d.onNodeRepaired)
+	cluster.Observe(d.onEvent)
 	return d, nil
 }
 
@@ -440,14 +439,27 @@ func (d *Daemon) reclaim() {
 	d.drain()
 }
 
-// onNodeDead is the masterd eviction hook: it fires after the dead node's
-// matrix column is killed and before the jobs spanning it are. Queued jobs
-// larger than the surviving machine are given up on the spot — they could
-// otherwise wedge the queue head and censor everything behind it.
-func (d *Daemon) onNodeDead(node int) {
+// onEvent is the daemon's subscription to the cluster's event list; only
+// the masterd's membership changes concern it, and both fire on the
+// global lane. Evict fires after the dead node's matrix column is killed
+// and before the jobs spanning it are: queued jobs larger than the
+// surviving machine are given up on the spot — they could otherwise wedge
+// the queue head and censor everything behind it. Rejoin fires after the
+// repaired node's column is revived, so the drain places the backlog onto
+// the recovered capacity immediately. Jobs already given up stay given up
+// — abandoning them was a reported decision, not a reversible one.
+func (d *Daemon) onEvent(e myrinet.Event) {
+	if e.Kind != myrinet.Evict && e.Kind != myrinet.Rejoin {
+		return
+	}
 	now := d.cluster.Eng.Now()
 	live := d.cluster.Master().Matrix().LiveCols()
-	d.log.Add(now, VerbNodeDead, "node=%d live=%d", node, live)
+	if e.Kind == myrinet.Rejoin {
+		d.log.Add(now, VerbNodeRepair, "node=%d live=%d", e.Node, live)
+		d.drain()
+		return
+	}
+	d.log.Add(now, VerbNodeDead, "node=%d live=%d", e.Node, live)
 	var doomed []*task
 	for _, t := range d.queue {
 		if t.size > live {
@@ -458,18 +470,6 @@ func (d *Daemon) onNodeDead(node int) {
 		d.dequeue(t)
 		d.giveUp(t, now, fmt.Sprintf("reason=capacity size=%d live=%d", t.size, live))
 	}
-}
-
-// onNodeRepaired is the masterd rejoin hook: it fires after the repaired
-// node's matrix column is revived, so the drain that follows can place the
-// backlog onto the recovered capacity immediately. Jobs already given up
-// stay given up — abandoning them was a reported decision, not a
-// reversible one.
-func (d *Daemon) onNodeRepaired(node int) {
-	now := d.cluster.Eng.Now()
-	live := d.cluster.Master().Matrix().LiveCols()
-	d.log.Add(now, VerbNodeRepair, "node=%d live=%d", node, live)
-	d.drain()
 }
 
 // giveUp retires a task the daemon abandons: it counts as a terminal

@@ -7,6 +7,7 @@ import (
 
 	"gangfm/internal/core"
 	"gangfm/internal/gang"
+	"gangfm/internal/myrinet"
 	"gangfm/internal/schedeval"
 	"gangfm/internal/sim"
 )
@@ -75,10 +76,15 @@ func watchIncarnations(d *Daemon) *[]incarnation {
 		incs = append(incs, incarnation{node: i, mgr: n.Mgr})
 	}
 	evictedIn := make([]uint64, len(c.Nodes()))
-	m.OnEvict(func(i int) { evictedIn[i] = m.Epoch() })
-	m.OnRejoin(func(i int) {
-		n := c.Nodes()[i]
-		incs = append(incs, incarnation{node: i, mgr: n.Mgr, epoch: evictedIn[i], halts: n.NIC.Stats().HaltsSent})
+	c.Observe(func(e myrinet.Event) {
+		i := int(e.Node)
+		switch e.Kind {
+		case myrinet.Evict:
+			evictedIn[i] = m.Epoch()
+		case myrinet.Rejoin:
+			n := c.Nodes()[i]
+			incs = append(incs, incarnation{node: i, mgr: n.Mgr, epoch: evictedIn[i], halts: n.NIC.Stats().HaltsSent})
+		}
 	})
 	return &incs
 }

@@ -247,7 +247,7 @@ func Run(cfg Config) (*Result, error) {
 		Packing:    cluster.Master().Matrix().Policy().Name(),
 		Switches:   totalSwitches,
 		AuditOK:    cluster.Auditor().Ok(),
-		Violations: len(cluster.Auditor().Violations()),
+		Violations: cluster.Auditor().Count(),
 		ChaosTrace: cluster.ChaosTrace(),
 		Events:     cluster.Fired(),
 	}
