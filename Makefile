@@ -1,13 +1,13 @@
 GO ?= go
 
-.PHONY: check fmt-check vet build test race fuzz-smoke fuzz-native sched-smoke churn-smoke churn-crash-smoke repair-smoke bench tracker-bench-smoke bench-module figures lint-hotpath
+.PHONY: check fmt-check vet build test race fuzz-smoke fuzz-native sched-smoke churn-smoke churn-crash-smoke repair-smoke bench tracker-bench-smoke switch-bench-smoke bench-module figures lint-hotpath
 
 # The full CI gate, and its only definition (ci.sh runs it): static
 # checks, build, race-enabled tests, a short fixed-seed chaos-fuzz
 # campaign, a time-boxed parser fuzz, and scheduler-evaluation smoke runs
 # (all but the parser fuzz deterministic; it gates on a property, not an
 # output).
-check: fmt-check vet build race fuzz-smoke fuzz-native sched-smoke churn-smoke churn-crash-smoke repair-smoke tracker-bench-smoke bench-module lint-hotpath
+check: fmt-check vet build race fuzz-smoke fuzz-native sched-smoke churn-smoke churn-crash-smoke repair-smoke tracker-bench-smoke switch-bench-smoke bench-module lint-hotpath
 
 # Formatting gate: fail on any file gofmt would rewrite.
 fmt-check:
@@ -89,14 +89,19 @@ repair-smoke:
 # Microbenchmarks with allocation reporting. BenchmarkEngineThroughput
 # must stay at 0 allocs/op (see DESIGN.md §6); BenchmarkPhaseTrackerEpoch
 # reports the flush tracker's ns/arrival, which stays flat in the peer
-# count.
+# count; BenchmarkSwitchRound256 reports one whole switch round on 256
+# nodes.
 bench:
-	$(GO) test -run XXX -bench . -benchmem . ./internal/lanai
+	$(GO) test -run XXX -bench . -benchmem . ./internal/lanai ./internal/parpar
 
 # One iteration of the flush-tracker micro-benchmark, so it keeps
 # compiling and running.
 tracker-bench-smoke:
 	$(GO) test -run XXX -bench PhaseTracker -benchtime 1x ./internal/lanai
+
+# One iteration of the 256-node switch-round benchmark, likewise.
+switch-bench-smoke:
+	$(GO) test -run XXX -bench SwitchRound256 -benchtime 1x ./internal/parpar
 
 # The repository benchmark module (bench/, run by bench/run.sh) is its
 # own Go module: vet it and run its consistency tests.

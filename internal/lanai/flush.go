@@ -31,7 +31,8 @@ import "gangfm/internal/myrinet"
 // epoch and fires a completion callback when the local transition has
 // happened and all expected remote messages have arrived.
 type phaseTracker struct {
-	peers int // number of live remote nodes expected to report (p-1)
+	peers int                // number of live remote nodes expected to report (p-1)
+	typ   myrinet.PacketType // the class counted, Halt or Ready (set by the card)
 
 	// open holds the epochs with state — a local transition or a counted
 	// arrival — that have not completed, in ascending epoch order. Only a

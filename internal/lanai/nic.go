@@ -204,9 +204,11 @@ type NIC struct {
 	refillFn  func(any)
 
 	// opPool recycles the ctrlOp records the clean-path flush/release
-	// protocol schedules with (broadcast sends, tail transitions, control
-	// arrivals) — one op per event, freed when the event fires.
-	opPool []*ctrlOp
+	// protocol schedules with (tail transitions, control arrivals) — one
+	// op per event, freed when the event fires. bcastPool does the same
+	// for serial broadcast loops, one record per loop.
+	opPool    []*ctrlOp
+	bcastPool []*bcast
 
 	// relEpoch/relDone hold the one in-flight release completion so the
 	// release can use the prebuilt relCompleteFn instead of a closure per
@@ -219,26 +221,36 @@ type NIC struct {
 	stats Stats
 }
 
-// ctrlOp is one pooled flush-protocol action: a scheduled control-packet
-// send, a tail local transition, or a counted control arrival. The record
-// rides through the engine as the event argument, so the clean-path
-// protocol allocates no closures.
+// ctrlOp is one pooled flush-protocol action: a tail local transition or a
+// counted control arrival. The record rides through the engine as the
+// event argument, so the clean-path protocol allocates no closures.
 type ctrlOp struct {
 	n     *NIC
 	t     *phaseTracker
-	typ   myrinet.PacketType
 	dst   myrinet.NodeID
 	epoch uint64
 	retx  bool
 	done  func()
 }
 
+// bcast is one pooled serial broadcast loop: the destinations snapshotted
+// at its start and a cursor that each firing of its engine train advances.
+// A retransmission round (retx) re-checks each destination at fire time.
+type bcast struct {
+	n     *NIC
+	t     *phaseTracker
+	epoch uint64
+	retx  bool
+	dsts  []myrinet.NodeID
+	next  int
+}
+
 // The shared event callbacks: one function value per action kind for the
-// whole package (the op carries all per-event state).
+// whole package (the record carries all per-event state).
 var (
-	ctrlSendFn   = func(a any) { a.(*ctrlOp).fireSend() }
 	ctrlTailFn   = func(a any) { a.(*ctrlOp).fireTail() }
 	ctrlArriveFn = func(a any) { a.(*ctrlOp).fireArrive() }
+	bcastFn      = func(a any) { a.(*bcast).fire() }
 )
 
 func (n *NIC) getOp() *ctrlOp {
@@ -256,15 +268,52 @@ func (n *NIC) putOp(op *ctrlOp) {
 	n.opPool = append(n.opPool, op)
 }
 
-func (op *ctrlOp) fireSend() {
-	n := op.n
-	if op.typ == myrinet.Halt {
-		n.stats.HaltsSent++
+// broadcast starts the serial loop sending t's control packet for epoch,
+// one per CtlOverhead, to every other member not yet heard from (retx) or
+// to all of them. It returns the loop's length; an empty loop is no train.
+func (n *NIC) broadcast(t *phaseTracker, epoch uint64, retx bool) sim.Time {
+	var b *bcast
+	if ln := len(n.bcastPool); ln > 0 {
+		b, n.bcastPool = n.bcastPool[ln-1], n.bcastPool[:ln-1]
 	} else {
+		b = &bcast{n: n}
+	}
+	b.t, b.epoch, b.retx, b.dsts, b.next = t, epoch, retx, b.dsts[:0], 0
+	for d := 0; d < n.net.Nodes(); d++ {
+		dst := myrinet.NodeID(d)
+		if dst == n.cfg.Node || t.Evicted(dst) || retx && t.Heard(epoch, dst) {
+			continue
+		}
+		b.dsts = append(b.dsts, dst)
+	}
+	if len(b.dsts) == 0 {
+		n.bcastPool = append(n.bcastPool, b)
+		return 0
+	}
+	step := n.cfg.CtlOverhead
+	n.eng.ScheduleArgTrain(n.eng.Now()+step, step, len(b.dsts), bcastFn, b)
+	return sim.Time(len(b.dsts)) * step
+}
+
+// fire sends the loop's next control packet; the last firing returns the
+// record to the pool.
+func (b *bcast) fire() {
+	n, t, epoch, retx, dst := b.n, b.t, b.epoch, b.retx, b.dsts[b.next]
+	if b.next++; b.next == len(b.dsts) {
+		n.bcastPool = append(n.bcastPool, b)
+	}
+	switch {
+	case retx:
+		if t.Done(epoch) || t.Heard(epoch, dst) {
+			return
+		}
+		n.countRetransmit(t.typ)
+	case t.typ == myrinet.Halt:
+		n.stats.HaltsSent++
+	default:
 		n.stats.ReadysSent++
 	}
-	n.sendCtrl(op.typ, op.dst, op.epoch, false)
-	n.putOp(op)
+	n.sendCtrl(t.typ, dst, epoch, retx)
 }
 
 func (op *ctrlOp) fireTail() {
@@ -297,6 +346,7 @@ func New(eng *sim.Engine, net *myrinet.Network, mem *memmodel.Model, cfg Config)
 	n.depositFn = n.deposit
 	n.refillFn = n.refillArrived
 	n.relCompleteFn = n.releaseComplete
+	n.flush.typ, n.release.typ = myrinet.Halt, myrinet.Ready
 	net.Attach(cfg.Node, n)
 	return n
 }
@@ -554,17 +604,7 @@ func (n *NIC) HaltNetwork(epoch uint64, onFlushed func()) {
 	}
 	// Serial broadcast loop: each control packet costs firmware time and
 	// is serialized behind in-flight data at the injection port.
-	delay := sim.Time(0)
-	for d := 0; d < n.net.Nodes(); d++ {
-		dst := myrinet.NodeID(d)
-		if dst == n.cfg.Node || n.flush.Evicted(dst) {
-			continue
-		}
-		delay += n.cfg.CtlOverhead
-		op := n.getOp()
-		op.t, op.typ, op.dst, op.epoch = n.flush, myrinet.Halt, dst, epoch
-		n.eng.ScheduleArg(delay, ctrlSendFn, op)
-	}
+	delay := n.broadcast(n.flush, epoch, false)
 	op := n.getOp()
 	op.t, op.epoch, op.done = n.flush, epoch, onFlushed
 	n.eng.ScheduleArg(delay, ctrlTailFn, op)
@@ -584,17 +624,7 @@ func (n *NIC) ReleaseNetwork(epoch uint64, onReleased func()) {
 		n.release.LocalTransition(epoch, n.relCompleteFn)
 		return
 	}
-	delay := sim.Time(0)
-	for d := 0; d < n.net.Nodes(); d++ {
-		dst := myrinet.NodeID(d)
-		if dst == n.cfg.Node || n.release.Evicted(dst) {
-			continue
-		}
-		delay += n.cfg.CtlOverhead
-		op := n.getOp()
-		op.t, op.typ, op.dst, op.epoch = n.release, myrinet.Ready, dst, epoch
-		n.eng.ScheduleArg(delay, ctrlSendFn, op)
-	}
+	delay := n.broadcast(n.release, epoch, false)
 	op := n.getOp()
 	op.t, op.epoch, op.done = n.release, epoch, n.relCompleteFn
 	n.eng.ScheduleArg(delay, ctrlTailFn, op)
@@ -692,25 +722,7 @@ func (n *NIC) retryFire(t *phaseTracker, epoch uint64, attempt int) {
 		}
 		return
 	}
-	typ := myrinet.Halt
-	if t == n.release {
-		typ = myrinet.Ready
-	}
-	delay := sim.Time(0)
-	for d := 0; d < n.net.Nodes(); d++ {
-		dst := myrinet.NodeID(d)
-		if dst == n.cfg.Node || t.Evicted(dst) || t.Heard(epoch, dst) {
-			continue
-		}
-		delay += n.cfg.CtlOverhead
-		n.eng.Schedule(delay, func() {
-			if t.Done(epoch) || t.Heard(epoch, dst) {
-				return
-			}
-			n.countRetransmit(typ)
-			n.sendCtrl(typ, dst, epoch, true)
-		})
-	}
+	n.broadcast(t, epoch, true)
 	n.armRetry(t, epoch, attempt+1)
 }
 
@@ -789,12 +801,8 @@ func (n *NIC) ctrlArrive(t *phaseTracker, epoch uint64, src myrinet.NodeID, retx
 	if !retx || n.recovery == nil || t.Evicted(src) || !t.Transitioned(epoch) {
 		return
 	}
-	typ := myrinet.Halt
-	if t == n.release {
-		typ = myrinet.Ready
-	}
-	n.countRetransmit(typ)
-	n.sendCtrl(typ, src, epoch, false)
+	n.countRetransmit(t.typ)
+	n.sendCtrl(t.typ, src, epoch, false)
 }
 
 // refillArrived is the receive context's handling of a refill after its

@@ -165,6 +165,48 @@ func TestFlushWaitsForAllNodes(t *testing.T) {
 	}
 }
 
+// TestBroadcastSnapshotsDestinations pins the serial loop's membership
+// view: the destination list is taken when the loop starts, so a peer
+// evicted while the loop is still running gets its control packet anyway,
+// and the sent counters equal the snapshot's length.
+func TestBroadcastSnapshotsDestinations(t *testing.T) {
+	eng, _, nics := rig(t, 4)
+	n := nics[0]
+	n.HaltNetwork(1, nil)
+	n.EvictPeer(3) // after the loop started, before its halt to node 3
+	eng.Run()
+	if _, remote := nics[3].FlushState(1); remote != 1 {
+		t.Fatalf("node 3 counted %d halts for epoch 1, want node 0's", remote)
+	}
+	n.ReleaseNetwork(1, nil) // node 3 is out of this loop's snapshot
+	eng.Run()
+	if s := n.Stats(); s.HaltsSent != 3 || s.ReadysSent != 2 {
+		t.Fatalf("sent %d halts and %d readys, want 3 and 2", s.HaltsSent, s.ReadysSent)
+	}
+}
+
+// TestBroadcastEmptySnapshot reaches the loop's empty-snapshot guard:
+// peers are expected (peers > 0) but none is a destination. No train is
+// scheduled and the local transition fires at delay 0. EvictPeer keeps the
+// expected count in step with the evicted set, so the test marks the
+// peers evicted by hand.
+func TestBroadcastEmptySnapshot(t *testing.T) {
+	eng, _, nics := rig(t, 3)
+	n := nics[0]
+	for d := 1; d < 3; d++ {
+		n.flush.evicted[d] = true
+	}
+	n.HaltNetwork(1, nil)
+	if eng.Pending() != 1 {
+		t.Fatalf("%d events pending after the halt, want the tail alone", eng.Pending())
+	}
+	eng.Run()
+	if local, _ := n.FlushState(1); !local || eng.Now() != 0 || n.Stats().HaltsSent != 0 {
+		t.Fatalf("local %v at t=%d with %d halts sent; want the transition at 0 and none sent",
+			local, eng.Now(), n.Stats().HaltsSent)
+	}
+}
+
 // TestFlushDrainsInFlight is the core flush correctness property: data
 // injected before the halt is delivered before the flush completes, so the
 // buffer switch sees a quiescent network.

@@ -3,6 +3,7 @@ package parpar
 import (
 	"testing"
 
+	"gangfm/internal/core"
 	"gangfm/internal/sim"
 )
 
@@ -79,5 +80,44 @@ func idleLoopSpec(name string, ranks int) JobSpec {
 				loop()
 			})
 		},
+	}
+}
+
+// BenchmarkSwitchRound256 measures one warm switch round on a 256-node,
+// 1-slot cluster: every node's halt, buffer copy and release, each stage
+// with its serial broadcast of 255 control packets and the receipt of
+// 255 from its peers. It reports the whole round's ns/op and allocs/op.
+func BenchmarkSwitchRound256(b *testing.B) {
+	cfg := DefaultConfig(256)
+	cfg.Slots = 1
+	c, err := New(cfg)
+	if err != nil {
+		b.Fatal(err)
+	}
+	var epoch uint64
+	switched := 0
+	done := func(core.SwitchStats) { switched++ }
+	round := func() {
+		epoch++
+		for _, n := range c.nodes {
+			if err := n.Mgr.SwitchIdle(epoch, done); err != nil {
+				b.Fatal(err)
+			}
+		}
+		c.Run()
+	}
+	round() // warm every pool to its high-water mark
+	for _, n := range c.nodes {
+		n.Mgr.ReserveHistory(b.N)
+	}
+	switched = 0
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		round()
+	}
+	b.StopTimer()
+	if switched != b.N*len(c.nodes) {
+		b.Fatalf("%d switches completed, want %d", switched, b.N*len(c.nodes))
 	}
 }

@@ -200,7 +200,8 @@ func TestEngineRandomCancelProperty(t *testing.T) {
 }
 
 // TestScheduleArgNoAlloc pins the zero-allocation contract of the hot
-// path: steady-state Schedule/ScheduleArg + Step must not allocate.
+// path: steady-state Schedule/ScheduleArg + Step must not allocate, and
+// neither must a whole train.
 func TestScheduleArgNoAlloc(t *testing.T) {
 	e := NewEngine()
 	var sink int
@@ -213,6 +214,7 @@ func TestScheduleArgNoAlloc(t *testing.T) {
 	arg := any(3) // boxed once, outside the measured loop
 	allocs := testing.AllocsPerRun(1000, func() {
 		e.ScheduleArg(1, fn, arg)
+		e.ScheduleArgTrain(e.Now()+1, 3, 16, fn, arg)
 		e.Run()
 	})
 	if allocs != 0 {

@@ -96,6 +96,15 @@ type Group struct {
 	frontier []Time
 	fOK      []bool
 	dirty    []bool
+
+	stats GroupStats // window counters; Fired is summed on demand
+}
+
+// GroupStats counts a group's work since it was built.
+type GroupStats struct {
+	Windows      uint64 // conservative windows run
+	ShardWindows uint64 // sum over windows of the shards active in each
+	Fired        uint64 // events executed on every lane
 }
 
 // NewGroup builds a group of cfg.Shards shard engines plus one global
@@ -172,6 +181,13 @@ func (g *Group) Fired() uint64 {
 		n += e.fired
 	}
 	return n
+}
+
+// Stats returns the window-loop counters and the events fired.
+func (g *Group) Stats() GroupStats {
+	s := g.stats
+	s.Fired = g.Fired()
+	return s
 }
 
 // Run executes events until every queue drains or Stop is called.
@@ -255,6 +271,8 @@ func (g *Group) runShardsTo(h Time) {
 			g.dirty[i] = true
 		}
 	}
+	g.stats.Windows++
+	g.stats.ShardWindows += uint64(len(g.active))
 	if g.nhelp == 0 || len(g.active) <= 1 {
 		for _, s := range g.active {
 			s.runWindow(h)
