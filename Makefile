@@ -35,7 +35,7 @@ race:
 fuzz-smoke:
 	$(GO) run ./cmd/gangsim fuzz -seed 1 -runs 5
 	$(GO) run ./cmd/gangsim fuzz -compare -seed 77
-	$(GO) run ./cmd/gangsim fuzz -recovery -seed 1 -runs 25
+	$(GO) run ./cmd/gangsim fuzz -recovery -seed 1 -runs 400
 
 # Coverage-guided fuzzing of the trace parser, time-boxed: malformed input
 # must error without panicking, and accepted input must round-trip

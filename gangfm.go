@@ -184,14 +184,14 @@ type Auditor = chaos.Auditor
 func Loss(seed uint64, prob float64) FaultPlan { return chaos.Loss(seed, prob) }
 
 // Recovery parameterizes the opt-in self-healing switch layer: halt/ready
-// retransmission on the NIC, reliable daemon messaging, the masterd's
-// switch watchdog, and the heartbeat that evicts failed nodes (armed when
-// the fault plan contains a NodeCrash). Set ClusterConfig.Recovery to enable;
-// nil (the default) leaves the cluster byte-identical to the base
-// protocol the paper describes.
+// retransmission on the NIC and re-sent daemon messages, with deadlines
+// derived from the cluster's parameters, and the heartbeat that evicts
+// failed nodes (armed when the fault plan contains a NodeCrash), whose
+// budget is the only knob. Set ClusterConfig.Recovery to enable; nil (the
+// default) leaves the cluster byte-identical to the base protocol.
 type Recovery = parpar.Recovery
 
-// DefaultRecovery returns recovery budgets scaled to a scheduling quantum.
+// DefaultRecovery returns the heartbeat budget for a scheduling quantum.
 func DefaultRecovery(quantum Time) Recovery { return parpar.DefaultRecovery(quantum) }
 
 // NewCluster assembles a cluster.

@@ -15,6 +15,7 @@ import (
 	"sync"
 	"sync/atomic"
 
+	"gangfm/internal/parpar"
 	"gangfm/internal/sim"
 )
 
@@ -94,3 +95,8 @@ func mbs(bytes uint64, elapsed sim.Time) float64 {
 	}
 	return float64(bytes) / secs / 1e6
 }
+
+// testRecovery, set only by tests, arms recovery on every cluster the
+// experiments build: fault-free, it must leave every figure
+// byte-identical. It would replace the crash showdowns' own budget.
+var testRecovery *parpar.Recovery

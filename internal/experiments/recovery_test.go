@@ -1,0 +1,56 @@
+package experiments
+
+import (
+	"fmt"
+	"os"
+	"path/filepath"
+	"testing"
+
+	"gangfm/internal/parpar"
+	"gangfm/internal/schedd"
+)
+
+// TestRecoveryCleanOnEveryFigure renders the figure goldens with the
+// recovery layer armed on every cluster the experiments build (fig5–9,
+// overhead, schemes, dyncos, and the crash-free churn showdown) and
+// demands the frozen bytes: on a fault-free run nothing may be re-sent, so
+// recovery must cost nothing. Its deadlines do not depend on the quantum,
+// and without a NodeCrash no heartbeat runs, so one budget serves every
+// figure. The crash showdowns arm recovery anyway; the credit formulas and
+// the offline scheduler (schedeval) build no cluster this seam reaches.
+func TestRecoveryCleanOnEveryFigure(t *testing.T) {
+	r := parpar.DefaultRecovery(2_500_000)
+	testRecovery = &r
+	defer func() { testRecovery = nil }()
+	p := Params{Quick: true, Parallel: 4}
+	tables := []struct {
+		name   string
+		render func() string
+	}{
+		{"fig5.txt", func() string { return fmt.Sprint(Fig5Table(Fig5(p))) }},
+		{"fig6.txt", func() string { return fmt.Sprint(Fig6Table(Fig6(p))) }},
+		{"fig7.txt", func() string {
+			return fmt.Sprint(StageTable("Figure 7: buffer switch stage times, full copy [cycles of a 200 MHz P6]", Fig7(p)))
+		}},
+		{"fig8.txt", func() string { return fmt.Sprint(Fig8FromSweep(Fig9(p))) }},
+		{"fig9.txt", func() string {
+			return fmt.Sprint(StageTable("Figure 9: buffer switch stage times, improved (valid-only) copy [cycles]", Fig9(p)))
+		}},
+		{"overhead.txt", func() string { return fmt.Sprint(OverheadTable(Overhead(p))) }},
+		{"schemes.txt", func() string { return fmt.Sprint(SchemesTable(Schemes(p))) }},
+		{"dyncos.txt", func() string { return fmt.Sprint(ResponsivenessTable(Responsiveness(p))) }},
+		{"churn.txt", func() string {
+			rs := Churn(p)
+			return fmt.Sprint(schedd.GridTable(rs)) + "\n" + fmt.Sprint(schedd.StatsTable(rs))
+		}},
+	}
+	for _, tb := range tables {
+		want, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", tb.name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got := tb.render(); got != string(want) {
+			t.Errorf("%s with recovery armed diverged from the golden\n--- want ---\n%s\n--- got ---\n%s", tb.name, want, got)
+		}
+	}
+}

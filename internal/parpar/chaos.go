@@ -286,14 +286,13 @@ func (c *Cluster) cpuFaultNear(node int, now sim.Time) bool {
 // every survivor has pruned it from its routing table.
 func (c *Cluster) checkRecovery(now sim.Time, report func(invariant, detail string)) {
 	m := c.master
-	rec := c.cfg.Recovery
 
-	// Per epoch and phase a card re-sends at most NICRetries times to each
+	// Per epoch and phase a card re-sends at most nicRetries times to each
 	// peer and echoes at most once per marked packet received (itself
-	// bounded by the peers' budgets); 4·(NICRetries+1)·peers per epoch
+	// bounded by the peers' budgets); 4·(nicRetries+1)·peers per epoch
 	// covers both phases with slack.
 	if peers := len(c.nodes) - 1; peers > 0 {
-		limit := uint64(4*(rec.NICRetries+1)*peers) * (m.epoch + 1)
+		limit := uint64(4*(nicRetries+1)*peers) * (m.epoch + 1)
 		for _, n := range c.nodes {
 			st := n.NIC.Stats()
 			if total := st.HaltRetransmits + st.ReadyRetransmits; total > limit {
@@ -349,8 +348,9 @@ func (c *Cluster) checkGangMatrix(now sim.Time, report func(invariant, detail st
 const stallRounds = 4
 
 // recoveryStallRounds is the liveness budget with recovery enabled: the
-// layered timers (NIC force-complete ~3.5 quanta, heartbeat eviction ~9 at
-// the default budget) legitimately stretch a round, so the alarm threshold
+// layered timers (NIC force-complete ~7 control deadlines, heartbeat
+// eviction ~9 quanta at the default budget; see recovery.go) legitimately
+// stretch a round, so the alarm threshold
 // sits above the whole cascade. A round still stuck past it means recovery
 // itself failed.
 const recoveryStallRounds = 20

@@ -59,10 +59,10 @@ type Config struct {
 
 	// Recovery, when non-nil, enables the self-healing switch path:
 	// Halt/Ready retransmission with degraded flush completion in the
-	// LANai firmware, reliable daemon control messages, the masterd
-	// switch watchdog, and heartbeat detection and eviction of crashed
-	// nodes. Nil (the default) leaves the cluster byte-identical to the
-	// base protocol.
+	// LANai firmware, re-sent daemon control messages (switch
+	// notifications and acks included), and heartbeat detection and
+	// eviction of crashed nodes. Nil (the default) leaves the cluster
+	// byte-identical to the base protocol.
 	Recovery *Recovery
 
 	// Shards, when > 1, partitions the cluster into that many contiguous
@@ -133,13 +133,12 @@ type Node struct {
 	// sent to, and switchSlot drops one stamped for another incarnation.
 	gen int
 
-	// Slot-switch idempotence: the watchdog may re-send a round's
-	// notification, so the noded remembers the round it is working on and
-	// whether it finished — a duplicate re-acks instead of re-switching
-	// (the manager rejects non-monotonic epochs and overlapping switches).
+	// swEpoch is the newest round this incarnation started. With recovery
+	// a round's notification may arrive more than once; only the first
+	// switches (the manager rejects non-monotonic epochs and overlapping
+	// switches), and the masterd's re-send chain stops once it sees the
+	// round reached here.
 	swEpoch uint64
-	swBusy  bool
-	swDone  bool
 
 	// swDoneFn is the switch completion, bound to the manager of the
 	// incarnation that built it (see attach): a retired incarnation's
@@ -166,18 +165,21 @@ type Node struct {
 	procScratch []*Proc
 }
 
-// switchMsg is one slot-switch message in flight: a notification from the
-// masterd (the round and the generation of the incarnation it is addressed
-// to) or a node's acknowledgement of the round. The records ride through
-// the engine as event arguments, so a switch round allocates no closures.
+// switchMsg is one slot-switch message: a notification from the masterd
+// (the round and the generation of the incarnation it is addressed to) or
+// a node's acknowledgement of the round. The records ride through the
+// engine as event arguments, so a switch round allocates no closures.
+// The sender holds one record (with recovery, for its re-send chain) and
+// each delivery carries a copy of its own.
 type switchMsg struct {
 	n     *Node
 	epoch uint64
 	gen   int
+	ack   bool
 }
 
 // getMsg returns a pooled record for one message of node n.
-func (n *Node) getMsg(epoch uint64, gen int) *switchMsg {
+func (n *Node) getMsg(epoch uint64, gen int, ack bool) *switchMsg {
 	var s *switchMsg
 	if ln := len(n.msgs); ln > 0 {
 		s = n.msgs[ln-1]
@@ -185,7 +187,7 @@ func (n *Node) getMsg(epoch uint64, gen int) *switchMsg {
 	} else {
 		s = &switchMsg{n: n}
 	}
-	s.epoch, s.gen = epoch, gen
+	s.epoch, s.gen, s.ack = epoch, gen, ack
 	return s
 }
 
@@ -193,14 +195,43 @@ func (n *Node) getMsg(epoch uint64, gen int) *switchMsg {
 // drops is never returned; the collector takes it.
 func (n *Node) putMsg(s *switchMsg) { n.msgs = append(n.msgs, s) }
 
+// send delivers a pooled copy of s after d, the receiver's to recycle: a
+// notification to its node, an ack to the masterd (unaddressed, like every
+// base-protocol daemon message).
+func (s *switchMsg) send(d sim.Time) {
+	c, cp, i := s.n.cluster.ctrl, s.n.getMsg(s.epoch, s.gen, s.ack), int(s.n.ID)
+	if s.ack {
+		c.deliverRoutedArg(-1, -1, d, ackFireFn, cp)
+	} else {
+		c.deliverRoutedArg(i, i, d, switchNoteFn, cp)
+	}
+}
+
+// received and retire make s a reliable message. A notification is
+// received once its node started the round, an ack once the masterd
+// counted it. Either stops mattering when the round closes or the node is
+// declared dead (which a stale generation implies).
+func (s *switchMsg) received() bool {
+	m, i := s.n.cluster.master, int(s.n.ID)
+	if m.epoch != s.epoch || !m.inFlight || m.matrix.ColDead(i) {
+		return true
+	}
+	if s.ack {
+		return m.ackedBy[i]
+	}
+	return s.n.swEpoch >= s.epoch
+}
+
+func (s *switchMsg) retire() { s.n.putMsg(s) }
+
 // switchNoteFn delivers a notification on the node's lane; ackHopFn moves
 // an acknowledgement to the control network's lane, which samples its
 // latency; ackFireFn is the masterd-side delivery.
 func switchNoteFn(a any) { s := a.(*switchMsg); s.n.switchSlot(s) }
 
 func ackHopFn(a any) {
-	c := a.(*switchMsg).n.cluster.ctrl
-	c.deliverRoutedArg(-1, -1, c.delay(), ackFireFn, a)
+	s := a.(*switchMsg)
+	s.n.cluster.sendSwitchMsg(s, 0)
 }
 
 func ackFireFn(a any) {
@@ -210,15 +241,16 @@ func ackFireFn(a any) {
 	n.cluster.master.switchAcked(int(n.ID), epoch)
 }
 
-// sendAck routes one switch acknowledgement to the masterd: a hop to the
-// control network's lane, then one unaddressed message latency.
-func (n *Node) sendAck(s *switchMsg) {
-	c := n.cluster.ctrl
-	if n.Eng == c.eng {
-		ackHopFn(s)
+// sendSwitchMsg sends s after one control-message latency plus offset:
+// once, or with recovery on a re-send chain that runs until s is
+// received. Call only from the control lane.
+func (c *Cluster) sendSwitchMsg(s *switchMsg, offset sim.Time) {
+	if c.cfg.Recovery == nil {
+		s.send(c.ctrl.delay() + offset)
+		s.retire()
 		return
 	}
-	n.Eng.CrossArgAt(c.eng, n.Eng.Now(), ackHopFn, s)
+	c.ctrl.sendReliable(offset, -1, s)
 }
 
 // attach builds and installs one incarnation of node n — a fresh card
@@ -226,9 +258,10 @@ func (n *Node) sendAck(s *switchMsg) {
 // an initialised manager — and wires everything the incarnation needs:
 // the switch completion bound to that manager, the injector's
 // store-corruption hook, and, with recovery on, the card's retransmission
-// layer. Construction and reboot both build through here, and the
-// incarnation reports its events through the shared network, so nothing
-// is left to re-arm. The first Ready deadline waits out a peer's copy:
+// layer with its first deadline from deadlines. Construction and reboot
+// both build through here, and the incarnation reports its events through
+// the shared network, so nothing is left to re-arm. The first Ready
+// deadline also waits out a peer's copy:
 // the copy model's worst case (mgr.MaxCopyCost), capped at one quantum —
 // past that a lost Ready would stall the round longer than the recovery
 // ladder the liveness auditor budgets for, and at the small quanta of the
@@ -253,8 +286,9 @@ func (c *Cluster) attach(n *Node) error {
 	if c.injector != nil {
 		mgr.OnStore = c.injector.StoreHook(int(n.ID), n.Eng)
 	}
-	if r := c.cfg.Recovery; r != nil {
-		nic.SetRecovery(lanai.Recovery{Timeout: r.NICTimeout, Retries: r.NICRetries,
+	if c.cfg.Recovery != nil {
+		_, first := deadlines(c.cfg, nic.Config())
+		nic.SetRecovery(lanai.Recovery{Timeout: first, Retries: nicRetries,
 			CopyBound: min(mgr.MaxCopyCost(), c.cfg.Quantum)})
 	}
 	return nil
@@ -365,6 +399,7 @@ func New(cfg Config) (*Cluster, error) {
 	}
 	c.Net.SetObserver(c.emit)
 	c.ctrl = newCtrlNet(eng, cfg.CtrlBase, cfg.CtrlJitter, c.rng)
+	c.ctrl.timeout, _ = deadlines(cfg, lanai.DefaultConfig(0))
 	c.newChaos()
 	for i := 0; i < cfg.Nodes; i++ {
 		nodeEng := eng
@@ -477,21 +512,20 @@ func (c *Cluster) SwitchHistory() [][]core.SwitchStats {
 }
 
 // reliableSend routes one daemon control message: a plain send with
-// recovery disabled, a re-sent-until-done send with it enabled. dst < 0
-// addresses the masterd (or is otherwise unattributed); dst >= 0 names the
-// node whose shard the handler runs on. src is the engine the caller is
-// executing on.
+// recovery disabled, a send re-sent until done reports its receipt (at
+// most ctrlRetries times) with it enabled. dst < 0 addresses the masterd
+// (or is otherwise unattributed); dst >= 0 names the node whose shard the
+// handler runs on. src is the engine the caller is executing on.
 func (c *Cluster) reliableSend(src *sim.Engine, dst int, done func() bool, fn func()) {
-	r := c.cfg.Recovery
-	if r == nil {
+	if c.cfg.Recovery == nil {
 		// The base protocol presents every daemon message unattributed to
 		// the fault layer; keeping that here (rather than exposing dst)
 		// preserves the injector's decision sequence byte-for-byte with
 		// recovery off. The handler still runs on dst's lane.
-		c.ctrl.sendRouted(src, dst, fn)
+		c.ctrl.hop(src, sim.Call, func() { c.ctrl.deliverRouted(-1, dst, c.ctrl.delay(), fn) })
 		return
 	}
-	c.ctrl.sendReliable(src, dst, r.CtrlTimeout, r.CtrlRetries, done, fn)
+	c.ctrl.hop(src, sendFuncFn, &funcMsg{c: c.ctrl, dst: dst, done: done, fn: fn})
 }
 
 // node-side daemon actions -------------------------------------------------
@@ -502,10 +536,12 @@ type parkedLoad struct {
 	rank int
 }
 
-// loadJob is the noded's handling of the masterd's job-load message: run
+// loadJob is the noded's handling of the masterd's job-load message: note
+// its receipt (which stops the message's re-send chain), then run
 // COMM_init_job (context allocated, environment prepared — the process can
 // already receive), fork the process, and notify the masterd.
 func (n *Node) loadJob(job *Job, rank int) {
+	job.loadSeen[rank] = true
 	n.CPU.Use(n.cluster.cfg.InitJobCost, func() {
 		n.initJob(job, rank)
 	})
@@ -590,22 +626,15 @@ func (n *Node) startJob(job *Job, rank int) {
 // incarnation the masterd has not admitted yet — is dropped, so only the
 // admitted incarnation ever switches, one round at a time.
 func (n *Node) switchSlot(s *switchMsg) {
-	epoch := s.epoch
-	switch {
-	case s.gen != n.gen, epoch < n.swEpoch, epoch == n.swEpoch && n.swBusy:
-		// Another incarnation's notification, a straggler from a closed
-		// round, or a re-send that overtook the switch in progress (whose
-		// ack follows).
-		n.putMsg(s)
-		return
-	case epoch == n.swEpoch && n.swDone:
-		// Watchdog re-send after completion: the ack was lost, not the
-		// switch. Re-ack.
-		n.sendAck(s)
+	epoch, gen := s.epoch, s.gen
+	n.putMsg(s)
+	if gen != n.gen || epoch <= n.swEpoch {
+		// Another incarnation's notification, or a re-send of a round
+		// this node already started (its ack has a re-send chain of its
+		// own).
 		return
 	}
-	n.putMsg(s)
-	n.swEpoch, n.swBusy, n.swDone = epoch, true, false
+	n.swEpoch = epoch
 	// The masterd rewrites its row snapshot only when the next round
 	// starts, after every live node acknowledged this one; only a
 	// notification that reaches an evicted node can read a later row.
@@ -630,8 +659,10 @@ func (n *Node) switchDone(mgr *core.Manager, s core.SwitchStats) {
 	if mgr != n.Mgr {
 		return
 	}
-	n.swBusy, n.swDone = false, true
-	n.sendAck(n.getMsg(s.Epoch, n.gen))
+	// The ack hops to the control network's lane, which samples its
+	// latency.
+	ack := n.getMsg(s.Epoch, n.gen, true)
+	n.cluster.ctrl.hop(n.Eng, ackHopFn, ack)
 }
 
 // endJob is the noded's handling of job termination: release the
@@ -750,7 +781,7 @@ func (n *Node) reboot(deadPeers []myrinet.NodeID, gen int) {
 	n.procs = make(map[myrinet.JobID]*Proc)
 	n.parked = nil
 	n.gen = gen
-	n.swEpoch, n.swBusy, n.swDone = 0, false, false
+	n.swEpoch = 0
 }
 
 // repairNode runs at a NodeRepair instant, right after the injector

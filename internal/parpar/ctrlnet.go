@@ -35,6 +35,11 @@ type ctrlNet struct {
 	// returns extra latency to add and whether to drop the message. The
 	// chaos injector's CtrlDelay/CtrlLoss faults plug in here.
 	intercept func(now sim.Time, dst int) (extra sim.Time, drop bool)
+
+	// timeout is the first re-send deadline of the reliable path (recovery
+	// only; see deadlines), and resends pools its chain records.
+	timeout sim.Time
+	resends []*resend
 }
 
 func newCtrlNet(eng *sim.Engine, base, jitter sim.Time, rng *sim.Rand) *ctrlNet {
@@ -51,17 +56,16 @@ func (c *ctrlNet) delay() sim.Time {
 	return d
 }
 
-// hop runs fn in the control network's own context: inline when the caller
-// already runs there (the unsharded engine, or the global lane), otherwise
-// posted to the control lane at the caller's current time (daemon-to-
-// masterd requests carry no modeled latency of their own; the sampled
-// delivery delay is the whole cost, exactly as in the inline case).
-func (c *ctrlNet) hop(src *sim.Engine, fn func()) {
+// hop runs fn(arg) on the control lane: inline when the caller already
+// runs there (the unsharded engine, or the global lane), otherwise posted
+// at the caller's current time (a daemon-to-masterd request has no
+// latency of its own; the sampled delivery delay is the whole cost).
+func (c *ctrlNet) hop(src *sim.Engine, fn func(any), arg any) {
 	if src == c.eng {
-		fn()
+		fn(arg)
 		return
 	}
-	src.CrossAt(c.eng, src.Now(), fn)
+	src.CrossArgAt(c.eng, src.Now(), fn, arg)
 }
 
 // engFor returns the engine a delivery for the given node runs on.
@@ -72,25 +76,13 @@ func (c *ctrlNet) engFor(node int) *sim.Engine {
 	return c.eng
 }
 
-// deliver schedules one message to dst after d, subject to the intercept.
-// Call only from eng's context.
-func (c *ctrlNet) deliver(dst int, d sim.Time, fn func()) {
-	c.deliverRouted(dst, dst, d, fn)
-}
-
-// deliverRouted is deliver with the fault-layer presentation (seen)
-// decoupled from the execution site (node): the base-protocol daemons send
-// unaddressed messages (seen = -1), yet the actions those messages trigger
-// belong to a specific node's shard.
+// deliverRouted schedules fn to run on node's lane after d, subject to
+// the intercept, which sees the message as addressed to seen: the
+// base-protocol daemons send unaddressed messages (seen = -1), yet the
+// actions those messages trigger belong to a specific node's shard. Call
+// only from eng's context.
 func (c *ctrlNet) deliverRouted(seen, node int, d sim.Time, fn func()) {
-	if c.intercept != nil {
-		extra, drop := c.intercept(c.eng.Now(), seen)
-		if drop {
-			return
-		}
-		d += extra
-	}
-	c.eng.CrossAt(c.engFor(node), c.eng.Now()+d, fn)
+	c.deliverRoutedArg(seen, node, d, sim.Call, fn)
 }
 
 // deliverRoutedArg is deliverRouted for closure-free callers: fn receives
@@ -107,72 +99,84 @@ func (c *ctrlNet) deliverRoutedArg(seen, node int, d sim.Time, fn func(any), arg
 	c.eng.CrossArgAt(c.engFor(node), c.eng.Now()+d, fn, arg)
 }
 
-// sendRouted delivers fn after one control-message latency, for the base
-// protocol's unaddressed daemon messages whose handler nevertheless acts
-// on one node: the intercept still sees dst = -1 (identical fault
-// presentation), but fn runs on node's shard. src is the engine the caller
-// is executing on.
-func (c *ctrlNet) sendRouted(src *sim.Engine, node int, fn func()) {
-	c.hop(src, func() { c.deliverRouted(-1, node, c.delay(), fn) })
+// reliable is one daemon message on the re-send path. The daemons' real
+// protocol would carry sequence numbers and acks; in the simulation
+// received reads the receiver's state directly, which is exactly the
+// information an ack would carry.
+type reliable interface {
+	// received reports whether the message has done its work at the
+	// receiver (or no longer matters there).
+	received() bool
+	// send delivers one copy of the message after d cycles.
+	send(d sim.Time)
+	// retire hands the message back once its chain has ended.
+	retire()
 }
 
-// sendTo delivers fn to a specific node after one control-message latency,
-// so node-targeted faults apply.
-func (c *ctrlNet) sendTo(src *sim.Engine, dst int, fn func()) {
-	c.hop(src, func() { c.deliverRouted(dst, dst, c.delay(), fn) })
+// Re-send chain budgets. A chain's re-sends fire D, 2D, 4D, then every 4D
+// after the previous one (D the control deadline, see deadlines): ×2
+// backoff up to backoffCap doublings. A bounded chain gives up after
+// ctrlRetries re-sends; the switch messages' chains never do (see
+// Cluster.sendSwitchMsg).
+const (
+	backoffCap  = 2
+	ctrlRetries = 6
+)
+
+// resend is one message's pending re-send chain. The records are pooled
+// on the control lane, the only lane that touches them.
+type resend struct {
+	c       *ctrlNet
+	m       reliable
+	attempt int // re-sends so far
+	retries int // the chain's budget; negative means until received
 }
 
-// sendReliable delivers fn like send and then, while done keeps reporting
-// false, re-delivers it with exponential backoff: re-send k fires
-// timeout<<k after the previous one, for at most retries re-sends. The
-// daemons' real protocol would carry sequence numbers and acks; in the
-// simulation the done predicate reads the receiver's state directly, which
-// is exactly the information an ack would carry. A message still
-// undelivered after the last re-send is abandoned — the switch watchdog
-// and the heartbeat's eviction own what happens to a permanently
-// unreachable node.
-func (c *ctrlNet) sendReliable(src *sim.Engine, dst int, timeout sim.Time, retries int, done func() bool, fn func()) {
-	c.hop(src, func() {
-		c.deliverOnce(dst, fn)
-		c.armResend(dst, timeout, retries, 0, done, fn)
-	})
-}
-
-// deliverOnce and armResend run in eng's context (sendReliable hops
-// there); the retransmission timers and the done-predicate checks stay on
-// that lane, where reading receiver state is barrier-safe.
-func (c *ctrlNet) deliverOnce(dst int, fn func()) {
-	if dst < 0 {
-		c.deliverRouted(-1, -1, c.delay(), fn)
+// sendReliable sends m after one control-message latency plus first, then
+// re-sends it, each copy after its own sampled latency, until it is
+// received — or, when retries >= 0, until retries re-sends are spent: an
+// undeliverable launch or membership message is abandoned, and the
+// heartbeat owns what happens to a permanently unreachable node. Call only
+// from eng's context, where the chain's timers run and reading receiver
+// state is barrier-safe.
+func (c *ctrlNet) sendReliable(first sim.Time, retries int, m reliable) {
+	m.send(c.delay() + first)
+	var r *resend
+	if ln := len(c.resends); ln > 0 {
+		r, c.resends = c.resends[ln-1], c.resends[:ln-1]
 	} else {
-		c.deliverRouted(dst, dst, c.delay(), fn)
+		r = &resend{c: c}
 	}
+	r.m, r.attempt, r.retries = m, 0, retries
+	c.eng.ScheduleArg(c.timeout, resendFn, r)
 }
 
-func (c *ctrlNet) armResend(dst int, timeout sim.Time, retries, attempt int, done func() bool, fn func()) {
-	if attempt >= retries {
+func resendFn(a any) {
+	r := a.(*resend)
+	c := r.c
+	if r.m.received() || r.attempt == r.retries {
+		r.m.retire()
+		r.m = nil
+		c.resends = append(c.resends, r)
 		return
 	}
-	c.eng.Schedule(timeout<<attempt, func() {
-		if done() {
-			return
-		}
-		c.deliverOnce(dst, fn)
-		c.armResend(dst, timeout, retries, attempt+1, done, fn)
-	})
+	r.m.send(c.delay())
+	r.attempt++
+	c.eng.ScheduleArg(c.timeout<<min(r.attempt, backoffCap), resendFn, r)
 }
 
-// serialBroadcast delivers fn(i) to each destination with a cumulative
-// per-destination gap on top of the sampled latency: the masterd's
-// slot-switch notifications go out as consecutive unicasts on the 10 Mb/s
-// control Ethernet, so the skew between the first and last noded grows
-// with the machine size. This skew is what makes the halt stage and the
-// receive-buffer occupancy grow with the node count (Figures 7 and 8):
-// early-notified nodes stop and keep absorbing traffic from nodes that
-// have not yet heard.
-func (c *ctrlNet) serialBroadcast(n int, gap sim.Time, fn func(i int)) {
-	for i := 0; i < n; i++ {
-		i := i
-		c.deliver(i, c.delay()+sim.Time(i+1)*gap, func() { fn(i) })
-	}
+// funcMsg is any other daemon message (launch path, membership,
+// heartbeat, rejoin): fn runs on dst's lane (the masterd's for dst < 0),
+// and done reports its receipt.
+type funcMsg struct {
+	c    *ctrlNet
+	dst  int
+	done func() bool
+	fn   func()
 }
+
+func (f *funcMsg) received() bool  { return f.done() }
+func (f *funcMsg) send(d sim.Time) { f.c.deliverRouted(f.dst, f.dst, d, f.fn) }
+func (f *funcMsg) retire()         {}
+
+func sendFuncFn(a any) { f := a.(*funcMsg); f.c.sendReliable(0, ctrlRetries, f) }

@@ -73,9 +73,11 @@ type Job struct {
 
 	readyRanks int
 	doneRanks  int
-	// readySeen/doneSeen dedup the per-rank lifecycle notifications: with
-	// recovery enabled they are re-sent until acknowledged, and a count
-	// alone would double-book a duplicate.
+	// loadSeen records each rank's receipt of its load message, the load's
+	// re-send predicate. readySeen/doneSeen dedup the per-rank lifecycle
+	// notifications: with recovery enabled they are re-sent until
+	// acknowledged, and a count alone would double-book a duplicate.
+	loadSeen  []bool
 	readySeen []bool
 	doneSeen  []bool
 

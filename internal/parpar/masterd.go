@@ -39,15 +39,13 @@ type Masterd struct {
 
 	// Per round: targets is the row's per-node switch decision snapshot,
 	// needAcks the live-node count the round waits for, and ackedBy dedups
-	// the per-node acknowledgements (the watchdog's re-sends mean one node
-	// can ack more than once). Membership lives in the matrix: a node is
-	// evicted exactly while its column is dead (matrix.ColDead), and downs
-	// below dates each eviction. ackWatch is the pending watchdog deadline
-	// (recovery only).
+	// the per-node acknowledgements (with recovery an ack is re-sent until
+	// counted, so one node can ack more than once). Membership lives in
+	// the matrix: a node is evicted exactly while its column is dead
+	// (matrix.ColDead), and downs below dates each eviction.
 	targets  []myrinet.JobID
 	needAcks int
 	ackedBy  []bool
-	ackWatch sim.Event
 
 	// Heartbeat state (armed when recovery is on and the chaos plan can
 	// fail-stop a node, see armHeartbeat): every interval the masterd pings
@@ -178,6 +176,7 @@ func (m *Masterd) submit(spec JobSpec) (*Job, error) {
 		ID: id, Spec: spec, Placement: placement,
 		nodeOf:     make([]myrinet.NodeID, spec.Size),
 		procs:      make([]*Proc, spec.Size),
+		loadSeen:   make([]bool, spec.Size),
 		readySeen:  make([]bool, spec.Size),
 		doneSeen:   make([]bool, spec.Size),
 		Results:    make([]any, spec.Size),
@@ -191,7 +190,7 @@ func (m *Masterd) submit(spec JobSpec) (*Job, error) {
 	// Figure 2: notify each allocated node to load the job.
 	for rank, col := range placement.Cols {
 		rank, col := rank, col
-		m.c.reliableSend(m.c.Eng, col, func() bool { return job.procs[rank] != nil },
+		m.c.reliableSend(m.c.Eng, col, func() bool { return job.loadSeen[rank] },
 			func() { m.c.nodes[col].loadJob(job, rank) })
 	}
 	m.maybeTick()
@@ -336,18 +335,15 @@ func (m *Masterd) tick() {
 			}
 		}
 	}
-	// Serial broadcast, the latency sampling and insertion order of
-	// ctrl.serialBroadcast: evicted nodes are skipped, keeping each
-	// survivor's serialization slot.
-	for i := range m.c.nodes {
+	// Serial broadcast: consecutive unicasts on the control Ethernet, so
+	// node i hears one latency plus i+1 gaps in; that skew grows with the
+	// machine and drives Figures 7 and 8. Evicted nodes are skipped,
+	// keeping each survivor's slot. A notification carries the node's
+	// generation (its eviction count), so only that incarnation acts on it.
+	for i, n := range m.c.nodes {
 		if !m.matrix.ColDead(i) {
-			m.sendSwitch(i, epoch, m.c.ctrl.delay()+sim.Time(i+1)*m.c.cfg.CtrlSerialGap)
+			m.c.sendSwitchMsg(n.getMsg(epoch, len(m.downs[i]), false), sim.Time(i+1)*m.c.cfg.CtrlSerialGap)
 		}
-	}
-	if m.c.cfg.Recovery != nil {
-		// The watchdog re-sends the notification to silent nodes until
-		// they ack or the heartbeat evicts them.
-		m.armAckWatch(epoch, 0)
 	}
 	var q *quantumMsg
 	if ln := len(m.qPool); ln > 0 {
@@ -358,15 +354,6 @@ func (m *Masterd) tick() {
 	}
 	q.epoch = epoch
 	m.c.Eng.ScheduleArg(m.c.cfg.Quantum, quantumFn, q)
-}
-
-// sendSwitch delivers node i its slot-switch notification for the round
-// after d, stamped with the node's membership generation (its eviction
-// count) so that only the incarnation admitted under it acts on it. The
-// broadcast and the watchdog's re-sends share it.
-func (m *Masterd) sendSwitch(i int, epoch uint64, d sim.Time) {
-	s := m.c.nodes[i].getMsg(epoch, len(m.downs[i]))
-	m.c.ctrl.deliverRoutedArg(i, i, d, switchNoteFn, s)
 }
 
 // switchAcked counts node i's acknowledgement of a round, once per node and
@@ -383,38 +370,12 @@ func (m *Masterd) switchAcked(i int, epoch uint64) {
 	m.advance()
 }
 
-// closeRound ends the in-flight rotation and disarms the watchdog. The
-// round boundary is where queued rejoiners get their chance: the next
-// rotation cannot start until the admission barrier completes.
+// closeRound ends the in-flight rotation. The round boundary is where
+// queued rejoiners get their chance: the next rotation cannot start until
+// the admission barrier completes.
 func (m *Masterd) closeRound() {
 	m.inFlight = false
-	m.ackWatch.Cancel()
 	m.tryRejoin()
-}
-
-// armAckWatch schedules watchdog deadline number attempt for the round,
-// AckTimeout<<min(attempt, ackBackoffCap) cycles from now.
-func (m *Masterd) armAckWatch(epoch uint64, attempt int) {
-	m.ackWatch = m.c.Eng.Schedule(m.c.cfg.Recovery.AckTimeout<<min(attempt, ackBackoffCap), func() {
-		m.ackFire(epoch, attempt)
-	})
-}
-
-// ackFire is a watchdog deadline: the round is still missing
-// acknowledgements. Re-send the notification to each silent live node and
-// back off. Silence is not the watchdog's to judge (see the heartbeat in
-// repair.go): a paused node acks late, and a crashed idle node even keeps
-// acking, since an empty slot's switch never touches its host CPU.
-func (m *Masterd) ackFire(epoch uint64, attempt int) {
-	if m.epoch != epoch || !m.inFlight {
-		return
-	}
-	for i := range m.c.nodes {
-		if !m.matrix.ColDead(i) && !m.ackedBy[i] {
-			m.sendSwitch(i, epoch, m.c.ctrl.delay())
-		}
-	}
-	m.armAckWatch(epoch, attempt+1)
 }
 
 // evictNode declares a node failed: it leaves the round's quorum, every

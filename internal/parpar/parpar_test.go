@@ -455,21 +455,41 @@ func TestFlushGuaranteesEmptyNetwork(t *testing.T) {
 func TestSerialBroadcastSkew(t *testing.T) {
 	// The masterd's switch notifications are serialized unicasts: later
 	// destinations hear strictly later (modulo jitter bounded by the
-	// configured maximum).
-	eng := sim.NewEngine()
-	rng := sim.NewRand(3)
-	ctrl := newCtrlNet(eng, 1000, 500, rng)
-	arrival := make([]sim.Time, 8)
-	ctrl.serialBroadcast(8, 10_000, func(i int) { arrival[i] = eng.Now() })
-	eng.Run()
-	for i := 1; i < len(arrival); i++ {
-		// gap 10_000 >> jitter 500, so ordering is strict.
-		if arrival[i] <= arrival[i-1] {
-			t.Fatalf("serial broadcast not ordered: %v", arrival)
+	// configured maximum). Every node's flush ends within a few control
+	// packets of the others', so a node's halt stage — notification to
+	// last peer halt — is strictly shorter the later it heard.
+	const nodes, gap = 8, 10_000
+	cfg := DefaultConfig(nodes)
+	cfg.Slots = 2
+	cfg.Quantum = 2_000_000
+	cfg.CtrlBase, cfg.CtrlJitter, cfg.CtrlSerialGap = 1000, 500, gap
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, name := range []string{"a", "b"} {
+		if _, err := c.Submit(idleLoopSpec(name, nodes)); err != nil {
+			t.Fatal(err)
 		}
 	}
-	span := arrival[len(arrival)-1] - arrival[0]
-	if span < 7*10_000-500 { // 7 gaps, minus at most one jitter width
+	c.RunUntil(20 * cfg.Quantum)
+	hists := c.SwitchHistory()
+	last := hists[0][len(hists[0])-1].Epoch
+	halt := make([]sim.Time, nodes)
+	for i, hist := range hists {
+		s := hist[len(hist)-1]
+		if s.Epoch != last {
+			t.Fatalf("node %d's last switch is epoch %d, node 0's %d", i, s.Epoch, last)
+		}
+		halt[i] = s.Halt
+	}
+	for i := 1; i < nodes; i++ {
+		// gap 10_000 >> jitter 500, so ordering is strict.
+		if halt[i] >= halt[i-1] {
+			t.Fatalf("serial broadcast not ordered: halt stages %v", halt)
+		}
+	}
+	if span := halt[0] - halt[nodes-1]; span < 6*gap { // 7 gaps, less jitter and the halt loops
 		t.Fatalf("skew span %d below the serialization floor", span)
 	}
 }

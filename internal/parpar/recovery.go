@@ -1,63 +1,42 @@
 package parpar
 
-// recovery.go defines the opt-in self-healing layer's tuning knobs. The
+// recovery.go defines the opt-in self-healing layer's budgets. The
 // mechanisms live where the protocols live — control-packet retransmission
-// in internal/lanai, reliable daemon messaging in ctrlnet.go, the switch
-// watchdog in masterd.go, the heartbeat failure detector and rejoin in
-// repair.go — this file only gathers the timer budgets and documents how
+// in internal/lanai, re-sent daemon messages (switch notifications and
+// acks included) in ctrlnet.go, the heartbeat failure detector and rejoin
+// in repair.go — this file only derives the deadlines and documents how
 // they relate.
 //
 // The budgets are layered so each mechanism resolves before the one above
-// it loses patience:
+// it loses patience (D is the control deadline, N the node count):
 //
-//	NIC phase force-complete  ≈ NICTimeout·(2^(NICRetries+1)-1)   (~3.5 quanta at defaults;
-//	                            the release ladder starts up to one copy allowance later)
-//	heartbeat node eviction   ≈ (HeartbeatMisses+1)·HeartbeatEvery (~9 quanta at defaults)
-//	recovery-liveness auditor   recoveryStallRounds quanta          (20 quanta)
+//	daemon message re-sent       after D, 2D, 4D, then every 4D    (launch-path messages give up
+//	                             after ctrlRetries re-sends; switch messages never do)
+//	NIC phase force-complete     ≈ (D + N·CtlOverhead)·(2^(nicRetries+1)-1)   (~7 D; the release
+//	                             ladder starts up to one copy allowance later)
+//	heartbeat node eviction      ≈ (HeartbeatMisses+1)·HeartbeatEvery   (~9 quanta at defaults)
+//	recovery-liveness auditor    recoveryStallRounds quanta             (20 quanta)
 //
 // A healthy-but-lossy node therefore always finishes its switch (via
 // degraded flush) and acks while its heartbeat still answers; only a node
 // whose host cannot answer at all — a fail-stopped CPU — crosses the
 // eviction deadline; and the auditor's liveness alarm fires only if even
 // eviction failed to unwedge the round. The heartbeat is the only failure
-// detector: the switch watchdog re-sends, it never evicts.
+// detector: a re-send chain re-sends, it never evicts.
 
-import "gangfm/internal/sim"
+import (
+	"errors"
+
+	"gangfm/internal/lanai"
+	"gangfm/internal/sim"
+)
 
 // Recovery enables and parameterizes the self-healing switch path. Nil on
 // Config means fully disabled: no timers are armed, no message is ever
 // re-sent, and the cluster behaves byte-identically to the base protocol.
+// Every re-send deadline is derived from the cluster's own parameters
+// (see deadlines); only the failure detector is tunable.
 type Recovery struct {
-	// NICTimeout is the LANai's first Halt/Ready retransmission deadline,
-	// measured from its local phase transition; attempt i fires after
-	// NICTimeout<<i (exponential backoff). The first Ready deadline also
-	// waits out a peer's buffer copy: the copy model's worst case
-	// (core.Manager.MaxCopyCost), capped at one quantum (see
-	// Cluster.attach). A peer still copying sends its Ready up to one copy
-	// after this node's, and is late, not lost.
-	NICTimeout sim.Time
-	// NICRetries bounds the per-epoch retransmission attempts of each
-	// phase; after the last one the phase completes degraded, without the
-	// missing peers' control packets.
-	NICRetries int
-
-	// CtrlTimeout is the first re-send deadline for daemon control
-	// messages (job load, readiness, start, completion, termination),
-	// doubling per attempt.
-	CtrlTimeout sim.Time
-	// CtrlRetries bounds the re-sends of one control message; an
-	// undeliverable message is abandoned afterwards (the switch watchdog
-	// and the heartbeat own the consequences).
-	CtrlRetries int
-
-	// AckTimeout is the masterd switch watchdog's first deadline: a
-	// rotation whose acknowledgements are incomplete re-sends the
-	// slot-switch notification to the silent nodes, backing off ×2 up to
-	// AckTimeout<<ackBackoffCap and re-sending at that pace until the
-	// round closes. The watchdog never evicts: a node that stays silent is
-	// the heartbeat's to declare dead.
-	AckTimeout sim.Time
-
 	// HeartbeatEvery is the masterd's liveness-probe interval: every
 	// interval it pings each live node on the ctrl network and the noded
 	// replies over the reliable path after a host-CPU charge. The probe
@@ -73,43 +52,51 @@ type Recovery struct {
 	HeartbeatMisses int
 }
 
-// ackBackoffCap caps the switch watchdog's exponential backoff: re-sends
-// go out after AckTimeout, 2·AckTimeout, 4·AckTimeout, then every
-// 4·AckTimeout until the round closes.
-const ackBackoffCap = 2
+// nicRetries bounds the card's per-epoch retransmission rounds of each
+// phase; after the last one the phase completes degraded, without the
+// missing peers' control packets.
+const nicRetries = 2
 
-// DefaultRecovery returns the budgets described above for a quantum. The
-// NIC timeout is half a quantum: it must exceed the worst-case skew
-// between two peers' flush starts — the masterd's switch broadcast is
-// serialized at CtrlSerialGap per node plus delivery jitter — or a
-// healthy-but-late peer triggers clean-path retransmission. At realistic
-// quanta (tens of ms) half a quantum dwarfs that skew; stress configs that
-// push the jitter toward the quantum itself should tune this up. The
-// heartbeat is patient — one probe per quantum, eight misses — so a node
-// paused or cut off for up to seven quanta is never taken for dead; a
-// scheduler that wants faster detection (internal/schedd arms a quarter
-// quantum and two misses) tightens it.
+// DefaultRecovery returns the heartbeat budget for a quantum: one probe
+// per quantum and eight misses, so a node paused or cut off for up to
+// seven quanta is never taken for dead. A scheduler that wants faster
+// detection (internal/schedd arms a quarter quantum and two misses)
+// tightens it.
 func DefaultRecovery(quantum sim.Time) Recovery {
-	return Recovery{
-		NICTimeout:      quantum / 2,
-		NICRetries:      2,
-		CtrlTimeout:     quantum / 4,
-		CtrlRetries:     6,
-		AckTimeout:      2 * quantum,
-		HeartbeatEvery:  quantum,
-		HeartbeatMisses: 8,
-	}
+	return Recovery{HeartbeatEvery: quantum, HeartbeatMisses: 8}
 }
 
-// validate rejects budgets that cannot work (a zero timeout or interval
-// would spin the event loop; negative retries or a zero miss budget make
-// the first deadline give up).
+// deadlines returns the first re-send deadlines of the daemon messages
+// (ctrl) and of the card's Halt/Ready retransmission (nic): each is the
+// worst-case latency of its message on a fault-free run, so the clean path
+// never re-sends, and neither depends on the quantum.
+//
+// ctrl: CtrlBase, every message's fixed cost; CtrlJitter, its largest
+// jitter draw; and (Nodes+1)·CtrlSerialGap, a switch notification's serial
+// offset (at most Nodes gaps) plus one gap of slack that nic relies on.
+//
+// nic runs from the card's local transition, after its own serial loop,
+// to the last peer's Halt (a Ready also gets the copy allowance, see
+// Cluster.attach). ctrl covers the peers' skew, which is below CtrlJitter
+// + (Nodes-1)·CtrlSerialGap; Nodes·CtlOverhead covers the latest peer's
+// loop (at most Nodes-1 packets) and this card's receive cost. Data queued
+// ahead of a Halt gets no term: the card injects data only on a free link,
+// so at most one packet (~2 k cycles) precedes a Halt at the port, and
+// that plus the receive engine's backlog fits in the CtrlBase +
+// 2·CtrlSerialGap that ctrl holds over the skew (at least 60 k cycles).
+// With recovery armed on every figure golden, each flush completes at
+// least 70 k cycles before its deadline.
+func deadlines(cfg Config, card lanai.Config) (ctrl, nic sim.Time) {
+	ctrl = cfg.CtrlBase + cfg.CtrlJitter + sim.Time(cfg.Nodes+1)*cfg.CtrlSerialGap
+	nic = ctrl + sim.Time(cfg.Nodes)*card.CtlOverhead
+	return ctrl, nic
+}
+
+// validate rejects budgets that cannot work (a zero interval would spin
+// the event loop; a zero miss budget makes the first probe evict).
 func (r *Recovery) validate() error {
-	if r.NICTimeout <= 0 || r.CtrlTimeout <= 0 || r.AckTimeout <= 0 || r.HeartbeatEvery <= 0 {
-		return errRecoveryTimeout
-	}
-	if r.NICRetries < 0 || r.CtrlRetries < 0 {
-		return errRecoveryRetries
+	if r.HeartbeatEvery <= 0 {
+		return errHeartbeatEvery
 	}
 	if r.HeartbeatMisses < 1 {
 		return errHeartbeatMisses
@@ -118,11 +105,6 @@ func (r *Recovery) validate() error {
 }
 
 var (
-	errRecoveryTimeout = recoveryErr("recovery timeouts must be positive")
-	errRecoveryRetries = recoveryErr("recovery retry counts must be non-negative")
-	errHeartbeatMisses = recoveryErr("the heartbeat needs a miss budget of at least 1")
+	errHeartbeatEvery  = errors.New("parpar: the heartbeat interval must be positive")
+	errHeartbeatMisses = errors.New("parpar: the heartbeat needs a miss budget of at least 1")
 )
-
-type recoveryErr string
-
-func (e recoveryErr) Error() string { return "parpar: " + string(e) }

@@ -1,10 +1,13 @@
 package parpar
 
 import (
+	"slices"
 	"strings"
 	"testing"
 
 	"gangfm/internal/chaos"
+	"gangfm/internal/core"
+	"gangfm/internal/lanai"
 	"gangfm/internal/myrinet"
 	"gangfm/internal/sim"
 )
@@ -97,9 +100,11 @@ func TestReadyLossRecovered(t *testing.T) {
 // re-broadcasts reach peers that already heard the original — those
 // duplicates must be dropped idempotently and counted, and (being marked
 // retransmissions) answered with an echo that fills the sender's own gap.
+// The plan must really lose halts: a retransmission without a loss would
+// be the clean path misfiring.
 func TestPartialHaltLossCountsStaleCtrl(t *testing.T) {
 	cfg := recoveredConfig(3)
-	cfg.Chaos = &chaos.Plan{Seed: 21, Faults: []chaos.Fault{
+	cfg.Chaos = &chaos.Plan{Seed: 20, Faults: []chaos.Fault{
 		{Kind: chaos.HaltLoss, Prob: 0.5, Node: -1},
 	}}
 	c, err := New(cfg)
@@ -117,6 +122,9 @@ func TestPartialHaltLossCountsStaleCtrl(t *testing.T) {
 	if !c.Auditor().Ok() {
 		t.Fatalf("recovery run reported violations: %s", c.Auditor().Summary())
 	}
+	if c.Net.Stats().Dropped[myrinet.Halt] == 0 {
+		t.Fatal("the plan lost no halt")
+	}
 	halt, _, stale, _ := nicTotals(c)
 	if halt == 0 {
 		t.Fatal("no halt retransmissions under 50% halt loss")
@@ -128,10 +136,11 @@ func TestPartialHaltLossCountsStaleCtrl(t *testing.T) {
 
 // TestCtrlLossRecoveredWithinWindow: a 3-quantum blackout of the control
 // Ethernet (100% loss) — every masterd/noded message in flight is dropped.
-// The reliable-send retry chain (re-sends at 0.25q, 0.75q, 1.75q, 3.75q …
-// cumulative) punches through after the window closes; the bare protocol
-// wedges on the first lost message. Permanent 100% ctrl loss is excluded
-// by design: retransmission needs some delivery.
+// The reliable-send retry chain (re-sends D, 3D, 7D, 11D … after the
+// first send, D the control deadline, about one quantum here) punches
+// through after the window closes; the bare protocol wedges on the first
+// lost message. Permanent 100% ctrl loss is excluded by design:
+// retransmission needs some delivery.
 func TestCtrlLossRecoveredWithinWindow(t *testing.T) {
 	cfg := recoveredConfig(2)
 	cfg.Chaos = &chaos.Plan{Seed: 5, Faults: []chaos.Fault{
@@ -309,9 +318,9 @@ func allToAll(ranks, perPeer, size int) func(rank int) Program {
 // all-to-all jobs alternating in two slots on 16 nodes, so the three-stage
 // switch itself runs under the recovery timers.
 //
-// In that case a valid-only copy takes up to ~2.1M cycles, more than the
-// half-quantum (2M) NIC timeout, so a peer's Ready can trail a fast node's
-// by more than the timeout; the first Ready deadline waits out a
+// In that case a valid-only copy takes up to ~2.1M cycles, about the NIC
+// deadline itself (see deadlines), so a peer's Ready can trail a fast
+// node's by more than the deadline; the first Ready deadline waits out a
 // worst-case copy on top of it, so no node re-sends Ready to a peer that is
 // still copying.
 func TestRecoveryCleanPathFree(t *testing.T) {
@@ -410,23 +419,16 @@ func TestRecoveryCleanPathFree(t *testing.T) {
 	}
 }
 
-// TestRecoveryConfigValidation: broken recovery budgets are rejected at
-// cluster construction, not discovered as silent timer misbehaviour.
+// TestRecoveryConfigValidation: broken heartbeat budgets are rejected at
+// cluster construction, not discovered as silent timer misbehaviour. The
+// heartbeat is the only failure detector: it cannot be switched off, and
+// it needs a miss budget.
 func TestRecoveryConfigValidation(t *testing.T) {
 	cfg := testConfig(2)
-	cfg.Recovery = &Recovery{} // zero timeouts
+	cfg.Recovery = &Recovery{} // zero interval and miss budget
 	if _, err := New(cfg); err == nil {
 		t.Fatal("zero-valued Recovery accepted")
 	}
-	cfg = testConfig(2)
-	r := DefaultRecovery(cfg.Quantum)
-	r.NICRetries = -1
-	cfg.Recovery = &r
-	if _, err := New(cfg); err == nil {
-		t.Fatal("negative retry budget accepted")
-	}
-	// The heartbeat is the only failure detector: it cannot be switched
-	// off, and it needs a miss budget.
 	for _, mutate := range []func(*Recovery){
 		func(r *Recovery) { r.HeartbeatEvery = 0 },
 		func(r *Recovery) { r.HeartbeatMisses = 0 },
@@ -437,6 +439,81 @@ func TestRecoveryConfigValidation(t *testing.T) {
 		cfg.Recovery = &r
 		if _, err := New(cfg); err == nil {
 			t.Fatalf("heartbeat budget %d×%d accepted", r.HeartbeatMisses, r.HeartbeatEvery)
+		}
+	}
+	cfg = testConfig(2)
+	r := DefaultRecovery(cfg.Quantum)
+	cfg.Recovery = &r
+	if _, err := New(cfg); err != nil {
+		t.Fatalf("default budget rejected: %v", err)
+	}
+}
+
+// TestLoadReceiptStopsResend: a job submitted while a full buffer copy
+// holds every node's host CPU waits out the copy before COMM_init_job
+// runs. Its load message was received long before that, so the recovery
+// layer must not re-send it: the recovery-armed run keeps the bare run's
+// switch history and done times to the cycle (a re-send would draw the
+// control network's jitter and shift every later notification).
+func TestLoadReceiptStopsResend(t *testing.T) {
+	config := func(recovery bool) Config {
+		cfg := DefaultConfig(4)
+		cfg.Slots = 2
+		cfg.Mode = core.FullCopy
+		cfg.Quantum = 4_000_000
+		if recovery {
+			r := DefaultRecovery(cfg.Quantum)
+			cfg.Recovery = &r
+		}
+		return cfg
+	}
+	first := JobSpec{Name: "a", Size: 4, NewProgram: allToAll(4, 200, 1536)}
+	second := JobSpec{Name: "b", Size: 4, NewProgram: allToAll(4, 200, 1536)}
+	// Dry run: find the instant the first job's opening switch starts its
+	// copy, which holds node 0's CPU for millions of cycles.
+	dry, err := New(config(false))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := dry.Submit(first); err != nil {
+		t.Fatal(err)
+	}
+	ctrl, _ := deadlines(dry.cfg, lanai.DefaultConfig(0))
+	for cpu := dry.nodes[0].CPU; cpu.FreeAt() < dry.Eng.Now()+2*ctrl; {
+		if !dry.Eng.Step() {
+			t.Fatal("dry run went quiescent before any copy")
+		}
+	}
+	submitAt := dry.Eng.Now()
+
+	run := func(recovery bool) ([][]core.SwitchStats, []sim.Time) {
+		c, err := New(config(recovery))
+		if err != nil {
+			t.Fatal(err)
+		}
+		a, err := c.Submit(first)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.RunUntil(submitAt)
+		b, err := c.Submit(second)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.Run()
+		if a.State() != JobDone || b.State() != JobDone {
+			t.Fatalf("recovery=%v: jobs %v/%v, want done", recovery, a.State(), b.State())
+		}
+		return c.SwitchHistory(), []sim.Time{a.DoneTime, b.DoneTime}
+	}
+	bareHist, bareDone := run(false)
+	recHist, recDone := run(true)
+	if !slices.Equal(bareDone, recDone) {
+		t.Fatalf("recovery moved the done times: %v with, %v without", recDone, bareDone)
+	}
+	for i := range bareHist {
+		if !slices.Equal(bareHist[i], recHist[i]) {
+			t.Fatalf("recovery changed node %d's switch history:\n with    %v\n without %v", i, recHist[i], bareHist[i])
 		}
 	}
 }

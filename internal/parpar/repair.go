@@ -8,8 +8,8 @@ package parpar
 // detector: every Recovery.HeartbeatEvery cycles the masterd pings each
 // live node on the ctrl network and the noded answers over the reliable
 // path after a small host-CPU charge; a node silent for HeartbeatMisses
-// consecutive intervals is evicted. The switch watchdog cannot stand in
-// for it — an idle rotation (no jobs, no rounds) and a single populated
+// consecutive intervals is evicted. Switch acknowledgements cannot stand
+// in for it — an idle rotation (no jobs, no rounds) and a single populated
 // slot (the same-row skip means no switch is ever broadcast; batch mode
 // lives there permanently) owe no acknowledgement at all, and a crashed
 // idle node keeps acking — so every mode is detected the same way. The
@@ -99,7 +99,7 @@ func (m *Masterd) hbTick() {
 		}
 		i := i
 		m.hbPending[i] = true
-		m.c.ctrl.sendTo(m.c.Eng, i, func() { m.c.nodes[i].heartbeat(seq) })
+		m.c.ctrl.deliverRouted(i, i, m.c.ctrl.delay(), func() { m.c.nodes[i].heartbeat(seq) })
 	}
 	m.c.Eng.Schedule(m.c.cfg.Recovery.HeartbeatEvery, m.hbFn)
 }

@@ -212,12 +212,16 @@ func TestScheduleArgNoAlloc(t *testing.T) {
 	}
 	e.Run()
 	arg := any(3) // boxed once, outside the measured loop
+	// A prebuilt func() rides as the arg of the same event form.
+	plain := func() { sink++ }
 	allocs := testing.AllocsPerRun(1000, func() {
 		e.ScheduleArg(1, fn, arg)
 		e.ScheduleArgTrain(e.Now()+1, 3, 16, fn, arg)
+		e.Schedule(2, plain)
+		e.ScheduleAt(e.Now()+3, plain)
 		e.Run()
 	})
 	if allocs != 0 {
-		t.Fatalf("steady-state ScheduleArg+Run allocates %.1f per op, want 0", allocs)
+		t.Fatalf("steady-state Schedule/ScheduleArg+Run allocates %.1f per op, want 0", allocs)
 	}
 }

@@ -38,17 +38,10 @@ func (r *Resource) Idle() bool { return r.freeAt <= r.eng.Now() }
 // and schedules done at the completion time. It returns the completion
 // time. A nil done simply occupies the resource.
 func (r *Resource) Use(dur Time, done func()) Time {
-	start := r.freeAt
-	if now := r.eng.Now(); start < now {
-		start = now
+	if done == nil {
+		return r.UseArg(dur, nil, nil)
 	}
-	end := start + dur
-	r.freeAt = end
-	r.busy += dur
-	if done != nil {
-		r.eng.ScheduleAt(end, done)
-	}
-	return end
+	return r.UseArg(dur, Call, done)
 }
 
 // UseArg is Use with an argument-taking completion callback: hot paths pass

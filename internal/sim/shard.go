@@ -58,8 +58,7 @@ type GroupConfig struct {
 type crossMsg struct {
 	to   *Engine
 	when Time
-	fn   func()
-	afn  func(any)
+	fn   func(any)
 	arg  any
 }
 
@@ -388,7 +387,7 @@ func (g *Group) drain() {
 		// schedule's frontier hook keeps the target's cached minimum
 		// consistent (insertions only lower it), so no dirty marking is
 		// needed here.
-		m.to.schedule(m.when, m.fn, m.afn, m.arg)
-		m.to, m.fn, m.afn, m.arg = nil, nil, nil, nil
+		m.to.schedule(m.when, m.fn, m.arg)
+		m.to, m.fn, m.arg = nil, nil, nil
 	}
 }

@@ -113,7 +113,7 @@ func (ev Event) Cancel() bool {
 		return false
 	}
 	r.canceled = true
-	r.fn, r.afn, r.arg = nil, nil, nil
+	r.fn, r.arg = nil, nil
 	e.pending -= 1 + r.left
 	if g := e.group; g != nil && e.shard >= 0 {
 		g.noteCancel(e.shard)
@@ -123,10 +123,10 @@ func (ev Event) Cancel() bool {
 
 // eventRec is the arena-resident part of an event: the callback and the
 // liveness bookkeeping. The ordering key lives in the heap entry instead,
-// so comparisons never chase a pointer into the arena.
+// so comparisons never chase a pointer into the arena. Every event has the
+// one (fn, arg) form; a plain func() rides as the arg of Call.
 type eventRec struct {
-	fn       func()
-	afn      func(any)
+	fn       func(any)
 	arg      any
 	gen      uint64 // bumped on every recycle; stale handles mismatch
 	step     Time   // a train's stride between firings
@@ -186,28 +186,34 @@ func (e *Engine) Fired() uint64 { return e.fired }
 // Canceled events awaiting lazy removal from the queue are not counted.
 func (e *Engine) Pending() int { return e.pending }
 
+// Call is the trampoline that runs a plain func() passed as the arg of the
+// (fn, arg) callback form: Schedule, ScheduleAt and CrossAt queue
+// (Call, fn). A func value converts to any without allocating, so the
+// closure-taking entry points cost nothing extra.
+func Call(f any) { f.(func())() }
+
 // Schedule queues fn to run delay cycles from now and returns the event.
 func (e *Engine) Schedule(delay Time, fn func()) Event {
-	return e.schedule(e.Now()+delay, fn, nil, nil)
+	return e.schedule(e.Now()+delay, Call, fn)
 }
 
 // ScheduleAt queues fn to run at absolute time t. Scheduling in the past
 // panics: it always indicates a cost-accounting bug, and silently clamping
 // would corrupt causality.
 func (e *Engine) ScheduleAt(t Time, fn func()) Event {
-	return e.schedule(t, fn, nil, nil)
+	return e.schedule(t, Call, fn)
 }
 
 // ScheduleArg queues fn(arg) to run delay cycles from now. It exists so
 // hot paths can use one long-lived callback value instead of allocating a
 // fresh closure per event; passing a pointer-typed arg does not allocate.
 func (e *Engine) ScheduleArg(delay Time, fn func(any), arg any) Event {
-	return e.schedule(e.Now()+delay, nil, fn, arg)
+	return e.schedule(e.Now()+delay, fn, arg)
 }
 
 // ScheduleArgAt queues fn(arg) to run at absolute time t (see ScheduleArg).
 func (e *Engine) ScheduleArgAt(t Time, fn func(any), arg any) Event {
-	return e.schedule(t, nil, fn, arg)
+	return e.schedule(t, fn, arg)
 }
 
 // ScheduleArgTrain queues n firings of fn(arg), the first at absolute time
@@ -219,7 +225,7 @@ func (e *Engine) ScheduleArgTrain(first, step Time, n int, fn func(any), arg any
 	if n < 1 {
 		panic(fmt.Sprintf("sim: train of %d firings", n))
 	}
-	ev := e.schedule(first, nil, fn, arg)
+	ev := e.schedule(first, fn, arg)
 	r := &e.recs[ev.slot]
 	r.step, r.left = step, n-1
 	e.seq += uint64(n - 1)
@@ -227,7 +233,7 @@ func (e *Engine) ScheduleArgTrain(first, step Time, n int, fn func(any), arg any
 	return ev
 }
 
-func (e *Engine) schedule(t Time, fn func(), afn func(any), arg any) Event {
+func (e *Engine) schedule(t Time, fn func(any), arg any) Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: event scheduled at %d, before now=%d", t, e.now))
 	}
@@ -241,7 +247,7 @@ func (e *Engine) schedule(t Time, fn func(), afn func(any), arg any) Event {
 		slot = int32(len(e.recs) - 1)
 	}
 	r := &e.recs[slot]
-	r.fn, r.afn, r.arg = fn, afn, arg
+	r.fn, r.arg = fn, arg
 	r.canceled = false
 	e.push(heapEnt{when: t, seq: e.seq, slot: slot})
 	e.pending++
@@ -256,7 +262,7 @@ func (e *Engine) schedule(t Time, fn func(), afn func(any), arg any) Event {
 func (e *Engine) freeSlot(slot int32) {
 	r := &e.recs[slot]
 	r.gen++
-	r.fn, r.afn, r.arg = nil, nil, nil
+	r.fn, r.arg = nil, nil
 	r.left, r.canceled = 0, false
 	e.free = append(e.free, slot)
 }
@@ -271,7 +277,7 @@ func (e *Engine) Step() bool {
 			e.freeSlot(ent.slot)
 			continue
 		}
-		fn, afn, arg := r.fn, r.afn, r.arg
+		fn, arg := r.fn, r.arg
 		if r.left > 0 {
 			// A train re-queues under its next reserved key (inside a
 			// window on a shard lane, whose frontier is already dirty).
@@ -285,11 +291,7 @@ func (e *Engine) Step() bool {
 		e.pending--
 		e.now = ent.when
 		e.fired++
-		if afn != nil {
-			afn(arg)
-		} else {
-			fn()
-		}
+		fn(arg)
 		return true
 	}
 	return false
@@ -343,21 +345,17 @@ func (e *Engine) Stop() {
 // next window barrier, and t must then respect the group's lookahead bound
 // relative to the sending event's time.
 func (e *Engine) CrossAt(target *Engine, t Time, fn func()) {
-	e.cross(target, t, fn, nil, nil)
+	e.CrossArgAt(target, t, Call, fn)
 }
 
 // CrossArgAt is CrossAt with the allocation-avoiding (fn, arg) callback
 // form (see ScheduleArg).
 func (e *Engine) CrossArgAt(target *Engine, t Time, fn func(any), arg any) {
-	e.cross(target, t, nil, fn, arg)
-}
-
-func (e *Engine) cross(target *Engine, t Time, fn func(), afn func(any), arg any) {
 	if target == e || e.group == nil || e.shard < 0 {
-		target.schedule(t, fn, afn, arg)
+		target.schedule(t, fn, arg)
 		return
 	}
-	e.outbox = append(e.outbox, crossMsg{to: target, when: t, fn: fn, afn: afn, arg: arg})
+	e.outbox = append(e.outbox, crossMsg{to: target, when: t, fn: fn, arg: arg})
 }
 
 // runWindow executes every pending event with time strictly before h, then

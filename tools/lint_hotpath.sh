@@ -6,8 +6,8 @@
 # DESIGN.md §6). This check greps those packages for call sites that pass
 # an inline func literal to Schedule/ScheduleAt/CrossAt/Use and fails if
 # any site is not listed in tools/hotpath_allow.txt — the registry of
-# intentionally cold sites (recovery watchdogs, per-switch copies, job
-# setup) where a per-call closure is fine.
+# intentionally cold sites (recovery retransmission timers, per-switch
+# copies, job setup) where a per-call closure is fine.
 #
 # An allowlist entry is "<file>:<trimmed source line>", so moving a cold
 # site is free but editing it forces the allowlist (and this reasoning)
