@@ -25,7 +25,7 @@ func runFuzz(args []string, out io.Writer) int {
 		trace    = fs.Bool("trace", false, "print the injection trace of failing runs")
 		compare  = fs.Bool("compare", false, "run the FM-vs-go-back-N loss comparison instead")
 		prob     = fs.Float64("prob", 0.2, "loss probability for -compare")
-		recovery = fs.Bool("recovery", false, "differential recovery campaign: each plan runs bare and with the self-healing switch layer; any recovery-enabled failure is a regression (exit 1)")
+		recovery = fs.Bool("recovery", false, "recovery campaign: plans drawn from the fault classes the self-healing switch layer absorbs; any failure, or a campaign in which the layer never acted, exits 1")
 	)
 	if err := fs.Parse(args); err != nil {
 		return 2
@@ -34,10 +34,14 @@ func runFuzz(args []string, out io.Writer) int {
 	if *recovery {
 		rep := fuzzer.FuzzRecovery(fuzzer.Config{Seed: *seed, Runs: *runs},
 			func(format string, a ...any) { fmt.Fprintf(out, format+"\n", a...) })
-		fmt.Fprintf(out, "\nrecovery campaign: %d runs, %d wedged bare, %d recovered, %d UNRECOVERED\n",
-			len(rep.Runs), rep.Wedged, rep.Recovered, rep.Unrecovered)
+		fmt.Fprintf(out, "\nrecovery campaign: %d runs, %d absorbed, %d UNRECOVERED\n",
+			len(rep.Runs), rep.Absorbed, rep.Unrecovered)
 		if rep.Unrecovered > 0 {
 			fmt.Fprintf(out, "recovery regression; replay with: gangsim fuzz -recovery -seed <S> -runs 1\n")
+			return 1
+		}
+		if rep.Absorbed == 0 {
+			fmt.Fprintf(out, "the recovery layer never acted: the campaign exercised nothing\n")
 			return 1
 		}
 		return 0

@@ -167,8 +167,8 @@ const (
 	// NodeSlow steals a fraction of one node's host CPU for a window.
 	NodeSlow = chaos.NodeSlow
 	// NodeCrash permanently halts one node's host CPU from its From time
-	// (fail-stop). With Recovery enabled the node is detected, evicted,
-	// and the jobs spanning it are killed; without, the machine wedges.
+	// (fail-stop). The heartbeat the plan then arms (see Recovery)
+	// detects and evicts the node, and the jobs spanning it are killed.
 	NodeCrash = chaos.NodeCrash
 )
 
@@ -183,12 +183,13 @@ type Auditor = chaos.Auditor
 // data-packet loss on every link, driven by seed.
 func Loss(seed uint64, prob float64) FaultPlan { return chaos.Loss(seed, prob) }
 
-// Recovery parameterizes the opt-in self-healing switch layer: halt/ready
-// retransmission on the NIC and re-sent daemon messages, with deadlines
-// derived from the cluster's parameters, and the heartbeat that evicts
-// failed nodes (armed when the fault plan contains a NodeCrash), whose
-// budget is the only knob. Set ClusterConfig.Recovery to enable; nil (the
-// default) leaves the cluster byte-identical to the base protocol.
+// Recovery is the heartbeat budget of the self-healing switch layer:
+// halt/ready retransmission on the NIC and re-sent daemon messages, with
+// deadlines derived from the cluster's parameters, and the heartbeat that
+// evicts failed nodes (run when the fault plan contains a NodeCrash). A
+// non-empty ClusterConfig.Chaos plan arms the layer; without one nothing
+// can be lost and the cluster runs the base protocol. The zero value of
+// ClusterConfig.Recovery means DefaultRecovery(Quantum).
 type Recovery = parpar.Recovery
 
 // DefaultRecovery returns the heartbeat budget for a scheduling quantum.

@@ -101,13 +101,11 @@ func TestClockFacade(t *testing.T) {
 }
 
 // TestRecoveryFacade drives the self-healing layer end to end through the
-// public API: a node crash under Recovery ends with the spanning job
+// public API: a node crash in the fault plan ends with the spanning job
 // killed, a clean auditor, and the run still completing.
 func TestRecoveryFacade(t *testing.T) {
 	cfg := DefaultClusterConfig(2)
 	cfg.Quantum = 400_000
-	r := DefaultRecovery(cfg.Quantum)
-	cfg.Recovery = &r
 	cfg.Chaos = &FaultPlan{Seed: 7, Faults: []Fault{
 		{Kind: NodeCrash, Node: 1, From: 10_000},
 	}}

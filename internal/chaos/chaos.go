@@ -70,10 +70,9 @@ const (
 	NodeSlow
 	// NodeCrash permanently halts node Node's host CPU from time From: a
 	// fail-stop node failure. Unlike NodePause there is no Until — the
-	// node never comes back. Without the recovery layer a crash that hits
-	// mid-protocol wedges the machine; with recovery enabled the masterd's
-	// heartbeat detects the silent node, evicts it, and kills the jobs
-	// spanning it so survivors keep rotating.
+	// node never comes back. The recovery layer every fault plan arms
+	// runs the masterd's heartbeat, which detects the silent node, evicts
+	// it, and kills the jobs spanning it so survivors keep rotating.
 	NodeCrash
 	// NodeRepair ends an earlier NodeCrash of the same node at time From:
 	// the operator swaps the board and the node boots a fresh incarnation

@@ -72,9 +72,6 @@ type Scenario struct {
 	Plan   chaos.Plan
 	// Churn are mid-run kill/resize commands (recovery campaign only).
 	Churn []ChurnCmd
-	// Recovery runs the cluster with the self-healing switch layer enabled
-	// (parpar.DefaultRecovery of the fuzz quantum).
-	Recovery bool
 }
 
 // String summarizes the scenario on one line.
@@ -83,16 +80,12 @@ func (s Scenario) String() string {
 	for i, j := range s.Jobs {
 		names[i] = fmt.Sprintf("%s/%d", j.Name, j.Size)
 	}
-	mode := ""
-	if s.Recovery {
-		mode = ", recovery"
-	}
 	churn := ""
 	if len(s.Churn) > 0 {
 		churn = fmt.Sprintf(", %d churn cmd(s)", len(s.Churn))
 	}
-	return fmt.Sprintf("seed %d: %d nodes, %d slots, %v, jobs [%s], %d fault(s)%s%s",
-		s.Seed, s.Nodes, s.Slots, s.Policy, strings.Join(names, " "), len(s.Plan.Faults), churn, mode)
+	return fmt.Sprintf("seed %d: %d nodes, %d slots, %v, jobs [%s], %d fault(s)%s",
+		s.Seed, s.Nodes, s.Slots, s.Policy, strings.Join(names, " "), len(s.Plan.Faults), churn)
 }
 
 // RunResult is the outcome of executing one scenario.
@@ -106,6 +99,10 @@ type RunResult struct {
 	Crash string
 	// DoneJobs counts jobs that finished within the horizon, of TotalJobs.
 	DoneJobs, TotalJobs int
+	// Healed reports that the self-healing layer, which every fault plan
+	// arms, acted: a card retransmitted or force-completed a flush phase,
+	// a daemon message was re-sent, or a node was evicted.
+	Healed bool
 	// Trace is the injector's firing log (capped; see chaos.Injector).
 	Trace []string
 	// Minimal is the shrunk failing plan when shrinking ran, else the
@@ -213,7 +210,7 @@ func samplePlan(rng *sim.Rand, seed uint64, nodes int) chaos.Plan {
 	return plan
 }
 
-// SampleRecovery derives a scenario for the differential recovery campaign:
+// SampleRecovery derives a scenario for the recovery campaign:
 // the same cluster/job generator as Sample, but a fault plan drawn only from
 // the classes the recovery layer promises to absorb — control-path loss
 // (halt, ready, ctrl Ethernet) over *bounded* windows, delay/pause/slow
@@ -344,6 +341,7 @@ func Execute(s Scenario, horizon sim.Time) (res RunResult) {
 		if c != nil {
 			res.Violations = c.Auditor().Violations()
 			res.Trace = c.ChaosTrace()
+			res.Healed = healed(c)
 			for _, j := range jobs {
 				if j.State() == parpar.JobDone {
 					res.DoneJobs++
@@ -401,11 +399,22 @@ func fuzzClusterConfig(s Scenario) parpar.Config {
 	cfg.Seed = s.Seed
 	plan := s.Plan
 	cfg.Chaos = &plan
-	if s.Recovery {
-		r := parpar.DefaultRecovery(quantum)
-		cfg.Recovery = &r
-	}
 	return cfg
+}
+
+// healed reads the recovery layer's counters: card retransmissions and
+// forced phases, daemon re-sends and evictions.
+func healed(c *parpar.Cluster) bool {
+	if c.Resends() > 0 {
+		return true
+	}
+	for i, n := range c.Nodes() {
+		st := n.NIC.Stats()
+		if st.HaltRetransmits+st.ReadyRetransmits+st.ForcedPhases > 0 || len(c.Master().Downtime(i)) > 0 {
+			return true
+		}
+	}
+	return false
 }
 
 // FuzzOne samples and executes the scenario for one seed.
@@ -446,89 +455,59 @@ func Fuzz(cfg Config, logf func(format string, args ...any)) Report {
 	return rep
 }
 
-// RecoveryResult pairs the two runs of one differential recovery scenario:
-// the same sampled cluster, jobs and fault plan executed without and then
-// with the self-healing switch layer.
-type RecoveryResult struct {
-	Base RunResult // recovery off: expected to wedge under harsh plans
-	Rec  RunResult // recovery on: must always come back clean
-}
-
-// Wedged reports whether the bare protocol failed on this plan.
-func (r RecoveryResult) Wedged() bool { return r.Base.Failed() }
-
-// Unrecovered reports the campaign's real finding: the recovery layer
-// itself produced a violation or crash.
-func (r RecoveryResult) Unrecovered() bool { return r.Rec.Failed() }
-
-// String formats the differential verdict for campaign logs.
-func (r RecoveryResult) String() string {
-	verdict := "clean either way"
-	switch {
-	case r.Unrecovered() && r.Wedged():
-		verdict = "UNRECOVERED"
-	case r.Unrecovered():
-		verdict = "UNRECOVERED (recovery-only failure)"
-	case r.Wedged():
-		verdict = "wedged bare, recovered"
-	}
-	s := fmt.Sprintf("%s\n  %s (%d/%d jobs bare, %d/%d with recovery)",
-		r.Base.Scenario, verdict, r.Base.DoneJobs, r.Base.TotalJobs, r.Rec.DoneJobs, r.Rec.TotalJobs)
-	if r.Unrecovered() {
-		if r.Rec.Crash != "" {
-			s += "\n  CRASH: " + r.Rec.Crash
-		}
-		for _, v := range r.Rec.Violations {
-			s += "\n    " + v.String()
-		}
-	}
-	return s
-}
-
-// RecoveryReport is a differential recovery campaign's outcome.
+// RecoveryReport is a recovery campaign's outcome.
 type RecoveryReport struct {
-	Runs []RecoveryResult
-	// Wedged counts scenarios the bare protocol failed — the campaign's
-	// workload coverage (a campaign that never wedges proves nothing).
-	Wedged int
-	// Recovered counts wedged scenarios the recovery layer absorbed.
-	Recovered int
-	// Unrecovered counts scenarios that failed *with* recovery enabled —
+	Runs []RunResult
+	// Absorbed counts clean runs in which the recovery layer acted — the
+	// campaign's coverage (a campaign that never exercises the layer
+	// proves nothing).
+	Absorbed int
+	// Unrecovered counts runs that failed despite the recovery layer —
 	// the regression signal: it must be zero.
 	Unrecovered int
 }
 
-// FuzzRecovery executes cfg.Runs differential scenarios: each seed is
-// sampled with SampleRecovery and run twice, recovery off then on. Every
-// recovery-enabled run must finish with a clean auditor — the plans are
-// restricted to the fault classes the layer guarantees against.
+// FuzzRecovery executes cfg.Runs scenarios sampled with SampleRecovery.
+// Every run must finish with a clean auditor — the plans are restricted to
+// the fault classes the recovery layer guarantees against.
 func FuzzRecovery(cfg Config, logf func(format string, args ...any)) RecoveryReport {
 	if cfg.Runs <= 0 {
 		cfg.Runs = 1
 	}
 	var rep RecoveryReport
 	for i := 0; i < cfg.Runs; i++ {
-		s := SampleRecovery(cfg.Seed + uint64(i))
-		var res RecoveryResult
-		res.Base = Execute(s, cfg.Horizon)
-		rs := s
-		rs.Recovery = true
-		res.Rec = Execute(rs, cfg.Horizon)
-		if res.Wedged() {
-			rep.Wedged++
-			if !res.Unrecovered() {
-				rep.Recovered++
-			}
-		}
-		if res.Unrecovered() {
+		res := Execute(SampleRecovery(cfg.Seed+uint64(i)), cfg.Horizon)
+		switch {
+		case res.Failed():
 			rep.Unrecovered++
+		case res.Healed:
+			rep.Absorbed++
 		}
 		rep.Runs = append(rep.Runs, res)
 		if logf != nil {
-			logf("%s", res)
+			logf("%s", recoveryVerdict(res))
 		}
 	}
 	return rep
+}
+
+// recoveryVerdict formats one recovery-campaign run for campaign logs.
+func recoveryVerdict(r RunResult) string {
+	verdict := "clean, layer idle"
+	switch {
+	case r.Failed():
+		verdict = "UNRECOVERED"
+	case r.Healed:
+		verdict = "absorbed"
+	}
+	s := fmt.Sprintf("%s\n  %s (%d/%d jobs done)", r.Scenario, verdict, r.DoneJobs, r.TotalJobs)
+	if r.Crash != "" {
+		s += "\n  CRASH: " + r.Crash
+	}
+	for _, v := range r.Violations {
+		s += "\n    " + v.String()
+	}
+	return s
 }
 
 // Shrink minimizes a failing scenario's fault plan: it greedily drops

@@ -46,12 +46,12 @@ func TestFuzzOneDeterministic(t *testing.T) {
 // surfaces at least one invariant violation — the harness actually detects
 // the fragilities it was built for — and every run's verdict line renders.
 func TestCampaignFindsViolations(t *testing.T) {
-	rep := Fuzz(Config{Seed: 1, Runs: 10}, nil)
-	if len(rep.Runs) != 10 {
-		t.Fatalf("campaign ran %d/10", len(rep.Runs))
+	rep := Fuzz(Config{Seed: 1, Runs: 20}, nil)
+	if len(rep.Runs) != 20 {
+		t.Fatalf("campaign ran %d/20", len(rep.Runs))
 	}
 	if rep.Failures == 0 {
-		t.Fatal("10 fuzz runs with 1-3 faults each found no violations at all")
+		t.Fatal("20 fuzz runs with 1-3 faults each found no violations at all")
 	}
 	for _, r := range rep.Runs {
 		if r.String() == "" {
@@ -60,9 +60,9 @@ func TestCampaignFindsViolations(t *testing.T) {
 	}
 }
 
-// TestRecoveryCampaign: the differential recovery mode over a fixed seed
-// range must find scenarios that wedge the bare protocol (coverage), must
-// recover every one of them (the layer's guarantee over its restricted
+// TestRecoveryCampaign: the recovery campaign over a fixed seed range must
+// find scenarios in which the recovery layer acts (coverage), must come
+// back clean from every one (the layer's guarantee over its restricted
 // fault classes), and must be deterministic run to run.
 func TestRecoveryCampaign(t *testing.T) {
 	campaign := func() RecoveryReport { return FuzzRecovery(Config{Seed: 1, Runs: 15}, nil) }
@@ -70,19 +70,16 @@ func TestRecoveryCampaign(t *testing.T) {
 	if len(rep.Runs) != 15 {
 		t.Fatalf("campaign ran %d/15", len(rep.Runs))
 	}
-	if rep.Wedged == 0 {
-		t.Fatal("no sampled plan wedged the bare protocol: the campaign proves nothing")
+	if rep.Absorbed < 1 {
+		t.Fatal("the recovery layer never acted: the campaign proves nothing")
 	}
 	if rep.Unrecovered != 0 {
 		for _, r := range rep.Runs {
-			if r.Unrecovered() {
+			if r.Failed() {
 				t.Errorf("unrecovered: %s", r)
 			}
 		}
-		t.Fatalf("%d scenario(s) failed with recovery enabled", rep.Unrecovered)
-	}
-	if rep.Recovered != rep.Wedged {
-		t.Fatalf("recovered %d of %d wedged scenarios", rep.Recovered, rep.Wedged)
+		t.Fatalf("%d scenario(s) failed with recovery armed", rep.Unrecovered)
 	}
 	rep2 := campaign()
 	for i := range rep.Runs {
@@ -195,9 +192,9 @@ func TestCompareLossKnownAnswer(t *testing.T) {
 // TestRecoveryCampaignChurnAtScale is the wide net behind the failure-aware
 // scheduling work: ≥100 recovery scenarios — now with live churn commands
 // (kills and resizes) layered over the fault plans — and none may end
-// unrecovered. Wedging the bare protocol is expected (that is the
-// campaign's coverage); a scenario that stays wedged WITH the recovery
-// layer armed is the bug this test exists to catch.
+// unrecovered. The layer acting is expected (that is the campaign's
+// coverage); a scenario that stays wedged with the layer armed is the bug
+// this test exists to catch.
 func TestRecoveryCampaignChurnAtScale(t *testing.T) {
 	if testing.Short() {
 		t.Skip("120-seed recovery campaign is not short")
@@ -207,16 +204,16 @@ func TestRecoveryCampaignChurnAtScale(t *testing.T) {
 	if len(rep.Runs) != runs {
 		t.Fatalf("campaign ran %d/%d", len(rep.Runs), runs)
 	}
-	if rep.Wedged == 0 {
-		t.Fatal("no sampled plan wedged the bare protocol across the whole campaign")
+	if rep.Absorbed < 1 {
+		t.Fatal("the recovery layer never acted across the whole campaign")
 	}
 	if rep.Unrecovered != 0 {
 		for _, r := range rep.Runs {
-			if r.Unrecovered() {
+			if r.Failed() {
 				t.Errorf("unrecovered: %s", r)
 			}
 		}
-		t.Fatalf("%d of %d scenarios stayed wedged with recovery enabled", rep.Unrecovered, runs)
+		t.Fatalf("%d of %d scenarios stayed wedged with recovery armed", rep.Unrecovered, runs)
 	}
 	// The campaign must actually exercise churn: a healthy share of the
 	// sampled scenarios carries kill/resize commands.

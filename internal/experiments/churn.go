@@ -56,7 +56,7 @@ func churn(p Params, crash, repair float64) []*schedd.Result {
 	cfg.Trace = trace
 	cfg.Shards = p.Shards
 	cfg.Workers = p.Workers
-	cfg.Recovery = testRecovery
+	cfg.Chaos = testChaos
 	if crash > 0 {
 		var lastArrive sim.Time
 		for _, tj := range trace {

@@ -15,7 +15,7 @@ import (
 	"sync"
 	"sync/atomic"
 
-	"gangfm/internal/parpar"
+	"gangfm/internal/chaos"
 	"gangfm/internal/sim"
 )
 
@@ -96,7 +96,7 @@ func mbs(bytes uint64, elapsed sim.Time) float64 {
 	return float64(bytes) / secs / 1e6
 }
 
-// testRecovery, set only by tests, arms recovery on every cluster the
-// experiments build: fault-free, it must leave every figure
-// byte-identical. It would replace the crash showdowns' own budget.
-var testRecovery *parpar.Recovery
+// testChaos, set only by tests, installs a fault plan on every cluster the
+// experiments build, which arms the recovery layer there: with an inert
+// plan it must leave every figure byte-identical.
+var testChaos *chaos.Plan

@@ -80,7 +80,7 @@ func fig5Point(nContexts, size int, p Params) Fig5Point {
 	cfg.ForkDelay = 100_000
 	cfg.Shards = p.Shards
 	cfg.Workers = p.Workers
-	cfg.Recovery = testRecovery
+	cfg.Chaos = testChaos
 	cluster, err := parpar.New(cfg)
 	if err != nil {
 		panic(err)

@@ -100,7 +100,7 @@ func fig6Point(k, size int, p Params) Fig6Point {
 	cfg.ForkDelay = 100_000
 	cfg.Shards = p.Shards
 	cfg.Workers = p.Workers
-	cfg.Recovery = testRecovery
+	cfg.Chaos = testChaos
 	cluster, err := parpar.New(cfg)
 	if err != nil {
 		panic(err)

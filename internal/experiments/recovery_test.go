@@ -6,22 +6,24 @@ import (
 	"path/filepath"
 	"testing"
 
-	"gangfm/internal/parpar"
+	"gangfm/internal/chaos"
 	"gangfm/internal/schedd"
 )
 
 // TestRecoveryCleanOnEveryFigure renders the figure goldens with the
 // recovery layer armed on every cluster the experiments build (fig5–9,
 // overhead, schemes, dyncos, and the crash-free churn showdown) and
-// demands the frozen bytes: on a fault-free run nothing may be re-sent, so
-// recovery must cost nothing. Its deadlines do not depend on the quantum,
-// and without a NodeCrash no heartbeat runs, so one budget serves every
-// figure. The crash showdowns arm recovery anyway; the credit formulas and
+// demands the frozen bytes. The layer is armed by installing a fault plan
+// whose only fault opens after every horizon: nothing is ever injected, so
+// nothing may be re-sent, and recovery must cost nothing. Its deadlines
+// do not depend on the quantum, and without a NodeCrash no heartbeat
+// runs. The crash showdowns arm recovery anyway; the credit formulas and
 // the offline scheduler (schedeval) build no cluster this seam reaches.
 func TestRecoveryCleanOnEveryFigure(t *testing.T) {
-	r := parpar.DefaultRecovery(2_500_000)
-	testRecovery = &r
-	defer func() { testRecovery = nil }()
+	testChaos = &chaos.Plan{Seed: 1, Faults: []chaos.Fault{
+		{Kind: chaos.CtrlDelay, Prob: 1, Delay: 1, Node: -1, From: 1 << 62},
+	}}
+	defer func() { testChaos = nil }()
 	p := Params{Quick: true, Parallel: 4}
 	tables := []struct {
 		name   string

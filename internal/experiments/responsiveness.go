@@ -52,7 +52,7 @@ func gangResponsiveness(p Params) ResponsivenessRow {
 	cfg.Quantum = 4_000_000 // 20 ms
 	cfg.CtrlJitter = 40_000
 	cfg.ForkDelay = 50_000
-	cfg.Recovery = testRecovery
+	cfg.Chaos = testChaos
 	cluster, err := parpar.New(cfg)
 	if err != nil {
 		panic(err)

@@ -56,7 +56,7 @@ func paperSchemeRow(p Params) SchemeRow {
 	cfg.Mode = core.ValidOnly
 	cfg.Quantum = 2_000_000
 	cfg.UseFastCtrlNet()
-	cfg.Recovery = testRecovery
+	cfg.Chaos = testChaos
 	cluster, err := parpar.New(cfg)
 	if err != nil {
 		panic(err)

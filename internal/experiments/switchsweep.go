@@ -62,7 +62,7 @@ func switchPoint(nodes int, mode core.CopyMode, quick bool) SwitchPoint {
 		perPeer = clamp(perPeer/4, 40, 2500)
 		cfg.Quantum = 2_500_000
 	}
-	cfg.Recovery = testRecovery
+	cfg.Chaos = testChaos
 	cluster, err := parpar.New(cfg)
 	if err != nil {
 		panic(err)

@@ -177,12 +177,8 @@ type NIC struct {
 	scanPending bool
 	rr          int // round-robin cursor over context slots
 
-	// recovery, when non-nil, enables the retransmission layer; the
-	// timer maps hold the pending per-epoch retransmission events so
-	// normal completion cancels them (zero clean-path overhead).
-	recovery      *Recovery
-	flushTimers   map[uint64]sim.Event
-	releaseTimers map[uint64]sim.Event
+	// recovery, when non-nil, enables the retransmission layer.
+	recovery *Recovery
 
 	// recvEngine serializes the receive context + DMA engine.
 	recvEngine *sim.Resource
@@ -203,10 +199,11 @@ type NIC struct {
 	depositFn func(any)
 	refillFn  func(any)
 
-	// opPool recycles the ctrlOp records the clean-path flush/release
-	// protocol schedules with (tail transitions, control arrivals) — one
-	// op per event, freed when the event fires. bcastPool does the same
-	// for serial broadcast loops, one record per loop.
+	// opPool recycles the ctrlOp records the flush/release protocol
+	// schedules with (tail transitions, control arrivals, retransmission
+	// deadlines) — one op per event or deadline chain, freed when it
+	// ends. bcastPool does the same for serial broadcast loops, one
+	// record per loop.
 	opPool    []*ctrlOp
 	bcastPool []*bcast
 
@@ -221,16 +218,18 @@ type NIC struct {
 	stats Stats
 }
 
-// ctrlOp is one pooled flush-protocol action: a tail local transition or a
-// counted control arrival. The record rides through the engine as the
-// event argument, so the clean-path protocol allocates no closures.
+// ctrlOp is one pooled flush-protocol action: a tail local transition, a
+// counted control arrival, or a phase epoch's retransmission deadline
+// chain. The record rides through the engine as the event argument, so
+// the protocol allocates no closures.
 type ctrlOp struct {
-	n     *NIC
-	t     *phaseTracker
-	dst   myrinet.NodeID
-	epoch uint64
-	retx  bool
-	done  func()
+	n       *NIC
+	t       *phaseTracker
+	dst     myrinet.NodeID
+	epoch   uint64
+	retx    bool
+	done    func()
+	attempt int // retransmission rounds so far (deadline chains)
 }
 
 // bcast is one pooled serial broadcast loop: the destinations snapshotted
@@ -389,8 +388,6 @@ func (n *NIC) SetRecovery(r Recovery) {
 		panic(fmt.Sprintf("lanai: invalid recovery config %+v", r))
 	}
 	n.recovery = &r
-	n.flushTimers = make(map[uint64]sim.Event)
-	n.releaseTimers = make(map[uint64]sim.Event)
 }
 
 // EvictPeer removes a peer from the card's membership view: it is no
@@ -661,69 +658,48 @@ func (n *NIC) sendCtrl(typ myrinet.PacketType, dst myrinet.NodeID, epoch uint64,
 }
 
 // localTransition performs the tracker's local transition and, with
-// recovery enabled, wraps the completion callback to cancel the epoch's
-// retransmission timer and arms the first one if the phase is still open.
+// recovery enabled, starts the epoch's retransmission deadline chain if
+// the phase is still open.
 func (n *NIC) localTransition(t *phaseTracker, epoch uint64, onDone func()) {
-	if n.recovery == nil {
-		t.LocalTransition(epoch, onDone)
-		return
-	}
-	t.LocalTransition(epoch, func() {
-		n.cancelRetry(t, epoch)
-		if onDone != nil {
-			onDone()
-		}
-	})
-	if !t.Done(epoch) {
-		n.armRetry(t, epoch, 0)
+	t.LocalTransition(epoch, onDone)
+	if n.recovery != nil && !t.Done(epoch) {
+		op := n.getOp()
+		op.t, op.epoch = t, epoch
+		n.armRetry(op)
 	}
 }
 
-// timersOf returns the retransmission-timer map for a tracker.
-func (n *NIC) timersOf(t *phaseTracker) map[uint64]sim.Event {
-	if t == n.flush {
-		return n.flushTimers
-	}
-	return n.releaseTimers
-}
-
-func (n *NIC) cancelRetry(t *phaseTracker, epoch uint64) {
-	timers := n.timersOf(t)
-	if ev, ok := timers[epoch]; ok {
-		ev.Cancel()
-		delete(timers, epoch)
-	}
-}
-
-// armRetry schedules retransmission attempt number attempt for the epoch,
-// Timeout<<attempt cycles from now (plus CopyBound for the first Ready
-// deadline).
-func (n *NIC) armRetry(t *phaseTracker, epoch uint64, attempt int) {
-	d := n.recovery.Timeout << attempt
-	if t == n.release && attempt == 0 {
+// armRetry schedules op's next deadline, Timeout<<attempt cycles from now
+// (plus CopyBound for the first Ready deadline).
+func (n *NIC) armRetry(op *ctrlOp) {
+	d := n.recovery.Timeout << op.attempt
+	if op.t == n.release && op.attempt == 0 {
 		d += n.recovery.CopyBound
 	}
-	n.timersOf(t)[epoch] = n.eng.Schedule(d, func() {
-		n.retryFire(t, epoch, attempt)
-	})
+	n.eng.ScheduleArg(d, ctrlRetryFn, op)
 }
 
-// retryFire is a retransmission deadline: the phase is still incomplete,
-// so either re-broadcast to the unheard peers and back off, or — budget
-// spent — force the phase complete without them.
-func (n *NIC) retryFire(t *phaseTracker, epoch uint64, attempt int) {
-	delete(n.timersOf(t), epoch)
-	if t.Done(epoch) {
-		return
-	}
-	if attempt >= n.recovery.Retries {
-		if t.ForceComplete(epoch) {
+func ctrlRetryFn(a any) { a.(*ctrlOp).fireRetry() }
+
+// fireRetry is a retransmission deadline. A phase that completed meanwhile
+// ends the chain (Done is a permanent watermark, so a completed epoch
+// never reopens); an incomplete one is re-broadcast to the unheard peers
+// with backoff or — budget spent — forced complete without them.
+func (op *ctrlOp) fireRetry() {
+	n, t := op.n, op.t
+	switch {
+	case t.Done(op.epoch):
+	case op.attempt >= n.recovery.Retries:
+		if t.ForceComplete(op.epoch) {
 			n.stats.ForcedPhases++
 		}
+	default:
+		n.broadcast(t, op.epoch, true)
+		op.attempt++
+		n.armRetry(op)
 		return
 	}
-	n.broadcast(t, epoch, true)
-	n.armRetry(t, epoch, attempt+1)
+	n.putOp(op)
 }
 
 func (n *NIC) countRetransmit(typ myrinet.PacketType) {

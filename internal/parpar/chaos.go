@@ -36,6 +36,10 @@ func (c *Cluster) ChaosTrace() []string {
 	return c.injector.Trace()
 }
 
+// Resends returns how many daemon control messages the recovery layer
+// re-sent. A lossless run arms no re-send chain, so it reads zero there.
+func (c *Cluster) Resends() uint64 { return c.ctrl.resent }
+
 // Observe subscribes fn to the cluster's event list: packet drops, node
 // violations and flush points from every node incarnation, and the
 // masterd's evictions and rejoins (see myrinet.Event). Subscribers
@@ -58,9 +62,13 @@ func (c *Cluster) emit(e myrinet.Event) {
 }
 
 // newChaos builds the invariant auditor, subscribed first to the event
-// list, and the fault injector when a plan is configured. Called from New
-// before the nodes are built, so their incarnations attach the injector's
-// store hook.
+// list, and the fault injector when a non-empty plan is configured. The
+// injector is the cluster's one recovery switch: only an injected fault
+// can lose or stall anything, so the self-healing layer is armed exactly
+// when the injector exists (the card layer in attach, the daemons'
+// re-send chains through the control network's intercept, the repairs and
+// the auditor's recovery budgets in armChaos). Called from New before the
+// nodes are built, so their incarnations attach both.
 func (c *Cluster) newChaos() {
 	seed := c.cfg.Seed
 	if c.cfg.Chaos != nil {
@@ -79,33 +87,26 @@ func (c *Cluster) newChaos() {
 // registers the auditor's periodic checks. Called once from New, after
 // the masterd exists.
 func (c *Cluster) armChaos() {
-	if c.injector != nil {
-		for _, n := range c.nodes {
-			c.injector.ArmNode(int(n.ID), n.CPU)
-		}
-	}
-	// Repair events: the injector unblocks the host CPU at the fault time
-	// (armed above); the cluster schedules the fresh incarnation's boot and
-	// rejoin at the same instant, after the unblock in FIFO order. Without
-	// the recovery layer there is no membership to rejoin — the repair is
-	// then hardware-only and the stale incarnation simply stops being
-	// excused by the CPU-fault auditor.
-	if c.injector != nil && c.cfg.Recovery != nil {
-		for _, f := range c.cfg.Chaos.Faults {
-			if f.Kind != chaos.NodeRepair {
-				continue
-			}
-			node := f.Node
-			c.Eng.ScheduleAt(f.From, func() { c.repairNode(node) })
-		}
-	}
-
 	c.auditor.Register(c.checkEndpoints)
 	c.auditor.Register(c.checkJobDelivery)
 	c.auditor.Register(c.checkGangMatrix)
 	c.auditor.Register(c.checkMasterProgress)
-	if c.cfg.Recovery != nil {
-		c.auditor.Register(c.checkRecovery)
+	if c.injector == nil {
+		return
+	}
+	c.auditor.Register(c.checkRecovery)
+	for _, n := range c.nodes {
+		c.injector.ArmNode(int(n.ID), n.CPU)
+	}
+	// Repair events: the injector unblocks the host CPU at the fault time
+	// (armed above); the cluster schedules the fresh incarnation's boot and
+	// rejoin at the same instant, after the unblock in FIFO order.
+	for _, f := range c.cfg.Chaos.Faults {
+		if f.Kind != chaos.NodeRepair {
+			continue
+		}
+		node := f.Node
+		c.Eng.ScheduleAt(f.From, func() { c.repairNode(node) })
 	}
 }
 
@@ -274,8 +275,8 @@ func (c *Cluster) cpuFaultNear(node int, now sim.Time) bool {
 	return c.injector.CPUFaultActive(node, now) || c.injector.CPUFaultActive(node, prev)
 }
 
-// checkRecovery audits the self-healing layer itself (registered only with
-// recovery enabled).
+// checkRecovery audits the self-healing layer itself (registered only when
+// it is armed).
 //
 // retransmit-bounded: the retransmission traffic of every card stays under
 // the budget implied by its timer configuration — a card exceeding it is
@@ -347,7 +348,7 @@ func (c *Cluster) checkGangMatrix(now sim.Time, report func(invariant, detail st
 // well within one quantum.
 const stallRounds = 4
 
-// recoveryStallRounds is the liveness budget with recovery enabled: the
+// recoveryStallRounds is the liveness budget with recovery armed: the
 // layered timers (NIC force-complete ~7 control deadlines, heartbeat
 // eviction ~9 quanta at the default budget; see recovery.go) legitimately
 // stretch a round, so the alarm threshold
@@ -357,7 +358,7 @@ const recoveryStallRounds = 20
 
 // stallBudget returns the masterd-protocol stall threshold in cycles.
 func (c *Cluster) stallBudget() sim.Time {
-	if c.cfg.Recovery != nil {
+	if c.injector != nil {
 		return recoveryStallRounds * c.cfg.Quantum
 	}
 	return stallRounds * c.cfg.Quantum
@@ -366,14 +367,14 @@ func (c *Cluster) stallBudget() sim.Time {
 // checkMasterProgress audits the masterd's protocols: a switch round that
 // never collects all acknowledgements (a lost or starved control message,
 // a node that cannot finish its flush) and a job stuck in the Figure 2
-// launch protocol. With recovery enabled the round alarm is named for what
+// launch protocol. With recovery armed the round alarm is named for what
 // it means there — the recovery cascade itself failed to restore liveness.
 func (c *Cluster) checkMasterProgress(now sim.Time, report func(invariant, detail string)) {
 	m := c.master
 	budget := c.stallBudget()
 	if m.inFlight && now-m.roundStart > budget {
 		invariant := "flush-stall"
-		if c.cfg.Recovery != nil {
+		if c.injector != nil {
 			invariant = "recovery-liveness"
 		}
 		report(invariant, fmt.Sprintf(
@@ -390,11 +391,11 @@ func (c *Cluster) checkMasterProgress(now sim.Time, report func(invariant, detai
 		// Completion stall: every rank's program has locally finished
 		// (p.done is node-side ground truth) yet the job never reaches
 		// JobDone — its rankDone control messages are gone. The condition
-		// must persist across consecutive audit ticks: without recovery a
+		// must persist across consecutive audit ticks: on a lossless run a
 		// ctrl round trip is far shorter than a quantum, so one full
 		// quantum of "all done but not done" is already conclusive; with
-		// recovery the completions are re-sent with backoff, so the alarm
-		// waits out the whole retry budget.
+		// recovery armed the completions are re-sent with backoff, so the
+		// alarm waits out the whole retry budget.
 		if job.state == JobRunning {
 			allDone := true
 			for _, p := range job.procs {
@@ -411,7 +412,7 @@ func (c *Cluster) checkMasterProgress(now sim.Time, report func(invariant, detai
 			}
 			c.prevProgress[key] = val
 			persist := uint64(2)
-			if c.cfg.Recovery != nil {
+			if c.injector != nil {
 				persist = recoveryStallRounds
 			}
 			if val >= persist {

@@ -103,33 +103,6 @@ func TestCleanRunAuditsClean(t *testing.T) {
 	}
 }
 
-// TestHaltLossStallsSwitch: losing the flush protocol's halt packets leaves
-// every node waiting for its peers' halts, so the switch round never
-// acknowledges — the flush-stall check catches the mid-switch fault.
-func TestHaltLossStallsSwitch(t *testing.T) {
-	cfg := testConfig(2)
-	cfg.Chaos = &chaos.Plan{Seed: 5, Faults: []chaos.Fault{
-		{Kind: chaos.HaltLoss, Prob: 1.0, Node: -1},
-	}}
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := c.Submit(JobSpec{Name: "pp", Size: 2, NewProgram: pingPong(5)}); err != nil {
-		t.Fatal(err)
-	}
-	c.RunUntil(chaosHorizon)
-	found := false
-	for _, v := range c.Auditor().Violations() {
-		if v.Invariant == "flush-stall" {
-			found = true
-		}
-	}
-	if !found {
-		t.Fatalf("halt loss not detected as flush-stall: %s", c.Auditor().Summary())
-	}
-}
-
 // TestChaosDeterminism: two clusters built from the same config and plan
 // produce byte-identical injection traces and identical verdicts — the
 // replay contract a seed-reporting fuzzer depends on.

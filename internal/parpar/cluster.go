@@ -53,17 +53,19 @@ type Config struct {
 
 	// Chaos, when non-nil, is the fault plan to inject: packet loss and
 	// duplication on the data network, control-message loss and delay,
-	// per-node CPU pauses and slowdowns, and backing-store corruption.
-	// The plan's seed also becomes the auditor's replay seed.
+	// per-node CPU pauses, slowdowns and crashes, and backing-store
+	// corruption. The plan's seed also becomes the auditor's replay seed.
+	// A non-empty plan also arms the self-healing switch path: Halt/Ready
+	// retransmission with degraded flush completion in the LANai
+	// firmware, re-sent daemon control messages (switch notifications and
+	// acks included), and, when the plan can crash a node, heartbeat
+	// detection and eviction. Without a plan nothing can be lost, and the
+	// cluster runs the base protocol.
 	Chaos *chaos.Plan
 
-	// Recovery, when non-nil, enables the self-healing switch path:
-	// Halt/Ready retransmission with degraded flush completion in the
-	// LANai firmware, re-sent daemon control messages (switch
-	// notifications and acks included), and heartbeat detection and
-	// eviction of crashed nodes. Nil (the default) leaves the cluster
-	// byte-identical to the base protocol.
-	Recovery *Recovery
+	// Recovery is the heartbeat budget of the self-healing path; the zero
+	// value means DefaultRecovery(Quantum).
+	Recovery Recovery
 
 	// Shards, when > 1, partitions the cluster into that many contiguous
 	// node ranges, each with its own event lane (masterd and control
@@ -169,8 +171,8 @@ type Node struct {
 // (the round and the generation of the incarnation it is addressed to) or
 // a node's acknowledgement of the round. The records ride through the
 // engine as event arguments, so a switch round allocates no closures.
-// The sender holds one record (with recovery, for its re-send chain) and
-// each delivery carries a copy of its own.
+// The sender holds one record (for its re-send chain, see
+// ctrlNet.sendReliable) and each delivery carries a copy of its own.
 type switchMsg struct {
 	n     *Node
 	epoch uint64
@@ -196,14 +198,13 @@ func (n *Node) getMsg(epoch uint64, gen int, ack bool) *switchMsg {
 func (n *Node) putMsg(s *switchMsg) { n.msgs = append(n.msgs, s) }
 
 // send delivers a pooled copy of s after d, the receiver's to recycle: a
-// notification to its node, an ack to the masterd (unaddressed, like every
-// base-protocol daemon message).
+// notification to its node, an ack to the masterd.
 func (s *switchMsg) send(d sim.Time) {
-	c, cp, i := s.n.cluster.ctrl, s.n.getMsg(s.epoch, s.gen, s.ack), int(s.n.ID)
+	c, cp := s.n.cluster.ctrl, s.n.getMsg(s.epoch, s.gen, s.ack)
 	if s.ack {
-		c.deliverRoutedArg(-1, -1, d, ackFireFn, cp)
+		c.deliverRoutedArg(-1, d, ackFireFn, cp)
 	} else {
-		c.deliverRoutedArg(i, i, d, switchNoteFn, cp)
+		c.deliverRoutedArg(int(s.n.ID), d, switchNoteFn, cp)
 	}
 }
 
@@ -231,7 +232,7 @@ func switchNoteFn(a any) { s := a.(*switchMsg); s.n.switchSlot(s) }
 
 func ackHopFn(a any) {
 	s := a.(*switchMsg)
-	s.n.cluster.sendSwitchMsg(s, 0)
+	s.n.cluster.ctrl.sendReliable(0, -1, s)
 }
 
 func ackFireFn(a any) {
@@ -241,28 +242,16 @@ func ackFireFn(a any) {
 	n.cluster.master.switchAcked(int(n.ID), epoch)
 }
 
-// sendSwitchMsg sends s after one control-message latency plus offset:
-// once, or with recovery on a re-send chain that runs until s is
-// received. Call only from the control lane.
-func (c *Cluster) sendSwitchMsg(s *switchMsg, offset sim.Time) {
-	if c.cfg.Recovery == nil {
-		s.send(c.ctrl.delay() + offset)
-		s.retire()
-		return
-	}
-	c.ctrl.sendReliable(offset, -1, s)
-}
-
 // attach builds and installs one incarnation of node n — a fresh card
 // (attaching it replaces any previous incarnation's network handler) and
 // an initialised manager — and wires everything the incarnation needs:
-// the switch completion bound to that manager, the injector's
-// store-corruption hook, and, with recovery on, the card's retransmission
-// layer with its first deadline from deadlines. Construction and reboot
-// both build through here, and the incarnation reports its events through
-// the shared network, so nothing is left to re-arm. The first Ready
-// deadline also waits out a peer's copy:
-// the copy model's worst case (mgr.MaxCopyCost), capped at one quantum —
+// the switch completion bound to that manager and, when the cluster has a
+// fault injector, the injector's store-corruption hook and the card's
+// retransmission layer with its first deadline from deadlines.
+// Construction and reboot both build through here, and the incarnation
+// reports its events through the shared network, so nothing is left to
+// re-arm. The first Ready deadline also waits out a peer's copy: the copy
+// model's worst case (mgr.MaxCopyCost), capped at one quantum —
 // past that a lost Ready would stall the round longer than the recovery
 // ladder the liveness auditor budgets for, and at the small quanta of the
 // chaos campaigns the uncapped worst case (about 16 M cycles with full
@@ -285,8 +274,6 @@ func (c *Cluster) attach(n *Node) error {
 	n.swDoneFn = func(s core.SwitchStats) { n.switchDone(mgr, s) }
 	if c.injector != nil {
 		mgr.OnStore = c.injector.StoreHook(int(n.ID), n.Eng)
-	}
-	if c.cfg.Recovery != nil {
 		_, first := deadlines(c.cfg, nic.Config())
 		nic.SetRecovery(lanai.Recovery{Timeout: first, Retries: nicRetries,
 			CopyBound: min(mgr.MaxCopyCost(), c.cfg.Quantum)})
@@ -340,10 +327,11 @@ func New(cfg Config) (*Cluster, error) {
 	if cfg.Quantum == 0 {
 		return nil, fmt.Errorf("parpar: zero quantum")
 	}
-	if cfg.Recovery != nil {
-		if err := cfg.Recovery.validate(); err != nil {
-			return nil, err
-		}
+	if cfg.Recovery == (Recovery{}) {
+		cfg.Recovery = DefaultRecovery(cfg.Quantum)
+	}
+	if err := cfg.Recovery.validate(); err != nil {
+		return nil, err
 	}
 	ncfg := myrinet.DefaultConfig(cfg.Nodes)
 	if cfg.NetConfig != nil {
@@ -511,20 +499,12 @@ func (c *Cluster) SwitchHistory() [][]core.SwitchStats {
 	return out
 }
 
-// reliableSend routes one daemon control message: a plain send with
-// recovery disabled, a send re-sent until done reports its receipt (at
-// most ctrlRetries times) with it enabled. dst < 0 addresses the masterd
-// (or is otherwise unattributed); dst >= 0 names the node whose shard the
-// handler runs on. src is the engine the caller is executing on.
+// reliableSend routes one daemon control message, re-sent until done
+// reports its receipt (at most ctrlRetries times) when a fault plan can
+// lose it (see ctrlNet.sendReliable). dst < 0 addresses the masterd;
+// dst >= 0 names the node whose shard the handler runs on. src is the
+// engine the caller is executing on.
 func (c *Cluster) reliableSend(src *sim.Engine, dst int, done func() bool, fn func()) {
-	if c.cfg.Recovery == nil {
-		// The base protocol presents every daemon message unattributed to
-		// the fault layer; keeping that here (rather than exposing dst)
-		// preserves the injector's decision sequence byte-for-byte with
-		// recovery off. The handler still runs on dst's lane.
-		c.ctrl.hop(src, sim.Call, func() { c.ctrl.deliverRouted(-1, dst, c.ctrl.delay(), fn) })
-		return
-	}
 	c.ctrl.hop(src, sendFuncFn, &funcMsg{c: c.ctrl, dst: dst, done: done, fn: fn})
 }
 
@@ -549,7 +529,7 @@ func (n *Node) loadJob(job *Job, rank int) {
 
 // initJob is loadJob's work once its host cost is paid.
 func (n *Node) initJob(job *Job, rank int) {
-	if job.state == JobDone || job.state == JobKilled {
+	if job.ended() {
 		// The job was killed (or, with recovery re-sends, finished)
 		// while this load message was in flight: allocating a context
 		// now would leak it, since the kill's cleanup already ran.
@@ -588,7 +568,7 @@ func (n *Node) initJob(job *Job, rank int) {
 	job.procs[rank] = p
 	// Fork; the child notifies readiness through the noded.
 	n.Eng.Schedule(n.cluster.cfg.ForkDelay, func() {
-		n.cluster.reliableSend(n.Eng, -1, func() bool { return job.readySeen[rank] },
+		n.cluster.reliableSend(n.Eng, -1, func() bool { return job.readySeen[rank] || job.ended() },
 			func() { n.cluster.master.rankReady(job, rank) })
 	})
 }
@@ -597,7 +577,7 @@ func (n *Node) initJob(job *Job, rank int) {
 // still holds a context on this node, its end message yet to arrive.
 func (n *Node) releasePending() bool {
 	for _, p := range n.procs {
-		if p.job.state == JobDone || p.job.state == JobKilled {
+		if p.job.ended() {
 			return true
 		}
 	}

@@ -31,15 +31,18 @@ type ctrlNet struct {
 	engOf func(node int) *sim.Engine
 
 	// intercept, when set, is consulted once per message with the
-	// destination node (-1 for masterd-bound or unaddressed messages); it
-	// returns extra latency to add and whether to drop the message. The
-	// chaos injector's CtrlDelay/CtrlLoss faults plug in here.
+	// destination node (-1 for masterd-bound messages); it returns extra
+	// latency to add and whether to drop the message. The chaos
+	// injector's CtrlDelay/CtrlLoss faults plug in here, and only they can
+	// lose or stall a message.
 	intercept func(now sim.Time, dst int) (extra sim.Time, drop bool)
 
-	// timeout is the first re-send deadline of the reliable path (recovery
-	// only; see deadlines), and resends pools its chain records.
+	// timeout is the first re-send deadline of the reliable path (see
+	// deadlines), resends pools its chain records, and resent counts the
+	// copies the chains re-sent.
 	timeout sim.Time
 	resends []*resend
+	resent  uint64
 }
 
 func newCtrlNet(eng *sim.Engine, base, jitter sim.Time, rng *sim.Rand) *ctrlNet {
@@ -76,21 +79,19 @@ func (c *ctrlNet) engFor(node int) *sim.Engine {
 	return c.eng
 }
 
-// deliverRouted schedules fn to run on node's lane after d, subject to
-// the intercept, which sees the message as addressed to seen: the
-// base-protocol daemons send unaddressed messages (seen = -1), yet the
-// actions those messages trigger belong to a specific node's shard. Call
-// only from eng's context.
-func (c *ctrlNet) deliverRouted(seen, node int, d sim.Time, fn func()) {
-	c.deliverRoutedArg(seen, node, d, sim.Call, fn)
+// deliverRouted schedules fn to run on node's lane (the masterd's for
+// node < 0) after d, subject to the intercept. Call only from eng's
+// context.
+func (c *ctrlNet) deliverRouted(node int, d sim.Time, fn func()) {
+	c.deliverRoutedArg(node, d, sim.Call, fn)
 }
 
 // deliverRoutedArg is deliverRouted for closure-free callers: fn receives
 // arg at delivery. The hot per-round scheduler traffic uses this with
 // pooled argument records so a switch round allocates no closures.
-func (c *ctrlNet) deliverRoutedArg(seen, node int, d sim.Time, fn func(any), arg any) {
+func (c *ctrlNet) deliverRoutedArg(node int, d sim.Time, fn func(any), arg any) {
 	if c.intercept != nil {
-		extra, drop := c.intercept(c.eng.Now(), seen)
+		extra, drop := c.intercept(c.eng.Now(), node)
 		if drop {
 			return
 		}
@@ -116,8 +117,7 @@ type reliable interface {
 // Re-send chain budgets. A chain's re-sends fire D, 2D, 4D, then every 4D
 // after the previous one (D the control deadline, see deadlines): ×2
 // backoff up to backoffCap doublings. A bounded chain gives up after
-// ctrlRetries re-sends; the switch messages' chains never do (see
-// Cluster.sendSwitchMsg).
+// ctrlRetries re-sends; the switch messages' chains never do.
 const (
 	backoffCap  = 2
 	ctrlRetries = 6
@@ -136,11 +136,16 @@ type resend struct {
 // re-sends it, each copy after its own sampled latency, until it is
 // received — or, when retries >= 0, until retries re-sends are spent: an
 // undeliverable launch or membership message is abandoned, and the
-// heartbeat owns what happens to a permanently unreachable node. Call only
-// from eng's context, where the chain's timers run and reading receiver
-// state is barrier-safe.
+// heartbeat owns what happens to a permanently unreachable node. Without
+// an intercept nothing can lose or delay the copy, so no chain is armed.
+// Call only from eng's context, where the chain's timers run and reading
+// receiver state is barrier-safe.
 func (c *ctrlNet) sendReliable(first sim.Time, retries int, m reliable) {
 	m.send(c.delay() + first)
+	if c.intercept == nil {
+		m.retire()
+		return
+	}
 	var r *resend
 	if ln := len(c.resends); ln > 0 {
 		r, c.resends = c.resends[ln-1], c.resends[:ln-1]
@@ -161,6 +166,7 @@ func resendFn(a any) {
 		return
 	}
 	r.m.send(c.delay())
+	c.resent++
 	r.attempt++
 	c.eng.ScheduleArg(c.timeout<<min(r.attempt, backoffCap), resendFn, r)
 }
@@ -176,7 +182,7 @@ type funcMsg struct {
 }
 
 func (f *funcMsg) received() bool  { return f.done() }
-func (f *funcMsg) send(d sim.Time) { f.c.deliverRouted(f.dst, f.dst, d, f.fn) }
+func (f *funcMsg) send(d sim.Time) { f.c.deliverRouted(f.dst, d, f.fn) }
 func (f *funcMsg) retire()         {}
 
 func sendFuncFn(a any) { f := a.(*funcMsg); f.c.sendReliable(0, ctrlRetries, f) }

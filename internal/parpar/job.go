@@ -75,7 +75,7 @@ type Job struct {
 	doneRanks  int
 	// loadSeen records each rank's receipt of its load message, the load's
 	// re-send predicate. readySeen/doneSeen dedup the per-rank lifecycle
-	// notifications: with recovery enabled they are re-sent until
+	// notifications: with recovery armed they are re-sent until
 	// acknowledged, and a count alone would double-book a duplicate.
 	loadSeen  []bool
 	readySeen []bool
@@ -93,6 +93,11 @@ type Job struct {
 
 // State returns the job's lifecycle state.
 func (j *Job) State() JobState { return j.state }
+
+// ended reports whether the job finished or was killed. Its per-rank
+// launch and completion messages stop mattering then, so their re-send
+// chains stop too.
+func (j *Job) ended() bool { return j.state == JobDone || j.state == JobKilled }
 
 // Size returns the number of processes.
 func (j *Job) Size() int { return j.Spec.Size }
@@ -164,7 +169,7 @@ func (p *Proc) Done(result any) {
 			return
 		}
 		p.EP.Suspend()
-		p.cluster.reliableSend(p.node.Eng, -1, func() bool { return job.doneSeen[rank] },
+		p.cluster.reliableSend(p.node.Eng, -1, func() bool { return job.doneSeen[rank] || job.ended() },
 			func() { p.cluster.master.rankDone(job, rank, result) })
 	})
 }

@@ -47,12 +47,12 @@ type Masterd struct {
 	needAcks int
 	ackedBy  []bool
 
-	// Heartbeat state (armed when recovery is on and the chaos plan can
-	// fail-stop a node, see armHeartbeat): every interval the masterd pings
-	// each live node on the ctrl network and the noded answers over the
-	// reliable path. hbPending marks nodes whose latest ping is unanswered,
-	// hbMiss counts consecutive silent intervals, hbSeen is the newest
-	// sequence each node replied to.
+	// Heartbeat state (armed when the chaos plan can fail-stop a node,
+	// see armHeartbeat): every interval the masterd pings each live node
+	// on the ctrl network and the noded answers over the reliable path.
+	// hbPending marks nodes whose latest ping is unanswered, hbMiss counts
+	// consecutive silent intervals, hbSeen is the newest sequence each
+	// node replied to.
 	hbArmed   bool
 	hbTicking bool
 	hbSeq     uint64
@@ -124,7 +124,7 @@ func newMasterd(c *Cluster) *Masterd {
 		joining:     -1,
 		downs:       make(map[int][]DownWindow),
 		targets:     make([]myrinet.JobID, c.cfg.Nodes),
-		hbArmed:     c.cfg.Recovery != nil && c.cfg.Chaos != nil && c.cfg.Chaos.Has(chaos.NodeCrash),
+		hbArmed:     c.cfg.Chaos != nil && c.cfg.Chaos.Has(chaos.NodeCrash),
 	}
 	m.tickFn = m.tick
 	return m
@@ -190,7 +190,7 @@ func (m *Masterd) submit(spec JobSpec) (*Job, error) {
 	// Figure 2: notify each allocated node to load the job.
 	for rank, col := range placement.Cols {
 		rank, col := rank, col
-		m.c.reliableSend(m.c.Eng, col, func() bool { return job.loadSeen[rank] },
+		m.c.reliableSend(m.c.Eng, col, func() bool { return job.loadSeen[rank] || job.ended() },
 			func() { m.c.nodes[col].loadJob(job, rank) })
 	}
 	m.maybeTick()
@@ -213,7 +213,7 @@ func (m *Masterd) rankReady(job *Job, rank int) {
 	job.SyncTime = m.c.Eng.Now()
 	for rank, col := range job.Placement.Cols {
 		rank, col := rank, col
-		m.c.reliableSend(m.c.Eng, col, func() bool { p := job.procs[rank]; return p == nil || p.started },
+		m.c.reliableSend(m.c.Eng, col, func() bool { p := job.procs[rank]; return p == nil || p.started || job.ended() },
 			func() { m.c.nodes[col].startJob(job, rank) })
 	}
 	// Force the next rotation to perform a real slot switch even if it
@@ -228,7 +228,7 @@ func (m *Masterd) rankReady(job *Job, rank int) {
 // rankDone collects per-rank completions; when a job finishes it leaves
 // the matrix and its contexts are released cluster-wide.
 func (m *Masterd) rankDone(job *Job, rank int, result any) {
-	if job.state == JobDone || job.state == JobKilled || job.doneSeen[rank] {
+	if job.ended() || job.doneSeen[rank] {
 		return
 	}
 	job.doneSeen[rank] = true
@@ -342,7 +342,7 @@ func (m *Masterd) tick() {
 	// generation (its eviction count), so only that incarnation acts on it.
 	for i, n := range m.c.nodes {
 		if !m.matrix.ColDead(i) {
-			m.c.sendSwitchMsg(n.getMsg(epoch, len(m.downs[i]), false), sim.Time(i+1)*m.c.cfg.CtrlSerialGap)
+			m.c.ctrl.sendReliable(sim.Time(i+1)*m.c.cfg.CtrlSerialGap, -1, n.getMsg(epoch, len(m.downs[i]), false))
 		}
 	}
 	var q *quantumMsg
@@ -461,7 +461,7 @@ func (m *Masterd) killVoluntary(job *Job) error {
 	if job == nil {
 		return fmt.Errorf("parpar: killing nil job")
 	}
-	if _, live := m.jobs[job.ID]; !live || job.state == JobDone || job.state == JobKilled {
+	if _, live := m.jobs[job.ID]; !live || job.ended() {
 		return fmt.Errorf("parpar: job %d is not live", job.ID)
 	}
 	m.killJob(job)
@@ -488,7 +488,7 @@ func (m *Masterd) compact() int {
 // their contexts released, and its completion callbacks fire with state
 // JobKilled.
 func (m *Masterd) killJob(job *Job) {
-	if job.state == JobDone || job.state == JobKilled {
+	if job.ended() {
 		return
 	}
 	job.state = JobKilled

@@ -1,6 +1,9 @@
 package parpar
 
-// recovery.go defines the opt-in self-healing layer's budgets. The
+// recovery.go defines the self-healing layer's budgets. The layer is
+// armed exactly when the cluster has a fault injector (a non-empty Chaos
+// plan): only an injected fault can lose or stall anything, so a lossless
+// run arms no timer and takes the base protocol's path unchanged. The
 // mechanisms live where the protocols live — control-packet retransmission
 // in internal/lanai, re-sent daemon messages (switch notifications and
 // acks included) in ctrlnet.go, the heartbeat failure detector and rejoin
@@ -31,11 +34,10 @@ import (
 	"gangfm/internal/sim"
 )
 
-// Recovery enables and parameterizes the self-healing switch path. Nil on
-// Config means fully disabled: no timers are armed, no message is ever
-// re-sent, and the cluster behaves byte-identically to the base protocol.
-// Every re-send deadline is derived from the cluster's own parameters
-// (see deadlines); only the failure detector is tunable.
+// Recovery is the self-healing layer's failure-detector budget. Every
+// re-send deadline is derived from the cluster's own parameters (see
+// deadlines); only the heartbeat is tunable. The zero value means
+// DefaultRecovery of the cluster's quantum.
 type Recovery struct {
 	// HeartbeatEvery is the masterd's liveness-probe interval: every
 	// interval it pings each live node on the ctrl network and the noded
@@ -94,7 +96,7 @@ func deadlines(cfg Config, card lanai.Config) (ctrl, nic sim.Time) {
 
 // validate rejects budgets that cannot work (a zero interval would spin
 // the event loop; a zero miss budget makes the first probe evict).
-func (r *Recovery) validate() error {
+func (r Recovery) validate() error {
 	if r.HeartbeatEvery <= 0 {
 		return errHeartbeatEvery
 	}

@@ -12,13 +12,12 @@ import (
 	"gangfm/internal/sim"
 )
 
-// recoveredConfig is testConfig plus the self-healing switch layer at its
-// default budgets.
-func recoveredConfig(nodes int) Config {
-	cfg := testConfig(nodes)
-	r := DefaultRecovery(cfg.Quantum)
-	cfg.Recovery = &r
-	return cfg
+// inertPlan arms the recovery layer without injecting anything: its only
+// fault's window opens after every horizon.
+func inertPlan() *chaos.Plan {
+	return &chaos.Plan{Seed: 1, Faults: []chaos.Fault{
+		{Kind: chaos.CtrlDelay, Prob: 1, Delay: 1, Node: -1, From: 1 << 62},
+	}}
 }
 
 // nicTotals sums the recovery-relevant NIC counters across the cluster.
@@ -33,14 +32,14 @@ func nicTotals(c *Cluster) (halt, ready, stale, forced uint64) {
 	return
 }
 
-// TestHaltLossRecovered: the exact plan of TestHaltLossStallsSwitch — every
-// halt packet lost, forever — wedges the bare protocol; with recovery the
-// NIC re-broadcasts halts and ultimately force-completes the flush phase,
-// so the same workload finishes with a clean auditor. Permanent 100% halt
+// TestHaltLossRecovered: every halt packet lost, forever, would wedge the
+// paper's flush protocol at the first switch; the recovery layer the plan
+// arms re-broadcasts halts and ultimately force-completes the flush phase,
+// so the workload finishes with a clean auditor. Permanent 100% halt
 // loss means even retransmitted halts die, so this pins the force-complete
 // backstop, not just the retransmission.
 func TestHaltLossRecovered(t *testing.T) {
-	cfg := recoveredConfig(2)
+	cfg := testConfig(2)
 	cfg.Chaos = &chaos.Plan{Seed: 5, Faults: []chaos.Fault{
 		{Kind: chaos.HaltLoss, Prob: 1.0, Node: -1},
 	}}
@@ -71,7 +70,7 @@ func TestHaltLossRecovered(t *testing.T) {
 // TestReadyLossRecovered: the stage-3 mirror of TestHaltLossRecovered —
 // permanent ready loss, absorbed by ready retransmission + force-complete.
 func TestReadyLossRecovered(t *testing.T) {
-	cfg := recoveredConfig(2)
+	cfg := testConfig(2)
 	cfg.Chaos = &chaos.Plan{Seed: 5, Faults: []chaos.Fault{
 		{Kind: chaos.ReadyLoss, Prob: 1.0, Node: -1},
 	}}
@@ -103,7 +102,7 @@ func TestReadyLossRecovered(t *testing.T) {
 // The plan must really lose halts: a retransmission without a loss would
 // be the clean path misfiring.
 func TestPartialHaltLossCountsStaleCtrl(t *testing.T) {
-	cfg := recoveredConfig(3)
+	cfg := testConfig(3)
 	cfg.Chaos = &chaos.Plan{Seed: 20, Faults: []chaos.Fault{
 		{Kind: chaos.HaltLoss, Prob: 0.5, Node: -1},
 	}}
@@ -138,11 +137,11 @@ func TestPartialHaltLossCountsStaleCtrl(t *testing.T) {
 // Ethernet (100% loss) — every masterd/noded message in flight is dropped.
 // The reliable-send retry chain (re-sends D, 3D, 7D, 11D … after the
 // first send, D the control deadline, about one quantum here) punches
-// through after the window closes; the bare protocol wedges on the first
-// lost message. Permanent 100% ctrl loss is excluded by design:
+// through after the window closes; the paper's protocol, which sends
+// each message once, would wedge on the first lost message. Permanent 100% ctrl loss is excluded by design:
 // retransmission needs some delivery.
 func TestCtrlLossRecoveredWithinWindow(t *testing.T) {
-	cfg := recoveredConfig(2)
+	cfg := testConfig(2)
 	cfg.Chaos = &chaos.Plan{Seed: 5, Faults: []chaos.Fault{
 		{Kind: chaos.CtrlLoss, Prob: 1.0, Node: -1, From: 0, Until: 3 * 400_000},
 	}}
@@ -172,7 +171,7 @@ func TestCtrlLossRecoveredWithinWindow(t *testing.T) {
 // from its membership.
 func TestNodeCrashEvictsAndSurvives(t *testing.T) {
 	const crashed = 0
-	cfg := recoveredConfig(4)
+	cfg := testConfig(4)
 	cfg.Chaos = &chaos.Plan{Seed: 5, Faults: []chaos.Fault{
 		{Kind: chaos.NodeCrash, Node: crashed, From: 10_000},
 	}}
@@ -214,7 +213,7 @@ func TestNodeCrashEvictsAndSurvives(t *testing.T) {
 	// The eviction comes from the heartbeat: no earlier than the miss
 	// budget allows, and within one more probe interval (plus the reply's
 	// delivery) of it.
-	rec := cfg.Recovery
+	rec := c.Config().Recovery
 	at := c.master.Downtime(crashed)[0].From
 	earliest := 10_000 + sim.Time(rec.HeartbeatMisses)*rec.HeartbeatEvery
 	if at < earliest || at > earliest+2*rec.HeartbeatEvery {
@@ -240,7 +239,7 @@ func TestNodeCrashEvictsAndSurvives(t *testing.T) {
 // identical job timelines.
 func TestRecoveryDeterminism(t *testing.T) {
 	run := func() ([]string, []chaos.Violation, sim.Time, sim.Time) {
-		cfg := recoveredConfig(4)
+		cfg := testConfig(4)
 		cfg.Chaos = &chaos.Plan{Seed: 31, Faults: []chaos.Fault{
 			{Kind: chaos.NodeCrash, Node: 0, From: 10_000},
 			{Kind: chaos.HaltLoss, Prob: 0.4, Node: -1},
@@ -310,10 +309,10 @@ func allToAll(ranks, perPeer, size int) func(rank int) Program {
 	}
 }
 
-// TestRecoveryCleanPathFree: on a fault-free run the recovery layer is
-// pure bookkeeping — each job's completion time and the mean steady-state
-// switch cost are cycle-identical to the recovery-off run, and no phase is
-// force-completed. The "stream" case cancels every timer before it fires,
+// TestRecoveryCleanPathFree: on a run whose fault plan never fires the
+// recovery layer it arms is pure bookkeeping — each job's completion time
+// and the mean steady-state switch cost are cycle-identical to the
+// lossless run, and no phase is force-completed. The "stream" case cancels every timer before it fires,
 // so no control packet is re-sent at all. The "switching" case is two
 // all-to-all jobs alternating in two slots on 16 nodes, so the three-stage
 // switch itself runs under the recovery timers.
@@ -360,8 +359,7 @@ func TestRecoveryCleanPathFree(t *testing.T) {
 			run := func(recovery bool) outcome {
 				cfg := tc.cfg()
 				if recovery {
-					r := DefaultRecovery(cfg.Quantum)
-					cfg.Recovery = &r
+					cfg.Chaos = inertPlan()
 				}
 				c, err := New(cfg)
 				if err != nil {
@@ -393,9 +391,9 @@ func TestRecoveryCleanPathFree(t *testing.T) {
 				}
 				if recovery {
 					halt, ready, stale, forced := nicTotals(c)
-					if halt+ready+stale+forced != 0 {
-						t.Fatalf("clean run exercised recovery: halt=%d ready=%d stale=%d forced=%d",
-							halt, ready, stale, forced)
+					if halt+ready+stale+forced+c.Resends() != 0 {
+						t.Fatalf("clean run exercised recovery: halt=%d ready=%d stale=%d forced=%d resends=%d",
+							halt, ready, stale, forced, c.Resends())
 					}
 				}
 				return o
@@ -422,28 +420,28 @@ func TestRecoveryCleanPathFree(t *testing.T) {
 // TestRecoveryConfigValidation: broken heartbeat budgets are rejected at
 // cluster construction, not discovered as silent timer misbehaviour. The
 // heartbeat is the only failure detector: it cannot be switched off, and
-// it needs a miss budget.
+// it needs a miss budget. The zero value stands for the default budget.
 func TestRecoveryConfigValidation(t *testing.T) {
-	cfg := testConfig(2)
-	cfg.Recovery = &Recovery{} // zero interval and miss budget
-	if _, err := New(cfg); err == nil {
-		t.Fatal("zero-valued Recovery accepted")
-	}
 	for _, mutate := range []func(*Recovery){
 		func(r *Recovery) { r.HeartbeatEvery = 0 },
 		func(r *Recovery) { r.HeartbeatMisses = 0 },
 	} {
-		cfg = testConfig(2)
-		r := DefaultRecovery(cfg.Quantum)
-		mutate(&r)
-		cfg.Recovery = &r
+		cfg := testConfig(2)
+		cfg.Recovery = DefaultRecovery(cfg.Quantum)
+		mutate(&cfg.Recovery)
 		if _, err := New(cfg); err == nil {
-			t.Fatalf("heartbeat budget %d×%d accepted", r.HeartbeatMisses, r.HeartbeatEvery)
+			t.Fatalf("heartbeat budget %d×%d accepted", cfg.Recovery.HeartbeatMisses, cfg.Recovery.HeartbeatEvery)
 		}
 	}
-	cfg = testConfig(2)
-	r := DefaultRecovery(cfg.Quantum)
-	cfg.Recovery = &r
+	cfg := testConfig(2)
+	c, err := New(cfg)
+	if err != nil {
+		t.Fatalf("zero-valued budget rejected: %v", err)
+	}
+	if got, want := c.Config().Recovery, DefaultRecovery(cfg.Quantum); got != want {
+		t.Fatalf("zero-valued budget resolved to %+v, want the default %+v", got, want)
+	}
+	cfg.Recovery = DefaultRecovery(cfg.Quantum)
 	if _, err := New(cfg); err != nil {
 		t.Fatalf("default budget rejected: %v", err)
 	}
@@ -452,9 +450,10 @@ func TestRecoveryConfigValidation(t *testing.T) {
 // TestLoadReceiptStopsResend: a job submitted while a full buffer copy
 // holds every node's host CPU waits out the copy before COMM_init_job
 // runs. Its load message was received long before that, so the recovery
-// layer must not re-send it: the recovery-armed run keeps the bare run's
-// switch history and done times to the cycle (a re-send would draw the
-// control network's jitter and shift every later notification).
+// layer, armed here by a plan that never fires, must not re-send it: the
+// armed run keeps the lossless run's switch history and done times to the
+// cycle (a re-send would draw the control network's jitter and shift every
+// later notification).
 func TestLoadReceiptStopsResend(t *testing.T) {
 	config := func(recovery bool) Config {
 		cfg := DefaultConfig(4)
@@ -462,8 +461,7 @@ func TestLoadReceiptStopsResend(t *testing.T) {
 		cfg.Mode = core.FullCopy
 		cfg.Quantum = 4_000_000
 		if recovery {
-			r := DefaultRecovery(cfg.Quantum)
-			cfg.Recovery = &r
+			cfg.Chaos = inertPlan()
 		}
 		return cfg
 	}
@@ -506,14 +504,14 @@ func TestLoadReceiptStopsResend(t *testing.T) {
 		}
 		return c.SwitchHistory(), []sim.Time{a.DoneTime, b.DoneTime}
 	}
-	bareHist, bareDone := run(false)
+	cleanHist, cleanDone := run(false)
 	recHist, recDone := run(true)
-	if !slices.Equal(bareDone, recDone) {
-		t.Fatalf("recovery moved the done times: %v with, %v without", recDone, bareDone)
+	if !slices.Equal(cleanDone, recDone) {
+		t.Fatalf("recovery moved the done times: %v with, %v without", recDone, cleanDone)
 	}
-	for i := range bareHist {
-		if !slices.Equal(bareHist[i], recHist[i]) {
-			t.Fatalf("recovery changed node %d's switch history:\n with    %v\n without %v", i, recHist[i], bareHist[i])
+	for i := range cleanHist {
+		if !slices.Equal(cleanHist[i], recHist[i]) {
+			t.Fatalf("recovery changed node %d's switch history:\n with    %v\n without %v", i, recHist[i], cleanHist[i])
 		}
 	}
 }

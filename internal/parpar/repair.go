@@ -99,7 +99,7 @@ func (m *Masterd) hbTick() {
 		}
 		i := i
 		m.hbPending[i] = true
-		m.c.ctrl.deliverRouted(i, i, m.c.ctrl.delay(), func() { m.c.nodes[i].heartbeat(seq) })
+		m.c.ctrl.deliverRouted(i, m.c.ctrl.delay(), func() { m.c.nodes[i].heartbeat(seq) })
 	}
 	m.c.Eng.Schedule(m.c.cfg.Recovery.HeartbeatEvery, m.hbFn)
 }

@@ -24,7 +24,7 @@ func rejoinCount(downs []DownWindow) int {
 	return n
 }
 
-// hbConfig is recoveredConfig with a faster heartbeat than the default
+// hbConfig is testConfig with a faster heartbeat than the default
 // (two misses of two quanta instead of eight of one). The interval is still
 // coarse relative to testConfig's small quantum: the reply charges the host
 // CPU, so the silence budget (misses × interval) must exceed the longest
@@ -32,9 +32,8 @@ func rejoinCount(downs []DownWindow) int {
 // merely busy node reads as dead. The schedd daemon gets the same margin
 // for free from its 4M-cycle quantum.
 func hbConfig(nodes int) Config {
-	cfg := recoveredConfig(nodes)
-	cfg.Recovery.HeartbeatEvery = 2 * cfg.Quantum
-	cfg.Recovery.HeartbeatMisses = 2
+	cfg := testConfig(nodes)
+	cfg.Recovery = Recovery{HeartbeatEvery: 2 * cfg.Quantum, HeartbeatMisses: 2}
 	return cfg
 }
 
@@ -171,7 +170,7 @@ func TestRepairRejoinsAndRestoresCapacity(t *testing.T) {
 // shrink and regrow the column — before admitting the fresh one.
 func TestRebootBeforeDetectionEvictsStaleIncarnation(t *testing.T) {
 	const crashed = 0
-	cfg := recoveredConfig(4) // no heartbeat: detection only via the rejoin request
+	cfg := testConfig(4) // no heartbeat: detection only via the rejoin request
 	cfg.Chaos = &chaos.Plan{Seed: 5, Faults: []chaos.Fault{
 		{Kind: chaos.NodeCrash, Node: crashed, From: 50_000},
 		{Kind: chaos.NodeRepair, Node: crashed, From: 300_000},
@@ -381,7 +380,7 @@ func TestRepairDeterminism(t *testing.T) {
 func TestStaleSwitchCompletionFenced(t *testing.T) {
 	const node = 1
 	build := func(crashAt, repairAt sim.Time) *Cluster {
-		cfg := recoveredConfig(4)
+		cfg := testConfig(4)
 		cfg.Slots = 2
 		cfg.Chaos = &chaos.Plan{Seed: 5, Faults: []chaos.Fault{
 			{Kind: chaos.NodeCrash, Node: node, From: crashAt},
@@ -403,7 +402,7 @@ func TestStaleSwitchCompletionFenced(t *testing.T) {
 	// in its halt stage, while the later-notified peers' halts are still on
 	// their way, so the dead incarnation's flush can only finish degraded,
 	// on its detached card, after the fresh incarnation booted.
-	q := recoveredConfig(4).Quantum
+	q := testConfig(4).Quantum
 	dry := build(1<<40, 1<<41)
 	n := dry.nodes[node]
 	// A node is mid-switch once it accepted a round its manager has not

@@ -18,7 +18,7 @@ func TestCtrlNetRoutedDeliveryZeroAlloc(t *testing.T) {
 	fired := 0
 	fn := func(any) { fired++ }
 	allocs := testing.AllocsPerRun(100, func() {
-		c.deliverRoutedArg(-1, -1, c.delay(), fn, nil)
+		c.deliverRoutedArg(-1, c.delay(), fn, nil)
 		eng.Run()
 	})
 	if allocs != 0 {
@@ -33,36 +33,45 @@ func TestCtrlNetRoutedDeliveryZeroAlloc(t *testing.T) {
 // quantum timer, switch broadcast, three-stage switch on every node, ack
 // collection — on a warmed two-job cluster. The round must be entirely
 // closure-free: pooled switchMsg/quantumMsg records, prebuilt node
-// completion chains, pooled halt/ready control ops.
+// completion chains, pooled halt/ready control ops. The armed case installs
+// a fault plan that never fires, so the same round also runs every
+// recovery timer: the daemons' re-send chains and the cards' deadline
+// chains, which ride pooled records too.
 func TestMasterdRoundZeroAlloc(t *testing.T) {
-	cfg := DefaultConfig(4)
-	cfg.Slots = 2
-	cfg.Quantum = 2_000_000
-	c, err := New(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, name := range []string{"a", "b"} {
-		if _, err := c.Submit(idleLoopSpec(name, 4)); err != nil {
+	for _, armed := range []bool{false, true} {
+		cfg := DefaultConfig(4)
+		cfg.Slots = 2
+		cfg.Quantum = 2_000_000
+		if armed {
+			cfg.Chaos = inertPlan()
+		}
+		c, err := New(cfg)
+		if err != nil {
 			t.Fatal(err)
 		}
-	}
-	// Warm: launch both jobs and run several rotations so every pool
-	// reaches its high-water mark. Switch-history retention is inherently
-	// an amortized allocator (the record slice doubles every 2^k
-	// switches), so the measurement window's switch budget is reserved up
-	// front — everything else must be allocation-free on its own.
-	c.RunUntil(50_000_000)
-	for _, n := range c.nodes {
-		n.Mgr.ReserveHistory(256)
-	}
-	epoch := c.master.epoch
-	allocs := testing.AllocsPerRun(10, func() { c.RunFor(4 * cfg.Quantum) })
-	if c.master.epoch == epoch {
-		t.Fatal("no rounds ran during measurement")
-	}
-	if allocs != 0 {
-		t.Fatalf("steady-state rotation allocates %.2f objects per window, want 0", allocs)
+		for _, name := range []string{"a", "b"} {
+			if _, err := c.Submit(idleLoopSpec(name, 4)); err != nil {
+				t.Fatal(err)
+			}
+		}
+		// Warm: launch both jobs and run several rotations so every pool
+		// reaches its high-water mark. Switch-history retention is
+		// inherently an amortized allocator (the record slice doubles every
+		// 2^k switches), so the measurement window's switch budget is
+		// reserved up front — everything else must be allocation-free on
+		// its own.
+		c.RunUntil(50_000_000)
+		for _, n := range c.nodes {
+			n.Mgr.ReserveHistory(256)
+		}
+		epoch := c.master.epoch
+		allocs := testing.AllocsPerRun(10, func() { c.RunFor(4 * cfg.Quantum) })
+		if c.master.epoch == epoch {
+			t.Fatalf("armed=%v: no rounds ran during measurement", armed)
+		}
+		if allocs != 0 {
+			t.Fatalf("armed=%v: steady-state rotation allocates %.2f objects per window, want 0", armed, allocs)
+		}
 	}
 }
 

@@ -61,17 +61,14 @@ type Config struct {
 	// nominal work, tightening as completions accumulate. Off by default:
 	// the clean-path goldens pin the static estimator.
 	AdaptiveEstimate bool
-	// Chaos optionally installs a fault plan; Recovery enables the
-	// self-healing layer (required for evictions to resolve).
-	Chaos    *chaos.Plan
-	Recovery *parpar.Recovery
+	// Chaos optionally installs a fault plan, which also arms the
+	// cluster's self-healing layer.
+	Chaos *chaos.Plan
 	// Crashes are fail-stop node crashes injected into the run (the
 	// crash=node@T trace directive / gangsim churn -crash path). They are
-	// appended to the chaos plan as NodeCrash faults; if no Recovery is
-	// configured, the default recovery budgets are armed with a fast
-	// heartbeat (a probe every quarter quantum, two-miss budget), so every
-	// crash is detected and evicted the same way in every serving mode
-	// instead of wedging the rotation.
+	// appended to the chaos plan as NodeCrash faults, and the heartbeat
+	// runs fast (a probe every quarter quantum, two-miss budget), so every
+	// crash is detected and evicted the same way in every serving mode.
 	Crashes []schedeval.Crash
 	// Repairs close crashes: node repairs (the repair=node@T trace
 	// directive / gangsim churn -repair path), appended to the chaos plan
@@ -185,12 +182,9 @@ func New(cfg Config) (*Daemon, error) {
 		pcfg.Seed = cfg.Seed
 	}
 	pcfg.Chaos = cfg.Chaos
-	pcfg.Recovery = cfg.Recovery
 	if len(cfg.Crashes) > 0 {
 		// Fold the crash schedule into the chaos plan (as fail-stop
-		// NodeCrash faults) without mutating the caller's plan, and arm the
-		// default recovery budgets if none were configured — a crash
-		// without recovery wedges the rotation instead of evicting.
+		// NodeCrash faults) without mutating the caller's plan.
 		plan := chaos.Plan{Seed: pcfg.Seed}
 		if cfg.Chaos != nil {
 			plan = *cfg.Chaos
@@ -205,19 +199,13 @@ func New(cfg Config) (*Daemon, error) {
 				chaos.Fault{Kind: chaos.NodeRepair, Node: rp.Node, From: rp.At})
 		}
 		pcfg.Chaos = &plan
-		if pcfg.Recovery == nil {
-			// The default budgets with a fast heartbeat (the only failure
-			// detector): four probes per quantum, two missed intervals to
-			// declare a node dead. The cadence must beat the repair stream
-			// — detection after the node already rebooted degenerates into
-			// the rejoin request outing the stale incarnation — and, crash
-			// for crash, every serving mode is detected within the same
-			// ~3/4 quantum.
-			r := parpar.DefaultRecovery(pcfg.Quantum)
-			r.HeartbeatEvery = pcfg.Quantum / 4
-			r.HeartbeatMisses = 2
-			pcfg.Recovery = &r
-		}
+		// A fast heartbeat (the only failure detector): four probes per
+		// quantum, two missed intervals to declare a node dead. The
+		// cadence must beat the repair stream — detection after the node
+		// already rebooted degenerates into the rejoin request outing the
+		// stale incarnation — and, crash for crash, every serving mode is
+		// detected within the same ~3/4 quantum.
+		pcfg.Recovery = parpar.Recovery{HeartbeatEvery: pcfg.Quantum / 4, HeartbeatMisses: 2}
 	}
 	pcfg.Shards = cfg.Shards
 	pcfg.Workers = cfg.Workers

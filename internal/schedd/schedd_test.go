@@ -8,7 +8,6 @@ import (
 
 	"gangfm/internal/chaos"
 	"gangfm/internal/fm"
-	"gangfm/internal/parpar"
 	"gangfm/internal/schedeval"
 	"gangfm/internal/sim"
 )
@@ -243,8 +242,6 @@ func TestChaosUnderChurn(t *testing.T) {
 		cfg.Horizon = 400_000_000
 		cfg.Shards = shards
 		cfg.Workers = workers
-		rec := parpar.DefaultRecovery(cfg.Quantum)
-		cfg.Recovery = &rec
 		cfg.Chaos = &chaos.Plan{Seed: 5, Faults: []chaos.Fault{
 			{Kind: chaos.NodeCrash, Node: 3, From: 150_000},
 		}}
@@ -340,6 +337,46 @@ func TestResultCarriesAuditorVerdict(t *testing.T) {
 	table := AvailabilityTable([]*Result{r}).String()
 	if !strings.Contains(table, " viol") || !strings.Contains(table, fmt.Sprintf(" %d\n", r.Violations)) {
 		t.Fatalf("availability table does not show the verdict %d:\n%s", r.Violations, table)
+	}
+}
+
+// TestEndedJobStopsResends: a rank-done or ready notification still on
+// its re-send chain when its job is killed or finishes must stop there.
+// Each re-send draws the control network's shared jitter, so a chain that
+// outlives its job shifts every later delay. The traces are the
+// benchmark's online workload (8 nodes, 28 jobs with kills, resizes and
+// deadlines) on seeds whose runs once spent a whole chain on a dead job;
+// with the recovery layer armed by a plan that never fires, no daemon
+// message may be re-sent at all.
+func TestEndedJobStopsResends(t *testing.T) {
+	for _, seed := range []uint64{185, 186, 197} {
+		gen := schedeval.DefaultGenConfig(8)
+		gen.Seed = seed
+		gen.Jobs = 28
+		gen.KillFraction = 0.15
+		gen.ResizeFraction = 0.15
+		gen.DeadlineFraction = 0.25
+		trace, err := schedeval.Generate(gen)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg := DefaultConfig(8)
+		cfg.Trace = trace
+		cfg.AdaptiveEstimate = true
+		cfg.Seed = seed
+		cfg.Chaos = &chaos.Plan{Seed: 1, Faults: []chaos.Fault{
+			{Kind: chaos.CtrlDelay, Prob: 1, Delay: 1, Node: -1, From: 1 << 62},
+		}}
+		d, err := New(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := d.Run(); err != nil {
+			t.Fatal(err)
+		}
+		if n := d.Cluster().Resends(); n != 0 {
+			t.Errorf("seed %d: %d daemon messages re-sent on a run that lost none", seed, n)
+		}
 	}
 }
 
