@@ -17,7 +17,9 @@ import (
 // gang and batch mode and by the analytic fractional model. Output is a
 // per-mode metrics grid plus decision-log statistics; like sched, it
 // carries no wall-clock figures, so the same seed (or trace file) always
-// produces byte-identical tables — at any -shards/-workers setting.
+// produces byte-identical tables, and sharded runs agree at any
+// -shards/-workers setting. An unsharded run matches them except where a
+// cross-lane event ties with a same-instant one (DESIGN.md §7).
 //
 // With -crash (or crash node@T directives in the trace file) the run also
 // fail-stops nodes mid-stream: the heartbeat detects them and the recovery

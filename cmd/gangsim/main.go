@@ -170,8 +170,10 @@ usage: gangsim [-quick] [-par N] [-shards N] [-workers N]
 
 -shards N splits every simulated cluster's engine into N event lanes that
 run under conservative lookahead windows, concurrently on -workers N
-goroutines. At any worker count the tables must come out identical to the
-unsharded run.
+goroutines. Sharded runs print identical tables at any -shards and
+-workers; every figure table also matches the unsharded run (checked
+against the goldens). Only a same-instant tie with a cross-lane event can
+make a sharded run differ from an unsharded one (DESIGN.md section 7).
 
 experiments:
   credits   credit formulas C0 = Br/(n^2 p) vs Br/p (paper 2.2, 3.3)

@@ -7,6 +7,18 @@ import (
 // The façade tests exercise the public API end to end, the way the README
 // quick start does.
 
+// runDone runs cluster to a horizon far past these small jobs' completion
+// and fails the test if job has not finished by then: while a job is live
+// the per-quantum audit tick keeps the queue busy, so a wedge would
+// otherwise hang the test binary instead of failing it.
+func runDone(t *testing.T, cluster *Cluster, job *Job) {
+	t.Helper()
+	cluster.RunUntil(10 * 200_000_000) // 10 virtual seconds
+	if job.State() != JobDone {
+		t.Fatalf("job %s still %s at the horizon; auditor: %s", job.Spec.Name, job.State(), cluster.Auditor().Summary())
+	}
+}
+
 func TestQuickstartFlow(t *testing.T) {
 	cluster, err := NewCluster(DefaultClusterConfig(4))
 	if err != nil {
@@ -16,7 +28,7 @@ func TestQuickstartFlow(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster.Run()
+	runDone(t, cluster, job)
 	res, err := ExtractBandwidth(job)
 	if err != nil {
 		t.Fatal(err)
@@ -67,7 +79,7 @@ func TestCustomProgramViaFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster.Run()
+	runDone(t, cluster, job)
 	if job.Results[1] != 999 {
 		t.Fatalf("custom program result = %v", job.Results[1])
 	}
@@ -82,7 +94,7 @@ func TestAllToAllFacade(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cluster.Run()
+	runDone(t, cluster, job)
 	results, err := ExtractAllToAll(job)
 	if err != nil {
 		t.Fatal(err)

@@ -262,7 +262,7 @@ func TestRChannelValidation(t *testing.T) {
 	eng := sim.NewEngine()
 	net := myrinet.New(eng, myrinet.DefaultConfig(2))
 	nic := lanai.New(eng, net, memmodel.Default(), lanai.DefaultConfig(0))
-	cpu := sim.NewResource(eng, "c")
+	cpu := sim.NewResource(eng)
 	bad := DefaultRChannelConfig()
 	bad.Window = 0
 	if _, err := NewRChannel(eng, nic, nil, cpu, bad, 1, 0, 1, 1, 100); err == nil {

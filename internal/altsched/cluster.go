@@ -94,7 +94,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	c := &Cluster{Eng: eng, Net: net, cfg: cfg, eps: make(map[myrinet.JobID][]*Endpoint)}
 	for i := 0; i < cfg.Nodes; i++ {
 		nic := lanai.New(eng, net, mem, lanai.DefaultConfig(myrinet.NodeID(i)))
-		cpu := sim.NewResource(eng, fmt.Sprintf("alt-cpu%d", i))
+		cpu := sim.NewResource(eng)
 		mgr, err := NewManager(eng, nic, cpu, mem, cfg.Scheme, cfg.Mode)
 		if err != nil {
 			return nil, err

@@ -1,8 +1,6 @@
 package altsched
 
 import (
-	"fmt"
-
 	"gangfm/internal/lanai"
 	"gangfm/internal/memmodel"
 	"gangfm/internal/myrinet"
@@ -72,7 +70,7 @@ type DynCosNode struct {
 func NewDynCosNode(eng *sim.Engine, net *myrinet.Network, mem *memmodel.Model,
 	id myrinet.NodeID, rank int, cfg DynCosConfig) (*DynCosNode, error) {
 	nic := lanai.New(eng, net, mem, lanai.DefaultConfig(id))
-	cpu := sim.NewResource(eng, fmt.Sprintf("dyncos-cpu%d", id))
+	cpu := sim.NewResource(eng)
 	nicCfg := nic.Config()
 	ctx, err := nic.Register(1, rank, nicCfg.SendSlots, nicCfg.RecvSlots, lanai.Hooks{})
 	if err != nil {

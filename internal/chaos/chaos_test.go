@@ -160,7 +160,7 @@ func TestNodeCrash(t *testing.T) {
 	}
 	eng := sim.NewEngine()
 	in := NewInjector(eng, Plan{Seed: 3, Faults: []Fault{f}})
-	cpu := sim.NewResource(eng, "cpu")
+	cpu := sim.NewResource(eng)
 	in.ArmNode(1, cpu)
 	in.ArmNode(0, cpu) // wrong node: must not arm anything
 	ran := false

@@ -1,7 +1,6 @@
 package core
 
 import (
-	"fmt"
 	"testing"
 
 	"gangfm/internal/fm"
@@ -34,7 +33,7 @@ func newCluster(t *testing.T, nodes int, cfg Config) *cluster {
 	c.net = myrinet.New(c.eng, myrinet.DefaultConfig(nodes))
 	for i := 0; i < nodes; i++ {
 		nic := lanai.New(c.eng, c.net, c.mem, lanai.DefaultConfig(myrinet.NodeID(i)))
-		cpu := sim.NewResource(c.eng, fmt.Sprintf("cpu%d", i))
+		cpu := sim.NewResource(c.eng)
 		mgr, err := NewManager(c.eng, nic, cpu, c.mem, cfg)
 		if err != nil {
 			t.Fatal(err)

@@ -11,11 +11,14 @@
 package experiments
 
 import (
+	"fmt"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 
 	"gangfm/internal/chaos"
+	"gangfm/internal/parpar"
 	"gangfm/internal/sim"
 )
 
@@ -30,9 +33,10 @@ type Params struct {
 	Parallel int
 	// Shards, when > 1, runs each cluster-backed point on a sharded
 	// engine group (parpar.Config.Shards); Workers sets the worker count
-	// per group. The figures must come out identical either way — that is
-	// the equivalence the sharded engine promises, and the root-package
-	// parallel tests enforce it against the golden tables.
+	// per group. Every figure comes out identical either way: the
+	// root-package parallel tests check it against the golden tables.
+	// (The sharded engine promises identical output across sharded runs
+	// only; see parpar.Config.Shards.)
 	Shards  int
 	Workers int
 }
@@ -100,3 +104,29 @@ func mbs(bytes uint64, elapsed sim.Time) float64 {
 // experiments build, which arms the recovery layer there: with an inert
 // plan it must leave every figure byte-identical.
 var testChaos *chaos.Plan
+
+// runHorizon bounds the virtual runtime of a figure point that runs its
+// jobs to completion (Figures 6–9 and the paper's scheme row). The longest
+// such point, the full-size Figure 7/9 sweep at its largest node count,
+// goes quiescent at 2.48 G cycles (12.4 virtual seconds); the horizon is
+// almost five times that.
+const runHorizon = 60 * 200_000_000 // 60 virtual seconds
+
+// runJobs runs cluster until it goes quiescent or reaches runHorizon, and
+// panics if any of jobs has not finished by then. While jobs are live the
+// per-quantum audit tick keeps the queue non-empty, so a wedged point would
+// otherwise run forever; the panic names the unfinished jobs and carries
+// the invariant auditor's summary instead.
+func runJobs(cluster *parpar.Cluster, jobs []*parpar.Job) {
+	cluster.RunUntil(runHorizon)
+	var stuck []string
+	for _, j := range jobs {
+		if j.State() != parpar.JobDone {
+			stuck = append(stuck, fmt.Sprintf("%s (job %d, %s)", j.Spec.Name, j.ID, j.State()))
+		}
+	}
+	if len(stuck) > 0 {
+		panic(fmt.Sprintf("experiments: wedged at the %d-cycle horizon: unfinished %s; auditor: %s",
+			runHorizon, strings.Join(stuck, ", "), cluster.Auditor().Summary()))
+	}
+}

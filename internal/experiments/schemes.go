@@ -65,12 +65,13 @@ func paperSchemeRow(p Params) SchemeRow {
 	if p.Quick {
 		msgs = 2500
 	}
-	for i := 0; i < 2; i++ {
-		if _, err := cluster.Submit(workload.Bandwidth("sch", msgs, myrinet.MaxPayload)); err != nil {
+	jobs := make([]*parpar.Job, 2)
+	for i := range jobs {
+		if jobs[i], err = cluster.Submit(workload.Bandwidth("sch", msgs, myrinet.MaxPayload)); err != nil {
 			panic(err)
 		}
 	}
-	cluster.Run()
+	runJobs(cluster, jobs)
 
 	row := SchemeRow{Name: "gang + flush + switch (paper)", Efficiency: 1}
 	var coord, copies float64

@@ -67,12 +67,13 @@ func switchPoint(nodes int, mode core.CopyMode, quick bool) SwitchPoint {
 	if err != nil {
 		panic(err)
 	}
-	for i := 0; i < 2; i++ {
-		if _, err := cluster.Submit(workload.AllToAll("a2a", nodes, perPeer, 1536)); err != nil {
+	jobs := make([]*parpar.Job, 2)
+	for i := range jobs {
+		if jobs[i], err = cluster.Submit(workload.AllToAll("a2a", nodes, perPeer, 1536)); err != nil {
 			panic(err)
 		}
 	}
-	cluster.Run()
+	runJobs(cluster, jobs)
 
 	pt := SwitchPoint{Nodes: nodes}
 	var halt, cp, rel, vs, vr []float64

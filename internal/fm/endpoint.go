@@ -18,25 +18,18 @@ type Config struct {
 	SendOverhead sim.Time
 	// RecvOverhead is the fixed host cost per extracted packet (header
 	// decode, handler dispatch, credit bookkeeping). FM handlers run on
-	// the data in place, so no per-byte copy is charged unless
-	// CopyOnReceive is set.
+	// the data in place, so no per-byte copy is charged.
 	RecvOverhead sim.Time
 	// RefillOverhead is the host cost of emitting an explicit refill.
 	RefillOverhead sim.Time
-	// CopyOnReceive charges a host-RAM copy of the payload on extraction
-	// (for workloads whose handlers copy out; ablation knob).
-	CopyOnReceive bool
 
 	// C0 is the initial and maximal per-peer credit count.
 	C0 int
-	// RefillThreshold is the consumed-packet count that triggers an
-	// explicit refill (the "low water mark" logic of §2.2). Zero means
-	// max(1, C0/2).
-	RefillThreshold int
-	// OutboxCap bounds the number of application messages queued in the
-	// library awaiting injection. Zero means 16.
-	OutboxCap int
 }
+
+// outboxCap bounds the number of application messages queued in the
+// library awaiting injection.
+const outboxCap = 16
 
 // DefaultConfig returns host costs calibrated for the 200 MHz Pentium Pro
 // (peak one-way bandwidth lands at ~70 MB/s, matching Figure 5/6 at one
@@ -50,22 +43,10 @@ func DefaultConfig(c0 int) Config {
 	}
 }
 
+// refillThreshold is the consumed-packet count that triggers an explicit
+// refill (the "low water mark" logic of §2.2): max(1, C0/2).
 func (c *Config) refillThreshold() int {
-	if c.RefillThreshold > 0 {
-		return c.RefillThreshold
-	}
-	t := c.C0 / 2
-	if t < 1 {
-		t = 1
-	}
-	return t
-}
-
-func (c *Config) outboxCap() int {
-	if c.OutboxCap > 0 {
-		return c.OutboxCap
-	}
-	return 16
+	return max(1, c.C0/2)
 }
 
 // Stats counts endpoint activity.
@@ -121,7 +102,7 @@ type Endpoint struct {
 	sendCredits []int // per peer rank
 	consumed    []int // per peer rank, consumed since last refill sent
 
-	// outbox is a fixed ring (len == OutboxCap): outHead indexes the
+	// outbox is a fixed ring (len == outboxCap): outHead indexes the
 	// oldest queued message, outN counts them. A ring instead of a
 	// sliding slice keeps the steady-state send path allocation-free.
 	outbox    []outMsg
@@ -181,7 +162,7 @@ func NewEndpoint(eng *sim.Engine, nic *lanai.NIC, cpu *sim.Resource, mem *memmod
 		sendCredits: make([]int, len(nodeOf)),
 		consumed:    make([]int, len(nodeOf)),
 		nextMsgID:   make([]uint64, len(nodeOf)),
-		outbox:      make([]outMsg, cfg.outboxCap()),
+		outbox:      make([]outMsg, outboxCap),
 		reasm:       make(map[int]*partial),
 	}
 	for i := range e.sendCredits {
@@ -331,15 +312,6 @@ func (e *Endpoint) sendCost(wireBytes int) sim.Time {
 	return e.cfg.SendOverhead + e.mem.CopyCycles(wireBytes, memmodel.HostRAM, memmodel.NICWC)
 }
 
-// recvCost is the host time to extract one packet.
-func (e *Endpoint) recvCost(p *myrinet.Packet) sim.Time {
-	c := e.cfg.RecvOverhead
-	if e.cfg.CopyOnReceive {
-		c += e.mem.CopyCycles(p.PayloadLen, memmodel.PinnedRAM, memmodel.HostRAM)
-	}
-	return c
-}
-
 // pump advances the send side: one packet per host-CPU grant, in strict
 // message order (FM_send blocks the caller, so a message with no credits
 // head-of-line-blocks the process).
@@ -454,13 +426,9 @@ func (e *Endpoint) drain() {
 	if n > drainBatch {
 		n = drainBatch
 	}
-	var cost sim.Time
-	for i := 0; i < n; i++ {
-		cost += e.recvCost(e.ctx.RecvQ.At(i))
-	}
 	e.draining = true
 	e.drainN = n
-	e.cpu.Use(cost, e.drainDoneFn)
+	e.cpu.Use(sim.Time(n)*e.cfg.RecvOverhead, e.drainDoneFn)
 }
 
 // drainDone finishes the extraction whose host cost was just paid (the

@@ -2,7 +2,6 @@ package fm
 
 import (
 	"bytes"
-	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -124,7 +123,7 @@ func newJobRig(t *testing.T, nodes int, mutate func(*Config), plan *chaos.Plan) 
 	}
 	for i := 0; i < nodes; i++ {
 		nic := lanai.New(eng, net, mem, lanai.DefaultConfig(myrinet.NodeID(i)))
-		cpu := sim.NewResource(eng, fmt.Sprintf("cpu%d", i))
+		cpu := sim.NewResource(eng)
 		cfg := DefaultConfig(alloc.C0)
 		if mutate != nil {
 			mutate(&cfg)
@@ -204,15 +203,15 @@ func TestManyMessagesOrdered(t *testing.T) {
 }
 
 func TestOutboxBackpressure(t *testing.T) {
-	r := newJobRig(t, 2, func(c *Config) { c.OutboxCap = 4 }, nil)
+	r := newJobRig(t, 2, nil, nil)
 	accepted := 0
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 2*outboxCap; i++ {
 		if r.eps[0].Send(1, 100, nil) {
 			accepted++
 		}
 	}
-	if accepted != 4 {
-		t.Fatalf("accepted %d, want outbox cap 4", accepted)
+	if accepted != outboxCap {
+		t.Fatalf("accepted %d, want outbox cap %d", accepted, outboxCap)
 	}
 	canSendFired := 0
 	r.eps[0].SetOnCanSend(func() { canSendFired++ })
@@ -409,10 +408,6 @@ func TestRefillThresholdDefault(t *testing.T) {
 	if c.refillThreshold() != 1 {
 		t.Fatalf("threshold floor = %d, want 1", c.refillThreshold())
 	}
-	c = Config{C0: 10, RefillThreshold: 3}
-	if c.refillThreshold() != 3 {
-		t.Fatal("explicit threshold ignored")
-	}
 }
 
 func TestSendValidation(t *testing.T) {
@@ -534,7 +529,7 @@ func newJobRigQuiet(nodes int) *jobRig {
 	}
 	for i := 0; i < nodes; i++ {
 		nic := lanai.New(eng, net, mem, lanai.DefaultConfig(myrinet.NodeID(i)))
-		cpu := sim.NewResource(eng, fmt.Sprintf("cpu%d", i))
+		cpu := sim.NewResource(eng)
 		ep, _ := NewEndpoint(eng, nic, cpu, mem, DefaultConfig(alloc.C0), 1, i, nodeOf)
 		ctx, _ := nic.Register(1, i, alloc.SendSlots, alloc.RecvSlots, lanai.Hooks{})
 		ep.Attach(ctx)

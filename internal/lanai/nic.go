@@ -233,8 +233,9 @@ type ctrlOp struct {
 }
 
 // bcast is one pooled serial broadcast loop: the destinations snapshotted
-// at its start and a cursor that each firing of its engine train advances.
-// A retransmission round (retx) re-checks each destination at fire time.
+// at its start and a cursor that each firing advances. The loop holds one
+// pending event: each firing schedules the next one CtlOverhead later. A
+// retransmission round (retx) re-checks each destination at fire time.
 type bcast struct {
 	n     *NIC
 	t     *phaseTracker
@@ -249,8 +250,11 @@ type bcast struct {
 var (
 	ctrlTailFn   = func(a any) { a.(*ctrlOp).fireTail() }
 	ctrlArriveFn = func(a any) { a.(*ctrlOp).fireArrive() }
-	bcastFn      = func(a any) { a.(*bcast).fire() }
 )
+
+// bcastFn is a declared function rather than a variable like the two
+// above because fire reschedules it.
+func bcastFn(a any) { a.(*bcast).fire() }
 
 func (n *NIC) getOp() *ctrlOp {
 	if ln := len(n.opPool); ln > 0 {
@@ -269,7 +273,7 @@ func (n *NIC) putOp(op *ctrlOp) {
 
 // broadcast starts the serial loop sending t's control packet for epoch,
 // one per CtlOverhead, to every other member not yet heard from (retx) or
-// to all of them. It returns the loop's length; an empty loop is no train.
+// to all of them. It returns the loop's length; an empty loop fires nothing.
 func (n *NIC) broadcast(t *phaseTracker, epoch uint64, retx bool) sim.Time {
 	var b *bcast
 	if ln := len(n.bcastPool); ln > 0 {
@@ -289,17 +293,18 @@ func (n *NIC) broadcast(t *phaseTracker, epoch uint64, retx bool) sim.Time {
 		n.bcastPool = append(n.bcastPool, b)
 		return 0
 	}
-	step := n.cfg.CtlOverhead
-	n.eng.ScheduleArgTrain(n.eng.Now()+step, step, len(b.dsts), bcastFn, b)
-	return sim.Time(len(b.dsts)) * step
+	n.eng.ScheduleArg(n.cfg.CtlOverhead, bcastFn, b)
+	return sim.Time(len(b.dsts)) * n.cfg.CtlOverhead
 }
 
-// fire sends the loop's next control packet; the last firing returns the
-// record to the pool.
+// fire schedules the loop's next firing, then sends its control packet;
+// the last firing returns the record to the pool instead.
 func (b *bcast) fire() {
 	n, t, epoch, retx, dst := b.n, b.t, b.epoch, b.retx, b.dsts[b.next]
 	if b.next++; b.next == len(b.dsts) {
 		n.bcastPool = append(n.bcastPool, b)
+	} else {
+		n.eng.ScheduleArg(n.cfg.CtlOverhead, bcastFn, b)
 	}
 	switch {
 	case retx:
@@ -337,7 +342,7 @@ func New(eng *sim.Engine, net *myrinet.Network, mem *memmodel.Model, cfg Config)
 		byJob:      make(map[myrinet.JobID]*Context),
 		flush:      newPhaseTracker(net.Nodes() - 1),
 		release:    newPhaseTracker(net.Nodes() - 1),
-		recvEngine: sim.NewResource(eng, fmt.Sprintf("nic%d-recv", cfg.Node)),
+		recvEngine: sim.NewResource(eng),
 		stats:      Stats{Drops: make(map[DropReason]uint64)},
 	}
 	n.scanFn = n.scan

@@ -1,6 +1,7 @@
 package lanai
 
 import (
+	"slices"
 	"testing"
 
 	"gangfm/internal/memmodel"
@@ -186,7 +187,7 @@ func TestBroadcastSnapshotsDestinations(t *testing.T) {
 }
 
 // TestBroadcastEmptySnapshot reaches the loop's empty-snapshot guard:
-// peers are expected (peers > 0) but none is a destination. No train is
+// peers are expected (peers > 0) but none is a destination. No loop is
 // scheduled and the local transition fires at delay 0. EvictPeer keeps the
 // expected count in step with the evicted set, so the test marks the
 // peers evicted by hand.
@@ -519,5 +520,88 @@ func TestReleaseBeforeFlushReportsViolation(t *testing.T) {
 	eng2.Run()
 	if len(got) != 0 {
 		t.Fatalf("ordered switch reported violations: %v", got)
+	}
+}
+
+// ctrlLog is an injector that records every control packet presented to
+// the fabric and drops it, so a broadcast loop's firings are the only
+// events left on the engine.
+type ctrlLog struct{ sends []ctrlSend }
+
+type ctrlSend struct {
+	at   sim.Time
+	dst  myrinet.NodeID
+	retx bool
+}
+
+func (l *ctrlLog) Packet(now sim.Time, p *myrinet.Packet) myrinet.Verdict {
+	l.sends = append(l.sends, ctrlSend{at: now, dst: p.Dst, retx: p.Frag == ctrlRetransmit})
+	return myrinet.Verdict{Drop: true}
+}
+
+// TestBroadcastLoopCadence pins the serial loop's schedule: started at t0
+// over n destinations, it fires exactly n times, at t0 + k·CtlOverhead for
+// k = 1…n, sending to the snapshot in node order and skipping itself and
+// evicted peers.
+func TestBroadcastLoopCadence(t *testing.T) {
+	eng, net, nics := rig(t, 6)
+	log := &ctrlLog{}
+	net.SetInjector(log)
+	n := nics[2]
+	n.EvictPeer(4)
+	const t0 = 1000
+	eng.RunUntil(t0)
+	if d := n.broadcast(n.flush, 1, false); d != 4*n.cfg.CtlOverhead {
+		t.Fatalf("loop length %d, want 4 × %d", d, n.cfg.CtlOverhead)
+	}
+	var fired []sim.Time
+	for eng.Step() {
+		fired = append(fired, eng.Now())
+	}
+	wantDst := []myrinet.NodeID{0, 1, 3, 5}
+	if len(fired) != len(wantDst) || len(log.sends) != len(wantDst) {
+		t.Fatalf("%d firings and %d sends, want %d of each", len(fired), len(log.sends), len(wantDst))
+	}
+	for k, s := range log.sends {
+		at := t0 + sim.Time(k+1)*n.cfg.CtlOverhead
+		if fired[k] != at || s.at != at || s.dst != wantDst[k] || s.retx {
+			t.Fatalf("firing %d: fired at %d sending %+v, want a halt to %d at %d",
+				k+1, fired[k], s, wantDst[k], at)
+		}
+	}
+	if s := n.Stats(); s.HaltsSent != 4 {
+		t.Fatalf("HaltsSent = %d, want 4", s.HaltsSent)
+	}
+}
+
+// TestRetransmitLoopSkipsHeardPeer pins a retransmission round: a peer
+// heard from while the loop runs gets no packet, yet the loop keeps its
+// cadence and still fires once per snapshot entry, so the firings after
+// the skip (and the loop's end) stay on the k·CtlOverhead grid.
+func TestRetransmitLoopSkipsHeardPeer(t *testing.T) {
+	eng, net, nics := rig(t, 5)
+	log := &ctrlLog{}
+	net.SetInjector(log)
+	n := nics[0]
+	const epoch = 3
+	n.flush.Arrive(epoch, 1) // heard before the loop: not in the snapshot
+	n.broadcast(n.flush, epoch, true)
+	step := n.cfg.CtlOverhead
+	var fired []sim.Time
+	for eng.Step() {
+		fired = append(fired, eng.Now())
+		if len(fired) == 1 {
+			n.flush.Arrive(epoch, 3) // heard mid-loop, before its firing
+		}
+	}
+	if want := []sim.Time{step, 2 * step, 3 * step}; !slices.Equal(fired, want) {
+		t.Fatalf("loop fired at %v, want %v", fired, want)
+	}
+	if len(log.sends) != 2 || log.sends[0].dst != 2 || log.sends[1].dst != 4 ||
+		log.sends[1].at != 3*step || !log.sends[0].retx {
+		t.Fatalf("sent %+v, want retransmissions to 2 at %d and 4 at %d", log.sends, step, 3*step)
+	}
+	if len(n.bcastPool) != 1 {
+		t.Fatalf("%d loop records pooled after the loop, want 1", len(n.bcastPool))
 	}
 }

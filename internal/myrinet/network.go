@@ -156,15 +156,16 @@ type Network struct {
 	// engs, when non-nil, maps each node to the shard engine that owns
 	// it (see SetShardEngines); nil means n.eng owns everything.
 	engs []*sim.Engine
-	// ports serializes each node's injection link.
-	ports []*sim.Resource
-	// lastArrival enforces FIFO per (src,dst) route even under unusual
-	// latency parameterizations.
-	lastArrival [][]sim.Time
-	seq         [][]uint64
-	injector    Injector
-	observer    func(Event)
-	perNode     []nodeState
+	// ports serializes each node's injection link. Routes are FIFO
+	// because of it: a port grants in order and every grant takes at
+	// least PerPacketGap+1 cycles, while SwitchLatency is the same for
+	// every packet, so arrivals on a route strictly increase, and a
+	// duplicate (one cycle behind its original) lands before the next.
+	ports    []*sim.Resource
+	seq      [][]uint64
+	injector Injector
+	observer func(Event)
+	perNode  []nodeState
 
 	// deliverFn is the one delivery callback shared by every scheduled
 	// arrival, so the per-packet closure allocation disappears from the
@@ -185,11 +186,9 @@ func New(eng *sim.Engine, cfg Config) *Network {
 		ports:    make([]*sim.Resource, cfg.Nodes),
 		perNode:  make([]nodeState, cfg.Nodes),
 	}
-	n.lastArrival = make([][]sim.Time, cfg.Nodes)
 	n.seq = make([][]uint64, cfg.Nodes)
 	for i := range n.ports {
-		n.ports[i] = sim.NewResource(eng, fmt.Sprintf("port%d", i))
-		n.lastArrival[i] = make([]sim.Time, cfg.Nodes)
+		n.ports[i] = sim.NewResource(eng)
 		n.seq[i] = make([]uint64, cfg.Nodes)
 		n.perNode[i].inFlight = make(map[JobID]int)
 	}
@@ -207,7 +206,7 @@ func (n *Network) SetShardEngines(engs []*sim.Engine) {
 	}
 	n.engs = engs
 	for i := range n.ports {
-		n.ports[i] = sim.NewResource(engs[i], fmt.Sprintf("port%d", i))
+		n.ports[i] = sim.NewResource(engs[i])
 	}
 }
 
@@ -373,16 +372,8 @@ func (n *Network) Send(p *Packet) sim.Time {
 		return src.Now()
 	}
 
-	tx := n.txCycles(p.WireSize())
-	var arrival sim.Time
-	linkFree := n.ports[p.Src].Use(tx, nil)
-	arrival = linkFree + n.cfg.SwitchLatency
-	// Per-route FIFO guard: never deliver before an earlier packet on
-	// the same route.
-	if last := n.lastArrival[p.Src][p.Dst]; arrival <= last {
-		arrival = last + 1
-	}
-	n.lastArrival[p.Src][p.Dst] = arrival
+	linkFree := n.ports[p.Src].Use(n.txCycles(p.WireSize()), nil)
+	arrival := linkFree + n.cfg.SwitchLatency
 
 	if v.Drop {
 		n.dropInjected(p)
@@ -421,10 +412,6 @@ func (n *Network) duplicate(p *Packet, at sim.Time) {
 	if p.Type == Data {
 		b.inFlight[p.Job]++
 	}
-	if last := n.lastArrival[p.Src][p.Dst]; at <= last {
-		at = last + 1
-	}
-	n.lastArrival[p.Src][p.Dst] = at
 	dup := n.NewPacketFrom(p.Src)
 	*dup = *p
 	dup.pooled = true

@@ -1,6 +1,7 @@
 package myrinet
 
 import (
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -345,6 +346,79 @@ func TestFIFOProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 100}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// dupHalf duplicates each data packet with probability 1/2 and records
+// which (route, Seq) it duplicated.
+type dupHalf struct {
+	rng    *sim.Rand
+	dupped map[[3]uint64]bool
+}
+
+func (d *dupHalf) Packet(_ sim.Time, p *Packet) Verdict {
+	if p.Type != Data || !d.rng.Bool(0.5) {
+		return Verdict{}
+	}
+	d.dupped[[3]uint64{uint64(p.Src), uint64(p.Dst), p.Seq}] = true
+	return Verdict{Duplicate: true}
+}
+
+// TestRouteOrderProperty is the fabric's FIFO contract under the traffic
+// the stack produces: every node sends a seeded stream of data packets of
+// mixed sizes, control packets and self-sends, spaced 1–300 cycles apart
+// so injection ports queue, while half the data packets are duplicated.
+// On every route the deliveries must be exactly the send order, each
+// duplicate right behind its original. Nothing but the FIFO port and the
+// constant switch latency keeps a route in order.
+func TestRouteOrderProperty(t *testing.T) {
+	const nodes, sends = 5, 300
+	for seed := uint64(1); seed <= 40; seed++ {
+		eng := sim.NewEngine()
+		net := New(eng, DefaultConfig(nodes))
+		inj := &dupHalf{rng: sim.NewRand(seed), dupped: make(map[[3]uint64]bool)}
+		net.SetInjector(inj)
+		got := make(map[[2]NodeID][]uint64)
+		for i := 0; i < nodes; i++ {
+			net.Attach(NodeID(i), HandlerFunc(func(p *Packet) {
+				r := [2]NodeID{p.Src, p.Dst}
+				got[r] = append(got[r], p.Seq)
+			}))
+		}
+		rng := sim.NewRand(seed * 7919)
+		var sent [][3]uint64
+		for src := 0; src < nodes; src++ {
+			at := sim.Time(0)
+			for k := 0; k < sends; k++ {
+				at += sim.Time(1 + rng.Intn(300))
+				dst := NodeID(rng.Intn(nodes))
+				p := &Packet{Type: Data, Src: NodeID(src), Dst: dst, PayloadLen: rng.Intn(MaxPayload + 1)}
+				if rng.Intn(4) == 0 {
+					p.Type = []PacketType{Refill, Halt, Ready}[rng.Intn(3)]
+				}
+				eng.ScheduleAt(at, func() {
+					net.Send(p)
+					sent = append(sent, [3]uint64{uint64(p.Src), uint64(p.Dst), p.Seq})
+				})
+			}
+		}
+		eng.Run()
+		want := make(map[[2]NodeID][]uint64)
+		for _, s := range sent {
+			r := [2]NodeID{NodeID(s[0]), NodeID(s[1])}
+			want[r] = append(want[r], s[2])
+			if inj.dupped[s] {
+				want[r] = append(want[r], s[2])
+			}
+		}
+		if len(inj.dupped) == 0 {
+			t.Fatalf("seed %d: no duplicates injected", seed)
+		}
+		for r, w := range want {
+			if !slices.Equal(got[r], w) {
+				t.Fatalf("seed %d: route %d→%d delivered seqs %v, want %v", seed, r[0], r[1], got[r], w)
+			}
+		}
 	}
 }
 

@@ -71,10 +71,12 @@ type Config struct {
 	// node ranges, each with its own event lane (masterd and control
 	// network live on an extra global lane). The lanes run under
 	// conservative lookahead windows derived from the data network's
-	// minimum cross-node latency, concurrently when Workers > 1; results —
-	// chaos traces included — are identical to the unsharded simulator at
-	// any worker count. Shards <= 1 leaves the classic single-engine path
-	// untouched.
+	// minimum cross-node latency, concurrently when Workers > 1. Results —
+	// chaos traces included — are identical across sharded runs at any
+	// shards × workers. They can differ from the unsharded simulator: a
+	// cross-lane post takes its sequence number when the window drains, so
+	// a same-instant tie on its target lane may break the other way.
+	// Shards <= 1 leaves the classic single-engine path untouched.
 	Shards int
 	// Workers caps the goroutines running shard windows (see Shards).
 	Workers int
@@ -395,7 +397,7 @@ func New(cfg Config) (*Cluster, error) {
 			nodeEng = group.Shard(i * shards / cfg.Nodes)
 		}
 		n := &Node{
-			ID: myrinet.NodeID(i), CPU: sim.NewResource(nodeEng, fmt.Sprintf("host%d", i)), Eng: nodeEng,
+			ID: myrinet.NodeID(i), CPU: sim.NewResource(nodeEng), Eng: nodeEng,
 			cluster: c, procs: make(map[myrinet.JobID]*Proc),
 			evictSeen: make([]int, cfg.Nodes),
 		}

@@ -175,6 +175,26 @@ func endsOnce(r *Result) error {
 	return nil
 }
 
+// sweepShape is one crash/repair configuration family of the sweep,
+// instantiated per seed by quickChurnConfig.
+type sweepShape struct {
+	name          string
+	crash, repair float64
+	crashSeed     func(seed uint64) uint64
+	policy        string
+}
+
+func (sh sweepShape) config(t *testing.T, seed uint64) Config {
+	return quickChurnConfig(t, seed, sh.crashSeed(seed), sh.crash, sh.repair, sh.policy)
+}
+
+var sweepShapes = []sweepShape{
+	{"crash0.35-repair0.75", 0.35, 0.75, func(uint64) uint64 { return 7 }, "buddy"},
+	{"crash0.5-repair0.9-first-fit", 0.5, 0.9, func(s uint64) uint64 { return s + 100 }, "first-fit"},
+	{"crash0.35", 0.35, 0, func(uint64) uint64 { return 7 }, "buddy"},
+	{"crash0.35-crash-seed", 0.35, 0, func(s uint64) uint64 { return s }, "buddy"},
+}
+
 // TestCrashRepairSweepSwitchesOncePerRound runs 300 seeded churn streams
 // through the showdown, at quick size, seeds 1–75 in each of four shapes:
 // `-crash 0.35 -repair 0.75 -adaptive`, `-crash 0.5 -repair 0.9
@@ -191,25 +211,13 @@ func endsOnce(r *Result) error {
 //   - the chaos auditor and the task-table audit are clean;
 //   - every job ends exactly once.
 func TestCrashRepairSweepSwitchesOncePerRound(t *testing.T) {
-	type shape struct {
-		name          string
-		crash, repair float64
-		crashSeed     func(seed uint64) uint64
-		policy        string
-	}
-	shapes := []shape{
-		{"crash0.35-repair0.75", 0.35, 0.75, func(uint64) uint64 { return 7 }, "buddy"},
-		{"crash0.5-repair0.9-first-fit", 0.5, 0.9, func(s uint64) uint64 { return s + 100 }, "first-fit"},
-		{"crash0.35", 0.35, 0, func(uint64) uint64 { return 7 }, "buddy"},
-		{"crash0.35-crash-seed", 0.35, 0, func(s uint64) uint64 { return s }, "buddy"},
-	}
-	for _, sh := range shapes {
+	for _, sh := range sweepShapes {
 		sh := sh
 		t.Run(sh.name, func(t *testing.T) {
 			t.Parallel()
 			runs, rejoins := 0, 0
 			for seed := uint64(1); seed <= 75; seed++ {
-				cfg := quickChurnConfig(t, seed, sh.crashSeed(seed), sh.crash, sh.repair, sh.policy)
+				cfg := sh.config(t, seed)
 				var daemons []*Daemon
 				var watched []*[]incarnation
 				var results []*Result
@@ -252,6 +260,54 @@ func TestCrashRepairSweepSwitchesOncePerRound(t *testing.T) {
 			}
 			if sh.repair > 0 && rejoins == 0 {
 				t.Fatal("no node was readmitted in this shape")
+			}
+		})
+	}
+}
+
+// TestShardedShowdownsAgree pins what the sharded engine does promise:
+// identical output across sharded runs at any shards × workers. Its inputs
+// are the sweep configurations whose unsharded run differs from the
+// sharded ones: seed 5 in every shape, and seed 69 in the first-fit shape,
+// which differed at an earlier revision. A cross-lane post takes its
+// sequence number when the window drains, so on these seeds a same-instant
+// tie breaks differently without shards; among sharded runs the drain
+// order must not depend on the shard or worker count.
+func TestShardedShowdownsAgree(t *testing.T) {
+	type input struct {
+		shape sweepShape
+		seed  uint64
+	}
+	var inputs []input
+	for _, sh := range sweepShapes {
+		inputs = append(inputs, input{sh, 5})
+	}
+	inputs = append(inputs, input{sweepShapes[1], 69})
+	for _, in := range inputs {
+		in := in
+		t.Run(fmt.Sprintf("%s/seed%d", in.shape.name, in.seed), func(t *testing.T) {
+			t.Parallel()
+			var base, baseAt string
+			for _, shards := range []int{2, 4, 8} {
+				for _, workers := range []int{1, 2} {
+					cfg := in.shape.config(t, in.seed)
+					cfg.Shards, cfg.Workers = shards, workers
+					results, err := Showdown(cfg)
+					if err != nil {
+						t.Fatal(err)
+					}
+					var b strings.Builder
+					for _, r := range results {
+						b.WriteString(render(r))
+					}
+					at := fmt.Sprintf("shards=%d workers=%d", shards, workers)
+					if base == "" {
+						base, baseAt = b.String(), at
+					} else if b.String() != base {
+						t.Fatalf("%s diverged from %s:\n--- %s ---\n%s\n--- %s ---\n%s",
+							at, baseAt, baseAt, base, at, b.String())
+					}
+				}
 			}
 		})
 	}

@@ -200,8 +200,7 @@ func TestEngineRandomCancelProperty(t *testing.T) {
 }
 
 // TestScheduleArgNoAlloc pins the zero-allocation contract of the hot
-// path: steady-state Schedule/ScheduleArg + Step must not allocate, and
-// neither must a whole train.
+// path: steady-state Schedule/ScheduleArg + Step must not allocate.
 func TestScheduleArgNoAlloc(t *testing.T) {
 	e := NewEngine()
 	var sink int
@@ -216,7 +215,6 @@ func TestScheduleArgNoAlloc(t *testing.T) {
 	plain := func() { sink++ }
 	allocs := testing.AllocsPerRun(1000, func() {
 		e.ScheduleArg(1, fn, arg)
-		e.ScheduleArgTrain(e.Now()+1, 3, 16, fn, arg)
 		e.Schedule(2, plain)
 		e.ScheduleAt(e.Now()+3, plain)
 		e.Run()

@@ -12,24 +12,16 @@ package sim
 // request time.
 type Resource struct {
 	eng    *Engine
-	name   string
 	freeAt Time
-	busy   Time // total busy cycles, for utilization stats
 }
 
 // NewResource returns a resource bound to the engine.
-func NewResource(eng *Engine, name string) *Resource {
-	return &Resource{eng: eng, name: name}
+func NewResource(eng *Engine) *Resource {
+	return &Resource{eng: eng}
 }
-
-// Name returns the diagnostic name given at construction.
-func (r *Resource) Name() string { return r.name }
 
 // FreeAt returns the earliest time at which the resource will be idle.
 func (r *Resource) FreeAt() Time { return r.freeAt }
-
-// BusyCycles returns the cumulative cycles of scheduled occupancy.
-func (r *Resource) BusyCycles() Time { return r.busy }
 
 // Idle reports whether the resource is free at the current time.
 func (r *Resource) Idle() bool { return r.freeAt <= r.eng.Now() }
@@ -54,7 +46,6 @@ func (r *Resource) UseArg(dur Time, done func(any), arg any) Time {
 	}
 	end := start + dur
 	r.freeAt = end
-	r.busy += dur
 	if done != nil {
 		r.eng.ScheduleArgAt(end, done, arg)
 	}
@@ -66,24 +57,17 @@ func (r *Resource) UseArg(dur Time, done func(any), arg any) Time {
 // noded copying buffers) holding the CPU.
 func (r *Resource) Block(until Time) {
 	if until > r.freeAt {
-		if now := r.eng.Now(); r.freeAt < now {
-			r.busy += until - now
-		} else {
-			r.busy += until - r.freeAt
-		}
 		r.freeAt = until
 	}
 }
 
 // Unblock cancels the unconsumed remainder of the resource's occupancy: the
-// resource becomes free now, and the reserved-but-never-consumed cycles are
-// deducted from the busy total. It models the external agent releasing the
+// resource becomes free now. It models the external agent releasing the
 // hardware early — a repaired node whose fail-stop Block(∞) ends. Completion
 // callbacks already scheduled by Use keep their original times; only the
 // watermark moves.
 func (r *Resource) Unblock() {
 	if now := r.eng.Now(); r.freeAt > now {
-		r.busy -= r.freeAt - now
 		r.freeAt = now
 	}
 }

@@ -85,17 +85,6 @@ type Group struct {
 	nhelp   int
 	wg      sync.WaitGroup
 
-	// Min-frontier cache: frontier[i]/fOK[i] mirror shards[i].peekWhen()
-	// whenever dirty[i] is false, so the per-window horizon computation
-	// touches only the shards whose queues changed instead of peeking
-	// every heap every window. Writes follow the window ownership rules:
-	// during a window, entry i is touched only by the goroutine running
-	// shard i (the schedule hook lowers it, Cancel marks it dirty); the
-	// coordinator reads and refreshes entries only between windows.
-	frontier []Time
-	fOK      []bool
-	dirty    []bool
-
 	stats GroupStats // window counters; Fired is summed on demand
 }
 
@@ -128,43 +117,7 @@ func NewGroup(cfg GroupConfig) *Group {
 	}
 	g.global = &Engine{group: g, shard: -1}
 	g.all = append(append(make([]*Engine, 0, cfg.Shards+1), g.shards...), g.global)
-	g.frontier = make([]Time, cfg.Shards)
-	g.fOK = make([]bool, cfg.Shards)
-	g.dirty = make([]bool, cfg.Shards)
-	for i := range g.dirty {
-		g.dirty[i] = true
-	}
 	return g
-}
-
-// noteSchedule maintains the frontier cache on event insertion (called from
-// Engine.schedule for shard lanes). Insertion can only lower a queue's
-// minimum, so a clean entry is updated in place; a dirty entry is left for
-// refreshFrontiers.
-func (g *Group) noteSchedule(shard int, t Time) {
-	if g.dirty[shard] {
-		return
-	}
-	if !g.fOK[shard] || t < g.frontier[shard] {
-		g.frontier[shard], g.fOK[shard] = t, true
-	}
-}
-
-// noteCancel invalidates a shard's cached frontier: the canceled event may
-// have been the minimum, and the new minimum is only discoverable by a heap
-// peek (done lazily at the next refresh).
-func (g *Group) noteCancel(shard int) { g.dirty[shard] = true }
-
-// refreshFrontiers re-peeks the queues of dirty shards only. Coordinator
-// context (between windows).
-func (g *Group) refreshFrontiers() {
-	for i, d := range g.dirty {
-		if !d {
-			continue
-		}
-		w, ok := g.shards[i].peekWhen()
-		g.frontier[i], g.fOK[i], g.dirty[i] = w, ok, false
-	}
 }
 
 // Shard returns shard lane i.
@@ -220,12 +173,11 @@ func (g *Group) runWindows(limit Time, bounded bool) {
 	defer g.stopWorkers()
 	for !g.stopReq.Load() {
 		g.drain()
-		g.refreshFrontiers()
 		var tS Time
 		haveS := false
-		for i, ok := range g.fOK {
-			if ok && (!haveS || g.frontier[i] < tS) {
-				tS, haveS = g.frontier[i], true
+		for _, s := range g.shards {
+			if t, ok := s.peekWhen(); ok && (!haveS || t < tS) {
+				tS, haveS = t, true
 			}
 		}
 		// The global lane runs an event only when every shard is parked
@@ -262,12 +214,9 @@ func (g *Group) runWindows(limit Time, bounded bool) {
 // shards, then parks every shard clock at h.
 func (g *Group) runShardsTo(h Time) {
 	g.active = g.active[:0]
-	for i, s := range g.shards {
-		if g.fOK[i] && g.frontier[i] < h {
+	for _, s := range g.shards {
+		if t, ok := s.peekWhen(); ok && t < h {
 			g.active = append(g.active, s)
-			// The shard will fire (and schedule) events this window; its
-			// cached frontier is stale until the next refresh.
-			g.dirty[i] = true
 		}
 	}
 	g.stats.Windows++
@@ -384,9 +333,6 @@ func (g *Group) drain() {
 				"sim: cross-shard event at t=%d is behind lane %d's frontier %d — a cross-shard interaction undercut the declared lookahead %d",
 				m.when, m.to.shard, m.to.now, g.lookahead))
 		}
-		// schedule's frontier hook keeps the target's cached minimum
-		// consistent (insertions only lower it), so no dirty marking is
-		// needed here.
 		m.to.schedule(m.when, m.fn, m.arg)
 		m.to, m.fn, m.arg = nil, nil, nil
 	}

@@ -150,3 +150,26 @@ func TestWindowedLookaheadViolationPanics(t *testing.T) {
 		})
 	}
 }
+
+// TestGroupStats checks the window counters against a hand-computed
+// schedule. With lookahead 10, shard 0 holds events at 0, 5 and 30,
+// shard 1 at 3 and 12, and the global lane one at 15:
+//   - window [0,10) runs both shards (0, 5 | 3);
+//   - window [10,15) runs shard 1 (12), cut short by the global event;
+//   - the global event at 15 runs between windows;
+//   - window [30,40) runs shard 0 (30).
+func TestGroupStats(t *testing.T) {
+	g := NewGroup(GroupConfig{Shards: 2, Lookahead: 10, Workers: 1})
+	nop := func() {}
+	for _, at := range []Time{0, 5, 30} {
+		g.Shard(0).ScheduleAt(at, nop)
+	}
+	for _, at := range []Time{3, 12} {
+		g.Shard(1).ScheduleAt(at, nop)
+	}
+	g.Global().ScheduleAt(15, nop)
+	g.Run()
+	if got, want := g.Stats(), (GroupStats{Windows: 3, ShardWindows: 4, Fired: 6}); got != want {
+		t.Fatalf("Stats() = %+v, want %+v", got, want)
+	}
+}

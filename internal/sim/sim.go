@@ -20,10 +20,6 @@
 // min-heap of (time, seq) keys held in a flat slice. Scheduling, firing,
 // and canceling events never allocate once the arena has grown to the
 // engine's high-water mark of concurrently pending events.
-//
-// A train (ScheduleArgTrain) is a serial loop — n firings of one callback
-// at a fixed stride — held in one record and one heap entry. Each firing
-// keeps the (time, seq) key n separate ScheduleArgAt calls would have had.
 package sim
 
 import (
@@ -96,13 +92,12 @@ type Event struct {
 	when Time
 }
 
-// When returns the virtual time at which the event (a train's first
-// firing) will fire or fired.
+// When returns the virtual time at which the event will fire or fired.
 func (ev Event) When() Time { return ev.when }
 
-// Cancel prevents the event from firing; on a train it drops every firing
-// still to come. Canceling an already-fired, already-canceled, or zero
-// Event is a no-op. Cancel reports whether the event was still pending.
+// Cancel prevents the event from firing. Canceling an already-fired,
+// already-canceled, or zero Event is a no-op. Cancel reports whether the
+// event was still pending.
 func (ev Event) Cancel() bool {
 	e := ev.eng
 	if e == nil {
@@ -114,10 +109,7 @@ func (ev Event) Cancel() bool {
 	}
 	r.canceled = true
 	r.fn, r.arg = nil, nil
-	e.pending -= 1 + r.left
-	if g := e.group; g != nil && e.shard >= 0 {
-		g.noteCancel(e.shard)
-	}
+	e.pending--
 	return true
 }
 
@@ -129,8 +121,6 @@ type eventRec struct {
 	fn       func(any)
 	arg      any
 	gen      uint64 // bumped on every recycle; stale handles mismatch
-	step     Time   // a train's stride between firings
-	left     int    // a train's firings after the queued one
 	canceled bool
 }
 
@@ -216,23 +206,6 @@ func (e *Engine) ScheduleArgAt(t Time, fn func(any), arg any) Event {
 	return e.schedule(t, fn, arg)
 }
 
-// ScheduleArgTrain queues n firings of fn(arg), the first at absolute time
-// first and each later one step cycles after the previous. It reserves n
-// sequence numbers now, so every firing keeps the (time, seq) key n
-// ScheduleArgAt calls made here would have had. Pending counts the
-// firings to come; Cancel on the returned Event drops them all.
-func (e *Engine) ScheduleArgTrain(first, step Time, n int, fn func(any), arg any) Event {
-	if n < 1 {
-		panic(fmt.Sprintf("sim: train of %d firings", n))
-	}
-	ev := e.schedule(first, fn, arg)
-	r := &e.recs[ev.slot]
-	r.step, r.left = step, n-1
-	e.seq += uint64(n - 1)
-	e.pending += n - 1
-	return ev
-}
-
 func (e *Engine) schedule(t Time, fn func(any), arg any) Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: event scheduled at %d, before now=%d", t, e.now))
@@ -251,9 +224,6 @@ func (e *Engine) schedule(t Time, fn func(any), arg any) Event {
 	r.canceled = false
 	e.push(heapEnt{when: t, seq: e.seq, slot: slot})
 	e.pending++
-	if g := e.group; g != nil && e.shard >= 0 {
-		g.noteSchedule(e.shard, t)
-	}
 	return Event{eng: e, slot: slot, gen: r.gen, when: t}
 }
 
@@ -263,7 +233,7 @@ func (e *Engine) freeSlot(slot int32) {
 	r := &e.recs[slot]
 	r.gen++
 	r.fn, r.arg = nil, nil
-	r.left, r.canceled = 0, false
+	r.canceled = false
 	e.free = append(e.free, slot)
 }
 
@@ -278,16 +248,9 @@ func (e *Engine) Step() bool {
 			continue
 		}
 		fn, arg := r.fn, r.arg
-		if r.left > 0 {
-			// A train re-queues under its next reserved key (inside a
-			// window on a shard lane, whose frontier is already dirty).
-			r.left--
-			e.push(heapEnt{when: ent.when + r.step, seq: ent.seq + 1, slot: ent.slot})
-		} else {
-			// Recycle before invoking: the callback may schedule into
-			// the same slot, and holding dead callbacks alive would leak.
-			e.freeSlot(ent.slot)
-		}
+		// Recycle before invoking: the callback may schedule into the
+		// same slot, and holding dead callbacks alive would leak.
+		e.freeSlot(ent.slot)
 		e.pending--
 		e.now = ent.when
 		e.fired++

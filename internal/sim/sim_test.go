@@ -186,7 +186,7 @@ func TestEventChaining(t *testing.T) {
 
 func TestResourceSerialization(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "cpu")
+	r := NewResource(e)
 	var done []Time
 	// Three 100-cycle jobs requested at t=0 must complete at 100, 200, 300.
 	for i := 0; i < 3; i++ {
@@ -199,14 +199,11 @@ func TestResourceSerialization(t *testing.T) {
 			t.Fatalf("completions %v, want %v", done, want)
 		}
 	}
-	if r.BusyCycles() != 300 {
-		t.Errorf("BusyCycles = %d, want 300", r.BusyCycles())
-	}
 }
 
 func TestResourceIdleGap(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "cpu")
+	r := NewResource(e)
 	r.Use(50, nil)
 	e.Schedule(200, func() {
 		if !r.Idle() {
@@ -222,7 +219,7 @@ func TestResourceIdleGap(t *testing.T) {
 
 func TestResourceBlock(t *testing.T) {
 	e := NewEngine()
-	r := NewResource(e, "cpu")
+	r := NewResource(e)
 	r.Block(500)
 	if r.FreeAt() != 500 {
 		t.Fatalf("FreeAt = %d, want 500", r.FreeAt())
@@ -337,7 +334,7 @@ func TestEngineOrderProperty(t *testing.T) {
 func TestResourcePrefixSumProperty(t *testing.T) {
 	prop := func(durs []uint8) bool {
 		e := NewEngine()
-		r := NewResource(e, "x")
+		r := NewResource(e)
 		var ends []Time
 		for _, d := range durs {
 			r.Use(Time(d)+1, func() { ends = append(ends, e.Now()) })
