@@ -1,13 +1,13 @@
 GO ?= go
 
-.PHONY: check fmt-check vet build test race fuzz-smoke fuzz-native sched-smoke churn-smoke churn-crash-smoke repair-smoke bench tracker-bench-smoke switch-bench-smoke bench-module figures lint-hotpath
+.PHONY: check fmt-check vet build test race fuzz-smoke fuzz-native sched-smoke churn-smoke churn-crash-smoke repair-smoke bench engine-bench-smoke tracker-bench-smoke switch-bench-smoke bench-module figures lint-hotpath
 
 # The full CI gate, and its only definition (ci.sh runs it): static
 # checks, build, race-enabled tests, a short fixed-seed chaos-fuzz
 # campaign, time-boxed native fuzzing, and scheduler-evaluation smoke runs
 # (all but the native fuzzing deterministic; it gates on properties, not
 # outputs).
-check: fmt-check vet build race fuzz-smoke fuzz-native sched-smoke churn-smoke churn-crash-smoke repair-smoke tracker-bench-smoke switch-bench-smoke bench-module lint-hotpath
+check: fmt-check vet build race fuzz-smoke fuzz-native sched-smoke churn-smoke churn-crash-smoke repair-smoke engine-bench-smoke tracker-bench-smoke switch-bench-smoke bench-module lint-hotpath
 
 # Formatting gate: fail on any file gofmt would rewrite.
 fmt-check:
@@ -43,10 +43,12 @@ fuzz-smoke:
 # KillColumn/ReviveColumn sequences must keep Matrix.Audit clean and
 # agree with a naive recount of live and free columns. A failing input is
 # saved under the package's testdata/fuzz and replays in every later
-# `go test`.
+# `go test`. Inputs are kept as found, failing ones included
+# (-fuzzminimizetime 0x): Go's default of up to 60 s of minimizing per
+# input would spend most of each 10 s budget shrinking instead of running.
 fuzz-native:
-	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceFull$$' -fuzztime 10s ./internal/schedeval
-	$(GO) test -run '^$$' -fuzz '^FuzzMatrixOps$$' -fuzztime 10s ./internal/gang
+	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceFull$$' -fuzztime 10s -fuzzminimizetime 0x ./internal/schedeval
+	$(GO) test -run '^$$' -fuzz '^FuzzMatrixOps$$' -fuzztime 10s -fuzzminimizetime 0x ./internal/gang
 
 # same-output runs `gangsim $(1)` twice, the second time with $(3)
 # appended, and demands byte-identical output (files named after $(2)).
@@ -94,6 +96,7 @@ repair-smoke:
 	$(call same-output,churn -crash 0.35 -repair 0.75 -adaptive -log,churn-repair-full,$(SHARDED))
 
 # Microbenchmarks with allocation reporting. BenchmarkEngineThroughput
+# (one pending event) and BenchmarkEngineHeap64 (64, so the heap sifts)
 # must stay at 0 allocs/op (see DESIGN.md §6); BenchmarkPhaseTrackerEpoch
 # reports the flush tracker's ns/arrival, which stays flat in the peer
 # count; BenchmarkSwitchRound256 reports one whole switch round on 256
@@ -101,8 +104,12 @@ repair-smoke:
 bench:
 	$(GO) test -run XXX -bench . -benchmem . ./internal/lanai ./internal/parpar
 
-# One iteration of the flush-tracker micro-benchmark, so it keeps
+# One iteration of the 64-deep event-heap benchmark, so it keeps
 # compiling and running.
+engine-bench-smoke:
+	$(GO) test -run XXX -bench EngineHeap64 -benchtime 1x .
+
+# One iteration of the flush-tracker micro-benchmark, likewise.
 tracker-bench-smoke:
 	$(GO) test -run XXX -bench PhaseTracker -benchtime 1x ./internal/lanai
 

@@ -210,6 +210,37 @@ func BenchmarkEngineThroughput(b *testing.B) {
 	eng.Run()
 }
 
+// BenchmarkEngineHeap64 measures event throughput with 64 events pending,
+// about a busy cluster's heap depth (BenchmarkEngineThroughput keeps one
+// entry, so it never sifts). Each firing reschedules its event with the
+// next delay from a fixed spread of 1..101 cycles, so the heap stays 64
+// deep and the order keeps shuffling. allocs/op must stay 0.
+func BenchmarkEngineHeap64(b *testing.B) {
+	const pending = 64
+	b.ReportAllocs()
+	eng := sim.NewEngine()
+	var delays [pending]sim.Time
+	for i := range delays {
+		delays[i] = sim.Time(1 + i*37%101)
+	}
+	var ids [pending]int
+	n := 0
+	var fire func(any)
+	fire = func(a any) {
+		n++
+		if n+pending <= b.N {
+			id := a.(*int)
+			eng.ScheduleArg(delays[(*id+n)%pending], fire, id)
+		}
+	}
+	b.ResetTimer()
+	for i := range min(pending, b.N) {
+		ids[i] = i
+		eng.ScheduleArg(delays[i], fire, &ids[i])
+	}
+	eng.Run()
+}
+
 // BenchmarkAllocate measures the credit-policy computation.
 func BenchmarkAllocate(b *testing.B) {
 	for i := 0; i < b.N; i++ {

@@ -571,12 +571,12 @@ func BufferCopyCost(mem *memmodel.Model, mode CopyMode,
 	case FullCopy:
 		// Entire regions, irrespective of occupancy.
 		if save {
-			cost += mem.CopyCycles(sendRegion, memmodel.NICWC, memmodel.HostRAM) +
-				mem.CopyCycles(recvRegion, memmodel.PinnedRAM, memmodel.HostRAM)
+			cost += mem.Copy(memmodel.NICWC, memmodel.HostRAM).Cycles(sendRegion) +
+				mem.Copy(memmodel.PinnedRAM, memmodel.HostRAM).Cycles(recvRegion)
 		}
 		if restore {
-			cost += mem.CopyCycles(sendRegion, memmodel.HostRAM, memmodel.NICWC) +
-				mem.CopyCycles(recvRegion, memmodel.HostRAM, memmodel.PinnedRAM)
+			cost += mem.Copy(memmodel.HostRAM, memmodel.NICWC).Cycles(sendRegion) +
+				mem.Copy(memmodel.HostRAM, memmodel.PinnedRAM).Cycles(recvRegion)
 		}
 	case ValidOnly:
 		// Scan the queues' slot headers, then copy only valid packets,
@@ -584,12 +584,12 @@ func BufferCopyCost(mem *memmodel.Model, mode CopyMode,
 		cost = mem.ScanCycles(sendSlots, memmodel.NICWC) +
 			mem.ScanCycles(recvSlots, memmodel.PinnedRAM)
 		if save {
-			cost += sim.Time(validSend)*mem.CopyCycles(myrinet.PacketSize, memmodel.NICWC, memmodel.HostRAM) +
-				sim.Time(validRecv)*mem.CopyCycles(myrinet.PacketSize, memmodel.PinnedRAM, memmodel.HostRAM)
+			cost += sim.Time(validSend)*mem.Copy(memmodel.NICWC, memmodel.HostRAM).Cycles(myrinet.PacketSize) +
+				sim.Time(validRecv)*mem.Copy(memmodel.PinnedRAM, memmodel.HostRAM).Cycles(myrinet.PacketSize)
 		}
 		if restore {
-			cost += sim.Time(restoredSend)*mem.CopyCycles(myrinet.PacketSize, memmodel.HostRAM, memmodel.NICWC) +
-				sim.Time(restoredRecv)*mem.CopyCycles(myrinet.PacketSize, memmodel.HostRAM, memmodel.PinnedRAM)
+			cost += sim.Time(restoredSend)*mem.Copy(memmodel.HostRAM, memmodel.NICWC).Cycles(myrinet.PacketSize) +
+				sim.Time(restoredRecv)*mem.Copy(memmodel.HostRAM, memmodel.PinnedRAM).Cycles(myrinet.PacketSize)
 		}
 	default:
 		panic("core: unknown copy mode")

@@ -11,9 +11,7 @@
 package experiments
 
 import (
-	"fmt"
 	"runtime"
-	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -112,21 +110,11 @@ var testChaos *chaos.Plan
 // almost five times that.
 const runHorizon = 60 * 200_000_000 // 60 virtual seconds
 
-// runJobs runs cluster until it goes quiescent or reaches runHorizon, and
-// panics if any of jobs has not finished by then. While jobs are live the
-// per-quantum audit tick keeps the queue non-empty, so a wedged point would
-// otherwise run forever; the panic names the unfinished jobs and carries
-// the invariant auditor's summary instead.
-func runJobs(cluster *parpar.Cluster, jobs []*parpar.Job) {
-	cluster.RunUntil(runHorizon)
-	var stuck []string
-	for _, j := range jobs {
-		if j.State() != parpar.JobDone {
-			stuck = append(stuck, fmt.Sprintf("%s (job %d, %s)", j.Spec.Name, j.ID, j.State()))
-		}
-	}
-	if len(stuck) > 0 {
-		panic(fmt.Sprintf("experiments: wedged at the %d-cycle horizon: unfinished %s; auditor: %s",
-			runHorizon, strings.Join(stuck, ", "), cluster.Auditor().Summary()))
+// runJobs runs cluster to runHorizon and panics, naming the unfinished
+// jobs and carrying the invariant auditor's summary, if any job is still
+// live there: a wedged point would otherwise run forever.
+func runJobs(cluster *parpar.Cluster) {
+	if err := cluster.RunBounded(runHorizon); err != nil {
+		panic("experiments: " + err.Error())
 	}
 }

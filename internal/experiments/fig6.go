@@ -113,7 +113,7 @@ func fig6Point(k, size int, p Params) Fig6Point {
 			panic(err)
 		}
 	}
-	runJobs(cluster, jobs)
+	runJobs(cluster)
 
 	var per []float64
 	for _, job := range jobs {

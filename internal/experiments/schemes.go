@@ -71,7 +71,7 @@ func paperSchemeRow(p Params) SchemeRow {
 			panic(err)
 		}
 	}
-	runJobs(cluster, jobs)
+	runJobs(cluster)
 
 	row := SchemeRow{Name: "gang + flush + switch (paper)", Efficiency: 1}
 	var coord, copies float64

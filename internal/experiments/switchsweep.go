@@ -73,7 +73,7 @@ func switchPoint(nodes int, mode core.CopyMode, quick bool) SwitchPoint {
 			panic(err)
 		}
 	}
-	runJobs(cluster, jobs)
+	runJobs(cluster)
 
 	pt := SwitchPoint{Nodes: nodes}
 	var halt, cp, rel, vs, vr []float64

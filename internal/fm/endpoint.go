@@ -88,7 +88,6 @@ type Endpoint struct {
 	eng *sim.Engine
 	nic *lanai.NIC
 	ctx *lanai.Context
-	mem *memmodel.Model
 	cpu *sim.Resource
 	cfg Config
 
@@ -126,8 +125,11 @@ type Endpoint struct {
 	refillHead  int
 	refillGrant func()
 	hooks       lanai.Hooks
+	// sendCopy is the write-combined copy of a packet into the card's
+	// send queue, priced once (see sendCost).
+	sendCopy memmodel.Transfer
 
-	reasm map[int]*partial // src rank -> in-progress message
+	reasm []*partial // src rank -> in-progress message, nil when none
 	// partialPool recycles reassembly records. Payload arrays are NOT
 	// pooled: the delivered slice's ownership transfers to the handler,
 	// which may retain it.
@@ -157,13 +159,14 @@ func NewEndpoint(eng *sim.Engine, nic *lanai.NIC, cpu *sim.Resource, mem *memmod
 		return nil, fmt.Errorf("fm: negative credit count %d", cfg.C0)
 	}
 	e := &Endpoint{
-		eng: eng, nic: nic, mem: mem, cpu: cpu, cfg: cfg,
+		eng: eng, nic: nic, cpu: cpu, cfg: cfg,
 		job: job, rank: rank, nodeOf: nodeOf,
 		sendCredits: make([]int, len(nodeOf)),
 		consumed:    make([]int, len(nodeOf)),
 		nextMsgID:   make([]uint64, len(nodeOf)),
 		outbox:      make([]outMsg, outboxCap),
-		reasm:       make(map[int]*partial),
+		reasm:       make([]*partial, len(nodeOf)),
+		sendCopy:    mem.Copy(memmodel.HostRAM, memmodel.NICWC),
 	}
 	for i := range e.sendCredits {
 		e.sendCredits[i] = cfg.C0
@@ -309,7 +312,7 @@ func (e *Endpoint) Resume() {
 // sendCost is the host time to inject one packet: fixed overhead plus the
 // write-combined copy of header+payload into the card's send queue.
 func (e *Endpoint) sendCost(wireBytes int) sim.Time {
-	return e.cfg.SendOverhead + e.mem.CopyCycles(wireBytes, memmodel.HostRAM, memmodel.NICWC)
+	return e.cfg.SendOverhead + e.sendCopy.Cycles(wireBytes)
 }
 
 // pump advances the send side: one packet per host-CPU grant, in strict
@@ -481,7 +484,7 @@ func (e *Endpoint) reassemble(p *myrinet.Packet) {
 		pa.payload = append(pa.payload, p.Payload...)
 	}
 	if pa.got == pa.nfrags {
-		delete(e.reasm, src)
+		e.reasm[src] = nil
 		e.stats.MessagesRecvd++
 		e.deliveredBytes += uint64(pa.size)
 		payload := pa.payload
@@ -600,7 +603,9 @@ func (e *Endpoint) AuditInvariants(report func(invariant, detail string)) {
 	}
 	var pending uint64
 	for _, pa := range e.reasm {
-		pending += uint64(pa.size)
+		if pa != nil {
+			pending += uint64(pa.size)
+		}
 	}
 	if e.stats.PayloadBytesRecv != e.deliveredBytes+pending {
 		report("byte-accounting", fmt.Sprintf(

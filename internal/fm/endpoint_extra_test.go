@@ -272,3 +272,31 @@ func TestStalledDetectsLossWedge(t *testing.T) {
 		t.Fatal("idle receiver reported a stall")
 	}
 }
+
+// TestAuditInvariantsCountsPartialReassembly: between the two fragments
+// of a message the receiver has counted the first fragment's bytes as
+// received but delivered none; the byte-accounting audit must find them
+// parked in the in-progress reassembly and report nothing.
+func TestAuditInvariantsCountsPartialReassembly(t *testing.T) {
+	r := newJobRig(t, 2, nil, nil)
+	rx := r.eps[1]
+	rx.SetHandler(func(_, _ int, _ []byte) {})
+	r.eps[0].Send(1, 3000, nil)
+	for rx.Stats().PacketsRecvd == 0 && r.eng.Step() {
+	}
+	if st := rx.Stats(); st.PacketsRecvd != 1 || st.MessagesRecvd != 0 {
+		t.Fatalf("receiver consumed %d packets and %d messages, want the first fragment only",
+			st.PacketsRecvd, st.MessagesRecvd)
+	}
+	if rx.Stats().PayloadBytesRecv != myrinet.MaxPayload {
+		t.Fatalf("received %d payload bytes, want one full fragment (%d)",
+			rx.Stats().PayloadBytesRecv, myrinet.MaxPayload)
+	}
+	rx.AuditInvariants(func(inv, detail string) {
+		t.Errorf("mid-message violation %s: %s", inv, detail)
+	})
+	r.eng.Run()
+	if rx.Stats().MessagesRecvd != 1 {
+		t.Fatal("message not completed")
+	}
+}

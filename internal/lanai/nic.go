@@ -162,11 +162,16 @@ type Stats struct {
 type NIC struct {
 	eng *sim.Engine
 	net *myrinet.Network
-	mem *memmodel.Model
 	cfg Config
+	// dma is the DMA engine's cost model, priced once so the per-packet
+	// receive path divides nothing.
+	dma memmodel.Transfer
 
 	contexts []*Context
-	byJob    map[myrinet.JobID]*Context
+	// byJob maps a job to its context, indexed by JobID+1 so that NoJob
+	// (an idle switched context) sits at 0: job IDs are small and dense,
+	// and a per-packet lookup should not hash.
+	byJob []*Context
 
 	sendSlotsUsed int
 	recvSlotsUsed int
@@ -337,9 +342,8 @@ func New(eng *sim.Engine, net *myrinet.Network, mem *memmodel.Model, cfg Config)
 	n := &NIC{
 		eng:        eng,
 		net:        net,
-		mem:        mem,
+		dma:        mem.DMA(),
 		cfg:        cfg,
-		byJob:      make(map[myrinet.JobID]*Context),
 		flush:      newPhaseTracker(net.Nodes() - 1),
 		release:    newPhaseTracker(net.Nodes() - 1),
 		recvEngine: sim.NewResource(eng),
@@ -439,7 +443,10 @@ func (n *NIC) Register(job myrinet.JobID, rank, sendSlots, recvSlots int, hooks 
 		return nil, fmt.Errorf("lanai: pinned DMA buffer exhausted: %d recv slots in use, %d requested, %d total",
 			n.recvSlotsUsed, recvSlots, n.cfg.RecvSlots)
 	}
-	if _, dup := n.byJob[job]; dup {
+	if job < myrinet.NoJob {
+		return nil, fmt.Errorf("lanai: bad job id %d", job)
+	}
+	if n.ContextFor(job) != nil {
 		return nil, fmt.Errorf("lanai: job %d already has a context on node %d", job, n.cfg.Node)
 	}
 	ctx := &Context{
@@ -452,7 +459,7 @@ func (n *NIC) Register(job myrinet.JobID, rank, sendSlots, recvSlots int, hooks 
 	}
 	ctx.nic = ctx
 	n.contexts = append(n.contexts, ctx)
-	n.byJob[job] = ctx
+	n.bindJob(job, ctx)
 	n.sendSlotsUsed += sendSlots
 	n.recvSlotsUsed += recvSlots
 	return ctx, nil
@@ -460,8 +467,8 @@ func (n *NIC) Register(job myrinet.JobID, rank, sendSlots, recvSlots int, hooks 
 
 // Unregister releases the context's card and DMA resources.
 func (n *NIC) Unregister(ctx *Context) {
-	if n.byJob[ctx.Job] == ctx {
-		delete(n.byJob, ctx.Job)
+	if n.ContextFor(ctx.Job) == ctx {
+		n.bindJob(ctx.Job, nil)
 	}
 	for i, c := range n.contexts {
 		if c == ctx {
@@ -483,18 +490,31 @@ func (n *NIC) Unregister(ctx *Context) {
 // update half of the buffer switch: queue contents are swapped separately
 // by the glueFM layer.
 func (n *NIC) SetIdentity(ctx *Context, job myrinet.JobID, rank int, hooks Hooks) {
-	if n.byJob[ctx.Job] == ctx {
-		delete(n.byJob, ctx.Job)
+	if n.ContextFor(ctx.Job) == ctx {
+		n.bindJob(ctx.Job, nil)
 	}
 	ctx.Job = job
 	ctx.Rank = rank
 	ctx.Hooks = hooks
-	n.byJob[job] = ctx
+	n.bindJob(job, ctx)
 }
 
 // ContextFor returns the context serving job, or nil.
 func (n *NIC) ContextFor(job myrinet.JobID) *Context {
-	return n.byJob[job]
+	if i := int(job) + 1; i >= 0 && i < len(n.byJob) {
+		return n.byJob[i]
+	}
+	return nil
+}
+
+// bindJob points job's byJob entry at ctx (nil unbinds), growing the
+// table the first time a job past its end is bound.
+func (n *NIC) bindJob(job myrinet.JobID, ctx *Context) {
+	i := int(job) + 1
+	if i >= len(n.byJob) {
+		n.byJob = append(n.byJob, make([]*Context, i+1-len(n.byJob))...)
+	}
+	n.byJob[i] = ctx
 }
 
 // Contexts returns the live contexts (do not mutate).
@@ -747,7 +767,7 @@ func (n *NIC) HandlePacket(p *myrinet.Packet) {
 		}
 		n.net.FreePacket(p)
 	case myrinet.Refill:
-		ctx := n.byJob[p.Job]
+		ctx := n.ContextFor(p.Job)
 		if ctx == nil {
 			n.drop(p, DropNoContext)
 			return
@@ -758,12 +778,12 @@ func (n *NIC) HandlePacket(p *myrinet.Packet) {
 			n.drop(p, DropFiltered)
 			return
 		}
-		ctx := n.byJob[p.Job]
+		ctx := n.ContextFor(p.Job)
 		if ctx == nil {
 			n.drop(p, DropNoContext)
 			return
 		}
-		cost := n.cfg.RecvOverhead + n.mem.DMACycles(p.WireSize())
+		cost := n.cfg.RecvOverhead + n.dma.Cycles(p.WireSize())
 		n.recvEngine.UseArg(cost, n.depositFn, p)
 	}
 }
@@ -790,7 +810,7 @@ func (n *NIC) ctrlArrive(t *phaseTracker, epoch uint64, src myrinet.NodeID, retx
 // processing cost has been paid.
 func (n *NIC) refillArrived(a any) {
 	p := a.(*myrinet.Packet)
-	if cur := n.byJob[p.Job]; cur != nil && cur.Hooks.OnRefill != nil {
+	if cur := n.ContextFor(p.Job); cur != nil && cur.Hooks.OnRefill != nil {
 		cur.Hooks.OnRefill(cur, p)
 	}
 	n.net.FreePacket(p)
@@ -803,7 +823,7 @@ func (n *NIC) deposit(a any) {
 	// DMA was in progress. Data for a job is only in flight while that
 	// job is scheduled (the gang-scheduling invariant), so the context
 	// is normally still there.
-	cur := n.byJob[p.Job]
+	cur := n.ContextFor(p.Job)
 	if cur == nil {
 		n.drop(p, DropNoContext)
 		return

@@ -55,6 +55,39 @@ func TestRegisterResourceLimits(t *testing.T) {
 	}
 }
 
+// TestContextForJobTable: the card's job table is a slice indexed by
+// JobID+1. NoJob (an idle switched context) and a job far past the
+// table's end resolve to their contexts, SetIdentity and Unregister move
+// and clear entries, and IDs never bound read nil.
+func TestContextForJobTable(t *testing.T) {
+	_, _, nics := rig(t, 2)
+	n := nics[0]
+	idle, err := n.Register(myrinet.NoJob, -1, 10, 10, Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	far, err := n.Register(100, 0, 10, 10, Hooks{})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := n.Register(-2, 0, 10, 10, Hooks{}); err == nil {
+		t.Fatal("a job ID below NoJob should be rejected")
+	}
+	for job, want := range map[myrinet.JobID]*Context{myrinet.NoJob: idle, 100: far, 0: nil, 99: nil, 101: nil, 5000: nil, -2: nil} {
+		if got := n.ContextFor(job); got != want {
+			t.Errorf("ContextFor(%d) = %p, want %p", job, got, want)
+		}
+	}
+	n.SetIdentity(idle, 7, 0, Hooks{})
+	if n.ContextFor(myrinet.NoJob) != nil || n.ContextFor(7) != idle {
+		t.Fatal("SetIdentity did not move the context from NoJob to job 7")
+	}
+	n.Unregister(far)
+	if n.ContextFor(100) != nil {
+		t.Fatal("Unregister left job 100 bound")
+	}
+}
+
 func TestDataDelivery(t *testing.T) {
 	eng, _, nics := rig(t, 2)
 	var arrived []*myrinet.Packet

@@ -107,22 +107,32 @@ func (m *Model) rate(src, dst Kind) float64 {
 	}
 }
 
-// CopyCycles returns the cycles the host CPU spends moving n bytes from a
-// region of kind src to one of kind dst.
-func (m *Model) CopyCycles(n int, src, dst Kind) sim.Time {
-	if n <= 0 {
-		return 0
-	}
-	return m.CopySetupCycles + m.Clock.CopyCycles(n, m.rate(src, dst))
+// Transfer is the cost of one kind of data movement, with its per-byte
+// cost computed once: per-packet paths take theirs at construction, so a
+// packet's charge is a multiply and an add, never a division.
+type Transfer struct {
+	setup   sim.Time
+	perByte sim.ByteCost
 }
 
-// DMACycles returns the time the card's DMA engine needs to land n bytes
-// in pinned host memory (or fetch them from it).
-func (m *Model) DMACycles(n int) sim.Time {
+// Cycles returns the cost of moving n bytes (zero for none).
+func (t Transfer) Cycles(n int) sim.Time {
 	if n <= 0 {
 		return 0
 	}
-	return m.Clock.CopyCycles(n, m.DMAMBs)
+	return t.setup + t.perByte.Cycles(n)
+}
+
+// Copy returns the host CPU's cost of copying from a region of kind src
+// to one of kind dst.
+func (m *Model) Copy(src, dst Kind) Transfer {
+	return Transfer{m.CopySetupCycles, m.Clock.CyclesPerByte(m.rate(src, dst))}
+}
+
+// DMA returns the cost of the card's DMA engine landing bytes in pinned
+// host memory (or fetching them from it).
+func (m *Model) DMA() Transfer {
+	return Transfer{0, m.Clock.CyclesPerByte(m.DMAMBs)}
 }
 
 // ScanCycles returns the cost of walking slot headers looking for valid

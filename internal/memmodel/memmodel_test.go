@@ -19,9 +19,9 @@ func TestKindString(t *testing.T) {
 func TestCopyRatesDirectional(t *testing.T) {
 	m := Default()
 	const n = 100_000
-	hostHost := m.CopyCycles(n, HostRAM, HostRAM)
-	toNIC := m.CopyCycles(n, HostRAM, NICWC)
-	fromNIC := m.CopyCycles(n, NICWC, HostRAM)
+	hostHost := m.Copy(HostRAM, HostRAM).Cycles(n)
+	toNIC := m.Copy(HostRAM, NICWC).Cycles(n)
+	fromNIC := m.Copy(NICWC, HostRAM).Cycles(n)
 
 	// Write-combining: writes to NIC are the fastest path, reads from
 	// NIC the slowest, regular copies in between.
@@ -33,10 +33,10 @@ func TestCopyRatesDirectional(t *testing.T) {
 
 func TestZeroBytesFree(t *testing.T) {
 	m := Default()
-	if m.CopyCycles(0, HostRAM, NICWC) != 0 {
+	if m.Copy(HostRAM, NICWC).Cycles(0) != 0 {
 		t.Error("zero-byte copy should cost 0")
 	}
-	if m.DMACycles(0) != 0 {
+	if m.DMA().Cycles(0) != 0 {
 		t.Error("zero-byte DMA should cost 0")
 	}
 	if m.ScanCycles(0, HostRAM) != 0 {
@@ -54,10 +54,10 @@ func TestPaperFullSwitchCost(t *testing.T) {
 		sendBuf = 252 * 1560 // ~393 KB on the NIC
 		recvBuf = 668 * 1560 // ~1.04 MB pinned
 	)
-	total := m.CopyCycles(sendBuf, NICWC, HostRAM) + // save send queue (slow WC read)
-		m.CopyCycles(sendBuf, HostRAM, NICWC) + // restore send queue
-		m.CopyCycles(recvBuf, PinnedRAM, HostRAM) + // save receive queue
-		m.CopyCycles(recvBuf, HostRAM, PinnedRAM) // restore receive queue
+	total := m.Copy(NICWC, HostRAM).Cycles(sendBuf) + // save send queue (slow WC read)
+		m.Copy(HostRAM, NICWC).Cycles(sendBuf) + // restore send queue
+		m.Copy(PinnedRAM, HostRAM).Cycles(recvBuf) + // save receive queue
+		m.Copy(HostRAM, PinnedRAM).Cycles(recvBuf) // restore receive queue
 
 	ms := sim.DefaultClock.ToDuration(total).Seconds() * 1000
 	if ms < 60 || ms > 85 {
@@ -66,8 +66,8 @@ func TestPaperFullSwitchCost(t *testing.T) {
 
 	// The send-queue save (WC read) must be the single most expensive
 	// leg, despite the receive buffer being 2.5x larger (paper §4.2).
-	saveSend := m.CopyCycles(sendBuf, NICWC, HostRAM)
-	saveRecv := m.CopyCycles(recvBuf, PinnedRAM, HostRAM)
+	saveSend := m.Copy(NICWC, HostRAM).Cycles(sendBuf)
+	saveRecv := m.Copy(PinnedRAM, HostRAM).Cycles(recvBuf)
 	if saveSend <= saveRecv {
 		t.Fatalf("WC read-back should dominate: saveSend=%d saveRecv=%d", saveSend, saveRecv)
 	}
@@ -81,10 +81,10 @@ func TestPaperImprovedSwitchCost(t *testing.T) {
 	const pkt = 1560
 	valid := 110 // paper Fig 8 tops out a bit above 100 receive packets
 	total := m.ScanCycles(252, NICWC) + m.ScanCycles(668, PinnedRAM) +
-		m.CopyCycles(10*pkt, NICWC, HostRAM) + // few valid send packets out
-		m.CopyCycles(10*pkt, HostRAM, NICWC) + // and back in
-		m.CopyCycles(valid*pkt, PinnedRAM, HostRAM) +
-		m.CopyCycles(valid*pkt, HostRAM, PinnedRAM)
+		m.Copy(NICWC, HostRAM).Cycles(10*pkt) + // few valid send packets out
+		m.Copy(HostRAM, NICWC).Cycles(10*pkt) + // and back in
+		m.Copy(PinnedRAM, HostRAM).Cycles(valid*pkt) +
+		m.Copy(HostRAM, PinnedRAM).Cycles(valid*pkt)
 	if total > 2_500_000 {
 		t.Fatalf("improved switch = %d cycles, paper says <2.5M", total)
 	}
@@ -102,7 +102,7 @@ func TestScanKindCost(t *testing.T) {
 func TestDMAFasterThanHostCopy(t *testing.T) {
 	m := Default()
 	const n = 1560
-	if m.DMACycles(n) >= m.CopyCycles(n, HostRAM, HostRAM) {
+	if m.DMA().Cycles(n) >= m.Copy(HostRAM, HostRAM).Cycles(n) {
 		t.Fatal("DMA engine should beat host memcpy")
 	}
 }
@@ -115,7 +115,7 @@ func TestCopyMonotoneProperty(t *testing.T) {
 		small, big := int(a), int(a)+int(b)
 		for _, s := range kinds {
 			for _, d := range kinds {
-				if m.CopyCycles(small, s, d) > m.CopyCycles(big, s, d) {
+				if m.Copy(s, d).Cycles(small) > m.Copy(s, d).Cycles(big) {
 					return false
 				}
 			}
@@ -133,8 +133,8 @@ func TestCopySplitNeverCheaperProperty(t *testing.T) {
 	m := Default()
 	prop := func(a, b uint16) bool {
 		x, y := int(a)+1, int(b)+1
-		whole := m.CopyCycles(x+y, NICWC, HostRAM)
-		parts := m.CopyCycles(x, NICWC, HostRAM) + m.CopyCycles(y, NICWC, HostRAM)
+		whole := m.Copy(NICWC, HostRAM).Cycles(x + y)
+		parts := m.Copy(NICWC, HostRAM).Cycles(x) + m.Copy(NICWC, HostRAM).Cycles(y)
 		return parts >= whole
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {

@@ -137,21 +137,30 @@ type nodeCounts struct {
 type nodeState struct {
 	stats nodeCounts
 	// inFlight is this bucket's contribution to the per-job count of
-	// data packets on the wire: +1 at the source when a packet is sent,
-	// -1 wherever it lands (destination) or dies (source, for injected
-	// drops). Individual buckets may go negative; the sum never does.
-	inFlight map[JobID]int
+	// data packets on the wire, indexed by JobID (job IDs are small and
+	// dense): +1 at the source when a packet is sent, -1 wherever it
+	// lands (destination) or dies (source, for injected drops).
+	// Individual buckets may go negative; the sum never does.
+	inFlight []int
 	// pool recycles packet objects between their death points (delivery
 	// consumption, drops) and the next send: the classic create-at-send,
 	// drop-at-delivery free-list workload.
 	pool []*Packet
 }
 
+// addInFlight adds d to the bucket's count for job, growing the slice
+// the first time the bucket sees a job past its end.
+func (s *nodeState) addInFlight(job JobID, d int) {
+	if int(job) >= len(s.inFlight) {
+		s.inFlight = append(s.inFlight, make([]int, int(job)+1-len(s.inFlight))...)
+	}
+	s.inFlight[job] += d
+}
+
 // Network is the simulated Myrinet fabric.
 type Network struct {
 	eng      *sim.Engine
 	cfg      Config
-	clock    sim.Clock
 	handlers []Handler
 	// engs, when non-nil, maps each node to the shard engine that owns
 	// it (see SetShardEngines); nil means n.eng owns everything.
@@ -166,6 +175,9 @@ type Network struct {
 	injector Injector
 	observer func(Event)
 	perNode  []nodeState
+	// linkCost is the per-byte serialization cost at LinkMBs, computed
+	// once so txCycles divides nothing per packet.
+	linkCost sim.ByteCost
 
 	// deliverFn is the one delivery callback shared by every scheduled
 	// arrival, so the per-packet closure allocation disappears from the
@@ -181,16 +193,15 @@ func New(eng *sim.Engine, cfg Config) *Network {
 	n := &Network{
 		eng:      eng,
 		cfg:      cfg,
-		clock:    sim.DefaultClock,
 		handlers: make([]Handler, cfg.Nodes),
 		ports:    make([]*sim.Resource, cfg.Nodes),
 		perNode:  make([]nodeState, cfg.Nodes),
+		linkCost: sim.DefaultClock.CyclesPerByte(cfg.LinkMBs),
 	}
 	n.seq = make([][]uint64, cfg.Nodes)
 	for i := range n.ports {
 		n.ports[i] = sim.NewResource(eng)
 		n.seq[i] = make([]uint64, cfg.Nodes)
-		n.perNode[i].inFlight = make(map[JobID]int)
 	}
 	n.deliverFn = func(a any) { n.deliver(a.(*Packet)) }
 	return n
@@ -329,7 +340,7 @@ func (n *Network) Attach(id NodeID, h Handler) {
 
 // txCycles returns the serialization time for size bytes at link rate.
 func (n *Network) txCycles(size int) sim.Time {
-	return n.clock.CopyCycles(size, n.cfg.LinkMBs) + n.cfg.PerPacketGap
+	return n.linkCost.Cycles(size) + n.cfg.PerPacketGap
 }
 
 // Send injects the packet at the source's output port. The port serializes
@@ -352,7 +363,7 @@ func (n *Network) Send(p *Packet) sim.Time {
 	n.seq[p.Src][p.Dst]++
 
 	if p.Type == Data {
-		b.inFlight[p.Job]++
+		b.addInFlight(p.Job, 1)
 	}
 	var v Verdict
 	if n.injector != nil {
@@ -398,7 +409,7 @@ func (n *Network) dropInjected(p *Packet) {
 	b.stats.dropped[p.Type]++
 	n.Emit(Event{Kind: Drop, Time: n.engFor(p.Src).Now(), Node: p.Src, Job: p.Job, Pkt: p})
 	if p.Type == Data {
-		b.inFlight[p.Job]--
+		b.addInFlight(p.Job, -1)
 	}
 	n.freeTo(p.Src, p)
 }
@@ -410,7 +421,7 @@ func (n *Network) duplicate(p *Packet, at sim.Time) {
 	b := &n.perNode[p.Src]
 	b.stats.duplicated[p.Type]++
 	if p.Type == Data {
-		b.inFlight[p.Job]++
+		b.addInFlight(p.Job, 1)
 	}
 	dup := n.NewPacketFrom(p.Src)
 	*dup = *p
@@ -421,7 +432,7 @@ func (n *Network) duplicate(p *Packet, at sim.Time) {
 func (n *Network) deliver(p *Packet) {
 	b := &n.perNode[p.Dst]
 	if p.Type == Data {
-		b.inFlight[p.Job]--
+		b.addInFlight(p.Job, -1)
 	}
 	h := n.handlers[p.Dst]
 	if h == nil {
@@ -443,7 +454,9 @@ func (n *Network) deliver(p *Packet) {
 func (n *Network) InFlight(job JobID) int {
 	total := 0
 	for i := range n.perNode {
-		total += n.perNode[i].inFlight[job]
+		if f := n.perNode[i].inFlight; job >= 0 && int(job) < len(f) {
+			total += f[job]
+		}
 	}
 	return total
 }

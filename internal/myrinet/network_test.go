@@ -115,7 +115,7 @@ func TestSerializationShapesBandwidth(t *testing.T) {
 		net.Send(&Packet{Type: Data, Src: 0, Dst: 1, PayloadLen: MaxPayload})
 	}
 	eng.Run()
-	perPkt := sim.DefaultClock.CopyCycles(PacketSize, cfg.LinkMBs) + cfg.PerPacketGap
+	perPkt := sim.DefaultClock.CyclesPerByte(cfg.LinkMBs).Cycles(PacketSize) + cfg.PerPacketGap
 	want := sim.Time(n)*perPkt + cfg.SwitchLatency
 	gotT := eng.Now()
 	if gotT < want-10 || gotT > want+10 {
@@ -133,7 +133,7 @@ func TestIndependentSourcesDontSerialize(t *testing.T) {
 	net.Send(&Packet{Type: Data, Src: 0, Dst: 3, PayloadLen: MaxPayload})
 	net.Send(&Packet{Type: Data, Src: 1, Dst: 3, PayloadLen: MaxPayload})
 	eng.Run()
-	perPkt := sim.DefaultClock.CopyCycles(PacketSize, 160) + 40
+	perPkt := sim.DefaultClock.CyclesPerByte(160).Cycles(PacketSize) + 40
 	if eng.Now() > perPkt+200+20 {
 		t.Fatalf("independent sources appear serialized: done at %d", eng.Now())
 	}
@@ -453,5 +453,56 @@ func TestInFlightAccountsDrops(t *testing.T) {
 	eng.Run()
 	if net.InFlight(3) != 0 {
 		t.Fatalf("dropped packet left InFlight = %d", net.InFlight(3))
+	}
+}
+
+// TestInFlightJobPastSliceEnd: each node's in-flight counts are a slice
+// indexed by JobID. A job past a slice's end grows it on its first packet,
+// and InFlight reads 0 for jobs no node has seen, in range or not.
+func TestInFlightJobPastSliceEnd(t *testing.T) {
+	eng := sim.NewEngine()
+	net := New(eng, DefaultConfig(2))
+	net.Attach(1, HandlerFunc(func(*Packet) {}))
+	net.Send(&Packet{Type: Data, Src: 0, Dst: 1, Job: 2, PayloadLen: 10})
+	if n := len(net.perNode[0].inFlight); n != 3 {
+		t.Fatalf("job 2's first packet sized the sender's counts to %d, want 3", n)
+	}
+	for i := 0; i < 2; i++ {
+		net.Send(&Packet{Type: Data, Src: 0, Dst: 1, Job: 40, PayloadLen: 10})
+	}
+	for job, want := range map[JobID]int{2: 1, 40: 2, 0: 0, 7: 0, 41: 0, 1000: 0, NoJob: 0} {
+		if got := net.InFlight(job); got != want {
+			t.Errorf("InFlight(%d) = %d with packets on the wire, want %d", job, got, want)
+		}
+	}
+	eng.Run()
+	for _, job := range []JobID{2, 40} {
+		if got := net.InFlight(job); got != 0 {
+			t.Errorf("InFlight(%d) = %d after delivery, want 0", job, got)
+		}
+	}
+}
+
+// TestDataPathZeroAllocAfterFirstPacket: a job's first data packet grows
+// the source's and the destination's count slices; every later packet of
+// the job (pooled send, link, delivery, free) allocates nothing.
+func TestDataPathZeroAllocAfterFirstPacket(t *testing.T) {
+	eng := sim.NewEngine()
+	net := New(eng, DefaultConfig(2))
+	net.Attach(1, HandlerFunc(net.FreePacket))
+	send := func(job JobID) {
+		p := net.NewPacketFrom(0)
+		p.Type, p.Src, p.Dst, p.Job, p.PayloadLen = Data, 0, 1, job, 100
+		net.Send(p)
+		eng.Run()
+	}
+	send(1) // warm the packet pool and the engine arena
+	send(50)
+	if len(net.perNode[0].inFlight) != 51 || len(net.perNode[1].inFlight) != 51 {
+		t.Fatalf("job 50's first packet left count slices of %d and %d, want 51",
+			len(net.perNode[0].inFlight), len(net.perNode[1].inFlight))
+	}
+	if allocs := testing.AllocsPerRun(100, func() { send(50) }); allocs != 0 {
+		t.Fatalf("a later packet of job 50 allocates %.1f objects, want 0", allocs)
 	}
 }

@@ -2,6 +2,7 @@ package parpar
 
 import (
 	"fmt"
+	"strings"
 
 	"gangfm/internal/chaos"
 	"gangfm/internal/core"
@@ -483,6 +484,25 @@ func (c *Cluster) RunUntil(t sim.Time) {
 
 // RunFor processes events for d more cycles.
 func (c *Cluster) RunFor(d sim.Time) { c.RunUntil(c.Eng.Now() + d) }
+
+// RunBounded processes events up to virtual time h and returns an error
+// naming every job still live there (neither done nor killed), with the
+// invariant auditor's summary. While jobs are live the rotation keeps the
+// queue non-empty, so a wedged protocol never goes quiescent: callers
+// that must finish use this instead of the unbounded Run.
+func (c *Cluster) RunBounded(h sim.Time) error {
+	c.RunUntil(h)
+	if c.master.Jobs() == 0 {
+		return nil
+	}
+	var stuck []string
+	for _, id := range c.sortedJobIDs(c.master.jobs) {
+		j := c.master.jobs[id]
+		stuck = append(stuck, fmt.Sprintf("%s (job %d, %s)", j.Spec.Name, id, j.State()))
+	}
+	return fmt.Errorf("wedged at the %d-cycle horizon: unfinished %s; auditor: %s",
+		h, strings.Join(stuck, ", "), c.Auditor().Summary())
+}
 
 // Fired returns the total number of events executed across every lane.
 func (c *Cluster) Fired() uint64 {

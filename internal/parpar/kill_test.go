@@ -75,7 +75,7 @@ func TestVoluntaryKillFreesSlotsAndAdmitsQueued(t *testing.T) {
 	if err != nil {
 		t.Fatalf("queued job not admitted into freed slots: %v", err)
 	}
-	c.Run()
+	runDone(t, c)
 	if survivor.State() != JobDone || queued.State() != JobDone {
 		t.Fatalf("states after run: survivor=%v queued=%v, want done",
 			survivor.State(), queued.State())
@@ -102,7 +102,7 @@ func TestKillWhileLoadingLeaksNoContext(t *testing.T) {
 	if err := c.Kill(job); err != nil {
 		t.Fatalf("kill while loading: %v", err)
 	}
-	c.Run()
+	runDone(t, c)
 	if job.State() != JobKilled {
 		t.Fatalf("state = %v, want killed", job.State())
 	}
@@ -129,7 +129,7 @@ func TestResizeRestartsAtNewSize(t *testing.T) {
 	if err != nil {
 		t.Fatalf("resize: %v", err)
 	}
-	c.Run()
+	runDone(t, c)
 	if job.State() != JobKilled {
 		t.Fatalf("old incarnation state = %v, want killed", job.State())
 	}
@@ -179,7 +179,7 @@ func TestCompactMigratesAfterKill(t *testing.T) {
 	if c.Compact() != 0 {
 		t.Fatal("second compact should be a no-op")
 	}
-	c.Run()
+	runDone(t, c)
 	if b.State() != JobDone {
 		t.Fatalf("survivor state = %v, want done", b.State())
 	}

@@ -11,6 +11,21 @@ import (
 	"gangfm/internal/sim"
 )
 
+// testHorizon bounds every run in this package's tests: 2 virtual
+// seconds, where the longest of them goes quiescent at 148 M cycles. A
+// wedged protocol never goes quiescent (the masterd keeps rotating
+// around the unfinished jobs), so an unbounded Run would hang the test.
+const testHorizon sim.Time = 400_000_000
+
+// runDone runs c to testHorizon and fails the test if any job is still
+// live there.
+func runDone(t *testing.T, c *Cluster) {
+	t.Helper()
+	if err := c.RunBounded(testHorizon); err != nil {
+		t.Fatal(err)
+	}
+}
+
 // testConfig returns a small-quantum config so tests rotate quickly.
 func testConfig(nodes int) Config {
 	cfg := DefaultConfig(nodes)
@@ -100,7 +115,7 @@ func TestSingleJobLifecycle(t *testing.T) {
 	}
 	doneFired := false
 	job.OnDone(func(j *Job) { doneFired = true })
-	c.Run()
+	runDone(t, c)
 	if job.State() != JobDone {
 		t.Fatalf("state after run = %v", job.State())
 	}
@@ -168,7 +183,7 @@ func TestTwoJobsGangScheduled(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Run()
+	runDone(t, c)
 	if j1.State() != JobDone || j2.State() != JobDone {
 		t.Fatalf("states: %v %v", j1.State(), j2.State())
 	}
@@ -208,7 +223,7 @@ func TestGangInvariantOneJobPerNode(t *testing.T) {
 			}
 		}
 	}
-	c.Run()
+	runDone(t, c)
 }
 
 func TestJobsOnDisjointNodesShareSlot(t *testing.T) {
@@ -217,7 +232,7 @@ func TestJobsOnDisjointNodesShareSlot(t *testing.T) {
 	c, _ := New(testConfig(4))
 	j1, _ := c.Submit(JobSpec{Name: "a", Size: 2, NewProgram: oneWay(50, 256)})
 	j2, _ := c.Submit(JobSpec{Name: "b", Size: 2, NewProgram: oneWay(50, 256)})
-	c.Run()
+	runDone(t, c)
 	if j1.State() != JobDone || j2.State() != JobDone {
 		t.Fatal("jobs did not finish")
 	}
@@ -238,7 +253,7 @@ func TestIdleNodesParticipateInFlush(t *testing.T) {
 	c, _ := New(testConfig(3))
 	c.Submit(JobSpec{Name: "a", Size: 2, NewProgram: oneWay(200, 512)})
 	c.Submit(JobSpec{Name: "b", Size: 2, NewProgram: oneWay(200, 512)})
-	c.Run()
+	runDone(t, c)
 	idleHist := c.Nodes()[2].Mgr.History()
 	if len(idleHist) == 0 {
 		t.Fatal("idle node performed no switches")
@@ -263,7 +278,7 @@ func TestPartitionedClusterRuns(t *testing.T) {
 	}
 	j1, _ := c.Submit(JobSpec{Name: "a", Size: 2, NewProgram: oneWay(100, 512)})
 	j2, _ := c.Submit(JobSpec{Name: "b", Size: 2, NewProgram: oneWay(100, 512)})
-	c.Run()
+	runDone(t, c)
 	if j1.State() != JobDone || j2.State() != JobDone {
 		t.Fatalf("states: %v %v", j1.State(), j2.State())
 	}
@@ -323,7 +338,7 @@ func TestDataIntegrityAcrossManyRotations(t *testing.T) {
 	}
 	c.Submit(JobSpec{Name: "stream", Size: 2, NewProgram: mk})
 	c.Submit(JobSpec{Name: "rival", Size: 2, NewProgram: oneWay(150, 700)})
-	c.Run()
+	runDone(t, c)
 	// Zero data packets dropped anywhere.
 	for _, n := range c.Nodes() {
 		for reason, count := range n.NIC.Stats().Drops {
@@ -340,7 +355,7 @@ func TestSwitchStatsPlausible(t *testing.T) {
 	c, _ := New(cfg)
 	c.Submit(JobSpec{Name: "a", Size: 4, NewProgram: oneWay(500, 1024)})
 	c.Submit(JobSpec{Name: "b", Size: 4, NewProgram: oneWay(500, 1024)})
-	c.Run()
+	runDone(t, c)
 	checked := 0
 	for _, hist := range c.SwitchHistory() {
 		for _, s := range hist {
@@ -387,7 +402,7 @@ func TestBadConfig(t *testing.T) {
 func TestEndpointStatsAfterRun(t *testing.T) {
 	c, _ := New(testConfig(2))
 	job, _ := c.Submit(JobSpec{Name: "a", Size: 2, NewProgram: oneWay(100, 2048)})
-	c.Run()
+	runDone(t, c)
 	tx := job.procs[0].EP.Stats()
 	rx := job.procs[1].EP.Stats()
 	if tx.MessagesSent != 100 || rx.MessagesRecvd != 100 {
@@ -407,7 +422,7 @@ func TestDeterminism(t *testing.T) {
 		c, _ := New(testConfig(2))
 		j, _ := c.Submit(JobSpec{Name: "a", Size: 2, NewProgram: oneWay(200, 777)})
 		c.Submit(JobSpec{Name: "b", Size: 2, NewProgram: pingPong(50)})
-		c.Run()
+		runDone(t, c)
 		return j.DoneTime, c.Eng.Fired()
 	}
 	t1, e1 := run()
@@ -434,7 +449,7 @@ func TestFlushGuaranteesEmptyNetwork(t *testing.T) {
 	})
 	c.Submit(JobSpec{Name: "a", Size: 4, NewProgram: oneWay(400, 1536)})
 	c.Submit(JobSpec{Name: "b", Size: 4, NewProgram: oneWay(400, 1536)})
-	c.Run()
+	runDone(t, c)
 	if violations > 0 {
 		t.Fatalf("%d flush invariant violations", violations)
 	}
@@ -509,7 +524,7 @@ func TestCtrlNetJitterBounds(t *testing.T) {
 func TestJobRepAccessors(t *testing.T) {
 	c, _ := New(testConfig(2))
 	job, _ := c.Submit(JobSpec{Name: "acc", Size: 2, NewProgram: pingPong(3)})
-	c.Run()
+	runDone(t, c)
 	p := job.procs[0]
 	if p.Rank() != 0 || p.Size() != 2 || p.Job() != job.ID {
 		t.Fatal("proc accessors wrong")

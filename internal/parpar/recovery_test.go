@@ -498,7 +498,7 @@ func TestLoadReceiptStopsResend(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		c.Run()
+		runDone(t, c)
 		if a.State() != JobDone || b.State() != JobDone {
 			t.Fatalf("recovery=%v: jobs %v/%v, want done", recovery, a.State(), b.State())
 		}

@@ -2,6 +2,7 @@ package sim
 
 import (
 	"math/rand"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -221,5 +222,97 @@ func TestScheduleArgNoAlloc(t *testing.T) {
 	})
 	if allocs != 0 {
 		t.Fatalf("steady-state Schedule/ScheduleArg+Run allocates %.1f per op, want 0", allocs)
+	}
+}
+
+// TestHeapProperty checks the event heap against a reference that keeps
+// the pending events sorted by (when, seq). Each seeded run mixes outside
+// schedules and cancels, Step, RunUntil and peeks, with callbacks that
+// schedule 0, 1 or 2 events and sometimes cancel one or peek before
+// scheduling.
+func TestHeapProperty(t *testing.T) {
+	type refEv struct {
+		when Time
+		seq  uint64
+		ev   Event
+	}
+	for seed := int64(1); seed <= 300; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		e := NewEngine()
+		var ref []refEv // pending events in (when, seq) order
+		var seq uint64
+		fail := func(format string, args ...any) {
+			t.Helper()
+			t.Fatalf("seed %d: "+format, append([]any{seed}, args...)...)
+		}
+		var fire func(any)
+		schedule := func() {
+			seq++
+			at := e.Now() + Time(rng.Intn(40)) // narrow spread: many ties
+			ev := e.ScheduleArgAt(at, fire, seq)
+			// seq exceeds every pending key's, so the event goes after
+			// all others at the same time.
+			i := sort.Search(len(ref), func(i int) bool { return ref[i].when > at })
+			ref = slices.Insert(ref, i, refEv{at, seq, ev})
+		}
+		cancel := func() {
+			if len(ref) == 0 {
+				return
+			}
+			i := rng.Intn(len(ref))
+			if !ref[i].ev.Cancel() {
+				fail("Cancel of pending event %d returned false", ref[i].seq)
+			}
+			ref = slices.Delete(ref, i, i+1)
+		}
+		peek := func() {
+			when, ok := e.peekWhen()
+			if ok != (len(ref) > 0) || ok && when != ref[0].when {
+				fail("peekWhen = (%d, %v) with %d pending, reference head %v", when, ok, len(ref), ref[:min(1, len(ref))])
+			}
+		}
+		fire = func(a any) {
+			id := a.(uint64)
+			if len(ref) == 0 || ref[0].seq != id || ref[0].when != e.Now() {
+				fail("fired event %d at %d, reference head %v", id, e.Now(), ref[:min(1, len(ref))])
+			}
+			ref = ref[1:]
+			if rng.Intn(4) == 0 {
+				peek()
+			}
+			for k := rng.Intn(3); k > 0; k-- {
+				schedule()
+			}
+			if rng.Intn(5) == 0 {
+				cancel()
+			}
+		}
+		for op := 0; op < 400; op++ {
+			switch rng.Intn(6) {
+			case 0, 1:
+				schedule()
+			case 2:
+				cancel()
+			case 3:
+				if had := len(ref) > 0; e.Step() != had {
+					fail("Step disagrees with %d pending", len(ref))
+				}
+			case 4:
+				limit := e.Now() + Time(rng.Intn(60))
+				e.RunUntil(limit)
+				if e.Now() != limit || len(ref) > 0 && ref[0].when <= limit {
+					fail("RunUntil(%d) left the clock at %d with head %v", limit, e.Now(), ref[:min(1, len(ref))])
+				}
+			case 5:
+				peek()
+			}
+			if e.Pending() != len(ref) {
+				fail("Pending() = %d, reference holds %d", e.Pending(), len(ref))
+			}
+		}
+		e.Run()
+		if len(ref) != 0 {
+			fail("queue drained with %d reference events unfired", len(ref))
+		}
 	}
 }

@@ -20,6 +20,9 @@
 // min-heap of (time, seq) keys held in a flat slice. Scheduling, firing,
 // and canceling events never allocate once the arena has grown to the
 // engine's high-water mark of concurrently pending events.
+//
+// Sifts carry a hole down (or up) and write the moving entry once,
+// instead of swapping entries level by level.
 package sim
 
 import (
@@ -63,21 +66,25 @@ func (c Clock) ToDuration(t Time) time.Duration {
 
 // CyclesPerByte returns the per-byte cost, in cycles, of moving data at the
 // given rate in megabytes per second (decimal MB, as used in the paper).
-func (c Clock) CyclesPerByte(mbPerSec float64) float64 {
+// Per-packet paths take theirs once at construction, so a packet's charge
+// is one multiply (ByteCost.Cycles), never a division.
+func (c Clock) CyclesPerByte(mbPerSec float64) ByteCost {
 	if mbPerSec <= 0 {
-		return math.Inf(1)
+		return ByteCost(math.Inf(1))
 	}
-	return float64(c.Hz) / (mbPerSec * 1e6)
+	return ByteCost(float64(c.Hz) / (mbPerSec * 1e6))
 }
 
-// CopyCycles returns the number of cycles needed to move n bytes at the
-// given MB/s rate, rounded up so a nonzero transfer never costs zero.
-func (c Clock) CopyCycles(n int, mbPerSec float64) Time {
+// ByteCost is a per-byte transfer cost in cycles.
+type ByteCost float64
+
+// Cycles returns the cost of moving n bytes, rounded up so a nonzero
+// transfer never costs zero.
+func (b ByteCost) Cycles(n int) Time {
 	if n <= 0 {
 		return 0
 	}
-	cy := float64(n) * c.CyclesPerByte(mbPerSec)
-	return Time(math.Ceil(cy))
+	return Time(math.Ceil(float64(n) * float64(b)))
 }
 
 // Event is a handle to a scheduled callback, returned by Engine.Schedule
@@ -351,57 +358,60 @@ func (e *Engine) peekWhen() (Time, bool) {
 	return 0, false
 }
 
-// push adds an entry to the 4-ary heap (sift-up).
+// push adds an entry (sift-up): the hole climbs from the new leaf, and
+// ent is written once where it stops.
 func (e *Engine) push(ent heapEnt) {
 	h := append(e.heap, ent)
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
-		if !entLess(h[i], h[p]) {
+		if !entLess(ent, h[p]) {
 			break
 		}
-		h[i], h[p] = h[p], h[i]
+		h[i] = h[p]
 		i = p
 	}
+	h[i] = ent
 	e.heap = h
 }
 
-// popMin removes and returns the heap minimum (sift-down).
+// popMin removes and returns the heap minimum: the last entry refills the
+// root (sift-down).
 func (e *Engine) popMin() heapEnt {
 	h := e.heap
 	min := h[0]
 	n := len(h) - 1
-	h[0] = h[n]
+	last := h[n]
 	e.heap = h[:n]
-	if n > 1 {
-		e.siftDown()
+	if n > 0 {
+		e.siftDown(last)
 	}
 	return min
 }
 
-func (e *Engine) siftDown() {
+// siftDown places ent into the root: the hole descends past every smaller
+// child, and ent is written once where it stops.
+func (e *Engine) siftDown(ent heapEnt) {
 	h := e.heap
 	n := len(h)
 	i := 0
 	for {
 		first := i<<2 + 1
 		if first >= n {
-			return
+			break
 		}
 		best := first
-		end := first + 4
-		if end > n {
-			end = n
-		}
+		end := min(first+4, n)
 		for c := first + 1; c < end; c++ {
 			if entLess(h[c], h[best]) {
 				best = c
 			}
 		}
-		if !entLess(h[best], h[i]) {
-			return
+		if !entLess(h[best], ent) {
+			break
 		}
-		h[i], h[best] = h[best], h[i]
+		h[i] = h[best]
 		i = best
 	}
+	h[i] = ent
 }

@@ -46,16 +46,16 @@ func TestCyclesPerByte(t *testing.T) {
 	if got < 4.4 || got > 4.5 {
 		t.Errorf("CyclesPerByte(45) = %v, want ~4.44", got)
 	}
-	if c.CopyCycles(0, 45) != 0 {
-		t.Errorf("CopyCycles(0) should be 0")
+	if c.CyclesPerByte(45).Cycles(0) != 0 {
+		t.Errorf("Cycles(0) should be 0")
 	}
-	if c.CopyCycles(1, 45) == 0 {
-		t.Errorf("CopyCycles(1) should be nonzero (round up)")
+	if c.CyclesPerByte(45).Cycles(1) == 0 {
+		t.Errorf("Cycles(1) should be nonzero (round up)")
 	}
 	// 1 MB at 45 MB/s is 1/45 s = 4,444,444 cycles (±1 for rounding).
-	mb := c.CopyCycles(1_000_000, 45)
+	mb := c.CyclesPerByte(45).Cycles(1_000_000)
 	if mb < 4_444_444 || mb > 4_444_446 {
-		t.Errorf("CopyCycles(1MB, 45MB/s) = %d, want ~4444445", mb)
+		t.Errorf("Cycles(1MB) at 45 MB/s = %d, want ~4444445", mb)
 	}
 }
 
