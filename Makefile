@@ -96,18 +96,19 @@ repair-smoke:
 	$(call same-output,churn -crash 0.35 -repair 0.75 -adaptive -log,churn-repair-full,$(SHARDED))
 
 # Microbenchmarks with allocation reporting. BenchmarkEngineThroughput
-# (one pending event) and BenchmarkEngineHeap64 (64, so the heap sifts)
-# must stay at 0 allocs/op (see DESIGN.md §6); BenchmarkPhaseTrackerEpoch
+# (one pending event), BenchmarkEngineHeap64 (64, all in the near ring)
+# and BenchmarkEngineWide (64, most in the far heap) must stay at 0
+# allocs/op (see DESIGN.md §6); BenchmarkPhaseTrackerEpoch
 # reports the flush tracker's ns/arrival, which stays flat in the peer
 # count; BenchmarkSwitchRound256 reports one whole switch round on 256
 # nodes.
 bench:
 	$(GO) test -run XXX -bench . -benchmem . ./internal/lanai ./internal/parpar
 
-# One iteration of the 64-deep event-heap benchmark, so it keeps
+# One iteration of each 64-deep event-queue benchmark, so they keep
 # compiling and running.
 engine-bench-smoke:
-	$(GO) test -run XXX -bench EngineHeap64 -benchtime 1x .
+	$(GO) test -run XXX -bench 'EngineHeap64|EngineWide' -benchtime 1x .
 
 # One iteration of the flush-tracker micro-benchmark, likewise.
 tracker-bench-smoke:

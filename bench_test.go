@@ -211,17 +211,27 @@ func BenchmarkEngineThroughput(b *testing.B) {
 }
 
 // BenchmarkEngineHeap64 measures event throughput with 64 events pending,
-// about a busy cluster's heap depth (BenchmarkEngineThroughput keeps one
-// entry, so it never sifts). Each firing reschedules its event with the
-// next delay from a fixed spread of 1..101 cycles, so the heap stays 64
-// deep and the order keeps shuffling. allocs/op must stay 0.
-func BenchmarkEngineHeap64(b *testing.B) {
+// about a busy cluster's queue depth (BenchmarkEngineThroughput keeps one),
+// with delays of 1..101 cycles: all within the engine's near ring.
+func BenchmarkEngineHeap64(b *testing.B) { benchEngine64(b, 37, 101) }
+
+// BenchmarkEngineWide is BenchmarkEngineHeap64 with delays from 1 to
+// about 65,000 cycles: four times the 16,384 cycles the engine's near ring
+// covers, so most reschedules queue in the far heap and migrate into the
+// ring as time advances.
+func BenchmarkEngineWide(b *testing.B) { benchEngine64(b, 40503, 65521) }
+
+// benchEngine64 keeps 64 events pending. Event i first waits
+// 1+(i*mult)%mod cycles; each firing reschedules its event with the next
+// delay of that fixed spread, so the order keeps shuffling. allocs/op must
+// stay 0.
+func benchEngine64(b *testing.B, mult, mod int) {
 	const pending = 64
 	b.ReportAllocs()
 	eng := sim.NewEngine()
 	var delays [pending]sim.Time
 	for i := range delays {
-		delays[i] = sim.Time(1 + i*37%101)
+		delays[i] = sim.Time(1 + i*mult%mod)
 	}
 	var ids [pending]int
 	n := 0

@@ -99,43 +99,41 @@ type backingStore struct {
 }
 
 // queueDigest hashes every protocol-visible field of the parked packets
-// (FNV-1a). Any bit that changes between save and restore changes the sum.
+// (FNV-1a). Each field is one step over its whole 64-bit word, and payload
+// bytes one step each. A step maps h one-to-one for a fixed input and the
+// input one-to-one for a fixed h, so changing any single field changes
+// the sum.
 func queueDigest(send, recv []*myrinet.Packet) uint64 {
-	const (
-		offset = 14695981039346656037
-		prime  = 1099511628211
-	)
-	h := uint64(offset)
-	mix := func(v uint64) {
-		for i := 0; i < 8; i++ {
-			h ^= (v >> (8 * i)) & 0xff
-			h *= prime
+	h := uint64(fnvOffset)
+	h = hashPackets(h, send)
+	return hashPackets(h, recv)
+}
+
+const (
+	fnvOffset = 14695981039346656037
+	fnvPrime  = 1099511628211
+)
+
+func hashPackets(h uint64, pkts []*myrinet.Packet) uint64 {
+	h = (h ^ uint64(len(pkts))) * fnvPrime
+	for _, p := range pkts {
+		h = (h ^ uint64(p.Type)) * fnvPrime
+		h = (h ^ uint64(p.Src)) * fnvPrime
+		h = (h ^ uint64(p.Dst)) * fnvPrime
+		h = (h ^ uint64(p.Job)) * fnvPrime
+		h = (h ^ uint64(p.SrcRank)) * fnvPrime
+		h = (h ^ uint64(p.DstRank)) * fnvPrime
+		h = (h ^ p.MsgID) * fnvPrime
+		h = (h ^ uint64(p.Frag)) * fnvPrime
+		h = (h ^ uint64(p.NFrags)) * fnvPrime
+		h = (h ^ uint64(p.PayloadLen)) * fnvPrime
+		h = (h ^ uint64(p.Credits)) * fnvPrime
+		h = (h ^ p.Epoch) * fnvPrime
+		h = (h ^ p.Seq) * fnvPrime
+		for _, b := range p.Payload {
+			h = (h ^ uint64(b)) * fnvPrime
 		}
 	}
-	hash := func(pkts []*myrinet.Packet) {
-		mix(uint64(len(pkts)))
-		for _, p := range pkts {
-			mix(uint64(p.Type))
-			mix(uint64(p.Src))
-			mix(uint64(p.Dst))
-			mix(uint64(p.Job))
-			mix(uint64(p.SrcRank))
-			mix(uint64(p.DstRank))
-			mix(p.MsgID)
-			mix(uint64(p.Frag))
-			mix(uint64(p.NFrags))
-			mix(uint64(p.PayloadLen))
-			mix(uint64(p.Credits))
-			mix(p.Epoch)
-			mix(p.Seq)
-			for _, b := range p.Payload {
-				h ^= uint64(b)
-				h *= prime
-			}
-		}
-	}
-	hash(send)
-	hash(recv)
 	return h
 }
 

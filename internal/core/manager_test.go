@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"testing"
 
 	"gangfm/internal/fm"
@@ -576,6 +577,50 @@ func TestBackingStoreDigestDetectsCorruption(t *testing.T) {
 		}
 		if !corrupt && len(violations) != 0 {
 			t.Fatalf("clean round trip reported violations: %v", violations)
+		}
+	}
+}
+
+// TestQueueDigestCoversEveryField changes each exported field of a parked
+// packet in turn, in the send queue and in the receive queue, and checks
+// that the backing-store digest moves. A field left out of the hash (a new
+// Packet field, say) fails here instead of letting corruption of it pass
+// the restore check.
+func TestQueueDigestCoversEveryField(t *testing.T) {
+	fill := func() *myrinet.Packet {
+		return &myrinet.Packet{
+			Type: myrinet.Data, Src: 1, Dst: 2, Job: 3, SrcRank: 4, DstRank: 5,
+			MsgID: 6, Frag: 7, NFrags: 8, PayloadLen: 3, Payload: []byte{9, 10, 11},
+			Credits: 12, Epoch: 13, Seq: 14,
+		}
+	}
+	typ := reflect.TypeOf(myrinet.Packet{})
+	for queue := 0; queue < 2; queue++ {
+		for f := 0; f < typ.NumField(); f++ {
+			if !typ.Field(f).IsExported() {
+				continue
+			}
+			send := []*myrinet.Packet{fill(), fill()}
+			recv := []*myrinet.Packet{fill()}
+			before := queueDigest(send, recv)
+			victim := recv[0]
+			if queue == 0 {
+				victim = send[1]
+			}
+			v := reflect.ValueOf(victim).Elem().Field(f)
+			switch v.Kind() {
+			case reflect.Int:
+				v.SetInt(v.Int() + 1)
+			case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+				v.SetUint(v.Uint() + 1)
+			case reflect.Slice:
+				v.Index(1).SetUint(v.Index(1).Uint() ^ 0x80)
+			default:
+				t.Fatalf("field %s has kind %s: teach this test to change it", typ.Field(f).Name, v.Kind())
+			}
+			if queueDigest(send, recv) == before {
+				t.Errorf("changing %s of a parked packet (queue %d) left the digest at %#x", typ.Field(f).Name, queue, before)
+			}
 		}
 	}
 }

@@ -1,6 +1,7 @@
 package myrinet
 
 import (
+	"reflect"
 	"slices"
 	"testing"
 	"testing/quick"
@@ -504,5 +505,44 @@ func TestDataPathZeroAllocAfterFirstPacket(t *testing.T) {
 	}
 	if allocs := testing.AllocsPerRun(100, func() { send(50) }); allocs != 0 {
 		t.Fatalf("a later packet of job 50 allocates %.1f objects, want 0", allocs)
+	}
+}
+
+// TestRecycledPacketIsZero pins the pool's zero-on-alloc contract: a packet
+// freed with every field set comes back from NewPacketFrom with every field
+// zero except pooled. Send paths set only the fields they need, so a field
+// that survived recycling would leak into the next packet.
+func TestRecycledPacketIsZero(t *testing.T) {
+	net := New(sim.NewEngine(), DefaultConfig(2))
+	p := net.NewPacketFrom(0)
+	v := reflect.ValueOf(p).Elem()
+	typ := v.Type()
+	for i := 0; i < typ.NumField(); i++ {
+		if !typ.Field(i).IsExported() {
+			continue
+		}
+		switch f := v.Field(i); f.Kind() {
+		case reflect.Int:
+			f.SetInt(int64(i + 1))
+		case reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64:
+			f.SetUint(uint64(i + 1))
+		case reflect.Slice:
+			f.SetBytes([]byte{1, 2, 3})
+		default:
+			t.Fatalf("field %s has kind %s: teach this test to fill it", typ.Field(i).Name, f.Kind())
+		}
+	}
+	p.Dst = 1
+	net.FreePacket(p)
+	if q := net.NewPacketFrom(0); q != p {
+		t.Fatal("the pool did not hand back the packet just freed")
+	}
+	for i := 0; i < typ.NumField(); i++ {
+		if name := typ.Field(i).Name; name != "pooled" && !v.Field(i).IsZero() {
+			t.Errorf("recycled packet kept %s = %v", name, v.Field(i))
+		}
+	}
+	if !p.pooled {
+		t.Error("recycled packet is not marked pooled")
 	}
 }

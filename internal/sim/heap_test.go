@@ -104,7 +104,7 @@ func TestRunUntilAllCanceledPrefix(t *testing.T) {
 	}
 }
 
-// TestEngineOrderVsReferenceSort is the 4-ary heap's property test: for
+// TestEngineOrderVsReferenceSort is the event queue's order test: for
 // random batches of delays (with duplicates), the firing order must match
 // a stable sort of the schedule by (time, submission order).
 func TestEngineOrderVsReferenceSort(t *testing.T) {
@@ -225,17 +225,22 @@ func TestScheduleArgNoAlloc(t *testing.T) {
 	}
 }
 
-// TestHeapProperty checks the event heap against a reference that keeps
-// the pending events sorted by (when, seq). Each seeded run mixes outside
-// schedules and cancels, Step, RunUntil and peeks, with callbacks that
-// schedule 0, 1 or 2 events and sometimes cancel one or peek before
-// scheduling.
+// TestHeapProperty checks the two-tier event queue against a reference
+// that keeps the pending events sorted by (when, seq). Each seeded run
+// mixes outside schedules and cancels, Step, RunUntil and peeks, with
+// callbacks that schedule 0, 1 or 2 events and sometimes cancel one or
+// peek before scheduling. Delays span several ring widths, so events queue
+// in the far heap and migrate; some land on the last ring slot or the
+// first far one; some are on a coarse grid, so far events tie with the
+// events a callback schedules just as the base advances; cancels often hit
+// the queue's head; and RunUntil sometimes jumps past the whole ring.
 func TestHeapProperty(t *testing.T) {
 	type refEv struct {
 		when Time
 		seq  uint64
 		ev   Event
 	}
+	const span = ringSlots << slotShift // cycles the ring covers
 	for seed := int64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		e := NewEngine()
@@ -248,7 +253,18 @@ func TestHeapProperty(t *testing.T) {
 		var fire func(any)
 		schedule := func() {
 			seq++
-			at := e.Now() + Time(rng.Intn(40)) // narrow spread: many ties
+			now := e.Now()
+			at := now + Time(rng.Intn(40)) // narrow spread: many ties
+			switch rng.Intn(8) {
+			case 0: // anywhere in three ring widths
+				at = now + Time(rng.Intn(3*span))
+			case 1: // on a 1024-cycle grid, up to three ring widths out
+				at = (now>>10 + 1 + Time(rng.Intn(48))) << 10
+			case 2: // the last ring slot or the first far one
+				if b := (e.base+ringSlots-1+Time(rng.Intn(2)))<<slotShift + Time(rng.Intn(1<<slotShift)); b >= now {
+					at = b
+				}
+			}
 			ev := e.ScheduleArgAt(at, fire, seq)
 			// seq exceeds every pending key's, so the event goes after
 			// all others at the same time.
@@ -260,6 +276,9 @@ func TestHeapProperty(t *testing.T) {
 				return
 			}
 			i := rng.Intn(len(ref))
+			if rng.Intn(2) == 0 {
+				i = 0 // the head of the earliest slot
+			}
 			if !ref[i].ev.Cancel() {
 				fail("Cancel of pending event %d returned false", ref[i].seq)
 			}
@@ -299,6 +318,9 @@ func TestHeapProperty(t *testing.T) {
 				}
 			case 4:
 				limit := e.Now() + Time(rng.Intn(60))
+				if rng.Intn(8) == 0 {
+					limit = e.Now() + Time(span+rng.Intn(2*span))
+				}
 				e.RunUntil(limit)
 				if e.Now() != limit || len(ref) > 0 && ref[0].when <= limit {
 					fail("RunUntil(%d) left the clock at %d with head %v", limit, e.Now(), ref[:min(1, len(ref))])
@@ -308,6 +330,9 @@ func TestHeapProperty(t *testing.T) {
 			}
 			if e.Pending() != len(ref) {
 				fail("Pending() = %d, reference holds %d", e.Pending(), len(ref))
+			}
+			if e.base > e.Now()>>slotShift {
+				fail("ring base slot %d passed now=%d", e.base, e.Now())
 			}
 		}
 		e.Run()

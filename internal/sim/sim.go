@@ -16,18 +16,43 @@
 //
 // The event queue is the hot path of every experiment, so it is built to
 // run allocation-free in steady state: event records live in a per-engine
-// arena recycled through a free list, ordered by a hand-rolled 4-ary
-// min-heap of (time, seq) keys held in a flat slice. Scheduling, firing,
-// and canceling events never allocate once the arena has grown to the
-// engine's high-water mark of concurrently pending events.
+// arena recycled through a free list. Scheduling, firing, and canceling
+// events never allocate once the arena has grown to the engine's
+// high-water mark of concurrently pending events.
 //
-// Sifts carry a hole down (or up) and write the moving entry once,
-// instead of swapping entries level by level.
+// Events fire in (time, seq) order, seq being the order in which they were
+// scheduled, from a queue of two tiers:
+//
+//   - The near tier is a ring of 512 slots, each 32 cycles wide, embedded
+//     in the Engine: an int32 head and tail per slot (4 KB) and a 512-bit
+//     occupancy bitmap. It covers the 16,384 cycles from its base slot
+//     on, enough for nearly every delay the stack schedules. A slot's events form a
+//     list through the arena, sorted by (time, seq). A new event has the
+//     largest seq yet, so it goes after the last entry at or before its
+//     time: the tail, in the common case. Popping scans the bitmap from
+//     the base slot and takes the first list's head. Both are O(1).
+//   - The far tier is a 4-ary min-heap of (time, seq, slot) entries for
+//     the events past the ring. Its sifts carry a hole and write the
+//     moving entry once. When the base advances, the far events it brings
+//     into range migrate into the ring.
+//
+// Three rules make the order exact. The slot lists stay sorted. Migration
+// runs before the fired event's callback, so the events the callback
+// schedules queue behind older far events at the same time. And the base
+// advances only when a live event fires, never when a canceled one is
+// discarded: it therefore never passes now, and no event can be scheduled
+// in a slot behind it.
+//
+// The slot width and count are constants, sized so the ring's arrays stay
+// in cache. A ring of 16,384 one-cycle slots (128 KB of slot arrays per
+// engine) was tried first: on the shallow-queue bandwidth workload it ran
+// each point 1-6% slower and used 3-6% more memory.
 package sim
 
 import (
 	"fmt"
 	"math"
+	"math/bits"
 	"time"
 )
 
@@ -120,20 +145,22 @@ func (ev Event) Cancel() bool {
 	return true
 }
 
-// eventRec is the arena-resident part of an event: the callback and the
-// liveness bookkeeping. The ordering key lives in the heap entry instead,
-// so comparisons never chase a pointer into the arena. Every event has the
-// one (fn, arg) form; a plain func() rides as the arg of Call.
+// eventRec is the arena-resident part of an event: the callback, its fire
+// time and the liveness bookkeeping. next links the record into its near
+// ring slot's list. Every event has the one (fn, arg) form; a plain func()
+// rides as the arg of Call.
 type eventRec struct {
 	fn       func(any)
 	arg      any
 	gen      uint64 // bumped on every recycle; stale handles mismatch
+	when     Time
+	next     int32 // successor in the ring slot's list
 	canceled bool
 }
 
-// heapEnt is one entry of the 4-ary min-heap: the ordering key plus the
-// arena slot it refers to. Keeping the key inline makes the sift loops
-// pure value comparisons over a contiguous slice.
+// heapEnt is one entry of the far tier's 4-ary min-heap: the ordering key
+// plus the arena slot it refers to. Keeping the key inline makes the sift
+// loops pure value comparisons over a contiguous slice.
 type heapEnt struct {
 	when Time
 	seq  uint64 // tie-breaker: FIFO among same-time events
@@ -147,13 +174,36 @@ func entLess(a, b heapEnt) bool {
 	return a.seq < b.seq
 }
 
+// The near tier is a ring of ringSlots slots, each 1<<slotShift cycles
+// wide, that covers the absolute slots [base, base+ringSlots). More slots
+// keep more events out of the far heap but grow the arrays every lookup
+// touches (see the package comment); wider slots crowd more events into
+// each sorted list.
+const (
+	slotShift = 5
+	ringSlots = 512
+	ringMask  = ringSlots - 1
+	ringWords = ringSlots / 64
+)
+
 // Engine is the discrete-event simulation core. The zero value is not
 // usable; construct with NewEngine (standalone) or NewGroup (sharded).
 type Engine struct {
-	now     Time
-	recs    []eventRec // arena of event records
-	free    []int32    // recycled arena slots
-	heap    []heapEnt  // 4-ary min-heap over (when, seq)
+	now  Time
+	recs []eventRec // arena of event records
+	free []int32    // recycled arena slots
+
+	// The near tier: slot s (absolute, when>>slotShift) of the ring lives
+	// at index s&ringMask as a list of arena slots sorted by (when, seq),
+	// from head to tail; occ has bit i set while list i is non-empty.
+	// base only moves to the slot of a live event as it fires, so it
+	// never passes now and every queued event's slot is >= base.
+	base Time
+	occ  [ringWords]uint64
+	head [ringSlots]int32
+	tail [ringSlots]int32
+
+	far     []heapEnt // 4-ary min-heap of events at slots >= base+ringSlots
 	seq     uint64
 	fired   uint64
 	pending int // scheduled and not canceled
@@ -228,13 +278,49 @@ func (e *Engine) schedule(t Time, fn func(any), arg any) Event {
 	}
 	r := &e.recs[slot]
 	r.fn, r.arg = fn, arg
+	r.when = t
 	r.canceled = false
-	e.push(heapEnt{when: t, seq: e.seq, slot: slot})
+	if s := t >> slotShift; s-e.base < ringSlots {
+		e.ringInsert(slot, t, int(s&ringMask))
+	} else {
+		e.push(heapEnt{when: t, seq: e.seq, slot: slot})
+	}
 	e.pending++
 	return Event{eng: e, slot: slot, gen: r.gen, when: t}
 }
 
-// freeSlot recycles an arena slot whose heap entry has been popped. The
+// ringInsert files arena slot (firing at t) into ring list i, after every
+// entry with when <= t. A new event carries the largest seq so far, and
+// migrated events arrive in (when, seq) order, so that position keeps the
+// list sorted by (when, seq); it is the tail in the common case.
+func (e *Engine) ringInsert(slot int32, t Time, i int) {
+	w, bit := i>>6, uint64(1)<<(i&63)
+	if e.occ[w]&bit == 0 {
+		e.occ[w] |= bit
+		e.head[i], e.tail[i] = slot, slot
+		return
+	}
+	recs := e.recs
+	if tl := e.tail[i]; recs[tl].when <= t {
+		recs[tl].next = slot
+		e.tail[i] = slot
+		return
+	}
+	p := e.head[i]
+	if recs[p].when > t {
+		recs[slot].next = p
+		e.head[i] = slot
+		return
+	}
+	// The tail fires after t, so the walk stops before it.
+	for recs[recs[p].next].when <= t {
+		p = recs[p].next
+	}
+	recs[slot].next = recs[p].next
+	recs[p].next = slot
+}
+
+// freeSlot recycles an arena slot that has left the queue. The
 // generation bump invalidates every outstanding handle to the old event.
 func (e *Engine) freeSlot(slot int32) {
 	r := &e.recs[slot]
@@ -246,25 +332,42 @@ func (e *Engine) freeSlot(slot int32) {
 
 // Step executes the single earliest pending event. It reports whether an
 // event was executed (false means the queue is empty).
-func (e *Engine) Step() bool {
-	for len(e.heap) > 0 {
-		ent := e.popMin()
-		r := &e.recs[ent.slot]
-		if r.canceled {
-			e.freeSlot(ent.slot)
-			continue
-		}
-		fn, arg := r.fn, r.arg
-		// Recycle before invoking: the callback may schedule into the
-		// same slot, and holding dead callbacks alive would leak.
-		e.freeSlot(ent.slot)
-		e.pending--
-		e.now = ent.when
-		e.fired++
-		fn(arg)
-		return true
+func (e *Engine) Step() bool { return e.fireNext(^Time(0)) }
+
+// fireNext executes the earliest pending event if it fires at or before
+// limit, and reports whether it did: one queue lookup per event.
+func (e *Engine) fireNext(limit Time) bool {
+	slot, i, ok := e.front()
+	if !ok {
+		return false
 	}
-	return false
+	r := &e.recs[slot]
+	t := r.when
+	if t > limit {
+		return false
+	}
+	if i >= 0 {
+		e.unlinkHead(i, slot)
+	} else {
+		e.popMin()
+	}
+	// The base moves only here, to the slot of a live event as it fires,
+	// so it never passes now. The far events it brings into range move
+	// into the ring before the callback runs: the callback's schedules
+	// then queue behind them, as their larger seqs require.
+	if s := t >> slotShift; s != e.base {
+		e.base = s
+		e.migrate()
+	}
+	fn, arg := r.fn, r.arg
+	// Recycle before invoking: the callback may schedule into the
+	// same slot, and holding dead callbacks alive would leak.
+	e.freeSlot(slot)
+	e.pending--
+	e.now = t
+	e.fired++
+	fn(arg)
+	return true
 }
 
 // Run executes events until the queue drains or Stop is called.
@@ -284,12 +387,7 @@ func (e *Engine) RunUntil(limit Time) {
 		panic("sim: RunUntil called on a grouped engine; drive the Group instead")
 	}
 	e.stopped = false
-	for !e.stopped {
-		when, ok := e.peekWhen()
-		if !ok || when > limit {
-			break
-		}
-		e.Step()
+	for !e.stopped && e.fireNext(limit) {
 	}
 	if e.now < limit {
 		e.now = limit
@@ -332,12 +430,7 @@ func (e *Engine) CrossArgAt(target *Engine, t Time, fn func(any), arg any) {
 // parks the clock at h. It is one shard's serial share of a conservative
 // window; only the group coordinator and its helpers call it.
 func (e *Engine) runWindow(h Time) {
-	for {
-		when, ok := e.peekWhen()
-		if !ok || when >= h {
-			break
-		}
-		e.Step()
+	for e.fireNext(h - 1) { // h >= 1: a window covers at least one event
 	}
 	if e.now < h {
 		e.now = h
@@ -347,21 +440,94 @@ func (e *Engine) runWindow(h Time) {
 // peekWhen returns the fire time of the earliest live event, collecting
 // any canceled events sitting at the front of the queue.
 func (e *Engine) peekWhen() (Time, bool) {
-	for len(e.heap) > 0 {
-		ent := e.heap[0]
-		if !e.recs[ent.slot].canceled {
-			return ent.when, true
-		}
-		e.popMin()
-		e.freeSlot(ent.slot)
+	slot, _, ok := e.front()
+	if !ok {
+		return 0, false
 	}
-	return 0, false
+	return e.recs[slot].when, true
 }
 
-// push adds an entry (sift-up): the hole climbs from the new leaf, and
-// ent is written once where it stops.
+// front frees the canceled events at the head of the queue and returns the
+// arena slot of the earliest live event with the ring list holding it (-1
+// for the far heap's root); ok is false when nothing is pending. Every
+// ring event precedes every far one, so the far heap is consulted only
+// when the ring is empty. Discarding a canceled event never moves base.
+func (e *Engine) front() (slot int32, ring int, ok bool) {
+	for {
+		i := e.firstOcc()
+		if i >= 0 {
+			slot = e.head[i]
+			if !e.recs[slot].canceled {
+				return slot, i, true
+			}
+			e.unlinkHead(i, slot)
+			e.freeSlot(slot)
+			continue
+		}
+		if len(e.far) == 0 {
+			return 0, 0, false
+		}
+		slot = e.far[0].slot
+		if !e.recs[slot].canceled {
+			return slot, -1, true
+		}
+		e.popMin()
+		e.freeSlot(slot)
+	}
+}
+
+// firstOcc returns the first non-empty ring list at or after base's,
+// wrapping around, or -1 when the ring is empty. The ring covers
+// [base, base+ringSlots), so list order from base's index is time order.
+func (e *Engine) firstOcc() int {
+	b := int(e.base & ringMask)
+	w := b >> 6
+	if m := e.occ[w] >> (b & 63); m != 0 {
+		return b + bits.TrailingZeros64(m)
+	}
+	// The last pass revisits word w, whose bits at and above b were
+	// just seen to be clear: a hit there is a wrapped, later slot.
+	for k := 1; k <= ringWords; k++ {
+		wi := (w + k) & (ringWords - 1)
+		if m := e.occ[wi]; m != 0 {
+			return wi<<6 + bits.TrailingZeros64(m)
+		}
+	}
+	return -1
+}
+
+// unlinkHead removes slot, the head of ring list i.
+func (e *Engine) unlinkHead(i int, slot int32) {
+	if slot == e.tail[i] {
+		e.occ[i>>6] &^= 1 << (i & 63)
+		return
+	}
+	e.head[i] = e.recs[slot].next
+}
+
+// migrate moves the far events whose slots the ring now covers into it.
+// They leave the heap in (when, seq) order, and the lists they join were
+// behind the old base and are still empty, so each appends at its tail.
+func (e *Engine) migrate() {
+	for len(e.far) > 0 {
+		ent := e.far[0]
+		s := ent.when >> slotShift
+		if s-e.base >= ringSlots {
+			return
+		}
+		e.popMin()
+		if e.recs[ent.slot].canceled {
+			e.freeSlot(ent.slot)
+			continue
+		}
+		e.ringInsert(ent.slot, ent.when, int(s&ringMask))
+	}
+}
+
+// push adds an entry to the far heap (sift-up): the hole climbs from the
+// new leaf, and ent is written once where it stops.
 func (e *Engine) push(ent heapEnt) {
-	h := append(e.heap, ent)
+	h := append(e.far, ent)
 	i := len(h) - 1
 	for i > 0 {
 		p := (i - 1) >> 2
@@ -372,17 +538,17 @@ func (e *Engine) push(ent heapEnt) {
 		i = p
 	}
 	h[i] = ent
-	e.heap = h
+	e.far = h
 }
 
-// popMin removes and returns the heap minimum: the last entry refills the
-// root (sift-down).
+// popMin removes and returns the far heap's minimum: the last entry
+// refills the root (sift-down).
 func (e *Engine) popMin() heapEnt {
-	h := e.heap
+	h := e.far
 	min := h[0]
 	n := len(h) - 1
 	last := h[n]
-	e.heap = h[:n]
+	e.far = h[:n]
 	if n > 0 {
 		e.siftDown(last)
 	}
@@ -392,7 +558,7 @@ func (e *Engine) popMin() heapEnt {
 // siftDown places ent into the root: the hole descends past every smaller
 // child, and ent is written once where it stops.
 func (e *Engine) siftDown(ent heapEnt) {
-	h := e.heap
+	h := e.far
 	n := len(h)
 	i := 0
 	for {
