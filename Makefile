@@ -1,13 +1,13 @@
 GO ?= go
 
-.PHONY: check fmt-check vet build test race fuzz-smoke fuzz-native sched-smoke churn-smoke churn-crash-smoke repair-smoke bench engine-bench-smoke tracker-bench-smoke switch-bench-smoke bench-module figures lint-hotpath
+.PHONY: check fmt-check vet build test race fuzz-smoke fuzz-native sched-smoke churn-smoke churn-crash-smoke repair-smoke bench engine-bench-smoke tracker-bench-smoke card-bench-smoke switch-bench-smoke bench-module figures lint-hotpath
 
 # The full CI gate, and its only definition (ci.sh runs it): static
 # checks, build, race-enabled tests, a short fixed-seed chaos-fuzz
 # campaign, time-boxed native fuzzing, and scheduler-evaluation smoke runs
 # (all but the native fuzzing deterministic; it gates on properties, not
 # outputs).
-check: fmt-check vet build race fuzz-smoke fuzz-native sched-smoke churn-smoke churn-crash-smoke repair-smoke engine-bench-smoke tracker-bench-smoke switch-bench-smoke bench-module lint-hotpath
+check: fmt-check vet build race fuzz-smoke fuzz-native sched-smoke churn-smoke churn-crash-smoke repair-smoke engine-bench-smoke tracker-bench-smoke card-bench-smoke switch-bench-smoke bench-module lint-hotpath
 
 # Formatting gate: fail on any file gofmt would rewrite.
 fmt-check:
@@ -100,8 +100,9 @@ repair-smoke:
 # and BenchmarkEngineWide (64, most in the far heap) must stay at 0
 # allocs/op (see DESIGN.md §6); BenchmarkPhaseTrackerEpoch
 # reports the flush tracker's ns/arrival, which stays flat in the peer
-# count; BenchmarkSwitchRound256 reports one whole switch round on 256
-# nodes.
+# count; BenchmarkCardStream reports the engine events per packet of one
+# card streaming small packets; BenchmarkSwitchRound256 reports one whole
+# switch round on 256 nodes.
 bench:
 	$(GO) test -run XXX -bench . -benchmem . ./internal/lanai ./internal/parpar
 
@@ -113,6 +114,11 @@ engine-bench-smoke:
 # One iteration of the flush-tracker micro-benchmark, likewise.
 tracker-bench-smoke:
 	$(GO) test -run XXX -bench PhaseTracker -benchtime 1x ./internal/lanai
+
+# A short run of the card-streaming benchmark, likewise; it prints its
+# events per packet.
+card-bench-smoke:
+	$(GO) test -run XXX -bench CardStream -benchtime 1000x ./internal/lanai
 
 # One iteration of the 256-node switch-round benchmark, likewise.
 switch-bench-smoke:

@@ -110,21 +110,19 @@ type Endpoint struct {
 	nextMsgID []uint64
 	pumping   bool
 	draining  bool
-	// pumpFrag carries the in-flight fragment length to pumpDoneFn — the
+	// pumpFrag carries the in-flight fragment length to pumpDone — the
 	// one shared injection-complete callback (at most one injection is in
 	// progress per endpoint, guarded by pumping).
-	pumpFrag   int
-	pumpDoneFn func()
-	// drainN carries the in-flight batch size to drainDoneFn (one batch at
+	pumpFrag int
+	// drainN carries the in-flight batch size to drainDone (one batch at
 	// a time, guarded by draining).
-	drainN      int
-	drainDoneFn func()
+	drainN int
 	// refillQ holds the peers whose refill host-cost grants are pending,
-	// in grant order (the CPU resource is FIFO); refillDoneFn pops from it.
-	refillQ     []int
-	refillHead  int
-	refillGrant func()
-	hooks       lanai.Hooks
+	// in grant order (the CPU resource is FIFO); refillGranted pops from
+	// it.
+	refillQ    []int
+	refillHead int
+	hooks      lanai.Hooks
 	// sendCopy is the write-combined copy of a packet into the card's
 	// send queue, priced once (see sendCost).
 	sendCopy memmodel.Transfer
@@ -171,13 +169,6 @@ func NewEndpoint(eng *sim.Engine, nic *lanai.NIC, cpu *sim.Resource, mem *memmod
 	for i := range e.sendCredits {
 		e.sendCredits[i] = cfg.C0
 	}
-	e.pumpDoneFn = func() {
-		e.pumping = false
-		e.completeSend(e.pumpFrag)
-		e.pump()
-	}
-	e.drainDoneFn = e.drainDone
-	e.refillGrant = e.refillGranted
 	e.hooks = lanai.Hooks{
 		OnArrive:    func(*lanai.Context) { e.drain() },
 		OnRefill:    func(_ *lanai.Context, p *myrinet.Packet) { e.refillArrived(p) },
@@ -337,7 +328,20 @@ func (e *Endpoint) pump() {
 	}
 	e.pumping = true
 	e.pumpFrag = fragLen
-	e.cpu.Use(e.sendCost(fragLen+myrinet.HeaderSize), e.pumpDoneFn)
+	e.cpu.UseArg(e.sendCost(fragLen+myrinet.HeaderSize), pumpDoneFn, e)
+}
+
+// The host-cost completions take the endpoint as their argument.
+func pumpDoneFn(a any)    { a.(*Endpoint).pumpDone() }
+func drainDoneFn(a any)   { a.(*Endpoint).drainDone() }
+func refillGrantFn(a any) { a.(*Endpoint).refillGranted() }
+
+// pumpDone finishes the injection whose host cost was just paid, then
+// starts the next.
+func (e *Endpoint) pumpDone() {
+	e.pumping = false
+	e.completeSend(e.pumpFrag)
+	e.pump()
 }
 
 // completeSend finishes the injection whose host cost was just paid. It
@@ -431,7 +435,7 @@ func (e *Endpoint) drain() {
 	}
 	e.draining = true
 	e.drainN = n
-	e.cpu.Use(sim.Time(n)*e.cfg.RecvOverhead, e.drainDoneFn)
+	e.cpu.UseArg(sim.Time(n)*e.cfg.RecvOverhead, drainDoneFn, e)
 }
 
 // drainDone finishes the extraction whose host cost was just paid (the
@@ -532,7 +536,7 @@ func (e *Endpoint) sendRefill(peer int) {
 	// The CPU resource grants in FIFO order, so the pending-peer queue and
 	// the grant callbacks pair up positionally — no closure needed.
 	e.refillQ = append(e.refillQ, peer)
-	e.cpu.Use(e.cfg.RefillOverhead, e.refillGrant)
+	e.cpu.UseArg(e.cfg.RefillOverhead, refillGrantFn, e)
 }
 
 // refillGranted runs when the host cost of the oldest pending refill has

@@ -182,6 +182,12 @@ type NIC struct {
 	scanPending bool
 	rr          int // round-robin cursor over context slots
 
+	// kick is the send scanner's re-arm at linkFree, held dormant as a
+	// reserved key while dormant is set: a scan that leaves every send
+	// queue empty re-arms nothing unless a touch (see wake) comes first.
+	kick    sim.Key
+	dormant bool
+
 	// recovery, when non-nil, enables the retransmission layer.
 	recovery *Recovery
 
@@ -196,11 +202,9 @@ type NIC struct {
 	// schemes); Halt/Ready are always handled by the flush trackers.
 	OnControl func(p *myrinet.Packet)
 
-	// scanFn/kickFn/depositFn/refillFn are the per-card callback values
-	// the firmware schedules with, created once so the per-packet paths
-	// allocate no closures.
-	scanFn    func()
-	kickFn    func()
+	// depositFn/refillFn are the per-card callback values the firmware
+	// schedules with, created once so the per-packet paths allocate no
+	// closures.
 	depositFn func(any)
 	refillFn  func(any)
 
@@ -260,6 +264,10 @@ var (
 // bcastFn is a declared function rather than a variable like the two
 // above because fire reschedules it.
 func bcastFn(a any) { a.(*bcast).fire() }
+
+// The send scanner's callbacks take the card as their argument.
+func scanFn(a any) { a.(*NIC).scan() }
+func kickFn(a any) { a.(*NIC).kickSender() }
 
 func (n *NIC) getOp() *ctrlOp {
 	if ln := len(n.opPool); ln > 0 {
@@ -349,8 +357,6 @@ func New(eng *sim.Engine, net *myrinet.Network, mem *memmodel.Model, cfg Config)
 		recvEngine: sim.NewResource(eng),
 		stats:      Stats{Drops: make(map[DropReason]uint64)},
 	}
-	n.scanFn = n.scan
-	n.kickFn = n.kickSender
 	n.depositFn = n.deposit
 	n.refillFn = n.refillArrived
 	n.relCompleteFn = n.releaseComplete
@@ -432,6 +438,7 @@ func (n *NIC) Halted() bool { return n.haltBit }
 // accommodate the request, or the job already has a context — the resource
 // scarcity that motivates the whole paper.
 func (n *NIC) Register(job myrinet.JobID, rank, sendSlots, recvSlots int, hooks Hooks) (*Context, error) {
+	n.wake()
 	if sendSlots <= 0 || recvSlots <= 0 {
 		return nil, fmt.Errorf("lanai: context for job %d needs positive queue sizes", job)
 	}
@@ -467,6 +474,7 @@ func (n *NIC) Register(job myrinet.JobID, rank, sendSlots, recvSlots int, hooks 
 
 // Unregister releases the context's card and DMA resources.
 func (n *NIC) Unregister(ctx *Context) {
+	n.wake()
 	if n.ContextFor(ctx.Job) == ctx {
 		n.bindJob(ctx.Job, nil)
 	}
@@ -488,8 +496,9 @@ func (n *NIC) Unregister(ctx *Context) {
 
 // SetIdentity rebinds a context to a different (job, rank) — the pointer
 // update half of the buffer switch: queue contents are swapped separately
-// by the glueFM layer.
+// by the glueFM layer, which loads a send queue only after this call.
 func (n *NIC) SetIdentity(ctx *Context, job myrinet.JobID, rank int, hooks Hooks) {
+	n.wake()
 	if n.ContextFor(ctx.Job) == ctx {
 		n.bindJob(ctx.Job, nil)
 	}
@@ -525,6 +534,7 @@ func (n *NIC) Contexts() []*Context { return n.contexts }
 // library must not call it when the queue is full (it should wait for
 // OnSendSpace), but the card tolerates it.
 func (n *NIC) EnqueueSend(ctx *Context, p *myrinet.Packet) bool {
+	n.wake()
 	if !ctx.SendQ.Enqueue(p) {
 		return false
 	}
@@ -545,12 +555,35 @@ func (n *NIC) kickSender() {
 		return
 	}
 	n.scanPending = true
-	n.eng.Schedule(n.cfg.SendOverhead, n.scanFn)
+	n.eng.ScheduleArg(n.cfg.SendOverhead, scanFn, n)
+}
+
+// wake resolves a dormant kick ahead of a touch that could make the
+// scanner armable: EnqueueSend, scan, HaltNetwork, releaseComplete,
+// Register, Unregister and SetIdentity call it first, and nothing else
+// fills a send queue or clears the halt bit or scanPending. If the kick's
+// key is still ahead it is filed under that key and fires as it always
+// would have. If the key has passed, no touch came between the scan and
+// it: every send queue was still empty when it would have fired, so it
+// would have done nothing, and it is dropped.
+func (n *NIC) wake() {
+	if n.dormant { // the check inlines into every touch; the filing does not
+		n.fileKick()
+	}
+}
+
+func (n *NIC) fileKick() {
+	n.dormant = false
+	if n.eng.Ahead(n.kick) {
+		n.eng.ScheduleReserved(n.kick, kickFn, n)
+	}
 }
 
 // scan is the armed send scanner's firing: inject one packet and re-arm
-// when the link frees.
+// when the link frees. A scan that leaves every send queue empty keeps
+// its re-arm dormant (see wake).
 func (n *NIC) scan() {
+	n.wake()
 	n.scanPending = false
 	// The firmware checks the halt bit before sending each packet
 	// (paper §3.2); if it was set while we were preparing, the
@@ -568,7 +601,11 @@ func (n *NIC) scan() {
 	if ctx.Hooks.OnSendSpace != nil {
 		ctx.Hooks.OnSendSpace(ctx)
 	}
-	n.eng.ScheduleAt(linkFree, n.kickFn)
+	if n.anyReady() {
+		n.eng.ScheduleArgAt(linkFree, kickFn, n)
+	} else {
+		n.kick, n.dormant = n.eng.Reserve(linkFree), true
+	}
 }
 
 // anyReady reports whether any context has a packet queued to send.
@@ -582,14 +619,19 @@ func (n *NIC) anyReady() bool {
 }
 
 // nextReady returns the next context with a queued packet, round-robin.
+// The cursor wraps by compare, not modulo: scan runs once per packet.
 func (n *NIC) nextReady() *Context {
-	if len(n.contexts) == 0 {
-		return nil
-	}
-	for i := 0; i < len(n.contexts); i++ {
-		ctx := n.contexts[(n.rr+i)%len(n.contexts)]
-		if ctx.SendQ.Len() > 0 {
-			n.rr = (n.rr + i + 1) % len(n.contexts)
+	k, j := len(n.contexts), n.rr
+	for i := 0; i < k; i++ {
+		if j >= k {
+			j = 0
+		}
+		ctx := n.contexts[j]
+		if j++; ctx.SendQ.Len() > 0 {
+			if j == k {
+				j = 0
+			}
+			n.rr = j
 			return ctx
 		}
 	}
@@ -619,6 +661,7 @@ func (n *NIC) SendRaw(p *myrinet.Packet) {
 // Myrinet has no hardware broadcast), and invoke onFlushed once halts
 // from all other nodes have been collected (state H,p of Figure 3).
 func (n *NIC) HaltNetwork(epoch uint64, onFlushed func()) {
+	n.wake()
 	n.haltBit = true
 	if n.flush.peers == 0 {
 		n.flush.LocalTransition(epoch, onFlushed)
@@ -658,6 +701,7 @@ func (n *NIC) ReleaseNetwork(epoch uint64, onReleased func()) {
 // previous context could still be on the wire is exactly the overlap the
 // three-stage protocol exists to prevent.
 func (n *NIC) releaseComplete() {
+	n.wake()
 	epoch, done := n.relEpoch, n.relDone
 	n.relBusy, n.relDone = false, nil
 	if !n.flush.Done(epoch) {

@@ -227,13 +227,20 @@ func TestScheduleArgNoAlloc(t *testing.T) {
 
 // TestHeapProperty checks the two-tier event queue against a reference
 // that keeps the pending events sorted by (when, seq). Each seeded run
-// mixes outside schedules and cancels, Step, RunUntil and peeks, with
-// callbacks that schedule 0, 1 or 2 events and sometimes cancel one or
-// peek before scheduling. Delays span several ring widths, so events queue
-// in the far heap and migrate; some land on the last ring slot or the
-// first far one; some are on a coarse grid, so far events tie with the
-// events a callback schedules just as the base advances; cancels often hit
-// the queue's head; and RunUntil sometimes jumps past the whole ring.
+// mixes outside schedules, reservations and cancels, Step, RunUntil and
+// peeks, with callbacks that schedule 0, 1 or 2 events and sometimes
+// cancel one, reserve a key, file a reserved one or peek before
+// scheduling. Delays span several ring widths, so events queue in the far
+// heap and migrate; some land on the last ring slot or the first far one;
+// some are on a coarse grid, so far events tie with the events a callback
+// schedules just as the base advances; cancels often hit the queue's
+// head; and RunUntil sometimes jumps past the whole ring or stops exactly
+// on a reserved key's time. Reserved keys are taken at the current
+// instant or later and filed while the reference says they are ahead;
+// some are filed behind the position (and must be refused by Ahead) and
+// some never. The run counts where filed keys landed (a ring list's head,
+// middle or tail, the far heap, the current instant) and fails if any
+// case never happened.
 func TestHeapProperty(t *testing.T) {
 	type refEv struct {
 		when Time
@@ -241,18 +248,26 @@ func TestHeapProperty(t *testing.T) {
 		ev   Event
 	}
 	const span = ringSlots << slotShift // cycles the ring covers
+	var landed struct{ head, middle, tail, far, instant int }
 	for seed := int64(1); seed <= 300; seed++ {
 		rng := rand.New(rand.NewSource(seed))
 		e := NewEngine()
 		var ref []refEv // pending events in (when, seq) order
 		var seq uint64
+		var dormant []Key // reserved keys not yet filed or dropped
+		var pos Key       // the reference firing position
+		var maxReserved Time
 		fail := func(format string, args ...any) {
 			t.Helper()
 			t.Fatalf("seed %d: "+format, append([]any{seed}, args...)...)
 		}
+		keyLess := func(a, b Key) bool { return a.When < b.When || a.When == b.When && a.Seq < b.Seq }
+		refInsert := func(k Key, ev Event) {
+			i := sort.Search(len(ref), func(i int) bool { return keyLess(k, Key{ref[i].when, ref[i].seq}) })
+			ref = slices.Insert(ref, i, refEv{k.When, k.Seq, ev})
+		}
 		var fire func(any)
-		schedule := func() {
-			seq++
+		pickTime := func() Time {
 			now := e.Now()
 			at := now + Time(rng.Intn(40)) // narrow spread: many ties
 			switch rng.Intn(8) {
@@ -264,12 +279,58 @@ func TestHeapProperty(t *testing.T) {
 				if b := (e.base+ringSlots-1+Time(rng.Intn(2)))<<slotShift + Time(rng.Intn(1<<slotShift)); b >= now {
 					at = b
 				}
+			case 3: // the current instant
+				at = now
 			}
-			ev := e.ScheduleArgAt(at, fire, seq)
+			return at
+		}
+		schedule := func() {
+			seq++
+			at := pickTime()
 			// seq exceeds every pending key's, so the event goes after
 			// all others at the same time.
-			i := sort.Search(len(ref), func(i int) bool { return ref[i].when > at })
-			ref = slices.Insert(ref, i, refEv{at, seq, ev})
+			refInsert(Key{at, seq}, e.ScheduleArgAt(at, fire, seq))
+		}
+		reserve := func() {
+			seq++
+			at := pickTime()
+			k := e.Reserve(at)
+			if k != (Key{at, seq}) {
+				fail("Reserve(%d) = %+v, want seq %d", at, k, seq)
+			}
+			maxReserved = max(maxReserved, at)
+			dormant = append(dormant, k)
+		}
+		file := func() {
+			if len(dormant) == 0 {
+				return
+			}
+			i := rng.Intn(len(dormant))
+			k := dormant[i]
+			dormant = slices.Delete(dormant, i, i+1)
+			ahead := keyLess(pos, k)
+			if e.Ahead(k) != ahead {
+				fail("Ahead(%+v) = %v at position %+v", k, !ahead, pos)
+			}
+			if !ahead {
+				return // it would have fired already: dropped
+			}
+			ev := e.ScheduleReserved(k, fire, k.Seq)
+			refInsert(k, ev)
+			switch li := int(k.When>>slotShift) & ringMask; {
+			case k.When == e.Now():
+				landed.instant++
+			case k.When>>slotShift-e.base >= ringSlots:
+				landed.far++
+			case e.head[li] == ev.slot && e.tail[li] == ev.slot:
+				// alone in its list: no order to get wrong
+			case e.head[li] == ev.slot:
+				landed.head++
+			case e.tail[li] == ev.slot:
+				landed.tail++
+			default:
+				landed.middle++
+			}
 		}
 		cancel := func() {
 			if len(ref) == 0 {
@@ -296,18 +357,27 @@ func TestHeapProperty(t *testing.T) {
 				fail("fired event %d at %d, reference head %v", id, e.Now(), ref[:min(1, len(ref))])
 			}
 			ref = ref[1:]
+			pos = Key{e.Now(), id}
+			if e.Ahead(pos) || !e.Ahead(Key{pos.When, id + 1}) {
+				fail("firing %+v: the position is not the firing event's key", pos)
+			}
 			if rng.Intn(4) == 0 {
 				peek()
 			}
 			for k := rng.Intn(3); k > 0; k-- {
 				schedule()
 			}
-			if rng.Intn(5) == 0 {
+			switch rng.Intn(5) {
+			case 0:
 				cancel()
+			case 1:
+				reserve()
+			case 2:
+				file()
 			}
 		}
 		for op := 0; op < 400; op++ {
-			switch rng.Intn(6) {
+			switch rng.Intn(8) {
 			case 0, 1:
 				schedule()
 			case 2:
@@ -318,15 +388,26 @@ func TestHeapProperty(t *testing.T) {
 				}
 			case 4:
 				limit := e.Now() + Time(rng.Intn(60))
-				if rng.Intn(8) == 0 {
+				switch rng.Intn(8) {
+				case 0:
 					limit = e.Now() + Time(span+rng.Intn(2*span))
+				case 1, 2: // stop on a reserved key's time
+					if len(dormant) > 0 {
+						limit = max(limit, dormant[rng.Intn(len(dormant))].When)
+					}
 				}
 				e.RunUntil(limit)
 				if e.Now() != limit || len(ref) > 0 && ref[0].when <= limit {
 					fail("RunUntil(%d) left the clock at %d with head %v", limit, e.Now(), ref[:min(1, len(ref))])
 				}
+				// Everything at limit issued so far would have fired.
+				pos = Key{limit, seq}
 			case 5:
 				peek()
+			case 6:
+				reserve()
+			case 7:
+				file()
 			}
 			if e.Pending() != len(ref) {
 				fail("Pending() = %d, reference holds %d", e.Pending(), len(ref))
@@ -339,5 +420,17 @@ func TestHeapProperty(t *testing.T) {
 		if len(ref) != 0 {
 			fail("queue drained with %d reference events unfired", len(ref))
 		}
+		if want := max(pos.When, maxReserved); e.Now() != want {
+			fail("drained Run left the clock at %d, want %d (last firing or latest reserved key)", e.Now(), want)
+		}
+		for _, k := range dormant {
+			if e.Ahead(k) {
+				fail("key %+v still ahead after the queue drained", k)
+			}
+		}
 	}
+	if landed.head == 0 || landed.middle == 0 || landed.tail == 0 || landed.far == 0 || landed.instant == 0 {
+		t.Fatalf("reserved keys never filed in some position: %+v", landed)
+	}
+	t.Logf("reserved keys filed: %+v", landed)
 }

@@ -1,11 +1,9 @@
 package sim
 
 import (
-	"cmp"
 	"fmt"
 	"math"
 	"runtime"
-	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -77,7 +75,6 @@ type Group struct {
 	// The current window's work list and barrier.
 	active  []*Engine
 	horizon Time
-	xfer    []crossMsg
 	widx    atomic.Int64
 	wexit   atomic.Int64
 	epoch   atomic.Uint64
@@ -156,14 +153,15 @@ func (g *Group) Stop() { g.stopReq.Store(true) }
 func (g *Group) run(limit Time, bounded bool) {
 	g.stopReq.Store(false)
 	g.runWindows(limit, bounded)
-	if bounded {
-		for _, e := range g.all {
+	for _, e := range g.all {
+		switch {
+		case bounded:
 			// Window horizons may have parked a lane at limit+1 (the
 			// window that covers events at limit exactly); RunUntil's
 			// contract is that every clock reads limit afterwards.
-			if e.now != limit {
-				e.now = limit
-			}
+			e.now, e.cur = limit, e.seq
+		case !g.stopReq.Load():
+			e.drained()
 		}
 	}
 }
@@ -203,7 +201,7 @@ func (g *Group) runWindows(limit Time, bounded bool) {
 		if tG, ok := g.global.peekWhen(); ok && tG < h {
 			h = tG
 		}
-		if bounded && h > limit+1 {
+		if bounded && h-1 > limit { // h >= 1; limit+1 would wrap at the end of time
 			h = limit + 1
 		}
 		g.runShardsTo(h)
@@ -239,9 +237,7 @@ func (g *Group) runShardsTo(h Time) {
 		}
 	}
 	for _, s := range g.shards {
-		if s.now < h {
-			s.now = h
-		}
+		s.parkBefore(h)
 	}
 }
 
@@ -307,33 +303,26 @@ func (g *Group) stopWorkers() {
 	g.nhelp = 0
 }
 
-// drain moves every parked cross-shard message into its target queue. The
-// stable sort by time (preserving source-shard order among ties) makes the
-// insertion sequence deterministic, so target seq assignment — and with it
-// every future tie-break — is independent of how goroutines interleaved
-// during the window.
+// drain moves every parked cross-shard message into its target queue, in
+// shard order and, within a shard, post order. That order depends only on
+// what each shard posted, not on how goroutines interleaved during the
+// window. It needs no sort by time: the drained posts take one contiguous
+// block of seqs on each target, after every event already queued there
+// and before any scheduled later, and seq only breaks ties among equal
+// times. Among posts at one time, the order (source shard, post order) is
+// exactly what a stable sort by time would have kept.
 func (g *Group) drain() {
-	n := 0
 	for _, s := range g.shards {
-		n += len(s.outbox)
-	}
-	if n == 0 {
-		return
-	}
-	g.xfer = g.xfer[:0]
-	for _, s := range g.shards {
-		g.xfer = append(g.xfer, s.outbox...)
-		s.outbox = s.outbox[:0]
-	}
-	slices.SortStableFunc(g.xfer, func(a, b crossMsg) int { return cmp.Compare(a.when, b.when) })
-	for i := range g.xfer {
-		m := &g.xfer[i]
-		if m.when < m.to.now {
-			panic(fmt.Sprintf(
-				"sim: cross-shard event at t=%d is behind lane %d's frontier %d — a cross-shard interaction undercut the declared lookahead %d",
-				m.when, m.to.shard, m.to.now, g.lookahead))
+		for i := range s.outbox {
+			m := &s.outbox[i]
+			if m.when < m.to.now {
+				panic(fmt.Sprintf(
+					"sim: cross-shard event at t=%d is behind lane %d's frontier %d — a cross-shard interaction undercut the declared lookahead %d",
+					m.when, m.to.shard, m.to.now, g.lookahead))
+			}
+			m.to.schedule(m.when, m.fn, m.arg)
+			m.to, m.fn, m.arg = nil, nil, nil
 		}
-		m.to.schedule(m.when, m.fn, m.arg)
-		m.to, m.fn, m.arg = nil, nil, nil
+		s.outbox = s.outbox[:0]
 	}
 }

@@ -3,7 +3,9 @@ package sim
 import (
 	"fmt"
 	"runtime"
+	"slices"
 	"testing"
+	"time"
 )
 
 // stormRec is one executed event in a lookahead storm: the lane's clock at
@@ -171,5 +173,83 @@ func TestGroupStats(t *testing.T) {
 	g.Run()
 	if got, want := g.Stats(), (GroupStats{Windows: 3, ShardWindows: 4, Fired: 6}); got != want {
 		t.Fatalf("Stats() = %+v, want %+v", got, want)
+	}
+}
+
+// TestGroupRunUntilEndOfTime: a limit of ^Time(0) used to wrap the window
+// horizon's limit+1 to 0, so no shard was ever active and the loop never
+// ended.
+func TestGroupRunUntilEndOfTime(t *testing.T) {
+	g := NewGroup(GroupConfig{Shards: 2, Lookahead: 10, Workers: 1})
+	fired := false
+	g.Shard(0).ScheduleAt(5, func() { fired = true })
+	done := make(chan struct{})
+	go func() {
+		g.RunUntil(^Time(0))
+		close(done)
+	}()
+	select {
+	case <-done:
+	case <-time.After(30 * time.Second):
+		t.Fatal("RunUntil(^Time(0)) did not return")
+	}
+	if !fired || g.Shard(0).Now() != ^Time(0) {
+		t.Fatalf("fired=%v, shard clock %d; want the event run and the clock at the limit", fired, g.Shard(0).Now())
+	}
+}
+
+// TestDrainOrdersEqualTimePosts pins the order cross-shard posts fire in
+// at their target: by time, then source shard, then post order, whatever
+// order of times each shard posted in. A post queues behind an event the
+// target held before the barrier at the same time.
+func TestDrainOrdersEqualTimePosts(t *testing.T) {
+	for _, workers := range []int{1, 3} {
+		g := NewGroup(GroupConfig{Shards: 3, Lookahead: 10, Workers: workers})
+		dst := g.Shard(2)
+		var got []string
+		note := func(tag string) func() {
+			return func() { got = append(got, fmt.Sprintf("%s@%d", tag, dst.Now())) }
+		}
+		dst.ScheduleAt(100, note("held"))
+		post := func(src int, posts ...any) {
+			lane := g.Shard(src)
+			lane.ScheduleAt(0, func() {
+				for i := 0; i < len(posts); i += 2 {
+					lane.CrossAt(dst, posts[i].(Time), note(posts[i+1].(string)))
+				}
+			})
+		}
+		// Each shard posts its later time first.
+		post(1, Time(100), "b0", Time(50), "b1")
+		post(0, Time(100), "a0", Time(50), "a1", Time(100), "a2")
+		g.Run()
+		want := []string{"a1@50", "b1@50", "held@100", "a0@100", "a2@100", "b0@100"}
+		if !slices.Equal(got, want) {
+			t.Fatalf("workers=%d: fired %v, want %v", workers, got, want)
+		}
+	}
+}
+
+// TestWindowParkResetsPosition: a shard parked at a window horizon h has
+// fired nothing at h, so a key reserved at h is still ahead there, even
+// one taken before the events the window fired.
+func TestWindowParkResetsPosition(t *testing.T) {
+	g := NewGroup(GroupConfig{Shards: 1, Lookahead: 100, Workers: 1})
+	lane := g.Shard(0)
+	k := lane.Reserve(100)
+	lane.ScheduleAt(0, func() {})
+	filed := false
+	g.Global().ScheduleAt(100, func() {
+		// The window [0, 100) ran the shard event at 0 and parked the
+		// shard at 100; the global lane runs before any shard event at
+		// 100.
+		if lane.Now() != 100 || !lane.Ahead(k) {
+			t.Fatalf("shard clock %d, Ahead(%+v) = %v; want 100, true", lane.Now(), k, lane.Ahead(k))
+		}
+		lane.ScheduleReserved(k, func(any) { filed = true }, nil)
+	})
+	g.Run()
+	if !filed {
+		t.Fatal("the reserved event filed at the horizon never fired")
 	}
 }

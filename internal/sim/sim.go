@@ -47,6 +47,22 @@
 // in cache. A ring of 16,384 one-cycle slots (128 KB of slot arrays per
 // engine) was tried first: on the shallow-queue bandwidth workload it ran
 // each point 1-6% slower and used 3-6% more memory.
+//
+// An event's Key is its (time, seq) pair, its place in that order. A
+// caller that knows an event will do nothing unless something changes
+// before it fires can reserve the key instead of scheduling the event:
+// Reserve takes the next seq, exactly as a schedule at that point would,
+// and queues nothing. If the change comes, ScheduleReserved files the
+// event under the reserved key, where it would have stood all along; if
+// the key has already been passed, the event would have fired as a no-op
+// and is dropped. Dropping it leaves the relative order of every other
+// event as it was. The firing position decides which: it is now plus the
+// seq of the event firing at now, and Ahead reports whether a key is past
+// it. RunUntil(limit) moves the position to limit past every seq issued
+// so far (everything at limit has fired); a window park at h moves it to
+// h before every seq (nothing at h has). A Run that drains the queue
+// lifts the clock to the latest reserved time, where the last dropped
+// event would have left it.
 package sim
 
 import (
@@ -115,13 +131,21 @@ func (b ByteCost) Cycles(n int) Time {
 // Event is a handle to a scheduled callback, returned by Engine.Schedule
 // and friends. It is a small value (not a pointer into the engine): the
 // underlying event record is recycled after the event fires or its
-// cancellation is collected, and the generation check in Cancel makes a
-// stale handle harmless. The zero Event is valid and never pending.
+// cancellation is collected, and Cancel's seq check makes a stale handle
+// harmless (seqs are never reused, and a free record holds seq 0). The
+// zero Event is valid and never pending.
 type Event struct {
 	eng  *Engine
 	slot int32
-	gen  uint64
+	seq  uint64
 	when Time
+}
+
+// Key is an event's place in the firing order: events fire by When, ties
+// by Seq, the order in which they were scheduled or reserved.
+type Key struct {
+	When Time
+	Seq  uint64
 }
 
 // When returns the virtual time at which the event will fire or fired.
@@ -136,7 +160,7 @@ func (ev Event) Cancel() bool {
 		return false
 	}
 	r := &e.recs[ev.slot]
-	if r.gen != ev.gen || r.canceled {
+	if r.seq != ev.seq || r.canceled {
 		return false
 	}
 	r.canceled = true
@@ -145,17 +169,22 @@ func (ev Event) Cancel() bool {
 	return true
 }
 
-// eventRec is the arena-resident part of an event: the callback, its fire
-// time and the liveness bookkeeping. next links the record into its near
-// ring slot's list. Every event has the one (fn, arg) form; a plain func()
+// eventRec is the arena-resident part of an event: the callback, its key
+// and the liveness bookkeeping. next links the record into its near ring
+// slot's list. Every event has the one (fn, arg) form; a plain func()
 // rides as the arg of Call.
 type eventRec struct {
 	fn       func(any)
 	arg      any
-	gen      uint64 // bumped on every recycle; stale handles mismatch
+	seq      uint64 // 0 while the record is free; stale handles mismatch
 	when     Time
 	next     int32 // successor in the ring slot's list
 	canceled bool
+}
+
+// before reports whether r's key precedes (t, seq).
+func (r *eventRec) before(t Time, seq uint64) bool {
+	return r.when < t || r.when == t && r.seq < seq
 }
 
 // heapEnt is one entry of the far tier's 4-ary min-heap: the ordering key
@@ -204,10 +233,15 @@ type Engine struct {
 	tail [ringSlots]int32
 
 	far     []heapEnt // 4-ary min-heap of events at slots >= base+ringSlots
-	seq     uint64
+	seq     uint64    // the last seq issued, by a schedule or a reservation
 	fired   uint64
 	pending int // scheduled and not canceled
 	stopped bool
+
+	// The firing position is (now, cur): cur is the seq of the event
+	// firing at now. reserved is the latest time any key was reserved for.
+	cur      uint64
+	reserved Time
 
 	// Sharded-mode fields, nil/zero on standalone engines. shard is the
 	// lane index within the group (-1 for the global lane); outbox parks
@@ -241,7 +275,7 @@ func Call(f any) { f.(func())() }
 
 // Schedule queues fn to run delay cycles from now and returns the event.
 func (e *Engine) Schedule(delay Time, fn func()) Event {
-	return e.schedule(e.Now()+delay, Call, fn)
+	return e.schedule(e.now+delay, Call, fn)
 }
 
 // ScheduleAt queues fn to run at absolute time t. Scheduling in the past
@@ -255,7 +289,7 @@ func (e *Engine) ScheduleAt(t Time, fn func()) Event {
 // hot paths can use one long-lived callback value instead of allocating a
 // fresh closure per event; passing a pointer-typed arg does not allocate.
 func (e *Engine) ScheduleArg(delay Time, fn func(any), arg any) Event {
-	return e.schedule(e.Now()+delay, fn, arg)
+	return e.schedule(e.now+delay, fn, arg)
 }
 
 // ScheduleArgAt queues fn(arg) to run at absolute time t (see ScheduleArg).
@@ -264,10 +298,47 @@ func (e *Engine) ScheduleArgAt(t Time, fn func(any), arg any) Event {
 }
 
 func (e *Engine) schedule(t Time, fn func(any), arg any) Event {
+	e.seq++
+	return e.insert(t, e.seq, fn, arg)
+}
+
+// Reserve takes the key of an event at t, t >= now, without queuing
+// anything: the seq is the one a schedule here would have taken. The
+// caller later files the event with ScheduleReserved while Ahead reports
+// the key still ahead, or drops it; see the package comment for when that
+// is exact.
+func (e *Engine) Reserve(t Time) Key {
+	if t < e.now {
+		panic(fmt.Sprintf("sim: key reserved at %d, before now=%d", t, e.now))
+	}
+	e.seq++
+	e.reserved = max(e.reserved, t)
+	return Key{When: t, Seq: e.seq}
+}
+
+// Ahead reports whether k is past the firing position: an event with
+// that key would not have fired yet.
+func (e *Engine) Ahead(k Key) bool {
+	return k.When > e.now || k.When == e.now && k.Seq > e.cur
+}
+
+// ScheduleReserved queues fn(arg) under the reserved key k, where it would
+// have stood had it been scheduled when k was reserved. k must be ahead
+// and filed at most once.
+func (e *Engine) ScheduleReserved(k Key, fn func(any), arg any) Event {
+	if !e.Ahead(k) {
+		panic(fmt.Sprintf("sim: reserved key %+v filed behind the firing position (%d, %d)", k, e.now, e.cur))
+	}
+	return e.insert(k.When, k.Seq, fn, arg)
+}
+
+// insert files fn(arg) under the key (t, seq) into the tier that covers t.
+// Scheduling in the past panics: it always indicates a cost-accounting
+// bug, and silently clamping would corrupt causality.
+func (e *Engine) insert(t Time, seq uint64, fn func(any), arg any) Event {
 	if t < e.now {
 		panic(fmt.Sprintf("sim: event scheduled at %d, before now=%d", t, e.now))
 	}
-	e.seq++
 	var slot int32
 	if n := len(e.free); n > 0 {
 		slot = e.free[n-1]
@@ -278,22 +349,23 @@ func (e *Engine) schedule(t Time, fn func(any), arg any) Event {
 	}
 	r := &e.recs[slot]
 	r.fn, r.arg = fn, arg
-	r.when = t
+	r.when, r.seq = t, seq
 	r.canceled = false
 	if s := t >> slotShift; s-e.base < ringSlots {
-		e.ringInsert(slot, t, int(s&ringMask))
+		e.ringInsert(slot, t, seq, int(s&ringMask))
 	} else {
-		e.push(heapEnt{when: t, seq: e.seq, slot: slot})
+		e.push(heapEnt{when: t, seq: seq, slot: slot})
 	}
 	e.pending++
-	return Event{eng: e, slot: slot, gen: r.gen, when: t}
+	return Event{eng: e, slot: slot, seq: seq, when: t}
 }
 
-// ringInsert files arena slot (firing at t) into ring list i, after every
-// entry with when <= t. A new event carries the largest seq so far, and
-// migrated events arrive in (when, seq) order, so that position keeps the
-// list sorted by (when, seq); it is the tail in the common case.
-func (e *Engine) ringInsert(slot int32, t Time, i int) {
+// ringInsert files arena slot, keyed (t, seq), into ring list i after
+// every entry with a smaller key, keeping the list sorted. A scheduled
+// event carries the largest seq so far, so it goes after every entry at
+// or before t: the tail, in the common case. A reserved key may sort
+// before entries at t scheduled since it was taken.
+func (e *Engine) ringInsert(slot int32, t Time, seq uint64, i int) {
 	w, bit := i>>6, uint64(1)<<(i&63)
 	if e.occ[w]&bit == 0 {
 		e.occ[w] |= bit
@@ -301,30 +373,30 @@ func (e *Engine) ringInsert(slot int32, t Time, i int) {
 		return
 	}
 	recs := e.recs
-	if tl := e.tail[i]; recs[tl].when <= t {
+	if tl := e.tail[i]; recs[tl].before(t, seq) {
 		recs[tl].next = slot
 		e.tail[i] = slot
 		return
 	}
 	p := e.head[i]
-	if recs[p].when > t {
+	if !recs[p].before(t, seq) {
 		recs[slot].next = p
 		e.head[i] = slot
 		return
 	}
-	// The tail fires after t, so the walk stops before it.
-	for recs[recs[p].next].when <= t {
+	// The tail sorts after the new key, so the walk stops before it.
+	for recs[recs[p].next].before(t, seq) {
 		p = recs[p].next
 	}
 	recs[slot].next = recs[p].next
 	recs[p].next = slot
 }
 
-// freeSlot recycles an arena slot that has left the queue. The
-// generation bump invalidates every outstanding handle to the old event.
+// freeSlot recycles an arena slot that has left the queue. Clearing the
+// seq invalidates every outstanding handle to the old event.
 func (e *Engine) freeSlot(slot int32) {
 	r := &e.recs[slot]
-	r.gen++
+	r.seq = 0
 	r.fn, r.arg = nil, nil
 	r.canceled = false
 	e.free = append(e.free, slot)
@@ -360,6 +432,7 @@ func (e *Engine) fireNext(limit Time) bool {
 		e.migrate()
 	}
 	fn, arg := r.fn, r.arg
+	e.cur = r.seq
 	// Recycle before invoking: the callback may schedule into the
 	// same slot, and holding dead callbacks alive would leak.
 	e.freeSlot(slot)
@@ -370,7 +443,9 @@ func (e *Engine) fireNext(limit Time) bool {
 	return true
 }
 
-// Run executes events until the queue drains or Stop is called.
+// Run executes events until the queue drains or Stop is called. A drained
+// run leaves the clock at the latest reserved key's time if that is later
+// than the last event's.
 func (e *Engine) Run() {
 	if e.group != nil {
 		panic("sim: Run called on a grouped engine; drive the Group instead")
@@ -378,6 +453,16 @@ func (e *Engine) Run() {
 	e.stopped = false
 	for !e.stopped && e.Step() {
 	}
+	if !e.stopped {
+		e.drained()
+	}
+}
+
+// drained settles the firing position once the queue has run dry: every
+// key issued so far counts as fired, and the clock stands at the latest
+// of them, reserved ones included.
+func (e *Engine) drained() {
+	e.now, e.cur = max(e.now, e.reserved), e.seq
 }
 
 // RunUntil executes all events with time <= limit, then advances the clock
@@ -389,8 +474,10 @@ func (e *Engine) RunUntil(limit Time) {
 	e.stopped = false
 	for !e.stopped && e.fireNext(limit) {
 	}
-	if e.now < limit {
-		e.now = limit
+	// Every event at or before limit has fired, so every key at limit
+	// issued so far counts as fired too.
+	if e.now <= limit {
+		e.now, e.cur = limit, e.seq
 	}
 }
 
@@ -432,8 +519,14 @@ func (e *Engine) CrossArgAt(target *Engine, t Time, fn func(any), arg any) {
 func (e *Engine) runWindow(h Time) {
 	for e.fireNext(h - 1) { // h >= 1: a window covers at least one event
 	}
+	e.parkBefore(h)
+}
+
+// parkBefore advances the clock to h once every event before h has fired:
+// the position stands before every seq at h.
+func (e *Engine) parkBefore(h Time) {
 	if e.now < h {
-		e.now = h
+		e.now, e.cur = h, 0
 	}
 }
 
@@ -520,7 +613,7 @@ func (e *Engine) migrate() {
 			e.freeSlot(ent.slot)
 			continue
 		}
-		e.ringInsert(ent.slot, ent.when, int(s&ringMask))
+		e.ringInsert(ent.slot, ent.when, ent.seq, int(s&ringMask))
 	}
 }
 
