@@ -1,13 +1,13 @@
 GO ?= go
 
-.PHONY: check fmt-check vet build test race fuzz-smoke fuzz-native sched-smoke churn-smoke churn-crash-smoke repair-smoke bench engine-bench-smoke tracker-bench-smoke card-bench-smoke switch-bench-smoke bench-module figures lint-hotpath
+.PHONY: check fmt-check vet build test race fuzz-smoke fuzz-native sched-smoke churn-smoke churn-crash-smoke repair-smoke bench engine-bench-smoke tracker-bench-smoke card-bench-smoke switch-bench-smoke setup-bench-smoke bench-module figures lint-hotpath
 
 # The full CI gate, and its only definition (ci.sh runs it): static
 # checks, build, race-enabled tests, a short fixed-seed chaos-fuzz
 # campaign, time-boxed native fuzzing, and scheduler-evaluation smoke runs
 # (all but the native fuzzing deterministic; it gates on properties, not
 # outputs).
-check: fmt-check vet build race fuzz-smoke fuzz-native sched-smoke churn-smoke churn-crash-smoke repair-smoke engine-bench-smoke tracker-bench-smoke card-bench-smoke switch-bench-smoke bench-module lint-hotpath
+check: fmt-check vet build race fuzz-smoke fuzz-native sched-smoke churn-smoke churn-crash-smoke repair-smoke engine-bench-smoke tracker-bench-smoke card-bench-smoke switch-bench-smoke setup-bench-smoke bench-module lint-hotpath
 
 # Formatting gate: fail on any file gofmt would rewrite.
 fmt-check:
@@ -102,7 +102,8 @@ repair-smoke:
 # reports the flush tracker's ns/arrival, which stays flat in the peer
 # count; BenchmarkCardStream reports the engine events per packet of one
 # card streaming small packets; BenchmarkSwitchRound256 reports one whole
-# switch round on 256 nodes.
+# switch round on 256 nodes; BenchmarkClusterSetup256 reports the bytes
+# allocated building a 256-node sharded cluster with 128 pair jobs.
 bench:
 	$(GO) test -run XXX -bench . -benchmem . ./internal/lanai ./internal/parpar
 
@@ -123,6 +124,10 @@ card-bench-smoke:
 # One iteration of the 256-node switch-round benchmark, likewise.
 switch-bench-smoke:
 	$(GO) test -run XXX -bench SwitchRound256 -benchtime 1x ./internal/parpar
+
+# A short run of the 256-node set-up benchmark, with its B/op.
+setup-bench-smoke:
+	$(GO) test -run XXX -bench ClusterSetup256 -benchtime 3x -benchmem ./internal/parpar
 
 # The repository benchmark module (bench/, run by bench/run.sh) is its
 # own Go module: vet it and run its consistency tests.

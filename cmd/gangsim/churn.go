@@ -52,6 +52,7 @@ func runChurn(args []string, out io.Writer) int {
 	quick := fs.Bool("quick", false, "shrink the stream for a fast smoke run")
 	shards := fs.Int("shards", 0, "shard each cluster's engine into N event lanes (0 = unsharded)")
 	workers := fs.Int("workers", 0, "worker goroutines per sharded engine group (<=1 = one, on the coordinator)")
+	profile := profileFlags(fs)
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: gangsim churn [flags]")
 		fs.PrintDefaults()
@@ -90,6 +91,12 @@ func runChurn(args []string, out io.Writer) int {
 		fmt.Fprintln(os.Stderr, "gangsim churn: -mttr without -repair has no repair to time")
 		return 2
 	}
+	stop, err := profile()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "gangsim churn: %v\n", err)
+		return 1
+	}
+	defer stop()
 
 	var trace []schedeval.TraceJob
 	var crashes []schedeval.Crash

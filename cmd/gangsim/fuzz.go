@@ -27,9 +27,16 @@ func runFuzz(args []string, out io.Writer) int {
 		prob     = fs.Float64("prob", 0.2, "loss probability for -compare")
 		recovery = fs.Bool("recovery", false, "recovery campaign: plans drawn from the fault classes the self-healing switch layer absorbs; any failure, or a campaign in which the layer never acted, exits 1")
 	)
+	profile := profileFlags(fs)
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
+	stop, err := profile()
+	if err != nil {
+		fmt.Fprintf(out, "gangsim fuzz: %v\n", err)
+		return 1
+	}
+	defer stop()
 
 	if *recovery {
 		rep := fuzzer.FuzzRecovery(fuzzer.Config{Seed: *seed, Runs: *runs},

@@ -10,6 +10,8 @@
 //	gangsim sched [-seed S] [-policy P] [-scheme S] [-trace FILE]
 //	gangsim churn [-seed S] [-kill F] [-resize F] [-deadline F] [-trace FILE]
 //
+// Every subcommand also takes -cpuprofile F and -memprofile F.
+//
 // All runs are deterministic; -quick shrinks the sweeps for smoke runs,
 // and a fuzz failure replays exactly from its printed seed. Performance is
 // measured by the repository benchmark (bash bench/run.sh; see
@@ -77,24 +79,23 @@ func main() {
 	if len(os.Args) > 1 && os.Args[1] == "churn" {
 		os.Exit(runChurn(os.Args[2:], os.Stdout))
 	}
+	os.Exit(runFigures())
+}
+
+// runFigures runs the paper-experiment subcommands, which share the
+// global flag set, and returns the exit code.
+func runFigures() int {
 	quick := flag.Bool("quick", false, "shrink sweeps for a fast smoke run")
 	par := flag.Int("par", runtime.GOMAXPROCS(0), "max concurrently simulated points")
 	shards := flag.Int("shards", 0, "shard each cluster's engine into N event lanes (0 = unsharded)")
 	workers := flag.Int("workers", 0, "worker goroutines per sharded engine group (<=1 = one, on the coordinator)")
-	cpuprofile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memprofile := flag.String("memprofile", "", "write a heap profile to this file")
+	profile := profileFlags(flag.CommandLine)
 	flag.Usage = usage
 	flag.Parse()
 	if flag.NArg() != 1 {
 		usage()
-		os.Exit(2)
+		return 2
 	}
-	stop, err := startProfiles(*cpuprofile, *memprofile)
-	if err != nil {
-		fmt.Fprintf(os.Stderr, "gangsim: %v\n", err)
-		os.Exit(1)
-	}
-	defer stop()
 	p := experiments.Params{Quick: *quick, Parallel: *par, Shards: *shards, Workers: *workers}
 
 	cmds := map[string]func(experiments.Params){
@@ -121,11 +122,28 @@ func main() {
 	}
 	cmd, ok := cmds[flag.Arg(0)]
 	if !ok {
-		os.Exit(unknownSubcommand(os.Stderr, flag.Arg(0)))
+		return unknownSubcommand(os.Stderr, flag.Arg(0))
 	}
+	stop, err := profile()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "gangsim: %v\n", err)
+		return 1
+	}
+	defer stop()
 	start := time.Now()
 	cmd(p)
 	fmt.Printf("\n[%s completed in %.1fs]\n", flag.Arg(0), time.Since(start).Seconds())
+	return 0
+}
+
+// profileFlags registers -cpuprofile and -memprofile on fs, the profiling
+// flags every subcommand accepts. Call the returned start once the flags
+// are parsed and validated; run the stop it returns before exiting (a
+// deferred call in a function that returns the exit code).
+func profileFlags(fs *flag.FlagSet) (start func() (stop func(), err error)) {
+	cpuPath := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memPath := fs.String("memprofile", "", "write a heap profile to this file")
+	return func() (func(), error) { return startProfiles(*cpuPath, *memPath) }
 }
 
 // startProfiles begins a CPU profile and/or arranges a heap profile, each

@@ -2,6 +2,7 @@ package main
 
 import (
 	"os"
+	"path/filepath"
 	"strings"
 	"testing"
 
@@ -166,6 +167,34 @@ func TestChurnSubcommandDeterministic(t *testing.T) {
 		if got := run("-shards", "4", "-workers", w); got != base {
 			t.Fatalf("shards=4 workers=%s diverged from the unsharded run:\n--- base ---\n%s\n--- got ---\n%s",
 				w, base, got)
+		}
+	}
+}
+
+// TestChurnProfileFlags: the profiling flags reach a subcommand that owns
+// its flag set. Both profiles are written and non-empty, and the output
+// is byte-identical to a run without them.
+func TestChurnProfileFlags(t *testing.T) {
+	dir := t.TempDir()
+	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
+	run := func(args ...string) string {
+		var out strings.Builder
+		if code := runChurn(append([]string{"-quick"}, args...), &out); code != 0 {
+			t.Fatalf("exit %d:\n%s", code, out.String())
+		}
+		return out.String()
+	}
+	plain := run()
+	if profiled := run("-cpuprofile", cpu, "-memprofile", mem); profiled != plain {
+		t.Fatalf("profiling changed the output:\n--- plain ---\n%s\n--- profiled ---\n%s", plain, profiled)
+	}
+	for _, path := range []string{cpu, mem} {
+		fi, err := os.Stat(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if fi.Size() == 0 {
+			t.Fatalf("%s is empty", filepath.Base(path))
 		}
 	}
 }

@@ -28,6 +28,7 @@ func runSched(args []string, out io.Writer) int {
 	dumpTrace := fs.String("dump-trace", "", "also write the trace being evaluated to this file")
 	perJob := fs.Bool("per-job", false, "print per-job metric tables after the summary")
 	quick := fs.Bool("quick", false, "shrink the stream for a fast smoke run")
+	profile := profileFlags(fs)
 	fs.Usage = func() {
 		fmt.Fprintln(os.Stderr, "usage: gangsim sched [flags]")
 		fs.PrintDefaults()
@@ -59,6 +60,12 @@ func runSched(args []string, out io.Writer) int {
 		fmt.Fprintf(os.Stderr, "gangsim sched: unknown credit scheme %q (want partitioned, switched, or both)\n", *scheme)
 		return 2
 	}
+	stop, err := profile()
+	if err != nil {
+		fmt.Fprintf(os.Stderr, "gangsim sched: %v\n", err)
+		return 1
+	}
+	defer stop()
 
 	var trace []schedeval.TraceJob
 	if *traceFile != "" {

@@ -191,7 +191,11 @@ type Manager struct {
 
 	procs map[myrinet.JobID]*proc
 
-	topology map[myrinet.NodeID]bool
+	// topology is this node's routing-table view, indexed by NodeID over
+	// the fabric's NetworkNodes; members counts its true entries. Each
+	// node keeps its own: views diverge under eviction and rejoin.
+	topology []bool
+	members  int
 
 	lastEpoch uint64
 	history   []SwitchStats
@@ -225,7 +229,7 @@ func NewManager(eng *sim.Engine, nic *lanai.NIC, cpu *sim.Resource, mem *memmode
 		eng: eng, nic: nic, cpu: cpu, mem: mem, cfg: cfg,
 		alloc:    alloc,
 		procs:    make(map[myrinet.JobID]*proc),
-		topology: make(map[myrinet.NodeID]bool),
+		topology: make([]bool, nic.NetworkNodes()),
 	}
 	m.haltDoneFn = m.haltDone
 	m.copyWorkFn = m.copyWork
@@ -276,9 +280,10 @@ func (m *Manager) InitNode() error {
 	if m.inited {
 		return fmt.Errorf("core: node %d already initialized", m.nic.Node())
 	}
-	for i := 0; i < m.nic.NetworkNodes(); i++ {
-		m.topology[myrinet.NodeID(i)] = true
+	for i := range m.topology {
+		m.topology[i] = true
 	}
+	m.members = len(m.topology)
 	if m.cfg.Policy == fm.Switched {
 		ctx, err := m.nic.Register(myrinet.NoJob, -1, m.alloc.SendSlots, m.alloc.RecvSlots, lanai.Hooks{})
 		if err != nil {
@@ -292,29 +297,38 @@ func (m *Manager) InitNode() error {
 
 // AddNode records a node joining the topology (COMM_add_node). The
 // simulated fabric is fixed-size, so this is routing-table bookkeeping
-// with validation, as in the paper's implementation.
+// with validation, as in the paper's implementation; an ID outside the
+// fabric is rejected.
 func (m *Manager) AddNode(id myrinet.NodeID) error {
+	if id < 0 || int(id) >= len(m.topology) {
+		return fmt.Errorf("core: node %d outside the %d-node fabric", id, len(m.topology))
+	}
 	if m.topology[id] {
 		return fmt.Errorf("core: node %d already in topology", id)
 	}
 	m.topology[id] = true
+	m.members++
 	return nil
 }
 
 // RemoveNode records a node leaving the topology (COMM_remove_node).
 func (m *Manager) RemoveNode(id myrinet.NodeID) error {
-	if !m.topology[id] {
+	if !m.InTopology(id) {
 		return fmt.Errorf("core: node %d not in topology", id)
 	}
-	delete(m.topology, id)
+	m.topology[id] = false
+	m.members--
 	return nil
 }
 
 // Nodes returns the current topology size.
-func (m *Manager) Nodes() int { return len(m.topology) }
+func (m *Manager) Nodes() int { return m.members }
 
-// InTopology reports whether a node is in the routing-table view.
-func (m *Manager) InTopology(id myrinet.NodeID) bool { return m.topology[id] }
+// InTopology reports whether a node is in the routing-table view; an ID
+// outside the fabric never is.
+func (m *Manager) InTopology(id myrinet.NodeID) bool {
+	return id >= 0 && int(id) < len(m.topology) && m.topology[id]
+}
 
 // InitJob allocates a communication context for a process about to be
 // forked (COMM_init_job). In Partitioned mode this registers a dedicated

@@ -143,6 +143,62 @@ func TestTopologyBookkeeping(t *testing.T) {
 	}
 }
 
+func TestTopologyOutOfRange(t *testing.T) {
+	c := newCluster(t, 4, defaultCfg(4))
+	m := c.mgrs[0]
+	for _, id := range []myrinet.NodeID{-1, 4, 1000} {
+		if err := m.AddNode(id); err == nil {
+			t.Errorf("AddNode(%d) outside a 4-node fabric should fail", id)
+		}
+		if err := m.RemoveNode(id); err == nil {
+			t.Errorf("RemoveNode(%d) outside a 4-node fabric should fail", id)
+		}
+	}
+	if m.Nodes() != 4 {
+		t.Fatalf("Nodes() = %d after rejected calls, want 4", m.Nodes())
+	}
+}
+
+func TestTopologyNodesAcrossRemoveAddRemove(t *testing.T) {
+	c := newCluster(t, 4, defaultCfg(4))
+	m := c.mgrs[1]
+	steps := []struct {
+		remove bool
+		id     myrinet.NodeID
+		want   int
+	}{{true, 0, 3}, {false, 0, 4}, {true, 0, 3}, {true, 2, 2}, {false, 2, 3}}
+	for i, s := range steps {
+		var err error
+		if s.remove {
+			err = m.RemoveNode(s.id)
+		} else {
+			err = m.AddNode(s.id)
+		}
+		if err != nil {
+			t.Fatalf("step %d: %v", i, err)
+		}
+		if m.Nodes() != s.want {
+			t.Fatalf("step %d: Nodes() = %d, want %d", i, m.Nodes(), s.want)
+		}
+		if m.InTopology(s.id) == s.remove {
+			t.Fatalf("step %d: InTopology(%d) = %v", i, s.id, !s.remove)
+		}
+	}
+	// Views are per node: node 1's removals left node 0's view whole.
+	if c.mgrs[0].Nodes() != 4 || !c.mgrs[0].InTopology(0) {
+		t.Fatal("another node's topology view changed")
+	}
+}
+
+func TestInTopologyOutsideFabric(t *testing.T) {
+	c := newCluster(t, 2, defaultCfg(2))
+	for _, id := range []myrinet.NodeID{-1, -256, 2} {
+		if c.mgrs[0].InTopology(id) {
+			t.Errorf("InTopology(%d) = true outside a 2-node fabric", id)
+		}
+	}
+}
+
 func TestInitJobDuplicate(t *testing.T) {
 	c := newCluster(t, 2, defaultCfg(2))
 	c.addJob(t, 1)

@@ -143,7 +143,8 @@ func (g *Group) Stats() GroupStats {
 func (g *Group) Run() { g.run(0, false) }
 
 // RunUntil executes all events with time <= limit, then advances every
-// lane's clock to limit. Events beyond the limit stay queued.
+// lane's clock to limit unless Stop ended the run early. Events beyond the
+// limit stay queued.
 func (g *Group) RunUntil(limit Time) { g.run(limit, true) }
 
 // Stop makes the innermost Run/RunUntil return once the current event (or,
@@ -153,14 +154,19 @@ func (g *Group) Stop() { g.stopReq.Store(true) }
 func (g *Group) run(limit Time, bounded bool) {
 	g.stopReq.Store(false)
 	g.runWindows(limit, bounded)
+	if g.stopReq.Load() {
+		// A stopped run may have left events at or before limit
+		// pending: each lane stays where its last window parked it, so
+		// the next run never moves a clock backwards.
+		return
+	}
 	for _, e := range g.all {
-		switch {
-		case bounded:
+		if bounded {
 			// Window horizons may have parked a lane at limit+1 (the
 			// window that covers events at limit exactly); RunUntil's
 			// contract is that every clock reads limit afterwards.
 			e.now, e.cur = limit, e.seq
-		case !g.stopReq.Load():
+		} else {
 			e.drained()
 		}
 	}

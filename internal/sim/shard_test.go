@@ -198,6 +198,34 @@ func TestGroupRunUntilEndOfTime(t *testing.T) {
 	}
 }
 
+// TestGroupRunUntilStoppedKeepsClocks: a bounded group run that Stop ends
+// early leaves each lane where its last window parked it, not at the
+// limit, so the next Run fires the event still pending before the limit
+// without any lane's clock going backwards.
+func TestGroupRunUntilStoppedKeepsClocks(t *testing.T) {
+	g := NewGroup(GroupConfig{Shards: 2, Lookahead: 10, Workers: 1})
+	g.Shard(0).ScheduleAt(10, func() { g.Shard(0).Stop() })
+	var at Time
+	g.Shard(1).ScheduleAt(20, func() { at = g.Shard(1).Now() })
+	g.RunUntil(100)
+	clocks := make([]Time, len(g.all))
+	for i, e := range g.all {
+		clocks[i] = e.Now()
+		if clocks[i] > 20 {
+			t.Fatalf("lane %d clock %d after a run stopped at 10; the event at 20 is still pending", i, clocks[i])
+		}
+	}
+	g.Run()
+	if at != 20 {
+		t.Fatalf("pending event fired at %d, want 20", at)
+	}
+	for i, e := range g.all {
+		if e.Now() < clocks[i] {
+			t.Fatalf("lane %d clock went backwards: %d -> %d", i, clocks[i], e.Now())
+		}
+	}
+}
+
 // TestDrainOrdersEqualTimePosts pins the order cross-shard posts fire in
 // at their target: by time, then source shard, then post order, whatever
 // order of times each shard posted in. A post queues behind an event the

@@ -59,7 +59,8 @@
 // event as it was. The firing position decides which: it is now plus the
 // seq of the event firing at now, and Ahead reports whether a key is past
 // it. RunUntil(limit) moves the position to limit past every seq issued
-// so far (everything at limit has fired); a window park at h moves it to
+// so far (everything at limit has fired), unless Stop ended it early; a
+// window park at h moves it to
 // h before every seq (nothing at h has). A Run that drains the queue
 // lifts the clock to the latest reserved time, where the last dropped
 // event would have left it.
@@ -466,7 +467,8 @@ func (e *Engine) drained() {
 }
 
 // RunUntil executes all events with time <= limit, then advances the clock
-// to limit. Events scheduled beyond the limit stay queued.
+// to limit unless Stop ended the run early. Events scheduled beyond the
+// limit stay queued.
 func (e *Engine) RunUntil(limit Time) {
 	if e.group != nil {
 		panic("sim: RunUntil called on a grouped engine; drive the Group instead")
@@ -475,8 +477,10 @@ func (e *Engine) RunUntil(limit Time) {
 	for !e.stopped && e.fireNext(limit) {
 	}
 	// Every event at or before limit has fired, so every key at limit
-	// issued so far counts as fired too.
-	if e.now <= limit {
+	// issued so far counts as fired too. A stopped run may have left
+	// events at or before limit pending; its clock stays where the last
+	// event put it, so the next run never moves it backwards.
+	if !e.stopped && e.now <= limit {
 		e.now, e.cur = limit, e.seq
 	}
 }

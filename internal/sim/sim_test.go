@@ -164,6 +164,26 @@ func TestEngineStop(t *testing.T) {
 	}
 }
 
+// TestRunUntilStoppedKeepsClock: a RunUntil that Stop ends early leaves
+// the clock at the stopping event, not at the limit, so the next Run
+// fires the event still pending before the limit without the clock
+// going backwards.
+func TestRunUntilStoppedKeepsClock(t *testing.T) {
+	e := NewEngine()
+	e.ScheduleAt(10, func() { e.Stop() })
+	var at Time
+	e.ScheduleAt(20, func() { at = e.Now() })
+	e.RunUntil(100)
+	if e.Now() != 10 {
+		t.Fatalf("Now() = %d after a RunUntil stopped at 10, want 10", e.Now())
+	}
+	before := e.Now()
+	e.Run()
+	if at != 20 || at < before {
+		t.Fatalf("pending event fired at %d after the clock read %d; want 20, never backwards", at, before)
+	}
+}
+
 func TestEventChaining(t *testing.T) {
 	// Events scheduled from within events preserve causality.
 	e := NewEngine()
