@@ -57,7 +57,7 @@ func runChurn(args []string, out io.Writer) int {
 		fmt.Fprintln(os.Stderr, "usage: gangsim churn [flags]")
 		fs.PrintDefaults()
 	}
-	if err := fs.Parse(args); err != nil {
+	if !parseFlags(fs, args) {
 		return 2
 	}
 

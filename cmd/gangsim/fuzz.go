@@ -28,7 +28,11 @@ func runFuzz(args []string, out io.Writer) int {
 		recovery = fs.Bool("recovery", false, "recovery campaign: plans drawn from the fault classes the self-healing switch layer absorbs; any failure, or a campaign in which the layer never acted, exits 1")
 	)
 	profile := profileFlags(fs)
-	if err := fs.Parse(args); err != nil {
+	if !parseFlags(fs, args) {
+		return 2
+	}
+	if *runs < 1 {
+		fmt.Fprintf(out, "fuzz: -runs %d must be at least 1\n", *runs)
 		return 2
 	}
 	stop, err := profile()

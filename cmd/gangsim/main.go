@@ -136,6 +136,21 @@ func runFigures() int {
 	return 0
 }
 
+// parseFlags parses a subcommand's own flags and rejects positional
+// arguments, which none of those subcommands takes. False is a usage
+// error: exit 2.
+func parseFlags(fs *flag.FlagSet, args []string) bool {
+	if err := fs.Parse(args); err != nil {
+		return false
+	}
+	if fs.NArg() > 0 {
+		fmt.Fprintf(fs.Output(), "gangsim %s: unexpected argument %q\n", fs.Name(), fs.Arg(0))
+		fs.Usage()
+		return false
+	}
+	return true
+}
+
 // profileFlags registers -cpuprofile and -memprofile on fs, the profiling
 // flags every subcommand accepts. Call the returned start once the flags
 // are parsed and validated; run the stop it returns before exiting (a

@@ -53,11 +53,25 @@ func TestFuzzCompareSmoke(t *testing.T) {
 	}
 }
 
-// TestFuzzBadFlag: unknown flags exit with a usage error, not a panic.
+// TestFuzzBadFlag: unknown flags, a campaign of fewer than one run, an
+// out-of-range loss probability and a stray positional argument exit with
+// a usage error, not a panic and not a silent one-run campaign.
 func TestFuzzBadFlag(t *testing.T) {
-	var out strings.Builder
-	if code := runFuzz([]string{"-nope"}, &out); code != 2 {
-		t.Fatalf("exit %d for bad flag", code)
+	for _, args := range [][]string{
+		{"-nope"},
+		{"-runs", "0"},
+		{"-runs", "-1"},
+		{"-recovery", "-runs", "0"},
+		{"-compare", "-prob", "1.5"},
+		{"-runs", "3", "stray"},
+	} {
+		var out strings.Builder
+		if code := runFuzz(args, &out); code != 2 {
+			t.Fatalf("exit %d for %v, want 2:\n%s", code, args, out.String())
+		}
+		if args[len(args)-1] == "stray" && !strings.Contains(out.String(), `unexpected argument "stray"`) {
+			t.Fatalf("stray argument not named:\n%s", out.String())
+		}
 	}
 }
 
@@ -225,8 +239,9 @@ func TestChurnTraceRoundTrip(t *testing.T) {
 	}
 }
 
-// TestChurnBadFlags: unknown policies, flags, and out-of-range failure
-// knobs exit with a usage error, not a panic and not a silent clamp.
+// TestChurnBadFlags: unknown policies, flags, out-of-range failure knobs
+// and positional arguments exit with a usage error, not a panic and not a
+// silent clamp.
 func TestChurnBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-nope"},
@@ -244,6 +259,9 @@ func TestChurnBadFlags(t *testing.T) {
 		{"-trace", "t.trace", "-repair", "0.9"},
 		{"-mttr", "1000"},
 		{"-crash", "0.5", "-mttr", "1000"},
+		// Positional arguments: churn takes none.
+		{"-quick", "stray"},
+		{"stray"},
 	} {
 		var out strings.Builder
 		if code := runChurn(args, &out); code != 2 {
@@ -252,13 +270,14 @@ func TestChurnBadFlags(t *testing.T) {
 	}
 }
 
-// TestSchedBadFlags: unknown policies, schemes and flags exit with a
-// usage error, not a panic.
+// TestSchedBadFlags: unknown policies, schemes and flags, and positional
+// arguments, exit with a usage error, not a panic.
 func TestSchedBadFlags(t *testing.T) {
 	for _, args := range [][]string{
 		{"-nope"},
 		{"-policy", "warp"},
 		{"-scheme", "quantum"},
+		{"-quick", "stray"},
 	} {
 		var out strings.Builder
 		if code := runSched(args, &out); code != 2 {

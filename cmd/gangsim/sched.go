@@ -33,7 +33,7 @@ func runSched(args []string, out io.Writer) int {
 		fmt.Fprintln(os.Stderr, "usage: gangsim sched [flags]")
 		fs.PrintDefaults()
 	}
-	if err := fs.Parse(args); err != nil {
+	if !parseFlags(fs, args) {
 		return 2
 	}
 
