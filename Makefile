@@ -102,8 +102,9 @@ repair-smoke:
 # reports the flush tracker's ns/arrival, which stays flat in the peer
 # count; BenchmarkCardStream reports the engine events per packet of one
 # card streaming small packets; BenchmarkSwitchRound256 reports one whole
-# switch round on 256 nodes; BenchmarkClusterSetup256 reports the bytes
-# allocated building a 256-node sharded cluster with 128 pair jobs.
+# switch round on 256 nodes; BenchmarkClusterSetup256 and
+# BenchmarkClusterSetup512 report the bytes allocated building a 256-node
+# (512-node) sharded cluster with 128 (256) pair jobs, in all and per node.
 bench:
 	$(GO) test -run XXX -bench . -benchmem . ./internal/lanai ./internal/parpar
 
@@ -125,9 +126,10 @@ card-bench-smoke:
 switch-bench-smoke:
 	$(GO) test -run XXX -bench SwitchRound256 -benchtime 1x ./internal/parpar
 
-# A short run of the 256-node set-up benchmark, with its B/op.
+# A short run of the 256- and 512-node set-up benchmarks, with their B/op
+# and B/node.
 setup-bench-smoke:
-	$(GO) test -run XXX -bench ClusterSetup256 -benchtime 3x -benchmem ./internal/parpar
+	$(GO) test -run XXX -bench 'ClusterSetup(256|512)' -benchtime 3x -benchmem ./internal/parpar
 
 # The repository benchmark module (bench/, run by bench/run.sh) is its
 # own Go module: vet it and run its consistency tests.

@@ -27,9 +27,9 @@ import (
 // and an availability table is appended to the output. The command exits
 // 1 when a daemon's task table diverges from the gang matrix or the chaos
 // auditor reports a violation in any mode.
-func runChurn(args []string, out io.Writer) int {
+func runChurn(args []string, out, diag io.Writer) int {
 	fs := flag.NewFlagSet("churn", flag.ContinueOnError)
-	fs.SetOutput(os.Stderr)
+	fs.SetOutput(diag)
 	seed := fs.Uint64("seed", 11, "trace-generator seed")
 	jobs := fs.Int("jobs", 28, "number of generated arrivals")
 	nodes := fs.Int("nodes", 8, "machine size")
@@ -54,7 +54,7 @@ func runChurn(args []string, out io.Writer) int {
 	workers := fs.Int("workers", 0, "worker goroutines per sharded engine group (<=1 = one, on the coordinator)")
 	profile := profileFlags(fs)
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: gangsim churn [flags]")
+		fmt.Fprintln(diag, "usage: gangsim churn [flags]")
 		fs.PrintDefaults()
 	}
 	if !parseFlags(fs, args) {
@@ -63,37 +63,37 @@ func runChurn(args []string, out io.Writer) int {
 
 	packing, ok := gang.PolicyByName(*policy)
 	if !ok {
-		fmt.Fprintf(os.Stderr, "gangsim churn: unknown packing policy %q (want first-fit, buddy, or best-fit)\n", *policy)
+		fmt.Fprintf(diag, "gangsim churn: unknown packing policy %q (want first-fit, buddy, or best-fit)\n", *policy)
 		return 2
 	}
 	// Flag-shape errors exit 2 like parse errors: they are usage mistakes,
 	// not run failures.
 	if *crash < 0 || *crash > 1 {
-		fmt.Fprintf(os.Stderr, "gangsim churn: -crash %v outside [0,1]\n", *crash)
+		fmt.Fprintf(diag, "gangsim churn: -crash %v outside [0,1]\n", *crash)
 		return 2
 	}
 	if *repair < 0 || *repair > 1 {
-		fmt.Fprintf(os.Stderr, "gangsim churn: -repair %v outside [0,1]\n", *repair)
+		fmt.Fprintf(diag, "gangsim churn: -repair %v outside [0,1]\n", *repair)
 		return 2
 	}
 	if *mttr < 0 {
-		fmt.Fprintf(os.Stderr, "gangsim churn: -mttr %d must be non-negative\n", *mttr)
+		fmt.Fprintf(diag, "gangsim churn: -mttr %d must be non-negative\n", *mttr)
 		return 2
 	}
 	// The repair sampler repairs only sampled crashes (a trace file's
 	// crashes carry their own repair directives), and -mttr only shapes
 	// that sampler: each flag alone would be silently ignored.
 	if *repair > 0 && *crash == 0 {
-		fmt.Fprintln(os.Stderr, "gangsim churn: -repair without -crash has nothing to repair")
+		fmt.Fprintln(diag, "gangsim churn: -repair without -crash has nothing to repair")
 		return 2
 	}
 	if *mttr > 0 && *repair == 0 {
-		fmt.Fprintln(os.Stderr, "gangsim churn: -mttr without -repair has no repair to time")
+		fmt.Fprintln(diag, "gangsim churn: -mttr without -repair has no repair to time")
 		return 2
 	}
 	stop, err := profile()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "gangsim churn: %v\n", err)
+		fmt.Fprintf(diag, "gangsim churn: %v\n", err)
 		return 1
 	}
 	defer stop()
@@ -104,13 +104,13 @@ func runChurn(args []string, out io.Writer) int {
 	if *traceFile != "" {
 		f, err := os.Open(*traceFile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "gangsim churn: %v\n", err)
+			fmt.Fprintf(diag, "gangsim churn: %v\n", err)
 			return 1
 		}
 		trace, crashes, repairs, err = schedeval.ParseTraceFull(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "gangsim churn: %v\n", err)
+			fmt.Fprintf(diag, "gangsim churn: %v\n", err)
 			return 1
 		}
 	} else {
@@ -127,7 +127,7 @@ func runChurn(args []string, out io.Writer) int {
 		var err error
 		trace, err = schedeval.Generate(gen)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "gangsim churn: %v\n", err)
+			fmt.Fprintf(diag, "gangsim churn: %v\n", err)
 			return 1
 		}
 	}
@@ -140,7 +140,7 @@ func runChurn(args []string, out io.Writer) int {
 		}
 		sampled, err := schedeval.GenCrashes(*crashSeed, *nodes, *crash, lastArrive)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "gangsim churn: %v\n", err)
+			fmt.Fprintf(diag, "gangsim churn: %v\n", err)
 			return 1
 		}
 		crashes = append(crashes, sampled...)
@@ -151,7 +151,7 @@ func runChurn(args []string, out io.Writer) int {
 			}
 			sampledRep, err := schedeval.GenRepairs(*repairSeed, sampled, *repair, sim.Time(window))
 			if err != nil {
-				fmt.Fprintf(os.Stderr, "gangsim churn: %v\n", err)
+				fmt.Fprintf(diag, "gangsim churn: %v\n", err)
 				return 1
 			}
 			repairs = append(repairs, sampledRep...)
@@ -160,7 +160,7 @@ func runChurn(args []string, out io.Writer) int {
 	if *dumpTrace != "" {
 		f, err := os.Create(*dumpTrace)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "gangsim churn: %v\n", err)
+			fmt.Fprintf(diag, "gangsim churn: %v\n", err)
 			return 1
 		}
 		err = schedeval.FormatTraceFull(f, trace, crashes, repairs)
@@ -168,7 +168,7 @@ func runChurn(args []string, out io.Writer) int {
 			err = cerr
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "gangsim churn: %v\n", err)
+			fmt.Fprintf(diag, "gangsim churn: %v\n", err)
 			return 1
 		}
 	}
@@ -185,7 +185,7 @@ func runChurn(args []string, out io.Writer) int {
 	cfg.Workers = *workers
 	results, err := schedd.Showdown(cfg)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "gangsim churn: %v\n", err)
+		fmt.Fprintf(diag, "gangsim churn: %v\n", err)
 		return 1
 	}
 	fmt.Fprintln(out, schedd.GridTable(results))
@@ -207,11 +207,11 @@ func runChurn(args []string, out io.Writer) int {
 	}
 	for _, r := range results {
 		if n := r.Log.Count(schedd.VerbCacheBad); n != 0 {
-			fmt.Fprintf(os.Stderr, "gangsim churn: %s run reported %d task-table vs gang-matrix divergences\n", r.Mode, n)
+			fmt.Fprintf(diag, "gangsim churn: %s run reported %d task-table vs gang-matrix divergences\n", r.Mode, n)
 			return 1
 		}
 		if r.Violations != 0 {
-			fmt.Fprintf(os.Stderr, "gangsim churn: %s run reported %d chaos-auditor violations\n", r.Mode, r.Violations)
+			fmt.Fprintf(diag, "gangsim churn: %s run reported %d chaos-auditor violations\n", r.Mode, r.Violations)
 			return 1
 		}
 	}

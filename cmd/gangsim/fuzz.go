@@ -15,9 +15,9 @@ import (
 // the injection log). `-compare` instead runs the differential
 // known-answer check: the same loss plan against FM (which wedges) and the
 // go-back-N alternative (which recovers).
-func runFuzz(args []string, out io.Writer) int {
+func runFuzz(args []string, out, diag io.Writer) int {
 	fs := flag.NewFlagSet("fuzz", flag.ContinueOnError)
-	fs.SetOutput(out)
+	fs.SetOutput(diag)
 	var (
 		seed     = fs.Uint64("seed", 1, "base seed; run i uses seed+i")
 		runs     = fs.Int("runs", 25, "scenarios to sample and execute")
@@ -32,12 +32,12 @@ func runFuzz(args []string, out io.Writer) int {
 		return 2
 	}
 	if *runs < 1 {
-		fmt.Fprintf(out, "fuzz: -runs %d must be at least 1\n", *runs)
+		fmt.Fprintf(diag, "gangsim fuzz: -runs %d must be at least 1\n", *runs)
 		return 2
 	}
 	stop, err := profile()
 	if err != nil {
-		fmt.Fprintf(out, "gangsim fuzz: %v\n", err)
+		fmt.Fprintf(diag, "gangsim fuzz: %v\n", err)
 		return 1
 	}
 	defer stop()
@@ -60,7 +60,7 @@ func runFuzz(args []string, out io.Writer) int {
 
 	if *compare {
 		if *prob < 0 || *prob > 1 {
-			fmt.Fprintf(out, "fuzz: -prob %v outside [0,1]\n", *prob)
+			fmt.Fprintf(diag, "gangsim fuzz: -prob %v outside [0,1]\n", *prob)
 			return 2
 		}
 		fmt.Fprintf(out, "differential loss check, seed %d, p=%.3f (paper §2.2):\n", *seed, *prob)

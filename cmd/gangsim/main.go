@@ -71,13 +71,13 @@ func main() {
 	// The fuzz, sched and churn subcommands own their flags; dispatch
 	// before the global parse.
 	if len(os.Args) > 1 && os.Args[1] == "fuzz" {
-		os.Exit(runFuzz(os.Args[2:], os.Stdout))
+		os.Exit(runFuzz(os.Args[2:], os.Stdout, os.Stderr))
 	}
 	if len(os.Args) > 1 && os.Args[1] == "sched" {
-		os.Exit(runSched(os.Args[2:], os.Stdout))
+		os.Exit(runSched(os.Args[2:], os.Stdout, os.Stderr))
 	}
 	if len(os.Args) > 1 && os.Args[1] == "churn" {
-		os.Exit(runChurn(os.Args[2:], os.Stdout))
+		os.Exit(runChurn(os.Args[2:], os.Stdout, os.Stderr))
 	}
 	os.Exit(runFigures())
 }

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"io"
 	"os"
 	"path/filepath"
 	"strings"
@@ -13,7 +14,7 @@ import (
 // verdict per run and the replay hint.
 func TestFuzzSubcommandSmoke(t *testing.T) {
 	var out strings.Builder
-	if code := runFuzz([]string{"-seed", "1", "-runs", "5", "-shrink=false"}, &out); code != 0 {
+	if code := runFuzz([]string{"-seed", "1", "-runs", "5", "-shrink=false"}, &out, &out); code != 0 {
 		t.Fatalf("exit %d:\n%s", code, out.String())
 	}
 	s := out.String()
@@ -30,7 +31,7 @@ func TestFuzzSubcommandSmoke(t *testing.T) {
 func TestFuzzSubcommandReplayIsIdentical(t *testing.T) {
 	run := func() string {
 		var out strings.Builder
-		if code := runFuzz([]string{"-seed", "7", "-runs", "3", "-trace"}, &out); code != 0 {
+		if code := runFuzz([]string{"-seed", "7", "-runs", "3", "-trace"}, &out, &out); code != 0 {
 			t.Fatalf("exit %d:\n%s", code, out.String())
 		}
 		return out.String()
@@ -44,7 +45,7 @@ func TestFuzzSubcommandReplayIsIdentical(t *testing.T) {
 // stall and the go-back-N recovery.
 func TestFuzzCompareSmoke(t *testing.T) {
 	var out strings.Builder
-	if code := runFuzz([]string{"-compare", "-seed", "77", "-prob", "0.2"}, &out); code != 0 {
+	if code := runFuzz([]string{"-compare", "-seed", "77", "-prob", "0.2"}, &out, &out); code != 0 {
 		t.Fatalf("exit %d:\n%s", code, out.String())
 	}
 	s := out.String()
@@ -55,22 +56,41 @@ func TestFuzzCompareSmoke(t *testing.T) {
 
 // TestFuzzBadFlag: unknown flags, a campaign of fewer than one run, an
 // out-of-range loss probability and a stray positional argument exit with
-// a usage error, not a panic and not a silent one-run campaign.
+// a usage error on the diagnostics writer, not a panic and not a silent
+// one-run campaign.
 func TestFuzzBadFlag(t *testing.T) {
-	for _, args := range [][]string{
-		{"-nope"},
-		{"-runs", "0"},
-		{"-runs", "-1"},
-		{"-recovery", "-runs", "0"},
-		{"-compare", "-prob", "1.5"},
-		{"-runs", "3", "stray"},
-	} {
-		var out strings.Builder
-		if code := runFuzz(args, &out); code != 2 {
-			t.Fatalf("exit %d for %v, want 2:\n%s", code, args, out.String())
+	checkBadFlags(t, runFuzz, []badFlags{
+		{[]string{"-nope"}, "flag provided but not defined: -nope"},
+		{[]string{"-runs", "0"}, "gangsim fuzz: -runs 0 must be at least 1"},
+		{[]string{"-runs", "-1"}, "gangsim fuzz: -runs -1 must be at least 1"},
+		{[]string{"-recovery", "-runs", "0"}, "gangsim fuzz: -runs 0 must be at least 1"},
+		{[]string{"-compare", "-prob", "1.5"}, "gangsim fuzz: -prob 1.5 outside [0,1]"},
+		{[]string{"-runs", "3", "stray"}, `gangsim fuzz: unexpected argument "stray"`},
+	})
+}
+
+// badFlags is one usage-error case: the arguments and a line the
+// subcommand must write to its diagnostics writer.
+type badFlags struct {
+	args []string
+	want string
+}
+
+// checkBadFlags runs each case through run and demands exit 2, the
+// expected message on the diagnostics writer and nothing on the results
+// writer.
+func checkBadFlags(t *testing.T, run func(args []string, out, diag io.Writer) int, cases []badFlags) {
+	t.Helper()
+	for _, c := range cases {
+		var out, diag strings.Builder
+		if code := run(c.args, &out, &diag); code != 2 {
+			t.Fatalf("exit %d for %v, want 2:\n%s", code, c.args, diag.String())
 		}
-		if args[len(args)-1] == "stray" && !strings.Contains(out.String(), `unexpected argument "stray"`) {
-			t.Fatalf("stray argument not named:\n%s", out.String())
+		if !strings.Contains(diag.String(), c.want) {
+			t.Fatalf("diagnostics for %v lack %q:\n%s", c.args, c.want, diag.String())
+		}
+		if out.Len() != 0 {
+			t.Fatalf("usage error %v wrote to the results writer:\n%s", c.args, out.String())
 		}
 	}
 }
@@ -119,7 +139,7 @@ func TestUnknownSubcommand(t *testing.T) {
 // quick mode and prints one summary row per (packing, scheme) pair.
 func TestSchedSubcommandSmoke(t *testing.T) {
 	var out strings.Builder
-	if code := runSched([]string{"-quick"}, &out); code != 0 {
+	if code := runSched([]string{"-quick"}, &out, &out); code != 0 {
 		t.Fatalf("exit %d:\n%s", code, out.String())
 	}
 	s := out.String()
@@ -135,7 +155,7 @@ func TestSchedSubcommandSmoke(t *testing.T) {
 func TestSchedSubcommandDeterministic(t *testing.T) {
 	run := func() string {
 		var out strings.Builder
-		if code := runSched([]string{"-quick", "-seed", "7", "-per-job"}, &out); code != 0 {
+		if code := runSched([]string{"-quick", "-seed", "7", "-per-job"}, &out, &out); code != 0 {
 			t.Fatalf("exit %d:\n%s", code, out.String())
 		}
 		return out.String()
@@ -149,7 +169,7 @@ func TestSchedSubcommandDeterministic(t *testing.T) {
 // end in quick mode and prints the three-mode grid plus decision stats.
 func TestChurnSubcommandSmoke(t *testing.T) {
 	var out strings.Builder
-	if code := runChurn([]string{"-quick"}, &out); code != 0 {
+	if code := runChurn([]string{"-quick"}, &out, &out); code != 0 {
 		t.Fatalf("exit %d:\n%s", code, out.String())
 	}
 	s := out.String()
@@ -168,7 +188,7 @@ func TestChurnSubcommandDeterministic(t *testing.T) {
 	run := func(extra ...string) string {
 		var out strings.Builder
 		args := append([]string{"-quick", "-seed", "11", "-log"}, extra...)
-		if code := runChurn(args, &out); code != 0 {
+		if code := runChurn(args, &out, &out); code != 0 {
 			t.Fatalf("exit %d:\n%s", code, out.String())
 		}
 		return out.String()
@@ -193,7 +213,7 @@ func TestChurnProfileFlags(t *testing.T) {
 	cpu, mem := filepath.Join(dir, "cpu.pprof"), filepath.Join(dir, "mem.pprof")
 	run := func(args ...string) string {
 		var out strings.Builder
-		if code := runChurn(append([]string{"-quick"}, args...), &out); code != 0 {
+		if code := runChurn(append([]string{"-quick"}, args...), &out, &out); code != 0 {
 			t.Fatalf("exit %d:\n%s", code, out.String())
 		}
 		return out.String()
@@ -220,10 +240,10 @@ func TestChurnTraceRoundTrip(t *testing.T) {
 	dir := t.TempDir()
 	path := dir + "/churn.trace"
 	var a, b strings.Builder
-	if code := runChurn([]string{"-quick", "-seed", "11", "-dump-trace", path}, &a); code != 0 {
+	if code := runChurn([]string{"-quick", "-seed", "11", "-dump-trace", path}, &a, &a); code != 0 {
 		t.Fatalf("exit %d:\n%s", code, a.String())
 	}
-	if code := runChurn([]string{"-trace", path}, &b); code != 0 {
+	if code := runChurn([]string{"-trace", path}, &b, &b); code != 0 {
 		t.Fatalf("exit %d:\n%s", code, b.String())
 	}
 	if a.String() != b.String() {
@@ -243,45 +263,35 @@ func TestChurnTraceRoundTrip(t *testing.T) {
 // and positional arguments exit with a usage error, not a panic and not a
 // silent clamp.
 func TestChurnBadFlags(t *testing.T) {
-	for _, args := range [][]string{
-		{"-nope"},
-		{"-policy", "warp"},
-		{"-crash", "-0.1"},
-		{"-crash", "1.5"},
-		{"-crash", "0.5", "-repair", "-0.1"},
-		{"-crash", "0.5", "-repair", "2"},
-		{"-crash", "0.5", "-repair", "0.5", "-mttr", "-1"},
+	checkBadFlags(t, runChurn, []badFlags{
+		{[]string{"-nope"}, "flag provided but not defined: -nope"},
+		{[]string{"-policy", "warp"}, `gangsim churn: unknown packing policy "warp"`},
+		{[]string{"-crash", "-0.1"}, "gangsim churn: -crash -0.1 outside [0,1]"},
+		{[]string{"-crash", "1.5"}, "gangsim churn: -crash 1.5 outside [0,1]"},
+		{[]string{"-crash", "0.5", "-repair", "-0.1"}, "gangsim churn: -repair -0.1 outside [0,1]"},
+		{[]string{"-crash", "0.5", "-repair", "2"}, "gangsim churn: -repair 2 outside [0,1]"},
+		{[]string{"-crash", "0.5", "-repair", "0.5", "-mttr", "-1"}, "gangsim churn: -mttr -1 must be non-negative"},
 		// A repair probability with no -crash has nothing to repair — the
 		// sampler repairs only sampled crashes, even when a trace file
 		// carries its own — and -mttr without -repair times nothing:
 		// reject both rather than no-op.
-		{"-repair", "0.5"},
-		{"-trace", "t.trace", "-repair", "0.9"},
-		{"-mttr", "1000"},
-		{"-crash", "0.5", "-mttr", "1000"},
+		{[]string{"-repair", "0.5"}, "gangsim churn: -repair without -crash has nothing to repair"},
+		{[]string{"-trace", "t.trace", "-repair", "0.9"}, "gangsim churn: -repair without -crash has nothing to repair"},
+		{[]string{"-mttr", "1000"}, "gangsim churn: -mttr without -repair has no repair to time"},
+		{[]string{"-crash", "0.5", "-mttr", "1000"}, "gangsim churn: -mttr without -repair has no repair to time"},
 		// Positional arguments: churn takes none.
-		{"-quick", "stray"},
-		{"stray"},
-	} {
-		var out strings.Builder
-		if code := runChurn(args, &out); code != 2 {
-			t.Fatalf("exit %d for %v, want 2", code, args)
-		}
-	}
+		{[]string{"-quick", "stray"}, `gangsim churn: unexpected argument "stray"`},
+		{[]string{"stray"}, `gangsim churn: unexpected argument "stray"`},
+	})
 }
 
 // TestSchedBadFlags: unknown policies, schemes and flags, and positional
 // arguments, exit with a usage error, not a panic.
 func TestSchedBadFlags(t *testing.T) {
-	for _, args := range [][]string{
-		{"-nope"},
-		{"-policy", "warp"},
-		{"-scheme", "quantum"},
-		{"-quick", "stray"},
-	} {
-		var out strings.Builder
-		if code := runSched(args, &out); code != 2 {
-			t.Fatalf("exit %d for %v, want 2", code, args)
-		}
-	}
+	checkBadFlags(t, runSched, []badFlags{
+		{[]string{"-nope"}, "flag provided but not defined: -nope"},
+		{[]string{"-policy", "warp"}, `gangsim sched: unknown packing policy "warp"`},
+		{[]string{"-scheme", "quantum"}, `gangsim sched: unknown credit scheme "quantum"`},
+		{[]string{"-quick", "stray"}, `gangsim sched: unexpected argument "stray"`},
+	})
 }

@@ -14,9 +14,9 @@ import (
 // runSched is the trace-driven scheduler-evaluation subcommand. Its
 // output carries no timestamps or wall-clock figures, so the same seed
 // (or trace file) always produces byte-identical tables.
-func runSched(args []string, out io.Writer) int {
+func runSched(args []string, out, diag io.Writer) int {
 	fs := flag.NewFlagSet("sched", flag.ContinueOnError)
-	fs.SetOutput(os.Stderr)
+	fs.SetOutput(diag)
 	seed := fs.Uint64("seed", 7, "trace-generator seed")
 	jobs := fs.Int("jobs", 36, "number of generated arrivals")
 	nodes := fs.Int("nodes", 8, "machine size")
@@ -30,7 +30,7 @@ func runSched(args []string, out io.Writer) int {
 	quick := fs.Bool("quick", false, "shrink the stream for a fast smoke run")
 	profile := profileFlags(fs)
 	fs.Usage = func() {
-		fmt.Fprintln(os.Stderr, "usage: gangsim sched [flags]")
+		fmt.Fprintln(diag, "usage: gangsim sched [flags]")
 		fs.PrintDefaults()
 	}
 	if !parseFlags(fs, args) {
@@ -43,7 +43,7 @@ func runSched(args []string, out io.Writer) int {
 	} else {
 		p, ok := gang.PolicyByName(*policy)
 		if !ok {
-			fmt.Fprintf(os.Stderr, "gangsim sched: unknown packing policy %q (want first-fit, buddy, best-fit, or all)\n", *policy)
+			fmt.Fprintf(diag, "gangsim sched: unknown packing policy %q (want first-fit, buddy, best-fit, or all)\n", *policy)
 			return 2
 		}
 		packings = []gang.Policy{p}
@@ -57,12 +57,12 @@ func runSched(args []string, out io.Writer) int {
 	case "switched":
 		schemes = []fm.Policy{fm.Switched}
 	default:
-		fmt.Fprintf(os.Stderr, "gangsim sched: unknown credit scheme %q (want partitioned, switched, or both)\n", *scheme)
+		fmt.Fprintf(diag, "gangsim sched: unknown credit scheme %q (want partitioned, switched, or both)\n", *scheme)
 		return 2
 	}
 	stop, err := profile()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "gangsim sched: %v\n", err)
+		fmt.Fprintf(diag, "gangsim sched: %v\n", err)
 		return 1
 	}
 	defer stop()
@@ -71,13 +71,13 @@ func runSched(args []string, out io.Writer) int {
 	if *traceFile != "" {
 		f, err := os.Open(*traceFile)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "gangsim sched: %v\n", err)
+			fmt.Fprintf(diag, "gangsim sched: %v\n", err)
 			return 1
 		}
 		trace, err = schedeval.ParseTrace(f)
 		f.Close()
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "gangsim sched: %v\n", err)
+			fmt.Fprintf(diag, "gangsim sched: %v\n", err)
 			return 1
 		}
 	} else {
@@ -91,14 +91,14 @@ func runSched(args []string, out io.Writer) int {
 		var err error
 		trace, err = schedeval.Generate(gen)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "gangsim sched: %v\n", err)
+			fmt.Fprintf(diag, "gangsim sched: %v\n", err)
 			return 1
 		}
 	}
 	if *dumpTrace != "" {
 		f, err := os.Create(*dumpTrace)
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "gangsim sched: %v\n", err)
+			fmt.Fprintf(diag, "gangsim sched: %v\n", err)
 			return 1
 		}
 		err = schedeval.FormatTrace(f, trace)
@@ -106,7 +106,7 @@ func runSched(args []string, out io.Writer) int {
 			err = cerr
 		}
 		if err != nil {
-			fmt.Fprintf(os.Stderr, "gangsim sched: %v\n", err)
+			fmt.Fprintf(diag, "gangsim sched: %v\n", err)
 			return 1
 		}
 	}
@@ -116,7 +116,7 @@ func runSched(args []string, out io.Writer) int {
 	base.Trace = trace
 	results, err := schedeval.Compare(base, schemes, packings)
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "gangsim sched: %v\n", err)
+		fmt.Fprintf(diag, "gangsim sched: %v\n", err)
 		return 1
 	}
 	fmt.Fprintln(out, schedeval.SummaryTable(results))
@@ -129,7 +129,7 @@ func runSched(args []string, out io.Writer) int {
 	}
 	for _, r := range results {
 		if !r.AuditOK {
-			fmt.Fprintf(os.Stderr, "gangsim sched: %s/%s run reported %d invariant violations\n",
+			fmt.Fprintf(diag, "gangsim sched: %s/%s run reported %d invariant violations\n",
 				r.Packing, r.Scheme, r.Violations)
 			return 1
 		}

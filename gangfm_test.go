@@ -135,3 +135,36 @@ func TestRecoveryFacade(t *testing.T) {
 		t.Fatalf("recovery run reported violations: %s", cluster.Auditor().Summary())
 	}
 }
+
+// TestLostFragmentWedgesWithoutPanic: under loss, a multi-fragment message
+// can lose a middle fragment. FM has no retransmission, so the run wedges,
+// but the receiver discards the partial message and the auditor reports
+// the gap as a fragment-order violation instead of the simulator
+// panicking, and the byte accounting stays exact.
+func TestLostFragmentWedgesWithoutPanic(t *testing.T) {
+	cfg := DefaultClusterConfig(2)
+	plan := Loss(42, 0.01)
+	cfg.Chaos = &plan
+	cluster, err := NewCluster(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	job, err := cluster.Submit(Bandwidth("lossy", 2000, 6144))
+	if err != nil {
+		t.Fatal(err)
+	}
+	cluster.RunUntil(10 * 200_000_000)
+	if _, err := ExtractBandwidth(job); err == nil {
+		t.Fatal("a lossy run without retransmission completed")
+	}
+	found := map[string]bool{}
+	for _, v := range cluster.Auditor().Violations() {
+		found[v.Invariant] = true
+	}
+	if !found["fragment-order"] {
+		t.Fatalf("auditor did not report the lost fragment: %s", cluster.Auditor().Summary())
+	}
+	if found["byte-accounting"] {
+		t.Fatalf("discarded bytes broke the byte accounting: %s", cluster.Auditor().Summary())
+	}
+}

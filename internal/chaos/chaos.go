@@ -181,7 +181,7 @@ type Plan struct {
 
 // Loss is a convenience constructor for the classic experiment: open-ended
 // uniform data-packet loss on every link, the exact scenario of paper
-// §2.2 and examples/lossy.
+// §2.2 and of the root package's Example_lossy.
 func Loss(seed uint64, prob float64) Plan {
 	return Plan{Seed: seed, Faults: []Fault{{Kind: DataLoss, Prob: prob, Node: -1}}}
 }

@@ -80,6 +80,9 @@ type partial struct {
 	got     int
 	nfrags  int
 	payload []byte
+	// lost marks a message that lost a fragment: its bytes were
+	// discarded and its remaining fragments are dropped on arrival.
+	lost bool
 }
 
 // Endpoint is one process's FM library state: the user-level communication
@@ -137,10 +140,13 @@ type Endpoint struct {
 	onCanSend    func()
 	flushWaiters []func()
 
-	// deliveredBytes counts payload handed to the message handler; together
-	// with the bytes parked in reasm it must always equal PayloadBytesRecv
-	// (the reassembly byte-accounting invariant the chaos auditor checks).
+	// deliveredBytes counts payload handed to the message handler and
+	// discardedBytes the payload of messages that lost a fragment; together
+	// with the bytes parked in reasm they must always equal
+	// PayloadBytesRecv (the reassembly byte-accounting invariant the chaos
+	// auditor checks).
 	deliveredBytes uint64
+	discardedBytes uint64
 
 	stats Stats
 }
@@ -468,19 +474,34 @@ func (e *Endpoint) consumePacket(p *myrinet.Packet) {
 	}
 }
 
+// reassemble appends p to its source's in-progress message and delivers
+// the message when its last fragment lands. FM does not retransmit, so a
+// fragment lost on the wire leaves a gap: the partial message is
+// discarded and reported as a fragment-order violation, its remaining
+// fragments are dropped quietly, and reassembly resynchronises at the
+// next message.
 func (e *Endpoint) reassemble(p *myrinet.Packet) {
 	src := p.SrcRank
 	pa := e.reasm[src]
-	if pa == nil || pa.msgID != p.MsgID {
-		if pa != nil && pa.got != 0 {
-			panic(fmt.Sprintf("fm: interleaved fragments from rank %d (msg %d arrived during msg %d)",
-				src, p.MsgID, pa.msgID))
+	if pa != nil && pa.msgID != p.MsgID {
+		if !pa.lost {
+			e.loseMessage(pa, fmt.Sprintf("msg %d from rank %d arrived during msg %d, which lost fragment %d of %d",
+				p.MsgID, src, pa.msgID, pa.got, pa.nfrags))
 		}
+		e.retire(src, pa)
+		pa = nil
+	}
+	if pa == nil {
 		pa = e.newPartial(p.MsgID, p.NFrags)
 		e.reasm[src] = pa
 	}
-	if p.Frag != pa.got {
-		panic(fmt.Sprintf("fm: fragment %d from rank %d arrived out of order (want %d)", p.Frag, src, pa.got))
+	if !pa.lost && p.Frag != pa.got {
+		e.loseMessage(pa, fmt.Sprintf("fragment %d of msg %d from rank %d arrived out of order (want %d)",
+			p.Frag, p.MsgID, src, pa.got))
+	}
+	if pa.lost {
+		e.discardedBytes += uint64(p.PayloadLen)
+		return
 	}
 	pa.got++
 	pa.size += p.PayloadLen
@@ -488,7 +509,6 @@ func (e *Endpoint) reassemble(p *myrinet.Packet) {
 		pa.payload = append(pa.payload, p.Payload...)
 	}
 	if pa.got == pa.nfrags {
-		e.reasm[src] = nil
 		e.stats.MessagesRecvd++
 		e.deliveredBytes += uint64(pa.size)
 		payload := pa.payload
@@ -496,11 +516,26 @@ func (e *Endpoint) reassemble(p *myrinet.Packet) {
 		// The payload array's ownership passes to the handler (which may
 		// retain the slice); only the record itself is recycled.
 		pa.payload = nil
-		e.partialPool = append(e.partialPool, pa)
+		e.retire(src, pa)
 		if e.handler != nil {
 			e.handler(src, size, payload)
 		}
 	}
+}
+
+// retire ends src's reassembly of pa and recycles the record.
+func (e *Endpoint) retire(src int, pa *partial) {
+	e.reasm[src] = nil
+	e.partialPool = append(e.partialPool, pa)
+}
+
+// loseMessage discards the partial message pa, counting its bytes as
+// discarded, and reports the gap through the card's observation seam.
+func (e *Endpoint) loseMessage(pa *partial, detail string) {
+	e.discardedBytes += uint64(pa.size)
+	pa.lost, pa.size, pa.payload = true, 0, nil
+	e.nic.Emit(myrinet.Event{Kind: myrinet.Violation, Job: e.job, Invariant: "fragment-order",
+		Detail: fmt.Sprintf("job %d rank %d: %s", e.job, e.rank, detail)})
 }
 
 // newPartial takes a reassembly record from the pool (or allocates one).
@@ -587,8 +622,9 @@ func (e *Endpoint) Stalled() (dst int, ok bool) {
 //   - send credits toward every peer stay within [0, C0];
 //   - consumed-since-refill counts stay within [0, C0] (a peer cannot have
 //     sent more packets than its window without a refill in between);
-//   - every payload byte received is either delivered to the handler or
-//     parked in an in-progress reassembly — bytes never vanish.
+//   - every payload byte received is delivered to the handler, parked in
+//     an in-progress reassembly, or discarded with a message that lost a
+//     fragment (reported when it happened) — bytes never vanish.
 func (e *Endpoint) AuditInvariants(report func(invariant, detail string)) {
 	for peer := range e.sendCredits {
 		if peer == e.rank {
@@ -611,9 +647,9 @@ func (e *Endpoint) AuditInvariants(report func(invariant, detail string)) {
 			pending += uint64(pa.size)
 		}
 	}
-	if e.stats.PayloadBytesRecv != e.deliveredBytes+pending {
+	if e.stats.PayloadBytesRecv != e.deliveredBytes+e.discardedBytes+pending {
 		report("byte-accounting", fmt.Sprintf(
-			"job %d rank %d received %d payload bytes but delivered %d with %d pending reassembly",
-			e.job, e.rank, e.stats.PayloadBytesRecv, e.deliveredBytes, pending))
+			"job %d rank %d received %d payload bytes but delivered %d, discarded %d, with %d pending reassembly",
+			e.job, e.rank, e.stats.PayloadBytesRecv, e.deliveredBytes, e.discardedBytes, pending))
 	}
 }

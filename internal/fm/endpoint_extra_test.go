@@ -300,3 +300,52 @@ func TestAuditInvariantsCountsPartialReassembly(t *testing.T) {
 		t.Fatal("message not completed")
 	}
 }
+
+// TestLostFragmentResynchronises: a message whose fragment was lost on the
+// wire is discarded with one fragment-order violation, and reassembly
+// resumes clean at the next message. Whether the gap shows as a fragment
+// out of order or as a new message arriving mid-message, the following
+// whole message is delivered and the byte audit stays exact.
+func TestLostFragmentResynchronises(t *testing.T) {
+	frag := func(msg uint64, i, n, size int) *myrinet.Packet {
+		return &myrinet.Packet{Type: myrinet.Data, Job: 1, SrcRank: 0, DstRank: 1,
+			MsgID: msg, Frag: i, NFrags: n, PayloadLen: size}
+	}
+	for _, tc := range []struct {
+		name string
+		pkts []*myrinet.Packet
+	}{
+		{"out of order", []*myrinet.Packet{
+			frag(1, 0, 3, myrinet.MaxPayload), frag(1, 2, 3, 100), frag(2, 0, 1, 500)}},
+		{"tail lost", []*myrinet.Packet{
+			frag(1, 0, 3, myrinet.MaxPayload), frag(1, 1, 3, myrinet.MaxPayload), frag(2, 0, 1, 500)}},
+		{"head lost", []*myrinet.Packet{
+			frag(1, 1, 4, myrinet.MaxPayload), frag(1, 2, 4, myrinet.MaxPayload), frag(1, 3, 4, 100),
+			frag(2, 0, 1, 500)}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			r := newJobRig(t, 2, nil, nil)
+			var violations []string
+			r.net.SetObserver(func(e myrinet.Event) {
+				if e.Kind == myrinet.Violation {
+					violations = append(violations, e.Invariant)
+				}
+			})
+			rx := r.eps[1]
+			var delivered []int
+			rx.SetHandler(func(_, size int, _ []byte) { delivered = append(delivered, size) })
+			for _, p := range tc.pkts {
+				rx.consumePacket(p)
+			}
+			if len(violations) != 1 || violations[0] != "fragment-order" {
+				t.Fatalf("violations = %v, want one fragment-order", violations)
+			}
+			if len(delivered) != 1 || delivered[0] != 500 {
+				t.Fatalf("delivered sizes %v, want the 500-byte message only", delivered)
+			}
+			rx.AuditInvariants(func(inv, detail string) {
+				t.Errorf("audit after a discarded message: %s: %s", inv, detail)
+			})
+		})
+	}
+}

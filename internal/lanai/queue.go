@@ -8,30 +8,38 @@ package lanai
 import "gangfm/internal/myrinet"
 
 // Queue is a fixed-capacity FIFO of packets occupying fixed-size slots, as
-// the FM queues do (capacity counts packet slots, not bytes). It is a ring
-// over a fixed backing array: steady-state Enqueue/Dequeue never allocates
-// (the hardware queues are fixed SRAM regions, so neither does the card).
+// the FM queues do (capacity counts packet slots, not bytes). The capacity
+// is only a number: the packets live in a ring that starts empty and
+// doubles on demand up to the capacity. The paper's queues are "usually
+// nearly empty" (§3.2), so a card pays for the slots a run occupies, not
+// for the 252 send and 668 receive slots it may occupy. Once the ring has
+// grown to a run's high-water mark, Enqueue/Dequeue never allocate.
 type Queue struct {
-	pkts []*myrinet.Packet // len(pkts) == capacity, fixed at construction
-	head int               // index of the oldest packet
-	n    int               // number of valid packets
+	pkts     []*myrinet.Packet // the ring; len(pkts) <= capacity
+	capacity int
+	head     int // index of the oldest packet
+	n        int // number of valid packets
 	// drops counts enqueue attempts rejected for lack of space.
 	drops uint64
 }
 
-// NewQueue returns a queue with capacity slots.
+// minRing is the ring's first size. A context that holds any packet at
+// all usually holds a few, so growth starts past the 1-2-4 steps.
+const minRing = 8
+
+// NewQueue returns a queue with capacity slots. It allocates no ring.
 func NewQueue(capacity int) *Queue {
-	return &Queue{pkts: make([]*myrinet.Packet, capacity)}
+	return &Queue{capacity: capacity}
 }
 
 // Cap returns the slot capacity.
-func (q *Queue) Cap() int { return len(q.pkts) }
+func (q *Queue) Cap() int { return q.capacity }
 
 // Len returns the number of valid packets currently queued.
 func (q *Queue) Len() int { return q.n }
 
 // Full reports whether no slot is free.
-func (q *Queue) Full() bool { return q.n >= len(q.pkts) }
+func (q *Queue) Full() bool { return q.n >= q.capacity }
 
 // Drops returns the number of rejected enqueues.
 func (q *Queue) Drops() uint64 { return q.drops }
@@ -44,14 +52,41 @@ func (q *Queue) slot(i int) int {
 	return i
 }
 
+// grow replaces the ring with one of at least need slots (doubling, capped
+// at the capacity), unrolling the packets to its front so that FIFO order
+// holds across the old ring's wrap.
+func (q *Queue) grow(need int) {
+	size := max(len(q.pkts)*2, minRing)
+	for size < need {
+		size *= 2
+	}
+	size = min(size, q.capacity)
+	ring := make([]*myrinet.Packet, size)
+	for i := 0; i < q.n; i++ {
+		ring[i] = q.pkts[q.slot(i)]
+	}
+	q.pkts, q.head = ring, 0
+}
+
 // Enqueue appends p; it reports whether a slot was available.
 func (q *Queue) Enqueue(p *myrinet.Packet) bool {
-	if q.Full() {
-		q.drops++
+	if q.n == len(q.pkts) && !q.makeRoom() {
 		return false
 	}
 	q.pkts[q.slot(q.n)] = p
 	q.n++
+	return true
+}
+
+// makeRoom is Enqueue's slow path, taken when the ring is full: at the
+// capacity it counts a drop, below it grows the ring. Kept out of line so
+// that Enqueue's fast path stays small enough to inline.
+func (q *Queue) makeRoom() bool {
+	if q.Full() {
+		q.drops++
+		return false
+	}
+	q.grow(q.n + 1)
 	return true
 }
 
@@ -120,10 +155,13 @@ func (q *Queue) Clear() {
 // the packets exceed capacity, which would indicate a switch between
 // incompatible queue geometries.
 func (q *Queue) Load(pkts []*myrinet.Packet) {
-	if len(pkts) > len(q.pkts) {
+	if len(pkts) > q.capacity {
 		panic("lanai: restoring more packets than queue capacity")
 	}
 	q.Clear()
+	if len(pkts) > len(q.pkts) {
+		q.grow(len(pkts))
+	}
 	copy(q.pkts, pkts)
 	q.n = len(pkts)
 }

@@ -1,6 +1,7 @@
 package lanai
 
 import (
+	"runtime"
 	"testing"
 	"testing/quick"
 
@@ -119,5 +120,125 @@ func TestQueueFIFOModelProperty(t *testing.T) {
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// fill enqueues n fresh packets numbered from *next, failing on a reject.
+func fill(t *testing.T, q *Queue, next *uint64, n int) {
+	t.Helper()
+	for i := 0; i < n; i++ {
+		if !q.Enqueue(&myrinet.Packet{MsgID: *next}) {
+			t.Fatalf("enqueue of packet %d rejected at %d of %d slots", *next, q.Len(), q.Cap())
+		}
+		*next++
+	}
+}
+
+// drainInOrder dequeues everything and checks the packets come out
+// numbered from first upward.
+func drainInOrder(t *testing.T, q *Queue, first uint64) {
+	t.Helper()
+	for want := first; q.Len() > 0; want++ {
+		if got := q.Dequeue().MsgID; got != want {
+			t.Fatalf("dequeued packet %d, want %d", got, want)
+		}
+	}
+}
+
+// TestQueueGrowsWhileWrapped: a ring that is full and wrapped (its oldest
+// packet not at index 0) grows on the next enqueue, and the packets still
+// leave in arrival order.
+func TestQueueGrowsWhileWrapped(t *testing.T) {
+	q := NewQueue(64)
+	var next uint64
+	fill(t, q, &next, minRing)
+	for i := 0; i < 5; i++ {
+		q.Dequeue()
+	}
+	fill(t, q, &next, 5)
+	if q.head == 0 || q.Len() != len(q.pkts) {
+		t.Fatalf("set-up: head %d, %d of %d ring slots used; want a full, wrapped ring",
+			q.head, q.Len(), len(q.pkts))
+	}
+	fill(t, q, &next, 3*minRing) // two growths, the first from the wrapped ring
+	if len(q.pkts) != 4*minRing {
+		t.Fatalf("ring has %d slots, want %d", len(q.pkts), 4*minRing)
+	}
+	if got := q.At(0).MsgID; got != 5 {
+		t.Fatalf("oldest packet %d after growth, want 5", got)
+	}
+	drainInOrder(t, q, 5)
+}
+
+// TestQueueLoadBeyondRing: Load takes more packets than the current ring
+// holds, up to the capacity, and keeps their order; one more panics.
+func TestQueueLoadBeyondRing(t *testing.T) {
+	const capacity = 100
+	q := NewQueue(capacity)
+	var next uint64
+	fill(t, q, &next, 2)
+	pkts := make([]*myrinet.Packet, capacity)
+	for i := range pkts {
+		pkts[i] = &myrinet.Packet{MsgID: uint64(i)}
+	}
+	q.Load(pkts)
+	if q.Len() != capacity || !q.Full() {
+		t.Fatalf("loaded %d of %d packets, Full %v", q.Len(), capacity, q.Full())
+	}
+	drainInOrder(t, q, 0)
+
+	defer func() {
+		if recover() == nil {
+			t.Fatal("loading capacity+1 packets did not panic")
+		}
+	}()
+	q.Load(append(pkts, &myrinet.Packet{}))
+}
+
+// TestQueueFullAtCapacity: with a capacity that is no power of two, the
+// ring stops growing at the capacity, Full turns true at exactly Cap
+// packets, and the next enqueue is the first drop.
+func TestQueueFullAtCapacity(t *testing.T) {
+	const capacity = 13
+	q := NewQueue(capacity)
+	var next uint64
+	fill(t, q, &next, capacity-1)
+	if q.Full() || q.Drops() != 0 {
+		t.Fatalf("Full %v, %d drops with one slot free", q.Full(), q.Drops())
+	}
+	fill(t, q, &next, 1)
+	if !q.Full() || len(q.pkts) != capacity {
+		t.Fatalf("Full %v with a %d-slot ring at %d of %d packets", q.Full(), len(q.pkts), q.Len(), capacity)
+	}
+	if q.Enqueue(&myrinet.Packet{}) || q.Drops() != 1 {
+		t.Fatalf("enqueue past capacity accepted or not counted: %d drops", q.Drops())
+	}
+	drainInOrder(t, q, 0)
+}
+
+// TestContextAllocatesByOccupancy: registering a context with the card's
+// whole 252 send and 668 receive slots allocates no slot storage; the
+// queues grow only when packets arrive. Slot arrays of the full capacity
+// would cost 7.4 KB per context.
+func TestContextAllocatesByOccupancy(t *testing.T) {
+	_, _, nics := rig(t, 1)
+	n := nics[0]
+	register := func() {
+		ctx, err := n.Register(1, 0, 252, 668, Hooks{})
+		if err != nil {
+			t.Fatal(err)
+		}
+		n.Unregister(ctx)
+	}
+	register() // size the card's job table and context list
+	const runs = 100
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		register()
+	}
+	runtime.ReadMemStats(&after)
+	if per := float64(after.TotalAlloc-before.TotalAlloc) / runs; per >= 1024 {
+		t.Fatalf("a 252/668-slot context allocates %.0f B, want under 1 KB", per)
 	}
 }

@@ -163,8 +163,10 @@ type Node struct {
 	// as already-applied instead of pruning the live node, and a join that
 	// overtakes its eviction applies the prune first. It deliberately
 	// survives reboot: it is resend-dedup state about *peers'* lifecycles,
-	// not this incarnation's.
-	evictSeen []int
+	// not this incarnation's. It holds only the peers this node has seen
+	// evicted, nil until the first eviction; a missing entry reads as
+	// generation 0, so a machine without failures pays nothing per peer.
+	evictSeen map[myrinet.NodeID]int
 
 	// procScratch backs sortedProcs between audit ticks.
 	procScratch []*Proc
@@ -400,7 +402,6 @@ func New(cfg Config) (*Cluster, error) {
 		n := &Node{
 			ID: myrinet.NodeID(i), CPU: sim.NewResource(nodeEng), Eng: nodeEng,
 			cluster: c, procs: make(map[myrinet.JobID]*Proc),
-			evictSeen: make([]int, cfg.Nodes),
 		}
 		if err := c.attach(n); err != nil {
 			return nil, err
@@ -714,6 +715,9 @@ func (n *Node) killJob(job myrinet.JobID) {
 func (n *Node) evictPeer(id myrinet.NodeID, gen int) {
 	if gen <= n.evictSeen[id] {
 		return
+	}
+	if n.evictSeen == nil {
+		n.evictSeen = make(map[myrinet.NodeID]int)
 	}
 	n.evictSeen[id] = gen
 	n.NIC.EvictPeer(id)

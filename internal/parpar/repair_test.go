@@ -522,3 +522,39 @@ func TestRebootedIncarnationReports(t *testing.T) {
 			c.Auditor().Drops(orphan), c.Auditor().Destroyed(orphan))
 	}
 }
+
+// TestEvictLatchIgnoresStaleGeneration: a node's eviction latch applies
+// each generation of a peer's eviction once. After an eviction and the
+// rejoin that heals it, a stale re-delivery of the same generation (a
+// resend chain racing the admission) leaves the peer in the topology; the
+// next eviction, one generation higher, prunes it again. The latch holds
+// entries only for peers seen evicted.
+func TestEvictLatchIgnoresStaleGeneration(t *testing.T) {
+	c, err := New(DefaultConfig(4))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n, peer := c.nodes[0], myrinet.NodeID(2)
+	if n.evictSeen != nil {
+		t.Fatal("eviction latch allocated before any eviction")
+	}
+	n.evictPeer(peer, 1)
+	if n.Mgr.InTopology(peer) {
+		t.Fatal("eviction of generation 1 left the peer in the topology")
+	}
+	n.joinPeer(peer, 1)
+	if !n.Mgr.InTopology(peer) {
+		t.Fatal("rejoin did not restore the peer")
+	}
+	n.evictPeer(peer, 1)
+	if !n.Mgr.InTopology(peer) {
+		t.Fatal("stale re-delivery of generation 1 pruned the rejoined peer")
+	}
+	n.evictPeer(peer, 2)
+	if n.Mgr.InTopology(peer) {
+		t.Fatal("eviction of generation 2 left the peer in the topology")
+	}
+	if len(n.evictSeen) != 1 || n.evictSeen[peer] != 2 {
+		t.Fatalf("latch = %v, want only peer %d at generation 2", n.evictSeen, peer)
+	}
+}
