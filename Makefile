@@ -1,13 +1,13 @@
 GO ?= go
 
-.PHONY: check fmt-check vet build test race fuzz-smoke fuzz-native sched-smoke churn-smoke churn-crash-smoke repair-smoke bench engine-bench-smoke tracker-bench-smoke card-bench-smoke switch-bench-smoke setup-bench-smoke bench-module figures lint-hotpath
+.PHONY: check fmt-check vet build test race fuzz-smoke fuzz-native sched-smoke churn-smoke churn-crash-smoke repair-smoke bench engine-bench-smoke tracker-bench-smoke card-bench-smoke switch-bench-smoke setup-bench-smoke sharded-bench-smoke bench-module figures lint-hotpath
 
 # The full CI gate, and its only definition (ci.sh runs it): static
 # checks, build, race-enabled tests, a short fixed-seed chaos-fuzz
 # campaign, time-boxed native fuzzing, and scheduler-evaluation smoke runs
 # (all but the native fuzzing deterministic; it gates on properties, not
 # outputs).
-check: fmt-check vet build race fuzz-smoke fuzz-native sched-smoke churn-smoke churn-crash-smoke repair-smoke engine-bench-smoke tracker-bench-smoke card-bench-smoke switch-bench-smoke setup-bench-smoke bench-module lint-hotpath
+check: fmt-check vet build race fuzz-smoke fuzz-native sched-smoke churn-smoke churn-crash-smoke repair-smoke engine-bench-smoke tracker-bench-smoke card-bench-smoke switch-bench-smoke setup-bench-smoke sharded-bench-smoke bench-module lint-hotpath
 
 # Formatting gate: fail on any file gofmt would rewrite.
 fmt-check:
@@ -104,7 +104,10 @@ repair-smoke:
 # card streaming small packets; BenchmarkSwitchRound256 reports one whole
 # switch round on 256 nodes; BenchmarkClusterSetup256 and
 # BenchmarkClusterSetup512 report the bytes allocated building a 256-node
-# (512-node) sharded cluster with 128 (256) pair jobs, in all and per node.
+# (512-node) sharded cluster with 128 (256) pair jobs, in all and per node;
+# BenchmarkShardedScale256 runs one 256-node, 128-pair bandwidth point
+# unsharded and on 16 shards × 1 and × 2 workers, with its events, windows
+# and parallel windows per point.
 bench:
 	$(GO) test -run XXX -bench . -benchmem . ./internal/lanai ./internal/parpar
 
@@ -130,6 +133,10 @@ switch-bench-smoke:
 # and B/node.
 setup-bench-smoke:
 	$(GO) test -run XXX -bench 'ClusterSetup(256|512)' -benchtime 3x -benchmem ./internal/parpar
+
+# One point of each sharded-scale sub-benchmark, likewise.
+sharded-bench-smoke:
+	$(GO) test -run XXX -bench ShardedScale256 -benchtime 1x ./internal/parpar
 
 # The repository benchmark module (bench/, run by bench/run.sh) is its
 # own Go module: vet it and run its consistency tests.

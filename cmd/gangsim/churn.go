@@ -51,7 +51,7 @@ func runChurn(args []string, out, diag io.Writer) int {
 	showLog := fs.Bool("log", false, "print the full decision log of every mode")
 	quick := fs.Bool("quick", false, "shrink the stream for a fast smoke run")
 	shards := fs.Int("shards", 0, "shard each cluster's engine into N event lanes (0 = unsharded)")
-	workers := fs.Int("workers", 0, "worker goroutines per sharded engine group (<=1 = one, on the coordinator)")
+	workers := fs.Int("workers", 0, "most worker goroutines sharing a sharded window (<=1 = one, on the coordinator)")
 	profile := profileFlags(fs)
 	fs.Usage = func() {
 		fmt.Fprintln(diag, "usage: gangsim churn [flags]")

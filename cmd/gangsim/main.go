@@ -88,7 +88,7 @@ func runFigures() int {
 	quick := flag.Bool("quick", false, "shrink sweeps for a fast smoke run")
 	par := flag.Int("par", runtime.GOMAXPROCS(0), "max concurrently simulated points")
 	shards := flag.Int("shards", 0, "shard each cluster's engine into N event lanes (0 = unsharded)")
-	workers := flag.Int("workers", 0, "worker goroutines per sharded engine group (<=1 = one, on the coordinator)")
+	workers := flag.Int("workers", 0, "most worker goroutines sharing a sharded window (<=1 = one, on the coordinator)")
 	profile := profileFlags(flag.CommandLine)
 	flag.Usage = usage
 	flag.Parse()

@@ -72,7 +72,8 @@ type Config struct {
 	// node ranges, each with its own event lane (masterd and control
 	// network live on an extra global lane). The lanes run under
 	// conservative lookahead windows derived from the data network's
-	// minimum cross-node latency, concurrently when Workers > 1. Results —
+	// minimum cross-node latency, windows big enough to pay for it
+	// concurrently when Workers > 1 (see sim.GroupConfig). Results —
 	// chaos traces included — are identical across sharded runs at any
 	// shards × workers. They can differ from the unsharded simulator: a
 	// cross-lane post takes its sequence number when the window drains, so

@@ -3,8 +3,6 @@ package sim
 import (
 	"fmt"
 	"math"
-	"runtime"
-	"sync"
 	"sync/atomic"
 )
 
@@ -26,7 +24,9 @@ import (
 // each shard's serial sub-window up to h, then drains outboxes in
 // deterministic (time, shard, post order) so the next window starts from
 // identical state regardless of worker count or goroutine interleaving.
-// One worker runs the same windows on the coordinator goroutine.
+// One worker runs the same windows on the coordinator goroutine, and so
+// does every window too small to pay for waking a helper (parMinEvents):
+// helpers sleep on a channel between the windows they are handed.
 //
 // The global lane never runs inside a window: global events execute only
 // when every shard has been parked at or beyond the event's timestamp, so
@@ -47,9 +47,22 @@ type GroupConfig struct {
 	Lookahead Time
 	// Workers caps the goroutines running shard windows (>= 1). With 1
 	// worker the coordinator runs every window itself — no goroutines,
-	// no barriers, the same windows.
+	// no barriers, the same windows. With more, a window goes to the
+	// helpers only when the dispatch rule (parMinEvents) expects it to be
+	// worth the wake-up; the rest still run on the coordinator.
 	Workers int
 }
+
+// parMinEvents is the dispatch rule's threshold: a window is shared with
+// helper goroutines only when the previous shard window fired at least
+// this many events and at least two shards are active in this one. Waking
+// a parked helper and waiting for it costs a few microseconds of
+// scheduler work, more than most windows hold (on the 256-node pairs
+// benchmark 98% of windows fire fewer than 128 events), so every other
+// window runs inline on the coordinator. The rule reads only simulation
+// state, so which windows go parallel is the same on every run; the
+// windows themselves, and so the results, are the same either way.
+const parMinEvents = 500
 
 // crossMsg is one event posted from a shard to another lane, parked in the
 // source shard's outbox until the next window barrier.
@@ -72,15 +85,18 @@ type Group struct {
 
 	stopReq atomic.Bool
 
-	// The current window's work list and barrier.
-	active  []*Engine
-	horizon Time
-	widx    atomic.Int64
-	wexit   atomic.Int64
-	epoch   atomic.Uint64
-	quit    atomic.Bool
-	nhelp   int
-	wg      sync.WaitGroup
+	// The current window's work list, and the events the previous shard
+	// window fired (the dispatch rule's input).
+	active    []*Engine
+	horizon   Time
+	widx      atomic.Int64
+	lastFired uint64
+
+	// Parked helpers, started by the run's first parallel window, one
+	// per slot of wake: each takes a token from wake, runs windowWork,
+	// and answers on done.
+	wake chan struct{}
+	done chan *windowPanic
 
 	stats GroupStats // window counters; Fired is summed on demand
 }
@@ -89,7 +105,16 @@ type Group struct {
 type GroupStats struct {
 	Windows      uint64 // conservative windows run
 	ShardWindows uint64 // sum over windows of the shards active in each
+	Parallel     uint64 // windows shared with helper goroutines
 	Fired        uint64 // events executed on every lane
+}
+
+// windowPanic is a panic recovered from a shard's share of a parallel
+// window, raised again on the coordinator once the window's barrier has
+// passed. i is the shard's index in the window's work list.
+type windowPanic struct {
+	i int64
+	v any
 }
 
 // NewGroup builds a group of cfg.Shards shard engines plus one global
@@ -173,8 +198,7 @@ func (g *Group) run(limit Time, bounded bool) {
 }
 
 func (g *Group) runWindows(limit Time, bounded bool) {
-	g.startWorkers()
-	defer g.stopWorkers()
+	defer g.stopHelpers()
 	for !g.stopReq.Load() {
 		g.drain()
 		var tS Time
@@ -215,98 +239,109 @@ func (g *Group) runWindows(limit Time, bounded bool) {
 }
 
 // runShardsTo executes every shard event with time < h, in parallel across
-// shards, then parks every shard clock at h.
+// shards when the dispatch rule allows, then parks every shard clock at h.
 func (g *Group) runShardsTo(h Time) {
 	g.active = g.active[:0]
+	var before uint64
 	for _, s := range g.shards {
 		if t, ok := s.peekWhen(); ok && t < h {
 			g.active = append(g.active, s)
+			before += s.fired
 		}
 	}
 	g.stats.Windows++
 	g.stats.ShardWindows += uint64(len(g.active))
-	if g.nhelp == 0 || len(g.active) <= 1 {
+	if g.workers > 1 && len(g.active) > 1 && g.lastFired >= parMinEvents {
+		g.stats.Parallel++
+		g.runParallel(h)
+	} else {
 		for _, s := range g.active {
 			s.runWindow(h)
 		}
-	} else {
-		// Publish the window, release the helpers, take part in the
-		// work, then wait for every helper to leave the window before
-		// touching shared state again.
-		g.horizon = h
-		g.widx.Store(0)
-		g.wexit.Store(0)
-		g.epoch.Add(1)
-		g.windowWork()
-		for g.wexit.Load() < int64(g.nhelp) {
-			runtime.Gosched()
-		}
 	}
+	g.lastFired = 0
+	for _, s := range g.active {
+		g.lastFired += s.fired
+	}
+	g.lastFired -= before
 	for _, s := range g.shards {
 		s.parkBefore(h)
 	}
 }
 
-// windowWork claims shards off the shared index until none remain. Both
-// the coordinator and every helper run it each window.
-func (g *Group) windowWork() {
+// runParallel publishes the window, wakes one helper per active shard
+// beyond the first (up to the cap), takes part in the work, and waits for
+// every woken helper to leave the window before touching shared state
+// again. A panic in any shard's events is raised here after that barrier,
+// the one from the earliest shard in the work list, as the inline loop
+// would have raised it.
+func (g *Group) runParallel(h Time) {
+	if g.wake == nil {
+		g.startHelpers()
+	}
+	g.horizon = h
+	g.widx.Store(0)
+	k := min(cap(g.wake), len(g.active)-1)
+	for i := 0; i < k; i++ {
+		g.wake <- struct{}{}
+	}
+	p := g.windowWork()
+	for i := 0; i < k; i++ {
+		if q := <-g.done; q != nil && (p == nil || q.i < p.i) {
+			p = q
+		}
+	}
+	if p != nil {
+		panic(p.v)
+	}
+}
+
+// windowWork claims shards off the shared index until none remain, or
+// until one of their events panics; it returns that panic. The
+// coordinator and every woken helper run it each parallel window.
+func (g *Group) windowWork() (p *windowPanic) {
 	n := int64(len(g.active))
+	var i int64
+	defer func() {
+		if v := recover(); v != nil {
+			p = &windowPanic{i: i, v: v}
+		}
+	}()
 	for {
-		i := g.widx.Add(1) - 1
-		if i >= n {
-			return
+		if i = g.widx.Add(1) - 1; i >= n {
+			return nil
 		}
 		g.active[i].runWindow(g.horizon)
 	}
 }
 
-func (g *Group) helperLoop() {
-	defer g.wg.Done()
-	var seen uint64
-	spins := 0
-	for {
-		if g.quit.Load() {
-			return
-		}
-		if e := g.epoch.Load(); e != seen {
-			seen = e
-			g.windowWork()
-			g.wexit.Add(1)
-			spins = 0
-			continue
-		}
-		if spins++; spins&63 == 0 {
-			runtime.Gosched()
-		}
-	}
-}
-
-func (g *Group) startWorkers() {
-	n := g.workers - 1
-	if n <= 0 {
-		return
-	}
-	if n > len(g.shards)-1 {
-		n = len(g.shards) - 1 // more helpers than extra shards is pure overhead
-	}
-	if n <= 0 {
-		return
-	}
-	g.quit.Store(false)
-	g.nhelp = n
-	g.wg.Add(n)
+// startHelpers starts the parked helpers: one fewer than the worker cap,
+// and never more than there are shards beyond the coordinator's.
+func (g *Group) startHelpers() {
+	n := min(g.workers, len(g.shards)) - 1
+	g.wake = make(chan struct{}, n)
+	g.done = make(chan *windowPanic, n)
 	for i := 0; i < n; i++ {
-		go g.helperLoop()
+		go func(wake <-chan struct{}, done chan<- *windowPanic) {
+			for range wake {
+				done <- g.windowWork()
+			}
+			done <- nil // exiting
+		}(g.wake, g.done)
 	}
 }
 
-func (g *Group) stopWorkers() {
-	if g.nhelp == 0 {
+// stopHelpers ends the run's helpers and returns once each has exited.
+// Every window's barrier has passed, so each is parked on wake.
+func (g *Group) stopHelpers() {
+	if g.wake == nil {
 		return
 	}
-	g.quit.Store(true)
-	g.wg.Wait()
-	g.nhelp = 0
+	close(g.wake)
+	for i := 0; i < cap(g.done); i++ {
+		<-g.done
+	}
+	g.wake, g.done = nil, nil
 }
 
 // drain moves every parked cross-shard message into its target queue, in

@@ -160,20 +160,144 @@ func TestWindowedLookaheadViolationPanics(t *testing.T) {
 //   - window [10,15) runs shard 1 (12), cut short by the global event;
 //   - the global event at 15 runs between windows;
 //   - window [30,40) runs shard 0 (30).
+//
+// Then shard 0 fires parMinEvents events at 50, and both shards hold one
+// event at 60 and one at 80:
+//   - window [50,60) runs shard 0 alone, inline;
+//   - window [60,70) runs both shards after a window of parMinEvents
+//     events, so with helpers it is the one parallel window;
+//   - window [80,90) runs both after a window of two events, inline.
 func TestGroupStats(t *testing.T) {
-	g := NewGroup(GroupConfig{Shards: 2, Lookahead: 10, Workers: 1})
-	nop := func() {}
-	for _, at := range []Time{0, 5, 30} {
-		g.Shard(0).ScheduleAt(at, nop)
+	for _, workers := range []int{1, 2} {
+		g := NewGroup(GroupConfig{Shards: 2, Lookahead: 10, Workers: workers})
+		nop := func() {}
+		for _, at := range []Time{0, 5, 30, 60, 80} {
+			g.Shard(0).ScheduleAt(at, nop)
+		}
+		for i := 0; i < parMinEvents; i++ {
+			g.Shard(0).ScheduleAt(50, nop)
+		}
+		for _, at := range []Time{3, 12, 60, 80} {
+			g.Shard(1).ScheduleAt(at, nop)
+		}
+		g.Global().ScheduleAt(15, nop)
+		g.Run()
+		want := GroupStats{Windows: 6, ShardWindows: 9, Fired: 10 + parMinEvents}
+		if workers > 1 {
+			want.Parallel = 1
+		}
+		if got := g.Stats(); got != want {
+			t.Fatalf("workers=%d: Stats() = %+v, want %+v", workers, got, want)
+		}
 	}
-	for _, at := range []Time{3, 12} {
-		g.Shard(1).ScheduleAt(at, nop)
+}
+
+// runTrickleBurst drives 4 shards through a trickle of small windows, a
+// burst, and a second trickle. Each shard's chain hops 300 cycles at a
+// time (past the 250-cycle lookahead, so most windows hold one or two
+// events) except during [10_000, 20_000), where it hops 1 cycle at a time
+// and every shard fires about 250 events per window. Every 7th step posts
+// to the next shard at the lookahead edge. It returns each lane's trace
+// and the group's counters.
+func runTrickleBurst(workers int) ([][]stormRec, GroupStats) {
+	const shards, lookahead = 4, Time(250)
+	g := NewGroup(GroupConfig{Shards: shards, Lookahead: lookahead, Workers: workers})
+	traces := make([][]stormRec, shards)
+	for s := 0; s < shards; s++ {
+		s, lane := s, g.Shard(s)
+		n := int32(0)
+		var step func()
+		step = func() {
+			traces[s] = append(traces[s], stormRec{t: lane.Now(), tag: n})
+			if n%7 == 0 {
+				dst, src := (s+1)%shards, int32(s)
+				lane.CrossAt(g.Shard(dst), lane.Now()+lookahead, func() {
+					traces[dst] = append(traces[dst], stormRec{t: g.Shard(dst).Now(), tag: -1 - src})
+				})
+			}
+			n++
+			hop := Time(300)
+			if now := lane.Now(); now >= 10_000 && now < 20_000 {
+				hop = 1
+			}
+			if lane.Now() < 30_000 {
+				lane.Schedule(hop, step)
+			}
+		}
+		lane.ScheduleAt(Time(s*37), step)
 	}
-	g.Global().ScheduleAt(15, nop)
 	g.Run()
-	if got, want := g.Stats(), (GroupStats{Windows: 3, ShardWindows: 4, Fired: 6}); got != want {
-		t.Fatalf("Stats() = %+v, want %+v", got, want)
+	return traces, g.Stats()
+}
+
+// TestDispatchTrickleAndBurst: helpers take only the windows the dispatch
+// rule picks, and which those are never changes the result. The fire
+// traces and the window counts are identical at 1, 2 and 4 workers; no
+// window goes parallel on 1 worker, and the burst's windows do on more.
+func TestDispatchTrickleAndBurst(t *testing.T) {
+	ref, refStats := runTrickleBurst(1)
+	if refStats.Parallel != 0 {
+		t.Fatalf("workers=1: %d parallel windows, want 0", refStats.Parallel)
 	}
+	if refStats.Fired < 4*10_000 {
+		t.Fatalf("workers=1: fired %d events, want the burst's %d or more", refStats.Fired, 4*10_000)
+	}
+	for _, w := range []int{2, 4} {
+		traces, st := runTrickleBurst(w)
+		for lane := range traces {
+			if !slices.Equal(traces[lane], ref[lane]) {
+				t.Fatalf("workers=%d: lane %d trace differs from the 1-worker run", w, lane)
+			}
+		}
+		if st.Parallel == 0 {
+			t.Fatalf("workers=%d: no window went parallel on the burst (%+v)", w, st)
+		}
+		if st.Parallel >= st.Windows/2 {
+			t.Fatalf("workers=%d: %d of %d windows went parallel; the trickle's should run inline", w, st.Parallel, st.Windows)
+		}
+		if st.Windows != refStats.Windows || st.ShardWindows != refStats.ShardWindows || st.Fired != refStats.Fired {
+			t.Fatalf("workers=%d: stats %+v, 1-worker run %+v", w, st, refStats)
+		}
+	}
+}
+
+// TestHelperPanicReachesCaller: a panic in a shard event that a helper
+// goroutine runs reaches Run's caller, with its value, once the window's
+// barrier has passed, instead of killing the process. A warm-up window
+// of parMinEvents events makes the next one parallel; in it the shard-0
+// event waits until the shard-1 event has started, so the two run on
+// different goroutines, and the shard-1 event panics.
+func TestHelperPanicReachesCaller(t *testing.T) {
+	g := NewGroup(GroupConfig{Shards: 2, Lookahead: 10, Workers: 2})
+	nop := func() {}
+	for i := 0; i < parMinEvents; i++ {
+		g.Shard(0).ScheduleAt(0, nop)
+	}
+	started := make(chan struct{})
+	overlapped := false
+	g.Shard(0).ScheduleAt(20, func() {
+		select {
+		case <-started:
+			overlapped = true
+		case <-time.After(10 * time.Second):
+		}
+	})
+	g.Shard(1).ScheduleAt(20, func() {
+		close(started)
+		panic("boom in shard 1")
+	})
+	defer func() {
+		if v := recover(); v != "boom in shard 1" {
+			t.Fatalf("recovered %v, want the shard-1 panic", v)
+		}
+		if !overlapped {
+			t.Fatal("the shard events did not overlap: the window ran inline")
+		}
+		if st := g.Stats(); st.Parallel != 1 {
+			t.Fatalf("Stats().Parallel = %d, want 1", st.Parallel)
+		}
+	}()
+	g.Run()
 }
 
 // TestGroupRunUntilEndOfTime: a limit of ^Time(0) used to wrap the window
