@@ -1,13 +1,13 @@
 GO ?= go
 
-.PHONY: check fmt-check vet build test race fuzz-smoke fuzz-native sched-smoke churn-smoke churn-crash-smoke repair-smoke bench engine-bench-smoke tracker-bench-smoke card-bench-smoke switch-bench-smoke setup-bench-smoke sharded-bench-smoke bench-module figures lint-hotpath
+.PHONY: check fmt-check vet build test race full-tables fuzz-smoke fuzz-native sched-smoke churn-smoke churn-crash-smoke repair-smoke bench engine-bench-smoke tracker-bench-smoke card-bench-smoke switch-bench-smoke setup-bench-smoke sharded-bench-smoke bench-module figures lint-hotpath
 
 # The full CI gate, and its only definition (ci.sh runs it): static
 # checks, build, race-enabled tests, a short fixed-seed chaos-fuzz
 # campaign, time-boxed native fuzzing, and scheduler-evaluation smoke runs
 # (all but the native fuzzing deterministic; it gates on properties, not
 # outputs).
-check: fmt-check vet build race fuzz-smoke fuzz-native sched-smoke churn-smoke churn-crash-smoke repair-smoke engine-bench-smoke tracker-bench-smoke card-bench-smoke switch-bench-smoke setup-bench-smoke sharded-bench-smoke bench-module lint-hotpath
+check: fmt-check vet build race full-tables fuzz-smoke fuzz-native sched-smoke churn-smoke churn-crash-smoke repair-smoke engine-bench-smoke tracker-bench-smoke card-bench-smoke switch-bench-smoke setup-bench-smoke sharded-bench-smoke bench-module lint-hotpath
 
 # Formatting gate: fail on any file gofmt would rewrite.
 fmt-check:
@@ -31,6 +31,11 @@ race:
 	$(GO) test -race ./...
 	$(GO) test -race ./internal/sim/... ./internal/experiments/... ./internal/chaos/... ./internal/schedd/...
 	$(GO) test -race -run 'TestParallel' .
+
+# The full-size sweeps behind EXPERIMENTS.md: `gangsim all` must print
+# results_full.txt byte for byte (the wall-clock line goes to stderr).
+full-tables:
+	$(GO) run ./cmd/gangsim all | cmp - results_full.txt
 
 fuzz-smoke:
 	$(GO) run ./cmd/gangsim fuzz -seed 1 -runs 5

@@ -79,26 +79,31 @@ func main() {
 	if len(os.Args) > 1 && os.Args[1] == "churn" {
 		os.Exit(runChurn(os.Args[2:], os.Stdout, os.Stderr))
 	}
-	os.Exit(runFigures())
+	os.Exit(runFigures(os.Args[1:], os.Stdout, os.Stderr))
 }
 
-// runFigures runs the paper-experiment subcommands, which share the
-// global flag set, and returns the exit code.
-func runFigures() int {
-	quick := flag.Bool("quick", false, "shrink sweeps for a fast smoke run")
-	par := flag.Int("par", runtime.GOMAXPROCS(0), "max concurrently simulated points")
-	shards := flag.Int("shards", 0, "shard each cluster's engine into N event lanes (0 = unsharded)")
-	workers := flag.Int("workers", 0, "most worker goroutines sharing a sharded window (<=1 = one, on the coordinator)")
-	profile := profileFlags(flag.CommandLine)
-	flag.Usage = usage
-	flag.Parse()
-	if flag.NArg() != 1 {
-		usage()
+// runFigures runs the paper-experiment subcommands, which share one flag
+// set, writing tables to out and usage, errors and the wall-clock line to
+// diag, and returns the exit code.
+func runFigures(args []string, out, diag io.Writer) int {
+	fs := flag.NewFlagSet("gangsim", flag.ContinueOnError)
+	fs.SetOutput(diag)
+	quick := fs.Bool("quick", false, "shrink sweeps for a fast smoke run")
+	par := fs.Int("par", runtime.GOMAXPROCS(0), "max concurrently simulated points")
+	shards := fs.Int("shards", 0, "shard each cluster's engine into N event lanes (0 = unsharded)")
+	workers := fs.Int("workers", 0, "most worker goroutines sharing a sharded window (<=1 = one, on the coordinator)")
+	profile := profileFlags(fs)
+	fs.Usage = func() { usage(diag) }
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
+	if fs.NArg() != 1 {
+		fs.Usage()
 		return 2
 	}
 	p := experiments.Params{Quick: *quick, Parallel: *par, Shards: *shards, Workers: *workers}
 
-	cmds := map[string]func(experiments.Params){
+	cmds := map[string]func(experiments.Params, io.Writer){
 		"fig5":     fig5,
 		"fig6":     fig6,
 		"fig7":     fig7,
@@ -108,31 +113,31 @@ func runFigures() int {
 		"credits":  credits,
 		"schemes":  schemes,
 		"dyncos":   dyncos,
-		"all": func(p experiments.Params) {
-			credits(p)
-			fig5(p)
-			fig6(p)
-			fig7(p)
-			fig8(p)
-			fig9(p)
-			overhead(p)
-			schemes(p)
-			dyncos(p)
+		"all": func(p experiments.Params, w io.Writer) {
+			credits(p, w)
+			fig5(p, w)
+			fig6(p, w)
+			fig7(p, w)
+			fig8(p, w)
+			fig9(p, w)
+			overhead(p, w)
+			schemes(p, w)
+			dyncos(p, w)
 		},
 	}
-	cmd, ok := cmds[flag.Arg(0)]
+	cmd, ok := cmds[fs.Arg(0)]
 	if !ok {
-		return unknownSubcommand(os.Stderr, flag.Arg(0))
+		return unknownSubcommand(diag, fs.Arg(0))
 	}
 	stop, err := profile()
 	if err != nil {
-		fmt.Fprintf(os.Stderr, "gangsim: %v\n", err)
+		fmt.Fprintf(diag, "gangsim: %v\n", err)
 		return 1
 	}
 	defer stop()
 	start := time.Now()
-	cmd(p)
-	fmt.Printf("\n[%s completed in %.1fs]\n", flag.Arg(0), time.Since(start).Seconds())
+	cmd(p, out)
+	fmt.Fprintf(diag, "[%s completed in %.1fs]\n", fs.Arg(0), time.Since(start).Seconds())
 	return 0
 }
 
@@ -195,8 +200,8 @@ func startProfiles(cpuPath, memPath string) (stop func(), err error) {
 	}, nil
 }
 
-func usage() {
-	fmt.Fprintf(os.Stderr, `gangsim — regenerate the paper's evaluation
+func usage(w io.Writer) {
+	fmt.Fprintf(w, `gangsim — regenerate the paper's evaluation
 
 usage: gangsim [-quick] [-par N] [-shards N] [-workers N]
                [-cpuprofile F] [-memprofile F] <experiment>
@@ -235,48 +240,48 @@ performance is measured by the repository benchmark, not a subcommand:
 `)
 }
 
-func fig5(p experiments.Params) {
+func fig5(p experiments.Params, w io.Writer) {
 	points := experiments.Fig5(p)
-	fmt.Println(experiments.Fig5Table(points))
-	fmt.Println("(zero rows are the credit cliff: C0 = Br/(n^2 p) hits 0 at 7-8 contexts)")
+	fmt.Fprintln(w, experiments.Fig5Table(points))
+	fmt.Fprintln(w, "(zero rows are the credit cliff: C0 = Br/(n^2 p) hits 0 at 7-8 contexts)")
 }
 
-func fig6(p experiments.Params) {
+func fig6(p experiments.Params, w io.Writer) {
 	points := experiments.Fig6(p)
-	fmt.Println(experiments.Fig6Table(points))
-	fmt.Println("(aggregate = mean per-job bandwidth x #jobs; flat rows are the paper's claim)")
+	fmt.Fprintln(w, experiments.Fig6Table(points))
+	fmt.Fprintln(w, "(aggregate = mean per-job bandwidth x #jobs; flat rows are the paper's claim)")
 }
 
-func fig7(p experiments.Params) {
+func fig7(p experiments.Params, w io.Writer) {
 	points := experiments.Fig7(p)
-	fmt.Println(experiments.StageTable(
+	fmt.Fprintln(w, experiments.StageTable(
 		"Figure 7: buffer switch stage times, full copy [cycles of a 200 MHz P6]", points))
 }
 
-func fig8(p experiments.Params) {
+func fig8(p experiments.Params, w io.Writer) {
 	points := experiments.Fig9(p)
-	fmt.Println(experiments.Fig8FromSweep(points))
+	fmt.Fprintln(w, experiments.Fig8FromSweep(points))
 }
 
-func fig9(p experiments.Params) {
+func fig9(p experiments.Params, w io.Writer) {
 	points := experiments.Fig9(p)
-	fmt.Println(experiments.StageTable(
+	fmt.Fprintln(w, experiments.StageTable(
 		"Figure 9: buffer switch stage times, improved (valid-only) copy [cycles]", points))
 }
 
-func overhead(p experiments.Params) {
+func overhead(p experiments.Params, w io.Writer) {
 	rep := experiments.Overhead(p)
-	fmt.Println(experiments.OverheadTable(rep))
+	fmt.Fprintln(w, experiments.OverheadTable(rep))
 }
 
-func credits(p experiments.Params) {
-	fmt.Println(experiments.CreditsTable(experiments.Credits()))
+func credits(p experiments.Params, w io.Writer) {
+	fmt.Fprintln(w, experiments.CreditsTable(experiments.Credits()))
 }
 
-func schemes(p experiments.Params) {
-	fmt.Println(experiments.SchemesTable(experiments.Schemes(p)))
+func schemes(p experiments.Params, w io.Writer) {
+	fmt.Fprintln(w, experiments.SchemesTable(experiments.Schemes(p)))
 }
 
-func dyncos(p experiments.Params) {
-	fmt.Println(experiments.ResponsivenessTable(experiments.Responsiveness(p)))
+func dyncos(p experiments.Params, w io.Writer) {
+	fmt.Fprintln(w, experiments.ResponsivenessTable(experiments.Responsiveness(p)))
 }

@@ -4,21 +4,16 @@ import (
 	"testing"
 
 	"gangfm/internal/chaos"
+	"gangfm/internal/core"
 	"gangfm/internal/lanai"
 	"gangfm/internal/memmodel"
 	"gangfm/internal/myrinet"
 	"gangfm/internal/sim"
 )
 
-func TestSchemeString(t *testing.T) {
-	if ShareDiscard.String() != "share-discard" || PMQuiescence.String() != "pm-quiescence" {
-		t.Fatal("scheme names")
-	}
-}
-
 // pairRig wires two nodes with one job and reliable channels both ways,
 // scheduled from the start.
-func pairRig(t *testing.T, scheme Scheme) (*Cluster, *Endpoint, *Endpoint) {
+func pairRig(t *testing.T, scheme core.Coordination) (*Cluster, *Endpoint, *Endpoint) {
 	t.Helper()
 	cfg := DefaultClusterConfig(1)
 	cfg.Scheme = scheme
@@ -33,7 +28,7 @@ func pairRig(t *testing.T, scheme Scheme) (*Cluster, *Endpoint, *Endpoint) {
 }
 
 func TestReliableDeliveryInOrder(t *testing.T) {
-	c, tx, rx := pairRig(t, ShareDiscard)
+	c, tx, rx := pairRig(t, core.Discard)
 	var got []uint64
 	rx.Channel(0).SetOnDeliver(func(seq uint64) { got = append(got, seq) })
 	tx.Channel(1).Send(100)
@@ -108,7 +103,7 @@ func TestLossRecoveryByRetransmission(t *testing.T) {
 
 func TestShareDiscardSwitchSkipsFlush(t *testing.T) {
 	cfg := DefaultClusterConfig(2)
-	cfg.Scheme = ShareDiscard
+	cfg.Scheme = core.Discard
 	cfg.Quantum = 2_000_000
 	c, err := NewCluster(cfg)
 	if err != nil {
@@ -134,9 +129,6 @@ func TestShareDiscardSwitchSkipsFlush(t *testing.T) {
 		t.Fatal("expected retransmissions to recover the discards")
 	}
 	// No halt protocol: the cards never exchanged Halt messages.
-	for _, m := range c.Managers() {
-		_ = m
-	}
 	if c.Net.Stats().Sent[myrinet.Halt] != 0 {
 		t.Fatal("discard scheme must not use the halt protocol")
 	}
@@ -144,7 +136,7 @@ func TestShareDiscardSwitchSkipsFlush(t *testing.T) {
 
 func TestPMQuiescenceResolvesWithoutControlBroadcast(t *testing.T) {
 	cfg := DefaultClusterConfig(2)
-	cfg.Scheme = PMQuiescence
+	cfg.Scheme = core.Quiesce
 	cfg.Quantum = 2_000_000
 	c, err := NewCluster(cfg)
 	if err != nil {
@@ -168,7 +160,7 @@ func TestPMQuiescenceResolvesWithoutControlBroadcast(t *testing.T) {
 }
 
 func TestSchemesMakeProgressAcrossManyRotations(t *testing.T) {
-	for _, scheme := range []Scheme{ShareDiscard, PMQuiescence} {
+	for _, scheme := range []core.Coordination{core.Discard, core.Quiesce} {
 		scheme := scheme
 		t.Run(scheme.String(), func(t *testing.T) {
 			cfg := DefaultClusterConfig(2)
@@ -196,7 +188,7 @@ func TestSchemesMakeProgressAcrossManyRotations(t *testing.T) {
 func TestDeliveryExactlyOnceUnderDiscard(t *testing.T) {
 	// Retransmissions must not cause duplicate deliveries.
 	cfg := DefaultClusterConfig(2)
-	cfg.Scheme = ShareDiscard
+	cfg.Scheme = core.Discard
 	cfg.Quantum = 800_000
 	c, err := NewCluster(cfg)
 	if err != nil {
@@ -220,7 +212,7 @@ func TestDeliveryExactlyOnceUnderDiscard(t *testing.T) {
 
 func TestPMQuiescenceWaitRecorded(t *testing.T) {
 	cfg := DefaultClusterConfig(2)
-	cfg.Scheme = PMQuiescence
+	cfg.Scheme = core.Quiesce
 	cfg.Quantum = 2_000_000
 	c, err := NewCluster(cfg)
 	if err != nil {
@@ -255,6 +247,11 @@ func TestClusterValidation(t *testing.T) {
 	bad.Nodes = 1
 	if _, err := NewCluster(bad); err == nil {
 		t.Fatal("one node should fail")
+	}
+	bad = DefaultClusterConfig(1)
+	bad.Scheme = core.Flush
+	if _, err := NewCluster(bad); err == nil {
+		t.Fatal("the paper's flush is not an alternative scheme")
 	}
 }
 

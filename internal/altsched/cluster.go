@@ -5,6 +5,7 @@ import (
 
 	"gangfm/internal/chaos"
 	"gangfm/internal/core"
+	"gangfm/internal/fm"
 	"gangfm/internal/lanai"
 	"gangfm/internal/memmodel"
 	"gangfm/internal/myrinet"
@@ -13,9 +14,11 @@ import (
 
 // ClusterConfig parameterizes a scheme-comparison cluster.
 type ClusterConfig struct {
-	Nodes  int
-	Jobs   int
-	Scheme Scheme
+	Nodes int
+	Jobs  int
+	// Scheme is the nodes' stage-1 coordination: core.Discard (SHARE)
+	// or core.Quiesce (PM).
+	Scheme core.Coordination
 	Mode   core.CopyMode
 	// Quantum is the synchronized-clock switching period. Both schemes
 	// in this package derive switches from synchronized clocks (as SHARE
@@ -41,7 +44,7 @@ func DefaultClusterConfig(jobs int) ClusterConfig {
 	return ClusterConfig{
 		Nodes:      2,
 		Jobs:       jobs,
-		Scheme:     ShareDiscard,
+		Scheme:     core.Discard,
 		Mode:       core.ValidOnly,
 		Quantum:    4_000_000,
 		ClockSkew:  4_000, // 20 us: SHARE relies on tightly synchronized clocks
@@ -51,12 +54,13 @@ func DefaultClusterConfig(jobs int) ClusterConfig {
 	}
 }
 
-// node bundles one compute node's hardware and manager.
+// node bundles one compute node's hardware, manager and processes.
 type node struct {
 	nic  *lanai.NIC
 	cpu  *sim.Resource
-	mgr  *Manager
+	mgr  *core.Manager
 	skew sim.Time
+	eps  map[myrinet.JobID]*Endpoint
 }
 
 // Cluster is a self-contained rig comparing the alternative schemes: Jobs
@@ -84,6 +88,9 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	if cfg.Jobs < 1 {
 		return nil, fmt.Errorf("altsched: need at least 1 job")
 	}
+	if cfg.Scheme != core.Discard && cfg.Scheme != core.Quiesce {
+		return nil, fmt.Errorf("altsched: scheme %v is not an alternative to the flush", cfg.Scheme)
+	}
 	eng := sim.NewEngine()
 	net := myrinet.New(eng, myrinet.DefaultConfig(cfg.Nodes))
 	if cfg.Chaos != nil && !cfg.Chaos.Empty() {
@@ -95,15 +102,23 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	for i := 0; i < cfg.Nodes; i++ {
 		nic := lanai.New(eng, net, mem, lanai.DefaultConfig(myrinet.NodeID(i)))
 		cpu := sim.NewResource(eng)
-		mgr, err := NewManager(eng, nic, cpu, mem, cfg.Scheme, cfg.Mode)
+		mgr, err := core.NewManager(eng, nic, cpu, mem, core.Config{
+			Policy: fm.Switched, Mode: cfg.Mode, MaxContexts: cfg.Jobs, Processors: cfg.Nodes,
+			Coordination: cfg.Scheme,
+		})
 		if err != nil {
-			return nil, err
+			return nil, fmt.Errorf("altsched: %w", err)
+		}
+		if err := mgr.InitNode(); err != nil {
+			return nil, fmt.Errorf("altsched: %w", err)
 		}
 		skew := sim.Time(0)
 		if cfg.ClockSkew > 0 {
 			skew = sim.Time(rng.Uint64() % uint64(cfg.ClockSkew))
 		}
-		c.nodes = append(c.nodes, &node{nic: nic, cpu: cpu, mgr: mgr, skew: skew})
+		n := &node{nic: nic, cpu: cpu, mgr: mgr, skew: skew, eps: make(map[myrinet.JobID]*Endpoint)}
+		n.filter(cfg.Scheme)
+		c.nodes = append(c.nodes, n)
 	}
 	nodeOf := []myrinet.NodeID{0, 1}
 	for j := 1; j <= cfg.Jobs; j++ {
@@ -115,9 +130,10 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			if err != nil {
 				return nil, err
 			}
-			if err := n.mgr.AddProcess(ep); err != nil {
-				return nil, err
+			if err := n.mgr.InitJob(job, rank, ep); err != nil {
+				return nil, fmt.Errorf("altsched: %w", err)
 			}
+			n.eps[job] = ep
 			eps[rank] = ep
 		}
 		c.eps[job] = eps
@@ -126,17 +142,44 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	return c, nil
 }
 
+// filter installs the card's receive-side processing. SHARE's card-level
+// ID check discards packets for any job but the scheduled one (no ack is
+// produced, so the sender's transport eventually retransmits them); PM
+// instead nacks what it cannot receive, which resolves the sender's
+// quiescence accounting. Packets for the scheduled job pass the NIC-level
+// go-back-N accept/ack before the DMA deposit.
+func (n *node) filter(scheme core.Coordination) {
+	n.nic.DataFilter = func(p *myrinet.Packet) bool {
+		ep := n.eps[p.Job]
+		if ep == nil || p.Job != n.mgr.Current() {
+			if scheme == core.Quiesce {
+				nack := n.nic.NewPacket()
+				nack.Type = myrinet.Nack
+				nack.Src, nack.Dst = n.nic.Node(), p.Src
+				nack.Job, nack.SrcRank, nack.DstRank = p.Job, p.DstRank, p.SrcRank
+				nack.MsgID = p.MsgID
+				n.nic.SendRaw(nack)
+			}
+			return false
+		}
+		return ep.accept(p)
+	}
+	n.nic.OnControl = func(p *myrinet.Packet) {
+		ep := n.eps[p.Job]
+		if ep == nil {
+			return
+		}
+		switch p.Type {
+		case myrinet.Ack:
+			ep.handleAck(p)
+		case myrinet.Nack:
+			ep.handleNack(p)
+		}
+	}
+}
+
 // Endpoints returns a job's endpoints by rank.
 func (c *Cluster) Endpoints(job myrinet.JobID) []*Endpoint { return c.eps[job] }
-
-// Managers returns the per-node managers.
-func (c *Cluster) Managers() []*Manager {
-	out := make([]*Manager, len(c.nodes))
-	for i, n := range c.nodes {
-		out[i] = n.mgr
-	}
-	return out
-}
 
 // Start schedules job 1 everywhere and begins the clock-driven rotation.
 func (c *Cluster) Start() {
@@ -151,7 +194,7 @@ func (c *Cluster) rotate() {
 	for _, n := range c.nodes {
 		n := n
 		c.Eng.Schedule(n.skew, func() {
-			if err := n.mgr.Switch(c.epoch, job, nil); err != nil {
+			if err := n.mgr.SwitchTo(c.epoch, job, nil); err != nil {
 				panic(err)
 			}
 		})
@@ -166,9 +209,9 @@ func (c *Cluster) RunFor(d sim.Time) {
 
 // Report aggregates a run's transport and switch statistics.
 type Report struct {
-	Scheme          Scheme
+	Scheme          core.Coordination
 	Switches        int
-	MeanWait        float64 // cycles (quiescence; zero for discard)
+	MeanWait        float64 // cycles of stage 1 (quiescence; zero for discard)
 	MeanCopy        float64 // cycles
 	Delivered       uint64
 	Sent            uint64
@@ -195,7 +238,7 @@ func (c *Cluster) Collect() Report {
 				continue
 			}
 			rep.Switches++
-			wait += float64(rec.Wait)
+			wait += float64(rec.Halt)
 			copies += float64(rec.Copy)
 		}
 		rep.Discards += n.nic.Stats().Drops[lanai.DropFiltered]

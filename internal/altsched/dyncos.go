@@ -86,7 +86,7 @@ func NewDynCosNode(eng *sim.Engine, net *myrinet.Network, mem *memmodel.Model,
 		n.wake()
 	}
 	n.idleCheckFn = n.idleCheck
-	ep.attach(ctx)
+	ep.Attach(ctx)
 	// Wrap the arrival hook: accept/ack at NIC level, then wake the
 	// process if it is descheduled.
 	nic.DataFilter = func(p *myrinet.Packet) bool { return ep.accept(p) }

@@ -10,7 +10,8 @@ import (
 
 // Endpoint is one process under an alternative scheme: a set of reliable
 // channels to its peers, bound to the node's shared hardware context when
-// the process is scheduled.
+// the process is scheduled. It is the core.Process a node's manager
+// switches.
 type Endpoint struct {
 	eng *sim.Engine
 	nic *lanai.NIC
@@ -90,8 +91,8 @@ func (e *Endpoint) Rank() int { return e.rank }
 // Running reports the process's run state.
 func (e *Endpoint) Running() bool { return e.running }
 
-// attach binds the endpoint (and its channels) to the hardware context.
-func (e *Endpoint) attach(ctx *lanai.Context) {
+// Attach binds the endpoint (and its channels) to the hardware context.
+func (e *Endpoint) Attach(ctx *lanai.Context) {
 	e.ctx = ctx
 	for _, c := range e.chans {
 		c.ctx = ctx
@@ -144,8 +145,9 @@ func (e *Endpoint) outstanding() int {
 	return n
 }
 
-// quiesced reports whether every channel's window is resolved.
-func (e *Endpoint) quiesced() bool {
+// Quiesced reports whether every channel's window is resolved: the test
+// core's Quiesce coordination polls.
+func (e *Endpoint) Quiesced() bool {
 	for _, c := range e.chans {
 		if !c.Quiesced() {
 			return false

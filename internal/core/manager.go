@@ -14,7 +14,8 @@
 // COMM_halt_network is haltStage (suspend, then the NIC flush),
 // COMM_context_switch is copyWork (the stage-2 buffer copy on the host
 // CPU), and COMM_release_network ends in releaseDone (the NIC's ready
-// protocol, then resume).
+// protocol, then resume). The related-work schemes of §5 differ only in
+// stage 1 and have no stage 3; Config.Coordination selects them.
 package core
 
 import (
@@ -52,6 +53,48 @@ func (m CopyMode) String() string {
 	}
 }
 
+// Coordination selects how stage 1 of a switch agrees with the other
+// nodes that the network holds nothing for the outgoing process (Switched
+// policy only). Stage 2, the buffer copy, is the same for all of them.
+type Coordination int
+
+const (
+	// Flush is the paper's scheme: a halt/ready network flush around the
+	// buffer copy.
+	Flush Coordination = iota
+	// Discard switches with no flush and no release (SHARE, §5): packets
+	// racing the switch are discarded by the card, and the transport
+	// retransmits them.
+	Discard
+	// Quiesce waits, with no control broadcast, until the card's send
+	// queue is empty and the outgoing process has every transmitted
+	// packet acknowledged or rejected (PM/SCore, §5). There is no release
+	// stage. The process must implement Quiesced() bool.
+	Quiesce
+)
+
+// String names the coordination scheme.
+func (c Coordination) String() string {
+	switch c {
+	case Flush:
+		return "flush"
+	case Discard:
+		return "share-discard"
+	case Quiesce:
+		return "pm-quiescence"
+	default:
+		return fmt.Sprintf("Coordination(%d)", int(c))
+	}
+}
+
+// quiescePollInterval is how often, in cycles, Quiesce re-checks the
+// outgoing process.
+const quiescePollInterval = 2000
+
+// quiescer is what Quiesce coordination needs of a process: whether every
+// packet it has transmitted is resolved.
+type quiescer interface{ Quiesced() bool }
+
 // Process is the per-job process the manager schedules: the glueFM layer
 // needs to stop/start it around switches and to bind it to the hardware
 // context that will carry its traffic. fm.Endpoint satisfies it.
@@ -69,9 +112,9 @@ type SwitchStats struct {
 	Epoch   uint64
 	From    myrinet.JobID
 	To      myrinet.JobID
-	Halt    sim.Time // stage 1: network flush
+	Halt    sim.Time // stage 1: network flush (quiescence wait; 0 for Discard)
 	Copy    sim.Time // stage 2: buffer switch
-	Release sim.Time // stage 3: refill/ready protocol
+	Release sim.Time // stage 3: refill/ready protocol (0 unless Flush)
 
 	// ValidSend and ValidRecv are the valid packet counts found in the
 	// outgoing process's queues (Figure 8).
@@ -172,6 +215,8 @@ type Config struct {
 	MaxContexts int
 	// Processors is the machine size p used in the credit formulas.
 	Processors int
+	// Coordination selects stage 1 of a switch (Switched policy only).
+	Coordination Coordination
 }
 
 // Manager is the per-node glueFM instance, linked with the noded.
@@ -209,6 +254,7 @@ type Manager struct {
 	copyWorkFn    func()
 	copyDoneFn    func()
 	releaseDoneFn func()
+	quiesceFn     func() // Quiesce coordination only
 
 	// OnStore, when set, observes a job's queues right after they are
 	// saved to the backing store (and after the integrity digest is
@@ -220,6 +266,12 @@ type Manager struct {
 // the paper's COMM_init_node, which loads the LANai control program when
 // the noded starts).
 func NewManager(eng *sim.Engine, nic *lanai.NIC, cpu *sim.Resource, mem *memmodel.Model, cfg Config) (*Manager, error) {
+	switch {
+	case cfg.Coordination < Flush || cfg.Coordination > Quiesce:
+		return nil, fmt.Errorf("core: unknown coordination %d", int(cfg.Coordination))
+	case cfg.Coordination != Flush && cfg.Policy != fm.Switched:
+		return nil, fmt.Errorf("core: %v coordination needs the switched policy", cfg.Coordination)
+	}
 	nicCfg := nic.Config()
 	alloc, err := fm.Allocate(cfg.Policy, nicCfg.SendSlots, nicCfg.RecvSlots, cfg.MaxContexts, cfg.Processors)
 	if err != nil {
@@ -235,6 +287,9 @@ func NewManager(eng *sim.Engine, nic *lanai.NIC, cpu *sim.Resource, mem *memmode
 	m.copyWorkFn = m.copyWork
 	m.copyDoneFn = m.copyDone
 	m.releaseDoneFn = m.releaseDone
+	if cfg.Coordination == Quiesce {
+		m.quiesceFn = m.quiesce
+	}
 	return m, nil
 }
 
@@ -345,6 +400,11 @@ func (m *Manager) InitJob(job myrinet.JobID, rank int, p Process) error {
 	}
 	if _, dup := m.procs[job]; dup {
 		return fmt.Errorf("core: job %d already initialized on node %d", job, m.nic.Node())
+	}
+	if m.cfg.Coordination == Quiesce {
+		if _, ok := p.(quiescer); !ok {
+			return fmt.Errorf("core: job %d process %T cannot report quiescence", job, p)
+		}
 	}
 	pr := &proc{job: job, rank: rank, p: p}
 	if m.cfg.Policy == fm.Partitioned {
@@ -457,8 +517,9 @@ func (m *Manager) SwitchIdle(epoch uint64, done func(SwitchStats)) error {
 }
 
 // haltStage is stage 1 (COMM_halt_network): suspend the running process
-// and flush the network for the epoch. It takes stats by value and copies
-// it into the prebuilt m.sw record, so nothing escapes.
+// and flush the network for the epoch, or coordinate as Config selects.
+// It takes stats by value and copies it into the prebuilt m.sw record, so
+// nothing escapes.
 func (m *Manager) haltStage(epoch uint64, stats SwitchStats, next *proc, done func(SwitchStats)) error {
 	if m.sw.busy {
 		return fmt.Errorf("core: node %d switch for epoch %d while epoch %d is in flight",
@@ -476,8 +537,26 @@ func (m *Manager) haltStage(epoch uint64, stats SwitchStats, next *proc, done fu
 	if m.current != nil {
 		m.current.p.Suspend()
 	}
-	m.nic.HaltNetwork(epoch, m.haltDoneFn)
+	switch m.cfg.Coordination {
+	case Discard:
+		m.haltDone()
+	case Quiesce:
+		m.quiesce()
+	default:
+		m.nic.HaltNetwork(epoch, m.haltDoneFn)
+	}
 	return nil
+}
+
+// quiesce is Quiesce's stage 1: poll until the card has sent everything
+// the outgoing process queued and the process reports every packet
+// resolved.
+func (m *Manager) quiesce() {
+	if m.current == nil || (m.hwCtx.SendQ.Len() == 0 && m.current.p.(quiescer).Quiesced()) {
+		m.haltDone()
+		return
+	}
+	m.eng.Schedule(quiescePollInterval, m.quiesceFn)
 }
 
 func (m *Manager) haltDone() {
@@ -488,7 +567,11 @@ func (m *Manager) haltDone() {
 	st.ValidSend = m.hwCtx.SendQ.Len()
 	st.ValidRecv = m.hwCtx.RecvQ.Len()
 	if m.current == m.sw.next {
-		m.eng.Schedule(0, m.copyDoneFn)
+		if m.cfg.Coordination == Flush {
+			m.eng.Schedule(0, m.copyDoneFn)
+		} else {
+			m.copyDone()
+		}
 		return
 	}
 	if m.sw.next != nil {
@@ -527,6 +610,10 @@ func (m *Manager) copyWork() {
 func (m *Manager) copyDone() {
 	m.sw.stats.Copy = m.eng.Now() - m.sw.t1
 	m.sw.t2 = m.eng.Now()
+	if m.cfg.Coordination != Flush {
+		m.releaseDone() // no stage 3: Release stays 0
+		return
+	}
 	m.nic.ReleaseNetwork(m.sw.stats.Epoch, m.releaseDoneFn)
 }
 
@@ -550,7 +637,7 @@ func (m *Manager) releaseDone() {
 // indicate which halves of the switch actually happen (an idle switch
 // restores nothing; a first bind saves nothing).
 func (m *Manager) copyCost(stats *SwitchStats, save, restore bool) sim.Time {
-	return BufferCopyCost(m.mem, m.cfg.Mode,
+	return bufferCopyCost(m.mem, m.cfg.Mode,
 		m.alloc.SendSlots, m.alloc.RecvSlots,
 		stats.ValidSend, stats.ValidRecv,
 		stats.RestoredSend, stats.RestoredRecv,
@@ -565,15 +652,14 @@ func (m *Manager) MaxCopyCost() sim.Time {
 		return 0
 	}
 	s, r := m.alloc.SendSlots, m.alloc.RecvSlots
-	return BufferCopyCost(m.mem, m.cfg.Mode, s, r, s, r, s, r, true, true)
+	return bufferCopyCost(m.mem, m.cfg.Mode, s, r, s, r, s, r, true, true)
 }
 
-// BufferCopyCost computes the host cycles of one buffer switch (Figure 4)
+// bufferCopyCost computes the host cycles of one buffer switch (Figure 4)
 // under the given algorithm: the full send-queue region lives on the card
 // behind the write-combined mapping, the receive queue in pinned host
-// memory. It is exported so the alternative schemes (internal/altsched)
-// charge exactly the same copy costs as the paper's scheme.
-func BufferCopyCost(mem *memmodel.Model, mode CopyMode,
+// memory.
+func bufferCopyCost(mem *memmodel.Model, mode CopyMode,
 	sendSlots, recvSlots, validSend, validRecv, restoredSend, restoredRecv int,
 	save, restore bool) sim.Time {
 	sendRegion := sendSlots * myrinet.PacketSize

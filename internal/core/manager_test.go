@@ -14,6 +14,7 @@ import (
 // cluster is a minimal multi-node, multi-job test rig: one NIC, CPU and
 // manager per node; one fm.Endpoint per (job, node).
 type cluster struct {
+	cfg  Config
 	eng  *sim.Engine
 	net  *myrinet.Network
 	mem  *memmodel.Model
@@ -27,6 +28,7 @@ type cluster struct {
 func newCluster(t *testing.T, nodes int, cfg Config) *cluster {
 	t.Helper()
 	c := &cluster{
+		cfg: cfg,
 		eng: sim.NewEngine(),
 		mem: memmodel.Default(),
 		eps: make(map[myrinet.JobID][]*fm.Endpoint),
@@ -65,7 +67,11 @@ func (c *cluster) addJob(t *testing.T, job myrinet.JobID) []*fm.Endpoint {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if err := c.mgrs[i].InitJob(job, i, ep); err != nil {
+		var p Process = ep
+		if c.cfg.Coordination == Quiesce {
+			p = &quiescingEP{Endpoint: ep, unacked: 3}
+		}
+		if err := c.mgrs[i].InitJob(job, i, p); err != nil {
 			t.Fatal(err)
 		}
 		eps[i] = ep
@@ -107,9 +113,37 @@ func defaultCfg(nodes int) Config {
 	return Config{Policy: fm.Switched, Mode: ValidOnly, MaxContexts: 4, Processors: nodes}
 }
 
+// quiescingEP is an FM process under Quiesce coordination. FM has no
+// acknowledgements, so it stands in for a transport that has packets in
+// flight at every suspend: Quiesced reports false for the first unacked
+// polls after each Suspend.
+type quiescingEP struct {
+	*fm.Endpoint
+	unacked, left int
+}
+
+func (q *quiescingEP) Suspend() {
+	q.Endpoint.Suspend()
+	q.left = q.unacked
+}
+
+func (q *quiescingEP) Quiesced() bool {
+	if q.left == 0 {
+		return true
+	}
+	q.left--
+	return false
+}
+
 func TestCopyModeString(t *testing.T) {
 	if FullCopy.String() != "full-copy" || ValidOnly.String() != "valid-only" {
 		t.Fatal("copy mode names")
+	}
+}
+
+func TestCoordinationString(t *testing.T) {
+	if Flush.String() != "flush" || Discard.String() != "share-discard" || Quiesce.String() != "pm-quiescence" {
+		t.Fatal("coordination names")
 	}
 }
 
@@ -678,5 +712,135 @@ func TestQueueDigestCoversEveryField(t *testing.T) {
 				t.Errorf("changing %s of a parked packet (queue %d) left the digest at %#x", typ.Field(f).Name, queue, before)
 			}
 		}
+	}
+}
+
+// TestCoordinationValidation: an unknown coordination, or an alternative
+// one without the switched policy's shared buffers, is rejected at
+// construction.
+func TestCoordinationValidation(t *testing.T) {
+	eng := sim.NewEngine()
+	mem := memmodel.Default()
+	nic := lanai.New(eng, myrinet.New(eng, myrinet.DefaultConfig(2)), mem, lanai.DefaultConfig(0))
+	for _, cfg := range []Config{
+		{Policy: fm.Switched, MaxContexts: 2, Processors: 2, Coordination: Quiesce + 1},
+		{Policy: fm.Partitioned, MaxContexts: 2, Processors: 2, Coordination: Discard},
+	} {
+		if _, err := NewManager(eng, nic, sim.NewResource(eng), mem, cfg); err == nil {
+			t.Fatalf("%+v should be rejected", cfg)
+		}
+	}
+}
+
+// noControlBroadcast fails if any card sent a Halt or Ready packet.
+func (c *cluster) noControlBroadcast(t *testing.T) {
+	t.Helper()
+	if st := c.net.Stats(); st.Sent[myrinet.Halt] != 0 || st.Sent[myrinet.Ready] != 0 {
+		t.Fatalf("control broadcast sent: %d halts, %d readies", st.Sent[myrinet.Halt], st.Sent[myrinet.Ready])
+	}
+}
+
+// TestDiscardSkipsFlushAndRelease: SHARE-style switching goes straight to
+// the buffer copy. It sends no control packet and records zero halt and
+// release time, and a same-job switch completes before SwitchTo returns.
+func TestDiscardSkipsFlushAndRelease(t *testing.T) {
+	cfg := defaultCfg(2)
+	cfg.Coordination = Discard
+	c := newCluster(t, 2, cfg)
+	a := c.addJob(t, 1)
+	c.addJob(t, 2)
+	c.switchAll(t, 1, 1, 0)
+	// Switch mid-stream: job 1's multi-packet messages are on the wire.
+	a[1].SetHandler(func(_, _ int, _ []byte) {})
+	for i := 0; i < 4; i++ {
+		if !a[0].Send(1, 4*myrinet.MaxPayload, nil) {
+			t.Fatalf("send %d rejected", i)
+		}
+	}
+	c.eng.RunUntil(c.eng.Now() + 20_000)
+	stats := c.switchAll(t, 2, 2, 1000)
+	for i, s := range stats {
+		if s.From != 1 || s.To != 2 || c.mgrs[i].Current() != 2 {
+			t.Fatalf("node %d: switch %d->%d, bound to %d", i, s.From, s.To, c.mgrs[i].Current())
+		}
+		if s.Halt != 0 || s.Release != 0 || s.Copy == 0 {
+			t.Fatalf("node %d: stages %+v, want only a copy", i, s)
+		}
+	}
+	c.noControlBroadcast(t)
+
+	var got []SwitchStats
+	if err := c.mgrs[0].SwitchTo(3, 2, func(s SwitchStats) { got = append(got, s) }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || got[0].Total() != 0 {
+		t.Fatalf("same-job switch not synchronous and free: %+v", got)
+	}
+}
+
+// TestQuiesceWaitsForAcks: PM-style switching polls, without a control
+// broadcast, until the outgoing process has every packet resolved and the
+// card's send queue is empty, and has no release stage.
+func TestQuiesceWaitsForAcks(t *testing.T) {
+	cfg := defaultCfg(2)
+	cfg.Coordination = Quiesce
+	c := newCluster(t, 2, cfg)
+	c.addJob(t, 1)
+	c.addJob(t, 2)
+	c.switchAll(t, 1, 1, 0)
+	stats := c.switchAll(t, 2, 2, 0)
+	for i, s := range stats {
+		if s.Halt != 3*quiescePollInterval || s.Release != 0 || c.mgrs[i].Current() != 2 {
+			t.Fatalf("node %d: %+v, bound to %d; want a three-poll wait", i, s, c.mgrs[i].Current())
+		}
+	}
+	c.noControlBroadcast(t)
+}
+
+// TestQuiesceNeedsQuiescedProcess: Quiesce coordination polls the
+// outgoing process, so InitJob rejects one that cannot report it.
+func TestQuiesceNeedsQuiescedProcess(t *testing.T) {
+	cfg := defaultCfg(2)
+	cfg.Coordination = Quiesce
+	c := newCluster(t, 2, cfg)
+	ep, err := fm.NewEndpoint(c.eng, c.nics[0], c.cpus[0], c.mem,
+		fm.DefaultConfig(c.mgrs[0].Alloc().C0), 1, 0, []myrinet.NodeID{0, 1})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.mgrs[0].InitJob(1, 0, ep); err == nil {
+		t.Fatal("a process without Quiesced should be rejected")
+	}
+	if err := c.mgrs[0].InitJob(1, 0, &quiescingEP{Endpoint: ep}); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestEndJobDuringQuiescence: the incoming job killed while the outgoing
+// one quiesces is detached, so the switch completes as an idle switch.
+func TestEndJobDuringQuiescence(t *testing.T) {
+	cfg := defaultCfg(2)
+	cfg.Coordination = Quiesce
+	c := newCluster(t, 2, cfg)
+	c.addJob(t, 1)
+	c.addJob(t, 2)
+	c.switchAll(t, 1, 1, 0)
+	m := c.mgrs[0]
+	var got []SwitchStats
+	if err := m.SwitchTo(2, 2, func(s SwitchStats) { got = append(got, s) }); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 0 {
+		t.Fatal("switch completed without waiting for quiescence")
+	}
+	if err := m.EndJob(2); err != nil {
+		t.Fatal(err)
+	}
+	c.eng.Run()
+	if len(got) != 1 || got[0].Halt != 3*quiescePollInterval || got[0].RestoredSend != 0 || got[0].RestoredRecv != 0 {
+		t.Fatalf("switch stats %+v", got)
+	}
+	if m.Current() != myrinet.NoJob || c.nics[0].ContextFor(2) != nil || m.Contexts() != 1 {
+		t.Fatalf("bound to %d after the idle switch, %d contexts", m.Current(), m.Contexts())
 	}
 }

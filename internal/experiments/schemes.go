@@ -42,9 +42,9 @@ func Schemes(p Params) []SchemeRow {
 		case 0:
 			rows[0] = paperSchemeRow(p)
 		case 1:
-			rows[1] = altSchemeRow(p, altsched.ShareDiscard)
+			rows[1] = altSchemeRow(p, core.Discard)
 		case 2:
-			rows[2] = altSchemeRow(p, altsched.PMQuiescence)
+			rows[2] = altSchemeRow(p, core.Quiesce)
 		}
 	})
 	return rows
@@ -92,7 +92,7 @@ func paperSchemeRow(p Params) SchemeRow {
 	return row
 }
 
-func altSchemeRow(p Params, scheme altsched.Scheme) SchemeRow {
+func altSchemeRow(p Params, scheme core.Coordination) SchemeRow {
 	cfg := altsched.DefaultClusterConfig(2)
 	cfg.Scheme = scheme
 	cfg.Quantum = 2_000_000
@@ -115,7 +115,7 @@ func altSchemeRow(p Params, scheme altsched.Scheme) SchemeRow {
 	cluster.RunFor(dur)
 	rep := cluster.Collect()
 	name := "discard + retransmit (SHARE)"
-	if scheme == altsched.PMQuiescence {
+	if scheme == core.Quiesce {
 		name = "quiescence flush (PM/SCore)"
 	}
 	return SchemeRow{

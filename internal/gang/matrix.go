@@ -196,15 +196,6 @@ func (m *Matrix) blockLoad(start, width int) int {
 	return load
 }
 
-// ColLoad returns the number of occupied cells in column c across all
-// rows — the column's resident-process count. O(1) from the cache.
-func (m *Matrix) ColLoad(c int) int {
-	if c < 0 || c >= m.cols {
-		return 0
-	}
-	return m.colLoad[c]
-}
-
 // RowFree returns the number of free cells in row r. O(1) from the cache.
 func (m *Matrix) RowFree(r int) int {
 	if r < 0 || r >= len(m.rows) {

@@ -150,15 +150,6 @@ func (m *Masterd) EvictedNodes() []int {
 	return out
 }
 
-// activeRow returns the currently scheduled row (-1 before the first
-// rotation).
-func (m *Masterd) activeRow() int {
-	if !m.activated {
-		return -1
-	}
-	return m.lastRow
-}
-
 func (m *Masterd) submit(spec JobSpec) (*Job, error) {
 	if spec.Size <= 0 {
 		return nil, fmt.Errorf("parpar: job %q has size %d", spec.Name, spec.Size)
