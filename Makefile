@@ -1,13 +1,13 @@
 GO ?= go
 
-.PHONY: check fmt-check vet build test race full-tables fuzz-smoke fuzz-native sched-smoke churn-smoke churn-crash-smoke repair-smoke bench engine-bench-smoke tracker-bench-smoke card-bench-smoke switch-bench-smoke setup-bench-smoke sharded-bench-smoke bench-module figures lint-hotpath
+.PHONY: check fmt-check vet build test race full-tables fuzz-smoke fuzz-native sched-smoke churn-smoke churn-crash-smoke repair-smoke bench engine-bench-smoke tracker-bench-smoke card-bench-smoke switch-bench-smoke setup-bench-smoke scale-bench-smoke bench-module figures lint-hotpath
 
 # The full CI gate, and its only definition (ci.sh runs it): static
 # checks, build, race-enabled tests, a short fixed-seed chaos-fuzz
 # campaign, time-boxed native fuzzing, and scheduler-evaluation smoke runs
 # (all but the native fuzzing deterministic; it gates on properties, not
 # outputs).
-check: fmt-check vet build race full-tables fuzz-smoke fuzz-native sched-smoke churn-smoke churn-crash-smoke repair-smoke engine-bench-smoke tracker-bench-smoke card-bench-smoke switch-bench-smoke setup-bench-smoke sharded-bench-smoke bench-module lint-hotpath
+check: fmt-check vet build race full-tables fuzz-smoke fuzz-native sched-smoke churn-smoke churn-crash-smoke repair-smoke engine-bench-smoke tracker-bench-smoke card-bench-smoke switch-bench-smoke setup-bench-smoke scale-bench-smoke bench-module lint-hotpath
 
 # Formatting gate: fail on any file gofmt would rewrite.
 fmt-check:
@@ -22,15 +22,16 @@ build:
 test:
 	$(GO) test ./...
 
-# The -race gate runs the full matrix, then the concurrent components —
-# the sharded parallel engine, the sweep harness, the chaos injector and
-# auditor and the scheduler daemon (whose hooks fire from concurrent shard
-# workers), and the root package's sharded-vs-serial equivalence tests —
-# once more explicitly.
+# The -race gate runs the full matrix, then reruns (uncached, twice) the
+# code that runs clusters side by side: the sweep harness (points on
+# concurrent goroutines, one engine each) and the root package's
+# equivalence tests, which run figure sweeps at -par 2 and chaos clusters
+# two at a time. Each cluster owns its engine, injector, auditor and
+# packet pool, so any state two clusters shared would race.
 race:
 	$(GO) test -race ./...
-	$(GO) test -race ./internal/sim/... ./internal/experiments/... ./internal/chaos/... ./internal/schedd/...
-	$(GO) test -race -run 'TestParallel' .
+	$(GO) test -race -count=2 ./internal/experiments/...
+	$(GO) test -race -count=2 -run 'TestParallel' .
 
 # The full-size sweeps behind EXPERIMENTS.md: `gangsim all` must print
 # results_full.txt byte for byte (the wall-clock line goes to stderr).
@@ -55,40 +56,35 @@ fuzz-native:
 	$(GO) test -run '^$$' -fuzz '^FuzzParseTraceFull$$' -fuzztime 10s -fuzzminimizetime 0x ./internal/schedeval
 	$(GO) test -run '^$$' -fuzz '^FuzzMatrixOps$$' -fuzztime 10s -fuzzminimizetime 0x ./internal/gang
 
-# same-output runs `gangsim $(1)` twice, the second time with $(3)
-# appended, and demands byte-identical output (files named after $(2)).
+# same-output runs `gangsim $(1)` twice and demands byte-identical output
+# (files named after $(2)).
 define same-output
 	$(GO) run ./cmd/gangsim $(1) > /tmp/gangfm-$(2)-a.txt
-	$(GO) run ./cmd/gangsim $(1) $(3) > /tmp/gangfm-$(2)-b.txt
+	$(GO) run ./cmd/gangsim $(1) > /tmp/gangfm-$(2)-b.txt
 	cmp /tmp/gangfm-$(2)-a.txt /tmp/gangfm-$(2)-b.txt
 endef
-
-# Every churn leg's second run is sharded, with windows on 4 workers.
-SHARDED = -shards 4 -workers 4
 
 # Scheduler-evaluation smoke: a quick trace replay across every packing
 # policy and both credit schemes. The tables are a pure function of the
 # seed, so the grid runs twice and must be byte-identical.
 sched-smoke:
-	$(call same-output,sched -quick,sched,)
+	$(call same-output,sched -quick,sched)
 
 # Online-scheduling smoke: the gang-vs-batch-vs-fractional showdown under
 # live kills, resizes, and conservative backfill. The grid and the full
-# decision logs are a pure function of the seed, identical across sharded
-# runs at any shards × workers. This seed's unsharded run matches them
-# too; that holds for most seeds, not all (DESIGN.md §7).
+# decision logs are a pure function of the seed, so the run is repeated
+# and must be byte-identical.
 churn-smoke:
-	$(call same-output,churn -quick -log,churn,$(SHARDED))
+	$(call same-output,churn -quick -log,churn)
 
 # Failure-aware smoke: the same showdown with fail-stop node crashes armed
 # — the heartbeat detects them, recovery evicts the dead nodes, the
 # daemons requeue the killed jobs, and the availability table is
 # appended. Crash plans key every fault decision on simulation state, so
-# the sharded run must again be byte-identical to the unsharded one, quick
-# and full size (true of these seeds; see churn-smoke).
+# the rerun must again be byte-identical, quick and full size.
 churn-crash-smoke:
-	$(call same-output,churn -quick -crash 0.35 -adaptive -log,churn-crash,$(SHARDED))
-	$(call same-output,churn -crash 0.35 -adaptive -log,churn-crash-full,$(SHARDED))
+	$(call same-output,churn -quick -crash 0.35 -adaptive -log,churn-crash)
+	$(call same-output,churn -crash 0.35 -adaptive -log,churn-crash-full)
 
 # Repair smoke: the closed failure loop — crashes detected by heartbeat,
 # repaired nodes rejoining at rotation boundaries, and the availability
@@ -97,8 +93,8 @@ churn-crash-smoke:
 # Same promise. Every churn leg exits non-zero on a chaos-auditor
 # violation or a task-table divergence.
 repair-smoke:
-	$(call same-output,churn -quick -crash 0.35 -repair 0.75 -adaptive -log,churn-repair,$(SHARDED))
-	$(call same-output,churn -crash 0.35 -repair 0.75 -adaptive -log,churn-repair-full,$(SHARDED))
+	$(call same-output,churn -quick -crash 0.35 -repair 0.75 -adaptive -log,churn-repair)
+	$(call same-output,churn -crash 0.35 -repair 0.75 -adaptive -log,churn-repair-full)
 
 # Microbenchmarks with allocation reporting. BenchmarkEngineThroughput
 # (one pending event), BenchmarkEngineHeap64 (64, all in the near ring)
@@ -109,10 +105,9 @@ repair-smoke:
 # card streaming small packets; BenchmarkSwitchRound256 reports one whole
 # switch round on 256 nodes; BenchmarkClusterSetup256 and
 # BenchmarkClusterSetup512 report the bytes allocated building a 256-node
-# (512-node) sharded cluster with 128 (256) pair jobs, in all and per node;
-# BenchmarkShardedScale256 runs one 256-node, 128-pair bandwidth point
-# unsharded and on 16 shards × 1 and × 2 workers, with its events, windows
-# and parallel windows per point.
+# (512-node) cluster with 128 (256) pair jobs, in all and per node;
+# BenchmarkScale256 runs one 256-node, 128-pair bandwidth point with its
+# events per point.
 bench:
 	$(GO) test -run XXX -bench . -benchmem . ./internal/lanai ./internal/parpar
 
@@ -139,9 +134,9 @@ switch-bench-smoke:
 setup-bench-smoke:
 	$(GO) test -run XXX -bench 'ClusterSetup(256|512)' -benchtime 3x -benchmem ./internal/parpar
 
-# One point of each sharded-scale sub-benchmark, likewise.
-sharded-bench-smoke:
-	$(GO) test -run XXX -bench ShardedScale256 -benchtime 1x ./internal/parpar
+# One point of the 256-node scale benchmark, likewise.
+scale-bench-smoke:
+	$(GO) test -run XXX -bench 'Scale256$$' -benchtime 1x ./internal/parpar
 
 # The repository benchmark module (bench/, run by bench/run.sh) is its
 # own Go module: vet it and run its consistency tests.

@@ -17,9 +17,7 @@ import (
 // gang and batch mode and by the analytic fractional model. Output is a
 // per-mode metrics grid plus decision-log statistics; like sched, it
 // carries no wall-clock figures, so the same seed (or trace file) always
-// produces byte-identical tables, and sharded runs agree at any
-// -shards/-workers setting. An unsharded run matches them except where a
-// cross-lane event ties with a same-instant one (DESIGN.md §7).
+// produces byte-identical tables.
 //
 // With -crash (or crash node@T directives in the trace file) the run also
 // fail-stops nodes mid-stream: the heartbeat detects them and the recovery
@@ -50,8 +48,6 @@ func runChurn(args []string, out, diag io.Writer) int {
 	dumpTrace := fs.String("dump-trace", "", "also write the trace being evaluated to this file")
 	showLog := fs.Bool("log", false, "print the full decision log of every mode")
 	quick := fs.Bool("quick", false, "shrink the stream for a fast smoke run")
-	shards := fs.Int("shards", 0, "shard each cluster's engine into N event lanes (0 = unsharded)")
-	workers := fs.Int("workers", 0, "most worker goroutines sharing a sharded window (<=1 = one, on the coordinator)")
 	profile := profileFlags(fs)
 	fs.Usage = func() {
 		fmt.Fprintln(diag, "usage: gangsim churn [flags]")
@@ -181,8 +177,6 @@ func runChurn(args []string, out, diag io.Writer) int {
 	cfg.Repairs = repairs
 	cfg.AdaptiveEstimate = *adaptive
 	cfg.RetryBudget = *retries
-	cfg.Shards = *shards
-	cfg.Workers = *workers
 	results, err := schedd.Showdown(cfg)
 	if err != nil {
 		fmt.Fprintf(diag, "gangsim churn: %v\n", err)

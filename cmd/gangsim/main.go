@@ -5,7 +5,7 @@
 //
 // Usage:
 //
-//	gangsim [-quick] [-par N] [-shards N] [-workers N] <fig5|fig6|fig7|fig8|fig9|overhead|credits|all>
+//	gangsim [-quick] [-par N] <fig5|fig6|fig7|fig8|fig9|overhead|credits|all>
 //	gangsim fuzz [-seed S] [-runs N] [-shrink] [-trace] [-compare]
 //	gangsim sched [-seed S] [-policy P] [-scheme S] [-trace FILE]
 //	gangsim churn [-seed S] [-kill F] [-resize F] [-deadline F] [-trace FILE]
@@ -90,8 +90,6 @@ func runFigures(args []string, out, diag io.Writer) int {
 	fs.SetOutput(diag)
 	quick := fs.Bool("quick", false, "shrink sweeps for a fast smoke run")
 	par := fs.Int("par", runtime.GOMAXPROCS(0), "max concurrently simulated points")
-	shards := fs.Int("shards", 0, "shard each cluster's engine into N event lanes (0 = unsharded)")
-	workers := fs.Int("workers", 0, "most worker goroutines sharing a sharded window (<=1 = one, on the coordinator)")
 	profile := profileFlags(fs)
 	fs.Usage = func() { usage(diag) }
 	if err := fs.Parse(args); err != nil {
@@ -101,7 +99,7 @@ func runFigures(args []string, out, diag io.Writer) int {
 		fs.Usage()
 		return 2
 	}
-	p := experiments.Params{Quick: *quick, Parallel: *par, Shards: *shards, Workers: *workers}
+	p := experiments.Params{Quick: *quick, Parallel: *par}
 
 	cmds := map[string]func(experiments.Params, io.Writer){
 		"fig5":     fig5,
@@ -203,15 +201,10 @@ func startProfiles(cpuPath, memPath string) (stop func(), err error) {
 func usage(w io.Writer) {
 	fmt.Fprintf(w, `gangsim — regenerate the paper's evaluation
 
-usage: gangsim [-quick] [-par N] [-shards N] [-workers N]
-               [-cpuprofile F] [-memprofile F] <experiment>
+usage: gangsim [-quick] [-par N] [-cpuprofile F] [-memprofile F] <experiment>
 
--shards N splits every simulated cluster's engine into N event lanes that
-run under conservative lookahead windows, concurrently on -workers N
-goroutines. Sharded runs print identical tables at any -shards and
--workers; every figure table also matches the unsharded run (checked
-against the goldens). Only a same-instant tie with a cross-lane event can
-make a sharded run differ from an unsharded one (DESIGN.md section 7).
+-par N simulates up to N sweep points at once, each cluster on its own
+engine. The tables are byte-identical per seed at any -par.
 
 experiments:
   credits   credit formulas C0 = Br/(n^2 p) vs Br/p (paper 2.2, 3.3)

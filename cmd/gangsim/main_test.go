@@ -101,24 +101,32 @@ func checkBadFlags(t *testing.T, run func(args []string, out, diag io.Writer) in
 }
 
 // TestFigureSubcommandsPrintGoldens: the figure subcommands reach the
-// experiments with the global flags applied. -quick schemes and -quick
-// dyncos print the quick goldens, each followed by a blank line, and the
-// wall-clock line goes only to the diagnostics writer.
+// experiments with the global flags applied. Each -quick figure prints its
+// quick golden followed by a blank line (fig5 and fig6 then add one note
+// line), byte-identical at -par 1 and -par 2, and the wall-clock line goes
+// only to the diagnostics writer.
 func TestFigureSubcommandsPrintGoldens(t *testing.T) {
-	for _, name := range []string{"schemes", "dyncos"} {
-		var out, diag strings.Builder
-		if code := runFigures([]string{"-quick", name}, &out, &diag); code != 0 {
-			t.Fatalf("%s: exit %d:\n%s", name, code, diag.String())
-		}
+	notes := map[string]string{
+		"fig5": "(zero rows are the credit cliff: C0 = Br/(n^2 p) hits 0 at 7-8 contexts)\n",
+		"fig6": "(aggregate = mean per-job bandwidth x #jobs; flat rows are the paper's claim)\n",
+	}
+	for _, name := range []string{"fig5", "fig6", "fig7", "fig8", "fig9", "overhead", "credits", "schemes", "dyncos"} {
 		want, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", name+".txt"))
 		if err != nil {
 			t.Fatal(err)
 		}
-		if got := out.String(); got != string(want)+"\n" {
-			t.Fatalf("%s diverged from its golden:\n--- want ---\n%s\n--- got ---\n%s", name, want, got)
-		}
-		if !strings.HasPrefix(diag.String(), "["+name+" completed in ") {
-			t.Fatalf("%s: diagnostics %q", name, diag.String())
+		for _, par := range []string{"1", "2"} {
+			var out, diag strings.Builder
+			if code := runFigures([]string{"-quick", "-par", par, name}, &out, &diag); code != 0 {
+				t.Fatalf("%s -par %s: exit %d:\n%s", name, par, code, diag.String())
+			}
+			if got := out.String(); got != string(want)+"\n"+notes[name] {
+				t.Fatalf("%s -par %s diverged from its golden:\n--- want ---\n%s\n%s--- got ---\n%s",
+					name, par, want, notes[name], got)
+			}
+			if !strings.HasPrefix(diag.String(), "["+name+" completed in ") {
+				t.Fatalf("%s -par %s: diagnostics %q", name, par, diag.String())
+			}
 		}
 	}
 }
@@ -222,26 +230,17 @@ func TestChurnSubcommandSmoke(t *testing.T) {
 }
 
 // TestChurnSubcommandDeterministic: the acceptance contract — the same
-// seed produces byte-identical grids and decision logs, at any worker
-// count of the sharded engine.
+// seed produces byte-identical grids and decision logs.
 func TestChurnSubcommandDeterministic(t *testing.T) {
-	run := func(extra ...string) string {
+	run := func() string {
 		var out strings.Builder
-		args := append([]string{"-quick", "-seed", "11", "-log"}, extra...)
-		if code := runChurn(args, &out, &out); code != 0 {
+		if code := runChurn([]string{"-quick", "-seed", "11", "-log"}, &out, &out); code != 0 {
 			t.Fatalf("exit %d:\n%s", code, out.String())
 		}
 		return out.String()
 	}
-	base := run()
-	if again := run(); again != base {
-		t.Fatal("same seed produced different output across runs")
-	}
-	for _, w := range []string{"1", "2", "4"} {
-		if got := run("-shards", "4", "-workers", w); got != base {
-			t.Fatalf("shards=4 workers=%s diverged from the unsharded run:\n--- base ---\n%s\n--- got ---\n%s",
-				w, base, got)
-		}
+	if a, b := run(), run(); a != b {
+		t.Fatalf("same seed produced different output:\n--- a ---\n%s\n--- b ---\n%s", a, b)
 	}
 }
 

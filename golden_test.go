@@ -109,16 +109,16 @@ func goldenChaosPlan() chaos.Plan {
 	}
 }
 
-// chaosCluster builds a 4-node, 2-slot cluster with the given shard and
-// worker counts, arms the fault plan, and runs two all-to-all jobs to a
-// fixed horizon.
-func chaosCluster(t *testing.T, plan chaos.Plan, perPeer, shards, workers int) *parpar.Cluster {
+// goldenHorizon is how far a chaosCluster runs.
+const goldenHorizon = 60_000_000
+
+// chaosCluster builds a 4-node, 2-slot cluster, arms the fault plan, and
+// submits two all-to-all jobs, to be run to goldenHorizon.
+func chaosCluster(t *testing.T, plan chaos.Plan, perPeer int) *parpar.Cluster {
 	t.Helper()
 	cfg := parpar.DefaultConfig(4)
 	cfg.Slots = 2
 	cfg.Quantum = 2_000_000
-	cfg.Shards = shards
-	cfg.Workers = workers
 	cfg.Chaos = &plan
 	cluster, err := parpar.New(cfg)
 	if err != nil {
@@ -129,7 +129,6 @@ func chaosCluster(t *testing.T, plan chaos.Plan, perPeer, shards, workers int) *
 			t.Fatal(err)
 		}
 	}
-	cluster.RunUntil(60_000_000)
 	return cluster
 }
 
@@ -138,7 +137,8 @@ func chaosCluster(t *testing.T, plan chaos.Plan, perPeer, shards, workers int) *
 // fault with the time it fired, so any reordering of packet sends — or any
 // change to packet field contents — shows up here.
 func TestGoldenChaosTrace(t *testing.T) {
-	cluster := chaosCluster(t, goldenChaosPlan(), 30, 1, 1)
+	cluster := chaosCluster(t, goldenChaosPlan(), 30)
+	cluster.RunUntil(goldenHorizon)
 	trace := strings.Join(cluster.ChaosTrace(), "\n") + "\n"
 	goldenCompare(t, "chaos_trace.txt", trace)
 }

@@ -5,7 +5,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 
 	"gangfm/internal/myrinet"
 	"gangfm/internal/sim"
@@ -54,10 +53,6 @@ type Auditor struct {
 	eng  *sim.Engine
 	seed uint64
 
-	// mu guards the report state and the ledger: events fire from
-	// concurrent shard workers when the cluster runs on a shard group,
-	// while the periodic checks run on the group's global lane.
-	mu        sync.Mutex
 	checks    []Check
 	found     map[string]*found
 	nextSeq   map[int]uint64
@@ -70,10 +65,11 @@ type Auditor struct {
 	reportFn func(invariant, detail string)
 }
 
-// found is one distinct violation with its canonical position: reporting
-// lane's time, source (a node, or -1 for the auditor's own lane), and the
-// source's report count. Each source reports in a fixed order on one lane,
-// so the position does not depend on how lanes interleave.
+// found is one distinct violation with its canonical position: time,
+// source (a node, or -1 for the auditor's own checks), and the source's
+// report count. Each source reports in a fixed order, so the position
+// does not depend on how same-instant events of different sources are
+// ordered.
 type found struct {
 	v   Violation
 	src int
@@ -86,16 +82,13 @@ func (f *found) compare(g *found) int {
 
 // NewAuditor builds an auditor; seed is the value needed to replay the run
 // (the fault plan's seed, or the cluster seed when no plan is installed).
-// eng is the lane the periodic checks and Report run on.
+// eng is the engine whose clock stamps the periodic checks and Report.
 func NewAuditor(eng *sim.Engine, seed uint64) *Auditor {
 	a := &Auditor{eng: eng, seed: seed, found: make(map[string]*found), nextSeq: make(map[int]uint64),
 		destroyed: make(map[myrinet.JobID]int), drops: make(map[myrinet.JobID]int)}
 	a.reportFn = a.Report
 	return a
 }
-
-// Seed returns the replay seed.
-func (a *Auditor) Seed() uint64 { return a.seed }
 
 // Register adds a periodic check.
 func (a *Auditor) Register(c Check) { a.checks = append(a.checks, c) }
@@ -108,15 +101,15 @@ func (a *Auditor) RunChecks() {
 	}
 }
 
-// Report records a violation found on the auditor's own lane.
+// Report records a violation found by the auditor's own checks.
 func (a *Auditor) Report(invariant, detail string) {
 	a.report(-1, a.eng.Now(), invariant, detail)
 }
 
 // Observe is the auditor's subscription to the network's event list. A
-// Violation is recorded under its node and the node lane's clock; a Drop
-// of a Data or Refill packet goes to the credit ledger (control packets
-// carry no credits). Every other kind returns before taking the lock.
+// Violation is recorded under its node and time; a Drop of a Data or
+// Refill packet goes to the credit ledger (control packets carry no
+// credits). Every other kind is ignored.
 func (a *Auditor) Observe(e myrinet.Event) {
 	switch e.Kind {
 	case myrinet.Violation:
@@ -130,10 +123,8 @@ func (a *Auditor) Observe(e myrinet.Event) {
 		default:
 			return
 		}
-		a.mu.Lock()
 		a.destroyed[e.Pkt.Job] += credits
 		a.drops[e.Pkt.Job]++
-		a.mu.Unlock()
 	}
 }
 
@@ -141,8 +132,6 @@ func (a *Auditor) Observe(e myrinet.Event) {
 // collapsed to the canonically earliest: a wedged invariant re-reports
 // identically every audit tick.
 func (a *Auditor) report(src int, now sim.Time, invariant, detail string) {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	f := &found{v: Violation{Time: now, Invariant: invariant, Detail: detail}, src: src, seq: a.nextSeq[src]}
 	a.nextSeq[src]++
 	key := invariant + "\x00" + detail
@@ -160,17 +149,11 @@ func (a *Auditor) Ok() bool { return a.Count() == 0 }
 
 // Count returns how many distinct violations have been recorded (not
 // capped, unlike Violations).
-func (a *Auditor) Count() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.found)
-}
+func (a *Auditor) Count() int { return len(a.found) }
 
 // Violations returns the recorded violations in canonical order (time,
 // source, per-source order), at most violationCap of them.
 func (a *Auditor) Violations() []Violation {
-	a.mu.Lock()
-	defer a.mu.Unlock()
 	all := make([]*found, 0, len(a.found))
 	for _, f := range a.found {
 		all = append(all, f)
@@ -203,16 +186,8 @@ func (a *Auditor) Summary() string {
 }
 
 // Destroyed returns how many credits the job has irrecoverably lost.
-func (a *Auditor) Destroyed(job myrinet.JobID) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.destroyed[job]
-}
+func (a *Auditor) Destroyed(job myrinet.JobID) int { return a.destroyed[job] }
 
 // Drops returns how many of the job's Data and Refill packets were
 // dropped.
-func (a *Auditor) Drops(job myrinet.JobID) int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.drops[job]
-}
+func (a *Auditor) Drops(job myrinet.JobID) int { return a.drops[job] }

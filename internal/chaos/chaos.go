@@ -13,8 +13,7 @@
 //   - An Injector compiles the plan into deterministic per-event
 //     decisions, each a hash of the seed and the event's own identity
 //     (not of the order events arrive in), recording a replayable trace.
-//     The same seed and plan always produce byte-identical traces, on one
-//     engine or on a sharded group at any worker count.
+//     The same seed and plan always produce byte-identical traces.
 //   - An Auditor subscribes to the network's event list (myrinet.Event),
 //     where lanai and core report violations and every packet death
 //     feeds its credit ledger, runs periodic checks over fm, gang and

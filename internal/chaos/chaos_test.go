@@ -92,7 +92,7 @@ func TestInjectorTraceDeterminism(t *testing.T) {
 
 // TestInjectorOrderIndependent: verdicts are keyed by the packet, not by
 // the order packets arrive in. Two injectors fed the same packets — one in
-// send order, one reversed, as two shard lanes might present them — return
+// send order, one reversed — return
 // the same verdict for every packet and the same canonical trace.
 func TestInjectorOrderIndependent(t *testing.T) {
 	plan := Plan{Seed: 9, Faults: []Fault{
@@ -246,32 +246,31 @@ func TestAuditorCreditLedger(t *testing.T) {
 	}
 }
 
-// TestAuditorOrderIndependent: violations are stamped with the reporting
-// lane's clock and returned in (time, source, per-source) order, and a
-// duplicate keeps its earliest report — so the list does not depend on how
-// concurrent lanes interleaved their reports.
+// TestAuditorOrderIndependent: violations are returned in (time, source,
+// per-source) order, and a duplicate keeps its earliest report — so the
+// list does not depend on the order the reports arrive in.
 func TestAuditorOrderIndependent(t *testing.T) {
-	run := func(lanesFirst bool) []Violation {
-		global, lane0, lane1 := sim.NewEngine(), sim.NewEngine(), sim.NewEngine()
+	run := func(nodesFirst bool) []Violation {
+		global, clock0, clock1 := sim.NewEngine(), sim.NewEngine(), sim.NewEngine()
 		global.RunUntil(100)
-		lane0.RunUntil(100)
-		lane1.RunUntil(50)
+		clock0.RunUntil(100)
+		clock1.RunUntil(50)
 		a := NewAuditor(global, 1)
-		// report posts a violation as the node's card or manager does: on
-		// the node's lane, stamped with that lane's clock.
-		report := func(node myrinet.NodeID, lane *sim.Engine, invariant, detail string) {
-			a.Observe(myrinet.Event{Kind: myrinet.Violation, Time: lane.Now(), Node: node,
+		// report posts a violation as the node's card or manager does,
+		// stamped with the given clock.
+		report := func(node myrinet.NodeID, clock *sim.Engine, invariant, detail string) {
+			a.Observe(myrinet.Event{Kind: myrinet.Violation, Time: clock.Now(), Node: node,
 				Invariant: invariant, Detail: detail})
 		}
 		sources := []func(){
 			func() { a.Report("flush-stall", "round 3 stuck") },
-			func() { report(0, lane0, "store-integrity", "job 1 digest mismatch") },
+			func() { report(0, clock0, "store-integrity", "job 1 digest mismatch") },
 			func() {
-				report(1, lane1, "flush-order", "node 1 released early")
-				report(1, lane1, "store-integrity", "job 1 digest mismatch")
+				report(1, clock1, "flush-order", "node 1 released early")
+				report(1, clock1, "store-integrity", "job 1 digest mismatch")
 			},
 		}
-		if lanesFirst {
+		if nodesFirst {
 			slices.Reverse(sources)
 		}
 		for _, report := range sources {

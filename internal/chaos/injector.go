@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"slices"
 	"strings"
-	"sync"
 
 	"gangfm/internal/myrinet"
 	"gangfm/internal/sim"
@@ -28,14 +27,12 @@ const minSlowSlice = 50_000
 //
 // Every decision hashes the plan seed, the fault's index and the identity
 // of the event it judges (see draw), never the order events arrive in, so
-// a run replays exactly from (cluster config, plan) on one engine or on a
-// sharded group at any worker count. Packet and store hooks run on the
-// lane that owns the node; the trace and counts are shared under mu.
+// a run replays exactly from (cluster config, plan). Each cluster owns its
+// injector; nothing in it is shared between clusters.
 type Injector struct {
 	eng  *sim.Engine
 	plan Plan
 
-	mu       sync.Mutex
 	trace    []string
 	recorded uint64 // records ever made; trace keeps the traceCap first
 	counts   map[FaultKind]uint64
@@ -47,7 +44,8 @@ type Injector struct {
 
 // NewInjector builds an injector for the plan. Invalid plans panic: a plan
 // is test/driver input, and silently skipping faults would make "no
-// violations" meaningless. eng is the lane CPU faults are scheduled on.
+// violations" meaningless. eng is the engine CPU faults are scheduled on
+// and whose clock stamps the trace.
 func NewInjector(eng *sim.Engine, plan Plan) *Injector {
 	if err := plan.Validate(); err != nil {
 		panic(err)
@@ -63,8 +61,6 @@ func NewInjector(eng *sim.Engine, plan Plan) *Injector {
 // next returns how many events of the kind were presented for node before
 // this one, and counts this one.
 func (in *Injector) next(kind FaultKind, node int) uint64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	k := [2]int{int(kind), node}
 	n := in.presented[k]
 	in.presented[k] = n + 1
@@ -73,8 +69,6 @@ func (in *Injector) next(kind FaultKind, node int) uint64 {
 
 // Counts returns how many times each fault kind fired.
 func (in *Injector) Counts() map[FaultKind]uint64 {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	out := make(map[FaultKind]uint64, len(in.counts))
 	for k, v := range in.counts {
 		out[k] = v
@@ -85,12 +79,10 @@ func (in *Injector) Counts() map[FaultKind]uint64 {
 // Trace returns the injection trace: one line per fired fault, sorted.
 // Lines lead with the fault time in a fixed-width column, so sorted is
 // time order (below 10^12 cycles) and, among equal times, text order; lines
-// that tie are identical, so the order does not depend on which lane
-// reported first. Identical (seed, plan, workload) runs yield identical
+// that tie are identical, so the order does not depend on which of two
+// same-instant events fired first. Identical (seed, plan, workload) runs yield identical
 // traces — the determinism contract the chaos tests pin down.
 func (in *Injector) Trace() []string {
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	in.compact()
 	return slices.Clone(in.trace)
 }
@@ -98,19 +90,15 @@ func (in *Injector) Trace() []string {
 // TraceString joins the trace, noting any overflow.
 func (in *Injector) TraceString() string {
 	s := strings.Join(in.Trace(), "\n")
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	if over := in.recorded - uint64(len(in.trace)); over > 0 {
 		s += fmt.Sprintf("\n... %d further injections not recorded", over)
 	}
 	return s
 }
 
-// record notes one fired fault at time at (the reporting lane's clock).
+// record notes one fired fault at time at.
 func (in *Injector) record(at sim.Time, kind FaultKind, format string, args ...any) {
 	line := fmt.Sprintf("%12d %-13s %s", at, kind, fmt.Sprintf(format, args...))
-	in.mu.Lock()
-	defer in.mu.Unlock()
 	in.counts[kind]++
 	in.recorded++
 	in.trace = append(in.trace, line)
@@ -121,7 +109,7 @@ func (in *Injector) record(at sim.Time, kind FaultKind, format string, args ...a
 
 // compact sorts the trace canonically and keeps the traceCap first
 // records. Dropping only records with traceCap smaller ones keeps the
-// retained set a function of the run, not of the lanes' report order.
+// retained set a function of the run, not of the report order.
 func (in *Injector) compact() {
 	slices.Sort(in.trace)
 	if len(in.trace) > traceCap {
@@ -194,8 +182,7 @@ func (in *Injector) Packet(now sim.Time, p *myrinet.Packet) myrinet.Verdict {
 // CtrlMessage decides the fate of one control-Ethernet message destined
 // for node dst (dst < 0 for masterd-bound messages): extra latency to add
 // and whether to drop it outright. The key is (dst, messages presented for
-// dst so far); the control network presents every message from its own
-// serialized lane, so that count is the same at any sharding.
+// dst so far).
 func (in *Injector) CtrlMessage(now sim.Time, dst int) (extra sim.Time, drop bool) {
 	n := in.next(CtrlLoss, dst)
 	for i := range in.plan.Faults {
@@ -316,10 +303,10 @@ func (in *Injector) repairedBetween(node int, from, t sim.Time) bool {
 // when the plan has no StoreCorrupt fault for it. The hook is invoked by
 // the core manager right after a descheduled job's queues are saved (and
 // after the integrity digest is taken); it mutates the parked packets in
-// place — the digest check at restore time is expected to report it. eng
-// is the node's lane, whose clock stamps the trace. Each save is keyed by
+// place — the digest check at restore time is expected to report it.
+// Each save is keyed by
 // (node, saves on the node so far), and the same draw picks the victim.
-func (in *Injector) StoreHook(node int, eng *sim.Engine) func(job myrinet.JobID, send, recv []*myrinet.Packet) {
+func (in *Injector) StoreHook(node int) func(job myrinet.JobID, send, recv []*myrinet.Packet) {
 	var relevant []int
 	for i, f := range in.plan.Faults {
 		if f.Kind == StoreCorrupt && f.matchesNode(node) {
@@ -330,7 +317,7 @@ func (in *Injector) StoreHook(node int, eng *sim.Engine) func(job myrinet.JobID,
 		return nil
 	}
 	return func(job myrinet.JobID, send, recv []*myrinet.Packet) {
-		now := eng.Now()
+		now := in.eng.Now()
 		save := in.next(StoreCorrupt, node)
 		for _, i := range relevant {
 			f := &in.plan.Faults[i]

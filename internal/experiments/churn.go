@@ -54,8 +54,6 @@ func churn(p Params, crash, repair float64) []*schedd.Result {
 	}
 	cfg := schedd.DefaultConfig(8)
 	cfg.Trace = trace
-	cfg.Shards = p.Shards
-	cfg.Workers = p.Workers
 	cfg.Chaos = testChaos
 	if crash > 0 {
 		var lastArrive sim.Time

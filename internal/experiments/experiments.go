@@ -27,16 +27,9 @@ type Params struct {
 	Quick bool
 	// Parallel bounds the number of concurrently simulated points;
 	// 0 means one per available CPU (GOMAXPROCS). Each point owns an
-	// independent engine, so sweeps are embarrassingly parallel.
+	// independent engine, so sweeps are embarrassingly parallel, and
+	// every table is byte-identical at any Parallel.
 	Parallel int
-	// Shards, when > 1, runs each cluster-backed point on a sharded
-	// engine group (parpar.Config.Shards); Workers sets the worker count
-	// per group. Every figure comes out identical either way: the
-	// root-package parallel tests check it against the golden tables.
-	// (The sharded engine promises identical output across sharded runs
-	// only; see parpar.Config.Shards.)
-	Shards  int
-	Workers int
 }
 
 func (p Params) parallel() int {

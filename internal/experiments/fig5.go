@@ -78,8 +78,6 @@ func fig5Point(nContexts, size int, p Params) Fig5Point {
 	cfg.Quantum = 40_000_000 // irrelevant: a single job never rotates
 	cfg.CtrlJitter = 50_000
 	cfg.ForkDelay = 100_000
-	cfg.Shards = p.Shards
-	cfg.Workers = p.Workers
 	cfg.Chaos = testChaos
 	cluster, err := parpar.New(cfg)
 	if err != nil {

@@ -98,8 +98,6 @@ func fig6Point(k, size int, p Params) Fig6Point {
 	cfg.Quantum = fig6Quantum
 	cfg.CtrlJitter = 40_000
 	cfg.ForkDelay = 100_000
-	cfg.Shards = p.Shards
-	cfg.Workers = p.Workers
 	cfg.Chaos = testChaos
 	cluster, err := parpar.New(cfg)
 	if err != nil {

@@ -26,8 +26,6 @@ func Sched(p Params) []*schedeval.Result {
 	}
 	base := schedeval.DefaultConfig(8)
 	base.Trace = trace
-	base.Shards = p.Shards
-	base.Workers = p.Workers
 
 	schemes := []fm.Policy{fm.Partitioned, fm.Switched}
 	packings := gang.Policies()

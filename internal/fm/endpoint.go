@@ -210,9 +210,6 @@ func (e *Endpoint) Context() *lanai.Context { return e.ctx }
 // Rank returns the process's rank within its job.
 func (e *Endpoint) Rank() int { return e.rank }
 
-// Size returns the number of processes in the job.
-func (e *Endpoint) Size() int { return len(e.nodeOf) }
-
 // Job returns the job ID.
 func (e *Endpoint) Job() myrinet.JobID { return e.job }
 

@@ -137,10 +137,6 @@ func (m *Matrix) Rows() int { return len(m.rows) }
 // Jobs returns the number of placed jobs.
 func (m *Matrix) Jobs() int { return len(m.jobs) }
 
-// Current returns the index of the active row, or -1 before the first
-// rotation.
-func (m *Matrix) Current() int { return m.current }
-
 // Placement returns a job's placement.
 func (m *Matrix) Placement(job myrinet.JobID) (Placement, bool) {
 	p, ok := m.jobs[job]

@@ -365,10 +365,9 @@ func New(eng *sim.Engine, net *myrinet.Network, mem *memmodel.Model, cfg Config)
 	return n
 }
 
-// NewPacket returns a zeroed packet from this node's slice of the
-// network's free list; packets built through it are recycled at their
+// NewPacket returns a zeroed packet from the network's free list; packets built through it are recycled at their
 // death point (see FreePacket).
-func (n *NIC) NewPacket() *myrinet.Packet { return n.net.NewPacketFrom(n.cfg.Node) }
+func (n *NIC) NewPacket() *myrinet.Packet { return n.net.NewPacket() }
 
 // FreePacket returns a pool-allocated packet to the network's free list
 // (no-op for externally constructed packets). Host libraries call it when
@@ -378,7 +377,7 @@ func (n *NIC) FreePacket(p *myrinet.Packet) { n.net.FreePacket(p) }
 // Node returns the card's network address.
 func (n *NIC) Node() myrinet.NodeID { return n.cfg.Node }
 
-// Emit stamps e with this card's node and lane clock and posts it to the
+// Emit stamps e with this card's node and the clock and posts it to the
 // network's observer: the card's drops and violations, and the manager's
 // (which reaches the network through its card), report here.
 func (n *NIC) Emit(e myrinet.Event) {
@@ -642,7 +641,7 @@ func (n *NIC) nextReady() *Context {
 // credit check and the data send queue (they are small control-like
 // packets the firmware emits directly).
 func (n *NIC) SendRefill(job myrinet.JobID, srcRank, dstRank int, dst myrinet.NodeID, credits int) {
-	p := n.net.NewPacketFrom(n.cfg.Node)
+	p := n.net.NewPacket()
 	p.Type, p.Src, p.Dst = myrinet.Refill, n.cfg.Node, dst
 	p.Job, p.SrcRank, p.DstRank, p.Credits = job, srcRank, dstRank, credits
 	n.net.Send(p)
@@ -718,7 +717,7 @@ func (n *NIC) releaseComplete() {
 // sendCtrl emits one flush-protocol control packet. Retransmissions and
 // echoes are distinguished by the marker (see ctrlRetransmit).
 func (n *NIC) sendCtrl(typ myrinet.PacketType, dst myrinet.NodeID, epoch uint64, retx bool) {
-	p := n.net.NewPacketFrom(n.cfg.Node)
+	p := n.net.NewPacket()
 	p.Type, p.Src, p.Dst, p.Job, p.Epoch = typ, n.cfg.Node, dst, myrinet.NoJob, epoch
 	if retx {
 		p.Frag = ctrlRetransmit

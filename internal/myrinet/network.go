@@ -2,6 +2,7 @@ package myrinet
 
 import (
 	"fmt"
+	"math"
 
 	"gangfm/internal/sim"
 )
@@ -48,8 +49,7 @@ type Verdict struct {
 // Injector decides the fate of each transmitted packet — the seam the
 // chaos layer plugs into (internal/chaos compiles fault plans into one).
 // Implementations must be deterministic functions of their own seeded
-// state and the packet presented — Send stamps its per-route Seq first —
-// and safe to call from concurrent shard lanes.
+// state and the packet presented — Send stamps its per-route Seq first.
 type Injector interface {
 	Packet(now sim.Time, p *Packet) Verdict
 }
@@ -77,8 +77,7 @@ const (
 )
 
 // Event is one observation posted to the network's observer, stamped
-// with the clock of the lane that fired it: the node's for Drop,
-// Violation and Flushed, the masterd's for Evict and Rejoin.
+// with the engine's clock when it fired.
 type Event struct {
 	Kind              EventKind
 	Time              sim.Time
@@ -121,40 +120,10 @@ func (c *typeCounts) addTo(m map[PacketType]uint64) {
 	}
 }
 
-// nodeCounts is one node bucket's share of the Stats counters.
-type nodeCounts struct {
+// counts are the Stats counters, one slot per packet type.
+type counts struct {
 	sent, delivered, dropped, duplicated typeCounts
 	bytes                                uint64
-}
-
-// nodeState holds the per-node slice of the fabric's mutable state. Under
-// sharded execution node i's bucket is touched only by events running on
-// the engine that owns node i (send-side counters by the source, delivery
-// counters by the destination), so concurrent shard windows never contend;
-// aggregate views (Stats, InFlight) merge the buckets and are only safe
-// where the whole fabric is quiescent (single-engine runs, or the group's
-// barrier-serialized global lane).
-type nodeState struct {
-	stats nodeCounts
-	// inFlight is this bucket's contribution to the per-job count of
-	// data packets on the wire, indexed by JobID (job IDs are small and
-	// dense): +1 at the source when a packet is sent, -1 wherever it
-	// lands (destination) or dies (source, for injected drops).
-	// Individual buckets may go negative; the sum never does.
-	inFlight []int
-	// pool recycles packet objects between their death points (delivery
-	// consumption, drops) and the next send: the classic create-at-send,
-	// drop-at-delivery free-list workload.
-	pool []*Packet
-}
-
-// addInFlight adds d to the bucket's count for job, growing the slice
-// the first time the bucket sees a job past its end.
-func (s *nodeState) addInFlight(job JobID, d int) {
-	if int(job) >= len(s.inFlight) {
-		s.inFlight = append(s.inFlight, make([]int, int(job)+1-len(s.inFlight))...)
-	}
-	s.inFlight[job] += d
 }
 
 // Network is the simulated Myrinet fabric.
@@ -162,19 +131,27 @@ type Network struct {
 	eng      *sim.Engine
 	cfg      Config
 	handlers []Handler
-	// engs, when non-nil, maps each node to the shard engine that owns
-	// it (see SetShardEngines); nil means n.eng owns everything.
-	engs []*sim.Engine
 	// ports serializes each node's injection link. Routes are FIFO
 	// because of it: a port grants in order and every grant takes at
 	// least PerPacketGap+1 cycles, while SwitchLatency is the same for
 	// every packet, so arrivals on a route strictly increase, and a
 	// duplicate (one cycle behind its original) lands before the next.
-	ports    []*sim.Resource
-	seq      [][]uint64
+	ports []*sim.Resource
+	// seq[src][dst] is the route's next packet Seq. 32 bits per route
+	// keep the p×p matrix, the fabric's one per-route structure, at half
+	// the set-up bytes; Send panics rather than wrap.
+	seq      [][]uint32
 	injector Injector
 	observer func(Event)
-	perNode  []nodeState
+	stats    counts
+	// inFlight counts each job's data packets on the wire, indexed by
+	// JobID (job IDs are small and dense): +1 when a packet is sent, -1
+	// where it lands or dies.
+	inFlight []int
+	// pool recycles packet objects between their death points (delivery
+	// consumption, drops) and the next send: the classic create-at-send,
+	// drop-at-delivery free-list workload.
+	pool []*Packet
 	// linkCost is the per-byte serialization cost at LinkMBs, computed
 	// once so txCycles divides nothing per packet.
 	linkCost sim.ByteCost
@@ -195,99 +172,50 @@ func New(eng *sim.Engine, cfg Config) *Network {
 		cfg:      cfg,
 		handlers: make([]Handler, cfg.Nodes),
 		ports:    make([]*sim.Resource, cfg.Nodes),
-		perNode:  make([]nodeState, cfg.Nodes),
 		linkCost: sim.DefaultClock.CyclesPerByte(cfg.LinkMBs),
 	}
-	n.seq = make([][]uint64, cfg.Nodes)
+	n.seq = make([][]uint32, cfg.Nodes)
 	for i := range n.ports {
 		n.ports[i] = sim.NewResource(eng)
-		n.seq[i] = make([]uint64, cfg.Nodes)
+		n.seq[i] = make([]uint32, cfg.Nodes)
 	}
 	n.deliverFn = func(a any) { n.deliver(a.(*Packet)) }
 	return n
-}
-
-// SetShardEngines partitions the fabric across a shard group: engs[i] is
-// the engine owning node i (every event touching node i's NIC state runs
-// there). Must be called before any traffic; the injection-port resources
-// are rebuilt on their owning engines.
-func (n *Network) SetShardEngines(engs []*sim.Engine) {
-	if len(engs) != n.cfg.Nodes {
-		panic(fmt.Sprintf("myrinet: %d shard engines for %d nodes", len(engs), n.cfg.Nodes))
-	}
-	n.engs = engs
-	for i := range n.ports {
-		n.ports[i] = sim.NewResource(engs[i])
-	}
-}
-
-// engFor returns the engine owning node id.
-func (n *Network) engFor(id NodeID) *sim.Engine {
-	if n.engs != nil {
-		return n.engs[id]
-	}
-	return n.eng
-}
-
-// Lookahead returns the minimum delay between a send on one node and its
-// observable effect on any other node: every cross-node arrival lands at
-// least CopyCycles(1 byte) + PerPacketGap (serialization) + SwitchLatency
-// cycles after Send. This is the conservative bound a sharded execution of
-// the fabric may use as its window size (sim.GroupConfig.Lookahead).
-func (n *Network) Lookahead() sim.Time {
-	return n.cfg.SwitchLatency + n.cfg.PerPacketGap + 1
 }
 
 // NewPacket returns a zeroed packet from the free list (growing it when
 // empty). Senders that build packets through NewPacket get them recycled
 // at their death point — consumption, drop, or undeliverable — via
 // FreePacket, keeping the steady-state send path allocation-free.
-func (n *Network) NewPacket() *Packet { return n.NewPacketFrom(0) }
-
-// poolIdx maps a node to its free-list bucket. Per-node pools exist so
-// concurrent shards never share one; an unsharded run executes on a single
-// engine, so every node shares bucket 0 — otherwise unidirectional traffic
-// allocates at the source forever while packets pile up in the
-// destination's pool.
-func (n *Network) poolIdx(id NodeID) NodeID {
-	if n.engs == nil {
-		return 0
-	}
-	return id
-}
-
-// NewPacketFrom is NewPacket drawing from node src's free list — the form
-// NIC send paths use so that concurrent shards never share a pool.
-func (n *Network) NewPacketFrom(src NodeID) *Packet {
-	pool := &n.perNode[n.poolIdx(src)].pool
-	if ln := len(*pool); ln > 0 {
-		p := (*pool)[ln-1]
-		*pool = (*pool)[:ln-1]
+func (n *Network) NewPacket() *Packet {
+	if ln := len(n.pool); ln > 0 {
+		p := n.pool[ln-1]
+		n.pool = n.pool[:ln-1]
 		*p = Packet{pooled: true}
 		return p
 	}
 	return &Packet{pooled: true}
 }
 
-// FreePacket returns a pool-allocated packet to the free list of the node
-// where it died (its destination — delivery paths own the packet at its
-// death point). Packets not from NewPacket (tests build them with struct
-// literals) are left to the garbage collector, and freeing twice is a
-// no-op, so every death point in the stack can call this unconditionally.
+// FreePacket returns a pool-allocated packet to the free list. Packets
+// not from NewPacket (tests build them with struct literals) are left to
+// the garbage collector, and freeing twice is a no-op, so every death
+// point in the stack can call this unconditionally.
 func (n *Network) FreePacket(p *Packet) {
 	if p == nil || !p.pooled {
 		return
 	}
-	n.freeTo(p.Dst, p)
+	p.pooled = false
+	n.pool = append(n.pool, p)
 }
 
-func (n *Network) freeTo(id NodeID, p *Packet) {
-	if p == nil || !p.pooled {
-		return
+// addInFlight adds d to the job's in-flight count, growing the slice the
+// first time a job past its end sends.
+func (n *Network) addInFlight(job JobID, d int) {
+	if int(job) >= len(n.inFlight) {
+		n.inFlight = append(n.inFlight, make([]int, int(job)+1-len(n.inFlight))...)
 	}
-	p.pooled = false
-	pool := &n.perNode[n.poolIdx(id)].pool
-	*pool = append(*pool, p)
+	n.inFlight[job] += d
 }
 
 // Nodes returns the number of attached nodes.
@@ -296,24 +224,19 @@ func (n *Network) Nodes() int { return n.cfg.Nodes }
 // Config returns the network configuration.
 func (n *Network) Config() Config { return n.cfg }
 
-// Stats returns a snapshot of the counters, merged across nodes. Under
-// sharded execution call it only while the fabric is quiescent (between
-// runs, or from the group's global lane).
+// Stats returns a snapshot of the counters.
 func (n *Network) Stats() Stats {
 	out := Stats{
 		Sent:       make(map[PacketType]uint64),
 		Delivered:  make(map[PacketType]uint64),
 		Dropped:    make(map[PacketType]uint64),
 		Duplicated: make(map[PacketType]uint64),
+		Bytes:      n.stats.bytes,
 	}
-	for i := range n.perNode {
-		s := &n.perNode[i].stats
-		s.sent.addTo(out.Sent)
-		s.delivered.addTo(out.Delivered)
-		s.dropped.addTo(out.Dropped)
-		s.duplicated.addTo(out.Duplicated)
-		out.Bytes += s.bytes
-	}
+	n.stats.sent.addTo(out.Sent)
+	n.stats.delivered.addTo(out.Delivered)
+	n.stats.dropped.addTo(out.Dropped)
+	n.stats.duplicated.addTo(out.Duplicated)
 	return out
 }
 
@@ -322,8 +245,7 @@ func (n *Network) Stats() Stats {
 func (n *Network) SetInjector(i Injector) { n.injector = i }
 
 // SetObserver installs the one sink every layer reports its Events to.
-// Like the injector it goes in before any traffic and must be safe to
-// call from concurrent shard lanes.
+// Like the injector it goes in before any traffic.
 func (n *Network) SetObserver(fn func(Event)) { n.observer = fn }
 
 // Emit posts e to the observer, if one is installed.
@@ -355,32 +277,35 @@ func (n *Network) Send(p *Packet) sim.Time {
 	if p.Src < 0 || int(p.Src) >= n.cfg.Nodes || p.Dst < 0 || int(p.Dst) >= n.cfg.Nodes {
 		panic(fmt.Sprintf("myrinet: packet with bad endpoints %d->%d", p.Src, p.Dst))
 	}
-	src := n.engFor(p.Src)
-	b := &n.perNode[p.Src]
-	b.stats.sent[p.Type]++
-	b.stats.bytes += uint64(p.WireSize())
-	p.Seq = n.seq[p.Src][p.Dst]
-	n.seq[p.Src][p.Dst]++
+	now := n.eng.Now()
+	n.stats.sent[p.Type]++
+	n.stats.bytes += uint64(p.WireSize())
+	route := &n.seq[p.Src][p.Dst]
+	if *route == math.MaxUint32 {
+		panic(fmt.Sprintf("myrinet: route %d->%d sent 2^32 packets; its Seq would wrap", p.Src, p.Dst))
+	}
+	p.Seq = uint64(*route)
+	*route++
 
 	if p.Type == Data {
-		b.addInFlight(p.Job, 1)
+		n.addInFlight(p.Job, 1)
 	}
 	var v Verdict
 	if n.injector != nil {
 		// Consulted after the Seq stamp: the injector keys its decision
-		// on (Src, Dst, Seq), which is the same at any sharding.
-		v = n.injector.Packet(src.Now(), p)
+		// on (Src, Dst, Seq).
+		v = n.injector.Packet(now, p)
 	}
 	if p.Src == p.Dst {
 		if v.Drop {
 			n.dropInjected(p)
-			return src.Now()
+			return now
 		}
-		src.ScheduleArg(n.cfg.SwitchLatency, n.deliverFn, p)
+		n.eng.ScheduleArg(n.cfg.SwitchLatency, n.deliverFn, p)
 		if v.Duplicate {
-			n.duplicate(p, src.Now()+n.cfg.SwitchLatency+1)
+			n.duplicate(p, now+n.cfg.SwitchLatency+1)
 		}
-		return src.Now()
+		return now
 	}
 
 	linkFree := n.ports[p.Src].Use(n.txCycles(p.WireSize()), nil)
@@ -390,11 +315,7 @@ func (n *Network) Send(p *Packet) sim.Time {
 		n.dropInjected(p)
 		return linkFree
 	}
-	// Cross-node arrivals are always >= Lookahead() cycles in the future
-	// (serialization of at least one byte plus the inter-packet gap, then
-	// the switch), which is exactly what lets a shard group run windows
-	// of that width concurrently.
-	src.CrossArgAt(n.engFor(p.Dst), arrival, n.deliverFn, p)
+	n.eng.ScheduleArgAt(arrival, n.deliverFn, p)
 	if v.Duplicate {
 		n.duplicate(p, arrival+1)
 	}
@@ -402,61 +323,52 @@ func (n *Network) Send(p *Packet) sim.Time {
 }
 
 // dropInjected accounts a fault-layer loss: the packet leaves the sender's
-// counters but never reaches a handler, taking its credits with it. It
-// runs in source context, so the packet dies into the source's bucket.
+// counters but never reaches a handler, taking its credits with it.
 func (n *Network) dropInjected(p *Packet) {
-	b := &n.perNode[p.Src]
-	b.stats.dropped[p.Type]++
-	n.Emit(Event{Kind: Drop, Time: n.engFor(p.Src).Now(), Node: p.Src, Job: p.Job, Pkt: p})
+	n.stats.dropped[p.Type]++
+	n.Emit(Event{Kind: Drop, Time: n.eng.Now(), Node: p.Src, Job: p.Job, Pkt: p})
 	if p.Type == Data {
-		b.addInFlight(p.Job, -1)
+		n.addInFlight(p.Job, -1)
 	}
-	n.freeTo(p.Src, p)
+	n.FreePacket(p)
 }
 
 // duplicate schedules an extra copy of p arriving right behind the
 // original on the same route (a shallow copy: the duplicate must be an
 // independent packet so receiver-side bookkeeping sees two arrivals).
 func (n *Network) duplicate(p *Packet, at sim.Time) {
-	b := &n.perNode[p.Src]
-	b.stats.duplicated[p.Type]++
+	n.stats.duplicated[p.Type]++
 	if p.Type == Data {
-		b.addInFlight(p.Job, 1)
+		n.addInFlight(p.Job, 1)
 	}
-	dup := n.NewPacketFrom(p.Src)
+	dup := n.NewPacket()
 	*dup = *p
 	dup.pooled = true
-	n.engFor(p.Src).CrossArgAt(n.engFor(p.Dst), at, n.deliverFn, dup)
+	n.eng.ScheduleArgAt(at, n.deliverFn, dup)
 }
 
 func (n *Network) deliver(p *Packet) {
-	b := &n.perNode[p.Dst]
 	if p.Type == Data {
-		b.addInFlight(p.Job, -1)
+		n.addInFlight(p.Job, -1)
 	}
 	h := n.handlers[p.Dst]
 	if h == nil {
-		b.stats.dropped[p.Type]++
-		n.Emit(Event{Kind: Drop, Time: n.engFor(p.Dst).Now(), Node: p.Dst, Job: p.Job, Pkt: p})
+		n.stats.dropped[p.Type]++
+		n.Emit(Event{Kind: Drop, Time: n.eng.Now(), Node: p.Dst, Job: p.Job, Pkt: p})
 		n.FreePacket(p)
 		return
 	}
-	b.stats.delivered[p.Type]++
+	n.stats.delivered[p.Type]++
 	h.HandlePacket(p)
 }
 
 // InFlight reports how many of the job's data packets are currently on the
 // wire. The flush protocol's guarantee — the invariant the buffer switch
 // depends on — is that this is zero for the halted job when every node has
-// collected all halts. The count is summed across node buckets, so under
-// sharded execution it is meaningful only at barriers (the audit tick runs
-// on the global lane, which satisfies that).
+// collected all halts.
 func (n *Network) InFlight(job JobID) int {
-	total := 0
-	for i := range n.perNode {
-		if f := n.perNode[i].inFlight; job >= 0 && int(job) < len(f) {
-			total += f[job]
-		}
+	if job < 0 || int(job) >= len(n.inFlight) {
+		return 0
 	}
-	return total
+	return n.inFlight[job]
 }

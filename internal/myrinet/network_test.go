@@ -1,6 +1,7 @@
 package myrinet
 
 import (
+	"math"
 	"reflect"
 	"slices"
 	"testing"
@@ -457,16 +458,16 @@ func TestInFlightAccountsDrops(t *testing.T) {
 	}
 }
 
-// TestInFlightJobPastSliceEnd: each node's in-flight counts are a slice
-// indexed by JobID. A job past a slice's end grows it on its first packet,
-// and InFlight reads 0 for jobs no node has seen, in range or not.
+// TestInFlightJobPastSliceEnd: the in-flight counts are a slice indexed
+// by JobID. A job past the slice's end grows it on its first packet, and
+// InFlight reads 0 for jobs the fabric has not seen, in range or not.
 func TestInFlightJobPastSliceEnd(t *testing.T) {
 	eng := sim.NewEngine()
 	net := New(eng, DefaultConfig(2))
 	net.Attach(1, HandlerFunc(func(*Packet) {}))
 	net.Send(&Packet{Type: Data, Src: 0, Dst: 1, Job: 2, PayloadLen: 10})
-	if n := len(net.perNode[0].inFlight); n != 3 {
-		t.Fatalf("job 2's first packet sized the sender's counts to %d, want 3", n)
+	if n := len(net.inFlight); n != 3 {
+		t.Fatalf("job 2's first packet sized the counts to %d, want 3", n)
 	}
 	for i := 0; i < 2; i++ {
 		net.Send(&Packet{Type: Data, Src: 0, Dst: 1, Job: 40, PayloadLen: 10})
@@ -485,23 +486,22 @@ func TestInFlightJobPastSliceEnd(t *testing.T) {
 }
 
 // TestDataPathZeroAllocAfterFirstPacket: a job's first data packet grows
-// the source's and the destination's count slices; every later packet of
-// the job (pooled send, link, delivery, free) allocates nothing.
+// the count slice; every later packet of the job (pooled send, link,
+// delivery, free) allocates nothing.
 func TestDataPathZeroAllocAfterFirstPacket(t *testing.T) {
 	eng := sim.NewEngine()
 	net := New(eng, DefaultConfig(2))
 	net.Attach(1, HandlerFunc(net.FreePacket))
 	send := func(job JobID) {
-		p := net.NewPacketFrom(0)
+		p := net.NewPacket()
 		p.Type, p.Src, p.Dst, p.Job, p.PayloadLen = Data, 0, 1, job, 100
 		net.Send(p)
 		eng.Run()
 	}
 	send(1) // warm the packet pool and the engine arena
 	send(50)
-	if len(net.perNode[0].inFlight) != 51 || len(net.perNode[1].inFlight) != 51 {
-		t.Fatalf("job 50's first packet left count slices of %d and %d, want 51",
-			len(net.perNode[0].inFlight), len(net.perNode[1].inFlight))
+	if len(net.inFlight) != 51 {
+		t.Fatalf("job 50's first packet left a count slice of %d, want 51", len(net.inFlight))
 	}
 	if allocs := testing.AllocsPerRun(100, func() { send(50) }); allocs != 0 {
 		t.Fatalf("a later packet of job 50 allocates %.1f objects, want 0", allocs)
@@ -509,12 +509,12 @@ func TestDataPathZeroAllocAfterFirstPacket(t *testing.T) {
 }
 
 // TestRecycledPacketIsZero pins the pool's zero-on-alloc contract: a packet
-// freed with every field set comes back from NewPacketFrom with every field
+// freed with every field set comes back from NewPacket with every field
 // zero except pooled. Send paths set only the fields they need, so a field
 // that survived recycling would leak into the next packet.
 func TestRecycledPacketIsZero(t *testing.T) {
 	net := New(sim.NewEngine(), DefaultConfig(2))
-	p := net.NewPacketFrom(0)
+	p := net.NewPacket()
 	v := reflect.ValueOf(p).Elem()
 	typ := v.Type()
 	for i := 0; i < typ.NumField(); i++ {
@@ -534,7 +534,7 @@ func TestRecycledPacketIsZero(t *testing.T) {
 	}
 	p.Dst = 1
 	net.FreePacket(p)
-	if q := net.NewPacketFrom(0); q != p {
+	if q := net.NewPacket(); q != p {
 		t.Fatal("the pool did not hand back the packet just freed")
 	}
 	for i := 0; i < typ.NumField(); i++ {
@@ -545,4 +545,18 @@ func TestRecycledPacketIsZero(t *testing.T) {
 	if !p.pooled {
 		t.Error("recycled packet is not marked pooled")
 	}
+}
+
+// TestRouteSeqWrapPanics: a route's Seq counter is 32 bits wide, and a
+// send that would wrap it panics instead of reusing a Seq.
+func TestRouteSeqWrapPanics(t *testing.T) {
+	net := New(sim.NewEngine(), DefaultConfig(2))
+	net.seq[0][1] = math.MaxUint32 - 1
+	net.Send(&Packet{Type: Data, Src: 0, Dst: 1})
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a send past 2^32-1 packets on one route did not panic")
+		}
+	}()
+	net.Send(&Packet{Type: Data, Src: 0, Dst: 1})
 }

@@ -43,10 +43,8 @@ func (c *Cluster) Resends() uint64 { return c.ctrl.resent }
 // Observe subscribes fn to the cluster's event list: packet drops, node
 // violations and flush points from every node incarnation, and the
 // masterd's evictions and rejoins (see myrinet.Event). Subscribers
-// register before the run starts — the list is fixed from then on, so the
-// fan-out reads it without a lock — and are called in registration order,
-// from whichever lane fired the event: switch on the kind before taking a
-// lock.
+// register before the run starts — the list is fixed from then on — and
+// are called in registration order.
 func (c *Cluster) Observe(fn func(myrinet.Event)) {
 	if c.Fired() > 0 {
 		panic("parpar: Observe after the run started")

@@ -68,20 +68,10 @@ type Config struct {
 	// value means DefaultRecovery(Quantum).
 	Recovery Recovery
 
-	// Shards, when > 1, partitions the cluster into that many contiguous
-	// node ranges, each with its own event lane (masterd and control
-	// network live on an extra global lane). The lanes run under
-	// conservative lookahead windows derived from the data network's
-	// minimum cross-node latency, windows big enough to pay for it
-	// concurrently when Workers > 1 (see sim.GroupConfig). Results —
-	// chaos traces included — are identical across sharded runs at any
-	// shards × workers. They can differ from the unsharded simulator: a
-	// cross-lane post takes its sequence number when the window drains, so
-	// a same-instant tie on its target lane may break the other way.
-	// Shards <= 1 leaves the classic single-engine path untouched.
-	Shards int
-	// Workers caps the goroutines running shard windows (see Shards).
-	Workers int
+	// Deprecated: Shards and Workers are ignored; every cluster runs on
+	// one engine. They remain only until the repository benchmark stops
+	// assigning them.
+	Shards, Workers int
 }
 
 // DefaultConfig returns the paper's setup: 16-ish nodes, 4 slots, the
@@ -120,11 +110,6 @@ type Node struct {
 	NIC *lanai.NIC
 	CPU *sim.Resource
 	Mgr *core.Manager
-	// Eng is the event lane this node's state lives on: the cluster
-	// engine normally, the owning shard's engine under sharded execution.
-	// Every event that touches the node's NIC, CPU, manager, or endpoint
-	// state runs here.
-	Eng *sim.Engine
 
 	cluster *Cluster
 	procs   map[myrinet.JobID]*Proc
@@ -151,9 +136,6 @@ type Node struct {
 	// switch that finishes late is recognised and ignored.
 	swDoneFn func(core.SwitchStats)
 	// msgs pools this node's switchMsg records (notifications and acks).
-	// A record is touched by one lane at a time — the global lane while
-	// the masterd fills or retires it, the node's lane in between — and
-	// the window barrier orders the hand-offs.
 	msgs []*switchMsg
 
 	// evictSeen[j] is the highest eviction generation of node j this noded
@@ -208,9 +190,9 @@ func (n *Node) putMsg(s *switchMsg) { n.msgs = append(n.msgs, s) }
 func (s *switchMsg) send(d sim.Time) {
 	c, cp := s.n.cluster.ctrl, s.n.getMsg(s.epoch, s.gen, s.ack)
 	if s.ack {
-		c.deliverRoutedArg(-1, d, ackFireFn, cp)
+		c.deliverArg(-1, d, ackFireFn, cp)
 	} else {
-		c.deliverRoutedArg(int(s.n.ID), d, switchNoteFn, cp)
+		c.deliverArg(int(s.n.ID), d, switchNoteFn, cp)
 	}
 }
 
@@ -231,15 +213,9 @@ func (s *switchMsg) received() bool {
 
 func (s *switchMsg) retire() { s.n.putMsg(s) }
 
-// switchNoteFn delivers a notification on the node's lane; ackHopFn moves
-// an acknowledgement to the control network's lane, which samples its
-// latency; ackFireFn is the masterd-side delivery.
+// switchNoteFn delivers a notification to its node; ackFireFn is the
+// masterd-side delivery of an acknowledgement.
 func switchNoteFn(a any) { s := a.(*switchMsg); s.n.switchSlot(s) }
-
-func ackHopFn(a any) {
-	s := a.(*switchMsg)
-	s.n.cluster.ctrl.sendReliable(0, -1, s)
-}
 
 func ackFireFn(a any) {
 	s := a.(*switchMsg)
@@ -263,8 +239,8 @@ func ackFireFn(a any) {
 // chaos campaigns the uncapped worst case (about 16 M cycles with full
 // queues) is dozens of quanta.
 func (c *Cluster) attach(n *Node) error {
-	nic := lanai.New(n.Eng, c.Net, c.Mem, lanai.DefaultConfig(n.ID))
-	mgr, err := core.NewManager(n.Eng, nic, n.CPU, c.Mem, core.Config{
+	nic := lanai.New(c.Eng, c.Net, c.Mem, lanai.DefaultConfig(n.ID))
+	mgr, err := core.NewManager(c.Eng, nic, n.CPU, c.Mem, core.Config{
 		Policy:      c.cfg.Policy,
 		Mode:        c.cfg.Mode,
 		MaxContexts: c.cfg.Slots,
@@ -279,7 +255,7 @@ func (c *Cluster) attach(n *Node) error {
 	n.NIC, n.Mgr = nic, mgr
 	n.swDoneFn = func(s core.SwitchStats) { n.switchDone(mgr, s) }
 	if c.injector != nil {
-		mgr.OnStore = c.injector.StoreHook(int(n.ID), n.Eng)
+		mgr.OnStore = c.injector.StoreHook(int(n.ID))
 		_, first := deadlines(c.cfg, nic.Config())
 		nic.SetRecovery(lanai.Recovery{Timeout: first, Retries: nicRetries,
 			CopyBound: min(mgr.MaxCopyCost(), c.cfg.Quantum)})
@@ -289,15 +265,11 @@ func (c *Cluster) attach(n *Node) error {
 
 // Cluster is the assembled system.
 type Cluster struct {
-	// Eng is the cluster's control lane: the single engine of an
-	// unsharded cluster, or the shard group's global lane (masterd,
-	// control network, audit ticks). Use Run/RunUntil/RunFor to drive the
-	// simulation — they dispatch to the shard group when one exists.
+	// Eng is the cluster's one engine: every node, the masterd, the
+	// control network and the audit ticks schedule on it.
 	Eng *sim.Engine
 	Net *myrinet.Network
 	Mem *memmodel.Model
-
-	group *sim.Group
 
 	cfg    Config
 	rng    *sim.Rand
@@ -345,72 +317,29 @@ func New(cfg Config) (*Cluster, error) {
 		ncfg.Nodes = cfg.Nodes
 	}
 
-	// Sharded execution: partition the nodes into contiguous ranges, one
-	// event lane each, with the masterd and control network on the extra
-	// global lane. The window size is the data network's minimum
-	// cross-node latency; control messages must not undercut it, so
-	// sharding requires CtrlBase to cover the lookahead (in practice
-	// Ethernet+daemon latency dwarfs a switch traversal).
-	shards := cfg.Shards
-	if shards > cfg.Nodes {
-		shards = cfg.Nodes
-	}
-	var group *sim.Group
-	var eng *sim.Engine
-	if shards > 1 {
-		lookahead := ncfg.SwitchLatency + ncfg.PerPacketGap + 1
-		if cfg.CtrlBase < lookahead {
-			return nil, fmt.Errorf(
-				"parpar: CtrlBase %d is below the network lookahead %d; sharding needs control latency >= the window size",
-				cfg.CtrlBase, lookahead)
-		}
-		group = sim.NewGroup(sim.GroupConfig{
-			Shards:    shards,
-			Lookahead: lookahead,
-			Workers:   cfg.Workers,
-		})
-		eng = group.Global()
-	} else {
-		eng = sim.NewEngine()
-	}
-
+	eng := sim.NewEngine()
 	c := &Cluster{
 		Eng:          eng,
 		Net:          myrinet.New(eng, ncfg),
 		Mem:          memmodel.Default(),
-		group:        group,
 		cfg:          cfg,
 		rng:          sim.NewRand(cfg.Seed ^ 0xABCD),
 		prevProgress: make(map[progressKey]uint64),
 		audSrcCount:  make(map[int]int),
-	}
-	if group != nil {
-		engs := make([]*sim.Engine, cfg.Nodes)
-		for i := range engs {
-			engs[i] = group.Shard(i * shards / cfg.Nodes)
-		}
-		c.Net.SetShardEngines(engs)
 	}
 	c.Net.SetObserver(c.emit)
 	c.ctrl = newCtrlNet(eng, cfg.CtrlBase, cfg.CtrlJitter, c.rng)
 	c.ctrl.timeout, _ = deadlines(cfg, lanai.DefaultConfig(0))
 	c.newChaos()
 	for i := 0; i < cfg.Nodes; i++ {
-		nodeEng := eng
-		if group != nil {
-			nodeEng = group.Shard(i * shards / cfg.Nodes)
-		}
 		n := &Node{
-			ID: myrinet.NodeID(i), CPU: sim.NewResource(nodeEng), Eng: nodeEng,
+			ID: myrinet.NodeID(i), CPU: sim.NewResource(eng),
 			cluster: c, procs: make(map[myrinet.JobID]*Proc),
 		}
 		if err := c.attach(n); err != nil {
 			return nil, err
 		}
 		c.nodes = append(c.nodes, n)
-	}
-	if group != nil {
-		c.ctrl.engOf = func(node int) *sim.Engine { return c.nodes[node].Eng }
 	}
 	c.master = newMasterd(c)
 	c.armChaos()
@@ -467,22 +396,10 @@ func (c *Cluster) Compact() int {
 
 // Run processes events until the cluster goes quiescent (all jobs done and
 // the rotation stopped).
-func (c *Cluster) Run() {
-	if c.group != nil {
-		c.group.Run()
-		return
-	}
-	c.Eng.Run()
-}
+func (c *Cluster) Run() { c.Eng.Run() }
 
 // RunUntil processes events up to the given virtual time.
-func (c *Cluster) RunUntil(t sim.Time) {
-	if c.group != nil {
-		c.group.RunUntil(t)
-		return
-	}
-	c.Eng.RunUntil(t)
-}
+func (c *Cluster) RunUntil(t sim.Time) { c.Eng.RunUntil(t) }
 
 // RunFor processes events for d more cycles.
 func (c *Cluster) RunFor(d sim.Time) { c.RunUntil(c.Eng.Now() + d) }
@@ -506,13 +423,8 @@ func (c *Cluster) RunBounded(h sim.Time) error {
 		h, strings.Join(stuck, ", "), c.Auditor().Summary())
 }
 
-// Fired returns the total number of events executed across every lane.
-func (c *Cluster) Fired() uint64 {
-	if c.group != nil {
-		return c.group.Fired()
-	}
-	return c.Eng.Fired()
-}
+// Fired returns the number of events executed so far.
+func (c *Cluster) Fired() uint64 { return c.Eng.Fired() }
 
 // SwitchHistory returns every node's recorded switch statistics.
 func (c *Cluster) SwitchHistory() [][]core.SwitchStats {
@@ -525,11 +437,10 @@ func (c *Cluster) SwitchHistory() [][]core.SwitchStats {
 
 // reliableSend routes one daemon control message, re-sent until done
 // reports its receipt (at most ctrlRetries times) when a fault plan can
-// lose it (see ctrlNet.sendReliable). dst < 0 addresses the masterd;
-// dst >= 0 names the node whose shard the handler runs on. src is the
-// engine the caller is executing on.
-func (c *Cluster) reliableSend(src *sim.Engine, dst int, done func() bool, fn func()) {
-	c.ctrl.hop(src, sendFuncFn, &funcMsg{c: c.ctrl, dst: dst, done: done, fn: fn})
+// lose it (see ctrlNet.sendReliable). dst < 0 addresses the masterd,
+// dst >= 0 a node's noded.
+func (c *Cluster) reliableSend(dst int, done func() bool, fn func()) {
+	c.ctrl.sendReliable(0, ctrlRetries, &funcMsg{c: c.ctrl, dst: dst, done: done, fn: fn})
 }
 
 // node-side daemon actions -------------------------------------------------
@@ -565,7 +476,7 @@ func (n *Node) initJob(job *Job, rank int) {
 		return
 	}
 	alloc := n.Mgr.Alloc()
-	ep, err := fm.NewEndpoint(n.Eng, n.NIC, n.CPU, n.cluster.Mem,
+	ep, err := fm.NewEndpoint(n.cluster.Eng, n.NIC, n.CPU, n.cluster.Mem,
 		fm.DefaultConfig(alloc.C0), job.ID, rank, job.nodeOf)
 	if err != nil {
 		panic(fmt.Sprintf("parpar: endpoint for job %d rank %d: %v", job.ID, rank, err))
@@ -591,8 +502,8 @@ func (n *Node) initJob(job *Job, rank int) {
 	n.procs[job.ID] = p
 	job.procs[rank] = p
 	// Fork; the child notifies readiness through the noded.
-	n.Eng.Schedule(n.cluster.cfg.ForkDelay, func() {
-		n.cluster.reliableSend(n.Eng, -1, func() bool { return job.readySeen[rank] || job.ended() },
+	n.cluster.Eng.Schedule(n.cluster.cfg.ForkDelay, func() {
+		n.cluster.reliableSend(-1, func() bool { return job.readySeen[rank] || job.ended() },
 			func() { n.cluster.master.rankReady(job, rank) })
 	})
 }
@@ -663,10 +574,7 @@ func (n *Node) switchDone(mgr *core.Manager, s core.SwitchStats) {
 	if mgr != n.Mgr {
 		return
 	}
-	// The ack hops to the control network's lane, which samples its
-	// latency.
-	ack := n.getMsg(s.Epoch, n.gen, true)
-	n.cluster.ctrl.hop(n.Eng, ackHopFn, ack)
+	n.cluster.ctrl.sendReliable(0, -1, n.getMsg(s.Epoch, n.gen, true))
 }
 
 // endJob is the noded's handling of job termination: release the
@@ -747,7 +655,7 @@ func (n *Node) joinPeer(id myrinet.NodeID, gen int) {
 	}
 	m := n.cluster.master
 	i, j := int(id), int(n.ID)
-	n.cluster.reliableSend(n.Eng, -1, func() bool { return m.joinAckSeen(i, j) },
+	n.cluster.reliableSend(-1, func() bool { return m.joinAckSeen(i, j) },
 		func() { m.joinAcked(i, j) })
 }
 
@@ -764,7 +672,7 @@ func (n *Node) heartbeat(seq uint64) {
 	m := n.cluster.master
 	i := int(n.ID)
 	n.CPU.Use(heartbeatCost, func() {
-		n.cluster.reliableSend(n.Eng, -1, func() bool { return m.hbSeenAtLeast(i, seq) },
+		n.cluster.reliableSend(-1, func() bool { return m.hbSeenAtLeast(i, seq) },
 			func() { m.hbReply(i, seq) })
 	})
 }
@@ -794,13 +702,12 @@ func (n *Node) reboot(deadPeers []myrinet.NodeID, gen int) {
 // repairNode runs at a NodeRepair instant, right after the injector
 // unblocked the host CPU in the same event cascade. The masterd learns the
 // fresh incarnation exists immediately — from here on membership updates
-// reach the new card — and the reboot plus the rejoin request follow on
-// the node's own lane and the ctrl network.
+// reach the new card — and the reboot plus the rejoin request follow in
+// an event of their own at the same instant.
 func (c *Cluster) repairNode(i int) {
 	m := c.master
 	m.nodeRebooted(i)
-	// Snapshot the dead set (minus the rebooting node itself) on the global
-	// lane: the fresh incarnation's topology must match the survivors'
+	// Snapshot the dead set (minus the rebooting node itself) now: the fresh incarnation's topology must match the survivors'
 	// view, and any eviction after this instant is broadcast to rebooted
 	// incarnations too.
 	var deadPeers []myrinet.NodeID
@@ -828,12 +735,12 @@ func (c *Cluster) repairNode(i int) {
 		gen++
 	}
 	node := c.nodes[i]
-	c.Eng.CrossAt(node.Eng, c.Eng.Now(), func() {
+	c.Eng.Schedule(0, func() {
 		node.reboot(deadPeers, gen)
 		if joining >= 0 {
 			node.joinPeer(myrinet.NodeID(joining), joinGen)
 		}
-		c.reliableSend(node.Eng, -1, func() bool { return m.rejoinRequested(i) },
+		c.reliableSend(-1, func() bool { return m.rejoinRequested(i) },
 			func() { m.rejoinRequest(i) })
 	})
 }

@@ -15,20 +15,10 @@ import (
 // the nodeds at a context switch and makes the halt stage grow with the
 // node count (Figure 7).
 type ctrlNet struct {
-	// eng is the lane the control network itself lives on: the single
-	// engine of an unsharded cluster, or a shard group's global lane. All
-	// latency sampling happens here, so the jitter RNG — a sequential
-	// machine whose draw order must be deterministic — is consulted only
-	// in serialized context.
 	eng    *sim.Engine
 	base   sim.Time
 	jitter sim.Time
 	rng    *sim.Rand
-
-	// engOf, when set, maps a node to the shard engine owning it;
-	// deliveries addressed to a node are inserted there so the callback
-	// runs in the node's shard. Nil means everything runs on eng.
-	engOf func(node int) *sim.Engine
 
 	// intercept, when set, is consulted once per message with the
 	// destination node (-1 for masterd-bound messages); it returns extra
@@ -49,8 +39,7 @@ func newCtrlNet(eng *sim.Engine, base, jitter sim.Time, rng *sim.Rand) *ctrlNet 
 	return &ctrlNet{eng: eng, base: base, jitter: jitter, rng: rng}
 }
 
-// delay samples one message latency. Call only from eng's context (hop
-// gets a node-side caller there first).
+// delay samples one message latency.
 func (c *ctrlNet) delay() sim.Time {
 	d := c.base
 	if c.jitter > 0 {
@@ -59,37 +48,16 @@ func (c *ctrlNet) delay() sim.Time {
 	return d
 }
 
-// hop runs fn(arg) on the control lane: inline when the caller already
-// runs there (the unsharded engine, or the global lane), otherwise posted
-// at the caller's current time (a daemon-to-masterd request has no
-// latency of its own; the sampled delivery delay is the whole cost).
-func (c *ctrlNet) hop(src *sim.Engine, fn func(any), arg any) {
-	if src == c.eng {
-		fn(arg)
-		return
-	}
-	src.CrossArgAt(c.eng, src.Now(), fn, arg)
+// deliver schedules fn, a message to node (the masterd for node < 0), to
+// run after d, subject to the intercept.
+func (c *ctrlNet) deliver(node int, d sim.Time, fn func()) {
+	c.deliverArg(node, d, sim.Call, fn)
 }
 
-// engFor returns the engine a delivery for the given node runs on.
-func (c *ctrlNet) engFor(node int) *sim.Engine {
-	if node >= 0 && c.engOf != nil {
-		return c.engOf(node)
-	}
-	return c.eng
-}
-
-// deliverRouted schedules fn to run on node's lane (the masterd's for
-// node < 0) after d, subject to the intercept. Call only from eng's
-// context.
-func (c *ctrlNet) deliverRouted(node int, d sim.Time, fn func()) {
-	c.deliverRoutedArg(node, d, sim.Call, fn)
-}
-
-// deliverRoutedArg is deliverRouted for closure-free callers: fn receives
+// deliverArg is deliver for closure-free callers: fn receives
 // arg at delivery. The hot per-round scheduler traffic uses this with
 // pooled argument records so a switch round allocates no closures.
-func (c *ctrlNet) deliverRoutedArg(node int, d sim.Time, fn func(any), arg any) {
+func (c *ctrlNet) deliverArg(node int, d sim.Time, fn func(any), arg any) {
 	if c.intercept != nil {
 		extra, drop := c.intercept(c.eng.Now(), node)
 		if drop {
@@ -97,7 +65,7 @@ func (c *ctrlNet) deliverRoutedArg(node int, d sim.Time, fn func(any), arg any) 
 		}
 		d += extra
 	}
-	c.eng.CrossArgAt(c.engFor(node), c.eng.Now()+d, fn, arg)
+	c.eng.ScheduleArg(d, fn, arg)
 }
 
 // reliable is one daemon message on the re-send path. The daemons' real
@@ -123,8 +91,7 @@ const (
 	ctrlRetries = 6
 )
 
-// resend is one message's pending re-send chain. The records are pooled
-// on the control lane, the only lane that touches them.
+// resend is one message's pending re-send chain. The records are pooled.
 type resend struct {
 	c       *ctrlNet
 	m       reliable
@@ -138,8 +105,6 @@ type resend struct {
 // undeliverable launch or membership message is abandoned, and the
 // heartbeat owns what happens to a permanently unreachable node. Without
 // an intercept nothing can lose or delay the copy, so no chain is armed.
-// Call only from eng's context, where the chain's timers run and reading
-// receiver state is barrier-safe.
 func (c *ctrlNet) sendReliable(first sim.Time, retries int, m reliable) {
 	m.send(c.delay() + first)
 	if c.intercept == nil {
@@ -172,8 +137,8 @@ func resendFn(a any) {
 }
 
 // funcMsg is any other daemon message (launch path, membership,
-// heartbeat, rejoin): fn runs on dst's lane (the masterd's for dst < 0),
-// and done reports its receipt.
+// heartbeat, rejoin): fn runs at dst (the masterd for dst < 0), and done
+// reports its receipt.
 type funcMsg struct {
 	c    *ctrlNet
 	dst  int
@@ -182,7 +147,5 @@ type funcMsg struct {
 }
 
 func (f *funcMsg) received() bool  { return f.done() }
-func (f *funcMsg) send(d sim.Time) { f.c.deliverRouted(f.dst, d, f.fn) }
+func (f *funcMsg) send(d sim.Time) { f.c.deliver(f.dst, d, f.fn) }
 func (f *funcMsg) retire()         {}
-
-func sendFuncFn(a any) { f := a.(*funcMsg); f.c.sendReliable(0, ctrlRetries, f) }

@@ -99,9 +99,6 @@ func (j *Job) State() JobState { return j.state }
 // chains stop too.
 func (j *Job) ended() bool { return j.state == JobDone || j.state == JobKilled }
 
-// Size returns the number of processes.
-func (j *Job) Size() int { return j.Spec.Size }
-
 // OnDone registers a callback invoked (at masterd time) when the job
 // completes.
 func (j *Job) OnDone(fn func(*Job)) { j.onDone = append(j.onDone, fn) }
@@ -140,13 +137,11 @@ func (p *Proc) Job() myrinet.JobID { return p.job.ID }
 func (p *Proc) NodeID() myrinet.NodeID { return p.node.ID }
 
 // Now returns the current virtual time.
-func (p *Proc) Now() sim.Time { return p.node.Eng.Now() }
+func (p *Proc) Now() sim.Time { return p.cluster.Eng.Now() }
 
 // Schedule runs fn after d cycles of virtual time (modelling local
-// computation between communication phases). The timer lives on the
-// hosting node's event lane, so compute phases stay inside the process's
-// shard.
-func (p *Proc) Schedule(d sim.Time, fn func()) { p.node.Eng.Schedule(d, fn) }
+// computation between communication phases).
+func (p *Proc) Schedule(d sim.Time, fn func()) { p.cluster.Eng.Schedule(d, fn) }
 
 // Done reports the process's result to the noded; when every rank of the
 // job has called Done the masterd retires the job. Queued sends are
@@ -169,7 +164,7 @@ func (p *Proc) Done(result any) {
 			return
 		}
 		p.EP.Suspend()
-		p.cluster.reliableSend(p.node.Eng, -1, func() bool { return job.doneSeen[rank] || job.ended() },
+		p.cluster.reliableSend(-1, func() bool { return job.doneSeen[rank] || job.ended() },
 			func() { p.cluster.master.rankDone(job, rank, result) })
 	})
 }

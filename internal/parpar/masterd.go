@@ -90,8 +90,7 @@ type Masterd struct {
 	tickFn func()
 }
 
-// quantumMsg carries a round's quantum-elapsed check. Pooled per masterd;
-// scheduled and fired on the global lane only.
+// quantumMsg carries a round's quantum-elapsed check. Pooled per masterd.
 type quantumMsg struct {
 	m     *Masterd
 	epoch uint64
@@ -181,7 +180,7 @@ func (m *Masterd) submit(spec JobSpec) (*Job, error) {
 	// Figure 2: notify each allocated node to load the job.
 	for rank, col := range placement.Cols {
 		rank, col := rank, col
-		m.c.reliableSend(m.c.Eng, col, func() bool { return job.loadSeen[rank] || job.ended() },
+		m.c.reliableSend(col, func() bool { return job.loadSeen[rank] || job.ended() },
 			func() { m.c.nodes[col].loadJob(job, rank) })
 	}
 	m.maybeTick()
@@ -204,7 +203,7 @@ func (m *Masterd) rankReady(job *Job, rank int) {
 	job.SyncTime = m.c.Eng.Now()
 	for rank, col := range job.Placement.Cols {
 		rank, col := rank, col
-		m.c.reliableSend(m.c.Eng, col, func() bool { p := job.procs[rank]; return p == nil || p.started || job.ended() },
+		m.c.reliableSend(col, func() bool { p := job.procs[rank]; return p == nil || p.started || job.ended() },
 			func() { m.c.nodes[col].startJob(job, rank) })
 	}
 	// Force the next rotation to perform a real slot switch even if it
@@ -245,7 +244,7 @@ func (m *Masterd) rankDone(job *Job, rank int, result any) {
 	for _, col := range job.Placement.Cols {
 		col := col
 		node := m.c.nodes[col]
-		m.c.reliableSend(m.c.Eng, col, func() bool { _, ok := node.procs[job.ID]; return !ok },
+		m.c.reliableSend(col, func() bool { _, ok := node.procs[job.ID]; return !ok },
 			func() { node.endJob(job.ID) })
 	}
 	for _, fn := range job.onDone {
@@ -413,7 +412,7 @@ func (m *Masterd) evictNode(i int) {
 			continue
 		}
 		node := node
-		m.c.reliableSend(m.c.Eng, j, func() bool { return node.evictSeen[id] >= gen },
+		m.c.reliableSend(j, func() bool { return node.evictSeen[id] >= gen },
 			func() { node.evictPeer(id, gen) })
 	}
 	// The Evict event fires between the column kill and the spanning
@@ -498,7 +497,7 @@ func (m *Masterd) killJob(job *Job) {
 		}
 		col := col
 		node := m.c.nodes[col]
-		m.c.reliableSend(m.c.Eng, col, func() bool { _, ok := node.procs[job.ID]; return !ok },
+		m.c.reliableSend(col, func() bool { _, ok := node.procs[job.ID]; return !ok },
 			func() { node.killJob(job.ID) })
 	}
 	for _, fn := range job.onDone {

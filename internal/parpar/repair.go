@@ -16,8 +16,7 @@ package parpar
 // probe runs whenever recovery is on and the chaos plan contains a
 // NodeCrash: without one nothing can fail-stop, and the probe stays off
 // so fault-free and crash-free runs keep their exact timing. Its jitter
-// draws ride the ctrl network's global-lane RNG like every other control
-// message, so it is byte-identical under any sharding.
+// draws ride the ctrl network's RNG like every other control message.
 //
 // Rejoin. A repaired node boots as a fresh incarnation (new card, new
 // manager, empty daemon state — see Node.reboot) and asks the masterd to
@@ -99,7 +98,7 @@ func (m *Masterd) hbTick() {
 		}
 		i := i
 		m.hbPending[i] = true
-		m.c.ctrl.deliverRouted(i, m.c.ctrl.delay(), func() { m.c.nodes[i].heartbeat(seq) })
+		m.c.ctrl.deliver(i, m.c.ctrl.delay(), func() { m.c.nodes[i].heartbeat(seq) })
 	}
 	m.c.Eng.Schedule(m.c.cfg.Recovery.HeartbeatEvery, m.hbFn)
 }
@@ -202,7 +201,7 @@ func (m *Masterd) tryRejoin() {
 		}
 		i, j := i, j
 		node := m.c.nodes[j]
-		m.c.reliableSend(m.c.Eng, j, func() bool { return m.joinAckSeen(i, j) },
+		m.c.reliableSend(j, func() bool { return m.joinAckSeen(i, j) },
 			func() { node.joinPeer(id, gen) })
 	}
 }

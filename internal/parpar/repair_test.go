@@ -510,7 +510,7 @@ func TestRebootedIncarnationReports(t *testing.T) {
 	// A data packet for a job the fresh card holds no context for is
 	// discarded there, destroying its credit.
 	const orphan myrinet.JobID = 99
-	p := c.Net.NewPacketFrom(1)
+	p := c.Net.NewPacket()
 	p.Type, p.Src, p.Dst, p.Job = myrinet.Data, 1, crashed, orphan
 	c.Net.Send(p)
 	c.RunFor(cfg.Quantum)

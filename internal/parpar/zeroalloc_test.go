@@ -8,7 +8,7 @@ import (
 )
 
 // TestCtrlNetRoutedDeliveryZeroAlloc pins the allocation-free contract of
-// the control network's hot delivery path: deliverRoutedArg with a
+// the control network's hot delivery path: deliverArg with a
 // long-lived callback and a pointer (or nil) argument must not allocate
 // once the engine arena has warmed — it is what the masterd's per-round
 // switch broadcast and the nodes' ack returns ride on.
@@ -18,7 +18,7 @@ func TestCtrlNetRoutedDeliveryZeroAlloc(t *testing.T) {
 	fired := 0
 	fn := func(any) { fired++ }
 	allocs := testing.AllocsPerRun(100, func() {
-		c.deliverRoutedArg(-1, c.delay(), fn, nil)
+		c.deliverArg(-1, c.delay(), fn, nil)
 		eng.Run()
 	})
 	if allocs != 0 {

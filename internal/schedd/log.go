@@ -58,8 +58,7 @@ func (v Verb) String() string {
 
 // Log is the daemon's append-only decision log. Every entry is stamped
 // with the DES time at which the decision was made, so the rendered log
-// is byte-identical for a given seed — across runs and across worker
-// counts, by the engine group's determinism contract.
+// is byte-identical for a given seed.
 type Log struct {
 	lines  []string
 	counts [verbCount]int

@@ -79,9 +79,6 @@ type Config struct {
 	// before the daemon gives up on it. Zero means the default (3);
 	// negative means no retries.
 	RetryBudget int
-	// Shards and Workers select the sharded engine group.
-	Shards  int
-	Workers int
 }
 
 // DefaultConfig mirrors schedeval's evaluation setup: a deep 8-row gang
@@ -207,8 +204,6 @@ func New(cfg Config) (*Daemon, error) {
 		// detected within the same ~3/4 quantum.
 		pcfg.Recovery = parpar.Recovery{HeartbeatEvery: pcfg.Quantum / 4, HeartbeatMisses: 2}
 	}
-	pcfg.Shards = cfg.Shards
-	pcfg.Workers = cfg.Workers
 	cluster, err := parpar.New(pcfg)
 	if err != nil {
 		return nil, err
@@ -248,7 +243,7 @@ func (d *Daemon) Run() error {
 	}
 	d.horizon = d.cfg.horizon()
 	eng := d.cluster.Eng
-	// Command events, all on the global lane. Arrival ties are broken by
+	// Command events, on the cluster's engine. Arrival ties are broken by
 	// trace order because ScheduleAt is FIFO per timestamp.
 	order := make([]int, len(d.tasks))
 	for i := range order {
@@ -428,8 +423,7 @@ func (d *Daemon) reclaim() {
 }
 
 // onEvent is the daemon's subscription to the cluster's event list; only
-// the masterd's membership changes concern it, and both fire on the
-// global lane. Evict fires after the dead node's matrix column is killed
+// the masterd's membership changes concern it. Evict fires after the dead node's matrix column is killed
 // and before the jobs spanning it are: queued jobs larger than the
 // surviving machine are given up on the spot — they could otherwise wedge
 // the queue head and censor everything behind it. Rejoin fires after the
@@ -753,13 +747,4 @@ func (d *Daemon) Result(mode string) *Result {
 	r.Log = d.log
 	r.Events = d.cluster.Fired()
 	return r
-}
-
-// JobID is a convenience for tests: the parpar job ID of task idx's
-// current incarnation, or NoJob.
-func (d *Daemon) JobID(idx int) myrinet.JobID {
-	if idx < 0 || idx >= len(d.tasks) || d.tasks[idx].job == nil {
-		return myrinet.NoJob
-	}
-	return d.tasks[idx].job.ID
 }

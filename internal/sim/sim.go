@@ -6,13 +6,10 @@
 // (the paper reports every overhead in cycles of a 200 MHz Pentium Pro, so
 // using cycles as the base unit lets every result be compared directly).
 //
-// A single Engine is intentionally single-goroutine: determinism is what
-// makes the protocol tests meaningful. Parallelism is available two ways:
-// one level up, where independent engine instances (one per
-// parameter-sweep point) run on separate goroutines, and within one
-// simulation via Group (see shard.go), which partitions the system into
-// per-shard engines run under conservative lookahead windows without
-// giving up deterministic results.
+// An Engine is intentionally single-goroutine: determinism is what makes
+// the protocol tests meaningful. Parallelism lives one level up, where
+// independent engine instances (one per parameter-sweep point) run on
+// separate goroutines.
 //
 // The event queue is the hot path of every experiment, so it is built to
 // run allocation-free in steady state: event records live in a per-engine
@@ -59,11 +56,9 @@
 // event as it was. The firing position decides which: it is now plus the
 // seq of the event firing at now, and Ahead reports whether a key is past
 // it. RunUntil(limit) moves the position to limit past every seq issued
-// so far (everything at limit has fired), unless Stop ended it early; a
-// window park at h moves it to
-// h before every seq (nothing at h has). A Run that drains the queue
-// lifts the clock to the latest reserved time, where the last dropped
-// event would have left it.
+// so far (everything at limit has fired), unless Stop ended it early. A
+// Run that drains the queue lifts the clock to the latest reserved time,
+// where the last dropped event would have left it.
 package sim
 
 import (
@@ -217,7 +212,7 @@ const (
 )
 
 // Engine is the discrete-event simulation core. The zero value is not
-// usable; construct with NewEngine (standalone) or NewGroup (sharded).
+// usable; construct with NewEngine.
 type Engine struct {
 	now  Time
 	recs []eventRec // arena of event records
@@ -243,13 +238,6 @@ type Engine struct {
 	// firing at now. reserved is the latest time any key was reserved for.
 	cur      uint64
 	reserved Time
-
-	// Sharded-mode fields, nil/zero on standalone engines. shard is the
-	// lane index within the group (-1 for the global lane); outbox parks
-	// cross-shard messages until the group's next window barrier.
-	group  *Group
-	shard  int
-	outbox []crossMsg
 }
 
 // NewEngine returns an engine with the clock at zero and an empty queue.
@@ -257,8 +245,7 @@ func NewEngine() *Engine {
 	return &Engine{}
 }
 
-// Now returns the current virtual time. In a group each lane keeps its own
-// clock: the time of the event it is executing or its window horizon.
+// Now returns the current virtual time.
 func (e *Engine) Now() Time { return e.now }
 
 // Fired returns the number of events executed so far (diagnostics).
@@ -269,9 +256,9 @@ func (e *Engine) Fired() uint64 { return e.fired }
 func (e *Engine) Pending() int { return e.pending }
 
 // Call is the trampoline that runs a plain func() passed as the arg of the
-// (fn, arg) callback form: Schedule, ScheduleAt and CrossAt queue
-// (Call, fn). A func value converts to any without allocating, so the
-// closure-taking entry points cost nothing extra.
+// (fn, arg) callback form: Schedule and ScheduleAt queue (Call, fn). A
+// func value converts to any without allocating, so the closure-taking
+// entry points cost nothing extra.
 func Call(f any) { f.(func())() }
 
 // Schedule queues fn to run delay cycles from now and returns the event.
@@ -448,31 +435,20 @@ func (e *Engine) fireNext(limit Time) bool {
 // run leaves the clock at the latest reserved key's time if that is later
 // than the last event's.
 func (e *Engine) Run() {
-	if e.group != nil {
-		panic("sim: Run called on a grouped engine; drive the Group instead")
-	}
 	e.stopped = false
 	for !e.stopped && e.Step() {
 	}
+	// Drained: every key issued so far counts as fired, and the clock
+	// stands at the latest of them, reserved ones included.
 	if !e.stopped {
-		e.drained()
+		e.now, e.cur = max(e.now, e.reserved), e.seq
 	}
-}
-
-// drained settles the firing position once the queue has run dry: every
-// key issued so far counts as fired, and the clock stands at the latest
-// of them, reserved ones included.
-func (e *Engine) drained() {
-	e.now, e.cur = max(e.now, e.reserved), e.seq
 }
 
 // RunUntil executes all events with time <= limit, then advances the clock
 // to limit unless Stop ended the run early. Events scheduled beyond the
 // limit stay queued.
 func (e *Engine) RunUntil(limit Time) {
-	if e.group != nil {
-		panic("sim: RunUntil called on a grouped engine; drive the Group instead")
-	}
 	e.stopped = false
 	for !e.stopped && e.fireNext(limit) {
 	}
@@ -485,64 +461,8 @@ func (e *Engine) RunUntil(limit Time) {
 	}
 }
 
-// Stop makes the innermost Run/RunUntil return after the current event. On
-// a grouped engine it stops the whole group (any lane may call it — e.g. a
-// fail-fast auditor hook firing inside a shard window).
-func (e *Engine) Stop() {
-	if e.group != nil {
-		e.group.Stop()
-		return
-	}
-	e.stopped = true
-}
-
-// CrossAt queues fn at absolute time t on the target engine. On standalone
-// engines (or when target is e itself, or the caller is the
-// barrier-serialized global lane) this is a plain ScheduleAt on the
-// target. Only a shard posting to another lane needs the outbox, since
-// windows may run concurrently: the message is parked and inserted at the
-// next window barrier, and t must then respect the group's lookahead bound
-// relative to the sending event's time.
-func (e *Engine) CrossAt(target *Engine, t Time, fn func()) {
-	e.CrossArgAt(target, t, Call, fn)
-}
-
-// CrossArgAt is CrossAt with the allocation-avoiding (fn, arg) callback
-// form (see ScheduleArg).
-func (e *Engine) CrossArgAt(target *Engine, t Time, fn func(any), arg any) {
-	if target == e || e.group == nil || e.shard < 0 {
-		target.schedule(t, fn, arg)
-		return
-	}
-	e.outbox = append(e.outbox, crossMsg{to: target, when: t, fn: fn, arg: arg})
-}
-
-// runWindow executes every pending event with time strictly before h, then
-// parks the clock at h. It is one shard's serial share of a conservative
-// window; only the group coordinator and its helpers call it.
-func (e *Engine) runWindow(h Time) {
-	for e.fireNext(h - 1) { // h >= 1: a window covers at least one event
-	}
-	e.parkBefore(h)
-}
-
-// parkBefore advances the clock to h once every event before h has fired:
-// the position stands before every seq at h.
-func (e *Engine) parkBefore(h Time) {
-	if e.now < h {
-		e.now, e.cur = h, 0
-	}
-}
-
-// peekWhen returns the fire time of the earliest live event, collecting
-// any canceled events sitting at the front of the queue.
-func (e *Engine) peekWhen() (Time, bool) {
-	slot, _, ok := e.front()
-	if !ok {
-		return 0, false
-	}
-	return e.recs[slot].when, true
-}
+// Stop makes the innermost Run/RunUntil return after the current event.
+func (e *Engine) Stop() { e.stopped = true }
 
 // front frees the canceled events at the head of the queue and returns the
 // arena slot of the earliest live event with the ring list holding it (-1

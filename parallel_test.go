@@ -1,97 +1,71 @@
 package gangfm
 
-// Sharded-engine equivalence harness. The parallel DES (internal/sim.Group)
-// promises that sharding a cluster across event lanes — at any worker
-// count — leaves every observable result identical to the single-engine
-// run. These tests hold it to that promise against the same golden files
-// the serial simulator is frozen to: the figure tables and the chaos
-// injector trace must come out byte-for-byte the same whether the engine
-// runs unsharded or sharded across windows on one or many workers. Run
-// them under -race (make race) to check the window synchronization as well
-// as its semantics.
+// Parallel-sweep equivalence harness. Sweeps run their points on up to
+// Params.Parallel goroutines, each point a cluster on its own engine, and
+// promise byte-identical output per seed at any -par. These tests hold
+// them to it against the same golden files the figure tables are frozen
+// to, and run clusters side by side so that, under -race (make race), any
+// state two clusters share shows up as a race.
 
 import (
 	"fmt"
-	"runtime"
 	"strings"
+	"sync"
 	"testing"
 
 	"gangfm/internal/chaos"
 	"gangfm/internal/experiments"
+	"gangfm/internal/parpar"
 )
 
-// workerCounts is the sweep of worker pools: windows run on the coordinator
-// alone (1), small pools (2, 4), and whatever this machine offers.
-func workerCounts() []int {
-	counts := []int{1, 2, 4}
-	if n := runtime.NumCPU(); n != 1 && n != 2 && n != 4 {
-		counts = append(counts, n)
-	}
-	return counts
-}
-
-// TestParallelEquivalenceFigures re-renders the figure tables with the
-// cluster sharded, at every worker count, and compares each against the
-// golden bytes the unsharded runs are frozen to (golden_test.go). A
-// lookahead bug, a mis-merged per-shard counter, or a reordered RNG draw
-// all surface here as a table diff.
+// TestParallelEquivalenceFigures re-renders figure, sched and churn tables
+// one point at a time and two at once, and compares each against the
+// golden bytes TestGoldenFigures renders at four.
 func TestParallelEquivalenceFigures(t *testing.T) {
 	if testing.Short() {
-		t.Skip("sharded equivalence sweep is not short")
+		t.Skip("parallel equivalence sweep is not short")
 	}
 	tables := []struct {
 		golden string
-		shards int
 		render func(p experiments.Params) string
 	}{
-		{"fig5.txt", 4, func(p experiments.Params) string {
+		{"fig5.txt", func(p experiments.Params) string {
 			return fmt.Sprint(experiments.Fig5Table(experiments.Fig5(p)))
 		}},
-		{"fig6.txt", 2, func(p experiments.Params) string {
+		{"fig6.txt", func(p experiments.Params) string {
 			return fmt.Sprint(experiments.Fig6Table(experiments.Fig6(p)))
 		}},
-		{"sched.txt", 4, func(p experiments.Params) string {
+		{"sched.txt", func(p experiments.Params) string {
 			return fmt.Sprint(experiments.SchedTable(experiments.Sched(p)))
 		}},
-		// The crash showdown arms chaos plans, whose draws are keyed by
-		// simulation state — this row checks that promise end to end:
-		// eviction order, requeue backoff, and the availability table
-		// must be byte-identical at any worker count.
-		{"churn_crash.txt", 4, func(p experiments.Params) string {
+		// The crash and repair showdowns arm chaos plans, whose draws are
+		// keyed by simulation state: eviction order, requeue backoff, the
+		// rejoin barrier and the availability table must not depend on
+		// which points run beside each other.
+		{"churn_crash.txt", func(p experiments.Params) string {
 			return renderChurn(experiments.ChurnCrash(p), true)
 		}},
-		// The repair showdown adds the rejoin barrier, heartbeat probes, and
-		// revived columns on top of the crash machinery; the same promise
-		// must hold through all of it.
-		{"churn_repair.txt", 4, func(p experiments.Params) string {
+		{"churn_repair.txt", func(p experiments.Params) string {
 			return renderChurn(experiments.ChurnRepair(p), true)
 		}},
 	}
 	for _, tb := range tables {
-		tb := tb
-		for _, w := range workerCounts() {
-			w := w
-			name := fmt.Sprintf("%s/shards=%d/workers=%d",
-				strings.TrimSuffix(tb.golden, ".txt"), tb.shards, w)
+		for _, par := range []int{1, 2} {
+			name := fmt.Sprintf("%s/par=%d", strings.TrimSuffix(tb.golden, ".txt"), par)
 			t.Run(name, func(t *testing.T) {
-				p := experiments.Params{Quick: true, Parallel: 2, Shards: tb.shards, Workers: w}
-				goldenCompare(t, tb.golden, tb.render(p))
+				goldenCompare(t, tb.golden, tb.render(experiments.Params{Quick: true, Parallel: par}))
 			})
 		}
 	}
 }
 
-// TestParallelEquivalenceChaos replays fault plans on sharded clusters at
-// every worker count. Every chaos decision is keyed by simulation state,
-// not by the order lanes present events, so the injector trace must match
-// the frozen golden trace exactly and the auditor's violations — times
-// included — must match the unsharded run's. The second plan corrupts
-// backing stores, so the manager's digest check reports store-integrity
-// violations from the shard lanes and the time comparison is not vacuous.
+// TestParallelEquivalenceChaos replays fault plans on two clusters at
+// once. Each cluster owns its injector and auditor, so the two runs must
+// agree with each other, trace and violations (times included), and the
+// golden plan's trace must match its frozen golden. The store plan
+// corrupts backing stores, so the manager's digest check reports
+// store-integrity violations and the comparison is not vacuous.
 func TestParallelEquivalenceChaos(t *testing.T) {
-	if testing.Short() {
-		t.Skip("sharded equivalence sweep is not short")
-	}
 	plans := []struct {
 		name    string
 		plan    chaos.Plan
@@ -104,37 +78,41 @@ func TestParallelEquivalenceChaos(t *testing.T) {
 			{Kind: chaos.CtrlDelay, Prob: 0.2, Delay: 50_000},
 		}}, 400, ""},
 	}
-	for _, shards := range []int{2, 4} {
-		shards := shards
-		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
-			for _, pl := range plans {
-				serial := chaosCluster(t, pl.plan, pl.perPeer, 1, 1)
-				wantTrace := strings.Join(serial.ChaosTrace(), "\n") + "\n"
-				wantV := serial.Auditor().Violations()
-				if pl.golden == "" && len(wantV) == 0 {
-					t.Fatalf("%s plan reported no violations; the time comparison is vacuous", pl.name)
-				}
-				for _, w := range workerCounts() {
-					pl, w := pl, w
-					t.Run(fmt.Sprintf("%s/workers=%d", pl.name, w), func(t *testing.T) {
-						sharded := chaosCluster(t, pl.plan, pl.perPeer, shards, w)
-						trace := strings.Join(sharded.ChaosTrace(), "\n") + "\n"
-						if pl.golden != "" {
-							goldenCompare(t, pl.golden, trace)
-						} else if trace != wantTrace {
-							t.Errorf("trace diverged\n--- serial ---\n%s--- sharded ---\n%s", wantTrace, trace)
-						}
-						gotV := sharded.Auditor().Violations()
-						if len(gotV) != len(wantV) {
-							t.Fatalf("violation count diverged: sharded %d, serial %d\n%s", len(gotV), len(wantV),
-								sharded.Auditor().Summary())
-						}
-						for i := range gotV {
-							if gotV[i] != wantV[i] {
-								t.Errorf("violation %d diverged: sharded %v, serial %v", i, gotV[i], wantV[i])
-							}
-						}
-					})
+	for _, pl := range plans {
+		t.Run(pl.name, func(t *testing.T) {
+			runs := [2]*parpar.Cluster{
+				chaosCluster(t, pl.plan, pl.perPeer),
+				chaosCluster(t, pl.plan, pl.perPeer),
+			}
+			var wg sync.WaitGroup
+			for _, c := range runs {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					c.RunUntil(goldenHorizon)
+				}()
+			}
+			wg.Wait()
+			var traces [2]string
+			for i, c := range runs {
+				traces[i] = strings.Join(c.ChaosTrace(), "\n") + "\n"
+			}
+			if traces[0] != traces[1] {
+				t.Errorf("trace diverged\n--- first ---\n%s--- second ---\n%s", traces[0], traces[1])
+			}
+			if pl.golden != "" {
+				goldenCompare(t, pl.golden, traces[0])
+			}
+			v0, v1 := runs[0].Auditor().Violations(), runs[1].Auditor().Violations()
+			if pl.golden == "" && len(v0) == 0 {
+				t.Fatalf("%s plan reported no violations; the comparison is vacuous", pl.name)
+			}
+			if len(v0) != len(v1) {
+				t.Fatalf("violation count diverged: %d vs %d\n%s", len(v0), len(v1), runs[1].Auditor().Summary())
+			}
+			for i := range v0 {
+				if v0[i] != v1[i] {
+					t.Errorf("violation %d diverged: %v vs %v", i, v0[i], v1[i])
 				}
 			}
 		})

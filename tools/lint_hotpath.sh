@@ -4,7 +4,7 @@
 # The audited packages schedule their steady-state events closure-free
 # (prebuilt callback fields, ScheduleArg with pooled records; see
 # DESIGN.md §6). This check greps those packages for call sites that pass
-# an inline func literal to Schedule/ScheduleAt/CrossAt/Use and fails if
+# an inline func literal to Schedule/ScheduleAt/Use and fails if
 # any site is not listed in tools/hotpath_allow.txt — the registry of
 # intentionally cold sites (recovery retransmission timers, per-switch
 # copies, job setup) where a per-call closure is fine.
@@ -17,7 +17,7 @@ cd "$(dirname "$0")/.."
 
 allow=tools/hotpath_allow.txt
 pkgs="internal/sim internal/lanai internal/fm internal/myrinet internal/core internal/parpar internal/workload internal/altsched"
-pattern='\.(Schedule|ScheduleAt|CrossAt|Use)\(.*func\('
+pattern='\.(Schedule|ScheduleAt|Use)\(.*func\('
 
 hits=$(grep -rnE "$pattern" $pkgs --include='*.go' | grep -v _test.go || true)
 
