@@ -113,13 +113,17 @@ func goldenChaosPlan() chaos.Plan {
 const goldenHorizon = 60_000_000
 
 // chaosCluster builds a 4-node, 2-slot cluster, arms the fault plan, and
-// submits two all-to-all jobs, to be run to goldenHorizon.
-func chaosCluster(t *testing.T, plan chaos.Plan, perPeer int) *parpar.Cluster {
+// submits two all-to-all jobs, to be run to goldenHorizon. Each opt
+// adjusts the config before the build.
+func chaosCluster(t *testing.T, plan chaos.Plan, perPeer int, opts ...func(*parpar.Config)) *parpar.Cluster {
 	t.Helper()
 	cfg := parpar.DefaultConfig(4)
 	cfg.Slots = 2
 	cfg.Quantum = 2_000_000
 	cfg.Chaos = &plan
+	for _, opt := range opts {
+		opt(&cfg)
+	}
 	cluster, err := parpar.New(cfg)
 	if err != nil {
 		t.Fatal(err)

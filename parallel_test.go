@@ -65,6 +65,11 @@ func TestParallelEquivalenceFigures(t *testing.T) {
 // golden plan's trace must match its frozen golden. The store plan
 // corrupts backing stores, so the manager's digest check reports
 // store-integrity violations and the comparison is not vacuous.
+//
+// The shards=N legs replay each plan with parpar.Config's deprecated
+// Shards and Workers hint set to the counts the sharded engine once ran
+// at. The hint is ignored, so each run must match the unhinted one
+// exactly; the legs go with the two fields.
 func TestParallelEquivalenceChaos(t *testing.T) {
 	plans := []struct {
 		name    string
@@ -78,7 +83,8 @@ func TestParallelEquivalenceChaos(t *testing.T) {
 			{Kind: chaos.CtrlDelay, Prob: 0.2, Delay: 50_000},
 		}}, 400, ""},
 	}
-	for _, pl := range plans {
+	refs := make([]*parpar.Cluster, len(plans))
+	for i, pl := range plans {
 		t.Run(pl.name, func(t *testing.T) {
 			runs := [2]*parpar.Cluster{
 				chaosCluster(t, pl.plan, pl.perPeer),
@@ -93,28 +99,50 @@ func TestParallelEquivalenceChaos(t *testing.T) {
 				}()
 			}
 			wg.Wait()
-			var traces [2]string
-			for i, c := range runs {
-				traces[i] = strings.Join(c.ChaosTrace(), "\n") + "\n"
-			}
-			if traces[0] != traces[1] {
-				t.Errorf("trace diverged\n--- first ---\n%s--- second ---\n%s", traces[0], traces[1])
-			}
 			if pl.golden != "" {
-				goldenCompare(t, pl.golden, traces[0])
-			}
-			v0, v1 := runs[0].Auditor().Violations(), runs[1].Auditor().Violations()
-			if pl.golden == "" && len(v0) == 0 {
+				goldenCompare(t, pl.golden, strings.Join(runs[0].ChaosTrace(), "\n")+"\n")
+			} else if len(runs[0].Auditor().Violations()) == 0 {
 				t.Fatalf("%s plan reported no violations; the comparison is vacuous", pl.name)
 			}
-			if len(v0) != len(v1) {
-				t.Fatalf("violation count diverged: %d vs %d\n%s", len(v0), len(v1), runs[1].Auditor().Summary())
-			}
-			for i := range v0 {
-				if v0[i] != v1[i] {
-					t.Errorf("violation %d diverged: %v vs %v", i, v0[i], v1[i])
+			sameChaos(t, runs[0], runs[1])
+			refs[i] = runs[0]
+		})
+	}
+	for _, shards := range []int{2, 4} {
+		t.Run(fmt.Sprintf("shards=%d", shards), func(t *testing.T) {
+			for i, pl := range plans {
+				for _, w := range []int{1, 2, 4} {
+					t.Run(fmt.Sprintf("%s/workers=%d", pl.name, w), func(t *testing.T) {
+						if refs[i] == nil {
+							t.Fatalf("no unhinted %s run to compare with", pl.name)
+						}
+						hinted := chaosCluster(t, pl.plan, pl.perPeer, func(cfg *parpar.Config) {
+							cfg.Shards, cfg.Workers = shards, w
+						})
+						hinted.RunUntil(goldenHorizon)
+						sameChaos(t, refs[i], hinted)
+					})
 				}
 			}
 		})
+	}
+}
+
+// sameChaos fails t unless two chaos runs fired the same trace and
+// reported the same violations, times included.
+func sameChaos(t *testing.T, want, got *parpar.Cluster) {
+	t.Helper()
+	wantTrace := strings.Join(want.ChaosTrace(), "\n") + "\n"
+	if gotTrace := strings.Join(got.ChaosTrace(), "\n") + "\n"; gotTrace != wantTrace {
+		t.Errorf("trace diverged\n--- want ---\n%s--- got ---\n%s", wantTrace, gotTrace)
+	}
+	wantV, gotV := want.Auditor().Violations(), got.Auditor().Violations()
+	if len(gotV) != len(wantV) {
+		t.Fatalf("violation count diverged: got %d, want %d\n%s", len(gotV), len(wantV), got.Auditor().Summary())
+	}
+	for i := range gotV {
+		if gotV[i] != wantV[i] {
+			t.Errorf("violation %d diverged: got %v, want %v", i, gotV[i], wantV[i])
+		}
 	}
 }
