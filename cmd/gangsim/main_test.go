@@ -1,6 +1,7 @@
 package main
 
 import (
+	"flag"
 	"io"
 	"os"
 	"path/filepath"
@@ -128,6 +129,48 @@ func TestFigureSubcommandsPrintGoldens(t *testing.T) {
 				t.Fatalf("%s -par %s: diagnostics %q", name, par, diag.String())
 			}
 		}
+	}
+}
+
+var update = flag.Bool("update", false, "rewrite the sched and churn goldens from current output")
+
+// TestSchedChurnPrintGoldens: the sched and churn goldens are these
+// commands' stdout, byte for byte — the tables, their notes and the blank
+// lines between them. The churn legs run the crash-free showdown, the
+// crash showdown with the adaptive estimator, and the repair loop on top.
+// Regenerate with:  go test ./cmd/gangsim -run TestSchedChurnPrintGoldens -update
+func TestSchedChurnPrintGoldens(t *testing.T) {
+	cases := []struct {
+		golden string
+		run    func(args []string, out, diag io.Writer) int
+		args   []string
+	}{
+		{"sched", runSched, []string{"-quick"}},
+		{"churn", runChurn, []string{"-quick"}},
+		{"churn_crash", runChurn, []string{"-quick", "-crash", "0.35", "-adaptive"}},
+		{"churn_repair", runChurn, []string{"-quick", "-crash", "0.35", "-repair", "0.75", "-adaptive"}},
+	}
+	for _, c := range cases {
+		t.Run(c.golden, func(t *testing.T) {
+			var out, diag strings.Builder
+			if code := c.run(c.args, &out, &diag); code != 0 {
+				t.Fatalf("%v: exit %d:\n%s", c.args, code, diag.String())
+			}
+			path := filepath.Join("..", "..", "testdata", "golden", c.golden+".txt")
+			if *update {
+				if err := os.WriteFile(path, []byte(out.String()), 0o644); err != nil {
+					t.Fatal(err)
+				}
+				return
+			}
+			want, err := os.ReadFile(path)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got := out.String(); got != string(want) {
+				t.Fatalf("%v diverged from %s:\n--- want ---\n%s--- got ---\n%s", c.args, c.golden, want, got)
+			}
+		})
 	}
 }
 

@@ -255,8 +255,8 @@ func Example_lossy() {
 // slots the partitioned scheme's per-peer credits collapse to
 // C0 = Br/(n²p) = 1, so communication-heavy jobs crawl; the paper's buffer
 // switching keeps the whole window and wins on both mean bounded slowdown
-// and machine utilization. gangfm.SchedSummaryTable(results) renders the
-// full comparison (the sched golden pins it).
+// and machine utilization. `gangsim sched -quick` prints the full
+// comparison table (the sched golden pins it).
 func Example_jobstream() {
 	gen := gangfm.DefaultSchedGenConfig(8)
 	gen.Seed = 7

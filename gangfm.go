@@ -47,7 +47,6 @@ import (
 	"gangfm/internal/core"
 	"gangfm/internal/fm"
 	"gangfm/internal/gang"
-	"gangfm/internal/metrics"
 	"gangfm/internal/parpar"
 	"gangfm/internal/schedeval"
 	"gangfm/internal/sim"
@@ -189,11 +188,8 @@ func Loss(seed uint64, prob float64) FaultPlan { return chaos.Loss(seed, prob) }
 // evicts failed nodes (run when the fault plan contains a NodeCrash). A
 // non-empty ClusterConfig.Chaos plan arms the layer; without one nothing
 // can be lost and the cluster runs the base protocol. The zero value of
-// ClusterConfig.Recovery means DefaultRecovery(Quantum).
+// ClusterConfig.Recovery is the default budget, scaled to the quantum.
 type Recovery = parpar.Recovery
-
-// DefaultRecovery returns the heartbeat budget for a scheduling quantum.
-func DefaultRecovery(quantum Time) Recovery { return parpar.DefaultRecovery(quantum) }
 
 // NewCluster assembles a cluster.
 func NewCluster(cfg ClusterConfig) (*Cluster, error) { return parpar.New(cfg) }
@@ -224,23 +220,6 @@ func ExtractBandwidth(job *Job) (BandwidthResult, error) { return workload.Extra
 // ExtractAllToAll pulls the per-rank results out of a finished job.
 func ExtractAllToAll(job *Job) ([]AllToAllResult, error) { return workload.ExtractAllToAll(job) }
 
-// BSP returns a bulk-synchronous kernel: phases of compute followed by an
-// exchange with every peer and a barrier (workload kernels, §scheduling).
-func BSP(name string, ranks, phases, perPeer, size int, compute Time) JobSpec {
-	return workload.BSP(name, ranks, phases, perPeer, size, compute)
-}
-
-// Stencil returns an iterative halo-exchange kernel on a ring.
-func Stencil(name string, ranks, iters, halo int, compute Time) JobSpec {
-	return workload.Stencil(name, ranks, iters, halo, compute)
-}
-
-// MasterWorker returns a task-bag kernel: rank 0 deals tasks, workers
-// compute and return completions until the bag drains.
-func MasterWorker(name string, ranks, tasks, taskBytes int, compute Time) JobSpec {
-	return workload.MasterWorker(name, ranks, tasks, taskBytes, compute)
-}
-
 // PackingPolicy decides where the gang matrix places a job: which node
 // columns and which time slot.
 type PackingPolicy = gang.Policy
@@ -258,10 +237,6 @@ var (
 // PackingPolicies returns every built-in packing policy.
 func PackingPolicies() []PackingPolicy { return gang.Policies() }
 
-// Table is the aligned text table the experiment and evaluation renderers
-// produce.
-type Table = metrics.Table
-
 // SchedTraceJob is one arrival of a scheduler-evaluation trace.
 type SchedTraceJob = schedeval.TraceJob
 
@@ -274,9 +249,6 @@ type SchedConfig = schedeval.Config
 // SchedResult aggregates one run's per-job and whole-stream metrics.
 type SchedResult = schedeval.Result
 
-// SchedJobMetrics is one trace job's fate under a run.
-type SchedJobMetrics = schedeval.JobMetrics
-
 // DefaultSchedGenConfig returns the generator defaults for a machine size.
 func DefaultSchedGenConfig(nodes int) SchedGenConfig { return schedeval.DefaultGenConfig(nodes) }
 
@@ -287,19 +259,8 @@ func GenerateSchedTrace(cfg SchedGenConfig) ([]SchedTraceJob, error) { return sc
 // slot table, switched credits, improved copy).
 func DefaultSchedConfig(nodes int) SchedConfig { return schedeval.DefaultConfig(nodes) }
 
-// RunSched replays a trace under one (credit scheme, packing policy)
-// combination and reports per-job response, bounded slowdown, utilization
-// and switch counts.
-func RunSched(cfg SchedConfig) (*SchedResult, error) { return schedeval.Run(cfg) }
-
 // CompareSched replays the same trace across a grid of credit schemes and
 // packing policies.
 func CompareSched(base SchedConfig, schemes []Policy, packings []PackingPolicy) ([]*SchedResult, error) {
 	return schedeval.Compare(base, schemes, packings)
 }
-
-// SchedSummaryTable renders one summary row per evaluation run.
-func SchedSummaryTable(rs []*SchedResult) *Table { return schedeval.SummaryTable(rs) }
-
-// SchedJobTable renders a run's per-job metrics.
-func SchedJobTable(r *SchedResult) *Table { return schedeval.JobTable(r) }

@@ -3,6 +3,8 @@ package gangfm
 // Golden-output determinism tests. Every figure table and chaos trace is a
 // pure function of its seeds, so the rendered bytes are frozen in
 // testdata/golden and any change to them — however small — fails loudly.
+// The sched and churn goldens are gangsim's own output, checked in
+// cmd/gangsim (TestSchedChurnPrintGoldens).
 // This is the guard that lets the simulator internals (event queue, packet
 // pooling, sweep scheduling) be rebuilt for speed: the observable results
 // must stay byte-identical.
@@ -21,7 +23,6 @@ import (
 	"gangfm/internal/chaos"
 	"gangfm/internal/experiments"
 	"gangfm/internal/parpar"
-	"gangfm/internal/schedd"
 	"gangfm/internal/workload"
 )
 
@@ -48,8 +49,9 @@ func goldenCompare(t *testing.T, name string, got string) {
 	}
 }
 
-// TestGoldenFigures freezes every table gangsim can print, in quick mode
-// (the full sweeps render through the same code paths with more rows).
+// TestGoldenFigures freezes every figure table the experiments package
+// renders, in quick mode (the full sweeps render through the same code
+// paths with more rows).
 func TestGoldenFigures(t *testing.T) {
 	p := experiments.Params{Quick: true, Parallel: 4}
 	tables := []struct {
@@ -71,10 +73,6 @@ func TestGoldenFigures(t *testing.T) {
 		{"overhead.txt", func() string { return fmt.Sprint(experiments.OverheadTable(experiments.Overhead(p))) }},
 		{"schemes.txt", func() string { return fmt.Sprint(experiments.SchemesTable(experiments.Schemes(p))) }},
 		{"dyncos.txt", func() string { return fmt.Sprint(experiments.ResponsivenessTable(experiments.Responsiveness(p))) }},
-		{"sched.txt", func() string { return fmt.Sprint(experiments.SchedTable(experiments.Sched(p))) }},
-		{"churn.txt", func() string { return renderChurn(experiments.Churn(p), false) }},
-		{"churn_crash.txt", func() string { return renderChurn(experiments.ChurnCrash(p), true) }},
-		{"churn_repair.txt", func() string { return renderChurn(experiments.ChurnRepair(p), true) }},
 	}
 	for _, tb := range tables {
 		tb := tb
@@ -82,17 +80,6 @@ func TestGoldenFigures(t *testing.T) {
 			goldenCompare(t, tb.name, tb.render())
 		})
 	}
-}
-
-// renderChurn renders a churn showdown the way its golden freezes it: the
-// per-mode grid, the availability table when the run had failures, and
-// the decision-log statistics.
-func renderChurn(rs []*schedd.Result, availability bool) string {
-	out := fmt.Sprint(schedd.GridTable(rs)) + "\n"
-	if availability {
-		out += fmt.Sprint(schedd.AvailabilityTable(rs)) + "\n"
-	}
-	return out + fmt.Sprint(schedd.StatsTable(rs))
 }
 
 // goldenChaosPlan is the fault plan TestGoldenChaosTrace freezes: light

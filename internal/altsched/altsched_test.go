@@ -159,6 +159,40 @@ func TestPMQuiescenceResolvesWithoutControlBroadcast(t *testing.T) {
 	}
 }
 
+// TestPMQuiescenceUnderLoss: a packet lost while its sender waits out a
+// PM quiescence is resolved by the sender's retransmission timer, which
+// keeps running until the window is quiesced, so the rotation keeps
+// switching on schedule. SHARE's discard scheme rides the same plan.
+func TestPMQuiescenceUnderLoss(t *testing.T) {
+	for _, scheme := range []core.Coordination{core.Discard, core.Quiesce} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			cfg := DefaultClusterConfig(2)
+			cfg.Scheme = scheme
+			cfg.Quantum = 2_000_000
+			plan := chaos.Loss(3, 0.05)
+			cfg.Chaos = &plan
+			c, err := NewCluster(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.Start()
+			c.Endpoints(1)[0].Channel(1).Send(4000)
+			c.Endpoints(2)[0].Channel(1).Send(4000)
+			c.RunFor(100_000_000)
+			rep := c.Collect()
+			if want := 2 * 49; rep.Switches < want {
+				t.Fatalf("%d job-to-job switches in 50 quanta on 2 nodes, want at least %d", rep.Switches, want)
+			}
+			if c.Net.Stats().Dropped[myrinet.Data] == 0 || rep.Retransmissions == 0 {
+				t.Fatal("the loss plan dropped nothing or nothing was retransmitted")
+			}
+			if rep.Delivered == 0 {
+				t.Fatal("no traffic delivered")
+			}
+		})
+	}
+}
+
 func TestSchemesMakeProgressAcrossManyRotations(t *testing.T) {
 	for _, scheme := range []core.Coordination{core.Discard, core.Quiesce} {
 		scheme := scheme

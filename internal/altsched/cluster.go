@@ -130,6 +130,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 			if err != nil {
 				return nil, err
 			}
+			ep.quiesce = cfg.Scheme == core.Quiesce
 			if err := n.mgr.InitJob(job, rank, ep); err != nil {
 				return nil, fmt.Errorf("altsched: %w", err)
 			}

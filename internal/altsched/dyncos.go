@@ -155,17 +155,3 @@ func (n *DynCosNode) idleCheck() {
 	n.EP.Suspend()
 	n.computeSince = n.eng.Now()
 }
-
-// ComputeFraction returns the fraction of elapsed time the local compute
-// job held the CPU.
-func (n *DynCosNode) ComputeFraction() float64 {
-	total := n.eng.Now()
-	if total == 0 {
-		return 1
-	}
-	c := n.ComputeCycles
-	if !n.EP.Running() {
-		c += n.eng.Now() - n.computeSince
-	}
-	return float64(c) / float64(total)
-}

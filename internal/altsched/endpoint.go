@@ -22,9 +22,12 @@ type Endpoint struct {
 	rank   int
 	nodeOf []myrinet.NodeID
 
-	ctx          *lanai.Context
-	chans        map[int]*RChannel // per peer rank
-	running      bool
+	ctx     *lanai.Context
+	chans   map[int]*RChannel // per peer rank
+	running bool
+	// quiesce marks a process under PM's quiescence coordination, whose
+	// Suspend drains its channels instead of stopping them.
+	quiesce      bool
 	draining     bool
 	payloadBytes int
 
@@ -82,12 +85,6 @@ func (e *Endpoint) Channel(peer int) *RChannel {
 
 func (e *Endpoint) payload() int { return e.payloadBytes }
 
-// Job returns the endpoint's job.
-func (e *Endpoint) Job() myrinet.JobID { return e.job }
-
-// Rank returns the endpoint's rank.
-func (e *Endpoint) Rank() int { return e.rank }
-
 // Running reports the process's run state.
 func (e *Endpoint) Running() bool { return e.running }
 
@@ -100,11 +97,17 @@ func (e *Endpoint) Attach(ctx *lanai.Context) {
 	ctx.Hooks = e.hooks
 }
 
-// Suspend stops the process: pumps and retransmission timers halt.
+// Suspend stops the process: pumps halt, and so do retransmission
+// timers, except under PM's quiescence, which waits for the window in
+// flight to resolve: there a timer runs until its channel is quiesced.
 func (e *Endpoint) Suspend() {
 	e.running = false
 	for _, c := range e.chans {
-		c.Suspend()
+		if e.quiesce {
+			c.drain()
+		} else {
+			c.Suspend()
+		}
 	}
 }
 

@@ -78,6 +78,10 @@ type RChannel struct {
 	payloadLen int
 
 	running bool
+	// draining marks a channel whose process stopped for a PM quiescence
+	// wait: nothing new is sent, but the retransmission timer runs until
+	// the window is quiesced, so a packet lost in flight is still resolved.
+	draining bool
 
 	// sender state
 	nextSeq  uint64
@@ -158,7 +162,7 @@ func (c *RChannel) Resume() {
 	if c.running {
 		return
 	}
-	c.running = true
+	c.running, c.draining = true, false
 	if c.nacked {
 		c.nacked = false
 		for seq := c.sendBase; seq < c.nextSeq; seq++ {
@@ -169,16 +173,27 @@ func (c *RChannel) Resume() {
 	c.pump()
 }
 
-// Suspend models descheduling: transmission and timers stop. The PM-style
-// scheme calls this before its quiescence wait; the SHARE-style scheme
-// calls it at its (unflushed) switch.
+// Suspend models descheduling: transmission and timers stop. The
+// SHARE-style scheme calls it at its (unflushed) switch.
 func (c *RChannel) Suspend() {
-	c.running = false
+	c.running, c.draining = false, false
 	c.stopTimer()
 }
 
-// Running reports the channel's run state.
-func (c *RChannel) Running() bool { return c.running }
+// drain is the PM-style scheme's descheduling: no new transmissions, but
+// the unacknowledged window is retransmitted on timeout until it is
+// quiesced. Once quiesced it stays so until Resume (acks only shrink the
+// window, and a nack holds until then), so the timer never fires after
+// the buffers are switched away.
+func (c *RChannel) drain() {
+	c.running, c.draining = false, true
+}
+
+// retransmitting reports whether the retransmission timer may run: while
+// the process runs, or while it drains an unquiesced window.
+func (c *RChannel) retransmitting() bool {
+	return c.running || c.draining && !c.Quiesced()
+}
 
 // Send queues n fixed-size messages for transmission.
 func (c *RChannel) Send(n int) {
@@ -282,7 +297,7 @@ func (c *RChannel) HandleNack(p *myrinet.Packet) {
 
 // timeout retransmits every unacknowledged packet (go-back-N).
 func (c *RChannel) timeout() {
-	if !c.running || c.Outstanding() == 0 {
+	if !c.retransmitting() || c.Outstanding() == 0 {
 		return
 	}
 	c.stats.Timeouts++
@@ -294,7 +309,7 @@ func (c *RChannel) timeout() {
 
 func (c *RChannel) armTimer() {
 	c.stopTimer()
-	if !c.running || c.Outstanding() == 0 {
+	if !c.retransmitting() || c.Outstanding() == 0 {
 		return
 	}
 	c.timer = c.eng.Schedule(c.cfg.RTO, c.timeoutFn)

@@ -64,7 +64,7 @@ func TestInjectorTraceDeterminism(t *testing.T) {
 				Job: 1, Seq: uint64(i / 3)}
 			verdicts = append(verdicts, in.Packet(sim.Time(i*100), p))
 		}
-		return in.TraceString(), verdicts
+		return strings.Join(in.Trace(), "\n"), verdicts
 	}
 	trA, vA := feed()
 	trB, vB := feed()
@@ -127,7 +127,7 @@ func TestInjectorOrderIndependent(t *testing.T) {
 	if fired == 0 {
 		t.Fatal("p=0.2 loss and duplication over 300 packets fired nothing")
 	}
-	if a, b := fwd.TraceString(), rev.TraceString(); a != b {
+	if a, b := strings.Join(fwd.Trace(), "\n"), strings.Join(rev.Trace(), "\n"); a != b {
 		t.Fatalf("trace depends on presentation order:\n--- send order ---\n%s\n--- reversed ---\n%s", a, b)
 	}
 }
@@ -171,11 +171,11 @@ func TestNodeCrash(t *testing.T) {
 	if !ran {
 		t.Fatal("CPU unusable before the crash point")
 	}
-	if got := in.Counts()[NodeCrash]; got != 1 {
+	if got := strings.Count(strings.Join(in.Trace(), "\n"), NodeCrash.String()); got != 1 {
 		t.Fatalf("crash fired %d times, want 1", got)
 	}
-	if !strings.Contains(in.TraceString(), "node 1 crashed") {
-		t.Fatalf("trace lacks the crash line:\n%s", in.TraceString())
+	if !strings.Contains(strings.Join(in.Trace(), "\n"), "node 1 crashed") {
+		t.Fatalf("trace lacks the crash line:\n%s", strings.Join(in.Trace(), "\n"))
 	}
 	if in.CPUFaultActive(1, 999) {
 		t.Fatal("crash active before From")
@@ -289,5 +289,19 @@ func TestAuditorOrderIndependent(t *testing.T) {
 	}
 	if !slices.Equal(a, want) {
 		t.Fatalf("got %v, want %v", a, want)
+	}
+}
+
+// TestPlanString: an empty plan names its seed; a plan lists one fault
+// per line.
+func TestPlanString(t *testing.T) {
+	if got := (Plan{Seed: 3}).String(); got != "plan(seed=3, no faults)" {
+		t.Fatalf("empty plan: %q", got)
+	}
+	f := Fault{Kind: NodeCrash, Node: 1, From: 1000}
+	p := Plan{Seed: 3, Faults: []Fault{f, {Kind: DataLoss, Prob: 0.5, Node: -1}}}
+	want := "plan(seed=3)\n  node-crash[1000,∞) node=1\n  data-loss[0,∞) p=0.500 node=-1"
+	if got := p.String(); got != want {
+		t.Fatalf("plan:\n%s\nwant:\n%s", got, want)
 	}
 }

@@ -227,3 +227,29 @@ func TestRecoveryCampaignChurnAtScale(t *testing.T) {
 		t.Fatalf("only %d of %d recovery scenarios sampled churn commands", churned, runs)
 	}
 }
+
+// TestRecoveryVerdict pins the recovery campaign's log text: a clean run,
+// one the layer absorbed, and an unrecovered one with its violations or
+// its crash.
+func TestRecoveryVerdict(t *testing.T) {
+	sc := Scenario{Seed: 9, Nodes: 2, Slots: 2, Policy: fm.Switched,
+		Jobs: []parpar.JobSpec{{Name: "a", Size: 2}},
+		Plan: chaos.Plan{Seed: 9, Faults: []chaos.Fault{{Kind: chaos.DataLoss, Prob: 0.1, Node: -1}}}}
+	head := sc.String() + "\n  "
+	v := chaos.Violation{Time: 1234, Invariant: "delivery-stall", Detail: "job 1 stalled"}
+	for _, c := range []struct {
+		r    RunResult
+		want string
+	}{
+		{RunResult{Scenario: sc, DoneJobs: 1, TotalJobs: 1}, head + "clean, layer idle (1/1 jobs done)"},
+		{RunResult{Scenario: sc, DoneJobs: 1, TotalJobs: 1, Healed: true}, head + "absorbed (1/1 jobs done)"},
+		{RunResult{Scenario: sc, TotalJobs: 1, Healed: true, Violations: []chaos.Violation{v}},
+			head + "UNRECOVERED (0/1 jobs done)\n    " + v.String()},
+		{RunResult{Scenario: sc, TotalJobs: 1, Crash: "fm: boom"},
+			head + "UNRECOVERED (0/1 jobs done)\n  CRASH: fm: boom"},
+	} {
+		if got := recoveryVerdict(c.r); got != c.want {
+			t.Errorf("verdict:\n%s\nwant:\n%s", got, c.want)
+		}
+	}
+}

@@ -3,7 +3,6 @@ package chaos
 import (
 	"fmt"
 	"slices"
-	"strings"
 
 	"gangfm/internal/myrinet"
 	"gangfm/internal/sim"
@@ -33,9 +32,7 @@ type Injector struct {
 	eng  *sim.Engine
 	plan Plan
 
-	trace    []string
-	recorded uint64 // records ever made; trace keeps the traceCap first
-	counts   map[FaultKind]uint64
+	trace []string // keeps the traceCap first records
 	// presented counts, per (fault kind, node), the events that kind's
 	// draws are keyed on: control messages per destination, backing-store
 	// saves per node.
@@ -53,7 +50,6 @@ func NewInjector(eng *sim.Engine, plan Plan) *Injector {
 	return &Injector{
 		eng:       eng,
 		plan:      plan,
-		counts:    make(map[FaultKind]uint64),
 		presented: make(map[[2]int]uint64),
 	}
 }
@@ -67,15 +63,6 @@ func (in *Injector) next(kind FaultKind, node int) uint64 {
 	return n
 }
 
-// Counts returns how many times each fault kind fired.
-func (in *Injector) Counts() map[FaultKind]uint64 {
-	out := make(map[FaultKind]uint64, len(in.counts))
-	for k, v := range in.counts {
-		out[k] = v
-	}
-	return out
-}
-
 // Trace returns the injection trace: one line per fired fault, sorted.
 // Lines lead with the fault time in a fixed-width column, so sorted is
 // time order (below 10^12 cycles) and, among equal times, text order; lines
@@ -87,20 +74,9 @@ func (in *Injector) Trace() []string {
 	return slices.Clone(in.trace)
 }
 
-// TraceString joins the trace, noting any overflow.
-func (in *Injector) TraceString() string {
-	s := strings.Join(in.Trace(), "\n")
-	if over := in.recorded - uint64(len(in.trace)); over > 0 {
-		s += fmt.Sprintf("\n... %d further injections not recorded", over)
-	}
-	return s
-}
-
 // record notes one fired fault at time at.
 func (in *Injector) record(at sim.Time, kind FaultKind, format string, args ...any) {
 	line := fmt.Sprintf("%12d %-13s %s", at, kind, fmt.Sprintf(format, args...))
-	in.counts[kind]++
-	in.recorded++
 	in.trace = append(in.trace, line)
 	if len(in.trace) >= 2*traceCap {
 		in.compact()

@@ -237,10 +237,9 @@ type Manager struct {
 	procs map[myrinet.JobID]*proc
 
 	// topology is this node's routing-table view, indexed by NodeID over
-	// the fabric's NetworkNodes; members counts its true entries. Each
-	// node keeps its own: views diverge under eviction and rejoin.
+	// the fabric's NetworkNodes. Each node keeps its own: views diverge
+	// under eviction and rejoin.
 	topology []bool
-	members  int
 
 	lastEpoch uint64
 	history   []SwitchStats
@@ -338,7 +337,6 @@ func (m *Manager) InitNode() error {
 	for i := range m.topology {
 		m.topology[i] = true
 	}
-	m.members = len(m.topology)
 	if m.cfg.Policy == fm.Switched {
 		ctx, err := m.nic.Register(myrinet.NoJob, -1, m.alloc.SendSlots, m.alloc.RecvSlots, lanai.Hooks{})
 		if err != nil {
@@ -362,7 +360,6 @@ func (m *Manager) AddNode(id myrinet.NodeID) error {
 		return fmt.Errorf("core: node %d already in topology", id)
 	}
 	m.topology[id] = true
-	m.members++
 	return nil
 }
 
@@ -372,12 +369,8 @@ func (m *Manager) RemoveNode(id myrinet.NodeID) error {
 		return fmt.Errorf("core: node %d not in topology", id)
 	}
 	m.topology[id] = false
-	m.members--
 	return nil
 }
-
-// Nodes returns the current topology size.
-func (m *Manager) Nodes() int { return m.members }
 
 // InTopology reports whether a node is in the routing-table view; an ID
 // outside the fabric never is.

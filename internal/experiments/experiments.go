@@ -17,7 +17,6 @@ import (
 
 	"gangfm/internal/chaos"
 	"gangfm/internal/parpar"
-	"gangfm/internal/sim"
 )
 
 // Params tunes an experiment run.
@@ -82,18 +81,11 @@ func clamp(v, lo, hi int) int {
 	return v
 }
 
-// mbs converts (bytes, cycles) to MB/s on the default clock.
-func mbs(bytes uint64, elapsed sim.Time) float64 {
-	secs := sim.DefaultClock.ToDuration(elapsed).Seconds()
-	if secs <= 0 {
-		return 0
-	}
-	return float64(bytes) / secs / 1e6
-}
-
 // testChaos, set only by tests, installs a fault plan on every cluster the
-// experiments build, which arms the recovery layer there: with an inert
-// plan it must leave every figure byte-identical.
+// figure sweeps build (Figures 5–9, overhead, schemes, dyncos), which arms
+// the recovery layer there: with an inert plan it must leave every figure
+// byte-identical. The churn showdown, which gangsim renders, gets the same
+// check in schedd's TestRecoveryCleanChurn.
 var testChaos *chaos.Plan
 
 // runHorizon bounds the virtual runtime of a figure point that runs its

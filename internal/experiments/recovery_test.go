@@ -7,18 +7,17 @@ import (
 	"testing"
 
 	"gangfm/internal/chaos"
-	"gangfm/internal/schedd"
 )
 
 // TestRecoveryCleanOnEveryFigure renders the figure goldens with the
 // recovery layer armed on every cluster the experiments build (fig5–9,
-// overhead, schemes, dyncos, and the crash-free churn showdown) and
-// demands the frozen bytes. The layer is armed by installing a fault plan
-// whose only fault opens after every horizon: nothing is ever injected, so
-// nothing may be re-sent, and recovery must cost nothing. Its deadlines
-// do not depend on the quantum, and without a NodeCrash no heartbeat
-// runs. The crash showdowns arm recovery anyway; the credit formulas and
-// the offline scheduler (schedeval) build no cluster this seam reaches.
+// overhead, schemes, dyncos) and demands the frozen bytes. The layer is
+// armed by installing a fault plan whose only fault opens after every
+// horizon: nothing is ever injected, so nothing may be re-sent, and
+// recovery must cost nothing. Its deadlines do not depend on the quantum,
+// and without a NodeCrash no heartbeat runs. The crash-free churn
+// showdown has its own check (schedd's TestRecoveryCleanChurn); the
+// credit formulas build no cluster.
 func TestRecoveryCleanOnEveryFigure(t *testing.T) {
 	testChaos = &chaos.Plan{Seed: 1, Faults: []chaos.Fault{
 		{Kind: chaos.CtrlDelay, Prob: 1, Delay: 1, Node: -1, From: 1 << 62},
@@ -41,10 +40,6 @@ func TestRecoveryCleanOnEveryFigure(t *testing.T) {
 		{"overhead.txt", func() string { return fmt.Sprint(OverheadTable(Overhead(p))) }},
 		{"schemes.txt", func() string { return fmt.Sprint(SchemesTable(Schemes(p))) }},
 		{"dyncos.txt", func() string { return fmt.Sprint(ResponsivenessTable(Responsiveness(p))) }},
-		{"churn.txt", func() string {
-			rs := Churn(p)
-			return fmt.Sprint(schedd.GridTable(rs)) + "\n" + fmt.Sprint(schedd.StatsTable(rs))
-		}},
 	}
 	for _, tb := range tables {
 		want, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", tb.name))

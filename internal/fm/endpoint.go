@@ -207,24 +207,8 @@ func (e *Endpoint) Attach(ctx *lanai.Context) {
 // Context returns the attached hardware context (nil before Attach).
 func (e *Endpoint) Context() *lanai.Context { return e.ctx }
 
-// Rank returns the process's rank within its job.
-func (e *Endpoint) Rank() int { return e.rank }
-
-// Job returns the job ID.
-func (e *Endpoint) Job() myrinet.JobID { return e.job }
-
 // Stats returns a snapshot of the endpoint counters.
 func (e *Endpoint) Stats() Stats { return e.stats }
-
-// Credits returns the current send credits toward peer dst (tests and the
-// failure-injection experiments read this).
-func (e *Endpoint) Credits(dst int) int { return e.sendCredits[dst] }
-
-// Owed returns the number of packets consumed from peer since the last
-// refill was sent to it — credits this endpoint is holding back. At
-// quiescence, Credits on one side plus Owed on the other sums to C0:
-// credit conservation, the invariant a single lost packet destroys.
-func (e *Endpoint) Owed(peer int) int { return e.consumed[peer] }
 
 // Running reports whether the process is scheduled.
 func (e *Endpoint) Running() bool { return e.running }

@@ -155,7 +155,7 @@ func TestCreditConservationProperty(t *testing.T) {
 				if a == b {
 					continue
 				}
-				if got := r.eps[a].Credits(b) + r.eps[b].Owed(a); got != c0 {
+				if got := r.eps[a].sendCredits[b] + r.eps[b].consumed[a]; got != c0 {
 					return false
 				}
 			}
@@ -212,7 +212,7 @@ func TestCreditConservationBrokenByLoss(t *testing.T) {
 	r.eps[0].SetOnCanSend(fill)
 	fill()
 	r.eng.Run()
-	if got := r.eps[0].Credits(1) + r.eps[1].Owed(0); got == 6 {
+	if got := r.eps[0].sendCredits[1] + r.eps[1].consumed[0]; got == 6 {
 		t.Fatal("credit conservation survived 30% loss — loss accounting is broken")
 	}
 }

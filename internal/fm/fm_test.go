@@ -273,10 +273,10 @@ func TestPiggybackReducesExplicitRefills(t *testing.T) {
 			ep := ep
 			sent := 0
 			send := func() bool {
-				if ep.Rank() == 1 && !bidi {
+				if ep.rank == 1 && !bidi {
 					return false
 				}
-				dst := 1 - ep.Rank()
+				dst := 1 - ep.rank
 				for sent < n && ep.Send(dst, 512, nil) {
 					sent++
 				}
@@ -347,8 +347,8 @@ func TestCreditsNeverExceedC0(t *testing.T) {
 		var fill func()
 		fill = func() {
 			for sent < 40 {
-				dst := (ep.Rank() + 1 + sent%2) % 3
-				if dst == ep.Rank() {
+				dst := (ep.rank + 1 + sent%2) % 3
+				if dst == ep.rank {
 					dst = (dst + 1) % 3
 				}
 				if !ep.Send(dst, 100+sent*13, nil) {
@@ -363,8 +363,8 @@ func TestCreditsNeverExceedC0(t *testing.T) {
 	r.eng.Run()
 	for _, ep := range r.eps {
 		for peer := 0; peer < 3; peer++ {
-			if c := ep.Credits(peer); c < 0 || c > 3 {
-				t.Fatalf("rank %d credits toward %d = %d, outside [0,3]", ep.Rank(), peer, c)
+			if c := ep.sendCredits[peer]; c < 0 || c > 3 {
+				t.Fatalf("rank %d credits toward %d = %d, outside [0,3]", ep.rank, peer, c)
 			}
 		}
 	}
@@ -394,8 +394,8 @@ func TestPacketLossCorruptsFlowControl(t *testing.T) {
 		t.Fatalf("all %d messages delivered despite 20%% loss and no retransmission", n)
 	}
 	// The sender must be wedged: out of credits with messages pending.
-	if r.eps[0].Credits(1) != 0 {
-		t.Logf("credits remaining: %d (loss pattern dependent)", r.eps[0].Credits(1))
+	if r.eps[0].sendCredits[1] != 0 {
+		t.Logf("credits remaining: %d (loss pattern dependent)", r.eps[0].sendCredits[1])
 	}
 }
 

@@ -70,16 +70,10 @@ type Matrix struct {
 	auditCols []int
 }
 
-// NewMatrix returns a matrix with the given number of node columns and the
-// default DHC buddy packing policy. maxRows bounds the number of time
-// slots (the fixed context count the buffers must be divided by in
-// partitioned mode); 0 means unbounded.
-func NewMatrix(cols, maxRows int) *Matrix {
-	return NewMatrixPolicy(cols, maxRows, nil)
-}
-
-// NewMatrixPolicy returns a matrix using the given packing policy (nil
-// selects the default Buddy policy).
+// NewMatrixPolicy returns a matrix with the given number of node columns
+// and packing policy (nil selects the default DHC buddy policy). maxRows
+// bounds the number of time slots (the fixed context count the buffers
+// must be divided by in partitioned mode); 0 means unbounded.
 func NewMatrixPolicy(cols, maxRows int, policy Policy) *Matrix {
 	if cols <= 0 {
 		panic("gang: need at least one column")
@@ -101,9 +95,6 @@ func NewMatrixPolicy(cols, maxRows int, policy Policy) *Matrix {
 
 // Policy returns the matrix's packing policy.
 func (m *Matrix) Policy() Policy { return m.policy }
-
-// Cols returns the number of node columns.
-func (m *Matrix) Cols() int { return m.cols }
 
 // LiveCols returns the number of surviving (non-killed) columns — the live
 // capacity of the machine.
@@ -131,9 +122,6 @@ func (m *Matrix) ColDead(c int) bool {
 	return c >= 0 && c < m.cols && m.dead[c]
 }
 
-// Rows returns the number of allocated time slots.
-func (m *Matrix) Rows() int { return len(m.rows) }
-
 // Jobs returns the number of placed jobs.
 func (m *Matrix) Jobs() int { return len(m.jobs) }
 
@@ -154,22 +142,6 @@ func (m *Matrix) JobAt(row, col int) myrinet.JobID {
 		return j
 	}
 	return myrinet.NoJob
-}
-
-// RowJobs returns the distinct jobs scheduled in a row.
-func (m *Matrix) RowJobs(row int) []myrinet.JobID {
-	if row < 0 || row >= len(m.rows) {
-		return nil
-	}
-	seen := make(map[myrinet.JobID]bool)
-	var out []myrinet.JobID
-	for _, j := range m.rows[row] {
-		if j != myrinet.NoJob && j != deadCell && !seen[j] {
-			seen[j] = true
-			out = append(out, j)
-		}
-	}
-	return out
 }
 
 // nextPow2 returns the smallest power of two >= n.

@@ -19,7 +19,7 @@ func TestNextPow2(t *testing.T) {
 }
 
 func TestPlaceSingleJob(t *testing.T) {
-	m := NewMatrix(16, 0)
+	m := NewMatrixPolicy(16, 0, nil)
 	p, err := m.Place(1, 4)
 	if err != nil {
 		t.Fatal(err)
@@ -31,14 +31,14 @@ func TestPlaceSingleJob(t *testing.T) {
 	if p.Cols[0]%4 != 0 {
 		t.Fatalf("block not aligned: %v", p.Cols)
 	}
-	if m.Rows() != 1 || m.Jobs() != 1 {
-		t.Fatalf("rows=%d jobs=%d", m.Rows(), m.Jobs())
+	if len(m.rows) != 1 || m.Jobs() != 1 {
+		t.Fatalf("rows=%d jobs=%d", len(m.rows), m.Jobs())
 	}
 }
 
 func TestPlaceTwoJobsShareRow(t *testing.T) {
 	// Two size-8 jobs fit side by side in one row of 16.
-	m := NewMatrix(16, 0)
+	m := NewMatrixPolicy(16, 0, nil)
 	p1, _ := m.Place(1, 8)
 	p2, err := m.Place(2, 8)
 	if err != nil {
@@ -50,15 +50,14 @@ func TestPlaceTwoJobsShareRow(t *testing.T) {
 	if p1.Cols[0] == p2.Cols[0] {
 		t.Fatal("jobs placed in the same block")
 	}
-	jobs := m.RowJobs(0)
-	if len(jobs) != 2 {
-		t.Fatalf("RowJobs = %v", jobs)
+	if m.JobAt(0, p1.Cols[0]) != 1 || m.JobAt(0, p2.Cols[0]) != 2 {
+		t.Fatalf("row 0 holds %d and %d, want jobs 1 and 2", m.JobAt(0, p1.Cols[0]), m.JobAt(0, p2.Cols[0]))
 	}
 }
 
 func TestPlaceLeastLoadedBlock(t *testing.T) {
 	// After loading the left half, a new job should land on the right.
-	m := NewMatrix(16, 0)
+	m := NewMatrixPolicy(16, 0, nil)
 	m.Place(1, 8) // left block, row 0
 	m.Place(2, 8) // right block, row 0
 	m.Place(3, 8) // row 1, either block
@@ -72,7 +71,7 @@ func TestPlaceLeastLoadedBlock(t *testing.T) {
 }
 
 func TestPlaceFullMachineJob(t *testing.T) {
-	m := NewMatrix(16, 0)
+	m := NewMatrixPolicy(16, 0, nil)
 	p, err := m.Place(1, 16)
 	if err != nil {
 		t.Fatal(err)
@@ -90,7 +89,7 @@ func TestPlaceFullMachineJob(t *testing.T) {
 }
 
 func TestPlaceNonPowerOfTwo(t *testing.T) {
-	m := NewMatrix(16, 0)
+	m := NewMatrixPolicy(16, 0, nil)
 	p, err := m.Place(1, 5)
 	if err != nil {
 		t.Fatal(err)
@@ -106,7 +105,7 @@ func TestPlaceNonPowerOfTwo(t *testing.T) {
 // TestPlaceErrors: every invalid placement fails, and only the full slot
 // table — the one a queueing driver waits out — wraps ErrSlotTableFull.
 func TestPlaceErrors(t *testing.T) {
-	m := NewMatrix(8, 2)
+	m := NewMatrixPolicy(8, 2, nil)
 	notFull := func(what string, err error) {
 		t.Helper()
 		if err == nil {
@@ -129,29 +128,29 @@ func TestPlaceErrors(t *testing.T) {
 }
 
 func TestRemoveAndTrim(t *testing.T) {
-	m := NewMatrix(8, 0)
+	m := NewMatrixPolicy(8, 0, nil)
 	m.Place(1, 8)
 	m.Place(2, 8)
-	if m.Rows() != 2 {
+	if len(m.rows) != 2 {
 		t.Fatal("want 2 rows")
 	}
 	if err := m.Remove(2); err != nil {
 		t.Fatal(err)
 	}
-	if m.Rows() != 1 {
-		t.Fatalf("trailing empty row not trimmed: %d rows", m.Rows())
+	if len(m.rows) != 1 {
+		t.Fatalf("trailing empty row not trimmed: %d rows", len(m.rows))
 	}
 	if err := m.Remove(2); err == nil {
 		t.Fatal("double remove should fail")
 	}
 	m.Remove(1)
-	if m.Rows() != 0 || m.Jobs() != 0 {
+	if len(m.rows) != 0 || m.Jobs() != 0 {
 		t.Fatal("matrix should be empty")
 	}
 }
 
 func TestRotateRoundRobin(t *testing.T) {
-	m := NewMatrix(4, 0)
+	m := NewMatrixPolicy(4, 0, nil)
 	m.Place(1, 4)
 	m.Place(2, 4)
 	m.Place(3, 4)
@@ -168,7 +167,7 @@ func TestRotateRoundRobin(t *testing.T) {
 }
 
 func TestRotateSkipsEmptiedRow(t *testing.T) {
-	m := NewMatrix(4, 0)
+	m := NewMatrixPolicy(4, 0, nil)
 	m.Place(1, 4)
 	m.Place(2, 4)
 	m.Place(3, 4)
@@ -180,14 +179,14 @@ func TestRotateSkipsEmptiedRow(t *testing.T) {
 }
 
 func TestRotateEmptyMatrix(t *testing.T) {
-	m := NewMatrix(4, 0)
+	m := NewMatrixPolicy(4, 0, nil)
 	if m.Rotate() != -1 {
 		t.Fatal("empty matrix rotation should return -1")
 	}
 }
 
 func TestJobAtBounds(t *testing.T) {
-	m := NewMatrix(4, 0)
+	m := NewMatrixPolicy(4, 0, nil)
 	m.Place(7, 2)
 	if m.JobAt(0, 0) != 7 {
 		t.Fatal("JobAt(0,0)")
@@ -202,7 +201,7 @@ func TestJobAtBounds(t *testing.T) {
 // aligned buddy block, and removals restore all cells.
 func TestMatrixInvariantProperty(t *testing.T) {
 	prop := func(sizes []uint8) bool {
-		m := NewMatrix(16, 0)
+		m := NewMatrixPolicy(16, 0, nil)
 		placed := make(map[myrinet.JobID]Placement)
 		next := myrinet.JobID(1)
 		for _, s := range sizes {
@@ -216,8 +215,8 @@ func TestMatrixInvariantProperty(t *testing.T) {
 		}
 		// Cell consistency.
 		counts := make(map[myrinet.JobID]int)
-		for r := 0; r < m.Rows(); r++ {
-			for c := 0; c < m.Cols(); c++ {
+		for r := 0; r < len(m.rows); r++ {
+			for c := 0; c < m.cols; c++ {
 				if j := m.JobAt(r, c); j != myrinet.NoJob {
 					counts[j]++
 					if placed[j].Row != r {
@@ -247,7 +246,7 @@ func TestMatrixInvariantProperty(t *testing.T) {
 				return false
 			}
 		}
-		return m.Rows() == 0 && m.Jobs() == 0
+		return len(m.rows) == 0 && m.Jobs() == 0
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 200}); err != nil {
 		t.Fatal(err)
@@ -255,7 +254,7 @@ func TestMatrixInvariantProperty(t *testing.T) {
 }
 
 func TestAuditCleanAndCorrupted(t *testing.T) {
-	m := NewMatrix(4, 0)
+	m := NewMatrixPolicy(4, 0, nil)
 	if _, err := m.Place(1, 2); err != nil {
 		t.Fatal(err)
 	}
@@ -278,12 +277,12 @@ func TestAuditCleanAndCorrupted(t *testing.T) {
 // fewer processes than the slot-table depth: what FreeCols must answer.
 func recountFreeCols(m *Matrix) int {
 	n := 0
-	for c := 0; c < m.Cols(); c++ {
+	for c := 0; c < m.cols; c++ {
 		if m.ColDead(c) {
 			continue
 		}
 		used := 0
-		for r := 0; r < m.Rows(); r++ {
+		for r := 0; r < len(m.rows); r++ {
 			if m.JobAt(r, c) != myrinet.NoJob {
 				used++
 			}
@@ -353,15 +352,15 @@ func TestChurnQuickCheck(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			if m.Rows() != 0 || m.Jobs() != 0 {
-				t.Fatalf("drained matrix not empty: %d rows, %d jobs", m.Rows(), m.Jobs())
+			if len(m.rows) != 0 || m.Jobs() != 0 {
+				t.Fatalf("drained matrix not empty: %d rows, %d jobs", len(m.rows), m.Jobs())
 			}
 		})
 	}
 }
 
 func TestKillColumnShrinksCapacity(t *testing.T) {
-	m := NewMatrix(8, 4)
+	m := NewMatrixPolicy(8, 4, nil)
 	if _, err := m.Place(1, 4); err != nil {
 		t.Fatal(err)
 	}
@@ -409,8 +408,8 @@ func TestKillColumnUnderJob(t *testing.T) {
 		t.Fatal(err)
 	}
 	// The vacated dead cell must not return to free capacity.
-	if m.Rows() != 0 {
-		t.Fatalf("rows = %d after removing the only job, want 0 (trimmed)", m.Rows())
+	if len(m.rows) != 0 {
+		t.Fatalf("rows = %d after removing the only job, want 0 (trimmed)", len(m.rows))
 	}
 	if _, err := m.Place(2, 4); err == nil {
 		t.Fatal("size-4 job placed on a 3-live-column machine")
@@ -430,7 +429,7 @@ func TestKillColumnUnderJob(t *testing.T) {
 }
 
 func TestKillColumnErrors(t *testing.T) {
-	m := NewMatrix(4, 0)
+	m := NewMatrixPolicy(4, 0, nil)
 	if err := m.KillColumn(-1); err == nil {
 		t.Fatal("killed column -1")
 	}
@@ -559,7 +558,7 @@ func TestKillColumnChurnQuickCheck(t *testing.T) {
 }
 
 func TestReviveColumnRestoresCapacity(t *testing.T) {
-	m := NewMatrix(8, 4)
+	m := NewMatrixPolicy(8, 4, nil)
 	if _, err := m.Place(1, 4); err != nil {
 		t.Fatal(err)
 	}

@@ -12,7 +12,7 @@ type Policy interface {
 	// Name identifies the policy in tables and CLI flags.
 	Name() string
 	// Propose picks the row and columns for a job of the given size.
-	// Returning row == m.Rows() requests a fresh row; Matrix.Place
+	// Returning row == len(m.rows) requests a fresh row; Matrix.Place
 	// enforces the maxRows bound and commits the proposal.
 	Propose(m *Matrix, size int) (row int, cols []int)
 	// UnifyOnExit reports whether Remove should consolidate rows after a

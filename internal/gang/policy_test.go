@@ -65,15 +65,15 @@ func TestBestFitUnifiesOnExit(t *testing.T) {
 	m.Place(1, 3) // row 0 cols 0-2
 	m.Place(2, 3) // row 1 cols 0-2
 	m.Place(3, 3) // row 2 cols 0-2
-	if m.Rows() != 3 {
-		t.Fatalf("rows = %d", m.Rows())
+	if len(m.rows) != 3 {
+		t.Fatalf("rows = %d", len(m.rows))
 	}
 	// Removing the row-0 job must pull the survivors down a slot each.
 	if err := m.Remove(1); err != nil {
 		t.Fatal(err)
 	}
-	if m.Rows() != 2 {
-		t.Fatalf("unification left %d rows, want 2", m.Rows())
+	if len(m.rows) != 2 {
+		t.Fatalf("unification left %d rows, want 2", len(m.rows))
 	}
 	p2, _ := m.Placement(2)
 	p3, _ := m.Placement(3)
@@ -98,16 +98,16 @@ func TestUnifyKeepsColumns(t *testing.T) {
 	if p2.Cols[0] != 0 || p3.Cols[0] != 2 {
 		t.Fatalf("unify moved columns: job2=%v job3=%v", p2.Cols, p3.Cols)
 	}
-	if m.Rows() != 1 {
-		t.Fatalf("rows = %d, want 1 (both jobs fit one slot)", m.Rows())
+	if len(m.rows) != 1 {
+		t.Fatalf("rows = %d, want 1 (both jobs fit one slot)", len(m.rows))
 	}
 }
 
 // occupied counts non-empty cells across the whole matrix.
 func occupied(m *Matrix) int {
 	n := 0
-	for r := 0; r < m.Rows(); r++ {
-		for c := 0; c < m.Cols(); c++ {
+	for r := 0; r < len(m.rows); r++ {
+		for c := 0; c < m.cols; c++ {
 			if m.JobAt(r, c) != myrinet.NoJob {
 				n++
 			}
@@ -165,7 +165,7 @@ func TestMatrixChurnAllPolicies(t *testing.T) {
 						return false
 					}
 				}
-				return m.Rows() == 0 && m.Jobs() == 0 && occupied(m) == 0
+				return len(m.rows) == 0 && m.Jobs() == 0 && occupied(m) == 0
 			}
 			if err := quick.Check(prop, &quick.Config{MaxCount: 120}); err != nil {
 				t.Fatal(err)

@@ -169,16 +169,6 @@ func (t *phaseTracker) Heard(epoch uint64, from myrinet.NodeID) bool {
 	return r != nil && r.heardBy(from)
 }
 
-// State returns (locallyDone, remoteCount) for an epoch — the Figure 3
-// state label (S/H, k) with k = remoteCount + (1 if locallyDone); the
-// count covers only peers that are still members.
-func (t *phaseTracker) State(epoch uint64) (local bool, remote int) {
-	if r := t.lookup(epoch); r != nil {
-		return r.local, r.live
-	}
-	return false, 0
-}
-
 // Done reports whether the epoch's phase has completed.
 func (t *phaseTracker) Done(epoch uint64) bool {
 	return (t.doneAny && epoch < t.doneLo) || (len(t.doneEx) > 0 && t.doneEx[epoch])

@@ -618,3 +618,13 @@ func BenchmarkPhaseTrackerEpoch(b *testing.B) {
 		})
 	}
 }
+
+// State returns (locallyDone, remoteCount) for an epoch — the Figure 3
+// state label (S/H, k) with k = remoteCount + (1 if locallyDone); the
+// count covers only peers that are still members.
+func (t *phaseTracker) State(epoch uint64) (local bool, remote int) {
+	if r := t.lookup(epoch); r != nil {
+		return r.local, r.live
+	}
+	return false, 0
+}

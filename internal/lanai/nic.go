@@ -422,13 +422,6 @@ func (n *NIC) JoinPeer(peer myrinet.NodeID) {
 	n.release.Join(peer)
 }
 
-// Expects reports whether the card's flush and release phases wait for
-// peer's reports: both false once the peer is evicted, true again after
-// it rejoins.
-func (n *NIC) Expects(peer myrinet.NodeID) (flush, release bool) {
-	return !n.flush.Evicted(peer), !n.release.Evicted(peer)
-}
-
 // Halted reports the state of the halt bit.
 func (n *NIC) Halted() bool { return n.haltBit }
 
@@ -524,9 +517,6 @@ func (n *NIC) bindJob(job myrinet.JobID, ctx *Context) {
 	}
 	n.byJob[i] = ctx
 }
-
-// Contexts returns the live contexts (do not mutate).
-func (n *NIC) Contexts() []*Context { return n.contexts }
 
 // EnqueueSend places a host-built packet in the context's send queue and
 // wakes the send scanner. It reports whether a slot was free; the host
@@ -776,12 +766,6 @@ func (n *NIC) countRetransmit(typ myrinet.PacketType) {
 	} else {
 		n.stats.ReadyRetransmits++
 	}
-}
-
-// FlushState exposes the Figure 3 state label for an epoch: whether the
-// local halt has happened and how many remote halts have been counted.
-func (n *NIC) FlushState(epoch uint64) (local bool, remote int) {
-	return n.flush.State(epoch)
 }
 
 // HandlePacket is the receive context: it consumes a packet from the

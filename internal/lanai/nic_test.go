@@ -209,7 +209,7 @@ func TestBroadcastSnapshotsDestinations(t *testing.T) {
 	n.HaltNetwork(1, nil)
 	n.EvictPeer(3) // after the loop started, before its halt to node 3
 	eng.Run()
-	if _, remote := nics[3].FlushState(1); remote != 1 {
+	if _, remote := nics[3].flush.State(1); remote != 1 {
 		t.Fatalf("node 3 counted %d halts for epoch 1, want node 0's", remote)
 	}
 	n.ReleaseNetwork(1, nil) // node 3 is out of this loop's snapshot
@@ -231,11 +231,11 @@ func TestBroadcastEmptySnapshot(t *testing.T) {
 		n.flush.evicted[d] = true
 	}
 	n.HaltNetwork(1, nil)
-	if eng.Pending() != 1 {
-		t.Fatalf("%d events pending after the halt, want the tail alone", eng.Pending())
-	}
 	eng.Run()
-	if local, _ := n.FlushState(1); !local || eng.Now() != 0 || n.Stats().HaltsSent != 0 {
+	if eng.Fired() != 1 {
+		t.Fatalf("%d events fired after the halt, want the tail alone", eng.Fired())
+	}
+	if local, _ := n.flush.State(1); !local || eng.Now() != 0 || n.Stats().HaltsSent != 0 {
 		t.Fatalf("local %v at t=%d with %d halts sent; want the transition at 0 and none sent",
 			local, eng.Now(), n.Stats().HaltsSent)
 	}
@@ -428,16 +428,33 @@ func TestSingleNodeFlushCompletesImmediately(t *testing.T) {
 	}
 }
 
+// TestEvictJoinPeerMembership: an evicted peer drops out of both the
+// flush and the release phase's membership, and JoinPeer restores it to
+// both, so the card waits for the rejoined peer's Halt and Ready again.
+func TestEvictJoinPeerMembership(t *testing.T) {
+	_, _, nics := rig(t, 3)
+	n := nics[0]
+	n.EvictPeer(2)
+	if !n.flush.Evicted(2) || !n.release.Evicted(2) || n.flush.Evicted(1) {
+		t.Fatalf("after EvictPeer(2): flush %v/%v, release %v; want only peer 2 evicted, in both phases",
+			n.flush.Evicted(1), n.flush.Evicted(2), n.release.Evicted(2))
+	}
+	n.JoinPeer(2)
+	if n.flush.Evicted(2) || n.release.Evicted(2) {
+		t.Fatal("JoinPeer(2) left the peer evicted")
+	}
+}
+
 func TestFlushStateObservable(t *testing.T) {
 	eng, _, nics := rig(t, 3)
 	nics[0].HaltNetwork(0, nil)
 	eng.Run() // node 1 and 2 never halt; flush is stuck at H,1+arrivals
-	local, _ := nics[0].FlushState(0)
+	local, _ := nics[0].flush.State(0)
 	if !local {
 		t.Fatal("node 0 should have locally halted")
 	}
 	// Node 1 received node 0's halt: state S,1.
-	l1, r1 := nics[1].FlushState(0)
+	l1, r1 := nics[1].flush.State(0)
 	if l1 || r1 != 1 {
 		t.Fatalf("node 1 state = (%v,%d), want (false,1)", l1, r1)
 	}
@@ -510,7 +527,7 @@ func TestUnregisterReindexesSlots(t *testing.T) {
 	c, _ := nics[0].Register(3, 0, 10, 10, Hooks{})
 	_ = a
 	nics[0].Unregister(b)
-	if len(nics[0].Contexts()) != 2 {
+	if len(nics[0].contexts) != 2 {
 		t.Fatal("context not removed")
 	}
 	if c.Slot != 1 {
@@ -636,5 +653,17 @@ func TestRetransmitLoopSkipsHeardPeer(t *testing.T) {
 	}
 	if len(n.bcastPool) != 1 {
 		t.Fatalf("%d loop records pooled after the loop, want 1", len(n.bcastPool))
+	}
+}
+
+// TestDropReasonString names every drop reason, and an unknown one by
+// number.
+func TestDropReasonString(t *testing.T) {
+	for r, want := range map[DropReason]string{
+		DropNoContext: "no-context", DropRecvFull: "recv-full", DropFiltered: "filtered", 7: "DropReason(7)",
+	} {
+		if got := r.String(); got != want {
+			t.Errorf("DropReason(%d) = %q, want %q", int(r), got, want)
+		}
 	}
 }

@@ -41,9 +41,6 @@ func (q *Queue) Len() int { return q.n }
 // Full reports whether no slot is free.
 func (q *Queue) Full() bool { return q.n >= q.capacity }
 
-// Drops returns the number of rejected enqueues.
-func (q *Queue) Drops() uint64 { return q.drops }
-
 func (q *Queue) slot(i int) int {
 	i += q.head
 	if i >= len(q.pkts) {
@@ -105,14 +102,6 @@ func (q *Queue) Dequeue() *myrinet.Packet {
 	return p
 }
 
-// Peek returns the oldest packet without removing it, or nil.
-func (q *Queue) Peek() *myrinet.Packet {
-	if q.n == 0 {
-		return nil
-	}
-	return q.pkts[q.head]
-}
-
 // At returns the i-th oldest packet without removing it, or nil when out
 // of range. FM_extract inspects a batch of pending packets this way.
 func (q *Queue) At(i int) *myrinet.Packet {
@@ -122,16 +111,10 @@ func (q *Queue) At(i int) *myrinet.Packet {
 	return q.pkts[q.slot(i)]
 }
 
-// Drain removes and returns all queued packets, oldest first. It is used
-// by the buffer switch to move queue contents to a backing store.
-func (q *Queue) Drain() []*myrinet.Packet {
-	return q.DrainTo(nil)
-}
-
 // DrainTo removes all queued packets, oldest first, appending them to
-// dst[:0] and returning the result. Passing a store's previous slice lets
-// the buffer switch reuse its backing array instead of allocating one per
-// switch.
+// dst[:0] and returning the result. The buffer switch moves queue contents
+// to a backing store this way, passing the store's previous slice so its
+// backing array is reused instead of allocating one per switch.
 func (q *Queue) DrainTo(dst []*myrinet.Packet) []*myrinet.Packet {
 	dst = dst[:0]
 	for i := 0; i < q.n; i++ {
@@ -164,14 +147,4 @@ func (q *Queue) Load(pkts []*myrinet.Packet) {
 	}
 	copy(q.pkts, pkts)
 	q.n = len(pkts)
-}
-
-// ValidBytes returns the total wire bytes of queued packets — what the
-// improved buffer-switch algorithm actually copies.
-func (q *Queue) ValidBytes() int {
-	n := 0
-	for i := 0; i < q.n; i++ {
-		n += q.pkts[q.slot(i)].WireSize()
-	}
-	return n
 }

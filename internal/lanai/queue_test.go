@@ -13,7 +13,7 @@ func TestQueueBasics(t *testing.T) {
 	if q.Cap() != 3 || q.Len() != 0 || q.Full() {
 		t.Fatal("fresh queue state wrong")
 	}
-	if q.Dequeue() != nil || q.Peek() != nil {
+	if q.Dequeue() != nil || q.At(0) != nil {
 		t.Fatal("empty queue should return nil")
 	}
 	p1 := &myrinet.Packet{MsgID: 1}
@@ -31,11 +31,11 @@ func TestQueueBasics(t *testing.T) {
 	if q.Enqueue(p4) {
 		t.Fatal("enqueue succeeded on full queue")
 	}
-	if q.Drops() != 1 {
-		t.Fatalf("Drops = %d, want 1", q.Drops())
+	if q.drops != 1 {
+		t.Fatalf("drops = %d, want 1", q.drops)
 	}
-	if q.Peek() != p1 {
-		t.Fatal("Peek should return oldest")
+	if q.At(0) != p1 {
+		t.Fatal("At(0) should return oldest")
 	}
 	if q.Dequeue() != p1 || q.Dequeue() != p2 || q.Dequeue() != p3 {
 		t.Fatal("FIFO order violated")
@@ -47,9 +47,9 @@ func TestQueueDrainLoad(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		q.Enqueue(&myrinet.Packet{MsgID: uint64(i)})
 	}
-	pkts := q.Drain()
+	pkts := q.DrainTo(nil)
 	if len(pkts) != 4 || q.Len() != 0 {
-		t.Fatalf("Drain returned %d packets, queue len %d", len(pkts), q.Len())
+		t.Fatalf("DrainTo returned %d packets, queue len %d", len(pkts), q.Len())
 	}
 	q2 := NewQueue(5)
 	q2.Load(pkts)
@@ -68,16 +68,6 @@ func TestQueueLoadOverCapacityPanics(t *testing.T) {
 		}
 	}()
 	q.Load([]*myrinet.Packet{{}, {}})
-}
-
-func TestQueueValidBytes(t *testing.T) {
-	q := NewQueue(4)
-	q.Enqueue(&myrinet.Packet{Type: myrinet.Data, PayloadLen: 100})
-	q.Enqueue(&myrinet.Packet{Type: myrinet.Data, PayloadLen: myrinet.MaxPayload})
-	want := (100 + myrinet.HeaderSize) + myrinet.PacketSize
-	if q.ValidBytes() != want {
-		t.Fatalf("ValidBytes = %d, want %d", q.ValidBytes(), want)
-	}
 }
 
 // Property: a queue behaves exactly like a bounded FIFO for any sequence
@@ -203,15 +193,15 @@ func TestQueueFullAtCapacity(t *testing.T) {
 	q := NewQueue(capacity)
 	var next uint64
 	fill(t, q, &next, capacity-1)
-	if q.Full() || q.Drops() != 0 {
-		t.Fatalf("Full %v, %d drops with one slot free", q.Full(), q.Drops())
+	if q.Full() || q.drops != 0 {
+		t.Fatalf("Full %v, %d drops with one slot free", q.Full(), q.drops)
 	}
 	fill(t, q, &next, 1)
 	if !q.Full() || len(q.pkts) != capacity {
 		t.Fatalf("Full %v with a %d-slot ring at %d of %d packets", q.Full(), len(q.pkts), q.Len(), capacity)
 	}
-	if q.Enqueue(&myrinet.Packet{}) || q.Drops() != 1 {
-		t.Fatalf("enqueue past capacity accepted or not counted: %d drops", q.Drops())
+	if q.Enqueue(&myrinet.Packet{}) || q.drops != 1 {
+		t.Fatalf("enqueue past capacity accepted or not counted: %d drops", q.drops)
 	}
 	drainInOrder(t, q, 0)
 }

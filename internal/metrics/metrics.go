@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"io"
 	"math"
-	"sort"
 	"strings"
 	"text/tabwriter"
 )
@@ -37,64 +36,6 @@ func Max(xs []float64) float64 {
 	return m
 }
 
-// Min returns the minimum of xs (0 for empty input).
-func Min(xs []float64) float64 {
-	m := math.Inf(1)
-	for _, x := range xs {
-		if x < m {
-			m = x
-		}
-	}
-	if math.IsInf(m, 1) {
-		return 0
-	}
-	return m
-}
-
-// Median returns the median of xs (0 for empty input).
-func Median(xs []float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	n := len(s)
-	if n%2 == 1 {
-		return s[n/2]
-	}
-	return (s[n/2-1] + s[n/2]) / 2
-}
-
-// Sum returns the sum of xs.
-func Sum(xs []float64) float64 {
-	s := 0.0
-	for _, x := range xs {
-		s += x
-	}
-	return s
-}
-
-// Percentile returns the p-th percentile of xs (nearest-rank definition,
-// p in [0, 100]; 0 for empty input).
-func Percentile(xs []float64, p float64) float64 {
-	if len(xs) == 0 {
-		return 0
-	}
-	s := append([]float64(nil), xs...)
-	sort.Float64s(s)
-	if p <= 0 {
-		return s[0]
-	}
-	rank := int(math.Ceil(p / 100 * float64(len(s))))
-	if rank < 1 {
-		rank = 1
-	}
-	if rank > len(s) {
-		rank = len(s)
-	}
-	return s[rank-1]
-}
-
 // BoundedSlowdown returns Feitelson's bounded slowdown of a job:
 // max(1, response / max(service, bound)). The bound keeps very short jobs
 // from dominating the average with enormous raw slowdowns.
@@ -111,20 +52,6 @@ func BoundedSlowdown(response, service, bound float64) float64 {
 		return 1
 	}
 	return s
-}
-
-// Stddev returns the population standard deviation of xs.
-func Stddev(xs []float64) float64 {
-	if len(xs) < 2 {
-		return 0
-	}
-	m := Mean(xs)
-	s := 0.0
-	for _, x := range xs {
-		d := x - m
-		s += d * d
-	}
-	return math.Sqrt(s / float64(len(xs)))
 }
 
 // Table accumulates rows and prints them aligned, in the style of the
@@ -153,9 +80,6 @@ func (t *Table) AddRow(cells ...any) {
 	}
 	t.rows = append(t.rows, row)
 }
-
-// Rows returns the number of data rows.
-func (t *Table) Rows() int { return len(t.rows) }
 
 // Fprint writes the table to w.
 func (t *Table) Fprint(w io.Writer) error {

@@ -2,6 +2,7 @@ package metrics
 
 import (
 	"math"
+	"slices"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -12,22 +13,13 @@ func TestStats(t *testing.T) {
 	if Mean(xs) != 2.5 {
 		t.Errorf("Mean = %v", Mean(xs))
 	}
-	if Max(xs) != 4 || Min(xs) != 1 {
-		t.Errorf("Max/Min = %v/%v", Max(xs), Min(xs))
-	}
-	if Median(xs) != 2.5 {
-		t.Errorf("Median = %v", Median(xs))
-	}
-	if Median([]float64{5, 1, 9}) != 5 {
-		t.Errorf("odd Median")
-	}
-	if got := Stddev([]float64{2, 2, 2}); got != 0 {
-		t.Errorf("Stddev of constants = %v", got)
+	if Max(xs) != 4 {
+		t.Errorf("Max = %v", Max(xs))
 	}
 }
 
 func TestStatsEmpty(t *testing.T) {
-	if Mean(nil) != 0 || Max(nil) != 0 || Min(nil) != 0 || Median(nil) != 0 || Stddev(nil) != 0 {
+	if Mean(nil) != 0 || Max(nil) != 0 {
 		t.Fatal("empty inputs should yield 0")
 	}
 }
@@ -36,8 +28,8 @@ func TestTableRendering(t *testing.T) {
 	tb := NewTable("Figure X", "a", "b")
 	tb.AddRow(1, 2.5)
 	tb.AddRow("x", "y")
-	if tb.Rows() != 2 {
-		t.Fatalf("Rows = %d", tb.Rows())
+	if len(tb.rows) != 2 {
+		t.Fatalf("rows = %d", len(tb.rows))
 	}
 	s := tb.String()
 	for _, want := range []string{"Figure X", "a", "b", "1", "2.50", "x", "y"} {
@@ -47,7 +39,7 @@ func TestTableRendering(t *testing.T) {
 	}
 }
 
-// Property: Min <= Median <= Max and Min <= Mean <= Max.
+// Property: min <= Mean <= Max.
 func TestOrderingProperty(t *testing.T) {
 	prop := func(raw []int16) bool {
 		if len(raw) == 0 {
@@ -57,35 +49,13 @@ func TestOrderingProperty(t *testing.T) {
 		for i, v := range raw {
 			xs[i] = float64(v)
 		}
-		lo, hi := Min(xs), Max(xs)
-		m, md := Mean(xs), Median(xs)
+		lo, hi := slices.Min(xs), Max(xs)
+		m := Mean(xs)
 		eps := 1e-9 * (math.Abs(hi) + 1)
-		return lo <= m+eps && m <= hi+eps && lo <= md+eps && md <= hi+eps
+		return lo <= m+eps && m <= hi+eps
 	}
 	if err := quick.Check(prop, &quick.Config{MaxCount: 300}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSumAndPercentile(t *testing.T) {
-	xs := []float64{4, 1, 3, 2, 5}
-	if got := Sum(xs); got != 15 {
-		t.Fatalf("Sum = %v", got)
-	}
-	if got := Sum(nil); got != 0 {
-		t.Fatalf("Sum(nil) = %v", got)
-	}
-	if got := Percentile(xs, 50); got != 3 {
-		t.Fatalf("P50 = %v", got)
-	}
-	if got := Percentile(xs, 100); got != 5 {
-		t.Fatalf("P100 = %v", got)
-	}
-	if got := Percentile(xs, 0); got != 1 {
-		t.Fatalf("P0 = %v", got)
-	}
-	if got := Percentile(nil, 50); got != 0 {
-		t.Fatalf("Percentile(nil) = %v", got)
 	}
 }
 

@@ -221,9 +221,6 @@ func (n *Network) addInFlight(job JobID, d int) {
 // Nodes returns the number of attached nodes.
 func (n *Network) Nodes() int { return n.cfg.Nodes }
 
-// Config returns the network configuration.
-func (n *Network) Config() Config { return n.cfg }
-
 // Stats returns a snapshot of the counters.
 func (n *Network) Stats() Stats {
 	out := Stats{

@@ -40,6 +40,9 @@ func TestWireSize(t *testing.T) {
 	if d.WireSize() != PacketSize {
 		t.Errorf("full data packet wire size = %d, want %d", d.WireSize(), PacketSize)
 	}
+	if p := (&Packet{Type: Data, PayloadLen: 100}); p.WireSize() != 100+HeaderSize {
+		t.Errorf("100-byte data packet wire size = %d, want %d", p.WireSize(), 100+HeaderSize)
+	}
 	h := &Packet{Type: Halt}
 	if h.WireSize() != ControlSize {
 		t.Errorf("halt wire size = %d, want %d", h.WireSize(), ControlSize)

@@ -196,10 +196,10 @@ func (s *switchMsg) send(d sim.Time) {
 	}
 }
 
-// received and retire make s a reliable message. A notification is
-// received once its node started the round, an ack once the masterd
-// counted it. Either stops mattering when the round closes or the node is
-// declared dead (which a stale generation implies).
+// received and send make s a reliable message, and retire a pooled one.
+// A notification is received once its node started the round, an ack
+// once the masterd counted it. Either stops mattering when the round
+// closes or the node is declared dead (which a stale generation implies).
 func (s *switchMsg) received() bool {
 	m, i := s.n.cluster.master, int(s.n.ID)
 	if m.epoch != s.epoch || !m.inFlight || m.matrix.ColDead(i) {

@@ -78,8 +78,17 @@ type reliable interface {
 	received() bool
 	// send delivers one copy of the message after d cycles.
 	send(d sim.Time)
-	// retire hands the message back once its chain has ended.
-	retire()
+}
+
+// pooled is a reliable message drawn from a pool: retire hands it back
+// once its chain has ended.
+type pooled interface{ retire() }
+
+// retire ends m's chain, returning a pooled message to its pool.
+func retire(m reliable) {
+	if p, ok := m.(pooled); ok {
+		p.retire()
+	}
 }
 
 // Re-send chain budgets. A chain's re-sends fire D, 2D, 4D, then every 4D
@@ -108,7 +117,7 @@ type resend struct {
 func (c *ctrlNet) sendReliable(first sim.Time, retries int, m reliable) {
 	m.send(c.delay() + first)
 	if c.intercept == nil {
-		m.retire()
+		retire(m)
 		return
 	}
 	var r *resend
@@ -125,7 +134,7 @@ func resendFn(a any) {
 	r := a.(*resend)
 	c := r.c
 	if r.m.received() || r.attempt == r.retries {
-		r.m.retire()
+		retire(r.m)
 		r.m = nil
 		c.resends = append(c.resends, r)
 		return
@@ -148,4 +157,3 @@ type funcMsg struct {
 
 func (f *funcMsg) received() bool  { return f.done() }
 func (f *funcMsg) send(d sim.Time) { f.c.deliver(f.dst, d, f.fn) }
-func (f *funcMsg) retire()         {}

@@ -167,14 +167,14 @@ func TestCompactMigratesAfterKill(t *testing.T) {
 	if err := c.Kill(a); err != nil {
 		t.Fatal(err)
 	}
-	if rows := c.Master().Matrix().Rows(); rows != 2 {
-		t.Fatalf("rows after kill = %d, want 2 (hole not yet compacted)", rows)
+	if p, _ := c.Master().Matrix().Placement(b.ID); p.Row != 1 {
+		t.Fatalf("survivor in row %d after kill, want 1 (hole not yet compacted)", p.Row)
 	}
 	if moved := c.Compact(); moved != 1 {
 		t.Fatalf("compact moved %d jobs, want 1", moved)
 	}
-	if rows := c.Master().Matrix().Rows(); rows != 1 {
-		t.Fatalf("rows after compact = %d, want 1", rows)
+	if p, _ := c.Master().Matrix().Placement(b.ID); p.Row != 0 {
+		t.Fatalf("survivor in row %d after compact, want 0", p.Row)
 	}
 	if c.Compact() != 0 {
 		t.Fatal("second compact should be a no-op")

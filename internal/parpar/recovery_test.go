@@ -477,7 +477,8 @@ func TestLoadReceiptStopsResend(t *testing.T) {
 		t.Fatal(err)
 	}
 	ctrl, _ := deadlines(dry.cfg, lanai.DefaultConfig(0))
-	for cpu := dry.nodes[0].CPU; cpu.FreeAt() < dry.Eng.Now()+2*ctrl; {
+	// Use(0, nil) books nothing and returns the instant the CPU frees.
+	for cpu := dry.nodes[0].CPU; cpu.Use(0, nil) < dry.Eng.Now()+2*ctrl; {
 		if !dry.Eng.Step() {
 			t.Fatal("dry run went quiescent before any copy")
 		}

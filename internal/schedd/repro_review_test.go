@@ -36,7 +36,7 @@ func TestReviewBackfillQueueMutation(t *testing.T) {
 	if err := d.Run(); err != nil {
 		t.Fatal(err)
 	}
-	logStr := d.Log().String()
+	logStr := d.log.String()
 	for _, j := range []string{"job=3", "job=4", "job=5"} {
 		n := strings.Count(logStr, "backfill "+j)
 		t.Logf("backfill count for %s: %d", j, n)

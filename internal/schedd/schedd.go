@@ -229,9 +229,6 @@ func New(cfg Config) (*Daemon, error) {
 // Cluster exposes the underlying parpar cluster.
 func (d *Daemon) Cluster() *parpar.Cluster { return d.cluster }
 
-// Log exposes the decision log.
-func (d *Daemon) Log() *Log { return d.log }
-
 // Run schedules every trace command on the DES clock and drives the
 // cluster to the horizon. It may be called once.
 func (d *Daemon) Run() error {
@@ -322,14 +319,6 @@ func (d *Daemon) observe(t *task, now sim.Time) {
 	} else {
 		d.stretch[tj.Kernel] = obs
 	}
-}
-
-// EstimatedStretch exposes the adaptive estimator's current stretch for a
-// kernel (tests assert the estimate tightens); ok is false before the
-// kernel's first completion or with the adaptive estimator off.
-func (d *Daemon) EstimatedStretch(k schedeval.Kernel) (float64, bool) {
-	s, ok := d.stretch[k]
-	return s, ok
 }
 
 // submit handles an arrival command: log it, enqueue, drain.

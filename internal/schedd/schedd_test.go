@@ -205,7 +205,7 @@ func TestBackfillConservative(t *testing.T) {
 	}
 	// Backfill must never push the head later; earlier is fine (the short
 	// job perturbs rotation timing by a few control messages).
-	if with, without := headPlaced(r.Log), headPlaced(d2.Log()); with > without {
+	if with, without := headPlaced(r.Log), headPlaced(d2.log); with > without {
 		t.Errorf("backfill delayed the head: with=%d without=%d", with, without)
 	}
 }
@@ -484,6 +484,43 @@ func TestShowdownGrid(t *testing.T) {
 	}
 }
 
+// TestRecoveryCleanChurn runs the quick churn showdown (the churn golden,
+// which gangsim renders) twice: once with the recovery layer armed by an
+// inert fault plan, whose only fault opens after every horizon, and once
+// with no plan. Nothing is ever injected, so nothing may be re-sent, and
+// the grid and decision-log statistics must come out identical.
+func TestRecoveryCleanChurn(t *testing.T) {
+	run := func(plan *chaos.Plan) string {
+		cfg := DefaultConfig(8)
+		cfg.Trace = churnTrace(t, 12)
+		cfg.Chaos = plan
+		rs, err := Showdown(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return GridTable(rs).String() + "\n" + StatsTable(rs).String()
+	}
+	inert := &chaos.Plan{Seed: 1, Faults: []chaos.Fault{
+		{Kind: chaos.CtrlDelay, Prob: 1, Delay: 1, Node: -1, From: 1 << 62},
+	}}
+	if armed, plain := run(inert), run(nil); armed != plain {
+		t.Fatalf("churn showdown with recovery armed diverged\n--- armed ---\n%s\n--- plain ---\n%s", armed, plain)
+	}
+}
+
+// TestLogTallies: the decision log counts its lines, lines by verb, and
+// a key's values summed over a verb's lines.
+func TestLogTallies(t *testing.T) {
+	l := NewLog()
+	l.Add(10, VerbCompact, "moved=%d", 2)
+	l.Add(20, VerbSubmit, "job=%d size=%d", 1, 4)
+	l.Add(30, VerbCompact, "moved=%d", 3)
+	if l.Len() != 3 || l.Count(VerbCompact) != 2 || l.Sum(VerbCompact, "moved") != 5 {
+		t.Fatalf("len %d, compact lines %d, moved %d; want 3, 2, 5\n%s",
+			l.Len(), l.Count(VerbCompact), l.Sum(VerbCompact, "moved"), l)
+	}
+}
+
 // TestConfigValidation covers the constructor's error paths.
 func TestConfigValidation(t *testing.T) {
 	if _, err := New(DefaultConfig(8)); err == nil {
@@ -525,7 +562,7 @@ func TestAdaptiveEstimateTightens(t *testing.T) {
 		return d
 	}
 	d := run(true)
-	s, ok := d.EstimatedStretch(schedeval.KernelBSP)
+	s, ok := d.stretch[schedeval.KernelBSP]
 	if !ok {
 		t.Fatal("no stretch observed after six completions")
 	}
@@ -533,10 +570,10 @@ func TestAdaptiveEstimateTightens(t *testing.T) {
 	if s <= 0 || s >= static/2 {
 		t.Fatalf("observed stretch %.3f did not tighten below the static %.0f", s, static)
 	}
-	if _, ok := d.EstimatedStretch(schedeval.KernelStencil); ok {
+	if _, ok := d.stretch[schedeval.KernelStencil]; ok {
 		t.Fatal("stretch reported for a kernel that never completed")
 	}
-	if _, ok := run(false).EstimatedStretch(schedeval.KernelBSP); ok {
+	if _, ok := run(false).stretch[schedeval.KernelBSP]; ok {
 		t.Fatal("stretch reported with the adaptive estimator off")
 	}
 }
@@ -592,7 +629,7 @@ func TestCrashRequeueRecovers(t *testing.T) {
 		t.Fatalf("crashes killed jobs but requeues=%d requeued_jobs=%d", r.Requeues, r.RequeuedJobs)
 	}
 	if r.Censored != 0 {
-		t.Fatalf("%d jobs censored at the horizon — stuck instead of requeued:\n%s", r.Censored, d.Log())
+		t.Fatalf("%d jobs censored at the horizon — stuck instead of requeued:\n%s", r.Censored, d.log)
 	}
 	if r.MeanRequeue <= 0 {
 		t.Fatalf("MeanRequeue = %v with %d requeues", r.MeanRequeue, r.Requeues)
@@ -699,7 +736,7 @@ func TestRepairRejoinRestoresDaemonCapacity(t *testing.T) {
 		t.Fatalf("PostRepairGoodput = %v, want positive", r.PostRepairGoodput)
 	}
 	if r.Censored != 0 {
-		t.Fatalf("%d jobs censored at the horizon:\n%s", r.Censored, d.Log())
+		t.Fatalf("%d jobs censored at the horizon:\n%s", r.Censored, d.log)
 	}
 	if got := r.Log.Count(VerbCacheBad); got != 0 {
 		t.Fatalf("%d task-table coherence violations across rejoins:\n%s", got, r.Log)

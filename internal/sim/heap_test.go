@@ -8,7 +8,7 @@ import (
 	"testing/quick"
 )
 
-// TestPendingExcludesCanceled is the regression test for the Pending
+// TestPendingExcludesCanceled is the regression test for the pending
 // accounting bug: canceled events used to stay counted until the queue
 // drained past them, so idle-detection loops saw phantom work.
 func TestPendingExcludesCanceled(t *testing.T) {
@@ -17,21 +17,21 @@ func TestPendingExcludesCanceled(t *testing.T) {
 	for i := range evs {
 		evs[i] = e.Schedule(Time(10+i), func() {})
 	}
-	if e.Pending() != 5 {
-		t.Fatalf("Pending() = %d, want 5", e.Pending())
+	if e.pending != 5 {
+		t.Fatalf("pending = %d, want 5", e.pending)
 	}
 	evs[1].Cancel()
 	evs[3].Cancel()
-	if e.Pending() != 3 {
-		t.Fatalf("Pending() = %d after two cancels, want 3", e.Pending())
+	if e.pending != 3 {
+		t.Fatalf("pending = %d after two cancels, want 3", e.pending)
 	}
 	evs[3].Cancel() // double cancel must not double-count
-	if e.Pending() != 3 {
-		t.Fatalf("Pending() = %d after double cancel, want 3", e.Pending())
+	if e.pending != 3 {
+		t.Fatalf("pending = %d after double cancel, want 3", e.pending)
 	}
 	e.Run()
-	if e.Pending() != 0 {
-		t.Fatalf("Pending() = %d after run, want 0", e.Pending())
+	if e.pending != 0 {
+		t.Fatalf("pending = %d after run, want 0", e.pending)
 	}
 }
 
@@ -166,8 +166,8 @@ func TestEngineRandomCancelProperty(t *testing.T) {
 				evs[i] = Event{}
 			}
 		}
-		if e.Pending() != live {
-			t.Fatalf("Pending() = %d, want %d", e.Pending(), live)
+		if e.pending != live {
+			t.Fatalf("pending = %d, want %d", e.pending, live)
 		}
 		type key struct {
 			when Time
@@ -176,7 +176,7 @@ func TestEngineRandomCancelProperty(t *testing.T) {
 		var keys []key
 		for i := 0; i < n; i++ {
 			if evs[i] != (Event{}) {
-				keys = append(keys, key{evs[i].When(), i})
+				keys = append(keys, key{evs[i].when, i})
 			}
 		}
 		sort.SliceStable(keys, func(a, b int) bool {
@@ -409,8 +409,8 @@ func TestHeapProperty(t *testing.T) {
 			case 7:
 				file()
 			}
-			if e.Pending() != len(ref) {
-				fail("Pending() = %d, reference holds %d", e.Pending(), len(ref))
+			if e.pending != len(ref) {
+				fail("Pending() = %d, reference holds %d", e.pending, len(ref))
 			}
 			if e.base > e.Now()>>slotShift {
 				fail("ring base slot %d passed now=%d", e.base, e.Now())

@@ -20,12 +20,6 @@ func NewResource(eng *Engine) *Resource {
 	return &Resource{eng: eng}
 }
 
-// FreeAt returns the earliest time at which the resource will be idle.
-func (r *Resource) FreeAt() Time { return r.freeAt }
-
-// Idle reports whether the resource is free at the current time.
-func (r *Resource) Idle() bool { return r.freeAt <= r.eng.Now() }
-
 // Use reserves the resource for dur cycles starting as soon as it is free,
 // and schedules done at the completion time. It returns the completion
 // time. A nil done simply occupies the resource.

@@ -56,9 +56,9 @@
 // event as it was. The firing position decides which: it is now plus the
 // seq of the event firing at now, and Ahead reports whether a key is past
 // it. RunUntil(limit) moves the position to limit past every seq issued
-// so far (everything at limit has fired), unless Stop ended it early. A
-// Run that drains the queue lifts the clock to the latest reserved time,
-// where the last dropped event would have left it.
+// so far (everything at limit has fired). A Run that drains the queue
+// lifts the clock to the latest reserved time, where the last dropped
+// event would have left it.
 package sim
 
 import (
@@ -143,9 +143,6 @@ type Key struct {
 	When Time
 	Seq  uint64
 }
-
-// When returns the virtual time at which the event will fire or fired.
-func (ev Event) When() Time { return ev.when }
 
 // Cancel prevents the event from firing. Canceling an already-fired,
 // already-canceled, or zero Event is a no-op. Cancel reports whether the
@@ -232,7 +229,6 @@ type Engine struct {
 	seq     uint64    // the last seq issued, by a schedule or a reservation
 	fired   uint64
 	pending int // scheduled and not canceled
-	stopped bool
 
 	// The firing position is (now, cur): cur is the seq of the event
 	// firing at now. reserved is the latest time any key was reserved for.
@@ -250,10 +246,6 @@ func (e *Engine) Now() Time { return e.now }
 
 // Fired returns the number of events executed so far (diagnostics).
 func (e *Engine) Fired() uint64 { return e.fired }
-
-// Pending returns the number of events scheduled and not canceled.
-// Canceled events awaiting lazy removal from the queue are not counted.
-func (e *Engine) Pending() int { return e.pending }
 
 // Call is the trampoline that runs a plain func() passed as the arg of the
 // (fn, arg) callback form: Schedule and ScheduleAt queue (Call, fn). A
@@ -431,38 +423,27 @@ func (e *Engine) fireNext(limit Time) bool {
 	return true
 }
 
-// Run executes events until the queue drains or Stop is called. A drained
-// run leaves the clock at the latest reserved key's time if that is later
-// than the last event's.
+// Run executes events until the queue drains, then leaves the clock at the
+// latest reserved key's time if that is later than the last event's.
 func (e *Engine) Run() {
-	e.stopped = false
-	for !e.stopped && e.Step() {
+	for e.Step() {
 	}
 	// Drained: every key issued so far counts as fired, and the clock
 	// stands at the latest of them, reserved ones included.
-	if !e.stopped {
-		e.now, e.cur = max(e.now, e.reserved), e.seq
-	}
+	e.now, e.cur = max(e.now, e.reserved), e.seq
 }
 
 // RunUntil executes all events with time <= limit, then advances the clock
-// to limit unless Stop ended the run early. Events scheduled beyond the
-// limit stay queued.
+// to limit. Events scheduled beyond the limit stay queued.
 func (e *Engine) RunUntil(limit Time) {
-	e.stopped = false
-	for !e.stopped && e.fireNext(limit) {
+	for e.fireNext(limit) {
 	}
 	// Every event at or before limit has fired, so every key at limit
-	// issued so far counts as fired too. A stopped run may have left
-	// events at or before limit pending; its clock stays where the last
-	// event put it, so the next run never moves it backwards.
-	if !e.stopped && e.now <= limit {
+	// issued so far counts as fired too.
+	if e.now <= limit {
 		e.now, e.cur = limit, e.seq
 	}
 }
-
-// Stop makes the innermost Run/RunUntil return after the current event.
-func (e *Engine) Stop() { e.stopped = true }
 
 // front frees the canceled events at the head of the queue and returns the
 // arena slot of the earliest live event with the ring list holding it (-1

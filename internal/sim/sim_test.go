@@ -103,8 +103,8 @@ func TestEngineCancel(t *testing.T) {
 	if fired {
 		t.Fatal("canceled event fired")
 	}
-	if e.Pending() != 0 {
-		t.Fatalf("Pending() = %d after run", e.Pending())
+	if e.pending != 0 {
+		t.Fatalf("Pending() = %d after run", e.pending)
 	}
 }
 
@@ -140,47 +140,6 @@ func TestEngineRunUntil(t *testing.T) {
 	}
 	if e.Now() != 100 {
 		t.Errorf("Now() = %d, want 100", e.Now())
-	}
-}
-
-func TestEngineStop(t *testing.T) {
-	e := NewEngine()
-	count := 0
-	for i := 0; i < 10; i++ {
-		e.Schedule(Time(i+1), func() {
-			count++
-			if count == 3 {
-				e.Stop()
-			}
-		})
-	}
-	e.Run()
-	if count != 3 {
-		t.Fatalf("Stop did not halt run: count=%d", count)
-	}
-	e.Run()
-	if count != 10 {
-		t.Fatalf("resumed run incomplete: count=%d", count)
-	}
-}
-
-// TestRunUntilStoppedKeepsClock: a RunUntil that Stop ends early leaves
-// the clock at the stopping event, not at the limit, so the next Run
-// fires the event still pending before the limit without the clock
-// going backwards.
-func TestRunUntilStoppedKeepsClock(t *testing.T) {
-	e := NewEngine()
-	e.ScheduleAt(10, func() { e.Stop() })
-	var at Time
-	e.ScheduleAt(20, func() { at = e.Now() })
-	e.RunUntil(100)
-	if e.Now() != 10 {
-		t.Fatalf("Now() = %d after a RunUntil stopped at 10, want 10", e.Now())
-	}
-	before := e.Now()
-	e.Run()
-	if at != 20 || at < before {
-		t.Fatalf("pending event fired at %d after the clock read %d; want 20, never backwards", at, before)
 	}
 }
 
@@ -226,7 +185,7 @@ func TestResourceIdleGap(t *testing.T) {
 	r := NewResource(e)
 	r.Use(50, nil)
 	e.Schedule(200, func() {
-		if !r.Idle() {
+		if r.freeAt > e.Now() {
 			t.Error("resource should be idle at t=200")
 		}
 		end := r.Use(10, nil)
@@ -241,8 +200,8 @@ func TestResourceBlock(t *testing.T) {
 	e := NewEngine()
 	r := NewResource(e)
 	r.Block(500)
-	if r.FreeAt() != 500 {
-		t.Fatalf("FreeAt = %d, want 500", r.FreeAt())
+	if r.freeAt != 500 {
+		t.Fatalf("FreeAt = %d, want 500", r.freeAt)
 	}
 	end := r.Use(10, nil)
 	if end != 510 {
@@ -250,8 +209,8 @@ func TestResourceBlock(t *testing.T) {
 	}
 	// Blocking to an earlier time is a no-op.
 	r.Block(100)
-	if r.FreeAt() != 510 {
-		t.Fatalf("Block backwards moved FreeAt to %d", r.FreeAt())
+	if r.freeAt != 510 {
+		t.Fatalf("Block backwards moved FreeAt to %d", r.freeAt)
 	}
 }
 

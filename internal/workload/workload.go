@@ -244,18 +244,6 @@ func PingPong(name string, rounds, size int) parpar.JobSpec {
 	}
 }
 
-// Idle returns a job whose processes finish immediately — a placeholder
-// occupant for gang matrix slots in scheduling experiments.
-func Idle(name string, ranks int) parpar.JobSpec {
-	return parpar.JobSpec{
-		Name: name,
-		Size: ranks,
-		NewProgram: func(rank int) parpar.Program {
-			return parpar.ProgramFunc(func(p *parpar.Proc) { p.Done(nil) })
-		},
-	}
-}
-
 // Compute returns a job whose processes compute (hold the CPU in bursts)
 // for the given number of cycles without communicating, then finish. It
 // models the local sequential load used in coscheduling comparisons.

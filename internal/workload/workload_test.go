@@ -117,7 +117,9 @@ func TestPingPong(t *testing.T) {
 
 func TestIdleAndCompute(t *testing.T) {
 	c := testCluster(t, 2)
-	j1, _ := c.Submit(Idle("idle", 2))
+	j1, _ := c.Submit(parpar.JobSpec{Name: "idle", Size: 2, NewProgram: func(int) parpar.Program {
+		return parpar.ProgramFunc(func(p *parpar.Proc) { p.Done(nil) })
+	}})
 	j2, _ := c.Submit(Compute("comp", 2, 500_000))
 	c.Run()
 	if j1.State() != parpar.JobDone || j2.State() != parpar.JobDone {

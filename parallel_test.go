@@ -1,11 +1,13 @@
 package gangfm
 
-// Parallel-sweep equivalence harness. Sweeps run their points on up to
-// Params.Parallel goroutines, each point a cluster on its own engine, and
-// promise byte-identical output per seed at any -par. These tests hold
+// Parallel-sweep equivalence harness. Figure sweeps run their points on up
+// to Params.Parallel goroutines, each point a cluster on its own engine,
+// and promise byte-identical output per seed at any -par. These tests hold
 // them to it against the same golden files the figure tables are frozen
 // to, and run clusters side by side so that, under -race (make race), any
-// state two clusters share shows up as a race.
+// state two clusters share shows up as a race. The sched and churn tables
+// take no -par: schedeval.Compare and schedd.Showdown run one cluster at
+// a time.
 
 import (
 	"fmt"
@@ -18,9 +20,9 @@ import (
 	"gangfm/internal/parpar"
 )
 
-// TestParallelEquivalenceFigures re-renders figure, sched and churn tables
-// one point at a time and two at once, and compares each against the
-// golden bytes TestGoldenFigures renders at four.
+// TestParallelEquivalenceFigures re-renders the Figure 5 and 6 sweeps one
+// point at a time and two at once, and compares each against the golden
+// bytes TestGoldenFigures renders at four.
 func TestParallelEquivalenceFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("parallel equivalence sweep is not short")
@@ -34,19 +36,6 @@ func TestParallelEquivalenceFigures(t *testing.T) {
 		}},
 		{"fig6.txt", func(p experiments.Params) string {
 			return fmt.Sprint(experiments.Fig6Table(experiments.Fig6(p)))
-		}},
-		{"sched.txt", func(p experiments.Params) string {
-			return fmt.Sprint(experiments.SchedTable(experiments.Sched(p)))
-		}},
-		// The crash and repair showdowns arm chaos plans, whose draws are
-		// keyed by simulation state: eviction order, requeue backoff, the
-		// rejoin barrier and the availability table must not depend on
-		// which points run beside each other.
-		{"churn_crash.txt", func(p experiments.Params) string {
-			return renderChurn(experiments.ChurnCrash(p), true)
-		}},
-		{"churn_repair.txt", func(p experiments.Params) string {
-			return renderChurn(experiments.ChurnRepair(p), true)
 		}},
 	}
 	for _, tb := range tables {
