@@ -60,6 +60,31 @@ func TestQueueDrainLoad(t *testing.T) {
 	}
 }
 
+// The valid-only buffer switch copies just the queued packets: DrainTo on
+// a wrapped ring returns exactly those, so their wire bytes are the
+// partial payloads plus headers, not capacity times PacketSize.
+func TestQueueValidBytes(t *testing.T) {
+	q := NewQueue(4)
+	for _, n := range []int{1, 2, 3, 100} {
+		q.Enqueue(&myrinet.Packet{Type: myrinet.Data, PayloadLen: n})
+	}
+	q.Dequeue()
+	q.Dequeue()
+	q.Dequeue()
+	q.Enqueue(&myrinet.Packet{Type: myrinet.Data, PayloadLen: myrinet.MaxPayload})
+	if q.head+q.n <= len(q.pkts) {
+		t.Fatal("test setup: ring should have wrapped")
+	}
+	n := 0
+	for _, p := range q.DrainTo(nil) {
+		n += p.WireSize()
+	}
+	want := (100 + myrinet.HeaderSize) + myrinet.PacketSize
+	if n != want {
+		t.Fatalf("valid bytes = %d, want %d", n, want)
+	}
+}
+
 func TestQueueLoadOverCapacityPanics(t *testing.T) {
 	q := NewQueue(1)
 	defer func() {
