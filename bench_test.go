@@ -179,7 +179,7 @@ func benchSwitch(b *testing.B, mode core.CopyMode) {
 		for _, hist := range cluster.SwitchHistory() {
 			for _, s := range hist {
 				if s.From >= 0 && s.To >= 0 { // steady-state switches only
-					sum += s.Total()
+					sum += s.Halt + s.Copy + s.Release
 					n++
 				}
 			}

@@ -31,9 +31,12 @@ import (
 	"gangfm/internal/experiments"
 )
 
+// subcommand is a dispatchable name with a one-line description.
+type subcommand struct{ name, desc string }
+
 // subcommands is the single source of truth for the unknown-subcommand
-// listing: every dispatchable name with a one-line description.
-var subcommands = []struct{ name, desc string }{
+// listing.
+var subcommands = []subcommand{
 	{"all", "every paper experiment in sequence"},
 	{"churn", "online scheduling under churn: gang vs batch vs fractional with kills, resizes, backfill (churn -h)"},
 	{"credits", "credit formulas C0 = Br/(n^2 p) vs Br/p (paper 2.2, 3.3)"},
@@ -51,7 +54,7 @@ var subcommands = []struct{ name, desc string }{
 
 // printSubcommands writes the sorted subcommand listing to w.
 func printSubcommands(w io.Writer) {
-	sorted := append([]struct{ name, desc string }(nil), subcommands...)
+	sorted := append([]subcommand(nil), subcommands...)
 	sort.Slice(sorted, func(a, b int) bool { return sorted[a].name < sorted[b].name })
 	fmt.Fprintln(w, "subcommands:")
 	for _, s := range sorted {

@@ -125,9 +125,6 @@ type Time = sim.Time
 // BandwidthResult is the measurement reported by a bandwidth job.
 type BandwidthResult = workload.BandwidthResult
 
-// AllToAllResult is the per-rank measurement of an all-to-all job.
-type AllToAllResult = workload.AllToAllResult
-
 // PingPongResult is the measurement reported by a ping-pong job.
 type PingPongResult = workload.PingPongResult
 
@@ -216,9 +213,6 @@ func PingPong(name string, rounds, size int) JobSpec { return workload.PingPong(
 
 // ExtractBandwidth pulls the BandwidthResult out of a finished job.
 func ExtractBandwidth(job *Job) (BandwidthResult, error) { return workload.ExtractBandwidth(job) }
-
-// ExtractAllToAll pulls the per-rank results out of a finished job.
-func ExtractAllToAll(job *Job) ([]AllToAllResult, error) { return workload.ExtractAllToAll(job) }
 
 // PackingPolicy decides where the gang matrix places a job: which node
 // columns and which time slot.

@@ -2,6 +2,8 @@ package gangfm
 
 import (
 	"testing"
+
+	"gangfm/internal/workload"
 )
 
 // The façade tests exercise the public API end to end, the way the README
@@ -93,13 +95,13 @@ func TestAllToAllFacade(t *testing.T) {
 		t.Fatal(err)
 	}
 	runDone(t, cluster)
-	results, err := ExtractAllToAll(job)
+	results, err := workload.ExtractAllToAll(job)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, r := range results {
+	for rank, r := range results {
 		if r.Sent != 20 || r.Received != 20 {
-			t.Fatalf("rank %d: %d/%d", r.Rank, r.Sent, r.Received)
+			t.Fatalf("rank %d: %d/%d", rank, r.Sent, r.Received)
 		}
 	}
 }

@@ -131,7 +131,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 				return nil, err
 			}
 			ep.quiesce = cfg.Scheme == core.Quiesce
-			if err := n.mgr.InitJob(job, rank, ep); err != nil {
+			if err := n.mgr.InitJob(job, ep); err != nil {
 				return nil, fmt.Errorf("altsched: %w", err)
 			}
 			n.eps[job] = ep
@@ -210,7 +210,6 @@ func (c *Cluster) RunFor(d sim.Time) {
 
 // Report aggregates a run's transport and switch statistics.
 type Report struct {
-	Scheme          core.Coordination
 	Switches        int
 	MeanWait        float64 // cycles of stage 1 (quiescence; zero for discard)
 	MeanCopy        float64 // cycles
@@ -231,7 +230,7 @@ func (r Report) Efficiency() float64 {
 
 // Collect builds the report from the run so far.
 func (c *Cluster) Collect() Report {
-	rep := Report{Scheme: c.cfg.Scheme}
+	var rep Report
 	var wait, copies float64
 	for _, n := range c.nodes {
 		for _, rec := range n.mgr.History() {

@@ -45,8 +45,6 @@ func DefaultDynCosConfig() DynCosConfig {
 // sequential job; arrivals wake the communicator.
 type DynCosNode struct {
 	eng *sim.Engine
-	nic *lanai.NIC
-	cpu *sim.Resource
 	cfg DynCosConfig
 
 	EP *Endpoint
@@ -72,7 +70,7 @@ func NewDynCosNode(eng *sim.Engine, net *myrinet.Network, mem *memmodel.Model,
 	nic := lanai.New(eng, net, mem, lanai.DefaultConfig(id))
 	cpu := sim.NewResource(eng)
 	nicCfg := nic.Config()
-	ctx, err := nic.Register(1, rank, nicCfg.SendSlots, nicCfg.RecvSlots, lanai.Hooks{})
+	ctx, err := nic.Register(1, nicCfg.SendSlots, nicCfg.RecvSlots, lanai.Hooks{})
 	if err != nil {
 		return nil, err
 	}
@@ -80,7 +78,7 @@ func NewDynCosNode(eng *sim.Engine, net *myrinet.Network, mem *memmodel.Model,
 	if err != nil {
 		return nil, err
 	}
-	n := &DynCosNode{eng: eng, nic: nic, cpu: cpu, cfg: cfg, EP: ep}
+	n := &DynCosNode{eng: eng, cfg: cfg, EP: ep}
 	n.wakeFn = func() {
 		n.wakePending = false
 		n.wake()

@@ -56,9 +56,6 @@ type RChannelStats struct {
 	Sent            uint64 // first transmissions
 	Retransmissions uint64
 	Delivered       uint64 // in-order deliveries to the application
-	OutOfOrderDrops uint64
-	AcksSent        uint64
-	Timeouts        uint64
 }
 
 // RChannel is one direction of a reliable go-back-N stream from the local
@@ -242,7 +239,6 @@ func (c *RChannel) Accept(p *myrinet.Packet) bool {
 		c.sendAck()
 		return true
 	}
-	c.stats.OutOfOrderDrops++
 	c.sendAck()
 	return false
 }
@@ -261,7 +257,6 @@ func (c *RChannel) Deliver(p *myrinet.Packet) {
 // host time and flow even when the process is descheduled — the property
 // the PM-style flush depends on.
 func (c *RChannel) sendAck() {
-	c.stats.AcksSent++
 	p := c.nic.NewPacket()
 	p.Type = myrinet.Ack
 	p.Src, p.Dst = c.nic.Node(), c.peerNode
@@ -300,7 +295,6 @@ func (c *RChannel) timeout() {
 	if !c.retransmitting() || c.Outstanding() == 0 {
 		return
 	}
-	c.stats.Timeouts++
 	for seq := c.sendBase; seq < c.nextSeq; seq++ {
 		c.transmit(seq, true)
 	}

@@ -126,9 +126,6 @@ type SwitchStats struct {
 	RestoredRecv int
 }
 
-// Total returns the switch's end-to-end duration.
-func (s SwitchStats) Total() sim.Time { return s.Halt + s.Copy + s.Release }
-
 // backingStore holds a descheduled process's queue contents in pageable
 // virtual memory (Figure 4). The digest is taken at save time and verified
 // at restore: the store sits in pageable RAM across an arbitrary number of
@@ -183,7 +180,6 @@ func hashPackets(h uint64, pkts []*myrinet.Packet) uint64 {
 // proc is the manager's record of one job's process on this node.
 type proc struct {
 	job   myrinet.JobID
-	rank  int
 	p     Process
 	store backingStore
 	// ctx is the process's dedicated hardware context in Partitioned
@@ -338,7 +334,7 @@ func (m *Manager) InitNode() error {
 		m.topology[i] = true
 	}
 	if m.cfg.Policy == fm.Switched {
-		ctx, err := m.nic.Register(myrinet.NoJob, -1, m.alloc.SendSlots, m.alloc.RecvSlots, lanai.Hooks{})
+		ctx, err := m.nic.Register(myrinet.NoJob, m.alloc.SendSlots, m.alloc.RecvSlots, lanai.Hooks{})
 		if err != nil {
 			return fmt.Errorf("core: allocating the full-size context: %w", err)
 		}
@@ -387,7 +383,7 @@ func (m *Manager) InTopology(id myrinet.NodeID) bool {
 // buffers before any process can send. Early packets (peers running before
 // this job's process has mapped its queues, Fig 2) are still received,
 // because binding precedes any peer's release, which precedes any send.
-func (m *Manager) InitJob(job myrinet.JobID, rank int, p Process) error {
+func (m *Manager) InitJob(job myrinet.JobID, p Process) error {
 	if !m.inited {
 		return fmt.Errorf("core: InitJob before InitNode")
 	}
@@ -399,9 +395,9 @@ func (m *Manager) InitJob(job myrinet.JobID, rank int, p Process) error {
 			return fmt.Errorf("core: job %d process %T cannot report quiescence", job, p)
 		}
 	}
-	pr := &proc{job: job, rank: rank, p: p}
+	pr := &proc{job: job, p: p}
 	if m.cfg.Policy == fm.Partitioned {
-		ctx, err := m.nic.Register(job, rank, m.alloc.SendSlots, m.alloc.RecvSlots, lanai.Hooks{})
+		ctx, err := m.nic.Register(job, m.alloc.SendSlots, m.alloc.RecvSlots, lanai.Hooks{})
 		if err != nil {
 			return fmt.Errorf("core: job %d context: %w", job, err)
 		}
@@ -424,7 +420,7 @@ func (m *Manager) EndJob(job myrinet.JobID) error {
 	}
 	if m.current == pr {
 		if m.hwCtx != nil {
-			m.nic.SetIdentity(m.hwCtx, myrinet.NoJob, -1, lanai.Hooks{})
+			m.nic.SetIdentity(m.hwCtx, myrinet.NoJob, lanai.Hooks{})
 			m.hwCtx.SendQ.Clear()
 			m.hwCtx.RecvQ.Clear()
 		}
@@ -453,7 +449,7 @@ func (m *Manager) bind(pr *proc) {
 		}
 		pr.store.stored = false
 	}
-	m.nic.SetIdentity(m.hwCtx, pr.job, pr.rank, lanai.Hooks{})
+	m.nic.SetIdentity(m.hwCtx, pr.job, lanai.Hooks{})
 	pr.p.Attach(m.hwCtx)
 	m.hwCtx.SendQ.Load(pr.store.send)
 	m.hwCtx.RecvQ.Load(pr.store.recv)
@@ -594,7 +590,7 @@ func (m *Manager) copyWork() {
 	if m.sw.next != nil {
 		m.bind(m.sw.next)
 	} else {
-		m.nic.SetIdentity(m.hwCtx, myrinet.NoJob, -1, lanai.Hooks{})
+		m.nic.SetIdentity(m.hwCtx, myrinet.NoJob, lanai.Hooks{})
 		m.current = nil
 	}
 	m.copyDone()

@@ -71,7 +71,7 @@ func (c *cluster) addJob(t *testing.T, job myrinet.JobID) []*fm.Endpoint {
 		if c.cfg.Coordination == Quiesce {
 			p = &quiescingEP{Endpoint: ep, unacked: 3}
 		}
-		if err := c.mgrs[i].InitJob(job, i, p); err != nil {
+		if err := c.mgrs[i].InitJob(job, p); err != nil {
 			t.Fatal(err)
 		}
 		eps[i] = ep
@@ -237,7 +237,7 @@ func TestInitJobDuplicate(t *testing.T) {
 	c := newCluster(t, 2, defaultCfg(2))
 	c.addJob(t, 1)
 	ep := c.eps[1][0]
-	if err := c.mgrs[0].InitJob(1, 0, ep); err == nil {
+	if err := c.mgrs[0].InitJob(1, ep); err == nil {
 		t.Fatal("duplicate InitJob should fail")
 	}
 }
@@ -773,7 +773,7 @@ func TestDiscardSkipsFlushAndRelease(t *testing.T) {
 	if err := c.mgrs[0].SwitchTo(3, 2, func(s SwitchStats) { got = append(got, s) }); err != nil {
 		t.Fatal(err)
 	}
-	if len(got) != 1 || got[0].Total() != 0 {
+	if len(got) != 1 || got[0].Halt+got[0].Copy+got[0].Release != 0 {
 		t.Fatalf("same-job switch not synchronous and free: %+v", got)
 	}
 }
@@ -808,10 +808,10 @@ func TestQuiesceNeedsQuiescedProcess(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if err := c.mgrs[0].InitJob(1, 0, ep); err == nil {
+	if err := c.mgrs[0].InitJob(1, ep); err == nil {
 		t.Fatal("a process without Quiesced should be rejected")
 	}
-	if err := c.mgrs[0].InitJob(1, 0, &quiescingEP{Endpoint: ep}); err != nil {
+	if err := c.mgrs[0].InitJob(1, &quiescingEP{Endpoint: ep}); err != nil {
 		t.Fatal(err)
 	}
 }

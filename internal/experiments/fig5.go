@@ -16,12 +16,9 @@ import (
 type Fig5Point struct {
 	Contexts int
 	MsgSize  int
-	MBs      float64
-	// Completed is false when the transfer wedged (zero credits): the
-	// paper's "no communication is even possible" regime.
-	Completed bool
-	// C0 is the per-peer credit count the partitioned policy produced.
-	C0 int
+	// MBs is 0 when the transfer wedged (zero credits): the paper's "no
+	// communication is even possible" regime.
+	MBs float64
 }
 
 // fig5Sizes approximates the paper's message-size axis (64 B .. 64 KB).
@@ -83,23 +80,17 @@ func fig5Point(nContexts, size int, p Params) Fig5Point {
 	if err != nil {
 		panic(err)
 	}
-	alloc, aerr := fm.Allocate(fm.Partitioned, 252, 668, nContexts, 16)
-	c0 := 0
-	if aerr == nil {
-		c0 = alloc.C0
-	}
 	msgs := fig5Messages(size, p.Quick)
 	job, err := cluster.Submit(workload.Bandwidth("fig5", msgs, size))
 	if err != nil {
 		panic(err)
 	}
 	cluster.RunUntil(fig5Deadline)
-	pt := Fig5Point{Contexts: nContexts, MsgSize: size, C0: c0}
+	pt := Fig5Point{Contexts: nContexts, MsgSize: size}
 	res, err := workload.ExtractBandwidth(job)
 	if err != nil {
 		return pt // wedged: MBs stays 0
 	}
-	pt.Completed = true
 	pt.MBs = res.MBs(sim.DefaultClock)
 	return pt
 }

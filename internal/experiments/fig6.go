@@ -14,13 +14,11 @@ import (
 type Fig6Point struct {
 	Jobs    int
 	MsgSize int
-	// PerJobMBs is the mean bandwidth each application measured over its
-	// own wall time (including descheduled periods).
-	PerJobMBs float64
-	// AggregateMBs is PerJobMBs multiplied by the number of applications
-	// — the paper's methodology for total system bandwidth.
+	// AggregateMBs is the mean bandwidth each application measured over
+	// its own wall time (including descheduled periods), multiplied by
+	// the number of applications — the paper's methodology for total
+	// system bandwidth.
 	AggregateMBs float64
-	Switches     int
 }
 
 // fig6Sizes approximates the paper's axis (96 B .. 96 KB).
@@ -121,17 +119,7 @@ func fig6Point(k, size int, p Params) Fig6Point {
 		}
 		per = append(per, res.MBs(sim.DefaultClock))
 	}
-	switches := 0
-	for _, hist := range cluster.SwitchHistory() {
-		switches += len(hist)
-	}
-	mean := metrics.Mean(per)
-	return Fig6Point{
-		Jobs: k, MsgSize: size,
-		PerJobMBs:    mean,
-		AggregateMBs: mean * float64(k),
-		Switches:     switches,
-	}
+	return Fig6Point{Jobs: k, MsgSize: size, AggregateMBs: metrics.Mean(per) * float64(k)}
 }
 
 // Fig6Table renders the points as a size × jobs aggregate-bandwidth matrix.

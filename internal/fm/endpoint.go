@@ -52,10 +52,8 @@ func (c *Config) refillThreshold() int {
 // Stats counts endpoint activity.
 type Stats struct {
 	MessagesSent     uint64
-	MessagesRecvd    uint64
 	PacketsSent      uint64
 	PacketsRecvd     uint64
-	PayloadBytesSent uint64
 	PayloadBytesRecv uint64
 	RefillsSent      uint64
 	RefillsRecvd     uint64
@@ -358,7 +356,6 @@ func (e *Endpoint) completeSend(fragLen int) {
 	e.consumed[m.dst] = 0
 	e.sendCredits[m.dst]--
 	e.stats.PacketsSent++
-	e.stats.PayloadBytesSent += uint64(fragLen)
 	if !e.nic.EnqueueSend(e.ctx, pkt) {
 		// The pump checked SendQ.Full before paying the host cost;
 		// between then and now only the scanner can run, and it only
@@ -490,7 +487,6 @@ func (e *Endpoint) reassemble(p *myrinet.Packet) {
 		pa.payload = append(pa.payload, p.Payload...)
 	}
 	if pa.got == pa.nfrags {
-		e.stats.MessagesRecvd++
 		e.deliveredBytes += uint64(pa.size)
 		payload := pa.payload
 		size := pa.size

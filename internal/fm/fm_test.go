@@ -132,7 +132,7 @@ func newJobRig(t *testing.T, nodes int, mutate func(*Config), plan *chaos.Plan) 
 		if err != nil {
 			t.Fatal(err)
 		}
-		ctx, err := nic.Register(1, i, alloc.SendSlots, alloc.RecvSlots, lanai.Hooks{})
+		ctx, err := nic.Register(1, alloc.SendSlots, alloc.RecvSlots, lanai.Hooks{})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -531,7 +531,7 @@ func newJobRigQuiet(nodes int) *jobRig {
 		nic := lanai.New(eng, net, mem, lanai.DefaultConfig(myrinet.NodeID(i)))
 		cpu := sim.NewResource(eng)
 		ep, _ := NewEndpoint(eng, nic, cpu, mem, DefaultConfig(alloc.C0), 1, i, nodeOf)
-		ctx, _ := nic.Register(1, i, alloc.SendSlots, alloc.RecvSlots, lanai.Hooks{})
+		ctx, _ := nic.Register(1, alloc.SendSlots, alloc.RecvSlots, lanai.Hooks{})
 		ep.Attach(ctx)
 		ep.Resume()
 		r.nics = append(r.nics, nic)

@@ -24,7 +24,6 @@ var ErrSlotTableFull = errors.New("gang: slot table full")
 
 // Placement records where a job sits in the matrix.
 type Placement struct {
-	Job  myrinet.JobID
 	Row  int
 	Cols []int // the node columns assigned, ascending
 }
@@ -217,7 +216,7 @@ func (m *Matrix) Place(job myrinet.JobID, size int) (Placement, error) {
 		m.colLoad[c]++
 	}
 	m.rowFree[row] -= len(cols)
-	p := Placement{Job: job, Row: row, Cols: cols}
+	p := Placement{Row: row, Cols: cols}
 	m.jobs[job] = p
 	return p, nil
 }

@@ -97,14 +97,10 @@ type Hooks struct {
 // Context is one hardware communication context on the card: an FM
 // process's send queue (card RAM) and receive queue (pinned host RAM).
 type Context struct {
-	Slot  int
 	Job   myrinet.JobID
-	Rank  int
 	SendQ *Queue
 	RecvQ *Queue
 	Hooks Hooks
-
-	nic *Context // guard against cross-NIC misuse (set to self at registration)
 }
 
 // DropReason classifies why the card discarded a packet.
@@ -429,7 +425,7 @@ func (n *NIC) Halted() bool { return n.haltBit }
 // (in packet slots). It fails if the card or the pinned DMA region cannot
 // accommodate the request, or the job already has a context — the resource
 // scarcity that motivates the whole paper.
-func (n *NIC) Register(job myrinet.JobID, rank, sendSlots, recvSlots int, hooks Hooks) (*Context, error) {
+func (n *NIC) Register(job myrinet.JobID, sendSlots, recvSlots int, hooks Hooks) (*Context, error) {
 	n.wake()
 	if sendSlots <= 0 || recvSlots <= 0 {
 		return nil, fmt.Errorf("lanai: context for job %d needs positive queue sizes", job)
@@ -449,14 +445,11 @@ func (n *NIC) Register(job myrinet.JobID, rank, sendSlots, recvSlots int, hooks 
 		return nil, fmt.Errorf("lanai: job %d already has a context on node %d", job, n.cfg.Node)
 	}
 	ctx := &Context{
-		Slot:  len(n.contexts),
 		Job:   job,
-		Rank:  rank,
 		SendQ: NewQueue(sendSlots),
 		RecvQ: NewQueue(recvSlots),
 		Hooks: hooks,
 	}
-	ctx.nic = ctx
 	n.contexts = append(n.contexts, ctx)
 	n.bindJob(job, ctx)
 	n.sendSlotsUsed += sendSlots
@@ -478,24 +471,20 @@ func (n *NIC) Unregister(ctx *Context) {
 	}
 	n.sendSlotsUsed -= ctx.SendQ.Cap()
 	n.recvSlotsUsed -= ctx.RecvQ.Cap()
-	for i, c := range n.contexts {
-		c.Slot = i
-	}
 	if n.rr >= len(n.contexts) {
 		n.rr = 0
 	}
 }
 
-// SetIdentity rebinds a context to a different (job, rank) — the pointer
+// SetIdentity rebinds a context to a different job — the pointer
 // update half of the buffer switch: queue contents are swapped separately
 // by the glueFM layer, which loads a send queue only after this call.
-func (n *NIC) SetIdentity(ctx *Context, job myrinet.JobID, rank int, hooks Hooks) {
+func (n *NIC) SetIdentity(ctx *Context, job myrinet.JobID, hooks Hooks) {
 	n.wake()
 	if n.ContextFor(ctx.Job) == ctx {
 		n.bindJob(ctx.Job, nil)
 	}
 	ctx.Job = job
-	ctx.Rank = rank
 	ctx.Hooks = hooks
 	n.bindJob(job, ctx)
 }

@@ -33,24 +33,24 @@ func TestRegisterResourceLimits(t *testing.T) {
 	_, _, nics := rig(t, 2)
 	n := nics[0]
 	// Default geometry: 252 send slots, 668 recv slots.
-	c1, err := n.Register(1, 0, 200, 600, Hooks{})
+	c1, err := n.Register(1, 200, 600, Hooks{})
 	if err != nil {
 		t.Fatalf("first register: %v", err)
 	}
-	if _, err := n.Register(2, 0, 100, 10, Hooks{}); err == nil {
+	if _, err := n.Register(2, 100, 10, Hooks{}); err == nil {
 		t.Fatal("register should fail when NIC RAM is exhausted")
 	}
-	if _, err := n.Register(2, 0, 10, 100, Hooks{}); err == nil {
+	if _, err := n.Register(2, 10, 100, Hooks{}); err == nil {
 		t.Fatal("register should fail when pinned DMA region is exhausted")
 	}
-	if _, err := n.Register(1, 0, 1, 1, Hooks{}); err == nil {
+	if _, err := n.Register(1, 1, 1, Hooks{}); err == nil {
 		t.Fatal("duplicate job registration should fail")
 	}
 	n.Unregister(c1)
-	if _, err := n.Register(2, 0, 252, 668, Hooks{}); err != nil {
+	if _, err := n.Register(2, 252, 668, Hooks{}); err != nil {
 		t.Fatalf("register after unregister: %v", err)
 	}
-	if _, err := n.Register(3, 0, 0, 1, Hooks{}); err == nil {
+	if _, err := n.Register(3, 0, 1, Hooks{}); err == nil {
 		t.Fatal("zero-size queues should be rejected")
 	}
 }
@@ -62,15 +62,15 @@ func TestRegisterResourceLimits(t *testing.T) {
 func TestContextForJobTable(t *testing.T) {
 	_, _, nics := rig(t, 2)
 	n := nics[0]
-	idle, err := n.Register(myrinet.NoJob, -1, 10, 10, Hooks{})
+	idle, err := n.Register(myrinet.NoJob, 10, 10, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	far, err := n.Register(100, 0, 10, 10, Hooks{})
+	far, err := n.Register(100, 10, 10, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := n.Register(-2, 0, 10, 10, Hooks{}); err == nil {
+	if _, err := n.Register(-2, 10, 10, Hooks{}); err == nil {
 		t.Fatal("a job ID below NoJob should be rejected")
 	}
 	for job, want := range map[myrinet.JobID]*Context{myrinet.NoJob: idle, 100: far, 0: nil, 99: nil, 101: nil, 5000: nil, -2: nil} {
@@ -78,7 +78,7 @@ func TestContextForJobTable(t *testing.T) {
 			t.Errorf("ContextFor(%d) = %p, want %p", job, got, want)
 		}
 	}
-	n.SetIdentity(idle, 7, 0, Hooks{})
+	n.SetIdentity(idle, 7, Hooks{})
 	if n.ContextFor(myrinet.NoJob) != nil || n.ContextFor(7) != idle {
 		t.Fatal("SetIdentity did not move the context from NoJob to job 7")
 	}
@@ -91,7 +91,7 @@ func TestContextForJobTable(t *testing.T) {
 func TestDataDelivery(t *testing.T) {
 	eng, _, nics := rig(t, 2)
 	var arrived []*myrinet.Packet
-	rx, err := nics[1].Register(1, 1, 126, 334, Hooks{
+	rx, err := nics[1].Register(1, 126, 334, Hooks{
 		OnArrive: func(ctx *Context) {
 			arrived = append(arrived, nics[1].DequeueRecv(ctx))
 		},
@@ -100,7 +100,7 @@ func TestDataDelivery(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = rx
-	tx, err := nics[0].Register(1, 0, 126, 334, Hooks{})
+	tx, err := nics[0].Register(1, 126, 334, Hooks{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestDataDelivery(t *testing.T) {
 
 func TestNoContextDrop(t *testing.T) {
 	eng, _, nics := rig(t, 2)
-	tx, _ := nics[0].Register(1, 0, 126, 334, Hooks{})
+	tx, _ := nics[0].Register(1, 126, 334, Hooks{})
 	nics[0].EnqueueSend(tx, dataPkt(0, 1, 1, 0))
 	eng.Run()
 	if drops := nics[1].Stats().Drops; len(drops) != 1 || drops[DropNoContext] != 1 {
@@ -133,9 +133,9 @@ func TestNoContextDrop(t *testing.T) {
 
 func TestRecvQueueFullDrop(t *testing.T) {
 	eng, _, nics := rig(t, 2)
-	tx, _ := nics[0].Register(1, 0, 126, 334, Hooks{})
+	tx, _ := nics[0].Register(1, 126, 334, Hooks{})
 	// Tiny receive queue, host never consumes.
-	if _, err := nics[1].Register(1, 1, 10, 2, Hooks{}); err != nil {
+	if _, err := nics[1].Register(1, 10, 2, Hooks{}); err != nil {
 		t.Fatal(err)
 	}
 	for i := 0; i < 6; i++ {
@@ -149,9 +149,9 @@ func TestRecvQueueFullDrop(t *testing.T) {
 
 func TestHaltBitBlocksData(t *testing.T) {
 	eng, _, nics := rig(t, 2)
-	tx, _ := nics[0].Register(1, 0, 126, 334, Hooks{})
+	tx, _ := nics[0].Register(1, 126, 334, Hooks{})
 	received := 0
-	nics[1].Register(1, 1, 126, 334, Hooks{
+	nics[1].Register(1, 126, 334, Hooks{
 		OnArrive: func(ctx *Context) { received++; nics[1].DequeueRecv(ctx) },
 	})
 
@@ -246,9 +246,9 @@ func TestBroadcastEmptySnapshot(t *testing.T) {
 // buffer switch sees a quiescent network.
 func TestFlushDrainsInFlight(t *testing.T) {
 	eng, _, nics := rig(t, 2)
-	tx, _ := nics[0].Register(1, 0, 126, 334, Hooks{})
+	tx, _ := nics[0].Register(1, 126, 334, Hooks{})
 	received := 0
-	nics[1].Register(1, 1, 126, 334, Hooks{
+	nics[1].Register(1, 126, 334, Hooks{
 		OnArrive: func(ctx *Context) { received++; nics[1].DequeueRecv(ctx) },
 	})
 	// Inject a burst, then immediately halt.
@@ -285,7 +285,7 @@ func TestRefillDelivery(t *testing.T) {
 	eng, _, nics := rig(t, 3)
 	var got []int
 	var from []myrinet.NodeID
-	nics[2].Register(1, 2, 126, 334, Hooks{
+	nics[2].Register(1, 126, 334, Hooks{
 		OnRefill: func(ctx *Context, p *myrinet.Packet) {
 			got = append(got, p.Credits)
 			from = append(from, p.Src)
@@ -312,7 +312,7 @@ func TestRefillBypassesHalt(t *testing.T) {
 	// delivered (it carries the credits the resumed process needs).
 	eng, _, nics := rig(t, 2)
 	creditsSeen := 0
-	nics[1].Register(1, 1, 126, 334, Hooks{
+	nics[1].Register(1, 126, 334, Hooks{
 		OnRefill: func(ctx *Context, p *myrinet.Packet) { creditsSeen += p.Credits },
 	})
 	nics[0].SendRefill(1, 0, 1, 1, 5)
@@ -327,13 +327,13 @@ func TestRefillBypassesHalt(t *testing.T) {
 func TestRoundRobinAcrossContexts(t *testing.T) {
 	eng, _, nics := rig(t, 2)
 	// Two contexts on node 0, both with traffic: injections alternate.
-	a, _ := nics[0].Register(1, 0, 50, 100, Hooks{})
-	b, _ := nics[0].Register(2, 0, 50, 100, Hooks{})
+	a, _ := nics[0].Register(1, 50, 100, Hooks{})
+	b, _ := nics[0].Register(2, 50, 100, Hooks{})
 	var order []myrinet.JobID
-	nics[1].Register(1, 1, 50, 100, Hooks{
+	nics[1].Register(1, 50, 100, Hooks{
 		OnArrive: func(ctx *Context) { order = append(order, nics[1].DequeueRecv(ctx).Job) },
 	})
-	nics[1].Register(2, 1, 50, 100, Hooks{
+	nics[1].Register(2, 50, 100, Hooks{
 		OnArrive: func(ctx *Context) { order = append(order, nics[1].DequeueRecv(ctx).Job) },
 	})
 	for i := 0; i < 4; i++ {
@@ -354,19 +354,19 @@ func TestRoundRobinAcrossContexts(t *testing.T) {
 
 func TestSetIdentityRebindsJob(t *testing.T) {
 	eng, _, nics := rig(t, 2)
-	tx, _ := nics[0].Register(7, 0, 126, 334, Hooks{})
+	tx, _ := nics[0].Register(7, 126, 334, Hooks{})
 	seenJob7, seenJob9 := 0, 0
-	ctx, _ := nics[1].Register(7, 1, 126, 334, Hooks{
+	ctx, _ := nics[1].Register(7, 126, 334, Hooks{
 		OnArrive: func(c *Context) { seenJob7++; nics[1].DequeueRecv(c) },
 	})
 	nics[0].EnqueueSend(tx, dataPkt(0, 1, 7, 0))
 	eng.Run()
 
 	// Rebind the receiving context to job 9.
-	nics[1].SetIdentity(ctx, 9, 1, Hooks{
+	nics[1].SetIdentity(ctx, 9, Hooks{
 		OnArrive: func(c *Context) { seenJob9++; nics[1].DequeueRecv(c) },
 	})
-	nics[0].SetIdentity(tx, 9, 0, Hooks{})
+	nics[0].SetIdentity(tx, 9, Hooks{})
 	nics[0].EnqueueSend(tx, dataPkt(0, 1, 9, 1))
 	eng.Run()
 	if seenJob7 != 1 || seenJob9 != 1 {
@@ -382,9 +382,9 @@ func TestSetIdentityRebindsJob(t *testing.T) {
 
 func TestDataFilter(t *testing.T) {
 	eng, _, nics := rig(t, 2)
-	tx, _ := nics[0].Register(1, 0, 126, 334, Hooks{})
+	tx, _ := nics[0].Register(1, 126, 334, Hooks{})
 	received := 0
-	nics[1].Register(1, 1, 126, 334, Hooks{
+	nics[1].Register(1, 126, 334, Hooks{
 		OnArrive: func(c *Context) { received++; nics[1].DequeueRecv(c) },
 	})
 	nics[1].DataFilter = func(p *myrinet.Packet) bool { return p.MsgID%2 == 0 }
@@ -403,9 +403,9 @@ func TestDataFilter(t *testing.T) {
 func TestOnSendSpaceFires(t *testing.T) {
 	eng, _, nics := rig(t, 2)
 	spaceEvents := 0
-	tx, _ := nics[0].Register(1, 0, 4, 100, Hooks{})
+	tx, _ := nics[0].Register(1, 4, 100, Hooks{})
 	tx.Hooks.OnSendSpace = func(*Context) { spaceEvents++ }
-	nics[1].Register(1, 1, 4, 100, Hooks{})
+	nics[1].Register(1, 4, 100, Hooks{})
 	for i := 0; i < 4; i++ {
 		nics[0].EnqueueSend(tx, dataPkt(0, 1, 1, uint64(i)))
 	}
@@ -496,8 +496,8 @@ func TestRecvEngineSerializesHaltBehindDMA(t *testing.T) {
 	// A halt arriving right after a burst of data must not complete the
 	// flush until every preceding packet is deposited in the queue.
 	eng, _, nics := rig(t, 2)
-	tx, _ := nics[0].Register(1, 0, 126, 334, Hooks{})
-	nics[1].Register(1, 1, 126, 334, Hooks{})
+	tx, _ := nics[0].Register(1, 126, 334, Hooks{})
+	nics[1].Register(1, 126, 334, Hooks{})
 	const burst = 40
 	for i := 0; i < burst; i++ {
 		nics[0].EnqueueSend(tx, dataPkt(0, 1, 1, uint64(i)))
@@ -520,21 +520,28 @@ func TestRecvEngineSerializesHaltBehindDMA(t *testing.T) {
 	}
 }
 
-func TestUnregisterReindexesSlots(t *testing.T) {
+// TestUnregisterReleasesContext: an unregistered context leaves the
+// card's list, its job no longer resolves, the contexts around it still
+// do, and its queue slots return to the card's budget.
+func TestUnregisterReleasesContext(t *testing.T) {
 	_, _, nics := rig(t, 2)
-	a, _ := nics[0].Register(1, 0, 10, 10, Hooks{})
-	b, _ := nics[0].Register(2, 0, 10, 10, Hooks{})
-	c, _ := nics[0].Register(3, 0, 10, 10, Hooks{})
-	_ = a
+	a, _ := nics[0].Register(1, 10, 10, Hooks{})
+	b, _ := nics[0].Register(2, 10, 10, Hooks{})
+	c, _ := nics[0].Register(3, 10, 10, Hooks{})
+	send, recv := nics[0].sendSlotsUsed, nics[0].recvSlotsUsed
 	nics[0].Unregister(b)
 	if len(nics[0].contexts) != 2 {
 		t.Fatal("context not removed")
 	}
-	if c.Slot != 1 {
-		t.Fatalf("slot not reindexed: %d", c.Slot)
-	}
 	if nics[0].ContextFor(2) != nil {
 		t.Fatal("unregistered job still resolves")
+	}
+	if nics[0].ContextFor(1) != a || nics[0].ContextFor(3) != c {
+		t.Fatal("the remaining contexts no longer resolve")
+	}
+	if nics[0].sendSlotsUsed != send-10 || nics[0].recvSlotsUsed != recv-10 {
+		t.Fatalf("slots in use %d/%d after unregister, want %d/%d",
+			nics[0].sendSlotsUsed, nics[0].recvSlotsUsed, send-10, recv-10)
 	}
 }
 

@@ -19,8 +19,6 @@ type Queue struct {
 	capacity int
 	head     int // index of the oldest packet
 	n        int // number of valid packets
-	// drops counts enqueue attempts rejected for lack of space.
-	drops uint64
 }
 
 // minRing is the ring's first size. A context that holds any packet at
@@ -76,11 +74,10 @@ func (q *Queue) Enqueue(p *myrinet.Packet) bool {
 }
 
 // makeRoom is Enqueue's slow path, taken when the ring is full: at the
-// capacity it counts a drop, below it grows the ring. Kept out of line so
-// that Enqueue's fast path stays small enough to inline.
+// capacity it refuses the packet, below it grows the ring. Kept out of
+// line so that Enqueue's fast path stays small enough to inline.
 func (q *Queue) makeRoom() bool {
 	if q.Full() {
-		q.drops++
 		return false
 	}
 	q.grow(q.n + 1)

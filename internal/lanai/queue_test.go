@@ -31,8 +31,8 @@ func TestQueueBasics(t *testing.T) {
 	if q.Enqueue(p4) {
 		t.Fatal("enqueue succeeded on full queue")
 	}
-	if q.drops != 1 {
-		t.Fatalf("drops = %d, want 1", q.drops)
+	if q.Len() != 3 {
+		t.Fatalf("Len = %d after a refused enqueue, want 3", q.Len())
 	}
 	if q.At(0) != p1 {
 		t.Fatal("At(0) should return oldest")
@@ -212,21 +212,21 @@ func TestQueueLoadBeyondRing(t *testing.T) {
 
 // TestQueueFullAtCapacity: with a capacity that is no power of two, the
 // ring stops growing at the capacity, Full turns true at exactly Cap
-// packets, and the next enqueue is the first drop.
+// packets, and the next enqueue is refused.
 func TestQueueFullAtCapacity(t *testing.T) {
 	const capacity = 13
 	q := NewQueue(capacity)
 	var next uint64
 	fill(t, q, &next, capacity-1)
-	if q.Full() || q.drops != 0 {
-		t.Fatalf("Full %v, %d drops with one slot free", q.Full(), q.drops)
+	if q.Full() {
+		t.Fatal("Full with one slot free")
 	}
 	fill(t, q, &next, 1)
 	if !q.Full() || len(q.pkts) != capacity {
 		t.Fatalf("Full %v with a %d-slot ring at %d of %d packets", q.Full(), len(q.pkts), q.Len(), capacity)
 	}
-	if q.Enqueue(&myrinet.Packet{}) || q.drops != 1 {
-		t.Fatalf("enqueue past capacity accepted or not counted: %d drops", q.drops)
+	if q.Enqueue(&myrinet.Packet{}) || q.Len() != capacity {
+		t.Fatalf("enqueue past capacity accepted: %d of %d packets", q.Len(), capacity)
 	}
 	drainInOrder(t, q, 0)
 }
@@ -239,7 +239,7 @@ func TestContextAllocatesByOccupancy(t *testing.T) {
 	_, _, nics := rig(t, 1)
 	n := nics[0]
 	register := func() {
-		ctx, err := n.Register(1, 0, 252, 668, Hooks{})
+		ctx, err := n.Register(1, 252, 668, Hooks{})
 		if err != nil {
 			t.Fatal(err)
 		}

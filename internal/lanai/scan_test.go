@@ -39,12 +39,12 @@ func newScanRig(t testing.TB) *scanRig {
 		r.nics = append(r.nics, New(eng, net, memmodel.Default(), DefaultConfig(myrinet.NodeID(i))))
 	}
 	var err error
-	if r.tx, err = r.nics[0].Register(1, 0, 16, 16, Hooks{}); err != nil {
+	if r.tx, err = r.nics[0].Register(1, 16, 16, Hooks{}); err != nil {
 		t.Fatal(err)
 	}
 	sink := r.nics[1]
 	for job := myrinet.JobID(1); job <= 2; job++ {
-		if _, err := sink.Register(job, 1, 16, 16, Hooks{OnArrive: func(c *Context) { sink.FreePacket(sink.DequeueRecv(c)) }}); err != nil {
+		if _, err := sink.Register(job, 16, 16, Hooks{OnArrive: func(c *Context) { sink.FreePacket(sink.DequeueRecv(c)) }}); err != nil {
 			t.Fatal(err)
 		}
 	}
@@ -77,7 +77,7 @@ func (r *scanRig) release() { r.nics[0].ReleaseNetwork(1, nil) }
 // rebind is the buffer switch's bind: a new identity, then a loaded send
 // queue, with no enqueue to kick the scanner.
 func (r *scanRig) rebind() {
-	r.nics[0].SetIdentity(r.tx, 2, 0, Hooks{})
+	r.nics[0].SetIdentity(r.tx, 2, Hooks{})
 	r.tx.SendQ.Load([]*myrinet.Packet{r.pkt(2)})
 }
 

@@ -401,9 +401,6 @@ func (c *Cluster) Run() { c.Eng.Run() }
 // RunUntil processes events up to the given virtual time.
 func (c *Cluster) RunUntil(t sim.Time) { c.Eng.RunUntil(t) }
 
-// RunFor processes events for d more cycles.
-func (c *Cluster) RunFor(d sim.Time) { c.RunUntil(c.Eng.Now() + d) }
-
 // RunBounded processes events up to virtual time h and returns an error
 // naming every job still live there (neither done nor killed), with the
 // invariant auditor's summary. While jobs are live the rotation keeps the
@@ -481,7 +478,7 @@ func (n *Node) initJob(job *Job, rank int) {
 	if err != nil {
 		panic(fmt.Sprintf("parpar: endpoint for job %d rank %d: %v", job.ID, rank, err))
 	}
-	if err := n.Mgr.InitJob(job.ID, rank, ep); err != nil {
+	if err := n.Mgr.InitJob(job.ID, ep); err != nil {
 		if n.releasePending() {
 			// The masterd places a job in a cell the moment the previous
 			// occupant leaves the matrix, and the control network does

@@ -124,18 +124,6 @@ type Proc struct {
 	killed bool
 }
 
-// Rank returns the process's rank in its job.
-func (p *Proc) Rank() int { return p.rank }
-
-// Size returns the job size.
-func (p *Proc) Size() int { return p.job.Spec.Size }
-
-// Job returns the job ID.
-func (p *Proc) Job() myrinet.JobID { return p.job.ID }
-
-// NodeID returns the node hosting this process.
-func (p *Proc) NodeID() myrinet.NodeID { return p.node.ID }
-
 // Now returns the current virtual time.
 func (p *Proc) Now() sim.Time { return p.cluster.Eng.Now() }
 

@@ -210,7 +210,7 @@ func TestGangInvariantOneJobPerNode(t *testing.T) {
 	c.Submit(JobSpec{Name: "a", Size: 2, NewProgram: oneWay(400, 512)})
 	c.Submit(JobSpec{Name: "b", Size: 2, NewProgram: oneWay(400, 512)})
 	for probe := 0; probe < 40; probe++ {
-		c.RunFor(150_000)
+		c.RunUntil(c.Eng.Now() + 150_000)
 		for _, n := range c.Nodes() {
 			running := 0
 			for _, p := range n.procs {
@@ -373,20 +373,6 @@ func TestSwitchStatsPlausible(t *testing.T) {
 	}
 }
 
-func TestRunFor(t *testing.T) {
-	c, _ := New(testConfig(2))
-	c.Submit(JobSpec{Name: "a", Size: 2, NewProgram: oneWay(1000, 1024)})
-	c.RunFor(100_000)
-	if c.Eng.Now() != 100_000 {
-		t.Fatalf("Now = %d", c.Eng.Now())
-	}
-	before := c.Eng.Now()
-	c.RunFor(50_000)
-	if c.Eng.Now() != before+50_000 {
-		t.Fatal("RunFor did not advance correctly")
-	}
-}
-
 func TestBadConfig(t *testing.T) {
 	if _, err := New(Config{}); err == nil {
 		t.Fatal("zero config should fail")
@@ -405,15 +391,12 @@ func TestEndpointStatsAfterRun(t *testing.T) {
 	runDone(t, c)
 	tx := job.procs[0].EP.Stats()
 	rx := job.procs[1].EP.Stats()
-	if tx.MessagesSent != 100 || rx.MessagesRecvd != 100 {
-		t.Fatalf("sent %d recvd %d", tx.MessagesSent, rx.MessagesRecvd)
-	}
-	if tx.PayloadBytesSent != 100*2048 || rx.PayloadBytesRecv != 100*2048 {
-		t.Fatalf("bytes sent %d recvd %d", tx.PayloadBytesSent, rx.PayloadBytesRecv)
+	if tx.MessagesSent != 100 || rx.PayloadBytesRecv != 100*2048 {
+		t.Fatalf("sent %d messages, received %d B", tx.MessagesSent, rx.PayloadBytesRecv)
 	}
 	wantPkts := uint64(100 * 2) // 2048 B = 2 fragments
-	if tx.PacketsSent != wantPkts {
-		t.Fatalf("packets sent %d, want %d", tx.PacketsSent, wantPkts)
+	if tx.PacketsSent != wantPkts || rx.PacketsRecvd != wantPkts {
+		t.Fatalf("packets sent %d, received %d, want %d", tx.PacketsSent, rx.PacketsRecvd, wantPkts)
 	}
 }
 
@@ -526,10 +509,10 @@ func TestJobRepAccessors(t *testing.T) {
 	job, _ := c.Submit(JobSpec{Name: "acc", Size: 2, NewProgram: pingPong(3)})
 	runDone(t, c)
 	p := job.procs[0]
-	if p.Rank() != 0 || p.Size() != 2 || p.Job() != job.ID {
-		t.Fatal("proc accessors wrong")
+	if p.rank != 0 || p.job != job || p.job.Spec.Size != 2 {
+		t.Fatal("proc wired to the wrong job or rank")
 	}
-	if p.NodeID() != job.nodeOf[0] {
-		t.Fatal("NodeID mismatch")
+	if p.node.ID != job.nodeOf[0] {
+		t.Fatal("proc on the wrong node")
 	}
 }

@@ -384,7 +384,7 @@ func TestRecoveryCleanPathFree(t *testing.T) {
 				for _, hist := range c.SwitchHistory() {
 					for _, s := range hist {
 						if s.From >= 0 && s.To >= 0 { // steady-state switches only
-							o.switchSum += s.Total()
+							o.switchSum += s.Halt + s.Copy + s.Release
 							o.switchRuns++
 						}
 					}

@@ -495,7 +495,7 @@ func TestRebootedIncarnationReports(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	c.RunFor(20 * cfg.Quantum)
+	c.RunUntil(c.Eng.Now() + 20*cfg.Quantum)
 	found := false
 	for _, v := range c.Auditor().Violations() {
 		if v.Invariant == "store-integrity" && strings.HasPrefix(v.Detail, fmt.Sprintf("node %d ", crashed)) {
@@ -512,7 +512,7 @@ func TestRebootedIncarnationReports(t *testing.T) {
 	p := c.Net.NewPacket()
 	p.Type, p.Src, p.Dst, p.Job = myrinet.Data, 1, crashed, orphan
 	c.Net.Send(p)
-	c.RunFor(cfg.Quantum)
+	c.RunUntil(c.Eng.Now() + cfg.Quantum)
 	if got := n.NIC.Stats().Drops[lanai.DropNoContext]; got == 0 {
 		t.Fatal("fresh card did not discard the orphan packet")
 	}

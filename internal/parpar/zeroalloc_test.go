@@ -65,7 +65,7 @@ func TestMasterdRoundZeroAlloc(t *testing.T) {
 			n.Mgr.ReserveHistory(256)
 		}
 		epoch := c.master.epoch
-		allocs := testing.AllocsPerRun(10, func() { c.RunFor(4 * cfg.Quantum) })
+		allocs := testing.AllocsPerRun(10, func() { c.RunUntil(c.Eng.Now() + 4*cfg.Quantum) })
 		if c.master.epoch == epoch {
 			t.Fatalf("armed=%v: no rounds ran during measurement", armed)
 		}

@@ -711,12 +711,11 @@ type Result struct {
 	// the scheduler, decided some of the numbers above.
 	Violations int
 
-	Log    *Log
-	Events uint64
+	Log *Log
 }
 
 // Result scores the run (see score) and adds what only the daemon knows:
-// migrations, time to requeue, the auditor's verdict and the event count.
+// migrations, time to requeue and the auditor's verdict.
 func (d *Daemon) Result(mode string) *Result {
 	jobs := make([]*outcome, len(d.tasks))
 	for i, t := range d.tasks {
@@ -734,6 +733,5 @@ func (d *Daemon) Result(mode string) *Result {
 	}
 	r.Violations = d.cluster.Auditor().Count()
 	r.Log = d.log
-	r.Events = d.cluster.Fired()
 	return r
 }

@@ -67,12 +67,11 @@ type JobMetrics struct {
 	Size     int
 	Arrive   sim.Time
 	Submit   sim.Time // when the job left the FCFS backlog for the matrix
-	Sync     sim.Time // when all ranks were up
-	Done     sim.Time // completion, or the deadline when censored
 	Finished bool
 	// Nominal is the scheme-independent dedicated-machine work anchor.
 	Nominal sim.Time
-	// Response is Done - Arrive; Wait is Submit - Arrive.
+	// Response runs from Arrive to completion, or to the deadline when
+	// censored; Wait is Submit - Arrive.
 	Response sim.Time
 	Wait     sim.Time
 	// Slowdown is the bounded slowdown max(1, response/max(nominal, bound)).
@@ -92,7 +91,7 @@ type Result struct {
 
 	Finished int
 	// Censored counts jobs still unfinished at the run deadline: their
-	// Done is clamped to the deadline, so their response times are lower
+	// end is clamped to the deadline, so their response times are lower
 	// bounds, not observations. They are excluded from MeanResponse and
 	// the slowdown aggregates (which cover finished jobs only) and
 	// reported separately through CensoredMeanResponse.
@@ -116,7 +115,6 @@ type Result struct {
 
 	AuditOK    bool
 	Violations int
-	ChaosTrace []string
 	Events     uint64
 }
 
@@ -241,7 +239,6 @@ func Run(cfg Config) (*Result, error) {
 		Switches:   totalSwitches,
 		AuditOK:    cluster.Auditor().Ok(),
 		Violations: cluster.Auditor().Count(),
-		ChaosTrace: cluster.ChaosTrace(),
 		Events:     cluster.Fired(),
 	}
 	bound := float64(cfg.SlowdownBound)
@@ -261,16 +258,14 @@ func Run(cfg Config) (*Result, error) {
 		end := deadline
 		if f.finished {
 			m.Finished = true
-			m.Submit, m.Sync, m.Done = f.submit, f.sync, f.done
+			m.Submit = f.submit
 			end = f.done
 			res.Finished++
 		} else if f.submitted {
 			m.Submit = f.submit
-			m.Done = deadline
 			res.Censored++
 		} else {
 			m.Submit = deadline
-			m.Done = deadline
 			res.Censored++
 		}
 		if end > lastEnd {

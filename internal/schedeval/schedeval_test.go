@@ -138,8 +138,8 @@ func TestSwitchedBeatsPartitioned(t *testing.T) {
 }
 
 // TestChaosSmoke is the chaos-compatibility satellite: a fault plan with
-// data loss and a node slowdown installed under a sched run must keep the
-// auditor wired and produce a byte-identical injection trace per seed.
+// data loss and a node slowdown installed under a sched run must change
+// the run, keep the auditor wired and reproduce the same outcome per seed.
 func TestChaosSmoke(t *testing.T) {
 	// All message sizes fit one fragment (<= myrinet.MaxPayload): FM has
 	// no retransmission, so whole-message loss stalls delivery — which the
@@ -151,29 +151,27 @@ func TestChaosSmoke(t *testing.T) {
 		{Arrive: 2_500_000, Size: 4, Kernel: KernelStencil, Units: 4, Msgs: 1, MsgBytes: 1024, Compute: 150_000},
 		{Arrive: 4_000_000, Size: 3, Kernel: KernelMasterWorker, Units: 6, Msgs: 1, MsgBytes: 256, Compute: 300_000},
 	}
-	run := func() *Result {
+	run := func(plan *chaos.Plan) *Result {
 		cfg := DefaultConfig(8)
 		cfg.Trace = trace
 		cfg.Deadline = 400_000_000
-		cfg.Chaos = &chaos.Plan{
-			Seed: 99,
-			Faults: []chaos.Fault{
-				{Kind: chaos.DataLoss, From: 0, Until: 200_000_000, Prob: 0.05, Node: -1},
-				{Kind: chaos.NodeSlow, From: 10_000_000, Until: 60_000_000, Node: 1, Factor: 0.5},
-			},
-		}
+		cfg.Chaos = plan
 		r, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
 		}
 		return r
 	}
-	a, b := run(), run()
-	if len(a.ChaosTrace) == 0 {
-		t.Fatal("fault plan injected nothing")
+	plan := &chaos.Plan{
+		Seed: 99,
+		Faults: []chaos.Fault{
+			{Kind: chaos.DataLoss, From: 0, Until: 200_000_000, Prob: 0.05, Node: -1},
+			{Kind: chaos.NodeSlow, From: 10_000_000, Until: 60_000_000, Node: 1, Factor: 0.5},
+		},
 	}
-	if !reflect.DeepEqual(a.ChaosTrace, b.ChaosTrace) {
-		t.Fatal("chaos injection trace not byte-identical across runs")
+	a, b := run(plan), run(plan)
+	if reflect.DeepEqual(a.Jobs, run(nil).Jobs) {
+		t.Fatal("fault plan left every job's metrics as in the clean run")
 	}
 	if !reflect.DeepEqual(a.Jobs, b.Jobs) {
 		t.Fatal("job metrics not deterministic under chaos")

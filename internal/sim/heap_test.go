@@ -10,29 +10,37 @@ import (
 
 // TestPendingExcludesCanceled is the regression test for the pending
 // accounting bug: canceled events used to stay counted until the queue
-// drained past them, so idle-detection loops saw phantom work.
+// drained past them, so idle-detection loops saw phantom work. Only the
+// events still pending fire, and a second Cancel of the same event is a
+// no-op.
 func TestPendingExcludesCanceled(t *testing.T) {
 	e := NewEngine()
 	evs := make([]Event, 5)
 	for i := range evs {
 		evs[i] = e.Schedule(Time(10+i), func() {})
 	}
-	if e.pending != 5 {
-		t.Fatalf("pending = %d, want 5", e.pending)
+	if !evs[1].Cancel() || !evs[3].Cancel() {
+		t.Fatal("Cancel of a pending event returned false")
 	}
-	evs[1].Cancel()
-	evs[3].Cancel()
-	if e.pending != 3 {
-		t.Fatalf("pending = %d after two cancels, want 3", e.pending)
-	}
-	evs[3].Cancel() // double cancel must not double-count
-	if e.pending != 3 {
-		t.Fatalf("pending = %d after double cancel, want 3", e.pending)
+	if evs[3].Cancel() {
+		t.Fatal("second Cancel of the same event returned true")
 	}
 	e.Run()
-	if e.pending != 0 {
-		t.Fatalf("pending = %d after run, want 0", e.pending)
+	if e.Fired() != 3 {
+		t.Fatalf("fired %d events after two cancels, want 3", e.Fired())
 	}
+}
+
+// live counts the engine's scheduled, uncanceled events from its arena: a
+// free record holds seq 0.
+func live(e *Engine) int {
+	n := 0
+	for i := range e.recs {
+		if r := &e.recs[i]; r.seq != 0 && !r.canceled {
+			n++
+		}
+	}
+	return n
 }
 
 // TestCancelThenReschedule exercises slot reuse: a canceled event's arena
@@ -143,7 +151,7 @@ func TestEngineOrderVsReferenceSort(t *testing.T) {
 
 // TestEngineRandomCancelProperty mixes random scheduling and cancellation
 // and checks that exactly the surviving events fire, in order, and that
-// Pending tracks the survivors at every step.
+// the arena holds exactly the survivors as live events.
 func TestEngineRandomCancelProperty(t *testing.T) {
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 50; trial++ {
@@ -152,22 +160,24 @@ func TestEngineRandomCancelProperty(t *testing.T) {
 		var want []int
 		n := 1 + rng.Intn(200)
 		evs := make([]Event, n)
+		whens := make([]Time, n)
 		for i := 0; i < n; i++ {
 			i := i
-			evs[i] = e.Schedule(Time(1+rng.Intn(50)), func() { fired = append(fired, i) })
+			whens[i] = Time(1 + rng.Intn(50))
+			evs[i] = e.Schedule(whens[i], func() { fired = append(fired, i) })
 		}
-		live := n
+		pending := n
 		for i := 0; i < n; i++ {
 			if rng.Intn(3) == 0 {
 				if !evs[i].Cancel() {
 					t.Fatal("Cancel on live event returned false")
 				}
-				live--
+				pending--
 				evs[i] = Event{}
 			}
 		}
-		if e.pending != live {
-			t.Fatalf("pending = %d, want %d", e.pending, live)
+		if got := live(e); got != pending {
+			t.Fatalf("live events = %d, want %d", got, pending)
 		}
 		type key struct {
 			when Time
@@ -176,7 +186,7 @@ func TestEngineRandomCancelProperty(t *testing.T) {
 		var keys []key
 		for i := 0; i < n; i++ {
 			if evs[i] != (Event{}) {
-				keys = append(keys, key{evs[i].when, i})
+				keys = append(keys, key{whens[i], i})
 			}
 		}
 		sort.SliceStable(keys, func(a, b int) bool {
@@ -409,8 +419,8 @@ func TestHeapProperty(t *testing.T) {
 			case 7:
 				file()
 			}
-			if e.pending != len(ref) {
-				fail("Pending() = %d, reference holds %d", e.pending, len(ref))
+			if got := live(e); got != len(ref) {
+				fail("arena holds %d live events, reference holds %d", got, len(ref))
 			}
 			if e.base > e.Now()>>slotShift {
 				fail("ring base slot %d passed now=%d", e.base, e.Now())

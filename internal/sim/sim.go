@@ -134,7 +134,6 @@ type Event struct {
 	eng  *Engine
 	slot int32
 	seq  uint64
-	when Time
 }
 
 // Key is an event's place in the firing order: events fire by When, ties
@@ -158,7 +157,6 @@ func (ev Event) Cancel() bool {
 	}
 	r.canceled = true
 	r.fn, r.arg = nil, nil
-	e.pending--
 	return true
 }
 
@@ -225,10 +223,9 @@ type Engine struct {
 	head [ringSlots]int32
 	tail [ringSlots]int32
 
-	far     []heapEnt // 4-ary min-heap of events at slots >= base+ringSlots
-	seq     uint64    // the last seq issued, by a schedule or a reservation
-	fired   uint64
-	pending int // scheduled and not canceled
+	far   []heapEnt // 4-ary min-heap of events at slots >= base+ringSlots
+	seq   uint64    // the last seq issued, by a schedule or a reservation
+	fired uint64
 
 	// The firing position is (now, cur): cur is the seq of the event
 	// firing at now. reserved is the latest time any key was reserved for.
@@ -336,8 +333,7 @@ func (e *Engine) insert(t Time, seq uint64, fn func(any), arg any) Event {
 	} else {
 		e.push(heapEnt{when: t, seq: seq, slot: slot})
 	}
-	e.pending++
-	return Event{eng: e, slot: slot, seq: seq, when: t}
+	return Event{eng: e, slot: slot, seq: seq}
 }
 
 // ringInsert files arena slot, keyed (t, seq), into ring list i after
@@ -416,7 +412,6 @@ func (e *Engine) fireNext(limit Time) bool {
 	// Recycle before invoking: the callback may schedule into the
 	// same slot, and holding dead callbacks alive would leak.
 	e.freeSlot(slot)
-	e.pending--
 	e.now = t
 	e.fired++
 	fn(arg)

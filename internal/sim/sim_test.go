@@ -103,8 +103,8 @@ func TestEngineCancel(t *testing.T) {
 	if fired {
 		t.Fatal("canceled event fired")
 	}
-	if e.pending != 0 {
-		t.Fatalf("Pending() = %d after run", e.pending)
+	if n := live(e); n != 0 {
+		t.Fatalf("%d live events after run", n)
 	}
 }
 

@@ -10,65 +10,22 @@ import (
 // compute/communicate phases, stencil halo exchange on a ring, and a
 // master-worker task bag. Each is parameterized by communication
 // intensity (message counts and sizes versus compute cycles) and reports
-// per-rank results that implement ComputeReporter, so the evaluator can
-// separate compute from communication time.
+// a KernelResult per rank, so the evaluator can separate compute from
+// communication time.
 
-// A ComputeReporter exposes how many cycles a rank spent in pure compute
-// sections; the scheduler evaluator uses it to derive the communication
-// fraction of a job's runtime.
-type ComputeReporter interface {
-	ComputeTime() sim.Time
+// KernelResult is every rank's Done value in a BSP, Stencil or
+// MasterWorker job: the cycles the rank spent in pure compute sections.
+type KernelResult struct {
+	Compute sim.Time
 }
-
-// BSPResult is reported by every rank of a bulk-synchronous job.
-type BSPResult struct {
-	Rank     int
-	Phases   int
-	Sent     int
-	Received int
-	Compute  sim.Time
-	Start    sim.Time
-	End      sim.Time
-}
-
-// ComputeTime returns the cycles spent in compute sections.
-func (r BSPResult) ComputeTime() sim.Time { return r.Compute }
-
-// StencilResult is reported by every rank of a stencil job.
-type StencilResult struct {
-	Rank     int
-	Iters    int
-	Sent     int
-	Received int
-	Compute  sim.Time
-	Start    sim.Time
-	End      sim.Time
-}
-
-// ComputeTime returns the cycles spent in compute sections.
-func (r StencilResult) ComputeTime() sim.Time { return r.Compute }
-
-// MasterWorkerResult is reported by every rank of a master-worker job.
-type MasterWorkerResult struct {
-	Rank     int
-	Tasks    int // tasks completed by this rank (all tasks, for the master)
-	Sent     int
-	Received int
-	Compute  sim.Time
-	Start    sim.Time
-	End      sim.Time
-}
-
-// ComputeTime returns the cycles spent in compute sections.
-func (r MasterWorkerResult) ComputeTime() sim.Time { return r.Compute }
 
 // TotalCompute sums the compute cycles reported by a finished job's ranks;
-// results that do not implement ComputeReporter contribute zero.
+// results that are not KernelResults contribute zero.
 func TotalCompute(job *parpar.Job) sim.Time {
 	var total sim.Time
 	for _, r := range job.Results {
-		if cr, ok := r.(ComputeReporter); ok {
-			total += cr.ComputeTime()
+		if kr, ok := r.(KernelResult); ok {
+			total += kr.Compute
 		}
 	}
 	return total
@@ -83,14 +40,11 @@ func TotalCompute(job *parpar.Job) sim.Time {
 // per source — so a neighbor running ahead can never stall or confuse it.
 // Every rank has received everything addressed to it when it finishes, so
 // suspending the endpoint at Done cannot wedge a peer.
-func exchangeProgram(rank, ranks, phases int, dests []int, perDest, size int,
-	compute sim.Time, report func(sent, received int, computeT, start, end sim.Time) any) parpar.Program {
+func exchangeProgram(ranks, phases int, dests []int, perDest, size int, compute sim.Time) parpar.Program {
 	return parpar.ProgramFunc(func(p *parpar.Proc) {
 		m := startMeter(p)
 		if phases <= 0 || (len(dests) == 0 && compute == 0) {
-			m.finish(func(start, end sim.Time) any {
-				return report(0, 0, 0, start, end)
-			})
+			m.finish(func(_, _ sim.Time) any { return KernelResult{} })
 			return
 		}
 		// Inbound expectation per source and phase. The communication
@@ -104,8 +58,6 @@ func exchangeProgram(rank, ranks, phases int, dests []int, perDest, size int,
 		var (
 			phase     int
 			sentPhase int
-			sent      int
-			received  int
 			computeT  sim.Time
 			computing bool
 			recvFrom  = make([]int, ranks)
@@ -125,9 +77,7 @@ func exchangeProgram(rank, ranks, phases int, dests []int, perDest, size int,
 				phase++
 				sentPhase = 0
 				if phase == phases {
-					m.finish(func(start, end sim.Time) any {
-						return report(sent, received, computeT, start, end)
-					})
+					m.finish(func(_, _ sim.Time) any { return KernelResult{Compute: computeT} })
 					return
 				}
 				startPhase()
@@ -157,7 +107,6 @@ func exchangeProgram(rank, ranks, phases int, dests []int, perDest, size int,
 			p.Schedule(compute, phaseDone)
 		}
 		p.EP.SetHandler(func(src, _ int, _ []byte) {
-			received++
 			recvFrom[src]++
 			maybeAdvance()
 		})
@@ -168,7 +117,6 @@ func exchangeProgram(rank, ranks, phases int, dests []int, perDest, size int,
 			return dests[sentPhase%len(dests)], size
 		}, func() {
 			sentPhase++
-			sent++
 			maybeAdvance()
 		})
 		startPhase()
@@ -179,7 +127,7 @@ func exchangeProgram(rank, ranks, phases int, dests []int, perDest, size int,
 // computes for `compute` cycles and then exchanges `perPeer` messages of
 // `size` bytes with every other rank before the (implicit, traffic-based)
 // barrier releases the next round. With ranks == 1 it degenerates to a
-// compute-only chain. Every rank's Done value is a BSPResult.
+// compute-only chain.
 func BSP(name string, ranks, phases, perPeer, size int, compute sim.Time) parpar.JobSpec {
 	if ranks < 1 || phases < 0 || perPeer <= 0 || size <= 0 || compute < 0 {
 		panic("workload: BSP needs ranks >= 1 and positive traffic parameters")
@@ -192,11 +140,7 @@ func BSP(name string, ranks, phases, perPeer, size int, compute sim.Time) parpar
 			for i := 1; i < ranks; i++ {
 				dests = append(dests, (rank+i)%ranks)
 			}
-			return exchangeProgram(rank, ranks, phases, dests, perPeer, size, compute,
-				func(sent, received int, computeT, start, end sim.Time) any {
-					return BSPResult{Rank: rank, Phases: phases, Sent: sent,
-						Received: received, Compute: computeT, Start: start, End: end}
-				})
+			return exchangeProgram(ranks, phases, dests, perPeer, size, compute)
 		},
 	}
 }
@@ -205,8 +149,7 @@ func BSP(name string, ranks, phases, perPeer, size int, compute sim.Time) parpar
 // `iters` iterations computes for `compute` cycles and then trades one
 // `halo`-byte boundary message with each ring neighbor. With two ranks
 // both neighbors are the same rank (two messages per iteration); with one
-// rank it degenerates to a compute-only chain. Every rank's Done value is
-// a StencilResult.
+// rank it degenerates to a compute-only chain.
 func Stencil(name string, ranks, iters, halo int, compute sim.Time) parpar.JobSpec {
 	if ranks < 1 || iters < 0 || halo <= 0 || compute < 0 {
 		panic("workload: stencil needs ranks >= 1 and a positive halo size")
@@ -219,11 +162,7 @@ func Stencil(name string, ranks, iters, halo int, compute sim.Time) parpar.JobSp
 			if ranks > 1 {
 				dests = []int{(rank + 1) % ranks, (rank - 1 + ranks) % ranks}
 			}
-			return exchangeProgram(rank, ranks, iters, dests, 1, halo, compute,
-				func(sent, received int, computeT, start, end sim.Time) any {
-					return StencilResult{Rank: rank, Iters: iters, Sent: sent,
-						Received: received, Compute: computeT, Start: start, End: end}
-				})
+			return exchangeProgram(ranks, iters, dests, 1, halo, compute)
 		},
 	}
 }
@@ -240,7 +179,6 @@ const mwCtrlSize = 8
 // finish marker once the bag is empty. The pattern is self-throttling
 // (at most one task in flight per worker) and asymmetric — the natural
 // stress case for per-context credit partitioning on the master's node.
-// Every rank's Done value is a MasterWorkerResult.
 func MasterWorker(name string, ranks, tasks, taskBytes int, compute sim.Time) parpar.JobSpec {
 	if ranks < 2 {
 		panic("workload: master-worker needs at least one worker")
@@ -266,7 +204,6 @@ func MasterWorker(name string, ranks, tasks, taskBytes int, compute sim.Time) pa
 						assigned    int
 						completions int
 						finishSent  int
-						sent        int
 					)
 					var kick func()
 					pushWork := func(w int) {
@@ -279,11 +216,7 @@ func MasterWorker(name string, ranks, tasks, taskBytes int, compute sim.Time) pa
 					}
 					maybeDone := func() {
 						if completions == tasks && finishSent == ranks-1 {
-							m.finish(func(start, end sim.Time) any {
-								return MasterWorkerResult{Rank: 0, Tasks: tasks,
-									Sent: sent, Received: completions,
-									Start: start, End: end}
-							})
+							m.finish(func(_, _ sim.Time) any { return KernelResult{} })
 						}
 					}
 					p.EP.SetHandler(func(src, size int, _ []byte) {
@@ -305,7 +238,6 @@ func MasterWorker(name string, ranks, tasks, taskBytes int, compute sim.Time) pa
 							finishSent++
 						}
 						qi++
-						sent++
 						maybeDone()
 					})
 					for w := 1; w < ranks; w++ {
@@ -317,10 +249,7 @@ func MasterWorker(name string, ranks, tasks, taskBytes int, compute sim.Time) pa
 			return parpar.ProgramFunc(func(p *parpar.Proc) {
 				m := startMeter(p)
 				var (
-					done     int
 					pending  int
-					sent     int
-					received int
 					computeT sim.Time
 				)
 				var kick func()
@@ -329,18 +258,12 @@ func MasterWorker(name string, ranks, tasks, taskBytes int, compute sim.Time) pa
 				// serves every task.
 				finishTask := func() {
 					computeT += compute
-					done++
 					pending++
 					kick()
 				}
 				p.EP.SetHandler(func(_, size int, _ []byte) {
-					received++
 					if size == mwCtrlSize {
-						m.finish(func(start, end sim.Time) any {
-							return MasterWorkerResult{Rank: rank, Tasks: done,
-								Sent: sent, Received: received, Compute: computeT,
-								Start: start, End: end}
-						})
+						m.finish(func(_, _ sim.Time) any { return KernelResult{Compute: computeT} })
 						return
 					}
 					if compute == 0 {
@@ -356,7 +279,6 @@ func MasterWorker(name string, ranks, tasks, taskBytes int, compute sim.Time) pa
 					return 0, mwCtrlSize
 				}, func() {
 					pending--
-					sent++
 				})
 			})
 		},

@@ -7,9 +7,35 @@ import (
 	"gangfm/internal/sim"
 )
 
+// withProcs wraps spec so that each rank's Proc lands in procs: the tests
+// read the kernels' traffic from the endpoints' statistics.
+func withProcs(spec parpar.JobSpec) (parpar.JobSpec, []*parpar.Proc) {
+	procs := make([]*parpar.Proc, spec.Size)
+	newProgram := spec.NewProgram
+	spec.NewProgram = func(rank int) parpar.Program {
+		prog := newProgram(rank)
+		return parpar.ProgramFunc(func(p *parpar.Proc) {
+			procs[rank] = p
+			prog.Start(p)
+		})
+	}
+	return spec, procs
+}
+
+// checkTraffic fails unless the rank sent msgs messages and received
+// recvBytes bytes of payload.
+func checkTraffic(t *testing.T, rank int, p *parpar.Proc, msgs, recvBytes uint64) {
+	t.Helper()
+	if st := p.EP.Stats(); st.MessagesSent != msgs || st.PayloadBytesRecv != recvBytes {
+		t.Fatalf("rank %d: sent %d messages, received %d B; want %d, %d B",
+			rank, st.MessagesSent, st.PayloadBytesRecv, msgs, recvBytes)
+	}
+}
+
 func TestBSPKernel(t *testing.T) {
 	c := testCluster(t, 4)
-	job, err := c.Submit(BSP("bsp", 4, 3, 2, 1024, 100_000))
+	spec, procs := withProcs(BSP("bsp", 4, 3, 2, 1024, 100_000))
+	job, err := c.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -19,18 +45,13 @@ func TestBSPKernel(t *testing.T) {
 	}
 	// 3 phases x 2 messages x 3 peers in each direction.
 	for rank, r := range job.Results {
-		res, ok := r.(BSPResult)
+		res, ok := r.(KernelResult)
 		if !ok {
 			t.Fatalf("rank %d result %T", rank, r)
 		}
-		if res.Sent != 18 || res.Received != 18 {
-			t.Fatalf("rank %d: sent %d received %d, want 18/18", rank, res.Sent, res.Received)
-		}
+		checkTraffic(t, rank, procs[rank], 18, 18*1024)
 		if res.Compute != 3*100_000 {
 			t.Fatalf("rank %d: compute %d", rank, res.Compute)
-		}
-		if res.End <= res.Start {
-			t.Fatalf("rank %d: empty interval", rank)
 		}
 	}
 	if total := TotalCompute(job); total != 4*3*100_000 {
@@ -40,36 +61,33 @@ func TestBSPKernel(t *testing.T) {
 
 func TestBSPSingleRankIsComputeOnly(t *testing.T) {
 	c := testCluster(t, 2)
-	job, err := c.Submit(BSP("solo", 1, 5, 1, 64, 50_000))
+	spec, procs := withProcs(BSP("solo", 1, 5, 1, 64, 50_000))
+	job, err := c.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Run()
-	res := job.Results[0].(BSPResult)
-	if res.Sent != 0 || res.Received != 0 {
-		t.Fatalf("solo rank communicated: %d/%d", res.Sent, res.Received)
-	}
-	if res.Compute != 5*50_000 {
+	checkTraffic(t, 0, procs[0], 0, 0)
+	if res := job.Results[0].(KernelResult); res.Compute != 5*50_000 {
 		t.Fatalf("compute %d", res.Compute)
 	}
 }
 
 func TestStencilKernel(t *testing.T) {
 	c := testCluster(t, 4)
-	job, err := c.Submit(Stencil("st", 4, 6, 512, 80_000))
+	spec, procs := withProcs(Stencil("st", 4, 6, 512, 80_000))
+	job, err := c.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Run()
 	for rank, r := range job.Results {
-		res, ok := r.(StencilResult)
+		res, ok := r.(KernelResult)
 		if !ok {
 			t.Fatalf("rank %d result %T", rank, r)
 		}
 		// One halo per neighbor per iteration on the ring.
-		if res.Sent != 12 || res.Received != 12 {
-			t.Fatalf("rank %d: sent %d received %d, want 12/12", rank, res.Sent, res.Received)
-		}
+		checkTraffic(t, rank, procs[rank], 12, 12*512)
 		if res.Compute != 6*80_000 {
 			t.Fatalf("rank %d: compute %d", rank, res.Compute)
 		}
@@ -80,22 +98,21 @@ func TestStencilTwoRanks(t *testing.T) {
 	// With two ranks both ring neighbors are the same rank: two halos per
 	// iteration each way, and the run must still terminate cleanly.
 	c := testCluster(t, 2)
-	job, err := c.Submit(Stencil("st2", 2, 4, 256, 0))
+	spec, procs := withProcs(Stencil("st2", 2, 4, 256, 0))
+	job, err := c.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
 	c.Run()
-	for rank, r := range job.Results {
-		res := r.(StencilResult)
-		if res.Sent != 8 || res.Received != 8 {
-			t.Fatalf("rank %d: sent %d received %d, want 8/8", rank, res.Sent, res.Received)
-		}
+	for rank := range job.Results {
+		checkTraffic(t, rank, procs[rank], 8, 8*256)
 	}
 }
 
 func TestMasterWorkerKernel(t *testing.T) {
 	c := testCluster(t, 4)
-	job, err := c.Submit(MasterWorker("mw", 4, 10, 2048, 120_000))
+	spec, procs := withProcs(MasterWorker("mw", 4, 10, 2048, 120_000))
+	job, err := c.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -103,25 +120,17 @@ func TestMasterWorkerKernel(t *testing.T) {
 	if job.State() != parpar.JobDone {
 		t.Fatalf("state %v", job.State())
 	}
-	master := job.Results[0].(MasterWorkerResult)
-	if master.Tasks != 10 || master.Received != 10 {
-		t.Fatalf("master: tasks %d received %d", master.Tasks, master.Received)
-	}
-	// 10 tasks + 3 finish markers.
-	if master.Sent != 13 {
-		t.Fatalf("master sent %d, want 13", master.Sent)
-	}
-	workerTasks := 0
+	// 10 tasks + 3 finish markers out, 10 completions back.
+	checkTraffic(t, 0, procs[0], 13, 10*mwCtrlSize)
+	var workerTasks uint64
 	var workerCompute sim.Time
 	for rank := 1; rank < 4; rank++ {
-		res := job.Results[rank].(MasterWorkerResult)
-		workerTasks += res.Tasks
-		workerCompute += res.Compute
-		// Each worker got its tasks plus one finish marker, and sent one
-		// completion per task.
-		if res.Received != res.Tasks+1 || res.Sent != res.Tasks {
-			t.Fatalf("worker %d: tasks %d sent %d received %d", rank, res.Tasks, res.Sent, res.Received)
-		}
+		// Each worker sent one completion per task and got its tasks
+		// plus one finish marker.
+		tasks := procs[rank].EP.Stats().MessagesSent
+		checkTraffic(t, rank, procs[rank], tasks, tasks*2048+mwCtrlSize)
+		workerTasks += tasks
+		workerCompute += job.Results[rank].(KernelResult).Compute
 	}
 	if workerTasks != 10 {
 		t.Fatalf("workers completed %d tasks, want 10", workerTasks)
@@ -134,7 +143,8 @@ func TestMasterWorkerKernel(t *testing.T) {
 func TestMasterWorkerFewerTasksThanWorkers(t *testing.T) {
 	// Some workers receive only a finish marker.
 	c := testCluster(t, 4)
-	job, err := c.Submit(MasterWorker("mw-small", 4, 2, 1024, 0))
+	spec, procs := withProcs(MasterWorker("mw-small", 4, 2, 1024, 0))
+	job, err := c.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -142,9 +152,9 @@ func TestMasterWorkerFewerTasksThanWorkers(t *testing.T) {
 	if job.State() != parpar.JobDone {
 		t.Fatalf("state %v", job.State())
 	}
-	total := 0
+	var total uint64
 	for rank := 1; rank < 4; rank++ {
-		total += job.Results[rank].(MasterWorkerResult).Tasks
+		total += procs[rank].EP.Stats().MessagesSent
 	}
 	if total != 2 {
 		t.Fatalf("workers completed %d tasks, want 2", total)
@@ -155,7 +165,8 @@ func TestPingPongReplierResult(t *testing.T) {
 	// The replier's Done value is its reply count — both sides must agree
 	// on the number of rounds.
 	c := testCluster(t, 2)
-	job, err := c.Submit(PingPong("pp", 50, 128))
+	spec, procs := withProcs(PingPong("pp", 50, 128))
+	job, err := c.Submit(spec)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -164,9 +175,10 @@ func TestPingPongReplierResult(t *testing.T) {
 	if !ok {
 		t.Fatalf("rank 0 result %T", job.Results[0])
 	}
-	if res.Rounds != 50 || res.Size != 128 {
+	if res.Rounds != 50 {
 		t.Fatalf("rank 0 result %+v", res)
 	}
+	checkTraffic(t, 0, procs[0], 50, 50*128)
 	replies, ok := job.Results[1].(int)
 	if !ok {
 		t.Fatalf("rank 1 result %T", job.Results[1])

@@ -57,8 +57,6 @@ func (m *meter) finish(result func(start, end sim.Time) any) {
 
 // BandwidthResult is reported by rank 0 of a bandwidth job.
 type BandwidthResult struct {
-	Messages int
-	MsgSize  int
 	// Bytes is the total payload volume.
 	Bytes uint64
 	// Start is when the sender began, End when the finish message
@@ -96,7 +94,7 @@ func Bandwidth(name string, msgs, size int) parpar.JobSpec {
 			if rank == 0 {
 				return parpar.ProgramFunc(func(p *parpar.Proc) {
 					m := startMeter(p)
-					res := BandwidthResult{Messages: msgs, MsgSize: size}
+					var res BandwidthResult
 					p.EP.SetHandler(func(_, _ int, _ []byte) {
 						m.finish(func(start, end sim.Time) any {
 							res.Start, res.End = start, end
@@ -131,11 +129,8 @@ func Bandwidth(name string, msgs, size int) parpar.JobSpec {
 
 // AllToAllResult is reported by every rank of an all-to-all job.
 type AllToAllResult struct {
-	Rank     int
 	Sent     int
 	Received int
-	Start    sim.Time
-	End      sim.Time
 }
 
 // AllToAll returns the paper's all-to-all stress benchmark as a job spec
@@ -156,14 +151,11 @@ func AllToAll(name string, ranks, perPeer, size int) parpar.JobSpec {
 		NewProgram: func(rank int) parpar.Program {
 			return parpar.ProgramFunc(func(p *parpar.Proc) {
 				m := startMeter(p)
-				res := AllToAllResult{Rank: rank}
+				var res AllToAllResult
 				total := perPeer * (ranks - 1)
 				maybeDone := func() {
 					if res.Sent == total && res.Received == total {
-						m.finish(func(start, end sim.Time) any {
-							res.Start, res.End = start, end
-							return res
-						})
+						m.finish(func(_, _ sim.Time) any { return res })
 					}
 				}
 				p.EP.SetHandler(func(_, _ int, _ []byte) {
@@ -189,7 +181,6 @@ func AllToAll(name string, ranks, perPeer, size int) parpar.JobSpec {
 // PingPongResult is reported by rank 0 of a ping-pong job.
 type PingPongResult struct {
 	Rounds int
-	Size   int
 	Start  sim.Time
 	End    sim.Time
 }
@@ -221,7 +212,7 @@ func PingPong(name string, rounds, size int) parpar.JobSpec {
 						count++
 						if count == rounds {
 							m.finish(func(start, end sim.Time) any {
-								return PingPongResult{Rounds: rounds, Size: size, Start: start, End: end}
+								return PingPongResult{Rounds: rounds, Start: start, End: end}
 							})
 							return
 						}

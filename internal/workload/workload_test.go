@@ -49,7 +49,7 @@ func TestBandwidthExtractErrors(t *testing.T) {
 	c := testCluster(t, 2)
 	job, _ := c.Submit(Bandwidth("bw", 100000, 65536))
 	// Don't run to completion.
-	c.RunFor(1000)
+	c.RunUntil(c.Eng.Now() + 1000)
 	if _, err := ExtractBandwidth(job); err == nil {
 		t.Fatal("extracting from unfinished job should fail")
 	}
@@ -69,9 +69,9 @@ func TestAllToAllBenchmark(t *testing.T) {
 	if len(results) != 4 {
 		t.Fatalf("results for %d ranks", len(results))
 	}
-	for _, r := range results {
+	for rank, r := range results {
 		if r.Sent != 75 || r.Received != 75 {
-			t.Fatalf("rank %d: sent %d received %d, want 75/75", r.Rank, r.Sent, r.Received)
+			t.Fatalf("rank %d: sent %d received %d, want 75/75", rank, r.Sent, r.Received)
 		}
 	}
 }
@@ -167,7 +167,7 @@ func TestBandwidthUnderPartitionedCliff(t *testing.T) {
 		t.Fatal(err)
 	}
 	// Bounded run: the transfer is stuck, so the job can never finish.
-	c.RunFor(50_000_000)
+	c.RunUntil(c.Eng.Now() + 50_000_000)
 	if job.State() == parpar.JobDone {
 		t.Fatal("job finished despite zero credits")
 	}

@@ -35,7 +35,7 @@ func steadyAllocs(t *testing.T, spec parpar.JobSpec, warm, step sim.Time) float6
 	if job.State() == parpar.JobDone {
 		t.Fatal("workload finished during warmup; lengthen it")
 	}
-	allocs := testing.AllocsPerRun(10, func() { c.RunFor(step) })
+	allocs := testing.AllocsPerRun(10, func() { c.RunUntil(c.Eng.Now() + step) })
 	if job.State() == parpar.JobDone {
 		t.Fatal("workload finished during measurement; lengthen it")
 	}
