@@ -184,17 +184,6 @@ func (m *module) declared() (objs []types.Object, owner map[*types.Var]string) {
 	return objs, owner
 }
 
-// origin maps a use in an instantiated generic type to the declared object.
-func origin(obj types.Object) types.Object {
-	switch o := obj.(type) {
-	case *types.Func:
-		return o.Origin()
-	case *types.Var:
-		return o.Origin()
-	}
-	return obj
-}
-
 // uses classifies every use in the caller files. A field is assigned where
 // it is the target of an assignment or ++/-- (directly or through an
 // index) or the key or position of a composite-literal element; every
@@ -239,7 +228,7 @@ func (m *module) uses() (assigned, read map[types.Object]bool) {
 					if kv, ok := elt.(*ast.KeyValueExpr); ok {
 						written[kv.Key.(*ast.Ident)] = true
 					} else {
-						assigned[st.Field(i).Origin()] = true
+						assigned[st.Field(i)] = true
 					}
 				}
 			}
@@ -247,10 +236,10 @@ func (m *module) uses() (assigned, read map[types.Object]bool) {
 		})
 		ast.Inspect(f, func(n ast.Node) bool {
 			if id, ok := n.(*ast.Ident); ok && m.info.Uses[id] != nil {
-				if obj := origin(m.info.Uses[id]); written[id] {
-					assigned[obj] = true
+				if written[id] {
+					assigned[m.info.Uses[id]] = true
 				} else {
-					read[obj] = true
+					read[m.info.Uses[id]] = true
 				}
 			}
 			return true
