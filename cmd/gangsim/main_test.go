@@ -43,9 +43,7 @@ func TestFuzzSubcommandReplayIsIdentical(t *testing.T) {
 }
 
 // TestFuzzCompareSmoke: the differential known-answer check prints the FM
-// stall and the go-back-N recovery, to the last count. The alternative's
-// one job is rescheduled at every rotation, so this pins the discard
-// scheme's same-job switch.
+// stall and the go-back-N recovery, to the last count.
 func TestFuzzCompareSmoke(t *testing.T) {
 	var out strings.Builder
 	if code := runFuzz([]string{"-compare", "-seed", "77", "-prob", "0.2"}, &out, &out); code != 0 {

@@ -40,8 +40,6 @@ var allowed = map[string]string{
 	"gangfm/internal/parpar.progressKey.job":  "read through map-key equality: progress snapshots are keyed by (node, job)",
 
 	// Fields only tests read, each the one window on a behaviour.
-	"gangfm/internal/myrinet.Event.Job": "TestFlushGuaranteesEmptyNetwork reads each Flushed event's outgoing job " +
-		"to check that none of its packets is in flight at copy time, the invariant the flush exists for",
 	"gangfm/internal/lanai.Stats.StaleCtrl": "TestPartialHaltLossCountsStaleCtrl checks that re-broadcast halts reach peers " +
 		"that already heard them and are dropped as duplicates; the clean-run recovery test requires it stays 0",
 	"gangfm/internal/altsched.DynCosNode.ComputeCycles": "TestDynCosComputeFraction checks that the local compute job " +

@@ -20,7 +20,7 @@
 //	internal/gang        the gang matrix with DHC buddy placement
 //	internal/parpar      masterd/noded daemons, control network, job lifecycle (Fig 2)
 //	internal/workload    the paper's benchmarks plus application kernels (BSP, stencil, master-worker)
-//	internal/altsched    related-work alternatives (SHARE-style discard, PM-style flush)
+//	internal/altsched    go-back-N processes for parpar's SHARE-discard and PM-quiescence modes; dynamic coscheduling
 //	internal/chaos       fault injection + invariant auditing (and chaos/fuzzer)
 //	internal/schedeval   trace-driven scheduler evaluation (job streams, per-job slowdown)
 //	internal/schedd      online scheduler daemon: kills, resizes, backfill, crash requeue, gang/batch/fractional modes

@@ -1,38 +1,106 @@
-package altsched
+package altsched_test
+
+// The related-work schemes run on parpar's cluster (its Discard and Quiesce
+// coordination modes), so these tests live outside the package: parpar
+// imports altsched.
 
 import (
 	"testing"
 
+	"gangfm/internal/altsched"
 	"gangfm/internal/chaos"
 	"gangfm/internal/core"
+	"gangfm/internal/fm"
 	"gangfm/internal/lanai"
 	"gangfm/internal/memmodel"
 	"gangfm/internal/myrinet"
+	"gangfm/internal/parpar"
 	"gangfm/internal/sim"
 )
 
-// pairRig wires two nodes with one job and reliable channels both ways,
-// scheduled from the start.
-func pairRig(t *testing.T, scheme core.Coordination) (*Cluster, *Endpoint, *Endpoint) {
+// newCluster builds a cluster under coordination coord with the fast
+// control network; a nil plan injects no fault.
+func newCluster(t *testing.T, coord core.Coordination, nodes, slots int, quantum sim.Time, plan *chaos.Plan) *parpar.Cluster {
 	t.Helper()
-	cfg := DefaultClusterConfig(1)
-	cfg.Scheme = scheme
-	cfg.Quantum = 100_000_000 // effectively no rotation during short tests
-	c, err := NewCluster(cfg)
+	cfg := parpar.DefaultConfig(nodes)
+	cfg.Slots = slots
+	cfg.Quantum = quantum
+	cfg.UseFastCtrlNet()
+	cfg.Coordination = coord
+	cfg.Chaos = plan
+	c, err := parpar.New(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Start()
-	eps := c.Endpoints(1)
-	return c, eps[0], eps[1]
+	return c
+}
+
+// stream is a job of go-back-N streams: rank r sends msgs packets to rank
+// r+1 and, in a ring, the last rank sends to rank 0. Traffic starts once
+// every rank has started, so each receiver records from its first
+// delivery on. eps holds the endpoints by rank, got each rank's delivered
+// sequence numbers in delivery order.
+type stream struct {
+	eps []*altsched.Endpoint
+	got [][]uint64
+}
+
+func submitStream(t *testing.T, c *parpar.Cluster, size, msgs int, ring bool) *stream {
+	t.Helper()
+	s := &stream{eps: make([]*altsched.Endpoint, size), got: make([][]uint64, size)}
+	started := 0
+	spec := parpar.JobSpec{Name: "stream", Size: size, NewProgram: func(rank int) parpar.Program {
+		return parpar.ProgramFunc(func(p *parpar.Proc) {
+			s.eps[rank] = p.Alt
+			if rank > 0 || ring {
+				p.Alt.Channel((rank + size - 1) % size).SetOnDeliver(func(seq uint64) { s.got[rank] = append(s.got[rank], seq) })
+			}
+			if started++; started < size {
+				return
+			}
+			for r, ep := range s.eps {
+				if r+1 < size || ring {
+					ep.Channel((r + 1) % size).Send(msgs)
+				}
+			}
+		})
+	}}
+	if _, err := c.Submit(spec); err != nil {
+		t.Fatal(err)
+	}
+	return s
+}
+
+// deliveredOnce fails unless rank got seq 0..msgs-1 exactly once each.
+func (s *stream) deliveredOnce(t *testing.T, rank, msgs int) {
+	t.Helper()
+	seen := make(map[uint64]int)
+	for _, seq := range s.got[rank] {
+		seen[seq]++
+	}
+	if len(seen) != msgs {
+		t.Fatalf("rank %d: delivered %d distinct/%d", rank, len(seen), msgs)
+	}
+	for seq, n := range seen {
+		if n != 1 || seq >= uint64(msgs) {
+			t.Fatalf("rank %d: seq %d delivered %d times", rank, seq, n)
+		}
+	}
+}
+
+// rotating builds the two-node, two-job rotation of the scheme tests: each
+// job's rank 0 streams msgs packets to its rank 1.
+func rotating(t *testing.T, coord core.Coordination, quantum sim.Time, plan *chaos.Plan, msgs int) (*parpar.Cluster, []*stream) {
+	t.Helper()
+	c := newCluster(t, coord, 2, 2, quantum, plan)
+	return c, []*stream{submitStream(t, c, 2, msgs, false), submitStream(t, c, 2, msgs, false)}
 }
 
 func TestReliableDeliveryInOrder(t *testing.T) {
-	c, tx, rx := pairRig(t, core.Discard)
-	var got []uint64
-	rx.Channel(0).SetOnDeliver(func(seq uint64) { got = append(got, seq) })
-	tx.Channel(1).Send(100)
-	c.RunFor(50_000_000)
+	c := newCluster(t, core.Discard, 2, 1, 100_000_000, nil)
+	s := submitStream(t, c, 2, 100, false)
+	c.RunUntil(50_000_000)
+	got := s.got[1]
 	if len(got) != 100 {
 		t.Fatalf("delivered %d/100", len(got))
 	}
@@ -41,32 +109,39 @@ func TestReliableDeliveryInOrder(t *testing.T) {
 			t.Fatalf("out of order at %d: %d", i, seq)
 		}
 	}
-	st := tx.Channel(1).Stats()
+	st := s.eps[0].Channel(1).Stats()
 	if st.Retransmissions != 0 {
 		t.Fatalf("retransmissions on a clean run: %d", st.Retransmissions)
 	}
 }
 
+// TestWindowLimitsOutstanding drives a bare two-card pair, wired as the
+// dynamic-coscheduling nodes are, with a short window and a long RTO.
 func TestWindowLimitsOutstanding(t *testing.T) {
-	cfg := DefaultClusterConfig(1)
+	eng := sim.NewEngine()
+	net := myrinet.New(eng, myrinet.DefaultConfig(2))
+	cfg := altsched.DefaultDynCosConfig()
 	cfg.Channel.Window = 4
 	cfg.Channel.RTO = 10_000_000 // long, so no timeouts interfere
-	c, err := NewCluster(cfg)
+	tx, err := altsched.NewDynCosNode(eng, net, memmodel.Default(), 0, 0, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	c.Start()
-	tx := c.Endpoints(1)[0]
-	tx.Channel(1).Send(50)
+	rx, err := altsched.NewDynCosNode(eng, net, memmodel.Default(), 1, 1, cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	tx.Wake()
+	tx.EP.Channel(1).Send(50)
 	// Sample while running: the window bound must hold throughout.
 	for i := 0; i < 40; i++ {
-		c.RunFor(50_000)
-		if o := tx.Channel(1).Outstanding(); o > 4 {
+		eng.RunUntil(eng.Now() + 50_000)
+		if o := tx.EP.Channel(1).Outstanding(); o > 4 {
 			t.Fatalf("outstanding %d exceeds window 4", o)
 		}
 	}
-	c.RunFor(100_000_000)
-	if d := c.Endpoints(1)[1].Channel(0).Stats().Delivered; d != 50 {
+	eng.RunUntil(eng.Now() + 100_000_000)
+	if d := rx.EP.Channel(0).Stats().Delivered; d != 50 {
 		t.Fatalf("delivered %d/50", d)
 	}
 }
@@ -74,26 +149,16 @@ func TestWindowLimitsOutstanding(t *testing.T) {
 func TestLossRecoveryByRetransmission(t *testing.T) {
 	// Unlike FM's credits (which wedge permanently), go-back-N recovers
 	// from loss — the property SHARE's discard approach depends on. The
-	// fault plan is the same kind internal/parpar accepts, so the two
+	// fault plan is the same kind an FM cluster accepts, so the two
 	// stacks' responses to identical loss are directly comparable.
-	cfg := DefaultClusterConfig(1)
-	cfg.Seed = 7
-	cfg.Quantum = 100_000_000 // no rotation during the stream
 	plan := chaos.Loss(7, 0.05)
-	cfg.Chaos = &plan
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
+	c := newCluster(t, core.Discard, 2, 1, 100_000_000, &plan)
+	s := submitStream(t, c, 2, 300, false)
+	c.RunUntil(400_000_000)
+	if d := s.eps[1].Channel(0).Stats().Delivered; d != 300 {
+		t.Fatalf("delivered %d/300 under 5%% loss", d)
 	}
-	c.Start()
-	tx, rx := c.Endpoints(1)[0], c.Endpoints(1)[1]
-	tx.Channel(1).Send(300)
-	c.RunFor(400_000_000)
-	st := rx.Channel(0).Stats()
-	if st.Delivered != 300 {
-		t.Fatalf("delivered %d/300 under 5%% loss", st.Delivered)
-	}
-	if tx.Channel(1).Stats().Retransmissions == 0 {
+	if s.eps[0].Channel(1).Stats().Retransmissions == 0 {
 		t.Fatal("expected retransmissions under loss")
 	}
 	if dropped := c.Net.Stats().Dropped[myrinet.Data]; dropped == 0 {
@@ -102,23 +167,14 @@ func TestLossRecoveryByRetransmission(t *testing.T) {
 }
 
 func TestShareDiscardSwitchSkipsFlush(t *testing.T) {
-	cfg := DefaultClusterConfig(2)
-	cfg.Scheme = core.Discard
-	cfg.Quantum = 2_000_000
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	c.Endpoints(1)[0].Channel(1).Send(4000)
-	c.Endpoints(2)[0].Channel(1).Send(4000)
-	c.RunFor(40_000_000)
-	rep := c.Collect()
+	c, _ := rotating(t, core.Discard, 2_000_000, nil, 4000)
+	c.RunUntil(40_000_000)
+	rep := c.SchemeReport()
 	if rep.Switches == 0 {
 		t.Fatal("no switches recorded")
 	}
-	if rep.MeanWait != 0 {
-		t.Fatalf("discard switching should have zero flush wait, got %.0f", rep.MeanWait)
+	if rep.MeanCoord != 0 {
+		t.Fatalf("discard switching should have zero flush wait, got %.0f", rep.MeanCoord)
 	}
 	// The defining cost: packets racing the unflushed switch are
 	// discarded and must be retransmitted.
@@ -135,18 +191,9 @@ func TestShareDiscardSwitchSkipsFlush(t *testing.T) {
 }
 
 func TestPMQuiescenceResolvesWithoutControlBroadcast(t *testing.T) {
-	cfg := DefaultClusterConfig(2)
-	cfg.Scheme = core.Quiesce
-	cfg.Quantum = 2_000_000
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	c.Endpoints(1)[0].Channel(1).Send(4000)
-	c.Endpoints(2)[0].Channel(1).Send(4000)
-	c.RunFor(40_000_000)
-	rep := c.Collect()
+	c, _ := rotating(t, core.Quiesce, 2_000_000, nil, 4000)
+	c.RunUntil(40_000_000)
+	rep := c.SchemeReport()
 	if rep.Switches == 0 {
 		t.Fatal("no switches recorded")
 	}
@@ -166,20 +213,10 @@ func TestPMQuiescenceResolvesWithoutControlBroadcast(t *testing.T) {
 func TestPMQuiescenceUnderLoss(t *testing.T) {
 	for _, scheme := range []core.Coordination{core.Discard, core.Quiesce} {
 		t.Run(scheme.String(), func(t *testing.T) {
-			cfg := DefaultClusterConfig(2)
-			cfg.Scheme = scheme
-			cfg.Quantum = 2_000_000
 			plan := chaos.Loss(3, 0.05)
-			cfg.Chaos = &plan
-			c, err := NewCluster(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.Start()
-			c.Endpoints(1)[0].Channel(1).Send(4000)
-			c.Endpoints(2)[0].Channel(1).Send(4000)
-			c.RunFor(100_000_000)
-			rep := c.Collect()
+			c, _ := rotating(t, scheme, 2_000_000, &plan, 4000)
+			c.RunUntil(100_000_000)
+			rep := c.SchemeReport()
 			if want := 2 * 49; rep.Switches < want {
 				t.Fatalf("%d job-to-job switches in 50 quanta on 2 nodes, want at least %d", rep.Switches, want)
 			}
@@ -195,24 +232,12 @@ func TestPMQuiescenceUnderLoss(t *testing.T) {
 
 func TestSchemesMakeProgressAcrossManyRotations(t *testing.T) {
 	for _, scheme := range []core.Coordination{core.Discard, core.Quiesce} {
-		scheme := scheme
 		t.Run(scheme.String(), func(t *testing.T) {
-			cfg := DefaultClusterConfig(2)
-			cfg.Scheme = scheme
-			cfg.Quantum = 1_000_000
-			c, err := NewCluster(cfg)
-			if err != nil {
-				t.Fatal(err)
-			}
-			c.Start()
-			for j := 1; j <= 2; j++ {
-				c.Endpoints(myrinet.JobID(j))[0].Channel(1).Send(2000)
-			}
-			c.RunFor(100_000_000)
-			for j := 1; j <= 2; j++ {
-				d := c.Endpoints(myrinet.JobID(j))[1].Channel(0).Stats().Delivered
-				if d != 2000 {
-					t.Fatalf("job %d delivered %d/2000", j, d)
+			c, jobs := rotating(t, scheme, 1_000_000, nil, 2000)
+			c.RunUntil(100_000_000)
+			for j, s := range jobs {
+				if d := s.eps[1].Channel(0).Stats().Delivered; d != 2000 {
+					t.Fatalf("job %d delivered %d/2000", j+1, d)
 				}
 			}
 		})
@@ -221,71 +246,112 @@ func TestSchemesMakeProgressAcrossManyRotations(t *testing.T) {
 
 func TestDeliveryExactlyOnceUnderDiscard(t *testing.T) {
 	// Retransmissions must not cause duplicate deliveries.
-	cfg := DefaultClusterConfig(2)
-	cfg.Scheme = core.Discard
-	cfg.Quantum = 800_000
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	seen := make(map[uint64]int)
-	c.Endpoints(1)[1].Channel(0).SetOnDeliver(func(seq uint64) { seen[seq]++ })
-	c.Endpoints(1)[0].Channel(1).Send(1500)
-	c.Endpoints(2)[0].Channel(1).Send(1500)
-	c.RunFor(120_000_000)
-	if len(seen) != 1500 {
-		t.Fatalf("delivered %d distinct/1500", len(seen))
-	}
-	for seq, n := range seen {
-		if n != 1 {
-			t.Fatalf("seq %d delivered %d times", seq, n)
-		}
-	}
+	c, jobs := rotating(t, core.Discard, 800_000, nil, 1500)
+	c.RunUntil(120_000_000)
+	jobs[0].deliveredOnce(t, 1, 1500)
 }
 
 func TestPMQuiescenceWaitRecorded(t *testing.T) {
-	cfg := DefaultClusterConfig(2)
-	cfg.Scheme = core.Quiesce
-	cfg.Quantum = 2_000_000
-	c, err := NewCluster(cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	c.Start()
-	c.Endpoints(1)[0].Channel(1).Send(4000)
-	c.Endpoints(2)[0].Channel(1).Send(4000)
-	c.RunFor(30_000_000)
-	rep := c.Collect()
-	if rep.MeanWait == 0 {
+	c, _ := rotating(t, core.Quiesce, 2_000_000, nil, 4000)
+	c.RunUntil(30_000_000)
+	if c.SchemeReport().MeanCoord == 0 {
 		t.Fatal("quiescence flush should record nonzero wait on the sending node")
 	}
 }
 
+// TestSchemesPlaceAcrossFourNodes: the jobs' ranks live where the gang
+// matrix put them. Two 4-rank rings on 4 nodes under loss: every stream
+// delivers each message exactly once, every card sends data, and the
+// auditor's checks that hold in the mode find nothing.
+func TestSchemesPlaceAcrossFourNodes(t *testing.T) {
+	for _, scheme := range []core.Coordination{core.Discard, core.Quiesce} {
+		t.Run(scheme.String(), func(t *testing.T) {
+			plan := chaos.Loss(3, 0.05)
+			c := newCluster(t, scheme, 4, 2, 2_000_000, &plan)
+			const msgs = 500
+			jobs := []*stream{submitStream(t, c, 4, msgs, true), submitStream(t, c, 4, msgs, true)}
+			c.RunUntil(200_000_000)
+			for _, s := range jobs {
+				for rank := range s.got {
+					s.deliveredOnce(t, rank, msgs)
+				}
+			}
+			for _, n := range c.Nodes() {
+				if n.NIC.Stats().Injected == 0 {
+					t.Errorf("node %d sent no data", n.ID)
+				}
+			}
+			if !c.Auditor().Ok() {
+				t.Fatal(c.Auditor().Summary())
+			}
+		})
+	}
+}
+
+// TestSchemeJobRunsToDone: a go-back-N job can finish. The sender calls
+// Done as soon as its stream is queued and keeps retransmitting until the
+// receiver has it all; the job then ends and releases its contexts.
+func TestSchemeJobRunsToDone(t *testing.T) {
+	plan := chaos.Loss(5, 0.05)
+	c := newCluster(t, core.Quiesce, 2, 1, 2_000_000, &plan)
+	const msgs = 200
+	job, err := c.Submit(parpar.JobSpec{Name: "finite", Size: 2, NewProgram: func(rank int) parpar.Program {
+		return parpar.ProgramFunc(func(p *parpar.Proc) {
+			if rank == 0 {
+				p.Alt.Channel(1).Send(msgs)
+				p.Done(nil)
+				return
+			}
+			got := 0
+			p.Alt.Channel(0).SetOnDeliver(func(uint64) {
+				if got++; got == msgs {
+					p.Done(got)
+				}
+			})
+		})
+	}})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := c.RunBounded(400_000_000); err != nil {
+		t.Fatal(err)
+	}
+	if job.State() != parpar.JobDone || job.Results[1] != msgs {
+		t.Fatalf("job %v with results %v", job.State(), job.Results)
+	}
+	for _, n := range c.Nodes() {
+		if k := n.Mgr.Contexts(); k != 0 {
+			t.Fatalf("node %d holds %d contexts after the job ended", n.ID, k)
+		}
+	}
+}
+
 func TestEfficiencyMetric(t *testing.T) {
-	r := Report{Sent: 90, Retransmissions: 10, Delivered: 90}
+	r := altsched.Report{Sent: 90, Retransmissions: 10, Delivered: 90}
 	if e := r.Efficiency(); e != 0.9 {
 		t.Fatalf("efficiency = %v", e)
 	}
-	if (Report{}).Efficiency() != 0 {
+	if (altsched.Report{}).Efficiency() != 0 {
 		t.Fatal("empty report efficiency should be 0")
 	}
 }
 
+// TestClusterValidation: the alternative schemes switch one shared
+// context, so they need switched credits; and only the three schemes
+// exist.
 func TestClusterValidation(t *testing.T) {
-	bad := DefaultClusterConfig(0)
-	if _, err := NewCluster(bad); err == nil {
-		t.Fatal("zero jobs should fail")
+	for _, scheme := range []core.Coordination{core.Discard, core.Quiesce} {
+		cfg := parpar.DefaultConfig(2)
+		cfg.Policy = fm.Partitioned
+		cfg.Coordination = scheme
+		if _, err := parpar.New(cfg); err == nil {
+			t.Fatalf("%v under partitioned credits should fail", scheme)
+		}
 	}
-	bad = DefaultClusterConfig(1)
-	bad.Nodes = 1
-	if _, err := NewCluster(bad); err == nil {
-		t.Fatal("one node should fail")
-	}
-	bad = DefaultClusterConfig(1)
-	bad.Scheme = core.Flush
-	if _, err := NewCluster(bad); err == nil {
-		t.Fatal("the paper's flush is not an alternative scheme")
+	cfg := parpar.DefaultConfig(2)
+	cfg.Coordination = core.Quiesce + 1
+	if _, err := parpar.New(cfg); err == nil {
+		t.Fatal("an unknown coordination should fail")
 	}
 }
 
@@ -294,16 +360,16 @@ func TestRChannelValidation(t *testing.T) {
 	net := myrinet.New(eng, myrinet.DefaultConfig(2))
 	nic := lanai.New(eng, net, memmodel.Default(), lanai.DefaultConfig(0))
 	cpu := sim.NewResource(eng)
-	bad := DefaultRChannelConfig()
+	bad := altsched.DefaultRChannelConfig()
 	bad.Window = 0
-	if _, err := NewRChannel(eng, nic, nil, cpu, bad, 1, 0, 1, 1, 100); err == nil {
+	if _, err := altsched.NewRChannel(eng, nic, nil, cpu, bad, 1, 0, 1, 1, 100); err == nil {
 		t.Fatal("zero window should fail")
 	}
-	bad = DefaultRChannelConfig()
-	if _, err := NewRChannel(eng, nic, nil, cpu, bad, 1, 0, 1, 1, 0); err == nil {
+	bad = altsched.DefaultRChannelConfig()
+	if _, err := altsched.NewRChannel(eng, nic, nil, cpu, bad, 1, 0, 1, 1, 0); err == nil {
 		t.Fatal("zero payload should fail")
 	}
-	if _, err := NewRChannel(eng, nic, nil, cpu, bad, 1, 0, 1, 1, myrinet.MaxPayload+1); err == nil {
+	if _, err := altsched.NewRChannel(eng, nic, nil, cpu, bad, 1, 0, 1, 1, myrinet.MaxPayload+1); err == nil {
 		t.Fatal("oversized payload should fail")
 	}
 }

@@ -74,7 +74,7 @@ func NewDynCosNode(eng *sim.Engine, net *myrinet.Network, mem *memmodel.Model,
 	if err != nil {
 		return nil, err
 	}
-	ep, err := NewEndpoint(eng, nic, cpu, cfg.Channel, 1, rank, []myrinet.NodeID{0, 1}, cfg.PayloadLen)
+	ep, err := NewEndpoint(eng, nic, cpu, cfg.Channel, 1, rank, []myrinet.NodeID{0, 1}, cfg.PayloadLen, false)
 	if err != nil {
 		return nil, err
 	}
@@ -87,14 +87,11 @@ func NewDynCosNode(eng *sim.Engine, net *myrinet.Network, mem *memmodel.Model,
 	ep.Attach(ctx)
 	// Wrap the arrival hook: accept/ack at NIC level, then wake the
 	// process if it is descheduled.
-	nic.DataFilter = func(p *myrinet.Packet) bool { return ep.accept(p) }
-	nic.OnControl = func(p *myrinet.Packet) {
-		if p.Type == myrinet.Ack {
-			ep.handleAck(p)
-		}
-	}
+	nic.DataFilter = ep.Accept
+	nic.OnControl = ep.Control
 	ctx.Hooks = lanai.Hooks{
-		OnArrive: func(*lanai.Context) {
+		OnArrive: func(ctx *lanai.Context) {
+			ep.ackDeposit(ctx)
 			n.onActivity()
 			ep.drain()
 		},

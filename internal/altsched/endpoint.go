@@ -11,7 +11,8 @@ import (
 // Endpoint is one process under an alternative scheme: a set of reliable
 // channels to its peers, bound to the node's shared hardware context when
 // the process is scheduled. It is the core.Process a node's manager
-// switches.
+// switches under Discard or Quiesce coordination (parpar builds one per
+// process in those modes).
 type Endpoint struct {
 	eng *sim.Engine
 	nic *lanai.NIC
@@ -44,9 +45,10 @@ type Endpoint struct {
 }
 
 // NewEndpoint builds the process's transport state; channels to peers are
-// created lazily on first use.
+// created lazily on first use. quiesce selects PM's descheduling (see
+// Suspend).
 func NewEndpoint(eng *sim.Engine, nic *lanai.NIC, cpu *sim.Resource, cfg RChannelConfig,
-	job myrinet.JobID, rank int, nodeOf []myrinet.NodeID, payloadLen int) (*Endpoint, error) {
+	job myrinet.JobID, rank int, nodeOf []myrinet.NodeID, payloadLen int, quiesce bool) (*Endpoint, error) {
 	if rank < 0 || rank >= len(nodeOf) {
 		return nil, fmt.Errorf("altsched: rank %d out of range", rank)
 	}
@@ -54,12 +56,16 @@ func NewEndpoint(eng *sim.Engine, nic *lanai.NIC, cpu *sim.Resource, cfg RChanne
 		eng: eng, nic: nic, cpu: cpu, cfg: cfg,
 		job: job, rank: rank, nodeOf: nodeOf,
 		chans:        make(map[int]*RChannel),
+		quiesce:      quiesce,
 		payloadBytes: payloadLen,
 		recvOverhead: cfg.RecvOverhead,
 	}
 	e.drainDoneFn = e.drainDone
 	e.hooks = lanai.Hooks{
-		OnArrive:    func(*lanai.Context) { e.drain() },
+		OnArrive: func(ctx *lanai.Context) {
+			e.ackDeposit(ctx)
+			e.drain()
+		},
 		OnSendSpace: func(*lanai.Context) { e.pumpAll() },
 	}
 	return e, nil
@@ -93,8 +99,16 @@ func (e *Endpoint) Attach(ctx *lanai.Context) {
 	e.ctx = ctx
 	for _, c := range e.chans {
 		c.ctx = ctx
+		c.rebound()
 	}
 	ctx.Hooks = e.hooks
+}
+
+// ackDeposit acknowledges the packet the card has just deposited in ctx's
+// receive queue (its OnArrive hook).
+func (e *Endpoint) ackDeposit(ctx *lanai.Context) {
+	p := ctx.RecvQ.At(ctx.RecvQ.Len() - 1)
+	e.Channel(p.SrcRank).ackDeposit(p)
 }
 
 // Suspend stops the process: pumps halt, and so do retransmission
@@ -123,20 +137,31 @@ func (e *Endpoint) Resume() {
 	e.drain()
 }
 
-// accept is the NIC-level receive-context processing (go-back-N check and
-// cumulative ack) of an arriving data packet.
-func (e *Endpoint) accept(p *myrinet.Packet) bool {
+// Kill stops the process for good, whatever the scheme: transmissions,
+// retransmission timers and the host drain halt, since the job is ending
+// and the shared context may be bound to another job next.
+func (e *Endpoint) Kill() {
+	e.running, e.drainN = false, 0
+	for _, c := range e.chans {
+		c.Suspend()
+		c.pending = 0
+	}
+}
+
+// Accept is the NIC-level go-back-N check of an arriving data packet (see
+// RChannel.Accept).
+func (e *Endpoint) Accept(p *myrinet.Packet) bool {
 	return e.Channel(p.SrcRank).Accept(p)
 }
 
-// handleAck routes a cumulative acknowledgement to the right channel.
-func (e *Endpoint) handleAck(p *myrinet.Packet) {
-	e.Channel(p.SrcRank).HandleAck(p)
-}
-
-// handleNack routes a rejection to the right channel.
-func (e *Endpoint) handleNack(p *myrinet.Packet) {
-	e.Channel(p.SrcRank).HandleNack(p)
+// Control routes an acknowledgement or a rejection to the right channel.
+func (e *Endpoint) Control(p *myrinet.Packet) {
+	switch p.Type {
+	case myrinet.Ack:
+		e.Channel(p.SrcRank).HandleAck(p)
+	case myrinet.Nack:
+		e.Channel(p.SrcRank).HandleNack(p)
+	}
 }
 
 // outstanding sums unacknowledged packets across channels.
@@ -146,6 +171,18 @@ func (e *Endpoint) outstanding() int {
 		n += c.Outstanding()
 	}
 	return n
+}
+
+// Stats sums the counters of the endpoint's channels.
+func (e *Endpoint) Stats() RChannelStats {
+	var st RChannelStats
+	for _, c := range e.chans {
+		cs := c.Stats()
+		st.Sent += cs.Sent
+		st.Retransmissions += cs.Retransmissions
+		st.Delivered += cs.Delivered
+	}
+	return st
 }
 
 // Quiesced reports whether every channel's window is resolved: the test
@@ -195,4 +232,29 @@ func (e *Endpoint) drainDone() {
 		e.nic.FreePacket(p)
 	}
 	e.drain()
+}
+
+// Report aggregates a run's switch and transport statistics, under any
+// coordination (see parpar's Cluster.SchemeReport).
+type Report struct {
+	// Switches counts job-to-job switches, summed over the nodes.
+	Switches int
+	// MeanCoord is the mean cost of stages 1 and 3 per switch in cycles:
+	// the flush and release, the quiescence wait, or zero for discard.
+	MeanCoord float64
+	MeanCopy  float64 // cycles of stage 2
+	// Sent, Retransmissions and Delivered sum the go-back-N channels.
+	Sent            uint64
+	Retransmissions uint64
+	Delivered       uint64
+	Discards        uint64 // card-level ID-filter drops
+}
+
+// Efficiency returns delivered / total transmissions.
+func (r Report) Efficiency() float64 {
+	total := r.Sent + r.Retransmissions
+	if total == 0 {
+		return 0
+	}
+	return float64(r.Delivered) / float64(total)
 }

@@ -17,7 +17,8 @@
 // ranks of a job, with cumulative acks, retransmission timers, and
 // NIC-level acknowledgement generation (acks are produced when the card
 // deposits a packet, as PM does, so they flow even while the destination
-// process is descheduled).
+// process is descheduled, and a packet the card accepted but could not
+// deposit is never acknowledged).
 package altsched
 
 import (
@@ -97,8 +98,12 @@ type RChannel struct {
 	// on every ack, so a fresh method value there would allocate per packet.
 	timeoutFn func()
 
-	// receiver state
-	recvNext uint64
+	// Receiver state: recvNext is the next sequence number the card
+	// accepts, deposited the next one it has yet to deposit, which is the
+	// cumulative ack. They differ while accepted packets are in the
+	// card's receive DMA.
+	recvNext  uint64
+	deposited uint64
 
 	onDeliver func(seq uint64)
 	stats     RChannelStats
@@ -229,19 +234,31 @@ func (c *RChannel) transmit(seq uint64, retrans bool) {
 
 // Accept performs the receive context's NIC-level processing of an
 // arriving data packet, before the DMA deposits it: in-order packets are
-// acknowledged cumulatively and accepted; out-of-order packets (the gap
+// accepted (ackDeposit acknowledges them); out-of-order packets (the gap
 // left by a loss or a discard) are rejected — go-back-N — and the current
 // cumulative ack is repeated to speed the sender's recovery. Accept runs
 // regardless of whether the destination process is scheduled.
 func (c *RChannel) Accept(p *myrinet.Packet) bool {
 	if p.MsgID == c.recvNext {
 		c.recvNext++
-		c.sendAck()
 		return true
 	}
 	c.sendAck()
 	return false
 }
+
+// ackDeposit acknowledges an accepted packet once the card has deposited
+// it in the receive queue.
+func (c *RChannel) ackDeposit(p *myrinet.Packet) {
+	c.deposited = p.MsgID + 1
+	c.sendAck()
+}
+
+// rebound is called when the channel's context is bound again after a
+// switch: an accepted packet still undeposited then lost its context in
+// the receive DMA and was dropped, so acceptance resumes after the last
+// deposit, where the sender will retransmit.
+func (c *RChannel) rebound() { c.recvNext = c.deposited }
 
 // Deliver hands an accepted, deposited packet to the application (called
 // from the host drain loop).
@@ -261,7 +278,7 @@ func (c *RChannel) sendAck() {
 	p.Type = myrinet.Ack
 	p.Src, p.Dst = c.nic.Node(), c.peerNode
 	p.Job, p.SrcRank, p.DstRank = c.job, c.rank, c.peerRank
-	p.MsgID = c.recvNext
+	p.MsgID = c.deposited
 	c.nic.SendRaw(p)
 }
 

@@ -222,7 +222,7 @@ func TestAuditorDedupeAndSummary(t *testing.T) {
 func TestAuditorCreditLedger(t *testing.T) {
 	a := NewAuditor(sim.NewEngine(), 1)
 	drop := func(typ myrinet.PacketType, job myrinet.JobID, credits int) {
-		a.Observe(myrinet.Event{Kind: myrinet.Drop, Node: 1, Job: job,
+		a.Observe(myrinet.Event{Kind: myrinet.Drop, Node: 1,
 			Pkt: &myrinet.Packet{Type: typ, Job: job, Credits: credits}})
 	}
 	drop(myrinet.Data, 1, 3)
@@ -230,7 +230,7 @@ func TestAuditorCreditLedger(t *testing.T) {
 	drop(myrinet.Halt, 1, 0)
 	drop(myrinet.Data, 2, 0)
 	for _, k := range []myrinet.EventKind{myrinet.Flushed, myrinet.Evict, myrinet.Rejoin} {
-		a.Observe(myrinet.Event{Kind: k, Node: 1, Job: 1})
+		a.Observe(myrinet.Event{Kind: k, Node: 1})
 	}
 	if got := a.Destroyed(1); got != 1+3+5 {
 		t.Errorf("job 1 destroyed %d credits, want 9", got)

@@ -6,7 +6,7 @@
 // generators, a one-line failure report ("seed 41 ...") is a complete
 // reproduction recipe: `gangsim fuzz -seed 41 -runs 1` replays it exactly.
 //
-// The package sits above the whole stack (it imports parpar, altsched and
+// The package sits above the whole stack (it imports parpar and
 // workload), which is why it lives in its own directory rather than in
 // package chaos itself: chaos must stay importable by every layer.
 package fuzzer
@@ -15,8 +15,8 @@ import (
 	"fmt"
 	"strings"
 
-	"gangfm/internal/altsched"
 	"gangfm/internal/chaos"
+	"gangfm/internal/core"
 	"gangfm/internal/fm"
 	"gangfm/internal/myrinet"
 	"gangfm/internal/parpar"
@@ -642,25 +642,28 @@ func CompareLoss(seed uint64, prob float64) StallComparison {
 	}
 	cmp.FMDestroyed = c.Auditor().Destroyed(1)
 
-	// Alternative side: the same plan kind on the go-back-N transport.
-	altCfg := altsched.DefaultClusterConfig(1)
+	// Alternative side: the same machine and plan kind, its one job
+	// streaming over go-back-N under SHARE's discard coordination.
+	altCfg := fmCfg
+	altCfg.Policy = fm.Switched
+	altCfg.Coordination = core.Discard
 	altCfg.Seed = seed
-	altCfg.Quantum = 100_000_000 // no rotation: isolate transport recovery
 	altPlan := chaos.Loss(seed, prob)
 	altCfg.Chaos = &altPlan
-	ac, err := altsched.NewCluster(altCfg)
+	ac, err := parpar.New(altCfg)
 	if err != nil {
 		panic(err)
 	}
-	ac.Start()
 	const msgs = 300
-	ac.Endpoints(1)[0].Channel(1).Send(msgs)
-	ac.RunFor(400_000_000)
-	st := ac.Endpoints(1)[1].Channel(0).Stats()
-	cmp.AltDelivered = st.Delivered
-	cmp.AltRetransmissions = ac.Endpoints(1)[0].Channel(1).Stats().Retransmissions
+	if _, err := ac.Submit(workload.Stream("stream", msgs)); err != nil {
+		panic(err)
+	}
+	ac.RunUntil(DefaultHorizon)
+	rep := ac.SchemeReport()
+	cmp.AltDelivered = rep.Delivered
+	cmp.AltRetransmissions = rep.Retransmissions
 	cmp.AltDropped = ac.Net.Stats().Dropped[myrinet.Data]
-	cmp.AltRecovered = st.Delivered == msgs
+	cmp.AltRecovered = rep.Delivered == msgs
 	return cmp
 }
 

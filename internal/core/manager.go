@@ -443,7 +443,7 @@ func (m *Manager) EndJob(job myrinet.JobID) error {
 func (m *Manager) bind(pr *proc) {
 	if pr.store.stored {
 		if got := queueDigest(pr.store.send, pr.store.recv); got != pr.store.digest {
-			m.nic.Emit(myrinet.Event{Kind: myrinet.Violation, Job: pr.job, Invariant: "store-integrity",
+			m.nic.Emit(myrinet.Event{Kind: myrinet.Violation, Invariant: "store-integrity",
 				Detail: fmt.Sprintf("node %d job %d backing store digest %#x, saved %#x — queues corrupted while paged out",
 					m.nic.Node(), pr.job, got, pr.store.digest)})
 		}
@@ -552,7 +552,7 @@ func (m *Manager) haltDone() {
 	m.sw.stats.Halt = m.eng.Now() - m.sw.t0
 	m.sw.t1 = m.eng.Now()
 	st := &m.sw.stats
-	m.nic.Emit(myrinet.Event{Kind: myrinet.Flushed, Job: st.From})
+	m.nic.Emit(myrinet.Event{Kind: myrinet.Flushed})
 	st.ValidSend = m.hwCtx.SendQ.Len()
 	st.ValidRecv = m.hwCtx.RecvQ.Len()
 	if m.current == m.sw.next {

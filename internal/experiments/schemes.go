@@ -1,16 +1,16 @@
 package experiments
 
 import (
-	"gangfm/internal/altsched"
 	"gangfm/internal/core"
 	"gangfm/internal/metrics"
 	"gangfm/internal/myrinet"
 	"gangfm/internal/parpar"
+	"gangfm/internal/sim"
 	"gangfm/internal/workload"
 )
 
 // SchemeRow compares one scheduling/communication coordination scheme
-// (paper §5 related work) on the same two-job, two-node rotation workload.
+// (paper §5 related work) on the same two-job, two-node rotation.
 type SchemeRow struct {
 	Name string
 	// CoordCycles is the mean per-switch coordination cost: the network
@@ -31,102 +31,69 @@ type SchemeRow struct {
 	Efficiency float64
 }
 
-// Schemes runs the three coordination schemes over comparable rotating
-// two-job workloads and tabulates switch cost vs recovery cost: the
-// paper's flush trades a small coordination protocol for zero discards
-// and zero retransmissions.
+// Schemes runs the three coordination schemes on the same machine, two
+// two-rank jobs rotating on a two-node cluster, and tabulates switch cost
+// vs recovery cost: the paper's flush trades a small coordination protocol
+// for zero discards and zero retransmissions.
 func Schemes(p Params) []SchemeRow {
 	rows := make([]SchemeRow, 3)
-	forEach(p.parallel(), 3, func(i int) {
-		switch i {
-		case 0:
-			rows[0] = paperSchemeRow(p)
-		case 1:
-			rows[1] = altSchemeRow(p, core.Discard)
-		case 2:
-			rows[2] = altSchemeRow(p, core.Quiesce)
-		}
-	})
+	forEach(p.parallel(), 3, func(i int) { rows[i] = schemeRow(p, core.Coordination(i)) })
 	return rows
 }
 
-func paperSchemeRow(p Params) SchemeRow {
+var schemeNames = [...]string{
+	core.Flush:   "gang + flush + switch (paper)",
+	core.Discard: "discard + retransmit (SHARE)",
+	core.Quiesce: "quiescence flush (PM/SCore)",
+}
+
+// schemeRow runs one scheme. The paper's jobs run FM's bandwidth benchmark
+// to completion; the alternatives' go-back-N streams of as many packets
+// never finish, so their run stops after 30 quanta (15 quick).
+func schemeRow(p Params, coord core.Coordination) SchemeRow {
 	cfg := parpar.DefaultConfig(2)
 	cfg.Slots = 2
 	cfg.Mode = core.ValidOnly
 	cfg.Quantum = 2_000_000
 	cfg.UseFastCtrlNet()
 	cfg.Chaos = testChaos
+	cfg.Coordination = coord
 	cluster, err := parpar.New(cfg)
 	if err != nil {
 		panic(err)
 	}
-	msgs := 6000
+	msgs, quanta := 6000, sim.Time(30)
 	if p.Quick {
-		msgs = 2500
+		msgs, quanta = 2500, 15
 	}
-	jobs := make([]*parpar.Job, 2)
-	for i := range jobs {
-		if jobs[i], err = cluster.Submit(workload.Bandwidth("sch", msgs, myrinet.MaxPayload)); err != nil {
+	spec := workload.Bandwidth("sch", msgs, myrinet.MaxPayload)
+	if coord != core.Flush {
+		spec = workload.Stream("sch", msgs)
+	}
+	for range 2 {
+		if _, err := cluster.Submit(spec); err != nil {
 			panic(err)
 		}
 	}
-	runJobs(cluster)
-
-	row := SchemeRow{Name: "gang + flush + switch (paper)", Efficiency: 1}
-	var coord, copies float64
-	for _, hist := range cluster.SwitchHistory() {
-		for _, s := range hist {
-			if s.From == myrinet.NoJob || s.To == myrinet.NoJob {
-				continue
-			}
-			row.Switches++
-			coord += float64(s.Halt + s.Release)
-			copies += float64(s.Copy)
-		}
+	if coord == core.Flush {
+		runJobs(cluster)
+	} else {
+		cluster.RunUntil(quanta * cfg.Quantum)
 	}
-	if row.Switches > 0 {
-		row.CoordCycles = coord / float64(row.Switches)
-		row.CopyCycles = copies / float64(row.Switches)
-	}
-	return row
-}
-
-func altSchemeRow(p Params, scheme core.Coordination) SchemeRow {
-	cfg := altsched.DefaultClusterConfig(2)
-	cfg.Scheme = scheme
-	cfg.Quantum = 2_000_000
-	cluster, err := altsched.NewCluster(cfg)
-	if err != nil {
-		panic(err)
-	}
-	cluster.Start()
-	msgs := 6000
-	if p.Quick {
-		msgs = 2500
-	}
-	for j := 1; j <= 2; j++ {
-		cluster.Endpoints(myrinet.JobID(j))[0].Channel(1).Send(msgs)
-	}
-	dur := 30 * cfg.Quantum
-	if p.Quick {
-		dur = 15 * cfg.Quantum
-	}
-	cluster.RunFor(dur)
-	rep := cluster.Collect()
-	name := "discard + retransmit (SHARE)"
-	if scheme == core.Quiesce {
-		name = "quiescence flush (PM/SCore)"
-	}
-	return SchemeRow{
-		Name:            name,
-		CoordCycles:     rep.MeanWait,
+	rep := cluster.SchemeReport()
+	row := SchemeRow{
+		Name:            schemeNames[coord],
+		CoordCycles:     rep.MeanCoord,
 		CopyCycles:      rep.MeanCopy,
 		Switches:        rep.Switches,
 		Discards:        rep.Discards,
 		Retransmissions: rep.Retransmissions,
 		Efficiency:      rep.Efficiency(),
 	}
+	if coord == core.Flush {
+		row.Efficiency = 1 // FM never retransmits: every packet sent is delivered
+	}
+	return row
 }
 
 // SchemesTable renders the comparison.

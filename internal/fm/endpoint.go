@@ -511,7 +511,7 @@ func (e *Endpoint) retire(src int, pa *partial) {
 func (e *Endpoint) loseMessage(pa *partial, detail string) {
 	e.discardedBytes += uint64(pa.size)
 	pa.lost, pa.size, pa.payload = true, 0, nil
-	e.nic.Emit(myrinet.Event{Kind: myrinet.Violation, Job: e.job, Invariant: "fragment-order",
+	e.nic.Emit(myrinet.Event{Kind: myrinet.Violation, Invariant: "fragment-order",
 		Detail: fmt.Sprintf("job %d rank %d: %s", e.job, e.rank, detail)})
 }
 

@@ -856,7 +856,7 @@ func (n *NIC) deposit(a any) {
 
 func (n *NIC) drop(p *myrinet.Packet, reason DropReason) {
 	n.stats.Drops[reason]++
-	n.Emit(myrinet.Event{Kind: myrinet.Drop, Job: p.Job, Pkt: p})
+	n.Emit(myrinet.Event{Kind: myrinet.Drop, Pkt: p})
 	// A data packet also consumes its piggybacked credits when dropped;
 	// the loss of both is exactly how FM's accounting gets corrupted
 	// (paper §2.2). Nothing to do here — the damage is the *absence* of

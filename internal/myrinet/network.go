@@ -65,8 +65,9 @@ const (
 	// Violation: a node-side check failed (the card's flush order, the
 	// manager's backing-store digest).
 	Violation
-	// Flushed: a node's stage-1 flush is done and the stage-2 copy of Job,
-	// the outgoing job (NoJob for an idle switch), is about to start.
+	// Flushed: a node's stage-1 flush is done and the stage-2 copy of the
+	// outgoing job (still the one bound to the node's buffers) is about to
+	// start.
 	Flushed
 	// Evict: the masterd declared Node dead, after killing its matrix
 	// column and before killing the jobs spanning it.
@@ -82,7 +83,6 @@ type Event struct {
 	Kind              EventKind
 	Time              sim.Time
 	Node              NodeID
-	Job               JobID
 	Pkt               *Packet
 	Invariant, Detail string
 }
@@ -323,7 +323,7 @@ func (n *Network) Send(p *Packet) sim.Time {
 // counters but never reaches a handler, taking its credits with it.
 func (n *Network) dropInjected(p *Packet) {
 	n.stats.dropped[p.Type]++
-	n.Emit(Event{Kind: Drop, Time: n.eng.Now(), Node: p.Src, Job: p.Job, Pkt: p})
+	n.Emit(Event{Kind: Drop, Time: n.eng.Now(), Node: p.Src, Pkt: p})
 	if p.Type == Data {
 		n.addInFlight(p.Job, -1)
 	}
@@ -351,7 +351,7 @@ func (n *Network) deliver(p *Packet) {
 	h := n.handlers[p.Dst]
 	if h == nil {
 		n.stats.dropped[p.Type]++
-		n.Emit(Event{Kind: Drop, Time: n.eng.Now(), Node: p.Dst, Job: p.Job, Pkt: p})
+		n.Emit(Event{Kind: Drop, Time: n.eng.Now(), Node: p.Dst, Pkt: p})
 		n.FreePacket(p)
 		return
 	}

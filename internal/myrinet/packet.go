@@ -47,8 +47,8 @@ const (
 	// Ready is the release control message: "I am ready to receive
 	// messages for the new context".
 	Ready
-	// Ack is used only by the PM/SCore-style alternative scheme
-	// (internal/altsched), which flushes by acking outstanding packets.
+	// Ack is the go-back-N acknowledgement of the alternative schemes
+	// (internal/altsched); PM/SCore's quiescence flush waits on it.
 	Ack
 	// Nack is used by the alternative schemes to reject a packet
 	// (receiver out of space, or wrong job scheduled).
@@ -131,8 +131,8 @@ type Packet struct {
 	Epoch uint64
 
 	// Seq is a per-(src,dst) sequence number stamped by the network,
-	// used by tests to verify FIFO delivery and by the alternative
-	// schemes for go-back-N retransmission.
+	// used by tests to verify FIFO delivery and by the chaos injector to
+	// key its per-packet decisions.
 	Seq uint64
 
 	// pooled marks a packet as allocated from (and currently owned by)

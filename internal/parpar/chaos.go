@@ -167,11 +167,16 @@ func (c *Cluster) sortedJobIDs(jobs map[myrinet.JobID]*Job) []myrinet.JobID {
 // checkEndpoints runs the FM-level invariants on every live endpoint:
 // endpoint-local credit and byte accounting, receive-queue occupancy
 // against the credit window, and the loss-induced permanent stall the
-// paper's §2.2 predicts for a protocol with no retransmission.
+// paper's §2.2 predicts for a protocol with no retransmission. It holds
+// under Flush only, where processes have FM endpoints: under Discard the
+// card drops data by design, and go-back-N has no credits to conserve.
 func (c *Cluster) checkEndpoints(now sim.Time, report func(invariant, detail string)) {
 	for _, n := range c.nodes {
 		for _, p := range n.sortedProcs() {
 			ep := p.EP
+			if ep == nil {
+				continue
+			}
 			jobID := p.job.ID
 			ep.AuditInvariants(report)
 
@@ -228,7 +233,9 @@ func (c *Cluster) checkEndpoints(now sim.Time, report func(invariant, detail str
 // has suffered drops, has nothing in flight, and made no communication
 // progress over a whole quantum. CPU-fault windows (and the quantum right
 // after one, while the backlog drains) are excused: a paused host explains
-// a frozen job without any protocol violation.
+// a frozen job without any protocol violation. Like checkEndpoints it holds
+// under Flush only: a job whose processes have no FM endpoint is skipped,
+// since go-back-N retransmits what is lost.
 func (c *Cluster) checkJobDelivery(now sim.Time, report func(invariant, detail string)) {
 	for _, id := range c.sortedJobIDs(c.master.jobs) {
 		job := c.master.jobs[id]
@@ -274,7 +281,8 @@ func (c *Cluster) cpuFaultNear(node int, now sim.Time) bool {
 }
 
 // checkRecovery audits the self-healing layer itself (registered only when
-// it is armed).
+// it is armed). It holds in every coordination mode; the cards of the
+// clock-driven ones never run the halt protocol, so they re-send nothing.
 //
 // retransmit-bounded: the retransmission traffic of every card stays under
 // the budget implied by its timer configuration — a card exceeding it is
@@ -334,7 +342,8 @@ func (c *Cluster) checkRecovery(now sim.Time, report func(invariant, detail stri
 	}
 }
 
-// checkGangMatrix audits the scheduling matrix's structural invariants.
+// checkGangMatrix audits the scheduling matrix's structural invariants, in
+// every coordination mode.
 func (c *Cluster) checkGangMatrix(now sim.Time, report func(invariant, detail string)) {
 	for _, msg := range c.master.matrix.Audit() {
 		report("gang-matrix", msg)
@@ -367,6 +376,8 @@ func (c *Cluster) stallBudget() sim.Time {
 // a node that cannot finish its flush) and a job stuck in the Figure 2
 // launch protocol. With recovery armed the round alarm is named for what
 // it means there — the recovery cascade itself failed to restore liveness.
+// It holds in every coordination mode: a clock-driven round is in flight
+// until every node has finished its switch.
 func (c *Cluster) checkMasterProgress(now sim.Time, report func(invariant, detail string)) {
 	m := c.master
 	budget := c.stallBudget()

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"strings"
 
+	"gangfm/internal/altsched"
 	"gangfm/internal/chaos"
 	"gangfm/internal/core"
 	"gangfm/internal/fm"
@@ -31,6 +32,15 @@ type Config struct {
 	// Packing selects the gang-matrix packing policy; nil means the
 	// default DHC buddy scheme.
 	Packing gang.Policy
+	// Coordination selects stage 1 of every switch (Switched policy
+	// only). The zero value, Flush, is the paper's scheme: the masterd
+	// notifies each node over the control network, each node acknowledges
+	// its switch there, and the cards run the halt/ready flush. Discard
+	// (SHARE) and Quiesce (PM/SCore) are the related-work schemes of §5:
+	// processes talk over altsched's go-back-N channels instead of FM, and
+	// each node switches on its synchronized clock, at the round's tick
+	// plus its own fixed skew, with no control message per switch.
+	Coordination core.Coordination
 
 	// CtrlBase and CtrlJitter shape control-network message latency:
 	// base Ethernet+daemon cost plus uniform [0, jitter) per message.
@@ -93,6 +103,11 @@ func DefaultConfig(nodes int) Config {
 	}
 }
 
+// clockSkew bounds a node's clock offset under clock-driven coordination:
+// each node draws a fixed skew uniformly in [0, clockSkew) once. 20 us:
+// SHARE relies on tightly synchronized clocks.
+const clockSkew sim.Time = 4_000
+
 // UseFastCtrlNet shrinks the control network's daemon skew, switch
 // serialization and fork delay (200 us jitter, 100 us per unicast, 250 us
 // fork) so trace-driven and ablation runs with many short jobs simulate
@@ -117,6 +132,10 @@ type Node struct {
 	// job's context was still registered (see initJob); endJob retries
 	// them.
 	parked []parkedLoad
+
+	// skew is the node's fixed clock offset under Discard or Quiesce
+	// coordination: it switches that long after the round's tick.
+	skew sim.Time
 
 	// gen is this incarnation's membership generation: the eviction count
 	// (len(Masterd.downs[ID])) under which the masterd admits it. Every
@@ -241,10 +260,11 @@ func ackFireFn(a any) {
 func (c *Cluster) attach(n *Node) error {
 	nic := lanai.New(c.Eng, c.Net, c.Mem, lanai.DefaultConfig(n.ID))
 	mgr, err := core.NewManager(c.Eng, nic, n.CPU, c.Mem, core.Config{
-		Policy:      c.cfg.Policy,
-		Mode:        c.cfg.Mode,
-		MaxContexts: c.cfg.Slots,
-		Processors:  c.cfg.Nodes,
+		Policy:       c.cfg.Policy,
+		Mode:         c.cfg.Mode,
+		MaxContexts:  c.cfg.Slots,
+		Processors:   c.cfg.Nodes,
+		Coordination: c.cfg.Coordination,
 	})
 	if err != nil {
 		return err
@@ -254,6 +274,21 @@ func (c *Cluster) attach(n *Node) error {
 	}
 	n.NIC, n.Mgr = nic, mgr
 	n.swDoneFn = func(s core.SwitchStats) { n.switchDone(mgr, s) }
+	if c.cfg.Coordination != core.Flush {
+		// Clock-driven switching: nothing is acknowledged over the
+		// control network. The masterd's round bookkeeping counts the
+		// completion directly, standing in for the synchronized clocks'
+		// promise that a round is over before the next tick.
+		n.swDoneFn = func(s core.SwitchStats) {
+			if mgr == n.Mgr {
+				c.master.switchAcked(int(n.ID), s.Epoch)
+			}
+		}
+		nic.DataFilter, nic.OnControl = n.discard, n.control
+		if c.cfg.Coordination == core.Quiesce {
+			nic.DataFilter = n.nack
+		}
+	}
 	if c.injector != nil {
 		mgr.OnStore = c.injector.StoreHook(int(n.ID))
 		_, first := deadlines(c.cfg, nic.Config())
@@ -331,10 +366,19 @@ func New(cfg Config) (*Cluster, error) {
 	c.ctrl = newCtrlNet(eng, cfg.CtrlBase, cfg.CtrlJitter, c.rng)
 	c.ctrl.timeout, _ = deadlines(cfg, lanai.DefaultConfig(0))
 	c.newChaos()
+	// The skews have their own stream, so a Flush run's control-network
+	// jitter does not move.
+	var skews *sim.Rand
+	if cfg.Coordination != core.Flush {
+		skews = sim.NewRand(cfg.Seed)
+	}
 	for i := 0; i < cfg.Nodes; i++ {
 		n := &Node{
 			ID: myrinet.NodeID(i), CPU: sim.NewResource(eng),
 			cluster: c, procs: make(map[myrinet.JobID]*Proc),
+		}
+		if skews != nil {
+			n.skew = sim.Time(skews.Uint64() % uint64(clockSkew))
 		}
 		if err := c.attach(n); err != nil {
 			return nil, err
@@ -432,6 +476,39 @@ func (c *Cluster) SwitchHistory() [][]core.SwitchStats {
 	return out
 }
 
+// SchemeReport aggregates what compares the coordination schemes: every
+// node's job-to-job switches (first binds and idle switches are not
+// counted), the cards' ID-filter discards, and the go-back-N channels of
+// the live processes (none under Flush).
+func (c *Cluster) SchemeReport() altsched.Report {
+	var r altsched.Report
+	var coord, copies float64
+	for _, n := range c.nodes {
+		for _, s := range n.Mgr.History() {
+			if s.From == myrinet.NoJob || s.To == myrinet.NoJob {
+				continue
+			}
+			r.Switches++
+			coord += float64(s.Halt + s.Release)
+			copies += float64(s.Copy)
+		}
+		r.Discards += n.NIC.Stats().Drops[lanai.DropFiltered]
+		for _, p := range n.procs {
+			if p.Alt != nil {
+				st := p.Alt.Stats()
+				r.Sent += st.Sent
+				r.Retransmissions += st.Retransmissions
+				r.Delivered += st.Delivered
+			}
+		}
+	}
+	if r.Switches > 0 {
+		r.MeanCoord = coord / float64(r.Switches)
+		r.MeanCopy = copies / float64(r.Switches)
+	}
+	return r
+}
+
 // reliableSend routes one daemon control message, re-sent until done
 // reports its receipt (at most ctrlRetries times) when a fault plan can
 // lose it (see ctrlNet.sendReliable). dst < 0 addresses the masterd,
@@ -472,13 +549,25 @@ func (n *Node) initJob(job *Job, rank int) {
 		// readiness notification has its own reliable delivery.
 		return
 	}
-	alloc := n.Mgr.Alloc()
-	ep, err := fm.NewEndpoint(n.cluster.Eng, n.NIC, n.CPU, n.cluster.Mem,
-		fm.DefaultConfig(alloc.C0), job.ID, rank, job.nodeOf)
+	var (
+		ep   *fm.Endpoint
+		alt  *altsched.Endpoint
+		proc core.Process
+		err  error
+	)
+	if coord := n.cluster.cfg.Coordination; coord == core.Flush {
+		ep, err = fm.NewEndpoint(n.cluster.Eng, n.NIC, n.CPU, n.cluster.Mem,
+			fm.DefaultConfig(n.Mgr.Alloc().C0), job.ID, rank, job.nodeOf)
+		proc = ep
+	} else {
+		alt, err = altsched.NewEndpoint(n.cluster.Eng, n.NIC, n.CPU, altsched.DefaultRChannelConfig(),
+			job.ID, rank, job.nodeOf, myrinet.MaxPayload, coord == core.Quiesce)
+		proc = alt
+	}
 	if err != nil {
 		panic(fmt.Sprintf("parpar: endpoint for job %d rank %d: %v", job.ID, rank, err))
 	}
-	if err := n.Mgr.InitJob(job.ID, ep); err != nil {
+	if err := n.Mgr.InitJob(job.ID, proc); err != nil {
 		if n.releasePending() {
 			// The masterd places a job in a cell the moment the previous
 			// occupant leaves the matrix, and the control network does
@@ -494,6 +583,7 @@ func (n *Node) initJob(job *Job, rank int) {
 	p := &Proc{
 		cluster: n.cluster, node: n, job: job, rank: rank,
 		EP:      ep,
+		Alt:     alt,
 		program: job.Spec.NewProgram(rank),
 	}
 	n.procs[job.ID] = p
@@ -563,6 +653,47 @@ func (n *Node) switchSlot(s *switchMsg) {
 	}
 }
 
+// discard is the card's receive-side processing under Discard coordination
+// (SHARE): the card-level ID check drops a data packet for any job but the
+// bound one, with no ack, so the sender's go-back-N retransmits it later. A
+// packet for the bound job passes its channel's go-back-N check before the
+// DMA deposit, which acknowledges it.
+func (n *Node) discard(p *myrinet.Packet) bool {
+	ep := n.bound(p.Job)
+	return ep != nil && ep.Accept(p)
+}
+
+// nack is the same under Quiesce coordination (PM), except that a packet
+// the card cannot receive is nacked, which resolves the sender's
+// quiescence wait.
+func (n *Node) nack(p *myrinet.Packet) bool {
+	if ep := n.bound(p.Job); ep != nil {
+		return ep.Accept(p)
+	}
+	nack := n.NIC.NewPacket()
+	nack.Type = myrinet.Nack
+	nack.Src, nack.Dst = n.ID, p.Src
+	nack.Job, nack.SrcRank, nack.DstRank = p.Job, p.DstRank, p.SrcRank
+	nack.MsgID = p.MsgID
+	n.NIC.SendRaw(nack)
+	return false
+}
+
+// bound returns job's go-back-N endpoint if the job is bound to the card.
+func (n *Node) bound(job myrinet.JobID) *altsched.Endpoint {
+	if p := n.procs[job]; p != nil && job == n.Mgr.Current() {
+		return p.Alt
+	}
+	return nil
+}
+
+// control hands an Ack or Nack to its process's channels.
+func (n *Node) control(p *myrinet.Packet) {
+	if pr := n.procs[p.Job]; pr != nil {
+		pr.Alt.Control(p)
+	}
+}
+
 // switchDone is a switch completion from mgr: record the round as done and
 // acknowledge it. A completion from a retired incarnation's manager — a
 // switch cut short by a crash, resuming on the host CPU after the repair —
@@ -582,6 +713,9 @@ func (n *Node) endJob(job myrinet.JobID) {
 	}
 	if err := n.Mgr.EndJob(job); err != nil {
 		panic(fmt.Sprintf("parpar: EndJob: %v", err))
+	}
+	if p := n.procs[job]; p.Alt != nil {
+		p.Alt.Kill()
 	}
 	delete(n.procs, job)
 	if parked := n.parked; len(parked) > 0 {
@@ -607,7 +741,9 @@ func (n *Node) killJob(job myrinet.JobID) {
 		return
 	}
 	p.killed = true
-	p.EP.Kill()
+	if p.EP != nil {
+		p.EP.Kill()
+	}
 	n.endJob(job)
 }
 

@@ -1,6 +1,7 @@
 package parpar
 
 import (
+	"gangfm/internal/altsched"
 	"gangfm/internal/fm"
 	"gangfm/internal/gang"
 	"gangfm/internal/myrinet"
@@ -104,16 +105,18 @@ func (j *Job) ended() bool { return j.state == JobDone || j.state == JobKilled }
 func (j *Job) OnDone(fn func(*Job)) { j.onDone = append(j.onDone, fn) }
 
 // Proc is the harness handle a Program communicates through: the process's
-// FM endpoint plus job plumbing.
+// endpoint plus job plumbing.
 type Proc struct {
 	cluster *Cluster
 	node    *Node
 	job     *Job
 	rank    int
 
-	// EP is the process's FM endpoint: Send, SetHandler, SetOnCanSend,
-	// Stats and friends.
-	EP *fm.Endpoint
+	// EP is the process's FM endpoint under Flush coordination: Send,
+	// SetHandler, SetOnCanSend, Stats and friends. Alt is its go-back-N
+	// endpoint under Discard or Quiesce coordination. The other is nil.
+	EP  *fm.Endpoint
+	Alt *altsched.Endpoint
 
 	program Program
 	started bool
@@ -132,9 +135,10 @@ func (p *Proc) Now() sim.Time { return p.cluster.Eng.Now() }
 func (p *Proc) Schedule(d sim.Time, fn func()) { p.cluster.Eng.Schedule(d, fn) }
 
 // Done reports the process's result to the noded; when every rank of the
-// job has called Done the masterd retires the job. Queued sends are
+// job has called Done the masterd retires the job. Queued FM sends are
 // flushed into the network first (a real process exits only after its
-// last FM_send returned).
+// last FM_send returned). A go-back-N process keeps retransmitting until
+// the job ends, since a peer may still wait on its data.
 func (p *Proc) Done(result any) {
 	if p.killed {
 		// The job was terminated by node eviction while this program was
@@ -147,12 +151,19 @@ func (p *Proc) Done(result any) {
 	}
 	p.done = true
 	job, rank := p.job, p.rank
+	report := func() {
+		p.cluster.reliableSend(-1, func() bool { return job.doneSeen[rank] || job.ended() },
+			func() { p.cluster.master.rankDone(job, rank, result) })
+	}
+	if p.EP == nil {
+		report()
+		return
+	}
 	p.EP.Flush(func() {
 		if p.killed {
 			return
 		}
 		p.EP.Suspend()
-		p.cluster.reliableSend(-1, func() bool { return job.doneSeen[rank] || job.ended() },
-			func() { p.cluster.master.rankDone(job, rank, result) })
+		report()
 	})
 }

@@ -5,6 +5,7 @@ import (
 	"sort"
 
 	"gangfm/internal/chaos"
+	"gangfm/internal/core"
 	"gangfm/internal/gang"
 	"gangfm/internal/myrinet"
 	"gangfm/internal/sim"
@@ -330,9 +331,17 @@ func (m *Masterd) tick() {
 	// machine and drives Figures 7 and 8. Evicted nodes are skipped,
 	// keeping each survivor's slot. A notification carries the node's
 	// generation (its eviction count), so only that incarnation acts on it.
+	// Under clock-driven coordination no notification is sent: each node
+	// switches on its own clock, its skew after the tick.
+	clocked := m.c.cfg.Coordination != core.Flush
 	for i, n := range m.c.nodes {
-		if !m.matrix.ColDead(i) {
-			m.c.ctrl.sendReliable(sim.Time(i+1)*m.c.cfg.CtrlSerialGap, -1, n.getMsg(epoch, len(m.downs[i]), false))
+		if m.matrix.ColDead(i) {
+			continue
+		}
+		if s := n.getMsg(epoch, len(m.downs[i]), false); clocked {
+			m.c.Eng.ScheduleArg(n.skew, switchNoteFn, s)
+		} else {
+			m.c.ctrl.sendReliable(sim.Time(i+1)*m.c.cfg.CtrlSerialGap, -1, s)
 		}
 	}
 	var q *quantumMsg

@@ -423,11 +423,18 @@ func TestFlushGuaranteesEmptyNetwork(t *testing.T) {
 	cfg := testConfig(4)
 	c, _ := New(cfg)
 	violations := 0
+	flushed := make(map[myrinet.NodeID][]myrinet.JobID)
 	c.Observe(func(e myrinet.Event) {
-		if e.Kind == myrinet.Flushed && e.Job != myrinet.NoJob && c.Net.InFlight(e.Job) != 0 {
+		if e.Kind != myrinet.Flushed {
+			return
+		}
+		// The outgoing job is still bound when the flush completes.
+		job := c.Nodes()[e.Node].Mgr.Current()
+		flushed[e.Node] = append(flushed[e.Node], job)
+		if job != myrinet.NoJob && c.Net.InFlight(job) != 0 {
 			violations++
 			t.Errorf("node %d: job %d has %d packets in flight at copy time",
-				e.Node, e.Job, c.Net.InFlight(e.Job))
+				e.Node, job, c.Net.InFlight(job))
 		}
 	})
 	c.Submit(JobSpec{Name: "a", Size: 4, NewProgram: oneWay(400, 1536)})
@@ -436,10 +443,19 @@ func TestFlushGuaranteesEmptyNetwork(t *testing.T) {
 	if violations > 0 {
 		t.Fatalf("%d flush invariant violations", violations)
 	}
-	// The test must actually have exercised real switches.
+	// The job read at each flush is the switch's recorded outgoing job —
+	// unless that job ended, releasing its context, while the flush ran —
+	// and the test must actually have exercised real switches.
 	real := 0
-	for _, hist := range c.SwitchHistory() {
-		for _, s := range hist {
+	for i, hist := range c.SwitchHistory() {
+		got := flushed[myrinet.NodeID(i)]
+		if len(got) != len(hist) {
+			t.Fatalf("node %d: %d flushes for %d switches", i, len(got), len(hist))
+		}
+		for k, s := range hist {
+			if got[k] != s.From && got[k] != myrinet.NoJob {
+				t.Fatalf("node %d switch %d: job %d bound at the flush, From %d", i, k, got[k], s.From)
+			}
 			if s.From != myrinet.NoJob {
 				real++
 			}
@@ -447,6 +463,24 @@ func TestFlushGuaranteesEmptyNetwork(t *testing.T) {
 	}
 	if real == 0 {
 		t.Fatal("no real switches sampled")
+	}
+
+	// Above only rank 0 sends. With every rank sending, a node that
+	// copied before hearing every peer's halt would receive that peer's
+	// last packets into a context switched away: on a lossless run no
+	// data packet may be dropped.
+	c, _ = New(cfg)
+	drops := 0
+	c.Observe(func(e myrinet.Event) {
+		if e.Kind == myrinet.Drop && e.Pkt.Type == myrinet.Data {
+			drops++
+		}
+	})
+	c.Submit(JobSpec{Name: "a", Size: 4, NewProgram: allToAll(4, 200, 1536)})
+	c.Submit(JobSpec{Name: "b", Size: 4, NewProgram: allToAll(4, 200, 1536)})
+	runDone(t, c)
+	if drops > 0 {
+		t.Fatalf("%d data packets dropped on a lossless run", drops)
 	}
 }
 

@@ -42,9 +42,9 @@ func TotalCompute(job *parpar.Job) sim.Time {
 // suspending the endpoint at Done cannot wedge a peer.
 func exchangeProgram(ranks, phases int, dests []int, perDest, size int, compute sim.Time) parpar.Program {
 	return parpar.ProgramFunc(func(p *parpar.Proc) {
-		m := startMeter(p)
+		once := &doneOnce{p: p}
 		if phases <= 0 || (len(dests) == 0 && compute == 0) {
-			m.finish(func(_, _ sim.Time) any { return KernelResult{} })
+			once.done(KernelResult{})
 			return
 		}
 		// Inbound expectation per source and phase. The communication
@@ -77,7 +77,7 @@ func exchangeProgram(ranks, phases int, dests []int, perDest, size int, compute 
 				phase++
 				sentPhase = 0
 				if phase == phases {
-					m.finish(func(_, _ sim.Time) any { return KernelResult{Compute: computeT} })
+					once.done(KernelResult{Compute: computeT})
 					return
 				}
 				startPhase()
@@ -192,7 +192,7 @@ func MasterWorker(name string, ranks, tasks, taskBytes int, compute sim.Time) pa
 		NewProgram: func(rank int) parpar.Program {
 			if rank == 0 {
 				return parpar.ProgramFunc(func(p *parpar.Proc) {
-					m := startMeter(p)
+					once := &doneOnce{p: p}
 					type send struct{ dst, size int }
 					var (
 						// The master's send log has a known final length:
@@ -216,7 +216,7 @@ func MasterWorker(name string, ranks, tasks, taskBytes int, compute sim.Time) pa
 					}
 					maybeDone := func() {
 						if completions == tasks && finishSent == ranks-1 {
-							m.finish(func(_, _ sim.Time) any { return KernelResult{} })
+							once.done(KernelResult{})
 						}
 					}
 					p.EP.SetHandler(func(src, size int, _ []byte) {
@@ -247,7 +247,7 @@ func MasterWorker(name string, ranks, tasks, taskBytes int, compute sim.Time) pa
 				})
 			}
 			return parpar.ProgramFunc(func(p *parpar.Proc) {
-				m := startMeter(p)
+				once := &doneOnce{p: p}
 				var (
 					pending  int
 					computeT sim.Time
@@ -263,7 +263,7 @@ func MasterWorker(name string, ranks, tasks, taskBytes int, compute sim.Time) pa
 				}
 				p.EP.SetHandler(func(_, size int, _ []byte) {
 					if size == mwCtrlSize {
-						m.finish(func(_, _ sim.Time) any { return KernelResult{Compute: computeT} })
+						once.done(KernelResult{Compute: computeT})
 						return
 					}
 					if compute == 0 {

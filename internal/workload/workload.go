@@ -35,24 +35,18 @@ func pump(p *parpar.Proc, next func() (dst, size int), onSent func()) func() {
 	return kick
 }
 
-// meter times a rank's measurement interval: Start is stamped when the
-// program enters, and finish reports the result built from (start, end)
-// through Done exactly once — the rank-0 timing pattern every benchmark
-// shares.
-type meter struct {
+// doneOnce calls Done exactly once, however often a rank's completion
+// condition is met.
+type doneOnce struct {
 	p     *parpar.Proc
-	start sim.Time
 	fired bool
 }
 
-func startMeter(p *parpar.Proc) *meter { return &meter{p: p, start: p.Now()} }
-
-func (m *meter) finish(result func(start, end sim.Time) any) {
-	if m.fired {
-		return
+func (d *doneOnce) done(result any) {
+	if !d.fired {
+		d.fired = true
+		d.p.Done(result)
 	}
-	m.fired = true
-	m.p.Done(result(m.start, m.p.Now()))
 }
 
 // BandwidthResult is reported by rank 0 of a bandwidth job.
@@ -93,13 +87,10 @@ func Bandwidth(name string, msgs, size int) parpar.JobSpec {
 		NewProgram: func(rank int) parpar.Program {
 			if rank == 0 {
 				return parpar.ProgramFunc(func(p *parpar.Proc) {
-					m := startMeter(p)
-					var res BandwidthResult
+					res := BandwidthResult{Start: p.Now()}
 					p.EP.SetHandler(func(_, _ int, _ []byte) {
-						m.finish(func(start, end sim.Time) any {
-							res.Start, res.End = start, end
-							return res
-						})
+						res.End = p.Now()
+						p.Done(res)
 					})
 					sent := 0
 					pump(p, func() (int, int) {
@@ -150,12 +141,12 @@ func AllToAll(name string, ranks, perPeer, size int) parpar.JobSpec {
 		Size: ranks,
 		NewProgram: func(rank int) parpar.Program {
 			return parpar.ProgramFunc(func(p *parpar.Proc) {
-				m := startMeter(p)
+				once := &doneOnce{p: p}
 				var res AllToAllResult
 				total := perPeer * (ranks - 1)
 				maybeDone := func() {
 					if res.Sent == total && res.Received == total {
-						m.finish(func(_, _ sim.Time) any { return res })
+						once.done(res)
 					}
 				}
 				p.EP.SetHandler(func(_, _ int, _ []byte) {
@@ -206,14 +197,12 @@ func PingPong(name string, rounds, size int) parpar.JobSpec {
 		NewProgram: func(rank int) parpar.Program {
 			if rank == 0 {
 				return parpar.ProgramFunc(func(p *parpar.Proc) {
-					m := startMeter(p)
+					start := p.Now()
 					count := 0
 					p.EP.SetHandler(func(_, _ int, _ []byte) {
 						count++
 						if count == rounds {
-							m.finish(func(start, end sim.Time) any {
-								return PingPongResult{Rounds: rounds, Start: start, End: end}
-							})
+							p.Done(PingPongResult{Rounds: rounds, Start: start, End: p.Now()})
 							return
 						}
 						p.EP.Send(1, size, nil)
@@ -245,6 +234,24 @@ func Compute(name string, ranks int, cycles sim.Time) parpar.JobSpec {
 		NewProgram: func(rank int) parpar.Program {
 			return parpar.ProgramFunc(func(p *parpar.Proc) {
 				p.Schedule(cycles, func() { p.Done(cycles) })
+			})
+		},
+	}
+}
+
+// Stream is the workload of the related-work schemes (paper §5), for a
+// cluster under Discard or Quiesce coordination: as soon as the job
+// starts, rank 0 queues msgs maximum-size packets on its go-back-N channel
+// to rank 1. The ranks never call Done; the run ends at its horizon.
+func Stream(name string, msgs int) parpar.JobSpec {
+	return parpar.JobSpec{
+		Name: name,
+		Size: 2,
+		NewProgram: func(rank int) parpar.Program {
+			return parpar.ProgramFunc(func(p *parpar.Proc) {
+				if rank == 0 {
+					p.Alt.Channel(1).Send(msgs)
+				}
 			})
 		},
 	}
