@@ -5,11 +5,13 @@
 //
 // Usage:
 //
-//	gangsim [-quick] [-par N] <fig5|fig6|fig7|fig8|fig9|overhead|credits|all>
+//	gangsim [-quick] [-par N] <experiment|all>
 //	gangsim fuzz [-seed S] [-runs N] [-shrink] [-trace] [-compare]
 //	gangsim sched [-seed S] [-policy P] [-scheme S] [-trace FILE]
 //	gangsim churn [-seed S] [-kill F] [-resize F] [-deadline F] [-trace FILE]
 //
+// The experiments are experiments.Figures, which gangsim -h lists; all
+// runs them in that order.
 // Every subcommand also takes -cpuprofile F and -memprofile F.
 //
 // All runs are deterministic; -quick shrinks the sweeps for smoke runs,
@@ -25,40 +27,49 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"sort"
 	"time"
 
 	"gangfm/internal/experiments"
 )
 
-// subcommand is a dispatchable name with a one-line description.
-type subcommand struct{ name, desc string }
-
-// subcommands is the single source of truth for the unknown-subcommand
-// listing.
-var subcommands = []subcommand{
-	{"all", "every paper experiment in sequence"},
-	{"churn", "online scheduling under churn: gang vs batch vs fractional with kills, resizes, backfill (churn -h)"},
-	{"credits", "credit formulas C0 = Br/(n^2 p) vs Br/p (paper 2.2, 3.3)"},
-	{"dyncos", "ablation: gang vs dynamic coscheduling responsiveness (5)"},
-	{"fig5", "bandwidth vs msg size x #contexts, partitioned buffers"},
-	{"fig6", "total bandwidth vs msg size x #jobs, buffer switching"},
-	{"fig7", "switch stage times, full buffer copy, 2..16 nodes"},
-	{"fig8", "valid packets in the buffers at switch time, 2..16 nodes"},
-	{"fig9", "switch stage times, improved (valid-only) copy, 2..16 nodes"},
-	{"fuzz", "seeded fault-injection fuzzer with exact seed replay (fuzz -h)"},
-	{"overhead", "single-switch cost vs the paper's 85 ms / 12.5 ms bounds"},
-	{"sched", "trace-driven scheduler evaluation: job streams, packing policies, per-job slowdown (sched -h)"},
-	{"schemes", "ablation: paper scheme vs SHARE discard vs PM quiescence (5)"},
+// command is a dispatchable name with a one-line description and, for a
+// subcommand that parses its own flags, the function that runs it.
+type command struct {
+	name, desc string
+	run        func(args []string, out, diag io.Writer) int
 }
 
-// printSubcommands writes the sorted subcommand listing to w.
-func printSubcommands(w io.Writer) {
-	sorted := append([]subcommand(nil), subcommands...)
-	sort.Slice(sorted, func(a, b int) bool { return sorted[a].name < sorted[b].name })
-	fmt.Fprintln(w, "subcommands:")
-	for _, s := range sorted {
-		fmt.Fprintf(w, "  %-9s %s\n", s.name, s.desc)
+// commands are the subcommands that own their flags. Every other name is
+// an experiment: an entry of experiments.Figures, or all.
+var commands = []command{
+	{"fuzz", "seeded fault-injection fuzzer with exact seed replay (fuzz -h)", runFuzz},
+	{"sched", "trace-driven scheduler evaluation: job streams, packing policies, per-job slowdown (sched -h)", runSched},
+	{"churn", "online scheduling under churn: gang vs batch vs fractional with kills, resizes, backfill (churn -h)", runChurn},
+}
+
+// experimentList is every experiment in experiments.Figures order, then all.
+func experimentList() []command {
+	var list []command
+	for _, f := range experiments.Figures {
+		list = append(list, command{name: f.Name, desc: f.Desc})
+	}
+	return append(list, command{name: "all", desc: "every paper experiment in sequence"})
+}
+
+// subcommands is every dispatchable name, sorted.
+func subcommands() []command {
+	list := append(experimentList(), commands...)
+	sort.Slice(list, func(a, b int) bool { return list[a].name < list[b].name })
+	return list
+}
+
+// printList writes a heading and one line per command to w.
+func printList(w io.Writer, heading string, list []command) {
+	fmt.Fprintln(w, heading)
+	for _, c := range list {
+		fmt.Fprintf(w, "  %-9s %s\n", c.name, c.desc)
 	}
 }
 
@@ -66,21 +77,18 @@ func printSubcommands(w io.Writer) {
 // and returns the exit code for usage errors.
 func unknownSubcommand(w io.Writer, name string) int {
 	fmt.Fprintf(w, "gangsim: unknown subcommand %q\n\n", name)
-	printSubcommands(w)
+	printList(w, "subcommands:", subcommands())
 	return 2
 }
 
 func main() {
-	// The fuzz, sched and churn subcommands own their flags; dispatch
-	// before the global parse.
-	if len(os.Args) > 1 && os.Args[1] == "fuzz" {
-		os.Exit(runFuzz(os.Args[2:], os.Stdout, os.Stderr))
-	}
-	if len(os.Args) > 1 && os.Args[1] == "sched" {
-		os.Exit(runSched(os.Args[2:], os.Stdout, os.Stderr))
-	}
-	if len(os.Args) > 1 && os.Args[1] == "churn" {
-		os.Exit(runChurn(os.Args[2:], os.Stdout, os.Stderr))
+	// The commands own their flags; dispatch before the figure flags parse.
+	if len(os.Args) > 1 {
+		for _, c := range commands {
+			if c.name == os.Args[1] {
+				os.Exit(c.run(os.Args[2:], os.Stdout, os.Stderr))
+			}
+		}
 	}
 	os.Exit(runFigures(os.Args[1:], os.Stdout, os.Stderr))
 }
@@ -104,31 +112,14 @@ func runFigures(args []string, out, diag io.Writer) int {
 	}
 	p := experiments.Params{Quick: *quick, Parallel: *par}
 
-	cmds := map[string]func(experiments.Params, io.Writer){
-		"fig5":     fig5,
-		"fig6":     fig6,
-		"fig7":     fig7,
-		"fig8":     fig8,
-		"fig9":     fig9,
-		"overhead": overhead,
-		"credits":  credits,
-		"schemes":  schemes,
-		"dyncos":   dyncos,
-		"all": func(p experiments.Params, w io.Writer) {
-			credits(p, w)
-			fig5(p, w)
-			fig6(p, w)
-			fig7(p, w)
-			fig8(p, w)
-			fig9(p, w)
-			overhead(p, w)
-			schemes(p, w)
-			dyncos(p, w)
-		},
-	}
-	cmd, ok := cmds[fs.Arg(0)]
-	if !ok {
-		return unknownSubcommand(diag, fs.Arg(0))
+	name := fs.Arg(0)
+	figs := experiments.Figures
+	if name != "all" {
+		i := slices.IndexFunc(figs, func(f experiments.Figure) bool { return f.Name == name })
+		if i < 0 {
+			return unknownSubcommand(diag, name)
+		}
+		figs = figs[i : i+1]
 	}
 	stop, err := profile()
 	if err != nil {
@@ -137,8 +128,10 @@ func runFigures(args []string, out, diag io.Writer) int {
 	}
 	defer stop()
 	start := time.Now()
-	cmd(p, out)
-	fmt.Fprintf(diag, "[%s completed in %.1fs]\n", fs.Arg(0), time.Since(start).Seconds())
+	for _, f := range figs {
+		io.WriteString(out, f.Render(p))
+	}
+	fmt.Fprintf(diag, "[%s completed in %.1fs]\n", name, time.Since(start).Seconds())
 	return 0
 }
 
@@ -202,82 +195,20 @@ func startProfiles(cpuPath, memPath string) (stop func(), err error) {
 }
 
 func usage(w io.Writer) {
-	fmt.Fprintf(w, `gangsim — regenerate the paper's evaluation
+	fmt.Fprint(w, `gangsim — regenerate the paper's evaluation
 
 usage: gangsim [-quick] [-par N] [-cpuprofile F] [-memprofile F] <experiment>
+       gangsim <command> [flags]
 
 -par N simulates up to N sweep points at once, each cluster on its own
 engine. The tables are byte-identical per seed at any -par.
 
-experiments:
-  credits   credit formulas C0 = Br/(n^2 p) vs Br/p (paper 2.2, 3.3)
-  fig5      bandwidth vs msg size x #contexts, partitioned buffers
-  fig6      total bandwidth vs msg size x #jobs, buffer switching
-  fig7      switch stage times, full buffer copy, 2..16 nodes
-  fig8      valid packets in the buffers at switch time, 2..16 nodes
-  fig9      switch stage times, improved (valid-only) copy, 2..16 nodes
-  overhead  single-switch cost vs the paper's 85 ms / 12.5 ms bounds
-  schemes   ablation: paper scheme vs SHARE discard vs PM quiescence (5)
-  dyncos    ablation: gang vs dynamic coscheduling responsiveness (5)
-  all       everything above
-
-chaos:
-  fuzz      seeded fault-injection fuzzer over random clusters, jobs and
-            fault plans; failing seeds replay exactly (see fuzz -h)
-
-scheduling:
-  sched     trace-driven scheduler evaluation: generated or file-based job
-            streams under every packing policy x credit scheme (see sched -h)
-  churn     online scheduling under churn: live kills, resizes, deadlines,
-            conservative backfill; gang vs batch vs fractional (see churn -h)
-
+`)
+	printList(w, "experiments:", experimentList())
+	fmt.Fprintln(w)
+	printList(w, "commands:", commands)
+	fmt.Fprint(w, `
 performance is measured by the repository benchmark, not a subcommand:
   bash bench/run.sh   (see bench/README.md)
 `)
-}
-
-func fig5(p experiments.Params, w io.Writer) {
-	points := experiments.Fig5(p)
-	fmt.Fprintln(w, experiments.Fig5Table(points))
-	fmt.Fprintln(w, "(zero rows are the credit cliff: C0 = Br/(n^2 p) hits 0 at 7-8 contexts)")
-}
-
-func fig6(p experiments.Params, w io.Writer) {
-	points := experiments.Fig6(p)
-	fmt.Fprintln(w, experiments.Fig6Table(points))
-	fmt.Fprintln(w, "(aggregate = mean per-job bandwidth x #jobs; flat rows are the paper's claim)")
-}
-
-func fig7(p experiments.Params, w io.Writer) {
-	points := experiments.Fig7(p)
-	fmt.Fprintln(w, experiments.StageTable(
-		"Figure 7: buffer switch stage times, full copy [cycles of a 200 MHz P6]", points))
-}
-
-func fig8(p experiments.Params, w io.Writer) {
-	points := experiments.Fig9(p)
-	fmt.Fprintln(w, experiments.Fig8FromSweep(points))
-}
-
-func fig9(p experiments.Params, w io.Writer) {
-	points := experiments.Fig9(p)
-	fmt.Fprintln(w, experiments.StageTable(
-		"Figure 9: buffer switch stage times, improved (valid-only) copy [cycles]", points))
-}
-
-func overhead(p experiments.Params, w io.Writer) {
-	rep := experiments.Overhead(p)
-	fmt.Fprintln(w, experiments.OverheadTable(rep))
-}
-
-func credits(p experiments.Params, w io.Writer) {
-	fmt.Fprintln(w, experiments.CreditsTable(experiments.Credits()))
-}
-
-func schemes(p experiments.Params, w io.Writer) {
-	fmt.Fprintln(w, experiments.SchemesTable(experiments.Schemes(p)))
-}
-
-func dyncos(p experiments.Params, w io.Writer) {
-	fmt.Fprintln(w, experiments.ResponsivenessTable(experiments.Responsiveness(p)))
 }

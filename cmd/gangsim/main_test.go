@@ -101,60 +101,63 @@ func checkBadFlags(t *testing.T, run func(args []string, out, diag io.Writer) in
 
 // TestFigureSubcommandsPrintGoldens: the figure subcommands reach the
 // experiments with the global flags applied. Each -quick figure prints its
-// quick golden followed by a blank line (fig5 and fig6 then add one note
-// line), byte-identical at -par 1 and -par 2, and the wall-clock line goes
+// golden byte for byte at -par 1 and -par 2, and the wall-clock line goes
 // only to the diagnostics writer.
 func TestFigureSubcommandsPrintGoldens(t *testing.T) {
-	notes := map[string]string{
-		"fig5": "(zero rows are the credit cliff: C0 = Br/(n^2 p) hits 0 at 7-8 contexts)\n",
-		"fig6": "(aggregate = mean per-job bandwidth x #jobs; flat rows are the paper's claim)\n",
-	}
-	for _, name := range []string{"fig5", "fig6", "fig7", "fig8", "fig9", "overhead", "credits", "schemes", "dyncos"} {
-		want, err := os.ReadFile(filepath.Join("..", "..", "testdata", "golden", name+".txt"))
+	for _, f := range experiments.Figures {
+		want, err := os.ReadFile(goldenPath(f.Name))
 		if err != nil {
 			t.Fatal(err)
 		}
 		for _, par := range []string{"1", "2"} {
 			var out, diag strings.Builder
-			if code := runFigures([]string{"-quick", "-par", par, name}, &out, &diag); code != 0 {
-				t.Fatalf("%s -par %s: exit %d:\n%s", name, par, code, diag.String())
+			if code := runFigures([]string{"-quick", "-par", par, f.Name}, &out, &diag); code != 0 {
+				t.Fatalf("%s -par %s: exit %d:\n%s", f.Name, par, code, diag.String())
 			}
-			if got := out.String(); got != string(want)+"\n"+notes[name] {
-				t.Fatalf("%s -par %s diverged from its golden:\n--- want ---\n%s\n%s--- got ---\n%s",
-					name, par, want, notes[name], got)
+			if got := out.String(); got != string(want) {
+				t.Fatalf("%s -par %s diverged from its golden:\n--- want ---\n%s--- got ---\n%s",
+					f.Name, par, want, got)
 			}
-			if !strings.HasPrefix(diag.String(), "["+name+" completed in ") {
-				t.Fatalf("%s -par %s: diagnostics %q", name, par, diag.String())
+			if !strings.HasPrefix(diag.String(), "["+f.Name+" completed in ") {
+				t.Fatalf("%s -par %s: diagnostics %q", f.Name, par, diag.String())
 			}
 		}
 	}
 }
 
+// goldenPath is the path of the golden file named name.
+func goldenPath(name string) string {
+	return filepath.Join("..", "..", "testdata", "golden", name+".txt")
+}
+
 var update = flag.Bool("update", false, "rewrite the sched and churn goldens from current output")
+
+// schedChurnGoldens are the sched and churn runs whose stdout is frozen:
+// the crash-free showdown, the crash showdown with the adaptive estimator,
+// and the repair loop on top.
+var schedChurnGoldens = []struct {
+	golden string
+	run    func(args []string, out, diag io.Writer) int
+	args   []string
+}{
+	{"sched", runSched, []string{"-quick"}},
+	{"churn", runChurn, []string{"-quick"}},
+	{"churn_crash", runChurn, []string{"-quick", "-crash", "0.35", "-adaptive"}},
+	{"churn_repair", runChurn, []string{"-quick", "-crash", "0.35", "-repair", "0.75", "-adaptive"}},
+}
 
 // TestSchedChurnPrintGoldens: the sched and churn goldens are these
 // commands' stdout, byte for byte — the tables, their notes and the blank
-// lines between them. The churn legs run the crash-free showdown, the
-// crash showdown with the adaptive estimator, and the repair loop on top.
+// lines between them.
 // Regenerate with:  go test ./cmd/gangsim -run TestSchedChurnPrintGoldens -update
 func TestSchedChurnPrintGoldens(t *testing.T) {
-	cases := []struct {
-		golden string
-		run    func(args []string, out, diag io.Writer) int
-		args   []string
-	}{
-		{"sched", runSched, []string{"-quick"}},
-		{"churn", runChurn, []string{"-quick"}},
-		{"churn_crash", runChurn, []string{"-quick", "-crash", "0.35", "-adaptive"}},
-		{"churn_repair", runChurn, []string{"-quick", "-crash", "0.35", "-repair", "0.75", "-adaptive"}},
-	}
-	for _, c := range cases {
+	for _, c := range schedChurnGoldens {
 		t.Run(c.golden, func(t *testing.T) {
 			var out, diag strings.Builder
 			if code := c.run(c.args, &out, &diag); code != 0 {
 				t.Fatalf("%v: exit %d:\n%s", c.args, code, diag.String())
 			}
-			path := filepath.Join("..", "..", "testdata", "golden", c.golden+".txt")
+			path := goldenPath(c.golden)
 			if *update {
 				if err := os.WriteFile(path, []byte(out.String()), 0o644); err != nil {
 					t.Fatal(err)
@@ -169,6 +172,38 @@ func TestSchedChurnPrintGoldens(t *testing.T) {
 				t.Fatalf("%v diverged from %s:\n--- want ---\n%s--- got ---\n%s", c.args, c.golden, want, got)
 			}
 		})
+	}
+}
+
+// TestGoldenFilesOwned: every testdata/golden/*.txt is checked by a test
+// that names it — an experiments.Figures entry, a TestSchedChurnPrintGoldens
+// case, or the root package's chaos trace — and every one of those names
+// has its file. A figure dropped from the list would otherwise leave an
+// orphan golden that nothing compares.
+func TestGoldenFilesOwned(t *testing.T) {
+	owners := map[string]string{"chaos_trace": "TestGoldenChaosTrace"}
+	for _, f := range experiments.Figures {
+		owners[f.Name] = "experiments.Figures"
+	}
+	for _, c := range schedChurnGoldens {
+		owners[c.golden] = "TestSchedChurnPrintGoldens"
+	}
+	files, err := filepath.Glob(goldenPath("*"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	onDisk := map[string]bool{}
+	for _, path := range files {
+		name := strings.TrimSuffix(filepath.Base(path), ".txt")
+		onDisk[name] = true
+		if owners[name] == "" {
+			t.Errorf("%s is checked by no test", path)
+		}
+	}
+	for name, owner := range owners {
+		if !onDisk[name] {
+			t.Errorf("%s names %s.txt, which is missing", owner, name)
+		}
 	}
 }
 
@@ -205,14 +240,14 @@ func TestUnknownSubcommand(t *testing.T) {
 	if !strings.Contains(s, `unknown subcommand "figg5"`) {
 		t.Fatalf("missing error line:\n%s", s)
 	}
-	for _, sc := range subcommands {
+	for _, sc := range subcommands() {
 		if !strings.Contains(s, sc.name) || !strings.Contains(s, sc.desc) {
 			t.Fatalf("listing missing %q:\n%s", sc.name, s)
 		}
 	}
 	// Sorted: each registered name appears after its predecessor.
 	last := -1
-	for _, sc := range subcommands {
+	for _, sc := range subcommands() {
 		i := strings.Index(s, "\n  "+sc.name)
 		if i < 0 {
 			t.Fatalf("listing entry for %q not at line start:\n%s", sc.name, s)

@@ -3,18 +3,20 @@ package gangfm
 // Golden-output determinism tests. Every figure table and chaos trace is a
 // pure function of its seeds, so the rendered bytes are frozen in
 // testdata/golden and any change to them — however small — fails loudly.
-// The sched and churn goldens are gangsim's own output, checked in
-// cmd/gangsim (TestSchedChurnPrintGoldens).
+// The figure goldens are `gangsim -quick <fig>`'s stdout, one per entry of
+// experiments.Figures; the sched and churn goldens are gangsim's own
+// output too, checked in cmd/gangsim (TestSchedChurnPrintGoldens).
 // This is the guard that lets the simulator internals (event queue, packet
 // pooling, sweep scheduling) be rebuilt for speed: the observable results
 // must stay byte-identical.
 //
-// Regenerate with:  go test -run TestGolden -update
+// Regenerate the figure goldens and the chaos trace with:
+//
+//	go test -run 'TestGoldenFigures|TestGoldenChaosTrace' -update
 
 import (
 	"bytes"
 	"flag"
-	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -49,35 +51,14 @@ func goldenCompare(t *testing.T, name string, got string) {
 	}
 }
 
-// TestGoldenFigures freezes every figure table the experiments package
-// renders, in quick mode (the full sweeps render through the same code
-// paths with more rows).
+// TestGoldenFigures freezes every figure experiments.Figures renders, in
+// quick mode (the full sweeps render through the same code paths with more
+// rows).
 func TestGoldenFigures(t *testing.T) {
 	p := experiments.Params{Quick: true, Parallel: 4}
-	tables := []struct {
-		name   string
-		render func() string
-	}{
-		{"credits.txt", func() string { return fmt.Sprint(experiments.CreditsTable(experiments.Credits())) }},
-		{"fig5.txt", func() string { return fmt.Sprint(experiments.Fig5Table(experiments.Fig5(p))) }},
-		{"fig6.txt", func() string { return fmt.Sprint(experiments.Fig6Table(experiments.Fig6(p))) }},
-		{"fig7.txt", func() string {
-			return fmt.Sprint(experiments.StageTable("Figure 7: buffer switch stage times, full copy [cycles of a 200 MHz P6]",
-				experiments.Fig7(p)))
-		}},
-		{"fig8.txt", func() string { return fmt.Sprint(experiments.Fig8FromSweep(experiments.Fig9(p))) }},
-		{"fig9.txt", func() string {
-			return fmt.Sprint(experiments.StageTable("Figure 9: buffer switch stage times, improved (valid-only) copy [cycles]",
-				experiments.Fig9(p)))
-		}},
-		{"overhead.txt", func() string { return fmt.Sprint(experiments.OverheadTable(experiments.Overhead(p))) }},
-		{"schemes.txt", func() string { return fmt.Sprint(experiments.SchemesTable(experiments.Schemes(p))) }},
-		{"dyncos.txt", func() string { return fmt.Sprint(experiments.ResponsivenessTable(experiments.Responsiveness(p))) }},
-	}
-	for _, tb := range tables {
-		tb := tb
-		t.Run(strings.TrimSuffix(tb.name, ".txt"), func(t *testing.T) {
-			goldenCompare(t, tb.name, tb.render())
+	for _, f := range experiments.Figures {
+		t.Run(f.Name, func(t *testing.T) {
+			goldenCompare(t, f.Name+".txt", f.Render(p))
 		})
 	}
 }

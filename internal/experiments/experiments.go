@@ -1,7 +1,9 @@
 // Package experiments regenerates every table and figure of the paper's
 // evaluation (§4): the bandwidth surfaces of Figures 5 and 6, the context
 // switch stage timings of Figures 7 and 9, the buffer-occupancy counts of
-// Figure 8, the §4.2 overhead summary, and the §2.2/§3.3 credit formulas.
+// Figure 8, the §4.2 overhead summary, the §2.2/§3.3 credit formulas, and
+// the two §5 ablations (switch schemes, dynamic coscheduling). Figures
+// lists them, in order, as gangsim prints them.
 //
 // Absolute message counts and quanta are scaled down from the paper's
 // (500,000-message, 3-second-quantum) runs so a full reproduction finishes
@@ -16,8 +18,60 @@ import (
 	"sync/atomic"
 
 	"gangfm/internal/chaos"
+	"gangfm/internal/metrics"
 	"gangfm/internal/parpar"
 )
+
+// Figure is one table of the paper's evaluation.
+type Figure struct {
+	Name string // the gangsim subcommand, and the golden file's base name
+	Desc string // one line for gangsim's usage and subcommand listing
+	// Render runs the experiment and returns what `gangsim <Name>` prints:
+	// the table, a blank line and any note line. Rendered with Quick set,
+	// it is testdata/golden/<Name>.txt.
+	Render func(Params) string
+}
+
+// Figures is the paper's evaluation in the order `gangsim all` prints it.
+var Figures = []Figure{
+	{"credits", "credit formulas C0 = Br/(n^2 p) vs Br/p (paper 2.2, 3.3)", func(Params) string {
+		return render(CreditsTable(Credits()), "")
+	}},
+	{"fig5", "bandwidth vs msg size x #contexts, partitioned buffers", func(p Params) string {
+		return render(Fig5Table(Fig5(p)), "(zero rows are the credit cliff: C0 = Br/(n^2 p) hits 0 at 7-8 contexts)")
+	}},
+	{"fig6", "total bandwidth vs msg size x #jobs, buffer switching", func(p Params) string {
+		return render(Fig6Table(Fig6(p)), "(aggregate = mean per-job bandwidth x #jobs; flat rows are the paper's claim)")
+	}},
+	{"fig7", "switch stage times, full buffer copy, 2..16 nodes", func(p Params) string {
+		return render(StageTable("Figure 7: buffer switch stage times, full copy [cycles of a 200 MHz P6]", Fig7(p)), "")
+	}},
+	{"fig8", "valid packets in the buffers at switch time, 2..16 nodes", func(p Params) string {
+		return render(Fig8FromSweep(Fig9(p)), "")
+	}},
+	{"fig9", "switch stage times, improved (valid-only) copy, 2..16 nodes", func(p Params) string {
+		return render(StageTable("Figure 9: buffer switch stage times, improved (valid-only) copy [cycles]", Fig9(p)), "")
+	}},
+	{"overhead", "single-switch cost vs the paper's 85 ms / 12.5 ms bounds", func(p Params) string {
+		return render(OverheadTable(Overhead(p)), "")
+	}},
+	{"schemes", "ablation: paper scheme vs SHARE discard vs PM quiescence (5)", func(p Params) string {
+		return render(SchemesTable(Schemes(p)), "")
+	}},
+	{"dyncos", "ablation: gang vs dynamic coscheduling responsiveness (5)", func(p Params) string {
+		return render(ResponsivenessTable(Responsiveness(p)), "")
+	}},
+}
+
+// render formats a table as gangsim prints it: the table, a blank line,
+// then the note line if there is one.
+func render(t *metrics.Table, note string) string {
+	s := t.String() + "\n"
+	if note != "" {
+		s += note + "\n"
+	}
+	return s
+}
 
 // Params tunes an experiment run.
 type Params struct {
@@ -81,11 +135,13 @@ func clamp(v, lo, hi int) int {
 	return v
 }
 
-// testChaos, set only by tests, installs a fault plan on every cluster the
-// figure sweeps build (Figures 5–9, overhead, schemes, dyncos), which arms
-// the recovery layer there: with an inert plan it must leave every figure
-// byte-identical. The churn showdown, which gangsim renders, gets the same
-// check in schedd's TestRecoveryCleanChurn.
+// testChaos, set only by tests, installs a fault plan on every parpar
+// cluster the figure sweeps build (Figures 5–9, overhead, schemes and the
+// gang row of dyncos), which arms the recovery layer there: with an inert
+// plan it must leave every figure byte-identical. The dynamic row of
+// dyncos runs on a bare two-card engine with no cluster and no plan, so
+// it is not covered. The churn showdown, which gangsim renders, gets the
+// same check in schedd's TestRecoveryCleanChurn.
 var testChaos *chaos.Plan
 
 // runHorizon bounds the virtual runtime of a figure point that runs its

@@ -20,29 +20,17 @@ import (
 	"gangfm/internal/parpar"
 )
 
-// TestParallelEquivalenceFigures re-renders the Figure 5 and 6 sweeps one
-// point at a time and two at once, and compares each against the golden
-// bytes TestGoldenFigures renders at four.
+// TestParallelEquivalenceFigures re-renders every figure one point at a
+// time and two at once, and compares each against the golden bytes
+// TestGoldenFigures renders at four.
 func TestParallelEquivalenceFigures(t *testing.T) {
 	if testing.Short() {
 		t.Skip("parallel equivalence sweep is not short")
 	}
-	tables := []struct {
-		golden string
-		render func(p experiments.Params) string
-	}{
-		{"fig5.txt", func(p experiments.Params) string {
-			return fmt.Sprint(experiments.Fig5Table(experiments.Fig5(p)))
-		}},
-		{"fig6.txt", func(p experiments.Params) string {
-			return fmt.Sprint(experiments.Fig6Table(experiments.Fig6(p)))
-		}},
-	}
-	for _, tb := range tables {
+	for _, f := range experiments.Figures {
 		for _, par := range []int{1, 2} {
-			name := fmt.Sprintf("%s/par=%d", strings.TrimSuffix(tb.golden, ".txt"), par)
-			t.Run(name, func(t *testing.T) {
-				goldenCompare(t, tb.golden, tb.render(experiments.Params{Quick: true, Parallel: par}))
+			t.Run(fmt.Sprintf("%s/par=%d", f.Name, par), func(t *testing.T) {
+				goldenCompare(t, f.Name+".txt", f.Render(experiments.Params{Quick: true, Parallel: par}))
 			})
 		}
 	}
